@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Protocol
 
 import requests
+from requests.adapters import HTTPAdapter
 
 
 class GatewayError(Exception):
@@ -91,22 +92,32 @@ class Backend(Protocol):
 Transport = Callable[[str, dict[str, str], dict[str, Any], float], "tuple[int, Any]"]
 
 
-def _requests_transport(
-    url: str, headers: dict[str, str], body: dict[str, Any], timeout: float
-) -> tuple[int, Any]:
-    resp = requests.post(url, headers=headers, json=body, timeout=timeout)
-    try:
-        payload = resp.json()
-    except ValueError:
-        payload = None
-    return resp.status_code, payload
+def _session_transport(pool_size: int) -> Transport:
+    """Keep-alive transport: one session whose pool reuses up to `pool_size` connections."""
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_connections=1, pool_maxsize=pool_size)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+
+    def transport(
+        url: str, headers: dict[str, str], body: dict[str, Any], timeout: float
+    ) -> tuple[int, Any]:
+        resp = session.post(url, headers=headers, json=body, timeout=timeout)
+        try:
+            payload = resp.json()
+        except ValueError:
+            payload = None
+        return resp.status_code, payload
+
+    return transport
 
 
 class HttpGateway:
     """Shared chokepoint for one endpoint; safe for concurrent use.
 
     The in-flight semaphore is the process-wide cap: one gateway instance
-    serves an entire batch run.
+    serves an entire batch run. The default transport keeps at most
+    `max_in_flight` connections alive and reuses them across calls.
     """
 
     def __init__(
@@ -127,7 +138,7 @@ class HttpGateway:
         self.api_key = api_key
         self.max_retries = max_retries
         self.timeout_s = timeout_s
-        self._transport = transport or _requests_transport
+        self._transport = transport or _session_transport(max_in_flight)
         self._sleeper = sleeper
         self._rng = rng or random.Random()
         self._clock = clock

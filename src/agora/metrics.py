@@ -57,10 +57,10 @@ def bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
     for n in range(1, max_n + 1):
         cand_grams = _ngram_counts(cand, n)
         total = sum(cand_grams.values())
-        clipped = 0
-        for gram, count in cand_grams.items():
-            best = max(_ngram_counts(ref, n).get(gram, 0) for ref in refs)
-            clipped += min(count, best)
+        best = Counter()
+        for ref in refs:
+            best |= _ngram_counts(ref, n)
+        clipped = sum(min(count, best[gram]) for gram, count in cand_grams.items())
         if total > 0 and clipped > 0:
             precision = clipped / total
         elif n > 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -178,68 +178,41 @@ class BatchSummary:
         return self.total_failures == 0 and self.aborted_jobs == 0
 
 
-def execute_job(
-    spec: JobSpec,
-    scripted: Optional[ScriptedGateway] = None,
-    gateway_cache: Optional[dict] = None,
-) -> JobReport:
-    report = JobReport(
-        name=spec.name,
-        repeat_index=spec.repeat_index,
-        output_path=spec.output_path,
-    )
-    started = time.monotonic()
+@dataclass
+class _QueuedJob:
+    """A job whose debates are in the batch queue; holds records until its last one ends."""
+
+    report: JobReport
+    params: JobParams
+    records: list[Optional[dict[str, Any]]]
+    pending: int
+
+
+def _write_job(job: _QueuedJob, queued_at: float) -> None:
+    """Write the job's log in sample order, fill its report and drop its records."""
+    report, path = job.report, job.params.output_json_file_path
     try:
-        params = resolve_job_params(spec.params)
-        samples = datasets.load_input_file(params.input_json_file_path)
-        if params.num_samples is not None:
-            samples = datasets.subset(samples, params.num_samples, params.seed)
-    except Exception as exc:
-        report.error = f"{type(exc).__name__}: {exc}"
-        report.wall_clock_s = time.monotonic() - started
-        return report
-
-    def backend_for_debate() -> Backend:
-        if scripted is not None:
-            return scripted.fork()
-        return _shared_gateway(params, gateway_cache)
-
-    records: list[Optional[dict[str, Any]]] = [None] * len(samples)
-    workers = max(1, min(len(samples), params.concurrent_api_requests, 32))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(run_sample, params, sample, backend_for_debate()): i
-            for i, sample in enumerate(samples)
-        }
-        for future, index in futures.items():
-            records[index] = future.result()
-
-    try:
-        out = Path(params.output_json_file_path)
+        out = Path(path)
         if out.parent != Path(""):
             out.parent.mkdir(parents=True, exist_ok=True)
         with out.open("w", encoding="utf-8") as handle:
-            for record in records:
+            for record in job.records:
                 handle.write(serialize_record(record) + "\n")
     except OSError as exc:
-        report.error = f"cannot write {params.output_json_file_path}: {exc}"
-        report.wall_clock_s = time.monotonic() - started
-        return report
-
-    report.records = len(records)
-    report.failures = sum(1 for record in records if record_failed(record))
-    report.wall_clock_s = time.monotonic() - started
-    return report
+        report.error = f"cannot write {path}: {exc}"
+    else:
+        report.records = len(job.records)
+        report.failures = sum(1 for record in job.records if record_failed(record))
+    report.wall_clock_s = time.monotonic() - queued_at
+    job.records = []
 
 
-def _shared_gateway(params: JobParams, cache: Optional[dict]) -> HttpGateway:
-    key = (params.endpoint_url, params.api_key, params.concurrent_api_requests)
-    if cache is None:
-        return HttpGateway(
-            params.endpoint_url,
-            params.api_key,
-            max_in_flight=params.concurrent_api_requests,
-        )
+def _gateway_key(params: JobParams) -> tuple:
+    return (params.endpoint_url, params.api_key, params.concurrent_api_requests)
+
+
+def _shared_gateway(params: JobParams, cache: dict) -> HttpGateway:
+    key = _gateway_key(params)
     if key not in cache:
         cache[key] = HttpGateway(
             params.endpoint_url,
@@ -252,15 +225,49 @@ def _shared_gateway(params: JobParams, cache: Optional[dict]) -> HttpGateway:
 def run_batch(
     jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None
 ) -> BatchSummary:
-    """Run every job in order; per-debate failures are recorded, never fatal."""
+    """Run every job's debates through one queue; per-debate failures are recorded, never fatal.
+
+    The queue has one worker per gateway slot (the sum of the distinct
+    gateways' caps) and takes samples in job order, so jobs overlap. Each
+    job's log is written as soon as its last debate ends.
+    """
     if not jobs:
         raise ValueError("no jobs to run")
-    summary = BatchSummary()
     started = time.monotonic()
-    gateway_cache: dict = {}
-    for spec in jobs:
-        summary.reports.append(
-            execute_job(spec, scripted=scripted, gateway_cache=gateway_cache)
-        )
+    summary = BatchSummary(
+        reports=[JobReport(s.name, s.repeat_index, s.output_path) for s in jobs]
+    )
+    ready: list[tuple[_QueuedJob, list]] = []
+    for spec, report in zip(jobs, summary.reports):
+        try:
+            params = resolve_job_params(spec.params)
+            samples = datasets.load_input_file(params.input_json_file_path)
+            if params.num_samples is not None:
+                samples = datasets.subset(samples, params.num_samples, params.seed)
+        except Exception as exc:
+            report.error = f"{type(exc).__name__}: {exc}"
+            continue
+        ready.append((_QueuedJob(report, params, [None] * len(samples), len(samples)), samples))
+
+    gateways: dict = {}
+
+    def backend_for(params: JobParams) -> Backend:
+        if scripted is not None:
+            return scripted.fork()
+        return _shared_gateway(params, gateways)
+
+    caps = {_gateway_key(job.params): job.params.concurrent_api_requests for job, _ in ready}
+    with ThreadPoolExecutor(max_workers=max(1, sum(caps.values()))) as pool:
+        queued = {
+            pool.submit(run_sample, job.params, sample, backend_for(job.params)): (job, index)
+            for job, samples in ready
+            for index, sample in enumerate(samples)
+        }
+        for future in as_completed(queued):
+            job, index = queued.pop(future)
+            job.records[index] = future.result()
+            job.pending -= 1
+            if job.pending == 0:
+                _write_job(job, started)
     summary.total_wall_clock_s = time.monotonic() - started
     return summary

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -217,6 +219,72 @@ def test_max_in_flight_bound_under_threads():
 def test_invalid_max_in_flight():
     with pytest.raises(ValueError):
         HttpGateway("http://fake", max_in_flight=0)
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    """Loopback chat endpoint; the server counts the connections it accepts."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 5  # idle keep-alive connections end their handler thread
+
+    def setup(self) -> None:
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers["Content-Length"]))
+        reply = json.dumps(ok_payload("ok")).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        if self.server.close_each:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def loopback_server():
+    servers = []
+
+    def start(close_each: bool) -> ThreadingHTTPServer:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), ChatHandler)
+        server.daemon_threads = True
+        server.lock = threading.Lock()
+        server.connections = 0
+        server.close_each = close_each
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def fifty_calls(server, max_in_flight: int) -> list[str]:
+    host, port = server.server_address
+    gw = HttpGateway(f"http://{host}:{port}/v1", max_in_flight=max_in_flight)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        return list(pool.map(lambda _: gw.complete(req()).text, range(50)))
+
+
+def test_default_transport_reuses_connections_up_to_the_cap(loopback_server):
+    server = loopback_server(close_each=False)
+    assert fifty_calls(server, max_in_flight=4) == ["ok"] * 50
+    assert 1 <= server.connections <= 4
+
+
+def test_default_transport_survives_connection_close(loopback_server):
+    server = loopback_server(close_each=True)
+    assert fifty_calls(server, max_in_flight=4) == ["ok"] * 50
+    assert server.connections == 50
 
 
 def vote_req(content: str, role: str = "user") -> ChatRequest:

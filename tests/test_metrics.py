@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agora.metrics import bleu, meteor_lite, rouge, tokenize
+from metrics_oracle import reference_bleu
 
 
 # -- tokenizer --
@@ -112,6 +113,22 @@ def test_bleu_stays_in_unit_interval(cand, ref):
 @given(sentences)
 def test_bleu_identity_property(text):
     assert bleu(text, [text]) == pytest.approx(1.0)
+
+
+# Small vocabulary with edge punctuation and case, so n-grams repeat and
+# overlap across the candidate and its references.
+overlapping_texts = st.lists(
+    st.sampled_from(["a", "b", "c", "A", "b,", "(c)", "the", "!!"]), max_size=30
+).map(" ".join)
+
+
+@given(
+    overlapping_texts | st.text(max_size=60),
+    st.lists(overlapping_texts | st.text(max_size=60), min_size=1, max_size=3),
+    st.integers(1, 4),
+)
+def test_bleu_matches_reference_oracle_exactly(cand, refs, max_n):
+    assert bleu(cand, refs, max_n) == reference_bleu(cand, refs, max_n)
 
 
 # -- rouge --
