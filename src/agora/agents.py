@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import prompts
 from .domain import AgentProfile, Agreement, Persona, ResponseGeneratorKind
@@ -31,8 +31,8 @@ TRAIT_NAMES = (
     "Openness",
 )
 
-# Shipped option scale; a plain engine default, overridable per call.
-DEFAULT_TRAIT_OPTIONS: dict[str, list[str]] = {
+# The option scale every IPIP trait is chosen from.
+TRAIT_OPTIONS: dict[str, list[str]] = {
     name: ["very low", "low", "average", "high", "very high"] for name in TRAIT_NAMES
 }
 
@@ -61,10 +61,6 @@ def neutral_panel(n: int) -> list[Persona]:
 
 def extract_json_object(text: str) -> dict:
     """First {...} span in the text parsed as an object; fences tolerated."""
-    return _extract_json_object(text)
-
-
-def _extract_json_object(text: str) -> dict:
     start = text.find("{")
     end = text.rfind("}")
     if start == -1 or end <= start:
@@ -73,6 +69,52 @@ def _extract_json_object(text: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("top-level JSON value is not an object")
     return obj
+
+
+def _generate_persona(
+    messages: list[tuple[str, str]],
+    backend: Backend,
+    model_name: str,
+    parse: Callable[[dict], Persona],
+    identity: Callable[[Persona], Any],
+    existing: list[Persona],
+    duplicate_noun: str,
+) -> tuple[Persona, str]:
+    """Complete, parse and retry until a persona whose identity is new comes back.
+
+    `parse` raises ValueError or KeyError on a malformed object; those
+    responses and the duplicates are retried a bounded number of times.
+    """
+    req = chat_request(messages, model_name=model_name)
+    taken = {identity(p) for p in existing}
+    parse_failures = 0
+    duplicates = 0
+    while True:
+        resp = backend.complete(req)
+        try:
+            persona = parse(extract_json_object(resp.text))
+        except (ValueError, KeyError, json.JSONDecodeError):
+            parse_failures += 1
+            if parse_failures >= _MAX_PARSE_ATTEMPTS:
+                raise PersonaParseFailure(
+                    f"{parse_failures} malformed persona responses, last: {resp.text[:120]!r}"
+                )
+            continue
+        if identity(persona) in taken:
+            duplicates += 1
+            if duplicates >= _MAX_DUPLICATE_ATTEMPTS:
+                raise PersonaUniquenessFailure(
+                    f"{duplicates} duplicate {duplicate_noun} for role {persona.name!r}"
+                )
+            continue
+        return persona, resp.text
+
+
+def _role(obj: dict) -> str:
+    role = obj["role"]
+    if not isinstance(role, str) or not role.strip():
+        raise ValueError("empty role")
+    return role.strip()
 
 
 def generate_expert_persona(
@@ -90,36 +132,17 @@ def generate_expert_persona(
             ("assistant", json.dumps({"role": persona.name, "description": persona.description}))
         )
     messages.append(("user", prompts.render_expert_user(task_text)))
-    req = chat_request(messages, model_name=model_name)
 
-    taken = {p.name.strip().lower() for p in existing}
-    parse_failures = 0
-    duplicates = 0
-    while True:
-        resp = backend.complete(req)
-        try:
-            obj = _extract_json_object(resp.text)
-            role = obj["role"]
-            description = obj["description"]
-            if not isinstance(role, str) or not role.strip():
-                raise ValueError("empty role")
-            if not isinstance(description, str):
-                raise ValueError("description is not a string")
-        except (ValueError, KeyError, json.JSONDecodeError):
-            parse_failures += 1
-            if parse_failures >= _MAX_PARSE_ATTEMPTS:
-                raise PersonaParseFailure(
-                    f"{parse_failures} malformed persona responses, last: {resp.text[:120]!r}"
-                )
-            continue
-        if role.strip().lower() in taken:
-            duplicates += 1
-            if duplicates >= _MAX_DUPLICATE_ATTEMPTS:
-                raise PersonaUniquenessFailure(
-                    f"{duplicates} duplicate personas for role {role.strip()!r}"
-                )
-            continue
-        return Persona(name=role.strip(), description=description.strip()), resp.text
+    def parse(obj: dict) -> Persona:
+        role, description = _role(obj), obj["description"]
+        if not isinstance(description, str):
+            raise ValueError("description is not a string")
+        return Persona(name=role, description=description.strip())
+
+    def name(persona: Persona) -> str:
+        return persona.name.strip().lower()
+
+    return _generate_persona(messages, backend, model_name, parse, name, existing, "personas")
 
 
 def generate_ipip_persona(
@@ -127,56 +150,46 @@ def generate_ipip_persona(
     existing: list[Persona],
     backend: Backend,
     model_name: str = "",
-    trait_options: Optional[dict[str, list[str]]] = None,
 ) -> tuple[Persona, str]:
-    options = trait_options or DEFAULT_TRAIT_OPTIONS
-    messages = [("system", prompts.render_ipip_system(options))]
+    """One persona whose trait vector differs from every one in `existing`."""
+    messages = [("system", prompts.render_ipip_system(TRAIT_OPTIONS))]
     for persona in existing:
         messages.append(
             ("assistant", json.dumps({"role": persona.name, "traits": persona.traits or {}}))
         )
     messages.append(("user", prompts.render_ipip_user(task_text)))
-    req = chat_request(messages, model_name=model_name)
 
-    seen_vectors = {
-        tuple((p.traits or {}).get(name) for name in options) for p in existing
-    }
-    parse_failures = 0
-    duplicates = 0
-    while True:
-        resp = backend.complete(req)
-        try:
-            obj = _extract_json_object(resp.text)
-            role = obj["role"]
-            traits = obj["traits"]
-            if not isinstance(role, str) or not role.strip():
-                raise ValueError("empty role")
-            if not isinstance(traits, dict):
-                raise ValueError("traits is not an object")
-            missing = [name for name in options if name not in traits]
-            if missing:
-                raise ValueError(f"missing traits {missing}")
-        except (ValueError, KeyError, json.JSONDecodeError):
-            parse_failures += 1
-            if parse_failures >= _MAX_PARSE_ATTEMPTS:
-                raise PersonaParseFailure(
-                    f"{parse_failures} malformed persona responses, last: {resp.text[:120]!r}"
-                )
-            continue
-        for name in options:
-            if traits[name] not in options[name]:
-                raise TraitOutOfRange(f"{name}={traits[name]!r} not in {options[name]}")
-        vector = tuple(traits[name] for name in options)
-        if vector in seen_vectors:
-            duplicates += 1
-            if duplicates >= _MAX_DUPLICATE_ATTEMPTS:
-                raise PersonaUniquenessFailure(
-                    f"{duplicates} duplicate trait vectors for role {role.strip()!r}"
-                )
-            continue
-        chosen = {name: traits[name] for name in options}
+    def parse(obj: dict) -> Persona:
+        role, traits = _role(obj), obj["traits"]
+        if not isinstance(traits, dict):
+            raise ValueError("traits is not an object")
+        missing = [name for name in TRAIT_OPTIONS if name not in traits]
+        if missing:
+            raise ValueError(f"missing traits {missing}")
+        # Off-scale values raise at once; only malformed objects are retried.
+        for name, options in TRAIT_OPTIONS.items():
+            if traits[name] not in options:
+                raise TraitOutOfRange(f"{name}={traits[name]!r} not in {options}")
+        chosen = {name: traits[name] for name in TRAIT_OPTIONS}
         description = "; ".join(f"{name}: {value}" for name, value in chosen.items())
-        return Persona(name=role.strip(), description=description, traits=chosen), resp.text
+        return Persona(name=role, description=description, traits=chosen)
+
+    def vector(persona: Persona) -> tuple:
+        return tuple((persona.traits or {}).get(name) for name in TRAIT_OPTIONS)
+
+    return _generate_persona(
+        messages, backend, model_name, parse, vector, existing, "trait vectors"
+    )
+
+
+# Persona generator name -> function. The lambdas look the functions up when
+# called, so a wrapped module attribute is the one used; "none" is the
+# neutral panel.
+PERSONA_GENERATORS: dict[str, Optional[Callable[..., tuple[Persona, str]]]] = {
+    "none": None,
+    "expert": lambda *args: generate_expert_persona(*args),
+    "ipip": lambda *args: generate_ipip_persona(*args),
+}
 
 
 def build_panel(
@@ -188,23 +201,16 @@ def build_panel(
     model_name: str = "",
 ) -> tuple[list[AgentProfile], list[dict]]:
     """Panel of n agents plus their persona log entries (raw text included)."""
+    if persona_generator not in PERSONA_GENERATORS:
+        raise ValueError(f"unknown persona generator {persona_generator!r}")
+    generate = PERSONA_GENERATORS[persona_generator]
     profiles: list[AgentProfile] = []
     log_entries: list[dict] = []
-    if persona_generator == "none":
-        for i, persona in enumerate(neutral_panel(n), start=1):
-            profiles.append(AgentProfile(i, persona, response_generator))
-            log_entries.append(persona.to_log(i))
-        return profiles, log_entries
-
-    generate = {
-        "expert": generate_expert_persona,
-        "ipip": generate_ipip_persona,
-    }.get(persona_generator)
-    if generate is None:
-        raise ValueError(f"unknown persona generator {persona_generator!r}")
     personas: list[Persona] = []
-    for i in range(1, n + 1):
-        persona, raw = generate(task_text, personas, backend, model_name)
+    for i, persona in enumerate(neutral_panel(n), start=1):
+        raw = None
+        if generate is not None:
+            persona, raw = generate(task_text, personas, backend, model_name)
         personas.append(persona)
         profiles.append(AgentProfile(i, persona, response_generator))
         log_entries.append(persona.to_log(i, raw_text=raw))
@@ -231,15 +237,3 @@ def extract_final_answer_response(
     )
     return backend.complete(req)
 
-
-def extract_final_answer(
-    persona: Persona,
-    task_text: str,
-    input_text: str,
-    previous_response: str,
-    backend: Backend,
-    model_name: str = "",
-) -> str:
-    return extract_final_answer_response(
-        persona, task_text, input_text, previous_response, backend, model_name
-    ).text

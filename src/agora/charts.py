@@ -20,8 +20,6 @@ class EmptyResults(Exception):
 WIDTH, HEIGHT = 480, 320
 LEFT, RIGHT, TOP, BOTTOM = 70, 20, 46, 270
 
-CHART_KINDS = ("score", "turns", "decision", "clock")
-
 
 def fmt(value: float) -> str:
     """The one number formatter: CSV cells and SVG labels must match exactly."""

@@ -7,7 +7,7 @@ import sys
 import click
 
 from . import charts, evaluation, runner
-from .config import BatchConfig, ConfigError, expand_config
+from .config import BatchConfig, ConfigError, expand_config, resolve_job_params
 from .datasets import EmptyDataset, FormatError, MappingError
 from .evaluation import MissingReference, UnknownSampleId
 from .gateway import ScriptedGateway, load_script
@@ -49,15 +49,21 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         jobs = expand_config(cfg, scripted_backend=scripted is not None)
     except ConfigError as exc:
         raise click.ClickException(str(exc))
+    # Every job is resolved up front, so a job that cannot run stops the
+    # batch (and a dry run) before any debate starts.
+    resolved = []
+    for job in jobs:
+        try:
+            resolved.append(resolve_job_params(job.params))
+        except ConfigError as exc:
+            raise click.ClickException(f"{job.name} r{job.repeat_index}: {exc}")
 
     if dry_run:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
-        for job in jobs:
-            protocol = job.params.get("decision_protocol", "majority_consensus")
-            paradigm = job.params.get("discussion_paradigm", "memory")
+        for job, params in zip(jobs, resolved):
             click.echo(
                 f"  {job.name} r{job.repeat_index} -> {job.output_path} "
-                f"[protocol={protocol} paradigm={paradigm}]"
+                f"[protocol={params.decision_protocol} paradigm={params.discussion_paradigm}]"
             )
         return
 

@@ -4,34 +4,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
-CONFIG_KEYS = frozenset(
-    {
-        "task_instruction_prompt_template",
-        "endpoint_url",
-        "api_key",
-        "model_name",
-        "input_json_file_path",
-        "output_json_file_path",
-        "concurrent_api_requests",
-        "num_samples",
-        "max_turns",
-        "response_generator",
-        "decision_protocol",
-        "use_baseline",
-        "use_chain_of_thought",
-        "persona_generator",
-        "discussion_paradigm",
-        "num_agents",
-        "seed",
-        "cumulative_points",
-        "voting_after_turns",
-        "debate_exchanges",
-    }
-)
+from . import decisions, paradigms
+from .agents import PERSONA_GENERATORS
+from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
+
+CONFIG_KEYS = frozenset(f.name for f in fields(JobParams))
 
 REQUIRED_KEYS = (
     "endpoint_url",
@@ -40,21 +21,16 @@ REQUIRED_KEYS = (
     "output_json_file_path",
 )
 
-RESPONSE_GENERATORS = frozenset({"simple", "critical", "reasoning"})
-PERSONA_GENERATORS = frozenset({"none", "expert", "ipip"})
-DISCUSSION_PARADIGMS = frozenset({"memory", "relay", "report", "debate"})
-DECISION_PROTOCOLS = frozenset(
-    {
-        "majority_consensus",
-        "supermajority_consensus",
-        "unanimity_consensus",
-        "simple_voting",
-        "approval_voting",
-        "ranked_voting",
-        "cumulative_voting",
-        "judge",
-    }
-)
+# The values each choice key accepts: exactly what the engine dispatches on.
+CHOICES = {
+    "response_generator": frozenset(kind.value for kind in ResponseGeneratorKind),
+    "persona_generator": frozenset(PERSONA_GENERATORS),
+    "discussion_paradigm": frozenset(kind.value for kind in ParadigmKind),
+    "decision_protocol": decisions.ALL_PROTOCOLS,
+}
+
+# Integer keys whose floor is not 1.
+_MINIMUMS = {"num_agents": 2, "seed": 0}
 
 
 class ConfigError(Exception):
@@ -158,43 +134,6 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
     return jobs
 
 
-@dataclass(frozen=True)
-class JobParams:
-    """Typed view of one job's overlaid key→value map, defaults filled in."""
-
-    endpoint_url: str = ""
-    api_key: str = ""
-    model_name: str = ""
-    input_json_file_path: str = ""
-    output_json_file_path: str = ""
-    task_instruction_prompt_template: str = ""
-    concurrent_api_requests: int = 8
-    num_samples: Optional[int] = None
-    max_turns: int = 7
-    response_generator: str = "simple"
-    decision_protocol: str = "majority_consensus"
-    use_baseline: bool = False
-    use_chain_of_thought: bool = True
-    persona_generator: str = "none"
-    discussion_paradigm: str = "memory"
-    num_agents: int = 3
-    seed: int = 0
-    cumulative_points: int = 10
-    voting_after_turns: int = 3
-    debate_exchanges: int = 2
-
-    def to_log(self) -> dict[str, Any]:
-        # api_key never lands in logs.
-        entry = {
-            key: getattr(self, key)
-            for key in sorted(CONFIG_KEYS)
-            if key != "api_key"
-        }
-        if entry["num_samples"] is None:
-            del entry["num_samples"]
-        return entry
-
-
 def _as_int(value: Any, key: str, minimum: int = 1) -> int:
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be an integer, got a boolean")
@@ -229,51 +168,56 @@ def _as_choice(value: Any, key: str, choices: frozenset[str]) -> str:
     return text
 
 
+def _typed(key: str, value: Any, default: Any) -> Any:
+    """One config value checked and converted to the type of its JobParams default."""
+    if key in CHOICES:
+        return _as_choice(value, key, CHOICES[key])
+    if isinstance(default, bool):
+        return _as_bool(value, key)
+    if isinstance(default, str):
+        return str(value)
+    if default is None and value is None:
+        return None
+    return _as_int(value, key, _MINIMUMS.get(key, 1))
+
+
+def _check_runnable(job: JobParams) -> None:
+    """Reject a debate job that would fail, or fall back, on every sample."""
+    if job.use_baseline:
+        return
+    try:
+        paradigms.schedule(
+            ParadigmKind(job.discussion_paradigm), job.num_agents, job.debate_exchanges
+        )
+    except paradigms.PanelTooSmall as exc:
+        raise ConfigError(f"num_agents={job.num_agents} is too small: {exc}")
+    if job.decision_protocol not in decisions.CONSENSUS_PROTOCOLS and not decisions.voting_due(
+        job.max_turns, job.voting_after_turns
+    ):
+        raise ConfigError(
+            f"voting_after_turns={job.voting_after_turns} exceeds max_turns={job.max_turns}: "
+            f"{job.decision_protocol} would never reach its voting turn"
+        )
+
+
 def resolve_job_params(params: Mapping[str, Any]) -> JobParams:
-    """Type-check and default one overlaid job map; AGORA_API_KEY fills api_key."""
+    """Type-check and default one overlaid job map; AGORA_API_KEY fills api_key.
+
+    A debate job the engine cannot run is rejected as well: a panel too small
+    for its paradigm, or a voting or judge protocol whose voting turn lies
+    beyond max_turns.
+    """
     for key in params:
         if key not in CONFIG_KEYS:
             raise ConfigKeyUnknown(key)
-    get = params.get
-    api_key = str(get("api_key") or "") or os.environ.get("AGORA_API_KEY", "")
-    num_samples = get("num_samples")
-    return JobParams(
-        endpoint_url=str(get("endpoint_url", "")),
-        api_key=api_key,
-        model_name=str(get("model_name", "")),
-        input_json_file_path=str(get("input_json_file_path", "")),
-        output_json_file_path=str(get("output_json_file_path", "")),
-        task_instruction_prompt_template=str(
-            get("task_instruction_prompt_template", "")
-        ),
-        concurrent_api_requests=_as_int(
-            get("concurrent_api_requests", 8), "concurrent_api_requests"
-        ),
-        num_samples=None if num_samples is None else _as_int(num_samples, "num_samples"),
-        max_turns=_as_int(get("max_turns", 7), "max_turns"),
-        response_generator=_as_choice(
-            get("response_generator", "simple"), "response_generator", RESPONSE_GENERATORS
-        ),
-        decision_protocol=_as_choice(
-            get("decision_protocol", "majority_consensus"),
-            "decision_protocol",
-            DECISION_PROTOCOLS,
-        ),
-        use_baseline=_as_bool(get("use_baseline", False), "use_baseline"),
-        use_chain_of_thought=_as_bool(
-            get("use_chain_of_thought", True), "use_chain_of_thought"
-        ),
-        persona_generator=_as_choice(
-            get("persona_generator", "none"), "persona_generator", PERSONA_GENERATORS
-        ),
-        discussion_paradigm=_as_choice(
-            get("discussion_paradigm", "memory"),
-            "discussion_paradigm",
-            DISCUSSION_PARADIGMS,
-        ),
-        num_agents=_as_int(get("num_agents", 3), "num_agents", minimum=2),
-        seed=_as_int(get("seed", 0), "seed", minimum=0),
-        cumulative_points=_as_int(get("cumulative_points", 10), "cumulative_points"),
-        voting_after_turns=_as_int(get("voting_after_turns", 3), "voting_after_turns"),
-        debate_exchanges=_as_int(get("debate_exchanges", 2), "debate_exchanges"),
+    values = {
+        f.name: _typed(f.name, params[f.name], f.default)
+        for f in fields(JobParams)
+        if f.name in params
+    }
+    values["api_key"] = str(params.get("api_key") or "") or os.environ.get(
+        "AGORA_API_KEY", ""
     )
+    job = JobParams(**values)
+    _check_runnable(job)
+    return job

@@ -7,7 +7,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .domain import TaskInstance
 from .prompts import multiple_choice_footer
@@ -22,10 +22,6 @@ class MappingError(Exception):
 
 
 class EmptyDataset(Exception):
-    pass
-
-
-class UnknownTemplate(Exception):
     pass
 
 
@@ -156,7 +152,6 @@ def load_dataset(
 
 def _check_unique_ids(instances: Sequence[TaskInstance]) -> None:
     seen: dict[str, int] = {}
-    duplicates: list[str] = []
     for instance in instances:
         seen[instance.id] = seen.get(instance.id, 0) + 1
     duplicates = sorted(sample_id for sample_id, count in seen.items() if count > 1)
@@ -208,10 +203,6 @@ def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
     )
 
 
-def serialize_unified(instances: Iterable[TaskInstance]) -> list[dict[str, Any]]:
-    return [instance.to_unified() for instance in instances]
-
-
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".mapping.json")
 
@@ -260,57 +251,25 @@ def subset(
     return [samples[i] for i in indices]
 
 
-@dataclass(frozen=True)
-class InstructionTemplate:
-    key: str
-    text: str
-    multiple_choice: bool = False
+def _mc(text: str) -> str:
+    return text + "\n" + multiple_choice_footer()
 
 
-def _mc(key: str, text: str) -> InstructionTemplate:
-    return InstructionTemplate(key, text + "\n" + multiple_choice_footer(), True)
-
-
-_REGISTRY: dict[str, InstructionTemplate] = {
-    t.key: t
-    for t in (
-        _mc(
-            "winogrande",
-            "Solve the following sentence completion task. Pick the option that fills the blank so the sentence makes sense.",
-        ),
-        _mc(
-            "strategyqa",
-            "Answer the following yes/no question. Reason through the facts it depends on, then pick the option that matches your verdict.",
-        ),
-        _mc("gpqa", "Answer the following multiple-choice science question."),
-        _mc("mmlu_pro", "Answer the following multiple-choice question."),
-        InstructionTemplate(
-            "etpc",
-            "Paraphrase the following text. Keep the meaning identical while changing the wording.",
-        ),
-        InstructionTemplate(
-            "xsum",
-            "Summarize the following article in a single sentence.",
-        ),
-    )
+# Instruction texts of the shipped tasks; multiple-choice tasks carry the footer.
+_INSTRUCTIONS: dict[str, str] = {
+    "winogrande": _mc(
+        "Solve the following sentence completion task. Pick the option that fills the blank so the sentence makes sense."
+    ),
+    "strategyqa": _mc(
+        "Answer the following yes/no question. Reason through the facts it depends on, then pick the option that matches your verdict."
+    ),
+    "gpqa": _mc("Answer the following multiple-choice science question."),
+    "mmlu_pro": _mc("Answer the following multiple-choice question."),
+    "etpc": "Paraphrase the following text. Keep the meaning identical while changing the wording.",
+    "xsum": "Summarize the following article in a single sentence.",
 }
-
-
-def instruction_for(key: str) -> InstructionTemplate:
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise UnknownTemplate(
-            f"no instruction template {key!r}; known keys: {', '.join(sorted(_REGISTRY))}"
-        )
-
-
-def registered_instructions() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
 
 
 def resolve_instruction(key_or_text: str) -> str:
     """Registry text for known keys; any other string is the instruction itself."""
-    if key_or_text in _REGISTRY:
-        return _REGISTRY[key_or_text].text
-    return key_or_text
+    return _INSTRUCTIONS.get(key_or_text, key_or_text)

@@ -14,7 +14,7 @@ from .agents import extract_final_answer_response, extract_json_object
 from .domain import (
     DebateState,
     DecisionOutcome,
-    Message,
+    ParadigmKind,
     Phase,
     TieBreak,
 )
@@ -271,19 +271,10 @@ def collect_candidates(
             ctx.input_text,
             previous,
             backend,
-            ctx.model_name,
+            ctx.params.model_name,
         )
         candidates.append(resp.text)
-        state.append(
-            Message(
-                seq=state.next_seq(),
-                turn=state.turn,
-                agent_id=profile.agent_id,
-                phase=Phase.EXTRACTION,
-                text=resp.text,
-                wall_clock_ms=resp.latency_ms,
-            )
-        )
+        state.add(state.turn, profile.agent_id, Phase.EXTRACTION, resp.text, resp.latency_ms)
     return candidates
 
 
@@ -303,6 +294,7 @@ _MAX_BALLOT_ATTEMPTS = 4
 def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> VoteRound:
     candidates = collect_candidates(state, backend, ctx)
     k = len(candidates)
+    protocol, points = ctx.params.decision_protocol, ctx.params.cumulative_points
     ballots: list[Ballot] = []
     finals: list[Ballot] = []
     for profile in state.panel:
@@ -312,20 +304,16 @@ def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> 
                 (
                     "user",
                     prompts.render_vote_user(
-                        ctx.protocol,
-                        ctx.task_text,
-                        ctx.input_text,
-                        candidates,
-                        points=ctx.cumulative_points,
+                        protocol, ctx.task_text, ctx.input_text, candidates, points=points
                     ),
                 ),
             ],
-            model_name=ctx.model_name,
+            model_name=ctx.params.model_name,
         )
         for _ in range(_MAX_BALLOT_ATTEMPTS):
             resp = backend.complete(req)
             try:
-                parsed = parse_ballot(ctx.protocol, resp.text, k, ctx.cumulative_points)
+                parsed = parse_ballot(protocol, resp.text, k, points)
             except VoteParseFailure as exc:
                 ballots.append(
                     Ballot(profile.agent_id, resp.text, valid=False, reason=str(exc))
@@ -336,7 +324,7 @@ def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> 
             finals.append(ballot)
             break
     try:
-        result = tally(ctx.protocol, finals, k) if finals else None
+        result = tally(protocol, finals, k) if finals else None
     except AllBallotsInvalid:
         result = None
     return VoteRound(turn=state.turn, candidates=candidates, ballots=ballots, tally=result)
@@ -349,7 +337,7 @@ def judge_decide(
         raise ValueError("the judge needs at least one candidate")
     req = chat_request(
         [("user", prompts.render_judge_user(ctx.task_text, ctx.input_text, candidates))],
-        model_name=ctx.model_name,
+        model_name=ctx.params.model_name,
     )
     try:
         resp = backend.complete(req)
@@ -362,16 +350,7 @@ def judge_decide(
             fallback_reason=f"judge call failed: {exc}",
         )
     # The judge sits outside the panel; agent_id 0 marks that in the log.
-    state.append(
-        Message(
-            seq=state.next_seq(),
-            turn=state.turn,
-            agent_id=0,
-            phase=Phase.JUDGE,
-            text=resp.text,
-            wall_clock_ms=resp.latency_ms,
-        )
-    )
+    state.add(state.turn, 0, Phase.JUDGE, resp.text, resp.latency_ms)
     return DecisionOutcome(
         protocol="judge",
         final_text=resp.text,
@@ -384,30 +363,33 @@ def decide(
     state: DebateState, backend: Backend, ctx: DebateContext
 ) -> Optional[DecisionOutcome]:
     """Protocol check after a completed turn; None means keep debating."""
-    protocol = ctx.protocol
+    params = ctx.params
+    protocol = params.decision_protocol
+
+    def outcome(
+        final_text: str, rounds: Optional[list[VoteRound]] = None, **extra: Any
+    ) -> DecisionOutcome:
+        # Successful unless a fallback reason is given.
+        return DecisionOutcome(
+            protocol,
+            final_text,
+            "fallback_reason" not in extra,
+            state.turn,
+            vote_detail=None if rounds is None else [r.to_log() for r in rounds],
+            **extra,
+        )
+
     draft_text = state.current_draft.text if state.current_draft else ""
     if protocol in CONSENSUS_PROTOCOLS:
         if consensus_reached(state.agreement_fraction(), protocol):
-            return DecisionOutcome(protocol, draft_text, True, state.turn)
-        if state.turn >= ctx.max_turns:
-            return DecisionOutcome(
-                protocol,
-                draft_text,
-                False,
-                state.turn,
-                fallback_reason="turn cap reached without consensus",
-            )
+            return outcome(draft_text)
+        if state.turn >= params.max_turns:
+            return outcome(draft_text, fallback_reason="turn cap reached without consensus")
         return None
 
-    if not voting_due(state.turn, ctx.voting_after_turns):
-        if state.turn >= ctx.max_turns:
-            return DecisionOutcome(
-                protocol,
-                draft_text,
-                False,
-                state.turn,
-                fallback_reason="turn cap reached before the voting turn",
-            )
+    if not voting_due(state.turn, params.voting_after_turns):
+        if state.turn >= params.max_turns:
+            return outcome(draft_text, fallback_reason="turn cap reached before the voting turn")
         return None
 
     if protocol == "judge":
@@ -416,52 +398,26 @@ def decide(
 
     rounds = [run_vote_round(state, backend, ctx)]
     if rounds[0].tally is None:
-        return DecisionOutcome(
-            protocol,
-            draft_text,
-            False,
-            state.turn,
-            vote_detail=[r.to_log() for r in rounds],
-            fallback_reason="all ballots invalid after re-prompts",
-        )
+        return outcome(draft_text, rounds, fallback_reason="all ballots invalid after re-prompts")
     winners = sorted(rounds[0].tally.winners)
     if len(winners) == 1:
-        return DecisionOutcome(
-            protocol,
-            rounds[0].candidates[winners[0] - 1],
-            True,
-            state.turn,
-            vote_detail=[r.to_log() for r in rounds],
-        )
-    if state.turn >= ctx.max_turns:
+        return outcome(rounds[0].candidates[winners[0] - 1], rounds)
+    if state.turn >= params.max_turns:
         # No room for the extra round; settle on the lowest tied index.
-        return DecisionOutcome(
-            protocol,
+        return outcome(
             rounds[0].candidates[winners[0] - 1],
-            True,
-            state.turn,
-            vote_detail=[r.to_log() for r in rounds],
+            rounds,
             tie_broken=TieBreak.DETERMINISTIC_INDEX,
         )
 
-    paradigms.run_turn(ctx.paradigm, state, backend, ctx)
+    paradigms.run_turn(ParadigmKind(params.discussion_paradigm), state, backend, ctx)
     rounds.append(run_vote_round(state, backend, ctx))
     if rounds[1].tally is None:
-        return DecisionOutcome(
-            protocol,
+        return outcome(
             state.current_draft.text if state.current_draft else "",
-            False,
-            state.turn,
-            vote_detail=[r.to_log() for r in rounds],
+            rounds,
             fallback_reason="all ballots invalid in the tie-break round",
         )
     winners = sorted(rounds[1].tally.winners)
     tie_break = TieBreak.EXTRA_ROUND if len(winners) == 1 else TieBreak.DETERMINISTIC_INDEX
-    return DecisionOutcome(
-        protocol,
-        rounds[1].candidates[winners[0] - 1],
-        True,
-        state.turn,
-        vote_detail=[r.to_log() for r in rounds],
-        tie_broken=tie_break,
-    )
+    return outcome(rounds[1].candidates[winners[0] - 1], rounds, tie_broken=tie_break)

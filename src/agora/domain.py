@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Optional
@@ -100,6 +100,50 @@ class ResponseGeneratorKind(str, Enum):
     SIMPLE = "simple"
     CRITICAL = "critical"
     REASONING = "reasoning"
+
+
+class ParadigmKind(str, Enum):
+    MEMORY = "memory"
+    RELAY = "relay"
+    REPORT = "report"
+    DEBATE = "debate"
+
+
+@dataclass(frozen=True)
+class JobParams:
+    """One job's parameters, defaults filled in; the field names are the config keys."""
+
+    endpoint_url: str = ""
+    api_key: str = ""
+    model_name: str = ""
+    input_json_file_path: str = ""
+    output_json_file_path: str = ""
+    task_instruction_prompt_template: str = ""
+    concurrent_api_requests: int = 8
+    num_samples: Optional[int] = None
+    max_turns: int = 7
+    response_generator: str = "simple"
+    decision_protocol: str = "majority_consensus"
+    use_baseline: bool = False
+    use_chain_of_thought: bool = True
+    persona_generator: str = "none"
+    discussion_paradigm: str = "memory"
+    num_agents: int = 3
+    seed: int = 0
+    cumulative_points: int = 10
+    voting_after_turns: int = 3
+    debate_exchanges: int = 2
+
+    def to_log(self) -> dict[str, Any]:
+        # api_key never lands in logs.
+        entry = {
+            key: getattr(self, key)
+            for key in sorted(f.name for f in fields(self))
+            if key != "api_key"
+        }
+        if entry["num_samples"] is None:
+            del entry["num_samples"]
+        return entry
 
 
 @dataclass(frozen=True)
@@ -223,6 +267,20 @@ class DebateState:
         elif msg.agreement is not None:
             self.agree_flags[msg.agent_id] = msg.agreement
         return self
+
+    def add(
+        self,
+        turn: int,
+        agent_id: int,
+        phase: Phase,
+        text: str,
+        clock_ms: int,
+        agreement: Optional[Agreement] = None,
+    ) -> None:
+        """Append the next message; its seq follows the transcript."""
+        self.append(
+            Message(self.next_seq(), turn, agent_id, phase, text, agreement, clock_ms)
+        )
 
     def agreement_fraction(self) -> Fraction:
         if not self.panel:

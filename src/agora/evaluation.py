@@ -40,12 +40,6 @@ def extract_answer_letter(text: str) -> Optional[str]:
     return None
 
 
-def _samples_by_id(samples: Iterable[TaskInstance] | Mapping[str, TaskInstance]) -> dict:
-    if isinstance(samples, Mapping):
-        return dict(samples)
-    return {sample.id: sample for sample in samples}
-
-
 def _joined(record: dict[str, Any], by_id: dict[str, TaskInstance]) -> TaskInstance:
     sample_id = record["task"]["id"]
     if sample_id not in by_id:
@@ -58,17 +52,6 @@ def record_correct(record: dict[str, Any], sample: TaskInstance) -> bool:
         raise MissingReference(f"sample {sample.id} has no answer letter")
     extracted = extract_answer_letter(record["outcome"]["finalText"])
     return extracted is not None and extracted == sample.answer_letter.strip().upper()
-
-
-def accuracy(
-    records: Sequence[dict[str, Any]],
-    samples: Iterable[TaskInstance] | Mapping[str, TaskInstance],
-) -> float:
-    if not records:
-        raise ValueError("accuracy needs at least one record")
-    by_id = _samples_by_id(samples)
-    correct = sum(1 for r in records if record_correct(r, _joined(r, by_id)))
-    return correct / len(records)
 
 
 @dataclass(frozen=True)
@@ -132,8 +115,6 @@ class EvalResult:
 
 _REPEAT_SUFFIX_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
 
-FREE_TEXT_METRICS = ("bleu", "rouge1", "rouge2", "rouge3", "rougeL", "meteor")
-
 
 def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
     """Map job name -> [(repeat index, path)] from -r{i} file name suffixes."""
@@ -184,9 +165,9 @@ def _free_text_scores(final_text: str, references: Sequence[str]) -> dict[str, f
 def evaluate_job(
     job_name: str,
     repeat_files: Sequence[tuple[int, Path]],
-    samples: Iterable[TaskInstance] | Mapping[str, TaskInstance],
+    samples: Iterable[TaskInstance],
 ) -> EvalResult:
-    by_id = _samples_by_id(samples)
+    by_id = {sample.id: sample for sample in samples}
     per_repeat: dict[str, list[float]] = {}
     pooled: dict[str, list[float]] = {}
     turns: list[int] = []
@@ -242,12 +223,11 @@ def evaluate_logs(
     from .datasets import load_input_file
 
     samples = load_input_file(dataset)
-    by_id = {sample.id: sample for sample in samples}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for job_name, repeat_files in sorted(group_log_files(logs).items()):
-        result = evaluate_job(job_name, repeat_files, by_id)
+        result = evaluate_job(job_name, repeat_files, samples)
         target = out / f"{job_name}.eval.json"
         target.write_text(
             json.dumps(result.to_json(), ensure_ascii=False, indent=2) + "\n",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from . import prompts
 from .agents import parse_agreement
@@ -13,7 +13,9 @@ from .domain import (
     AgentProfile,
     DebateEnded,
     DebateState,
+    JobParams,
     Message,
+    ParadigmKind,
     Phase,
     ResponseGeneratorKind,
 )
@@ -22,13 +24,6 @@ from .gateway import Backend, chat_request
 
 class PanelTooSmall(Exception):
     pass
-
-
-class ParadigmKind(str, Enum):
-    MEMORY = "memory"
-    RELAY = "relay"
-    REPORT = "report"
-    DEBATE = "debate"
 
 
 class Visibility(str, Enum):
@@ -45,21 +40,14 @@ class TurnStep:
     visibility: Visibility
 
 
-@dataclass
+@dataclass(frozen=True)
 class DebateContext:
-    """Per-debate rendering and wire parameters shared by turn execution."""
+    """One debate's job parameters plus the sample texts its prompts carry."""
 
+    params: JobParams
     task_text: str
     input_text: str
     context_text: Optional[str] = None
-    generator: ResponseGeneratorKind = ResponseGeneratorKind.SIMPLE
-    model_name: str = ""
-    debate_exchanges: int = 2
-    max_turns: int = 7
-    paradigm: ParadigmKind = ParadigmKind.MEMORY
-    protocol: str = "majority_consensus"
-    voting_after_turns: int = 3
-    cumulative_points: int = 10
 
 
 # Central agent in report/debate; documented so researchers can remap.
@@ -84,11 +72,8 @@ def pair_of(n_agents: int, agent_id: int) -> tuple[int, ...]:
     raise ValueError(f"agent {agent_id} is not a paired peer")
 
 
-def schedule(
-    kind: ParadigmKind, n_agents: int, turn: int = 1, debate_exchanges: int = 2
-) -> list[TurnStep]:
-    """Speaker order for one turn; identical for every turn of a debate."""
-    del turn  # schedules are turn-invariant; pairs stay fixed
+def schedule(kind: ParadigmKind, n_agents: int, debate_exchanges: int = 2) -> list[TurnStep]:
+    """Speaker order for one turn; identical for every turn of a debate, so pairs stay fixed."""
     if kind in (ParadigmKind.MEMORY, ParadigmKind.RELAY):
         if n_agents < 2:
             raise PanelTooSmall(f"{kind.value} needs at least 2 agents")
@@ -184,7 +169,9 @@ def render_step_prompt(
     if draft is None:
         # First proposal: the system prompt carries the whole instruction.
         return [("system", system)]
-    user = prompts.render_turn_user_prompt(ctx.generator, _STEP_PROMPTS[step.phase])
+    user = prompts.render_turn_user_prompt(
+        ResponseGeneratorKind(ctx.params.response_generator), _STEP_PROMPTS[step.phase]
+    )
     return [("system", system), ("user", user)]
 
 
@@ -193,29 +180,19 @@ def run_turn(
 ) -> DebateState:
     if state.ended:
         raise DebateEnded("debate already ended")
-    if state.turn >= ctx.max_turns:
+    if state.turn >= ctx.params.max_turns:
         raise ValueError("turn cap reached; the decision protocol must settle it")
     turn_no = state.turn + 1
-    for step in schedule(kind, len(state.panel), turn_no, ctx.debate_exchanges):
+    for step in schedule(kind, len(state.panel), ctx.params.debate_exchanges):
         had_draft = state.current_draft is not None
         messages = render_step_prompt(state, step, kind, ctx)
-        resp = backend.complete(chat_request(messages, model_name=ctx.model_name))
+        resp = backend.complete(chat_request(messages, model_name=ctx.params.model_name))
         phase = step.phase if had_draft else Phase.DRAFT
         agreement = (
             parse_agreement(resp.text)
             if phase in (Phase.IMPROVE, Phase.FEEDBACK)
             else None
         )
-        state.append(
-            Message(
-                seq=state.next_seq(),
-                turn=turn_no,
-                agent_id=step.speaker,
-                phase=phase,
-                text=resp.text,
-                agreement=agreement,
-                wall_clock_ms=resp.latency_ms,
-            )
-        )
+        state.add(turn_no, step.speaker, phase, resp.text, resp.latency_ms, agreement)
     state.turn = turn_no
     return state

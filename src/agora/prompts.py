@@ -61,12 +61,6 @@ def render_discussion_system(
         # Opening message of a debate: the draft and memory lines give way to
         # the request for a first proposal.
         lines = lines[:-2] + [template_text("first_draft")]
-        return Template("\n".join(lines)).substitute(
-            role=format_role(persona),
-            task=task_text,
-            input=input_text,
-            context=context_text if context_text is not None else "",
-        )
     return Template("\n".join(lines)).substitute(
         role=format_role(persona),
         task=task_text,

@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import datasets, decisions, paradigms, prompts
 from .agents import build_panel, neutral_panel
@@ -16,119 +16,101 @@ from .domain import (
     AgentProfile,
     DebateState,
     DecisionOutcome,
-    Message,
+    ParadigmKind,
     Phase,
     ResponseGeneratorKind,
     build_log_record,
 )
 from .gateway import Backend, HttpGateway, ScriptedGateway, chat_request
-from .paradigms import DebateContext, ParadigmKind
+from .paradigms import DebateContext
 
 
 def _now_ms() -> int:
     return int(time.monotonic() * 1000)
 
 
-def _context_for(params: JobParams, task_text: str, sample) -> DebateContext:
-    return DebateContext(
-        task_text=task_text,
-        input_text=sample.input_text(),
-        context_text=sample.context_text(),
-        generator=ResponseGeneratorKind(params.response_generator),
-        model_name=params.model_name,
-        debate_exchanges=params.debate_exchanges,
-        max_turns=params.max_turns,
-        paradigm=ParadigmKind(params.discussion_paradigm),
-        protocol=params.decision_protocol,
-        voting_after_turns=params.voting_after_turns,
-        cumulative_points=params.cumulative_points,
-    )
+def _run_recorded(
+    params: JobParams,
+    sample,
+    backend: Backend,
+    protocol: str,
+    body: Callable[[DebateState, list, str], DecisionOutcome],
+) -> dict[str, Any]:
+    """Time one sample's run and log it; a crash becomes a failure outcome, never raises.
 
-
-def _task_text(params: JobParams, sample) -> str:
-    key = sample.instruction_key or params.task_instruction_prompt_template
-    return datasets.resolve_instruction(key)
-
-
-def _failure_outcome(protocol: str, turn: int, exc: Exception) -> DecisionOutcome:
-    return DecisionOutcome(
-        protocol=protocol,
-        final_text="",
-        success=False,
-        decided_at_turn=turn,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def run_debate(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
-    """One full multi-agent debate; crashes become a failure record, never raise."""
+    `body(state, personas, task_text)` sets the panel, appends the persona
+    log entries, runs the exchange and returns its outcome.
+    """
     zero_clock = isinstance(backend, ScriptedGateway)
     started = _now_ms()
-    task_text = _task_text(params, sample)
-    ctx = _context_for(params, task_text, sample)
+    task_text = datasets.resolve_instruction(
+        sample.instruction_key or params.task_instruction_prompt_template
+    )
     state = DebateState(task=sample, panel=[])
     personas: list[dict[str, Any]] = []
     try:
-        panel, personas = build_panel(
-            params.num_agents,
-            params.persona_generator,
-            ctx.generator,
-            task_text,
-            backend,
-            params.model_name,
-        )
-        state.panel = panel
-        outcome: Optional[DecisionOutcome] = None
-        while outcome is None:
-            paradigms.run_turn(ctx.paradigm, state, backend, ctx)
-            outcome = decisions.decide(state, backend, ctx)
+        outcome = body(state, personas, task_text)
     except Exception as exc:
-        outcome = _failure_outcome(params.decision_protocol, state.turn, exc)
+        outcome = DecisionOutcome(
+            protocol=protocol,
+            final_text="",
+            success=False,
+            decided_at_turn=state.turn,
+            error=f"{type(exc).__name__}: {exc}",
+        )
     state.ended = True
     clock = 0 if zero_clock else _now_ms() - started
     return build_log_record(params.to_log(), state, personas, outcome, clock)
 
 
+def run_debate(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
+    """One full multi-agent debate; crashes become a failure record, never raise."""
+
+    def debate(state: DebateState, personas: list, task_text: str) -> DecisionOutcome:
+        ctx = DebateContext(params, task_text, sample.input_text(), sample.context_text())
+        state.panel, entries = build_panel(
+            params.num_agents,
+            params.persona_generator,
+            ResponseGeneratorKind(params.response_generator),
+            task_text,
+            backend,
+            params.model_name,
+        )
+        personas.extend(entries)
+        paradigm = ParadigmKind(params.discussion_paradigm)
+        outcome: Optional[DecisionOutcome] = None
+        while outcome is None:
+            paradigms.run_turn(paradigm, state, backend, ctx)
+            outcome = decisions.decide(state, backend, ctx)
+        return outcome
+
+    return _run_recorded(params, sample, backend, params.decision_protocol, debate)
+
+
 def run_baseline(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
     """Single-agent answer shaped like a one-message debate record."""
-    zero_clock = isinstance(backend, ScriptedGateway)
-    started = _now_ms()
-    task_text = _task_text(params, sample)
-    persona = neutral_panel(1)[0]
-    generator = ResponseGeneratorKind(params.response_generator)
-    state = DebateState(
-        task=sample, panel=[AgentProfile(1, persona, generator)]
-    )
-    personas = [persona.to_log(1)]
-    try:
+
+    def answer(state: DebateState, personas: list, task_text: str) -> DecisionOutcome:
+        persona = neutral_panel(1)[0]
+        generator = ResponseGeneratorKind(params.response_generator)
+        state.panel = [AgentProfile(1, persona, generator)]
+        personas.append(persona.to_log(1))
         messages: list[tuple[str, str]] = [
             ("system", prompts.render_cot_system(task_text, sample.input_text()))
         ]
         if params.use_chain_of_thought:
             messages.append(("user", prompts.cot_user_text()))
         resp = backend.complete(chat_request(messages, model_name=params.model_name))
-        state.append(
-            Message(
-                seq=1,
-                turn=1,
-                agent_id=1,
-                phase=Phase.DRAFT,
-                text=resp.text,
-                wall_clock_ms=resp.latency_ms,
-            )
-        )
+        state.add(1, 1, Phase.DRAFT, resp.text, resp.latency_ms)
         state.turn = 1
-        outcome = DecisionOutcome(
+        return DecisionOutcome(
             protocol="baseline",
             final_text=resp.text,
             success=True,
             decided_at_turn=1,
         )
-    except Exception as exc:
-        outcome = _failure_outcome("baseline", state.turn, exc)
-    state.ended = True
-    clock = 0 if zero_clock else _now_ms() - started
-    return build_log_record(params.to_log(), state, personas, outcome, clock)
+
+    return _run_recorded(params, sample, backend, "baseline", answer)
 
 
 def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from agora.config import BatchConfig, expand_config, resolve_job_params
+from agora.config import BatchConfig, JobParams, expand_config, resolve_job_params
 from agora.decisions import Ballot, consensus_reached, tally
 from agora.domain import (
     AgentProfile,
@@ -226,7 +226,9 @@ def visibility_debate(kind: ParadigmKind, seed: int):
     task = TaskInstance(id=f"{seed:04d}", instruction_key="", input_lines=("x",))
     state = DebateState(task=task, panel=panel)
     ctx = DebateContext(
-        task_text="solve", input_text="x", paradigm=kind, max_turns=turns
+        JobParams(discussion_paradigm=kind.value, max_turns=turns),
+        task_text="solve",
+        input_text="x",
     )
     for _ in range(turns):
         run_turn(kind, state, backend, ctx)

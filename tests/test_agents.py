@@ -7,13 +7,12 @@ import json
 import pytest
 
 from agora.agents import (
-    DEFAULT_TRAIT_OPTIONS,
     TRAIT_NAMES,
+    TRAIT_OPTIONS,
     PersonaParseFailure,
     PersonaUniquenessFailure,
     TraitOutOfRange,
     build_panel,
-    extract_final_answer,
     extract_final_answer_response,
     extract_json_object,
     generate_expert_persona,
@@ -221,16 +220,9 @@ def test_ipip_persona_same_role_different_vector_is_fine():
     assert persona.name == "A"
 
 
-def test_ipip_persona_custom_trait_options():
-    options = {name: ["lo", "hi"] for name in TRAIT_NAMES}
-    backend = SeqBackend([ipip_json("C", "lo", "hi", "lo", "hi", "lo")])
-    persona, _ = generate_ipip_persona("t", [], backend, trait_options=options)
-    assert persona.traits["Agreeableness"] == "hi"
-
-
 def test_default_trait_options_cover_all_names():
-    assert set(DEFAULT_TRAIT_OPTIONS) == set(TRAIT_NAMES)
-    assert all(len(v) == 5 for v in DEFAULT_TRAIT_OPTIONS.values())
+    assert set(TRAIT_OPTIONS) == set(TRAIT_NAMES)
+    assert all(len(v) == 5 for v in TRAIT_OPTIONS.values())
 
 
 # -- panel assembly --
@@ -282,7 +274,9 @@ def test_build_panel_unknown_generator():
 def test_extract_final_answer_prompt_and_text():
     backend = SeqBackend(["Final solution: B"])
     persona = Persona(name="Mathematician", description="Numbers.")
-    text = extract_final_answer(persona, "task", "input", "I think B because...", backend)
+    text = extract_final_answer_response(
+        persona, "task", "input", "I think B because...", backend
+    ).text
     assert text == "Final solution: B"
     (req,) = backend.requests
     assert req.messages[0].role == "system"
@@ -301,4 +295,4 @@ def test_extract_final_answer_response_carries_latency():
 
 def test_extract_final_answer_requires_previous_text():
     with pytest.raises(ValueError):
-        extract_final_answer(Persona(name="P"), "t", "i", "", SeqBackend(["x"]))
+        extract_final_answer_response(Persona(name="P"), "t", "i", "", SeqBackend(["x"]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from agora.charts import CHART_KINDS, EmptyResults, emit_charts, fmt
+from agora.charts import EmptyResults, emit_charts, fmt
 from agora.evaluation import EvalResult
 
 
@@ -36,7 +36,7 @@ def test_emit_charts_manifest_counts(tmp_path):
     # Four kinds per job, each an SVG plus a CSV: 2 jobs -> 16 files.
     assert len(manifest) == 16
     names = sorted(p.name for p in manifest)
-    for kind in CHART_KINDS:
+    for kind in ("score", "turns", "decision", "clock"):
         for job in ("a", "b"):
             assert f"{kind}-{job}.svg" in names
             assert f"{kind}-{job}.csv" in names

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from agora.cli import main
@@ -108,6 +109,53 @@ def test_run_dry_run_shows_overridden_protocol(tmp_path):
     )
     assert result.exit_code == 0
     assert "[protocol=simple_voting paradigm=relay]" in result.output
+
+
+def one_run_config(tmp_path, dataset, **run):
+    return write_json(
+        tmp_path / "one-run.json",
+        {
+            "repeats": 3,
+            "common": {"input_json_file_path": str(dataset)},
+            "runs": [{"output_json_file_path": str(tmp_path / "logs" / "one.jsonl"), **run}],
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "run, key",
+    [
+        ({"discussion_paradigm": "report", "num_agents": 2}, "num_agents"),
+        (
+            {"decision_protocol": "simple_voting", "voting_after_turns": 5, "max_turns": 3},
+            "voting_after_turns",
+        ),
+        ({"max_turns": "many"}, "max_turns"),
+    ],
+)
+def test_run_rejects_a_job_that_cannot_run_before_any_debate(tmp_path, run, key):
+    dataset, script, _ = make_workspace(tmp_path)
+    config = one_run_config(tmp_path, dataset, **run)
+    for flags in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *flags]
+        )
+        assert result.exit_code != 0
+        assert "one r1:" in result.output
+        assert key in result.output
+        assert not (tmp_path / "logs").exists()
+
+
+def test_run_dry_run_accepts_consensus_with_a_late_voting_turn(tmp_path):
+    dataset, script, _ = make_workspace(tmp_path)
+    config = one_run_config(tmp_path, dataset, voting_after_turns=5, max_turns=3)
+    result = CliRunner().invoke(
+        main,
+        ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"],
+    )
+    assert result.exit_code == 0
+    assert "3 job(s) from 1 run(s) x 3 repeat(s)" in result.output
+    assert "[protocol=majority_consensus paradigm=memory]" in result.output
 
 
 def test_run_rejects_unknown_backend(tmp_path):

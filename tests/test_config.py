@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
+from agora import decisions, prompts
+from agora.agents import TRAIT_OPTIONS, build_panel
 from agora.config import (
+    CHOICES,
     CONFIG_KEYS,
     REQUIRED_KEYS,
     BatchConfig,
@@ -17,6 +22,9 @@ from agora.config import (
     expand_config,
     resolve_job_params,
 )
+from agora.domain import ParadigmKind, ResponseGeneratorKind
+from agora.gateway import ChatResponse
+from agora.paradigms import schedule
 
 
 def batch(**overrides) -> BatchConfig:
@@ -38,6 +46,39 @@ def batch(**overrides) -> BatchConfig:
 def test_config_key_vocabulary_is_pinned():
     assert len(CONFIG_KEYS) == 20
     assert set(REQUIRED_KEYS) <= CONFIG_KEYS
+
+
+class PersonaBackend:
+    """Answers every persona request with a new role and a new trait vector."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def complete(self, req) -> ChatResponse:
+        self.calls += 1
+        traits = {name: options[0] for name, options in TRAIT_OPTIONS.items()}
+        traits["Openness"] = TRAIT_OPTIONS["Openness"][self.calls]
+        persona = {"role": f"Role {self.calls}", "description": "d", "traits": traits}
+        return ChatResponse(text=json.dumps(persona))
+
+
+def test_every_accepted_choice_has_an_engine_dispatch():
+    # A value the config accepts must never pass validation and then find no
+    # prompt, schedule, panel builder or decision rule at run time.
+    generators = {ResponseGeneratorKind(value) for value in CHOICES["response_generator"]}
+    assert set(prompts._TURN_PROMPT_FILES) == set(
+        itertools.product(generators, prompts.TurnPrompt)
+    )
+    for value in CHOICES["persona_generator"]:
+        profiles, _ = build_panel(3, value, ResponseGeneratorKind.SIMPLE, "t", PersonaBackend())
+        assert len(profiles) == 3
+    for value in CHOICES["discussion_paradigm"]:
+        assert schedule(ParadigmKind(value), 3)
+    protocols = CHOICES["decision_protocol"]
+    voting = protocols - decisions.CONSENSUS_PROTOCOLS - {"judge"}
+    assert set(prompts._VOTE_FILES) == decisions.VOTING_PROTOCOLS == voting
+    for protocol in protocols & decisions.CONSENSUS_PROTOCOLS:
+        assert decisions.consensus_reached(Fraction(1), protocol)
 
 
 def test_unknown_key_rejected_in_common_and_runs():
@@ -205,6 +246,42 @@ def test_resolve_rejects_bad_values():
         resolve_job_params({"response_generator": "clever"})
     with pytest.raises(ConfigError):
         resolve_job_params({"decision_protocol": "coin_flip"})
+
+
+def test_resolve_rejects_a_panel_too_small_for_its_paradigm():
+    for paradigm in ("report", "debate"):
+        with pytest.raises(ConfigError, match="num_agents=2"):
+            resolve_job_params({"discussion_paradigm": paradigm, "num_agents": 2})
+    for paradigm in ("memory", "relay"):
+        params = resolve_job_params({"discussion_paradigm": paradigm, "num_agents": 2})
+        assert params.num_agents == 2
+
+
+def test_resolve_rejects_a_voting_turn_beyond_the_turn_cap():
+    for protocol in ("simple_voting", "cumulative_voting", "judge"):
+        with pytest.raises(ConfigError, match="voting_after_turns=5"):
+            resolve_job_params(
+                {"decision_protocol": protocol, "voting_after_turns": 5, "max_turns": 3}
+            )
+    # Voting on the last turn is still voting.
+    params = resolve_job_params(
+        {"decision_protocol": "judge", "voting_after_turns": 3, "max_turns": 3}
+    )
+    assert params.voting_after_turns == params.max_turns
+
+
+def test_resolve_keeps_consensus_and_baseline_jobs_the_rules_do_not_apply_to():
+    consensus = {"decision_protocol": "unanimity_consensus", "voting_after_turns": 5, "max_turns": 3}
+    assert resolve_job_params(consensus).voting_after_turns == 5
+    baseline = {
+        "use_baseline": True,
+        "discussion_paradigm": "report",
+        "num_agents": 2,
+        "decision_protocol": "simple_voting",
+        "voting_after_turns": 5,
+        "max_turns": 3,
+    }
+    assert resolve_job_params(baseline).use_baseline is True
 
 
 def test_resolve_accepts_string_booleans():

@@ -11,14 +11,10 @@ from agora.datasets import (
     FieldMapping,
     FormatError,
     MappingError,
-    UnknownTemplate,
-    instruction_for,
     load_dataset,
     load_input_file,
     load_unified,
-    registered_instructions,
     resolve_instruction,
-    serialize_unified,
     sidecar_path,
     subset,
     unified_record_to_instance,
@@ -218,7 +214,7 @@ def test_unified_record_roundtrip():
     assert instance.instruction_key == "xsum"
     assert instance.context_lines == ("c",)
     assert instance.answer_letter == "B"
-    (back,) = serialize_unified([instance])
+    back = instance.to_unified()
     assert back["id"] == "0001"
     assert back["answerLetter"] == "B"
     assert unified_record_to_instance(back) == instance
@@ -340,32 +336,19 @@ def test_subset_rejects_non_positive():
 
 
 def test_registry_covers_the_shipped_tasks():
-    assert registered_instructions() == (
-        "etpc",
-        "gpqa",
-        "mmlu_pro",
-        "strategyqa",
-        "winogrande",
-        "xsum",
-    )
+    shipped = ("etpc", "gpqa", "mmlu_pro", "strategyqa", "winogrande", "xsum")
+    for key in shipped:
+        assert resolve_instruction(key) != key
+        assert len(resolve_instruction(key)) > 20
 
 
 def test_multiple_choice_templates_carry_the_footer():
     for key in ("winogrande", "strategyqa", "gpqa", "mmlu_pro"):
-        template = instruction_for(key)
-        assert template.multiple_choice
-        assert "FINAL SOLUTION" in template.text
+        assert "FINAL SOLUTION" in resolve_instruction(key)
     for key in ("etpc", "xsum"):
-        template = instruction_for(key)
-        assert not template.multiple_choice
-        assert "FINAL SOLUTION" not in template.text
-
-
-def test_unknown_template_lists_known_keys():
-    with pytest.raises(UnknownTemplate, match="etpc"):
-        instruction_for("nope")
+        assert "FINAL SOLUTION" not in resolve_instruction(key)
 
 
 def test_resolve_instruction_passthrough():
-    assert resolve_instruction("xsum") == instruction_for("xsum").text
+    assert resolve_instruction("xsum") == "Summarize the following article in a single sentence."
     assert resolve_instruction("Do the thing.") == "Do the thing."

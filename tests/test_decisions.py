@@ -36,6 +36,7 @@ from agora.domain import (
     AgentProfile,
     Agreement,
     DebateState,
+    JobParams,
     Message,
     Persona,
     Phase,
@@ -62,10 +63,8 @@ def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int, *
     )
 
 
-def ctx(**kw) -> DebateContext:
-    kw.setdefault("task_text", "solve")
-    kw.setdefault("input_text", "x")
-    return DebateContext(**kw)
+def ctx(**params) -> DebateContext:
+    return DebateContext(JobParams(**params), task_text="solve", input_text="x")
 
 
 def valid_ballot(voter: int, parsed) -> Ballot:
@@ -463,7 +462,7 @@ def vote_state(n: int = 2, turn: int = 3) -> DebateState:
 def test_run_vote_round_happy_path():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B", "1", "1"])
-    rnd = run_vote_round(state, backend, ctx(protocol="simple_voting"))
+    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
     assert rnd.turn == 3
     assert rnd.candidates == ["cand A", "cand B"]
     assert [b.valid for b in rnd.ballots] == [True, True]
@@ -473,7 +472,7 @@ def test_run_vote_round_happy_path():
 def test_run_vote_round_reprompts_and_records_failures():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B", "no number here", "2", "1"])
-    rnd = run_vote_round(state, backend, ctx(protocol="simple_voting"))
+    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
     assert [(b.voter, b.valid) for b in rnd.ballots] == [(1, False), (1, True), (2, True)]
     assert rnd.ballots[0].reason == "no integer in ballot"
     assert rnd.tally.winners == {1, 2}
@@ -482,7 +481,7 @@ def test_run_vote_round_reprompts_and_records_failures():
 def test_run_vote_round_abstention_after_four_failures():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B", "x", "x", "x", "x", "2"])
-    rnd = run_vote_round(state, backend, ctx(protocol="simple_voting"))
+    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
     agent1 = [b for b in rnd.ballots if b.voter == 1]
     assert len(agent1) == 4 and not any(b.valid for b in agent1)
     assert rnd.tally.winners == {2}
@@ -491,7 +490,7 @@ def test_run_vote_round_abstention_after_four_failures():
 def test_run_vote_round_everyone_abstains():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B"] + ["x"] * 8)
-    rnd = run_vote_round(state, backend, ctx(protocol="simple_voting"))
+    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
     assert rnd.tally is None
     assert len(rnd.ballots) == 8
 
@@ -500,7 +499,7 @@ def test_run_vote_round_cumulative_uses_configured_points():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B", '{"1": 4}', '{"2": 4}'])
     rnd = run_vote_round(
-        state, backend, ctx(protocol="cumulative_voting", cumulative_points=4)
+        state, backend, ctx(decision_protocol="cumulative_voting", cumulative_points=4)
     )
     ballot_prompt = backend.requests[2].messages[1].content
     assert "4 points" in ballot_prompt
@@ -511,7 +510,7 @@ def test_run_vote_round_budget_respects_configuration():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B", '{"1": 9}', '{"1": 9}', '{"1": 3}', '{"2": 1}'])
     rnd = run_vote_round(
-        state, backend, ctx(protocol="cumulative_voting", cumulative_points=4)
+        state, backend, ctx(decision_protocol="cumulative_voting", cumulative_points=4)
     )
     # Two over-budget ballots from agent 1 before a valid one.
     reasons = [b.reason for b in rnd.ballots if not b.valid]
@@ -525,7 +524,7 @@ def test_run_vote_round_budget_respects_configuration():
 def test_judge_decide_success_appends_message():
     state = vote_state()
     backend = SeqBackend(["the winning text"])
-    outcome = judge_decide(state, backend, ctx(protocol="judge"), ["a", "b"])
+    outcome = judge_decide(state, backend, ctx(decision_protocol="judge"), ["a", "b"])
     assert outcome.success and outcome.protocol == "judge"
     assert outcome.final_text == "the winning text"
     assert outcome.decided_at_turn == 3
@@ -539,7 +538,7 @@ def test_judge_decide_gateway_failure_falls_back():
             raise EndpointUnreachable("boom")
 
     state = vote_state()
-    outcome = judge_decide(state, Down(), ctx(protocol="judge"), ["first", "second"])
+    outcome = judge_decide(state, Down(), ctx(decision_protocol="judge"), ["first", "second"])
     assert not outcome.success
     assert outcome.final_text == "first"
     assert "judge call failed" in outcome.fallback_reason
@@ -548,7 +547,7 @@ def test_judge_decide_gateway_failure_falls_back():
 
 def test_judge_decide_needs_candidates():
     with pytest.raises(ValueError):
-        judge_decide(vote_state(), SeqBackend([]), ctx(protocol="judge"), [])
+        judge_decide(vote_state(), SeqBackend([]), ctx(decision_protocol="judge"), [])
 
 
 # -- decide(): consensus --
@@ -572,7 +571,7 @@ def consensus_state(agreements: list[Agreement | None], turn: int = 1) -> Debate
 
 def test_decide_consensus_reached():
     state = consensus_state([None, Agreement.AGREE, Agreement.AGREE])
-    outcome = decide(state, SeqBackend([]), ctx(protocol="majority_consensus"))
+    outcome = decide(state, SeqBackend([]), ctx(decision_protocol="majority_consensus"))
     assert outcome.success
     assert outcome.final_text == "the draft"
     assert outcome.decided_at_turn == 1
@@ -580,12 +579,12 @@ def test_decide_consensus_reached():
 
 def test_decide_consensus_keeps_debating():
     state = consensus_state([None, Agreement.DISAGREE, Agreement.DISAGREE])
-    assert decide(state, SeqBackend([]), ctx(protocol="majority_consensus")) is None
+    assert decide(state, SeqBackend([]), ctx(decision_protocol="majority_consensus")) is None
 
 
 def test_decide_consensus_turn_cap_fallback():
     state = consensus_state([None, Agreement.DISAGREE, Agreement.DISAGREE], turn=7)
-    outcome = decide(state, SeqBackend([]), ctx(protocol="majority_consensus", max_turns=7))
+    outcome = decide(state, SeqBackend([]), ctx(decision_protocol="majority_consensus", max_turns=7))
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached without consensus"
     # The second disagreeing improve replaced the slate, so it is the fallback.
@@ -594,7 +593,7 @@ def test_decide_consensus_turn_cap_fallback():
 
 def test_decide_unanimity_blocks_on_single_holdout():
     state = consensus_state([None, Agreement.AGREE, Agreement.DISAGREE])
-    assert decide(state, SeqBackend([]), ctx(protocol="unanimity_consensus")) is None
+    assert decide(state, SeqBackend([]), ctx(decision_protocol="unanimity_consensus")) is None
 
 
 # -- decide(): voting --
@@ -602,13 +601,13 @@ def test_decide_unanimity_blocks_on_single_holdout():
 
 def test_decide_voting_not_due_yet():
     state = vote_state(turn=2)
-    assert decide(state, SeqBackend([]), ctx(protocol="simple_voting")) is None
+    assert decide(state, SeqBackend([]), ctx(decision_protocol="simple_voting")) is None
 
 
 def test_decide_voting_cap_before_voting_turn():
     state = vote_state(turn=2)
     outcome = decide(
-        state, SeqBackend([]), ctx(protocol="simple_voting", voting_after_turns=9, max_turns=2)
+        state, SeqBackend([]), ctx(decision_protocol="simple_voting", voting_after_turns=9, max_turns=2)
     )
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached before the voting turn"
@@ -617,7 +616,7 @@ def test_decide_voting_cap_before_voting_turn():
 def test_decide_voting_unique_winner():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B", "2", "2"])
-    outcome = decide(state, backend, ctx(protocol="simple_voting"))
+    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
     assert outcome.success
     assert outcome.final_text == "cand B"
     assert outcome.decided_at_turn == 3
@@ -629,7 +628,7 @@ def test_decide_voting_unique_winner():
 def test_decide_voting_all_invalid_falls_back():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B"] + ["x"] * 8)
-    outcome = decide(state, backend, ctx(protocol="simple_voting"))
+    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
     assert not outcome.success
     assert outcome.fallback_reason == "all ballots invalid after re-prompts"
     assert outcome.final_text == "beta from 2"  # the standing draft
@@ -645,7 +644,7 @@ def test_decide_voting_tie_resolved_by_extra_round():
             "cand A2", "cand B2", "2", "2",  # round 2: agent 2's candidate wins
         ]
     )
-    outcome = decide(state, backend, ctx(protocol="simple_voting"))
+    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
     assert outcome.success
     assert outcome.tie_broken is TieBreak.EXTRA_ROUND
     assert outcome.final_text == "cand B2"
@@ -663,7 +662,7 @@ def test_decide_voting_persistent_tie_uses_lowest_index():
             "cand A2", "cand B2", "1", "2",
         ]
     )
-    outcome = decide(state, backend, ctx(protocol="simple_voting"))
+    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
     assert outcome.success
     assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
     assert outcome.final_text == "cand A2"
@@ -672,7 +671,7 @@ def test_decide_voting_persistent_tie_uses_lowest_index():
 def test_decide_voting_tie_at_cap_skips_extra_round():
     state = vote_state(turn=7)
     backend = SeqBackend(["cand A", "cand B", "1", "2"])
-    outcome = decide(state, backend, ctx(protocol="simple_voting", max_turns=7))
+    outcome = decide(state, backend, ctx(decision_protocol="simple_voting", max_turns=7))
     assert outcome.success
     assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
     assert outcome.final_text == "cand A"
@@ -690,7 +689,7 @@ def test_decide_voting_tie_break_round_all_invalid():
         ]
         + ["x"] * 8
     )
-    outcome = decide(state, backend, ctx(protocol="simple_voting"))
+    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
     assert not outcome.success
     assert outcome.fallback_reason == "all ballots invalid in the tie-break round"
     assert len(outcome.vote_detail) == 2
@@ -699,7 +698,7 @@ def test_decide_voting_tie_break_round_all_invalid():
 def test_decide_judge_protocol():
     state = vote_state()
     backend = SeqBackend(["cand A", "cand B", "judged answer"])
-    outcome = decide(state, backend, ctx(protocol="judge"))
+    outcome = decide(state, backend, ctx(decision_protocol="judge"))
     assert outcome.success
     assert outcome.protocol == "judge"
     assert outcome.final_text == "judged answer"

@@ -12,7 +12,6 @@ from agora.evaluation import (
     EvalResult,
     MissingReference,
     UnknownSampleId,
-    accuracy,
     aggregate,
     evaluate_job,
     evaluate_logs,
@@ -104,23 +103,21 @@ def test_record_correct_requires_reference_letter():
         record_correct(log_record("0001", "FINAL SOLUTION: A"), free_sample(1, "x"))
 
 
-def test_accuracy_over_records():
+def test_accuracy_over_records(tmp_path):
     samples = [mc_sample(1, "A"), mc_sample(2, "B")]
     records = [
         log_record("0001", "FINAL SOLUTION: A"),
         log_record("0002", "FINAL SOLUTION: C"),
     ]
-    assert accuracy(records, samples) == 0.5
+    write_log(tmp_path, "job.json", records)
+    result = evaluate_job("job", [(1, tmp_path / "job.json")], samples)
+    assert result.mean["accuracy"] == 0.5
 
 
-def test_accuracy_unknown_sample_id():
+def test_accuracy_unknown_sample_id(tmp_path):
+    write_log(tmp_path, "job.json", [log_record("9999", "x")])
     with pytest.raises(UnknownSampleId):
-        accuracy([log_record("9999", "x")], [mc_sample(1, "A")])
-
-
-def test_accuracy_needs_records():
-    with pytest.raises(ValueError):
-        accuracy([], [mc_sample(1, "A")])
+        evaluate_job("job", [(1, tmp_path / "job.json")], [mc_sample(1, "A")])
 
 
 # -- repeat statistics --

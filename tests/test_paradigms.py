@@ -9,6 +9,7 @@ from agora.domain import (
     Agreement,
     DebateEnded,
     DebateState,
+    JobParams,
     Message,
     Persona,
     Phase,
@@ -41,10 +42,8 @@ def make_state(n: int = 3) -> DebateState:
     return DebateState(task=task, panel=panel)
 
 
-def ctx(**kw) -> DebateContext:
-    kw.setdefault("task_text", "solve")
-    kw.setdefault("input_text", "x")
-    return DebateContext(**kw)
+def ctx(**params) -> DebateContext:
+    return DebateContext(JobParams(**params), task_text="solve", input_text="x")
 
 
 def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int, **kw) -> Message:
@@ -156,7 +155,13 @@ def test_debate_schedule_lone_peer_gets_half_the_exchanges():
 
 def test_schedule_is_turn_invariant():
     for kind in ParadigmKind:
-        assert schedule(kind, 5, turn=1) == schedule(kind, 5, turn=6)
+        state = make_state(5)
+        backend = SeqBackend([f"m{i} [DISAGREE]" for i in range(40)])
+        for _ in range(3):
+            run_turn(kind, state, backend, ctx())
+        per_turn = [[m.agent_id for m in state.transcript if m.turn == t] for t in (1, 2, 3)]
+        expected = [step.speaker for step in schedule(kind, 5)]
+        assert per_turn == [expected] * 3
 
 
 # -- visibility --
@@ -250,10 +255,10 @@ def test_step_prompt_honors_generator_choice():
     add(state, 1, Phase.DRAFT, "d", turn=1)
     step = TurnStep(2, Phase.IMPROVE, Visibility.ALL)
     simple = render_step_prompt(
-        state, step, ParadigmKind.MEMORY, ctx(generator=ResponseGeneratorKind.SIMPLE)
+        state, step, ParadigmKind.MEMORY, ctx(response_generator="simple")
     )
     critical = render_step_prompt(
-        state, step, ParadigmKind.MEMORY, ctx(generator=ResponseGeneratorKind.CRITICAL)
+        state, step, ParadigmKind.MEMORY, ctx(response_generator="critical")
     )
     assert simple[1][1] != critical[1][1]
 

@@ -305,6 +305,19 @@ def test_execute_job_reports_bad_config(tmp_path):
     assert "max_turns" in report.error
 
 
+def test_run_batch_aborts_only_the_job_that_cannot_run(tmp_path):
+    # report needs a central agent plus two peers; every sample would fail.
+    dataset = write_dataset(tmp_path, 3)
+    bad = job_spec(tmp_path, dataset, name="bad", discussion_paradigm="report")
+    good = job_spec(tmp_path, dataset, name="good")
+    bad_report, good_report = run_batch([bad, good], scripted=unanimity_script()).reports
+    assert "num_agents=2" in bad_report.error
+    assert (bad_report.records, bad_report.failures) == (0, 0)
+    assert not (tmp_path / "out" / "bad.json").exists()
+    assert good_report.error is None
+    assert good_report.records == 3
+
+
 def test_execute_job_creates_output_directory(tmp_path):
     out = tmp_path / "deep" / "nested" / "x.json"
     spec = JobSpec(

@@ -1,0 +1,69 @@
+"""Source hygiene: every public top-level name in src/agora is used by src/agora.
+
+A public function, class or constant that only its own definition mentions
+exists for tests alone (or for nobody); such code belongs in the tests or
+nowhere. The console entry point is the one name used from outside, and a
+decorated function counts as used, because its decorator may register it
+(the click subcommands).
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "agora"
+
+# Names used from outside src/agora by design: the console entry point.
+EXTERNAL_ENTRY_POINTS = {("cli", "main")}
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) for each public top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.decorator_list:
+                yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each identifier is read, as a name, an attribute or an import."""
+    counts: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            counts.update(alias.name for alias in sub.names)
+    return counts
+
+
+def unreferenced_public_names() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    flagged = []
+    for module, tree in trees.items():
+        for name, node in _definitions(tree):
+            if name.startswith("_") or (module, name) in EXTERNAL_ENTRY_POINTS:
+                continue
+            # Mentions inside the definition itself (recursion, a constant's
+            # own right-hand side) do not count as use.
+            if total[name] - _references(node)[name] == 0:
+                flagged.append(f"{module}.{name}")
+    return sorted(flagged)
+
+
+def test_every_public_name_is_used_inside_the_package():
+    assert unreferenced_public_names() == []
