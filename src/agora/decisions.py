@@ -7,7 +7,7 @@ import logging
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import paradigms, prompts
 from .agents import extract_final_answer_response, extract_json_object
@@ -26,10 +26,6 @@ logger = logging.getLogger(__name__)
 CONSENSUS_PROTOCOLS = frozenset(
     {"majority_consensus", "supermajority_consensus", "unanimity_consensus"}
 )
-VOTING_PROTOCOLS = frozenset(
-    {"simple_voting", "approval_voting", "ranked_voting", "cumulative_voting"}
-)
-ALL_PROTOCOLS = CONSENSUS_PROTOCOLS | VOTING_PROTOCOLS | {"judge"}
 
 
 class VoteParseFailure(Exception):
@@ -161,16 +157,41 @@ def parse_cumulative(text: str, k: int, budget: int = 10) -> dict[int, int]:
     return allocations
 
 
+class _VotingRule(NamedTuple):
+    parse: Callable[[str, int, int], Any]  # (ballot text, k, point budget) -> parsed ballot
+    points: Callable[[Any, int], Iterable[tuple[int, int]]]  # (parsed, k) -> (solution, points)
+
+
+# The voting vocabulary: each protocol's ballot parser and scorer.
+_VOTING_RULES = {
+    "simple_voting": _VotingRule(
+        lambda text, k, budget: parse_simple_vote(text, k),
+        lambda choice, k: [(choice, 1)],
+    ),
+    "approval_voting": _VotingRule(
+        lambda text, k, budget: parse_approval(text, k),
+        lambda approved, k: ((index, 1) for index in approved),
+    ),
+    "ranked_voting": _VotingRule(
+        lambda text, k, budget: parse_ranked(text, k),
+        # Borda: position p of k scores k - 1 - p; unranked stays 0.
+        lambda ranking, k: ((index, k - 1 - position) for position, index in enumerate(ranking)),
+    ),
+    "cumulative_voting": _VotingRule(parse_cumulative, lambda allocation, k: allocation.items()),
+}
+VOTING_PROTOCOLS = frozenset(_VOTING_RULES)
+ALL_PROTOCOLS = CONSENSUS_PROTOCOLS | VOTING_PROTOCOLS | {"judge"}
+
+
+def _voting_rule(protocol: str) -> _VotingRule:
+    try:
+        return _VOTING_RULES[protocol]
+    except KeyError:
+        raise ValueError(f"{protocol!r} is not a voting protocol") from None
+
+
 def parse_ballot(protocol: str, text: str, k: int, budget: int = 10) -> Any:
-    if protocol == "simple_voting":
-        return parse_simple_vote(text, k)
-    if protocol == "approval_voting":
-        return parse_approval(text, k)
-    if protocol == "ranked_voting":
-        return parse_ranked(text, k)
-    if protocol == "cumulative_voting":
-        return parse_cumulative(text, k, budget)
-    raise ValueError(f"{protocol!r} is not a voting protocol")
+    return _voting_rule(protocol).parse(text, k, budget)
 
 
 @dataclass
@@ -209,22 +230,11 @@ def tally(protocol: str, ballots: list[Ballot], k: int) -> Tally:
     valid = [b for b in ballots if b.valid]
     if not valid:
         raise AllBallotsInvalid("no valid ballots to tally")
+    rule = _voting_rule(protocol)
     scores: dict[int, Fraction] = {i: Fraction(0) for i in range(1, k + 1)}
     for ballot in valid:
-        if protocol == "simple_voting":
-            scores[ballot.parsed] += 1
-        elif protocol == "approval_voting":
-            for index in ballot.parsed:
-                scores[index] += 1
-        elif protocol == "cumulative_voting":
-            for index, points in ballot.parsed.items():
-                scores[index] += points
-        elif protocol == "ranked_voting":
-            # Borda: position p of k scores k - 1 - p; unranked stays 0.
-            for position, index in enumerate(ballot.parsed):
-                scores[index] += k - 1 - position
-        else:
-            raise ValueError(f"{protocol!r} is not a voting protocol")
+        for index, points in rule.points(ballot.parsed, k):
+            scores[index] += points
     best = max(scores.values())
     winners = {i for i, score in scores.items() if score == best}
     return Tally(per_solution_score=scores, winners=winners)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import selectors
+import ssl
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Protocol
-
-import requests
-from requests.adapters import HTTPAdapter
+import urllib.request
+import weakref
+from base64 import b64encode
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Optional, Protocol
+from urllib.parse import SplitResult, unquote, urlsplit
 
 
 class GatewayError(Exception):
@@ -88,28 +92,111 @@ class Backend(Protocol):
 
 
 # Transport returns (status_code, parsed JSON payload or None); connection
-# problems and timeouts surface as requests exceptions.
+# problems and timeouts surface as OSError or http.client.HTTPException.
 Transport = Callable[[str, dict[str, str], dict[str, Any], float], "tuple[int, Any]"]
 
 
-def _session_transport(pool_size: int) -> Transport:
-    """Keep-alive transport: one session whose pool reuses up to `pool_size` connections."""
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_connections=1, pool_maxsize=pool_size)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
+class _Pooled(NamedTuple):
+    conn: http.client.HTTPConnection
+    absolute: bool  # plain HTTP through a proxy: the request line names the whole URL
+    headers: dict[str, str]  # credentials for that proxy
 
-    def transport(
-        url: str, headers: dict[str, str], body: dict[str, Any], timeout: float
+
+def _close_idle(idle: dict[str, list[_Pooled]]) -> None:
+    for connections in idle.values():
+        for pooled in connections:
+            pooled.conn.close()
+
+
+class _ConnectionPool:
+    """Keep-alive transport: idle connections per origin, each serving one call at a time.
+
+    Keeps at most `size` idle connections per origin; the gateway's
+    semaphore bounds how many are busy. New connections go through the
+    proxy that HTTP_PROXY/HTTPS_PROXY name unless NO_PROXY exempts the
+    host, and HTTPS verifies certificates against the default trust store.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._size = size
+        self._idle: dict[str, list[_Pooled]] = {}
+        self._lock = threading.Lock()
+        self._tls: Optional[ssl.SSLContext] = None
+        weakref.finalize(self, _close_idle, self._idle)
+
+    def __call__(
+        self, url: str, headers: dict[str, str], body: dict[str, Any], timeout: float
     ) -> tuple[int, Any]:
-        resp = session.post(url, headers=headers, json=body, timeout=timeout)
+        parts = urlsplit(url)
+        origin = f"{parts.scheme}://{parts.netloc}"
+        pooled = self._reuse(origin, timeout) or self._connect(parts, timeout)
+        target = url if pooled.absolute else parts._replace(scheme="", netloc="").geturl()
+        headers = {**headers, **pooled.headers, "Content-Type": "application/json"}
         try:
-            payload = resp.json()
+            pooled.conn.request("POST", target, json.dumps(body).encode("utf-8"), headers)
+            resp = pooled.conn.getresponse()
+            raw = resp.read()
+        except BaseException:
+            pooled.conn.close()
+            raise
+        if resp.will_close:
+            pooled.conn.close()
+        else:
+            self._keep(origin, pooled)
+        try:
+            payload = json.loads(raw)
         except ValueError:
             payload = None
-        return resp.status_code, payload
+        return resp.status, payload
 
-    return transport
+    def _reuse(self, origin: str, timeout: float) -> Optional[_Pooled]:
+        """An idle connection to `origin` that the server has not closed, or None."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(origin)
+                if not idle:
+                    return None
+                pooled = idle.pop()
+            # An idle socket that is readable is at EOF (or holds bytes no
+            # request asked for): the server has dropped it.
+            with selectors.DefaultSelector() as idle_check:
+                idle_check.register(pooled.conn.sock, selectors.EVENT_READ)
+                dropped = bool(idle_check.select(0))
+            if not dropped:
+                pooled.conn.sock.settimeout(timeout)
+                return pooled
+            pooled.conn.close()
+
+    def _keep(self, origin: str, pooled: _Pooled) -> None:
+        with self._lock:
+            idle = self._idle.setdefault(origin, [])
+            if len(idle) < self._size:
+                idle.append(pooled)
+                return
+        pooled.conn.close()
+
+    def _connect(self, parts: SplitResult, timeout: float) -> _Pooled:
+        """A new connection to the URL's origin, through the environment's proxy if any."""
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise http.client.HTTPException(f"not an http(s) URL: {parts.geturl()!r}")
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and urllib.request.proxy_bypass(parts.netloc):
+            proxy = None
+        host, port, auth = parts.hostname, parts.port, {}
+        if proxy:
+            via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            host, port = via.hostname, via.port or 80
+            if via.username:
+                user_pass = f"{unquote(via.username)}:{unquote(via.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + b64encode(user_pass.encode("latin-1")).decode()
+        if parts.scheme == "http":
+            return _Pooled(http.client.HTTPConnection(host, port, timeout=timeout), bool(proxy), auth)
+        if self._tls is None:
+            self._tls = ssl.create_default_context()
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
+        if proxy:
+            conn.set_tunnel(parts.hostname, parts.port, headers=auth)
+        return _Pooled(conn, False, {})
 
 
 class HttpGateway:
@@ -138,13 +225,11 @@ class HttpGateway:
         self.api_key = api_key
         self.max_retries = max_retries
         self.timeout_s = timeout_s
-        self._transport = transport or _session_transport(max_in_flight)
+        self._transport = transport or _ConnectionPool(max_in_flight)
         self._sleeper = sleeper
         self._rng = rng or random.Random()
         self._clock = clock
         self._slots = threading.BoundedSemaphore(max_in_flight)
-        self._lock = threading.Lock()
-        self.call_count = 0
 
     def _backoff_s(self, attempt: int) -> float:
         jitter = self._rng.uniform(0.8, 1.2)
@@ -160,15 +245,13 @@ class HttpGateway:
             try:
                 with self._slots:
                     status, payload = self._transport(url, headers, body, self.timeout_s)
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 status, payload, failure = None, None, str(exc)
             else:
                 failure = None
             latency_ms = int((self._clock() - started) * 1000)
 
-            if status is not None and status == 200:
-                with self._lock:
-                    self.call_count += 1
+            if status == 200:
                 return self._parse(payload, latency_ms)
             if status in (401, 403):
                 raise AuthRejected(f"endpoint rejected credentials (HTTP {status})")

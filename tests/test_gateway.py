@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from agora.gateway import (
     AuthRejected,
@@ -77,6 +77,7 @@ def test_complete_success_and_usage():
     seen = {}
 
     def transport(url, headers, body, timeout):
+        seen["calls"] = seen.get("calls", 0) + 1
         seen["url"] = url
         seen["headers"] = headers
         seen["body"] = body
@@ -89,7 +90,7 @@ def test_complete_success_and_usage():
     assert resp.completion_tokens == 3
     assert seen["url"] == "http://fake/chat/completions"
     assert seen["headers"] == {"Authorization": "Bearer secret"}
-    assert gw.call_count == 1
+    assert seen["calls"] == 1
 
 
 def test_endpoint_trailing_slash_is_normalized():
@@ -125,7 +126,7 @@ def test_retries_on_429_and_timeouts():
     def transport(url, headers, body, timeout):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise requests.Timeout("too slow")
+            raise TimeoutError("too slow")
         if calls["n"] == 2:
             return 429, None
         return 200, ok_payload()
@@ -194,11 +195,12 @@ def test_malformed_payloads(payload):
 
 
 def test_max_in_flight_bound_under_threads():
-    active = {"now": 0, "peak": 0}
+    active = {"now": 0, "peak": 0, "calls": 0}
     lock = threading.Lock()
 
     def transport(url, headers, body, timeout):
         with lock:
+            active["calls"] += 1
             active["now"] += 1
             active["peak"] = max(active["peak"], active["now"])
         time.sleep(0.002)
@@ -212,7 +214,7 @@ def test_max_in_flight_bound_under_threads():
         t.start()
     for t in threads:
         t.join()
-    assert gw.call_count == 24
+    assert active["calls"] == 24
     assert active["peak"] <= 3
 
 
@@ -222,7 +224,14 @@ def test_invalid_max_in_flight():
 
 
 class ChatHandler(BaseHTTPRequestHandler):
-    """Loopback chat endpoint; the server counts the connections it accepts."""
+    """Loopback chat endpoint (or forward proxy) that misbehaves as its server's mode says.
+
+    Modes: "ok"; "close" answers with Connection: close; "drop" answers,
+    then closes the connection without saying so; "stall" never answers;
+    "text" answers 200 with a body that is not JSON. A CONNECT request
+    (an HTTPS tunnel) is refused. The server counts the connections it
+    accepts and records each request line's target and proxy credentials.
+    """
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -233,58 +242,172 @@ class ChatHandler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.connections += 1
 
+    def do_CONNECT(self) -> None:
+        with self.server.lock:
+            self.server.targets.append(self.path)
+        self.send_error(502)
+
     def do_POST(self) -> None:
         self.rfile.read(int(self.headers["Content-Length"]))
-        reply = json.dumps(ok_payload("ok")).encode("utf-8")
+        with self.server.lock:
+            self.server.targets.append(self.path)
+            self.server.proxy_auth.append(self.headers.get("Proxy-Authorization"))
+        mode = self.server.mode
+        if mode == "stall":
+            self.server.release.wait(5)
+            self.close_connection = True
+            return
+        reply = b"<html>busy</html>" if mode == "text" else json.dumps(ok_payload("ok")).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
-        if self.server.close_each:
+        if mode == "close":
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(reply)
+        if mode == "drop":
+            self.close_connection = True
 
     def log_message(self, *args) -> None:
         pass
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self, mode: str) -> None:
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+        self.mode = mode
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.targets: list[str] = []
+        self.proxy_auth: list[str | None] = []
+        self.release = threading.Event()  # ends stalled replies
+        self.closed = threading.Semaphore(0)  # one release per connection closed here
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address
+        return f"http://{host}:{port}/v1"
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.closed.release()
 
 
 @pytest.fixture
 def loopback_server():
     servers = []
 
-    def start(close_each: bool) -> ThreadingHTTPServer:
-        server = ThreadingHTTPServer(("127.0.0.1", 0), ChatHandler)
-        server.daemon_threads = True
-        server.lock = threading.Lock()
-        server.connections = 0
-        server.close_each = close_each
+    def start(mode: str = "ok") -> LoopbackServer:
+        server = LoopbackServer(mode)
         threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         servers.append(server)
         return server
 
     yield start
     for server in servers:
+        server.release.set()
         server.shutdown()
         server.server_close()
 
 
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """Clear the proxy variables, so each test sets the ones it means."""
+    for name in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
 def fifty_calls(server, max_in_flight: int) -> list[str]:
-    host, port = server.server_address
-    gw = HttpGateway(f"http://{host}:{port}/v1", max_in_flight=max_in_flight)
+    gw = HttpGateway(server.url, max_in_flight=max_in_flight)
     with ThreadPoolExecutor(max_workers=8) as pool:
         return list(pool.map(lambda _: gw.complete(req()).text, range(50)))
 
 
 def test_default_transport_reuses_connections_up_to_the_cap(loopback_server):
-    server = loopback_server(close_each=False)
+    server = loopback_server()
     assert fifty_calls(server, max_in_flight=4) == ["ok"] * 50
     assert 1 <= server.connections <= 4
 
 
 def test_default_transport_survives_connection_close(loopback_server):
-    server = loopback_server(close_each=True)
+    server = loopback_server("close")
     assert fifty_calls(server, max_in_flight=4) == ["ok"] * 50
     assert server.connections == 50
+
+
+def test_dropped_idle_connection_is_replaced_without_a_retry(loopback_server):
+    server = loopback_server("drop")
+    sleeps: list[float] = []
+    gw = HttpGateway(server.url, max_in_flight=2, sleeper=sleeps.append)
+    assert gw.complete(req()).text == "ok"
+    assert server.closed.acquire(timeout=5)  # the idle connection is gone server-side
+    assert gw.complete(req()).text == "ok"
+    assert server.connections == 2
+    assert len(server.targets) == 2
+    assert sleeps == []
+
+
+def test_stalled_reply_times_out_and_is_retried(loopback_server):
+    server = loopback_server("stall")
+    sleeps: list[float] = []
+    gw = HttpGateway(server.url, max_retries=1, timeout_s=0.1, sleeper=sleeps.append)
+    started = time.monotonic()
+    with pytest.raises(EndpointUnreachable, match="2 attempts"):
+        gw.complete(req())
+    assert time.monotonic() - started < 3
+    assert len(server.targets) == 2
+    assert len(sleeps) == 1
+
+
+def test_closed_port_is_unreachable():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps: list[float] = []
+    gw = HttpGateway(f"http://127.0.0.1:{port}/v1", max_retries=1, sleeper=sleeps.append)
+    with pytest.raises(EndpointUnreachable):
+        gw.complete(req())
+    assert len(sleeps) == 1
+
+
+def test_non_json_body_is_malformed(loopback_server):
+    server = loopback_server("text")
+    with pytest.raises(MalformedResponse):
+        HttpGateway(server.url).complete(req())
+
+
+def test_http_proxy_gets_the_absolute_uri(loopback_server, no_proxy_env):
+    proxy = loopback_server()
+    host, port = proxy.server_address
+    no_proxy_env.setenv("HTTP_PROXY", f"http://user:pa%20ss@{host}:{port}")
+    gw = HttpGateway("http://endpoint.invalid/v1")
+    assert gw.complete(req()).text == "ok"
+    assert proxy.targets == ["http://endpoint.invalid/v1/chat/completions"]
+    assert proxy.proxy_auth == ["Basic dXNlcjpwYSBzcw=="]  # base64 of "user:pa ss"
+
+
+def test_https_proxy_gets_a_connect_tunnel(loopback_server, no_proxy_env):
+    proxy = loopback_server()
+    host, port = proxy.server_address
+    no_proxy_env.setenv("HTTPS_PROXY", f"http://{host}:{port}")
+    gw = HttpGateway("https://endpoint.invalid/v1", max_retries=0)
+    with pytest.raises(EndpointUnreachable, match="Tunnel connection failed"):
+        gw.complete(req())
+    assert proxy.targets == ["endpoint.invalid:443"]
+
+
+def test_no_proxy_bypasses_the_proxy(loopback_server, no_proxy_env):
+    proxy = loopback_server()
+    endpoint = loopback_server()
+    host, port = proxy.server_address
+    no_proxy_env.setenv("HTTP_PROXY", f"http://{host}:{port}")
+    no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    assert HttpGateway(endpoint.url).complete(req()).text == "ok"
+    assert proxy.targets == []
+    assert endpoint.targets == ["/v1/chat/completions"]
 
 
 def vote_req(content: str, role: str = "user") -> ChatRequest:

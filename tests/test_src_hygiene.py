@@ -5,11 +5,17 @@ exists for tests alone (or for nobody); such code belongs in the tests or
 nowhere. The console entry point is the one name used from outside, and a
 decorated function counts as used, because its decorator may register it
 (the click subcommands).
+
+Also: starting the CLI imports no third-party HTTP client, because every
+`agora` invocation pays for what it imports.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -67,3 +73,17 @@ def unreferenced_public_names() -> list[str]:
 
 def test_every_public_name_is_used_inside_the_package():
     assert unreferenced_public_names() == []
+
+
+def test_cli_import_loads_no_http_client_library():
+    code = "import sys, agora.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
