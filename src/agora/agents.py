@@ -7,7 +7,7 @@ import re
 from typing import Any, Callable, Optional
 
 from . import prompts
-from .domain import AgentProfile, Agreement, Persona, ResponseGeneratorKind
+from .domain import AgentProfile, Agreement, Persona
 from .gateway import Backend, chat_request
 
 
@@ -195,7 +195,6 @@ PERSONA_GENERATORS: dict[str, Optional[Callable[..., tuple[Persona, str]]]] = {
 def build_panel(
     n: int,
     persona_generator: str,
-    response_generator: ResponseGeneratorKind,
     task_text: str,
     backend: Backend,
     model_name: str = "",
@@ -212,7 +211,7 @@ def build_panel(
         if generate is not None:
             persona, raw = generate(task_text, personas, backend, model_name)
         personas.append(persona)
-        profiles.append(AgentProfile(i, persona, response_generator))
+        profiles.append(AgentProfile(i, persona))
         log_entries.append(persona.to_log(i, raw_text=raw))
     return profiles, log_entries
 

@@ -115,17 +115,25 @@ def _suffix_output(path: str, repeat_index: int) -> str:
 
 
 def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobSpec]:
-    """Overlay each run onto common (run wins) and fan out over repeats."""
+    """Overlay each run onto common (run wins) and fan out over repeats.
+
+    Two runs may not share an output file, however its path is spelled: the
+    later job's log would replace the earlier one's.
+    """
     required = list(REQUIRED_KEYS)
     if scripted_backend:
         required = ["input_json_file_path", "output_json_file_path"]
     jobs: list[JobSpec] = []
+    writers: dict[str, int] = {}
     for index, run in enumerate(cfg.runs, 1):
         merged = {**cfg.common, **run}
         missing = [key for key in required if key not in merged]
         if missing:
             raise ConfigMissingRequired(missing, index)
         output = str(merged["output_json_file_path"])
+        first = writers.setdefault(os.path.abspath(output), index)
+        if first != index:
+            raise ConfigError(f"runs {first} and {index} both write {output!r}")
         name = Path(output).stem
         for repeat in range(1, cfg.repeats + 1):
             params = dict(merged)

@@ -14,7 +14,6 @@ from .agents import extract_final_answer_response, extract_json_object
 from .domain import (
     DebateState,
     DecisionOutcome,
-    ParadigmKind,
     Phase,
     TieBreak,
 )
@@ -406,28 +405,25 @@ def decide(
         candidates = collect_candidates(state, backend, ctx)
         return judge_decide(state, backend, ctx, candidates)
 
-    rounds = [run_vote_round(state, backend, ctx)]
-    if rounds[0].tally is None:
-        return outcome(draft_text, rounds, fallback_reason="all ballots invalid after re-prompts")
-    winners = sorted(rounds[0].tally.winners)
-    if len(winners) == 1:
-        return outcome(rounds[0].candidates[winners[0] - 1], rounds)
-    if state.turn >= params.max_turns:
-        # No room for the extra round; settle on the lowest tied index.
-        return outcome(
-            rounds[0].candidates[winners[0] - 1],
-            rounds,
-            tie_broken=TieBreak.DETERMINISTIC_INDEX,
-        )
-
-    paradigms.run_turn(ParadigmKind(params.discussion_paradigm), state, backend, ctx)
-    rounds.append(run_vote_round(state, backend, ctx))
-    if rounds[1].tally is None:
-        return outcome(
-            state.current_draft.text if state.current_draft else "",
-            rounds,
-            fallback_reason="all ballots invalid in the tie-break round",
-        )
-    winners = sorted(rounds[1].tally.winners)
-    tie_break = TieBreak.EXTRA_ROUND if len(winners) == 1 else TieBreak.DETERMINISTIC_INDEX
-    return outcome(rounds[1].candidates[winners[0] - 1], rounds, tie_broken=tie_break)
+    # One vote round, plus one extra turn and round to break a tie while
+    # turns remain; a tie that persists goes to the lowest tied index.
+    rounds: list[VoteRound] = []
+    while True:
+        rounds.append(run_vote_round(state, backend, ctx))
+        tie_round = len(rounds) == 2
+        result = rounds[-1].tally
+        if result is None:
+            return outcome(
+                state.current_draft.text if state.current_draft else "",
+                rounds,
+                fallback_reason="all ballots invalid in the tie-break round"
+                if tie_round
+                else "all ballots invalid after re-prompts",
+            )
+        winners = sorted(result.winners)
+        final_text = rounds[-1].candidates[winners[0] - 1]
+        if len(winners) == 1:
+            return outcome(final_text, rounds, tie_broken=TieBreak.EXTRA_ROUND if tie_round else None)
+        if tie_round or state.turn >= params.max_turns:
+            return outcome(final_text, rounds, tie_broken=TieBreak.DETERMINISTIC_INDEX)
+        paradigms.run_turn(state, backend, ctx)

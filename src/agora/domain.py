@@ -150,7 +150,6 @@ class JobParams:
 class AgentProfile:
     agent_id: int
     persona: Persona
-    response_generator: ResponseGeneratorKind
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,6 @@ class ChatMessage:
 class ChatRequest:
     messages: tuple[ChatMessage, ...]
     model_name: str = ""
-    temperature: float = 1.0
-    top_p: float = 1.0
-    presence_penalty: float = 0.0
-    frequency_penalty: float = 0.0
-    max_tokens: int = 1024
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -66,24 +61,26 @@ class ChatResponse:
     latency_ms: int = 0
 
 
-def chat_request(messages: list[tuple[str, str]], model_name: str = "", **sampling: Any) -> ChatRequest:
+def chat_request(messages: list[tuple[str, str]], model_name: str = "") -> ChatRequest:
     return ChatRequest(
         messages=tuple(ChatMessage(role, content) for role, content in messages),
         model_name=model_name,
-        **sampling,
     )
 
 
 def wire_body(req: ChatRequest) -> dict[str, Any]:
-    """Serialized request body; the key set is the wire contract."""
+    """Serialized request body; the key set is the wire contract.
+
+    Every call samples with the same settings, so they are constants here.
+    """
     return {
         "model": req.model_name,
         "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-        "temperature": req.temperature,
-        "top_p": req.top_p,
-        "presence_penalty": req.presence_penalty,
-        "frequency_penalty": req.frequency_penalty,
-        "max_tokens": req.max_tokens,
+        "temperature": 1.0,
+        "top_p": 1.0,
+        "presence_penalty": 0.0,
+        "frequency_penalty": 0.0,
+        "max_tokens": 1024,
     }
 
 
@@ -341,20 +338,32 @@ class ScriptedGateway:
         )
 
 
-def script_from_dict(data: dict[str, Any]) -> ScriptedGateway:
+def script_from_dict(data: Any) -> ScriptedGateway:
+    """Rules from a script object; a malformed rule raises ValueError naming its index."""
+    entries = data.get("rules", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('a script is an object with a "rules" list')
     rules = []
-    for entry in data.get("rules", []):
-        clauses = tuple(
-            MatchClause(contains=c["contains"], role=c.get("role"))
-            for c in entry.get("match", [])
-        )
-        rules.append(
-            ScriptRule(
-                response=entry["response"],
-                match=clauses,
-                repeatable=bool(entry.get("repeatable", False)),
+    for index, entry in enumerate(entries):
+        try:
+            if not isinstance(entry["response"], str):
+                raise TypeError("the response is not a string")
+            clauses = tuple(
+                MatchClause(contains=c["contains"], role=c.get("role"))
+                for c in entry.get("match", [])
             )
-        )
+            rules.append(
+                ScriptRule(
+                    response=entry["response"],
+                    match=clauses,
+                    repeatable=bool(entry.get("repeatable", False)),
+                )
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"rules[{index}] is malformed ({type(exc).__name__}: {exc}): a rule is an "
+                'object with a "response" string and "match" clauses that each have "contains"'
+            ) from None
     return ScriptedGateway(rules)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from . import prompts
@@ -26,18 +25,10 @@ class PanelTooSmall(Exception):
     pass
 
 
-class Visibility(str, Enum):
-    ALL = "all"
-    LAST_MESSAGE_ONLY = "last_message_only"
-    OWN_AND_CENTRAL = "own_and_central"
-    PAIR_ONLY = "pair_only"
-
-
 @dataclass(frozen=True)
 class TurnStep:
     speaker: int
     phase: Phase
-    visibility: Visibility
 
 
 @dataclass(frozen=True)
@@ -77,48 +68,44 @@ def schedule(kind: ParadigmKind, n_agents: int, debate_exchanges: int = 2) -> li
     if kind in (ParadigmKind.MEMORY, ParadigmKind.RELAY):
         if n_agents < 2:
             raise PanelTooSmall(f"{kind.value} needs at least 2 agents")
-        visibility = (
-            Visibility.ALL if kind is ParadigmKind.MEMORY else Visibility.LAST_MESSAGE_ONLY
-        )
-        return [
-            TurnStep(speaker, Phase.IMPROVE, visibility)
-            for speaker in range(1, n_agents + 1)
-        ]
+        return [TurnStep(speaker, Phase.IMPROVE) for speaker in range(1, n_agents + 1)]
     if n_agents < 3:
         raise PanelTooSmall(f"{kind.value} needs a central agent plus at least 2 peers")
     if kind is ParadigmKind.REPORT:
-        steps = [
-            TurnStep(speaker, Phase.IMPROVE, Visibility.OWN_AND_CENTRAL)
-            for speaker in range(2, n_agents + 1)
-        ]
+        steps = [TurnStep(speaker, Phase.IMPROVE) for speaker in range(2, n_agents + 1)]
     else:
         steps = []
         for pair in peer_pairs(n_agents):
             if len(pair) == 2:
                 steps.extend(
-                    TurnStep(pair[e % 2], Phase.FEEDBACK, Visibility.PAIR_ONLY)
+                    TurnStep(pair[e % 2], Phase.FEEDBACK)
                     for e in range(debate_exchanges)
                 )
             else:
                 # Lone peer addresses the central agent with half the exchanges.
                 steps.extend(
-                    TurnStep(pair[0], Phase.FEEDBACK, Visibility.PAIR_ONLY)
+                    TurnStep(pair[0], Phase.FEEDBACK)
                     for _ in range(math.ceil(debate_exchanges / 2))
                 )
-    steps.append(TurnStep(CENTRAL_AGENT_ID, Phase.CENTRAL_SYNTHESIS, Visibility.ALL))
+    steps.append(TurnStep(CENTRAL_AGENT_ID, Phase.CENTRAL_SYNTHESIS))
     return steps
 
 
 def visible_messages(
     kind: ParadigmKind, state: DebateState, step: TurnStep
 ) -> list[Message]:
-    """Messages the speaker may see; only debate phases ever qualify."""
+    """Messages the speaker may see; only debate phases ever qualify.
+
+    Memory speakers and every central synthesis see the whole discussion,
+    a relay speaker the last message, a report peer its own messages and
+    the syntheses, a debate peer its pair's current turn and the syntheses.
+    """
     base = state.debate_messages()
-    if step.visibility is Visibility.ALL:
+    if kind is ParadigmKind.MEMORY or step.phase is Phase.CENTRAL_SYNTHESIS:
         return base
-    if step.visibility is Visibility.LAST_MESSAGE_ONLY:
+    if kind is ParadigmKind.RELAY:
         return base[-1:]
-    if step.visibility is Visibility.OWN_AND_CENTRAL:
+    if kind is ParadigmKind.REPORT:
         return [
             m
             for m in base
@@ -149,11 +136,11 @@ _STEP_PROMPTS = {
 
 
 def render_step_prompt(
-    state: DebateState, step: TurnStep, kind: ParadigmKind, ctx: DebateContext
+    state: DebateState, step: TurnStep, ctx: DebateContext
 ) -> list[tuple[str, str]]:
     """Message list for one step's completion call."""
     profile = _profile(state, step.speaker)
-    visible = visible_messages(kind, state, step)
+    visible = visible_messages(ParadigmKind(ctx.params.discussion_paradigm), state, step)
     memory_text = prompts.render_memory(
         [(_profile(state, m.agent_id).persona.name, m.text) for m in visible]
     )
@@ -175,17 +162,16 @@ def render_step_prompt(
     return [("system", system), ("user", user)]
 
 
-def run_turn(
-    kind: ParadigmKind, state: DebateState, backend: Backend, ctx: DebateContext
-) -> DebateState:
+def run_turn(state: DebateState, backend: Backend, ctx: DebateContext) -> DebateState:
     if state.ended:
         raise DebateEnded("debate already ended")
     if state.turn >= ctx.params.max_turns:
         raise ValueError("turn cap reached; the decision protocol must settle it")
     turn_no = state.turn + 1
+    kind = ParadigmKind(ctx.params.discussion_paradigm)
     for step in schedule(kind, len(state.panel), ctx.params.debate_exchanges):
         had_draft = state.current_draft is not None
-        messages = render_step_prompt(state, step, kind, ctx)
+        messages = render_step_prompt(state, step, ctx)
         resp = backend.complete(chat_request(messages, model_name=ctx.params.model_name))
         phase = step.phase if had_draft else Phase.DRAFT
         agreement = (

@@ -71,31 +71,10 @@ def render_discussion_system(
     )
 
 
-_TURN_PROMPT_FILES = {
-    (ResponseGeneratorKind.SIMPLE, TurnPrompt.IMPROVE): "simple_improve",
-    (ResponseGeneratorKind.SIMPLE, TurnPrompt.FEEDBACK): "simple_feedback",
-    (ResponseGeneratorKind.SIMPLE, TurnPrompt.REVISE): "simple_revise",
-    (ResponseGeneratorKind.CRITICAL, TurnPrompt.IMPROVE): "critical_improve",
-    (ResponseGeneratorKind.CRITICAL, TurnPrompt.FEEDBACK): "critical_feedback",
-    (ResponseGeneratorKind.CRITICAL, TurnPrompt.REVISE): "critical_revise",
-    (ResponseGeneratorKind.REASONING, TurnPrompt.IMPROVE): "reasoning_improve",
-    (ResponseGeneratorKind.REASONING, TurnPrompt.FEEDBACK): "reasoning_feedback",
-    (ResponseGeneratorKind.REASONING, TurnPrompt.REVISE): "reasoning_revise",
-}
-
-
 def render_turn_user_prompt(
     generator: ResponseGeneratorKind, phase: TurnPrompt
 ) -> str:
-    return template_text(_TURN_PROMPT_FILES[(generator, phase)])
-
-
-_VOTE_FILES = {
-    "simple_voting": "vote_simple",
-    "approval_voting": "vote_approval",
-    "cumulative_voting": "vote_cumulative",
-    "ranked_voting": "vote_ranked",
-}
+    return template_text(f"{generator.value}_{phase.value}")
 
 
 def render_vote_user(
@@ -105,7 +84,8 @@ def render_vote_user(
     candidates: list[str],
     points: int = 10,
 ) -> str:
-    return Template(template_text(_VOTE_FILES[protocol])).substitute(
+    # simple_voting -> vote_simple.txt, and so on for each voting protocol.
+    return Template(template_text("vote_" + protocol.removesuffix("_voting"))).substitute(
         task=task_text,
         question=question_text,
         solutions=render_solutions_block(candidates),

@@ -16,9 +16,7 @@ from .domain import (
     AgentProfile,
     DebateState,
     DecisionOutcome,
-    ParadigmKind,
     Phase,
-    ResponseGeneratorKind,
     build_log_record,
 )
 from .gateway import Backend, HttpGateway, ScriptedGateway, chat_request
@@ -71,16 +69,14 @@ def run_debate(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
         state.panel, entries = build_panel(
             params.num_agents,
             params.persona_generator,
-            ResponseGeneratorKind(params.response_generator),
             task_text,
             backend,
             params.model_name,
         )
         personas.extend(entries)
-        paradigm = ParadigmKind(params.discussion_paradigm)
         outcome: Optional[DecisionOutcome] = None
         while outcome is None:
-            paradigms.run_turn(paradigm, state, backend, ctx)
+            paradigms.run_turn(state, backend, ctx)
             outcome = decisions.decide(state, backend, ctx)
         return outcome
 
@@ -92,8 +88,7 @@ def run_baseline(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
 
     def answer(state: DebateState, personas: list, task_text: str) -> DecisionOutcome:
         persona = neutral_panel(1)[0]
-        generator = ResponseGeneratorKind(params.response_generator)
-        state.panel = [AgentProfile(1, persona, generator)]
+        state.panel = [AgentProfile(1, persona)]
         personas.append(persona.to_log(1))
         messages: list[tuple[str, str]] = [
             ("system", prompts.render_cot_system(task_text, sample.input_text()))

@@ -220,7 +220,7 @@ def visibility_debate(kind: ParadigmKind, seed: int):
         {"rules": [{"match": [], "response": f"tok{i} [DISAGREE]"} for i in range(64)]}
     )
     panel = [
-        AgentProfile(i, Persona(name=f"Participant {i}"), ResponseGeneratorKind.SIMPLE)
+        AgentProfile(i, Persona(name=f"Participant {i}"))
         for i in range(1, n_agents + 1)
     ]
     task = TaskInstance(id=f"{seed:04d}", instruction_key="", input_lines=("x",))
@@ -231,7 +231,7 @@ def visibility_debate(kind: ParadigmKind, seed: int):
         input_text="x",
     )
     for _ in range(turns):
-        run_turn(kind, state, backend, ctx)
+        run_turn(state, backend, ctx)
     return state, backend, n_agents
 
 

@@ -20,7 +20,7 @@ from agora.agents import (
     neutral_panel,
     parse_agreement,
 )
-from agora.domain import Agreement, Persona, ResponseGeneratorKind
+from agora.domain import Agreement, Persona
 from agora.gateway import ChatRequest, ChatResponse
 
 
@@ -229,7 +229,7 @@ def test_default_trait_options_cover_all_names():
 
 
 def test_build_panel_none_generator_needs_no_backend():
-    profiles, entries = build_panel(3, "none", ResponseGeneratorKind.SIMPLE, "t", backend=None)
+    profiles, entries = build_panel(3, "none", "t", backend=None)
     assert [p.agent_id for p in profiles] == [1, 2, 3]
     assert [p.persona.name for p in profiles] == [
         "Participant 1",
@@ -242,9 +242,8 @@ def test_build_panel_none_generator_needs_no_backend():
 
 def test_build_panel_expert_passes_prior_personas():
     backend = SeqBackend([expert_json("Chemist"), expert_json("Physicist")])
-    profiles, entries = build_panel(2, "expert", ResponseGeneratorKind.CRITICAL, "t", backend)
+    profiles, entries = build_panel(2, "expert", "t", backend)
     assert [p.persona.name for p in profiles] == ["Chemist", "Physicist"]
-    assert all(p.response_generator is ResponseGeneratorKind.CRITICAL for p in profiles)
     # Second call saw the first persona as an assistant turn.
     second = backend.requests[1]
     assert [m.role for m in second.messages] == ["system", "assistant", "user"]
@@ -258,14 +257,14 @@ def test_build_panel_ipip():
             ipip_json("B", "high", "high", "high", "high", "high"),
         ]
     )
-    profiles, entries = build_panel(2, "ipip", ResponseGeneratorKind.SIMPLE, "t", backend)
+    profiles, entries = build_panel(2, "ipip", "t", backend)
     assert [p.persona.name for p in profiles] == ["A", "B"]
     assert entries[0]["traits"]["Openness"] == "low"
 
 
 def test_build_panel_unknown_generator():
     with pytest.raises(ValueError):
-        build_panel(2, "mystery", ResponseGeneratorKind.SIMPLE, "t", backend=None)
+        build_panel(2, "mystery", "t", backend=None)
 
 
 # -- answer extraction --

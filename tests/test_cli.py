@@ -175,6 +175,50 @@ def test_run_rejects_missing_script(tmp_path):
     assert "cannot load script" in result.output
 
 
+def test_run_rejects_two_runs_with_one_output_path_before_any_debate(tmp_path):
+    dataset, script, _ = make_workspace(tmp_path)
+    out = str(tmp_path / "logs" / "same.jsonl")
+    config = write_json(
+        tmp_path / "twice.json",
+        {
+            "common": {"input_json_file_path": str(dataset)},
+            "runs": [
+                {"output_json_file_path": out},
+                {"output_json_file_path": out, "max_turns": 2},
+            ],
+        },
+    )
+    for flags in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *flags]
+        )
+        assert result.exit_code != 0
+        assert "runs 1 and 2" in result.output and "same.jsonl" in result.output
+        assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize(
+    "script, where",
+    [
+        ({"rules": [{"response": "ok"}, {"match": [{"contains": "x"}]}]}, "rules[1]"),
+        ({"rules": [{"response": "ok"}, {"match": [{"role": "user"}], "response": "r"}]}, "rules[1]"),
+        ({"rules": [{"response": "ok"}, "not a rule"]}, "rules[1]"),
+        ({"rules": [{"response": 5}]}, "rules[0]"),
+        ({"rules": {"response": "ok"}}, '"rules" list'),
+        ([{"response": "ok"}], '"rules" list'),
+    ],
+)
+def test_run_rejects_a_malformed_script_rule_without_a_traceback(tmp_path, script, where):
+    _, _, config = make_workspace(tmp_path)
+    path = write_json(tmp_path / "bad-script.json", script)
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--backend", f"scripted:{path}"]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+    assert "cannot load script" in result.output
+    assert where in result.output
+
+
 def test_run_rejects_config_missing_required(tmp_path):
     _, script, _ = make_workspace(tmp_path)
     config = write_json(

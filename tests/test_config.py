@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -65,18 +65,19 @@ class PersonaBackend:
 def test_every_accepted_choice_has_an_engine_dispatch():
     # A value the config accepts must never pass validation and then find no
     # prompt, schedule, panel builder or decision rule at run time.
-    generators = {ResponseGeneratorKind(value) for value in CHOICES["response_generator"]}
-    assert set(prompts._TURN_PROMPT_FILES) == set(
-        itertools.product(generators, prompts.TurnPrompt)
-    )
+    for value in CHOICES["response_generator"]:
+        for prompt in prompts.TurnPrompt:
+            assert prompts.render_turn_user_prompt(ResponseGeneratorKind(value), prompt)
     for value in CHOICES["persona_generator"]:
-        profiles, _ = build_panel(3, value, ResponseGeneratorKind.SIMPLE, "t", PersonaBackend())
+        profiles, _ = build_panel(3, value, "t", PersonaBackend())
         assert len(profiles) == 3
     for value in CHOICES["discussion_paradigm"]:
         assert schedule(ParadigmKind(value), 3)
     protocols = CHOICES["decision_protocol"]
     voting = protocols - decisions.CONSENSUS_PROTOCOLS - {"judge"}
-    assert set(prompts._VOTE_FILES) == decisions.VOTING_PROTOCOLS == voting
+    assert decisions.VOTING_PROTOCOLS == voting
+    for protocol in decisions.VOTING_PROTOCOLS:
+        assert "Solution 2: b" in prompts.render_vote_user(protocol, "t", "q", ["a", "b"])
     for protocol in protocols & decisions.CONSENSUS_PROTOCOLS:
         assert decisions.consensus_reached(Fraction(1), protocol)
 
@@ -173,6 +174,26 @@ def test_expand_counts_runs_times_repeats():
     jobs = expand_config(cfg)
     assert len(jobs) == 6
     assert [j.name for j in jobs] == ["a", "a", "b", "b", "c", "c"]
+
+
+def test_expand_rejects_two_runs_writing_one_log():
+    # Both would write out/a-r1.json; the later log would replace the earlier.
+    cfg = batch(
+        runs=[
+            {"output_json_file_path": "out/a.json"},
+            {"output_json_file_path": "out/b.json"},
+            {"output_json_file_path": "out/./a.json", "max_turns": 3},
+        ],
+    )
+    with pytest.raises(ConfigError) as exc:
+        expand_config(cfg)
+    assert "runs 1 and 3" in str(exc.value)
+    assert "out/./a.json" in str(exc.value)
+    # A relative and an absolute spelling of one file collide as well.
+    absolute = os.path.abspath("b.json")
+    cfg = batch(runs=[{"output_json_file_path": "b.json"}, {"output_json_file_path": absolute}])
+    with pytest.raises(ConfigError, match="runs 1 and 2"):
+        expand_config(cfg)
 
 
 def test_expand_missing_required_after_overlay():

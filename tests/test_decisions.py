@@ -40,7 +40,6 @@ from agora.domain import (
     Message,
     Persona,
     Phase,
-    ResponseGeneratorKind,
     TaskInstance,
     TieBreak,
 )
@@ -50,7 +49,7 @@ from agora.paradigms import DebateContext, ParadigmKind
 
 def make_state(n: int = 2) -> DebateState:
     panel = [
-        AgentProfile(i, Persona(name=f"Participant {i}"), ResponseGeneratorKind.SIMPLE)
+        AgentProfile(i, Persona(name=f"Participant {i}"))
         for i in range(1, n + 1)
     ]
     task = TaskInstance(id="s1", instruction_key="", input_lines=("x",))

@@ -15,7 +15,6 @@ from agora.domain import (
     Message,
     Persona,
     Phase,
-    ResponseGeneratorKind,
     SequenceViolation,
     TaskInstance,
     TieBreak,
@@ -35,7 +34,7 @@ def make_task(**overrides) -> TaskInstance:
 
 def make_panel(n: int) -> list[AgentProfile]:
     return [
-        AgentProfile(i, Persona(f"Participant {i}"), ResponseGeneratorKind.SIMPLE)
+        AgentProfile(i, Persona(f"Participant {i}"))
         for i in range(1, n + 1)
     ]
 

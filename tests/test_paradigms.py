@@ -13,7 +13,6 @@ from agora.domain import (
     Message,
     Persona,
     Phase,
-    ResponseGeneratorKind,
     TaskInstance,
 )
 from agora.gateway import ChatRequest, ChatResponse
@@ -23,7 +22,6 @@ from agora.paradigms import (
     PanelTooSmall,
     ParadigmKind,
     TurnStep,
-    Visibility,
     pair_of,
     peer_pairs,
     render_step_prompt,
@@ -35,7 +33,7 @@ from agora.paradigms import (
 
 def make_state(n: int = 3) -> DebateState:
     panel = [
-        AgentProfile(i, Persona(name=f"Participant {i}"), ResponseGeneratorKind.SIMPLE)
+        AgentProfile(i, Persona(name=f"Participant {i}"))
         for i in range(1, n + 1)
     ]
     task = TaskInstance(id="s1", instruction_key="", input_lines=("x",))
@@ -96,16 +94,15 @@ def test_pair_of_rejects_central_agent():
 def test_memory_schedule_everyone_improves_with_full_view():
     steps = schedule(ParadigmKind.MEMORY, 3)
     assert steps == [
-        TurnStep(1, Phase.IMPROVE, Visibility.ALL),
-        TurnStep(2, Phase.IMPROVE, Visibility.ALL),
-        TurnStep(3, Phase.IMPROVE, Visibility.ALL),
+        TurnStep(1, Phase.IMPROVE),
+        TurnStep(2, Phase.IMPROVE),
+        TurnStep(3, Phase.IMPROVE),
     ]
 
 
 def test_relay_schedule_sees_only_last_message():
     steps = schedule(ParadigmKind.RELAY, 2)
-    assert [s.speaker for s in steps] == [1, 2]
-    assert all(s.visibility is Visibility.LAST_MESSAGE_ONLY for s in steps)
+    assert steps == [TurnStep(1, Phase.IMPROVE), TurnStep(2, Phase.IMPROVE)]
 
 
 def test_memory_and_relay_need_two_agents():
@@ -118,11 +115,8 @@ def test_memory_and_relay_need_two_agents():
 def test_report_schedule_peers_then_central():
     steps = schedule(ParadigmKind.REPORT, 4)
     assert [s.speaker for s in steps] == [2, 3, 4, 1]
-    assert steps[-1] == TurnStep(1, Phase.CENTRAL_SYNTHESIS, Visibility.ALL)
-    assert all(
-        s.visibility is Visibility.OWN_AND_CENTRAL and s.phase is Phase.IMPROVE
-        for s in steps[:-1]
-    )
+    assert steps[-1] == TurnStep(1, Phase.CENTRAL_SYNTHESIS)
+    assert all(s.phase is Phase.IMPROVE for s in steps[:-1])
 
 
 def test_report_and_debate_need_three_agents():
@@ -143,7 +137,6 @@ def test_debate_schedule_two_pairs():
     steps = schedule(ParadigmKind.DEBATE, 5, debate_exchanges=3)
     assert [s.speaker for s in steps] == [2, 3, 2, 4, 5, 4, 1]
     assert all(s.phase is Phase.FEEDBACK for s in steps[:-1])
-    assert all(s.visibility is Visibility.PAIR_ONLY for s in steps[:-1])
 
 
 def test_debate_schedule_lone_peer_gets_half_the_exchanges():
@@ -158,7 +151,7 @@ def test_schedule_is_turn_invariant():
         state = make_state(5)
         backend = SeqBackend([f"m{i} [DISAGREE]" for i in range(40)])
         for _ in range(3):
-            run_turn(kind, state, backend, ctx())
+            run_turn(state, backend, ctx(discussion_paradigm=kind.value))
         per_turn = [[m.agent_id for m in state.transcript if m.turn == t] for t in (1, 2, 3)]
         expected = [step.speaker for step in schedule(kind, 5)]
         assert per_turn == [expected] * 3
@@ -172,7 +165,7 @@ def test_visibility_all_returns_debate_messages_only():
     add(state, 1, Phase.DRAFT, "draft", turn=1)
     add(state, 2, Phase.IMPROVE, "improve [DISAGREE]", turn=1, agreement=Agreement.DISAGREE)
     add(state, 1, Phase.VOTE, "1", turn=1)
-    step = TurnStep(3, Phase.IMPROVE, Visibility.ALL)
+    step = TurnStep(3, Phase.IMPROVE)
     visible = visible_messages(ParadigmKind.MEMORY, state, step)
     assert [m.phase for m in visible] == [Phase.DRAFT, Phase.IMPROVE]
 
@@ -181,14 +174,14 @@ def test_visibility_last_message_only():
     state = make_state(2)
     add(state, 1, Phase.DRAFT, "first", turn=1)
     add(state, 2, Phase.IMPROVE, "second", turn=1)
-    step = TurnStep(1, Phase.IMPROVE, Visibility.LAST_MESSAGE_ONLY)
+    step = TurnStep(1, Phase.IMPROVE)
     visible = visible_messages(ParadigmKind.RELAY, state, step)
     assert [m.text for m in visible] == ["second"]
 
 
 def test_visibility_last_message_only_empty_state():
     state = make_state(2)
-    step = TurnStep(1, Phase.IMPROVE, Visibility.LAST_MESSAGE_ONLY)
+    step = TurnStep(1, Phase.IMPROVE)
     assert visible_messages(ParadigmKind.RELAY, state, step) == []
 
 
@@ -197,7 +190,7 @@ def test_visibility_own_and_central_hides_peer_traffic():
     add(state, 2, Phase.DRAFT, "peer2 draft", turn=1)
     add(state, 3, Phase.IMPROVE, "peer3 improve", turn=1)
     add(state, 1, Phase.CENTRAL_SYNTHESIS, "central view", turn=1)
-    step = TurnStep(2, Phase.IMPROVE, Visibility.OWN_AND_CENTRAL)
+    step = TurnStep(2, Phase.IMPROVE)
     visible = visible_messages(ParadigmKind.REPORT, state, step)
     assert [m.text for m in visible] == ["peer2 draft", "central view"]
 
@@ -213,7 +206,7 @@ def test_visibility_pair_only_filters_by_pair_and_turn():
     state.turn = 1
     # Turn 2 in progress: agent 2 already spoke.
     add(state, 2, Phase.FEEDBACK, "t2 p2", turn=2)
-    step = TurnStep(3, Phase.FEEDBACK, Visibility.PAIR_ONLY)
+    step = TurnStep(3, Phase.FEEDBACK)
     visible = visible_messages(ParadigmKind.DEBATE, state, step)
     # Own pair's current-turn message plus every central synthesis; nothing
     # from the other pair, nothing from the pair's previous turn.
@@ -223,7 +216,7 @@ def test_visibility_pair_only_filters_by_pair_and_turn():
 def test_visibility_pair_only_other_pair_is_invisible():
     state = make_state(5)
     add(state, 2, Phase.DRAFT, "t1 p2", turn=1)
-    step = TurnStep(4, Phase.FEEDBACK, Visibility.PAIR_ONLY)
+    step = TurnStep(4, Phase.FEEDBACK)
     assert visible_messages(ParadigmKind.DEBATE, state, step) == []
 
 
@@ -232,8 +225,8 @@ def test_visibility_pair_only_other_pair_is_invisible():
 
 def test_first_step_prompt_is_system_only():
     state = make_state(2)
-    step = TurnStep(1, Phase.IMPROVE, Visibility.ALL)
-    messages = render_step_prompt(state, step, ParadigmKind.MEMORY, ctx())
+    step = TurnStep(1, Phase.IMPROVE)
+    messages = render_step_prompt(state, step, ctx())
     assert len(messages) == 1
     role, text = messages[0]
     assert role == "system"
@@ -243,8 +236,8 @@ def test_first_step_prompt_is_system_only():
 def test_step_prompt_with_draft_adds_user_turn():
     state = make_state(2)
     add(state, 1, Phase.DRAFT, "drafted answer", turn=1)
-    step = TurnStep(2, Phase.IMPROVE, Visibility.ALL)
-    messages = render_step_prompt(state, step, ParadigmKind.MEMORY, ctx())
+    step = TurnStep(2, Phase.IMPROVE)
+    messages = render_step_prompt(state, step, ctx())
     assert [role for role, _ in messages] == ["system", "user"]
     assert "drafted answer" in messages[0][1]
     assert "Participant 1" in messages[0][1]
@@ -253,13 +246,9 @@ def test_step_prompt_with_draft_adds_user_turn():
 def test_step_prompt_honors_generator_choice():
     state = make_state(2)
     add(state, 1, Phase.DRAFT, "d", turn=1)
-    step = TurnStep(2, Phase.IMPROVE, Visibility.ALL)
-    simple = render_step_prompt(
-        state, step, ParadigmKind.MEMORY, ctx(response_generator="simple")
-    )
-    critical = render_step_prompt(
-        state, step, ParadigmKind.MEMORY, ctx(response_generator="critical")
-    )
+    step = TurnStep(2, Phase.IMPROVE)
+    simple = render_step_prompt(state, step, ctx(response_generator="simple"))
+    critical = render_step_prompt(state, step, ctx(response_generator="critical"))
     assert simple[1][1] != critical[1][1]
 
 
@@ -275,7 +264,7 @@ def test_run_turn_memory_first_turn():
             "fine [AGREE]",
         ]
     )
-    run_turn(ParadigmKind.MEMORY, state, backend, ctx())
+    run_turn(state, backend, ctx())
     assert state.turn == 1
     assert [m.phase for m in state.transcript] == [
         Phase.DRAFT,
@@ -297,7 +286,7 @@ def test_run_turn_memory_first_turn():
 def test_run_turn_draft_phase_never_parses_agreement():
     state = make_state(2)
     backend = SeqBackend(["I [AGREE] with myself", "second [AGREE]"])
-    run_turn(ParadigmKind.MEMORY, state, backend, ctx())
+    run_turn(state, backend, ctx())
     assert state.transcript[0].phase is Phase.DRAFT
     assert state.transcript[0].agreement is None
     assert state.transcript[1].agreement is Agreement.AGREE
@@ -312,7 +301,7 @@ def test_run_turn_debate_records_synthesis_as_draft_holder():
             "central summary",
         ]
     )
-    run_turn(ParadigmKind.DEBATE, state, backend, ctx(debate_exchanges=2))
+    run_turn(state, backend, ctx(discussion_paradigm="debate", debate_exchanges=2))
     phases = [m.phase for m in state.transcript]
     assert phases == [Phase.DRAFT, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS]
     assert state.current_draft.text == "central summary"
@@ -323,20 +312,20 @@ def test_run_turn_rejects_ended_debate():
     state = make_state(2)
     state.ended = True
     with pytest.raises(DebateEnded):
-        run_turn(ParadigmKind.MEMORY, state, SeqBackend([]), ctx())
+        run_turn(state, SeqBackend([]), ctx())
 
 
 def test_run_turn_rejects_exceeding_turn_cap():
     state = make_state(2)
     state.turn = 7
     with pytest.raises(ValueError):
-        run_turn(ParadigmKind.MEMORY, state, SeqBackend([]), ctx(max_turns=7))
+        run_turn(state, SeqBackend([]), ctx(max_turns=7))
 
 
 def test_run_turn_report_peers_never_see_each_other():
     state = make_state(3)
     backend = SeqBackend(["p2 draft", "p3 says [DISAGREE]", "central merge"])
-    run_turn(ParadigmKind.REPORT, state, backend, ctx())
+    run_turn(state, backend, ctx(discussion_paradigm="report"))
     # The shared solution slate is always visible; the discussion memory is
     # what visibility scopes, so agent 3's memory must not quote agent 2.
     p3_memory = backend.requests[1].messages[0].content.split("Discussion so far:")[1]
@@ -348,8 +337,8 @@ def test_run_turn_report_peers_never_see_each_other():
 def test_run_turn_second_turn_numbering():
     state = make_state(2)
     backend = SeqBackend(["a", "b [AGREE]", "c [DISAGREE]", "d [AGREE]"])
-    run_turn(ParadigmKind.MEMORY, state, backend, ctx())
-    run_turn(ParadigmKind.MEMORY, state, backend, ctx())
+    run_turn(state, backend, ctx())
+    run_turn(state, backend, ctx())
     assert state.turn == 2
     assert [m.turn for m in state.transcript] == [1, 1, 2, 2]
     assert [m.seq for m in state.transcript] == [1, 2, 3, 4]

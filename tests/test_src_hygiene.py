@@ -6,8 +6,9 @@ nowhere. The console entry point is the one name used from outside, and a
 decorated function counts as used, because its decorator may register it
 (the click subcommands).
 
-Also: starting the CLI imports no third-party HTTP client, because every
-`agora` invocation pays for what it imports.
+Also: every function parameter in src/agora is read by its function
+(Protocol stubs aside), and starting the CLI imports no third-party HTTP
+client, because every `agora` invocation pays for what it imports.
 """
 
 from __future__ import annotations
@@ -87,3 +88,43 @@ def test_cli_import_loads_no_http_client_library():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _is_stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """A body that is only `...` (after an optional docstring): a Protocol method."""
+    values = [
+        statement.value.value
+        for statement in node.body
+        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)
+    ]
+    return len(values) == len(node.body) and values[-1] is Ellipsis
+
+
+def unread_parameters() -> list[str]:
+    """`module.function(parameter)` for every parameter its function never reads."""
+    flagged = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_stub(node):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                sub.id
+                for statement in node.body
+                for sub in ast.walk(statement)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            flagged += [
+                f"{path.stem}.{node.name}({param.arg})"
+                for param in params
+                if param is not None and param.arg not in read
+            ]
+    return sorted(flagged)
+
+
+def test_every_parameter_is_read():
+    # A parameter nobody reads is a second carrier of something the function
+    # takes from elsewhere, or dead weight on every call site.
+    assert unread_parameters() == []
