@@ -74,7 +74,6 @@ def extract_json_object(text: str) -> dict:
 def _generate_persona(
     messages: list[tuple[str, str]],
     backend: Backend,
-    model_name: str,
     parse: Callable[[dict], Persona],
     identity: Callable[[Persona], Any],
     existing: list[Persona],
@@ -85,7 +84,7 @@ def _generate_persona(
     `parse` raises ValueError or KeyError on a malformed object; those
     responses and the duplicates are retried a bounded number of times.
     """
-    req = chat_request(messages, model_name=model_name)
+    req = chat_request(messages)
     taken = {identity(p) for p in existing}
     parse_failures = 0
     duplicates = 0
@@ -118,10 +117,7 @@ def _role(obj: dict) -> str:
 
 
 def generate_expert_persona(
-    task_text: str,
-    existing: list[Persona],
-    backend: Backend,
-    model_name: str = "",
+    task_text: str, existing: list[Persona], backend: Backend
 ) -> tuple[Persona, str]:
     """One persona complementing `existing`; returns it with the raw response."""
     messages = [("system", prompts.render_expert_system())]
@@ -142,14 +138,11 @@ def generate_expert_persona(
     def name(persona: Persona) -> str:
         return persona.name.strip().lower()
 
-    return _generate_persona(messages, backend, model_name, parse, name, existing, "personas")
+    return _generate_persona(messages, backend, parse, name, existing, "personas")
 
 
 def generate_ipip_persona(
-    task_text: str,
-    existing: list[Persona],
-    backend: Backend,
-    model_name: str = "",
+    task_text: str, existing: list[Persona], backend: Backend
 ) -> tuple[Persona, str]:
     """One persona whose trait vector differs from every one in `existing`."""
     messages = [("system", prompts.render_ipip_system(TRAIT_OPTIONS))]
@@ -177,9 +170,7 @@ def generate_ipip_persona(
     def vector(persona: Persona) -> tuple:
         return tuple((persona.traits or {}).get(name) for name in TRAIT_OPTIONS)
 
-    return _generate_persona(
-        messages, backend, model_name, parse, vector, existing, "trait vectors"
-    )
+    return _generate_persona(messages, backend, parse, vector, existing, "trait vectors")
 
 
 # Persona generator name -> function. The lambdas look the functions up when
@@ -193,11 +184,7 @@ PERSONA_GENERATORS: dict[str, Optional[Callable[..., tuple[Persona, str]]]] = {
 
 
 def build_panel(
-    n: int,
-    persona_generator: str,
-    task_text: str,
-    backend: Backend,
-    model_name: str = "",
+    n: int, persona_generator: str, task_text: str, backend: Backend
 ) -> tuple[list[AgentProfile], list[dict]]:
     """Panel of n agents plus their persona log entries (raw text included)."""
     if persona_generator not in PERSONA_GENERATORS:
@@ -209,7 +196,7 @@ def build_panel(
     for i, persona in enumerate(neutral_panel(n), start=1):
         raw = None
         if generate is not None:
-            persona, raw = generate(task_text, personas, backend, model_name)
+            persona, raw = generate(task_text, personas, backend)
         personas.append(persona)
         profiles.append(AgentProfile(i, persona))
         log_entries.append(persona.to_log(i, raw_text=raw))
@@ -222,7 +209,6 @@ def extract_final_answer_response(
     input_text: str,
     previous_response: str,
     backend: Backend,
-    model_name: str = "",
 ):
     """Full gateway response for an extraction call (text plus latency)."""
     if not previous_response:
@@ -231,8 +217,7 @@ def extract_final_answer_response(
         [
             ("system", prompts.render_role_system(persona)),
             ("user", prompts.render_extraction_user(task_text, input_text, previous_response)),
-        ],
-        model_name=model_name,
+        ]
     )
     return backend.complete(req)
 

@@ -13,7 +13,7 @@ from .domain import TaskInstance
 from .prompts import multiple_choice_footer
 
 
-class FormatError(Exception):
+class FormatError(ValueError):
     pass
 
 
@@ -52,6 +52,22 @@ class FieldMapping:
         )
 
 
+def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """One object per non-blank line; a line that is not a JSON object raises FormatError."""
+    records = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path} line {lineno}: invalid JSON: {exc}")
+        if not isinstance(record, dict):
+            raise FormatError(f"{path} line {lineno} is not a JSON object")
+        records.append(record)
+    return records
+
+
 def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
     path = Path(path)
     if not path.exists():
@@ -65,14 +81,7 @@ def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
             raise FormatError(f"{path}: top level must be a JSON array of records")
         records = data
     elif fmt == "jsonl":
-        records = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path} line {lineno}: invalid JSON: {exc}")
+        records = read_jsonl(path)
     elif fmt == "csv":
         with path.open(encoding="utf-8", newline="") as handle:
             records = list(csv.DictReader(handle))

@@ -275,12 +275,7 @@ def collect_candidates(
     for profile in state.panel:
         previous = _previous_response(state, profile.agent_id)
         resp = extract_final_answer_response(
-            profile.persona,
-            ctx.task_text,
-            ctx.input_text,
-            previous,
-            backend,
-            ctx.params.model_name,
+            profile.persona, ctx.task_text, ctx.input_text, previous, backend
         )
         candidates.append(resp.text)
         state.add(state.turn, profile.agent_id, Phase.EXTRACTION, resp.text, resp.latency_ms)
@@ -316,8 +311,7 @@ def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> 
                         protocol, ctx.task_text, ctx.input_text, candidates, points=points
                     ),
                 ),
-            ],
-            model_name=ctx.params.model_name,
+            ]
         )
         for _ in range(_MAX_BALLOT_ATTEMPTS):
             resp = backend.complete(req)
@@ -345,8 +339,7 @@ def judge_decide(
     if not candidates:
         raise ValueError("the judge needs at least one candidate")
     req = chat_request(
-        [("user", prompts.render_judge_user(ctx.task_text, ctx.input_text, candidates))],
-        model_name=ctx.params.model_name,
+        [("user", prompts.render_judge_user(ctx.task_text, ctx.input_text, candidates))]
     )
     try:
         resp = backend.complete(req)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+from .datasets import load_input_file, read_jsonl
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
@@ -139,15 +140,7 @@ def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
 
 
 def read_records(path: str | Path) -> list[dict[str, Any]]:
-    records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} line {lineno}: invalid JSON: {exc}")
-    return records
+    return read_jsonl(path)
 
 
 def _free_text_scores(final_text: str, references: Sequence[str]) -> dict[str, float]:
@@ -220,8 +213,6 @@ def evaluate_logs(
     logs: str | Path, dataset: str | Path, out_dir: str | Path
 ) -> list[Path]:
     """Evaluate every job found under `logs`; one {job}.eval.json per job."""
-    from .datasets import load_input_file
-
     samples = load_input_file(dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

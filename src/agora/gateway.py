@@ -61,11 +61,9 @@ class ChatResponse:
     latency_ms: int = 0
 
 
-def chat_request(messages: list[tuple[str, str]], model_name: str = "") -> ChatRequest:
-    return ChatRequest(
-        messages=tuple(ChatMessage(role, content) for role, content in messages),
-        model_name=model_name,
-    )
+def chat_request(messages: list[tuple[str, str]]) -> ChatRequest:
+    """A request that names no model; a `DebateBackend` fills in the job's."""
+    return ChatRequest(tuple(ChatMessage(role, content) for role, content in messages))
 
 
 def wire_body(req: ChatRequest) -> dict[str, Any]:
@@ -86,6 +84,22 @@ def wire_body(req: ChatRequest) -> dict[str, Any]:
 
 class Backend(Protocol):
     def complete(self, req: ChatRequest) -> ChatResponse: ...
+
+    def clock(self) -> float: ...  # seconds; times the backend's calls and whole debates
+
+
+@dataclass(frozen=True)
+class DebateBackend:
+    """One debate's backend: forwards each request with the job's model filled in."""
+
+    backend: Backend
+    model_name: str
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        return self.backend.complete(ChatRequest(req.messages, self.model_name))
+
+    def clock(self) -> float:
+        return self.backend.clock()
 
 
 # Transport returns (status_code, parsed JSON payload or None); connection
@@ -225,7 +239,7 @@ class HttpGateway:
         self._transport = transport or _ConnectionPool(max_in_flight)
         self._sleeper = sleeper
         self._rng = rng or random.Random()
-        self._clock = clock
+        self.clock = clock
         self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def _backoff_s(self, attempt: int) -> float:
@@ -238,7 +252,7 @@ class HttpGateway:
         body = wire_body(req)
         attempt = 0
         while True:
-            started = self._clock()
+            started = self.clock()
             try:
                 with self._slots:
                     status, payload = self._transport(url, headers, body, self.timeout_s)
@@ -246,7 +260,7 @@ class HttpGateway:
                 status, payload, failure = None, None, str(exc)
             else:
                 failure = None
-            latency_ms = int((self._clock() - started) * 1000)
+            latency_ms = int((self.clock() - started) * 1000)
 
             if status == 200:
                 return self._parse(payload, latency_ms)
@@ -271,13 +285,13 @@ class HttpGateway:
             raise MalformedResponse(f"missing choice text in response: {payload!r}")
         if not isinstance(text, str):
             raise MalformedResponse(f"choice text is not a string: {text!r}")
-        usage = payload.get("usage") or {}
-        return ChatResponse(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-            latency_ms=latency_ms,
-        )
+        # Token counts are informational: a count that is not a non-negative
+        # int, or a usage that is not an object, reads as zero.
+        usage = payload.get("usage")
+        usage = usage if isinstance(usage, dict) else {}
+        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+        prompt_tokens, completion_tokens = (n if type(n) is int and n >= 0 else 0 for n in counts)
+        return ChatResponse(text, prompt_tokens, completion_tokens, latency_ms)
 
 
 @dataclass(frozen=True)
@@ -305,8 +319,8 @@ class ScriptRule:
 class ScriptedGateway:
     """Deterministic stand-in endpoint: ordered rules, consumable by default.
 
-    Responses are a pure function of the request sequence; the clock is
-    pinned to zero so logs built on top are byte-stable.
+    Responses are a pure function of the request sequence; the clock
+    reads zero so logs built on top are byte-stable.
     """
 
     def __init__(self, rules: list[ScriptRule]) -> None:
@@ -315,16 +329,18 @@ class ScriptedGateway:
         self._rules = list(rules)
         self._consumed = [False] * len(rules)
         self._lock = threading.Lock()
-        self.call_count = 0
         self.requests: list[ChatRequest] = []
 
     def fork(self) -> "ScriptedGateway":
         """Fresh copy with all rules unconsumed, for per-debate isolation."""
         return ScriptedGateway(self._rules)
 
+    @staticmethod
+    def clock() -> float:
+        return 0.0
+
     def complete(self, req: ChatRequest) -> ChatResponse:
         with self._lock:
-            self.call_count += 1
             self.requests.append(req)
             for idx, rule in enumerate(self._rules):
                 if self._consumed[idx] and not rule.repeatable:
@@ -352,6 +368,9 @@ def script_from_dict(data: Any) -> ScriptedGateway:
                 MatchClause(contains=c["contains"], role=c.get("role"))
                 for c in entry.get("match", [])
             )
+            for c in clauses:
+                if not isinstance(c.contains, str) or not isinstance(c.role, (str, type(None))):
+                    raise TypeError("a match clause's contains or role is not a string")
             rules.append(
                 ScriptRule(
                     response=entry["response"],
@@ -361,8 +380,8 @@ def script_from_dict(data: Any) -> ScriptedGateway:
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(
-                f"rules[{index}] is malformed ({type(exc).__name__}: {exc}): a rule is an "
-                'object with a "response" string and "match" clauses that each have "contains"'
+                f"rules[{index}] is malformed ({type(exc).__name__}: {exc}): a rule is an object "
+                'with a "response" string and "match" clauses that each have a "contains" string'
             ) from None
     return ScriptedGateway(rules)
 

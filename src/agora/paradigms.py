@@ -172,7 +172,7 @@ def run_turn(state: DebateState, backend: Backend, ctx: DebateContext) -> Debate
     for step in schedule(kind, len(state.panel), ctx.params.debate_exchanges):
         had_draft = state.current_draft is not None
         messages = render_step_prompt(state, step, ctx)
-        resp = backend.complete(chat_request(messages, model_name=ctx.params.model_name))
+        resp = backend.complete(chat_request(messages))
         phase = step.phase if had_draft else Phase.DRAFT
         agreement = (
             parse_agreement(resp.text)

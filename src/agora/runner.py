@@ -19,12 +19,8 @@ from .domain import (
     Phase,
     build_log_record,
 )
-from .gateway import Backend, HttpGateway, ScriptedGateway, chat_request
+from .gateway import Backend, DebateBackend, HttpGateway, ScriptedGateway, chat_request
 from .paradigms import DebateContext
-
-
-def _now_ms() -> int:
-    return int(time.monotonic() * 1000)
 
 
 def _run_recorded(
@@ -32,22 +28,24 @@ def _run_recorded(
     sample,
     backend: Backend,
     protocol: str,
-    body: Callable[[DebateState, list, str], DecisionOutcome],
+    body: Callable[[DebateState, list, str, Backend], DecisionOutcome],
 ) -> dict[str, Any]:
-    """Time one sample's run and log it; a crash becomes a failure outcome, never raises.
+    """Time and log one sample's run; a crash becomes a failure outcome, never raises.
 
-    `body(state, personas, task_text)` sets the panel, appends the persona
-    log entries, runs the exchange and returns its outcome.
+    `body(state, personas, task_text, backend)` sets the panel, appends the
+    persona log entries, runs the exchange and returns its outcome. Its
+    backend names the job's model in every request, and the run is timed
+    on the backend's clock (which reads zero for a scripted backend).
     """
-    zero_clock = isinstance(backend, ScriptedGateway)
-    started = _now_ms()
+    backend = DebateBackend(backend, params.model_name)
+    started = backend.clock()
     task_text = datasets.resolve_instruction(
         sample.instruction_key or params.task_instruction_prompt_template
     )
     state = DebateState(task=sample, panel=[])
     personas: list[dict[str, Any]] = []
     try:
-        outcome = body(state, personas, task_text)
+        outcome = body(state, personas, task_text, backend)
     except Exception as exc:
         outcome = DecisionOutcome(
             protocol=protocol,
@@ -57,21 +55,19 @@ def _run_recorded(
             error=f"{type(exc).__name__}: {exc}",
         )
     state.ended = True
-    clock = 0 if zero_clock else _now_ms() - started
-    return build_log_record(params.to_log(), state, personas, outcome, clock)
+    clock_ms = int((backend.clock() - started) * 1000)
+    return build_log_record(params.to_log(), state, personas, outcome, clock_ms)
 
 
 def run_debate(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
     """One full multi-agent debate; crashes become a failure record, never raise."""
 
-    def debate(state: DebateState, personas: list, task_text: str) -> DecisionOutcome:
+    def debate(
+        state: DebateState, personas: list, task_text: str, backend: Backend
+    ) -> DecisionOutcome:
         ctx = DebateContext(params, task_text, sample.input_text(), sample.context_text())
         state.panel, entries = build_panel(
-            params.num_agents,
-            params.persona_generator,
-            task_text,
-            backend,
-            params.model_name,
+            params.num_agents, params.persona_generator, task_text, backend
         )
         personas.extend(entries)
         outcome: Optional[DecisionOutcome] = None
@@ -86,7 +82,9 @@ def run_debate(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
 def run_baseline(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
     """Single-agent answer shaped like a one-message debate record."""
 
-    def answer(state: DebateState, personas: list, task_text: str) -> DecisionOutcome:
+    def answer(
+        state: DebateState, personas: list, task_text: str, backend: Backend
+    ) -> DecisionOutcome:
         persona = neutral_panel(1)[0]
         state.panel = [AgentProfile(1, persona)]
         personas.append(persona.to_log(1))
@@ -95,7 +93,7 @@ def run_baseline(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
         ]
         if params.use_chain_of_thought:
             messages.append(("user", prompts.cot_user_text()))
-        resp = backend.complete(chat_request(messages, model_name=params.model_name))
+        resp = backend.complete(chat_request(messages))
         state.add(1, 1, Phase.DRAFT, resp.text, resp.latency_ms)
         state.turn = 1
         return DecisionOutcome(

@@ -118,7 +118,7 @@ def test_extract_json_object_rejects_non_object():
 
 def test_expert_persona_happy_path():
     backend = SeqBackend([expert_json("  Economist ", " Knows markets. ")])
-    persona, raw = generate_expert_persona("task", [], backend, model_name="m")
+    persona, raw = generate_expert_persona("task", [], backend)
     assert persona.name == "Economist"
     assert persona.description == "Knows markets."
     # raw is the untouched response text, not the cleaned persona

@@ -206,6 +206,9 @@ def test_run_rejects_two_runs_with_one_output_path_before_any_debate(tmp_path):
         ({"rules": [{"response": 5}]}, "rules[0]"),
         ({"rules": {"response": "ok"}}, '"rules" list'),
         ([{"response": "ok"}], '"rules" list'),
+        ({"rules": [{"match": [{"contains": 5}], "response": "r"}]}, "rules[0]"),
+        ({"rules": [{"response": "ok"}, {"match": [{"contains": "x", "role": 1}], "response": "r"}]},
+         "rules[1]"),
     ],
 )
 def test_run_rejects_a_malformed_script_rule_without_a_traceback(tmp_path, script, where):
@@ -318,6 +321,19 @@ def test_evaluate_reports_missing_logs(tmp_path):
     )
     assert result.exit_code != 0
     assert "nowhere" in result.output
+
+
+def test_evaluate_rejects_a_log_line_that_is_not_an_object(tmp_path):
+    dataset, _, _ = make_workspace(tmp_path)
+    log = tmp_path / "odd.jsonl"
+    log.write_text("[1]\n", encoding="utf-8")
+    out_dir = tmp_path / "evals"
+    result = CliRunner().invoke(
+        main, ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(out_dir)]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert f"{log} line 1 is not a JSON object" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_chart_emits_files_for_each_kind(tmp_path):

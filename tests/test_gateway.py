@@ -13,6 +13,7 @@ import pytest
 
 from agora.gateway import (
     AuthRejected,
+    ChatMessage,
     ChatRequest,
     EndpointUnreachable,
     HttpGateway,
@@ -41,7 +42,7 @@ def make_gateway(transport, **kw) -> HttpGateway:
 
 
 def req() -> ChatRequest:
-    return chat_request([("user", "hi")], model_name="m")
+    return ChatRequest((ChatMessage("user", "hi"),), model_name="m")
 
 
 def test_chat_request_defaults():
@@ -93,6 +94,26 @@ def test_complete_success_and_usage():
     assert seen["url"] == "http://fake/chat/completions"
     assert seen["headers"] == {"Authorization": "Bearer secret"}
     assert seen["calls"] == 1
+
+
+@pytest.mark.parametrize(
+    "usage, tokens",
+    [
+        ({"prompt_tokens": None, "completion_tokens": 3}, (0, 3)),
+        ({"prompt_tokens": 7, "completion_tokens": "n/a"}, (7, 0)),
+        ({"prompt_tokens": -1, "completion_tokens": 2.5}, (0, 0)),
+        ({"prompt_tokens": True, "completion_tokens": {}}, (0, 0)),
+        ([1], (0, 0)),
+        ("n/a", (0, 0)),
+    ],
+)
+def test_bad_usage_reads_as_zero_tokens_and_keeps_the_text(usage, tokens):
+    # Token counts are informational; a bad one must not fail the call.
+    def transport(url, headers, body, timeout):
+        return 200, {**ok_payload("out"), "usage": usage}
+
+    resp = make_gateway(transport).complete(req())
+    assert (resp.text, resp.prompt_tokens, resp.completion_tokens) == ("out", *tokens)
 
 
 def test_endpoint_trailing_slash_is_normalized():
@@ -433,7 +454,6 @@ def test_scripted_repeatable_rule():
     gw = ScriptedGateway([ScriptRule("always", repeatable=True)])
     for _ in range(5):
         assert gw.complete(vote_req("anything")).text == "always"
-    assert gw.call_count == 5
     assert len(gw.requests) == 5
 
 

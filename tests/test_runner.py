@@ -118,7 +118,7 @@ def test_run_debate_voting_and_call_accounting():
     assert len(round_log["ballots"]) == 2
     # Every scripted call landed somewhere in the log: a debate or
     # extraction message, or a recorded ballot.
-    assert gateway.call_count == len(record["messages"]) + len(round_log["ballots"])
+    assert len(gateway.requests) == len(record["messages"]) + len(round_log["ballots"])
 
 
 def test_run_debate_crash_becomes_failure_record():
@@ -401,6 +401,9 @@ class AgreeingBackend:
     def fork(self) -> "AgreeingBackend":
         return self
 
+    def clock(self) -> float:
+        return 0.0
+
     def complete(self, req) -> ChatResponse:
         if self.on_call is not None:
             self.on_call("\n".join(m.content for m in req.messages))
@@ -549,3 +552,79 @@ def test_run_batch_calls_patchable_hooks_once_per_sample(tmp_path, monkeypatch):
     assert summary.total_records == 6
     assert len(seen) == len(set(seen)) == 6
     assert sorted(serialized) == ["0001", "0001", "0002", "0002", "0003", "0003"]
+
+
+# -- the per-debate backend --
+
+# Kind of call -> a phrase only its prompt holds; a turn (draft or
+# improvement) is whatever matches none of the others.
+CALL_HOOKS = [
+    ("persona", "identifying the participants"),
+    ("judge", "Please provide a decision"),
+    ("ballot", SIMPLE_VOTE_HOOK),
+    ("extraction", EXTRACTION_HOOK),
+    ("baseline", BASELINE_HOOK),
+    ("turn", ""),
+]
+
+
+class KindRecordingBackend:
+    """Answers every kind of call and records each call's kind and model name."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, str]] = []
+
+    @staticmethod
+    def clock() -> float:
+        return 0.0
+
+    def complete(self, req) -> ChatResponse:
+        prompt = "\n".join(m.content for m in req.messages)
+        kind = next(kind for kind, hook in CALL_HOOKS if hook in prompt)
+        self.calls.append((kind, req.model_name))
+        if kind == "persona":
+            persona = {"role": f"Expert {len(self.calls)}", "description": "d"}
+            return ChatResponse(text=json.dumps(persona))
+        replies = {"ballot": "1", "turn": "Mine. [DISAGREE]"}
+        return ChatResponse(text=replies.get(kind, "An answer."))
+
+
+@pytest.mark.parametrize(
+    "overrides, kinds",
+    [
+        (
+            {"persona_generator": "expert", "decision_protocol": "judge", "voting_after_turns": 1},
+            {"persona", "turn", "extraction", "judge"},
+        ),
+        (
+            {"decision_protocol": "simple_voting", "voting_after_turns": 1},
+            {"turn", "extraction", "ballot"},
+        ),
+        ({"use_baseline": True}, {"baseline"}),
+    ],
+)
+def test_every_call_names_the_jobs_model(overrides, kinds):
+    backend = KindRecordingBackend()
+    params = debate_params(model_name="job-model", **overrides)
+    record = run_sample(params, make_sample(), backend)
+    assert record["outcome"]["success"] is True
+    assert {kind for kind, _ in backend.calls} == kinds
+    assert {model for _, model in backend.calls} == {"job-model"}
+
+
+class SteppingClockBackend(AgreeingBackend):
+    """An agreeing backend whose clock advances a quarter second on every read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+
+    def clock(self) -> float:
+        self.reads += 1
+        return self.reads * 0.25
+
+
+def test_global_clock_comes_from_the_backend_clock():
+    record = run_sample(debate_params(), make_sample(), SteppingClockBackend())
+    assert record["outcome"]["success"] is True
+    assert record["globalClockMs"] == 250

@@ -8,7 +8,9 @@ decorated function counts as used, because its decorator may register it
 
 Also: every function parameter in src/agora is read by its function
 (Protocol stubs aside), and starting the CLI imports no third-party HTTP
-client, because every `agora` invocation pays for what it imports.
+client, because every `agora` invocation pays for what it imports. And the
+per-debate backend is the one carrier of the job's model and of the clock:
+no function takes a `model_name`, and nothing type-checks the scripted backend.
 """
 
 from __future__ import annotations
@@ -128,3 +130,25 @@ def test_every_parameter_is_read():
     # A parameter nobody reads is a second carrier of something the function
     # takes from elsewhere, or dead weight on every call site.
     assert unread_parameters() == []
+
+
+def model_and_clock_bypasses() -> list[str]:
+    """`model_name` parameters and `isinstance` checks against ScriptedGateway in src/agora."""
+    flagged = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                if "model_name" in [param.arg for param in params]:
+                    flagged.append(f"{path.stem}.{node.name}(model_name)")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                if "ScriptedGateway" in _references(node):
+                    flagged.append(f"{path.stem}:{node.lineno} isinstance(..., ScriptedGateway)")
+    return flagged
+
+
+def test_the_debate_backend_alone_names_the_model_and_keeps_the_clock():
+    # The job's model reaches every request through gateway.DebateBackend, and
+    # each backend declares its own clock; a second route for either drifts.
+    assert model_and_clock_bypasses() == []
