@@ -8,7 +8,7 @@ import click
 
 from . import charts, evaluation, runner
 from .config import BatchConfig, ConfigError, expand_config, resolve_job_params
-from .datasets import EmptyDataset, FormatError, MappingError
+from .datasets import EmptyDataset, MappingError
 from .evaluation import MissingReference, UnknownSampleId
 from .gateway import ScriptedGateway, load_script
 
@@ -54,7 +54,7 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
     resolved = []
     for job in jobs:
         try:
-            resolved.append(resolve_job_params(job.params))
+            resolved.append(resolve_job_params(job.params, http_backend=scripted is None))
         except ConfigError as exc:
             raise click.ClickException(f"{job.name} r{job.repeat_index}: {exc}")
 
@@ -93,8 +93,7 @@ def evaluate(logs: str, dataset: str, out_dir: str) -> None:
         written = evaluation.evaluate_logs(logs, dataset, out_dir)
     except (
         FileNotFoundError,
-        ValueError,
-        FormatError,
+        ValueError,  # FormatError among them
         MappingError,
         EmptyDataset,
         MissingReference,

@@ -11,6 +11,7 @@ from typing import Any, Mapping
 from . import decisions, paradigms
 from .agents import PERSONA_GENERATORS
 from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
+from .gateway import is_endpoint_url
 
 CONFIG_KEYS = frozenset(f.name for f in fields(JobParams))
 
@@ -189,8 +190,10 @@ def _typed(key: str, value: Any, default: Any) -> Any:
     return _as_int(value, key, _MINIMUMS.get(key, 1))
 
 
-def _check_runnable(job: JobParams) -> None:
-    """Reject a debate job that would fail, or fall back, on every sample."""
+def _check_runnable(job: JobParams, http_backend: bool) -> None:
+    """Reject a job that would fail, or fall back, on every sample."""
+    if (job.endpoint_url or http_backend) and not is_endpoint_url(job.endpoint_url):
+        raise ConfigError(f"endpoint_url must be an http(s)://host URL, got {job.endpoint_url!r}")
     if job.use_baseline:
         return
     try:
@@ -208,12 +211,13 @@ def _check_runnable(job: JobParams) -> None:
         )
 
 
-def resolve_job_params(params: Mapping[str, Any]) -> JobParams:
+def resolve_job_params(params: Mapping[str, Any], http_backend: bool = False) -> JobParams:
     """Type-check and default one overlaid job map; AGORA_API_KEY fills api_key.
 
-    A debate job the engine cannot run is rejected as well: a panel too small
-    for its paradigm, or a voting or judge protocol whose voting turn lies
-    beyond max_turns.
+    A job the engine cannot run is rejected as well: an endpoint_url that is
+    not an http(s) URL (or an empty one when the job runs against the HTTP
+    backend), a debate panel too small for its paradigm, or a voting or
+    judge protocol whose voting turn lies beyond max_turns.
     """
     for key in params:
         if key not in CONFIG_KEYS:
@@ -227,5 +231,5 @@ def resolve_job_params(params: Mapping[str, Any]) -> JobParams:
         "AGORA_API_KEY", ""
     )
     job = JobParams(**values)
-    _check_runnable(job)
+    _check_runnable(job, http_backend)
     return job

@@ -7,7 +7,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .domain import TaskInstance
 from .prompts import multiple_choice_footer
@@ -52,8 +52,11 @@ class FieldMapping:
         )
 
 
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """One object per non-blank line; a line that is not a JSON object raises FormatError."""
+def read_jsonl(
+    path: str | Path, fault: Callable[[dict[str, Any]], Optional[str]] = lambda record: None
+) -> list[dict[str, Any]]:
+    """One object per non-blank line. A line that is not a JSON object, or for which
+    `fault(record)` names a fault, raises FormatError naming the file and the line."""
     records = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -62,8 +65,9 @@ def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path} line {lineno}: invalid JSON: {exc}")
-        if not isinstance(record, dict):
-            raise FormatError(f"{path} line {lineno} is not a JSON object")
+        problem = fault(record) if isinstance(record, dict) else "is not a JSON object"
+        if problem is not None:
+            raise FormatError(f"{path} line {lineno} {problem}")
         records.append(record)
     return records
 

@@ -22,11 +22,6 @@ from .paradigms import DebateContext
 
 logger = logging.getLogger(__name__)
 
-CONSENSUS_PROTOCOLS = frozenset(
-    {"majority_consensus", "supermajority_consensus", "unanimity_consensus"}
-)
-
-
 class VoteParseFailure(Exception):
     pass
 
@@ -43,18 +38,19 @@ class AllBallotsInvalid(Exception):
     pass
 
 
-# Thresholds as exact rationals so boundary cases never depend on float
-# rounding; the supermajority bar is the literal 66 percent.
-_THRESHOLDS = {
-    "majority_consensus": Fraction(1, 2),
-    "supermajority_consensus": Fraction(33, 50),
+# The consensus vocabulary: each protocol's test of the agreeing share,
+# in exact rationals so boundary cases never depend on float rounding;
+# the supermajority bar is the literal 66 percent.
+_CONSENSUS_RULES: dict[str, Callable[[Fraction], bool]] = {
+    "majority_consensus": lambda share: share > Fraction(1, 2),
+    "supermajority_consensus": lambda share: share > Fraction(33, 50),
+    "unanimity_consensus": lambda share: share == 1,
 }
+CONSENSUS_PROTOCOLS = frozenset(_CONSENSUS_RULES)
 
 
 def consensus_reached(fraction: Fraction, protocol: str) -> bool:
-    if protocol == "unanimity_consensus":
-        return fraction == 1
-    return fraction > _THRESHOLDS[protocol]
+    return _CONSENSUS_RULES[protocol](fraction)
 
 
 def voting_due(turn: int, voting_after_turns: int = 3) -> bool:
@@ -221,7 +217,7 @@ def _serialize_parsed(parsed: Any) -> Any:
 
 @dataclass
 class Tally:
-    per_solution_score: dict[int, Fraction]
+    per_solution_score: dict[int, int]  # every rule awards whole points
     winners: set[int]
 
 
@@ -230,7 +226,7 @@ def tally(protocol: str, ballots: list[Ballot], k: int) -> Tally:
     if not valid:
         raise AllBallotsInvalid("no valid ballots to tally")
     rule = _voting_rule(protocol)
-    scores: dict[int, Fraction] = {i: Fraction(0) for i in range(1, k + 1)}
+    scores = dict.fromkeys(range(1, k + 1), 0)
     for ballot in valid:
         for index, points in rule.points(ballot.parsed, k):
             scores[index] += points
@@ -254,15 +250,10 @@ class VoteRound:
         }
         if self.tally is not None:
             entry["scores"] = {
-                str(i): _fraction_to_number(score)
-                for i, score in sorted(self.tally.per_solution_score.items())
+                str(i): score for i, score in sorted(self.tally.per_solution_score.items())
             }
             entry["winners"] = sorted(self.tally.winners)
         return entry
-
-
-def _fraction_to_number(value: Fraction) -> Any:
-    return int(value) if value.denominator == 1 else float(value)
 
 
 def collect_candidates(
@@ -287,7 +278,7 @@ def _previous_response(state: DebateState, agent_id: int) -> str:
         if msg.agent_id == agent_id:
             return msg.text
     if state.current_draft is not None:
-        return state.current_draft.text
+        return state.current_draft
     raise ValueError(f"agent {agent_id} has no previous response to extract from")
 
 
@@ -300,7 +291,6 @@ def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> 
     k = len(candidates)
     protocol, points = ctx.params.decision_protocol, ctx.params.cumulative_points
     ballots: list[Ballot] = []
-    finals: list[Ballot] = []
     for profile in state.panel:
         req = chat_request(
             [
@@ -322,14 +312,10 @@ def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> 
                     Ballot(profile.agent_id, resp.text, valid=False, reason=str(exc))
                 )
                 continue
-            ballot = Ballot(profile.agent_id, resp.text, parsed=parsed, valid=True)
-            ballots.append(ballot)
-            finals.append(ballot)
+            ballots.append(Ballot(profile.agent_id, resp.text, parsed=parsed, valid=True))
             break
-    try:
-        result = tally(protocol, finals, k) if finals else None
-    except AllBallotsInvalid:
-        result = None
+    # A voter's ballots end at its first valid one; a round with none has no tally.
+    result = tally(protocol, ballots, k) if any(b.valid for b in ballots) else None
     return VoteRound(turn=state.turn, candidates=candidates, ballots=ballots, tally=result)
 
 
@@ -369,29 +355,28 @@ def decide(
     protocol = params.decision_protocol
 
     def outcome(
-        final_text: str, rounds: Optional[list[VoteRound]] = None, **extra: Any
+        final_text: Optional[str] = None, rounds: Optional[list[VoteRound]] = None, **extra: Any
     ) -> DecisionOutcome:
-        # Successful unless a fallback reason is given.
+        # The standing draft unless a text is given; successful unless a fallback reason is.
         return DecisionOutcome(
             protocol,
-            final_text,
+            (state.current_draft or "") if final_text is None else final_text,
             "fallback_reason" not in extra,
             state.turn,
             vote_detail=None if rounds is None else [r.to_log() for r in rounds],
             **extra,
         )
 
-    draft_text = state.current_draft.text if state.current_draft else ""
     if protocol in CONSENSUS_PROTOCOLS:
         if consensus_reached(state.agreement_fraction(), protocol):
-            return outcome(draft_text)
+            return outcome()
         if state.turn >= params.max_turns:
-            return outcome(draft_text, fallback_reason="turn cap reached without consensus")
+            return outcome(fallback_reason="turn cap reached without consensus")
         return None
 
     if not voting_due(state.turn, params.voting_after_turns):
         if state.turn >= params.max_turns:
-            return outcome(draft_text, fallback_reason="turn cap reached before the voting turn")
+            return outcome(fallback_reason="turn cap reached before the voting turn")
         return None
 
     if protocol == "judge":
@@ -407,8 +392,7 @@ def decide(
         result = rounds[-1].tally
         if result is None:
             return outcome(
-                state.current_draft.text if state.current_draft else "",
-                rounds,
+                rounds=rounds,
                 fallback_reason="all ballots invalid in the tie-break round"
                 if tie_round
                 else "all ballots invalid after re-prompts",

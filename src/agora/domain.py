@@ -185,13 +185,6 @@ class Message:
         return entry
 
 
-@dataclass(frozen=True)
-class SolutionDraft:
-    text: str
-    author_id: int
-    turn: int
-
-
 @dataclass
 class DecisionOutcome:
     protocol: str
@@ -242,7 +235,7 @@ class DebateState:
     task: TaskInstance
     panel: list[AgentProfile]
     transcript: list[Message] = field(default_factory=list)
-    current_draft: Optional[SolutionDraft] = None
+    current_draft: Optional[str] = None  # the text of the solution under discussion
     agree_flags: dict[int, Agreement] = field(default_factory=dict)
     turn: int = 0
     ended: bool = False
@@ -259,9 +252,7 @@ class DebateState:
             )
         self.transcript.append(msg)
         if _installs_draft(msg):
-            self.current_draft = SolutionDraft(
-                text=msg.text, author_id=msg.agent_id, turn=msg.turn
-            )
+            self.current_draft = msg.text
             self.agree_flags = {msg.agent_id: Agreement.AGREE}
         elif msg.agreement is not None:
             self.agree_flags[msg.agent_id] = msg.agreement

@@ -139,8 +139,27 @@ def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
     return groups
 
 
-def read_records(path: str | Path) -> list[dict[str, Any]]:
-    return read_jsonl(path)
+# The fields evaluation reads from a debate log record, and their JSON types.
+_LOG_FIELDS: dict[str, Any] = {
+    "task.id": str,
+    "outcome.finalText": str,
+    "outcome.decidedAtTurn": int,
+    "globalClockMs": (int, float),
+}
+
+
+def _log_record_fault(record: dict[str, Any]) -> Optional[str]:
+    for name, kind in _LOG_FIELDS.items():
+        value: Any = record
+        for key in name.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"has no valid {name}"
+    return None
+
+
+# evaluate_job reads each log through this name, which the benchmark's tracer times.
+read_records = read_jsonl
 
 
 def _free_text_scores(final_text: str, references: Sequence[str]) -> dict[str, float]:
@@ -168,7 +187,7 @@ def evaluate_job(
     successes = 0
     total = 0
     for _, file in repeat_files:
-        records = read_records(file)
+        records = read_records(file, _log_record_fault)
         if not records:
             continue
         repeat_scores: dict[str, list[float]] = {}

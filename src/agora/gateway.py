@@ -113,24 +113,23 @@ class _Pooled(NamedTuple):
     headers: dict[str, str]  # credentials for that proxy
 
 
-def _close_idle(idle: dict[str, list[_Pooled]]) -> None:
-    for connections in idle.values():
-        for pooled in connections:
-            pooled.conn.close()
+def _close_idle(idle: list[_Pooled]) -> None:
+    for pooled in idle:
+        pooled.conn.close()
 
 
 class _ConnectionPool:
-    """Keep-alive transport: idle connections per origin, each serving one call at a time.
+    """Keep-alive transport for one endpoint: idle connections, each serving one call at a time.
 
-    Keeps at most `size` idle connections per origin; the gateway's
-    semaphore bounds how many are busy. New connections go through the
-    proxy that HTTP_PROXY/HTTPS_PROXY name unless NO_PROXY exempts the
-    host, and HTTPS verifies certificates against the default trust store.
+    A connection opens only when none is idle, so the gateway's semaphore,
+    which bounds the calls in flight, also bounds the connections. New
+    connections go through the proxy that HTTP_PROXY/HTTPS_PROXY name
+    unless NO_PROXY exempts the host, and HTTPS verifies certificates
+    against the default trust store.
     """
 
-    def __init__(self, size: int) -> None:
-        self._size = size
-        self._idle: dict[str, list[_Pooled]] = {}
+    def __init__(self) -> None:
+        self._idle: list[_Pooled] = []
         self._lock = threading.Lock()
         self._tls: Optional[ssl.SSLContext] = None
         weakref.finalize(self, _close_idle, self._idle)
@@ -139,8 +138,7 @@ class _ConnectionPool:
         self, url: str, headers: dict[str, str], body: dict[str, Any], timeout: float
     ) -> tuple[int, Any]:
         parts = urlsplit(url)
-        origin = f"{parts.scheme}://{parts.netloc}"
-        pooled = self._reuse(origin, timeout) or self._connect(parts, timeout)
+        pooled = self._reuse(timeout) or self._connect(parts, timeout)
         target = url if pooled.absolute else parts._replace(scheme="", netloc="").geturl()
         headers = {**headers, **pooled.headers, "Content-Type": "application/json"}
         try:
@@ -153,21 +151,21 @@ class _ConnectionPool:
         if resp.will_close:
             pooled.conn.close()
         else:
-            self._keep(origin, pooled)
+            with self._lock:
+                self._idle.append(pooled)
         try:
             payload = json.loads(raw)
         except ValueError:
             payload = None
         return resp.status, payload
 
-    def _reuse(self, origin: str, timeout: float) -> Optional[_Pooled]:
-        """An idle connection to `origin` that the server has not closed, or None."""
+    def _reuse(self, timeout: float) -> Optional[_Pooled]:
+        """An idle connection that the server has not closed, or None."""
         while True:
             with self._lock:
-                idle = self._idle.get(origin)
-                if not idle:
+                if not self._idle:
                     return None
-                pooled = idle.pop()
+                pooled = self._idle.pop()
             # An idle socket that is readable is at EOF (or holds bytes no
             # request asked for): the server has dropped it.
             with selectors.DefaultSelector() as idle_check:
@@ -178,18 +176,8 @@ class _ConnectionPool:
                 return pooled
             pooled.conn.close()
 
-    def _keep(self, origin: str, pooled: _Pooled) -> None:
-        with self._lock:
-            idle = self._idle.setdefault(origin, [])
-            if len(idle) < self._size:
-                idle.append(pooled)
-                return
-        pooled.conn.close()
-
     def _connect(self, parts: SplitResult, timeout: float) -> _Pooled:
         """A new connection to the URL's origin, through the environment's proxy if any."""
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise http.client.HTTPException(f"not an http(s) URL: {parts.geturl()!r}")
         proxy = urllib.request.getproxies().get(parts.scheme)
         if proxy and urllib.request.proxy_bypass(parts.netloc):
             proxy = None
@@ -208,6 +196,15 @@ class _ConnectionPool:
         if proxy:
             conn.set_tunnel(parts.hostname, parts.port, headers=auth)
         return _Pooled(conn, False, {})
+
+
+def is_endpoint_url(url: str) -> bool:
+    """Whether `url` is an http(s)://host URL, with a port number if it names a port."""
+    try:
+        parts = urlsplit(url)
+        return parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+    except ValueError:  # a malformed IPv6 host, or a port that is not a number below 65536
+        return False
 
 
 class HttpGateway:
@@ -232,11 +229,13 @@ class HttpGateway:
     ) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        if not is_endpoint_url(endpoint_url):
+            raise ValueError(f"not an http(s)://host URL: {endpoint_url!r}")
         self.endpoint_url = endpoint_url.rstrip("/")
         self.api_key = api_key
         self.max_retries = max_retries
         self.timeout_s = timeout_s
-        self._transport = transport or _ConnectionPool(max_in_flight)
+        self._transport = transport or _ConnectionPool()
         self._sleeper = sleeper
         self._rng = rng or random.Random()
         self.clock = clock
@@ -371,17 +370,15 @@ def script_from_dict(data: Any) -> ScriptedGateway:
             for c in clauses:
                 if not isinstance(c.contains, str) or not isinstance(c.role, (str, type(None))):
                     raise TypeError("a match clause's contains or role is not a string")
-            rules.append(
-                ScriptRule(
-                    response=entry["response"],
-                    match=clauses,
-                    repeatable=bool(entry.get("repeatable", False)),
-                )
-            )
+            repeatable = entry.get("repeatable", False)
+            if not isinstance(repeatable, bool):
+                raise TypeError("repeatable is not a boolean")
+            rules.append(ScriptRule(entry["response"], clauses, repeatable))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(
                 f"rules[{index}] is malformed ({type(exc).__name__}: {exc}): a rule is an object "
-                'with a "response" string and "match" clauses that each have a "contains" string'
+                'with a "response" string, "match" clauses that each have a "contains" string '
+                'and an optional "repeatable" boolean'
             ) from None
     return ScriptedGateway(rules)
 

@@ -150,7 +150,7 @@ def render_step_prompt(
         ctx.task_text,
         ctx.input_text,
         ctx.context_text,
-        draft.text if draft else None,
+        draft,
         memory_text,
     )
     if draft is None:

@@ -215,7 +215,7 @@ def run_batch(
     ready: list[tuple[_QueuedJob, list]] = []
     for spec, report in zip(jobs, summary.reports):
         try:
-            params = resolve_job_params(spec.params)
+            params = resolve_job_params(spec.params, http_backend=scripted is None)
             samples = datasets.load_input_file(params.input_json_file_path)
             if params.num_samples is not None:
                 samples = datasets.subset(samples, params.num_samples, params.seed)

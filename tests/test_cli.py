@@ -146,6 +146,22 @@ def test_run_rejects_a_job_that_cannot_run_before_any_debate(tmp_path, run, key)
         assert not (tmp_path / "logs").exists()
 
 
+@pytest.mark.parametrize(
+    "url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host:port/v1", ""]
+)
+def test_run_rejects_an_endpoint_url_that_is_not_http_before_any_debate(tmp_path, url):
+    dataset, script, _ = make_workspace(tmp_path)
+    config = one_run_config(tmp_path, dataset, endpoint_url=url, model_name="m")
+    # The scripted backend never calls the endpoint, so it may leave it empty.
+    backends = [[]] if url == "" else [[], ["--backend", f"scripted:{script}"]]
+    for backend in backends:
+        for flags in (["--dry-run"], []):
+            result = CliRunner().invoke(main, ["run", "--config", str(config), *backend, *flags])
+            assert isinstance(result.exception, SystemExit) and result.exit_code != 0
+            assert "one r1: endpoint_url must be an http(s)://host URL" in result.output
+            assert not (tmp_path / "logs").exists()
+
+
 def test_run_dry_run_accepts_consensus_with_a_late_voting_turn(tmp_path):
     dataset, script, _ = make_workspace(tmp_path)
     config = one_run_config(tmp_path, dataset, voting_after_turns=5, max_turns=3)
@@ -209,6 +225,7 @@ def test_run_rejects_two_runs_with_one_output_path_before_any_debate(tmp_path):
         ({"rules": [{"match": [{"contains": 5}], "response": "r"}]}, "rules[0]"),
         ({"rules": [{"response": "ok"}, {"match": [{"contains": "x", "role": 1}], "response": "r"}]},
          "rules[1]"),
+        ({"rules": [{"response": "ok", "repeatable": "false"}]}, "rules[0]"),
     ],
 )
 def test_run_rejects_a_malformed_script_rule_without_a_traceback(tmp_path, script, where):
@@ -334,6 +351,22 @@ def test_evaluate_rejects_a_log_line_that_is_not_an_object(tmp_path):
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     assert f"{log} line 1 is not a JSON object" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "record, missing",
+    [({}, "task.id"), ({"task": {"id": "1"}}, "outcome.finalText")],
+)
+def test_evaluate_rejects_a_record_without_a_field_it_reads(tmp_path, record, missing):
+    dataset, _, _ = make_workspace(tmp_path)
+    log = tmp_path / "odd.jsonl"
+    log.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "evals"
+    result = CliRunner().invoke(
+        main, ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(out_dir)]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output == f"Error: {log} line 2 has no valid {missing}\n"
 
 
 def test_chart_emits_files_for_each_kind(tmp_path):

@@ -384,6 +384,49 @@ def test_simple_tally_matches_counter_oracle(k, data):
     assert result.winners == {i for i, c in counts.items() if c == best}
 
 
+@st.composite
+def voting_cases(draw):
+    """A voting protocol, a candidate count k and valid parsed ballots for them."""
+    protocol = draw(st.sampled_from(sorted(VOTING_PROTOCOLS)))
+    k = draw(st.integers(2, 6))
+    solution = st.integers(1, k)
+    ballot = {
+        "simple_voting": solution,
+        "approval_voting": st.sets(solution, min_size=1),
+        "ranked_voting": st.permutations(range(1, k + 1)).flatmap(
+            lambda order: st.integers(1, min(k, 5)).map(lambda length: order[:length])
+        ),
+        # Each drawn solution is one point of the budget of 10.
+        "cumulative_voting": st.lists(solution, min_size=1, max_size=10).map(
+            lambda points: dict(Counter(points))
+        ),
+    }[protocol]
+    return protocol, k, draw(st.lists(ballot, min_size=1, max_size=7))
+
+
+def points_oracle(protocol: str, parsed, k: int) -> Counter:
+    if protocol == "simple_voting":
+        return Counter({parsed: 1})
+    if protocol == "approval_voting":
+        return Counter(parsed)
+    if protocol == "ranked_voting":
+        return Counter({index: k - 1 - position for position, index in enumerate(parsed)})
+    return Counter(parsed)
+
+
+@given(voting_cases())
+def test_tally_scores_are_whole_points_equal_to_an_independent_sum(case):
+    protocol, k, parsed = case
+    ballots = [valid_ballot(i, p) for i, p in enumerate(parsed, start=1)]
+    result = tally(protocol, ballots, k)
+    expected = sum((points_oracle(protocol, p, k) for p in parsed), Counter())
+    assert result.per_solution_score == {i: expected[i] for i in range(1, k + 1)}
+    assert all(type(score) is int for score in result.per_solution_score.values())
+    logged = VoteRound(3, ["c"] * k, ballots, result).to_log()["scores"]
+    assert logged == {str(i): expected[i] for i in range(1, k + 1)}
+    assert all(type(score) is int for score in logged.values())
+
+
 @given(st.integers(2, 4), st.data())
 def test_simple_voting_is_monotone(k, data):
     votes = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=6))

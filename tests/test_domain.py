@@ -129,7 +129,7 @@ def test_append_after_end_raises():
 def test_draft_installs_and_resets_agreement():
     state = make_state()
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    assert state.current_draft.text == "v1"
+    assert state.current_draft == "v1"
     assert state.agree_flags == {1: Agreement.AGREE}
 
 
@@ -137,7 +137,7 @@ def test_improve_with_agree_keeps_draft():
     state = make_state()
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
     state.append(msg(2, 1, 2, Phase.IMPROVE, "fine [AGREE]", agreement=Agreement.AGREE))
-    assert state.current_draft.text == "v1"
+    assert state.current_draft == "v1"
     assert state.agree_flags == {1: Agreement.AGREE, 2: Agreement.AGREE}
 
 
@@ -145,8 +145,7 @@ def test_improve_with_disagree_replaces_draft():
     state = make_state()
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
     state.append(msg(2, 1, 2, Phase.IMPROVE, "v2", agreement=Agreement.DISAGREE))
-    assert state.current_draft.text == "v2"
-    assert state.current_draft.author_id == 2
+    assert state.current_draft == "v2"
     # The replacement starts a fresh agreement slate around its author.
     assert state.agree_flags == {2: Agreement.AGREE}
 
@@ -155,14 +154,14 @@ def test_unmarked_improve_replaces_draft():
     state = make_state()
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
     state.append(msg(2, 1, 2, Phase.IMPROVE, "v2"))
-    assert state.current_draft.text == "v2"
+    assert state.current_draft == "v2"
 
 
 def test_feedback_never_installs():
     state = make_state()
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
     state.append(msg(2, 1, 2, Phase.FEEDBACK, "v2", agreement=Agreement.DISAGREE))
-    assert state.current_draft.text == "v1"
+    assert state.current_draft == "v1"
     assert state.agree_flags[2] is Agreement.DISAGREE
 
 
@@ -170,7 +169,7 @@ def test_central_synthesis_installs():
     state = make_state()
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
     state.append(msg(2, 1, 1, Phase.CENTRAL_SYNTHESIS, "v2"))
-    assert state.current_draft.text == "v2"
+    assert state.current_draft == "v2"
 
 
 def test_agreement_fraction_is_exact():
@@ -180,7 +179,7 @@ def test_agreement_fraction_is_exact():
     assert state.agreement_fraction() == Fraction(2, 3)
     state.append(msg(3, 1, 3, Phase.IMPROVE, "no", agreement=Agreement.DISAGREE))
     # A disagreeing improve replaces the draft; the slate resets to its author.
-    assert state.current_draft.text == "no"
+    assert state.current_draft == "no"
     assert state.agreement_fraction() == Fraction(1, 3)
 
 

@@ -246,6 +246,14 @@ def test_invalid_max_in_flight():
         HttpGateway("http://fake", max_in_flight=0)
 
 
+@pytest.mark.parametrize(
+    "url", ["", "localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host:port/v1", "http://[::1/v1"]
+)
+def test_an_endpoint_that_is_not_an_http_url_is_rejected_before_any_call(url):
+    with pytest.raises(ValueError, match="not an http"):
+        HttpGateway(url, transport=lambda *args: pytest.fail("no call may be sent"))
+
+
 class ChatHandler(BaseHTTPRequestHandler):
     """Loopback chat endpoint (or forward proxy) that misbehaves as its server's mode says.
 

@@ -279,8 +279,8 @@ def test_run_turn_memory_first_turn():
     assert [m.seq for m in state.transcript] == [1, 2, 3]
     assert all(m.wall_clock_ms == 7 for m in state.transcript)
     # Disagreeing improve replaced the draft; the agree vote targeted it.
-    assert state.current_draft.text == "better [DISAGREE]"
-    assert state.current_draft.author_id == 2
+    assert state.current_draft == "better [DISAGREE]"
+    assert state.agree_flags == {2: Agreement.AGREE, 3: Agreement.AGREE}
 
 
 def test_run_turn_draft_phase_never_parses_agreement():
@@ -304,8 +304,8 @@ def test_run_turn_debate_records_synthesis_as_draft_holder():
     run_turn(state, backend, ctx(discussion_paradigm="debate", debate_exchanges=2))
     phases = [m.phase for m in state.transcript]
     assert phases == [Phase.DRAFT, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS]
-    assert state.current_draft.text == "central summary"
-    assert state.current_draft.author_id == CENTRAL_AGENT_ID
+    assert state.current_draft == "central summary"
+    assert state.agree_flags == {CENTRAL_AGENT_ID: Agreement.AGREE}
 
 
 def test_run_turn_rejects_ended_debate():

@@ -318,6 +318,22 @@ def test_run_batch_aborts_only_the_job_that_cannot_run(tmp_path):
     assert good_report.records == 3
 
 
+def test_run_batch_aborts_an_http_job_whose_endpoint_url_is_not_http(tmp_path):
+    dataset = write_dataset(tmp_path, 2)
+    jobs = [
+        job_spec(tmp_path, dataset, name="bare", endpoint_url="localhost:8000/v1"),
+        job_spec(tmp_path, dataset, name="empty", endpoint_url=""),
+    ]
+    started = time.monotonic()
+    reports = run_batch(jobs).reports
+    # No debate ran, so no call was retried after a backoff sleep.
+    assert time.monotonic() - started < 1.0
+    for report in reports:
+        assert "endpoint_url" in report.error
+        assert (report.records, report.failures) == (0, 0)
+    assert not (tmp_path / "out").exists()
+
+
 def test_execute_job_creates_output_directory(tmp_path):
     out = tmp_path / "deep" / "nested" / "x.json"
     spec = JobSpec(
