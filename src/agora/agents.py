@@ -185,22 +185,18 @@ PERSONA_GENERATORS: dict[str, Optional[Callable[..., tuple[Persona, str]]]] = {
 
 def build_panel(
     n: int, persona_generator: str, task_text: str, backend: Backend
-) -> tuple[list[AgentProfile], list[dict]]:
-    """Panel of n agents plus their persona log entries (raw text included)."""
+) -> list[AgentProfile]:
+    """Panel of n agents, each with the raw generator response its persona came from."""
     if persona_generator not in PERSONA_GENERATORS:
         raise ValueError(f"unknown persona generator {persona_generator!r}")
     generate = PERSONA_GENERATORS[persona_generator]
     profiles: list[AgentProfile] = []
-    log_entries: list[dict] = []
-    personas: list[Persona] = []
     for i, persona in enumerate(neutral_panel(n), start=1):
         raw = None
         if generate is not None:
-            persona, raw = generate(task_text, personas, backend)
-        personas.append(persona)
-        profiles.append(AgentProfile(i, persona))
-        log_entries.append(persona.to_log(i, raw_text=raw))
-    return profiles, log_entries
+            persona, raw = generate(task_text, [p.persona for p in profiles], backend)
+        profiles.append(AgentProfile(i, persona, raw))
+    return profiles
 
 
 def extract_final_answer_response(

@@ -34,10 +34,6 @@ class DuplicateRank(VoteParseFailure):
     pass
 
 
-class AllBallotsInvalid(Exception):
-    pass
-
-
 # The consensus vocabulary: each protocol's test of the agreeing share,
 # in exact rationals so boundary cases never depend on float rounding;
 # the supermajority bar is the literal 66 percent.
@@ -221,10 +217,11 @@ class Tally:
     winners: set[int]
 
 
-def tally(protocol: str, ballots: list[Ballot], k: int) -> Tally:
+def tally(protocol: str, ballots: list[Ballot], k: int) -> Optional[Tally]:
+    """Scores and winners of the valid ballots; None when no ballot is valid."""
     valid = [b for b in ballots if b.valid]
     if not valid:
-        raise AllBallotsInvalid("no valid ballots to tally")
+        return None
     rule = _voting_rule(protocol)
     scores = dict.fromkeys(range(1, k + 1), 0)
     for ballot in valid:
@@ -315,8 +312,7 @@ def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> 
             ballots.append(Ballot(profile.agent_id, resp.text, parsed=parsed, valid=True))
             break
     # A voter's ballots end at its first valid one; a round with none has no tally.
-    result = tally(protocol, ballots, k) if any(b.valid for b in ballots) else None
-    return VoteRound(turn=state.turn, candidates=candidates, ballots=ballots, tally=result)
+    return VoteRound(state.turn, candidates, ballots, tally(protocol, ballots, k))
 
 
 def judge_decide(
@@ -330,21 +326,10 @@ def judge_decide(
     try:
         resp = backend.complete(req)
     except GatewayError as exc:
-        return DecisionOutcome(
-            protocol="judge",
-            final_text=candidates[0],
-            success=False,
-            decided_at_turn=state.turn,
-            fallback_reason=f"judge call failed: {exc}",
-        )
+        return DecisionOutcome(candidates[0], fallback_reason=f"judge call failed: {exc}")
     # The judge sits outside the panel; agent_id 0 marks that in the log.
     state.add(state.turn, 0, Phase.JUDGE, resp.text, resp.latency_ms)
-    return DecisionOutcome(
-        protocol="judge",
-        final_text=resp.text,
-        success=True,
-        decided_at_turn=state.turn,
-    )
+    return DecisionOutcome(resp.text)
 
 
 def decide(
@@ -357,12 +342,9 @@ def decide(
     def outcome(
         final_text: Optional[str] = None, rounds: Optional[list[VoteRound]] = None, **extra: Any
     ) -> DecisionOutcome:
-        # The standing draft unless a text is given; successful unless a fallback reason is.
+        # The standing draft unless a text is given.
         return DecisionOutcome(
-            protocol,
             (state.current_draft or "") if final_text is None else final_text,
-            "fallback_reason" not in extra,
-            state.turn,
             vote_detail=None if rounds is None else [r.to_log() for r in rounds],
             **extra,
         )

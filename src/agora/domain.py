@@ -13,7 +13,6 @@ class Phase(str, Enum):
     IMPROVE = "improve"
     FEEDBACK = "feedback"
     CENTRAL_SYNTHESIS = "central_synthesis"
-    VOTE = "vote"
     EXTRACTION = "extraction"
     JUDGE = "judge"
 
@@ -83,18 +82,6 @@ class Persona:
     description: str = ""
     traits: Optional[dict[str, str]] = None
 
-    def to_log(self, agent_id: int, raw_text: Optional[str] = None) -> dict[str, Any]:
-        entry: dict[str, Any] = {
-            "agentId": agent_id,
-            "name": self.name,
-            "description": self.description,
-        }
-        if self.traits is not None:
-            entry["traits"] = dict(self.traits)
-        if raw_text is not None:
-            entry["rawText"] = raw_text
-        return entry
-
 
 class ResponseGeneratorKind(str, Enum):
     SIMPLE = "simple"
@@ -150,6 +137,19 @@ class JobParams:
 class AgentProfile:
     agent_id: int
     persona: Persona
+    raw_text: Optional[str] = None  # the generator's response the persona was parsed from
+
+    def to_log(self) -> dict[str, Any]:
+        entry: dict[str, Any] = {
+            "agentId": self.agent_id,
+            "name": self.persona.name,
+            "description": self.persona.description,
+        }
+        if self.persona.traits is not None:
+            entry["traits"] = dict(self.persona.traits)
+        if self.raw_text is not None:
+            entry["rawText"] = self.raw_text
+        return entry
 
 
 @dataclass(frozen=True)
@@ -187,35 +187,17 @@ class Message:
 
 @dataclass
 class DecisionOutcome:
-    protocol: str
+    """How a run ended; the log record adds the protocol and the turn."""
+
     final_text: str
-    success: bool
-    decided_at_turn: int
     vote_detail: Optional[list[dict[str, Any]]] = None
     tie_broken: Optional[TieBreak] = None
     fallback_reason: Optional[str] = None
     error: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not self.success and self.fallback_reason is None and self.error is None:
-            raise ValueError("an unsuccessful outcome must record a fallback reason")
-
-    def to_log(self) -> dict[str, Any]:
-        entry: dict[str, Any] = {
-            "protocol": self.protocol,
-            "finalText": self.final_text,
-            "success": self.success,
-            "decidedAtTurn": self.decided_at_turn,
-        }
-        if self.vote_detail is not None:
-            entry["voteDetail"] = self.vote_detail
-        if self.tie_broken is not None:
-            entry["tieBroken"] = self.tie_broken.value
-        if self.fallback_reason is not None:
-            entry["fallbackReason"] = self.fallback_reason
-        if self.error is not None:
-            entry["error"] = self.error
-        return entry
+    @property
+    def success(self) -> bool:
+        return self.fallback_reason is None and self.error is None
 
 
 def _installs_draft(msg: Message) -> bool:
@@ -288,18 +270,32 @@ class DebateState:
 
 
 def build_log_record(
-    config: dict[str, Any],
-    state: DebateState,
-    personas: list[dict[str, Any]],
-    outcome: DecisionOutcome,
-    global_clock_ms: int,
+    params: JobParams, state: DebateState, outcome: DecisionOutcome, global_clock_ms: int
 ) -> dict[str, Any]:
-    """Assemble the serialized debate log; key names are the log contract."""
+    """Assemble the serialized debate log; key names are the log contract.
+
+    The outcome's protocol is the job's (or "baseline"), and it was decided
+    at the turns completed when the run ended.
+    """
+    decision: dict[str, Any] = {
+        "protocol": "baseline" if params.use_baseline else params.decision_protocol,
+        "finalText": outcome.final_text,
+        "success": outcome.success,
+        "decidedAtTurn": state.turn,
+    }
+    if outcome.vote_detail is not None:
+        decision["voteDetail"] = outcome.vote_detail
+    if outcome.tie_broken is not None:
+        decision["tieBroken"] = outcome.tie_broken.value
+    if outcome.fallback_reason is not None:
+        decision["fallbackReason"] = outcome.fallback_reason
+    if outcome.error is not None:
+        decision["error"] = outcome.error
     return {
-        "config": config,
+        "config": params.to_log(),
         "task": state.task.to_unified(),
-        "personas": personas,
+        "personas": [profile.to_log() for profile in state.panel],
         "messages": [m.to_log() for m in state.transcript],
-        "outcome": outcome.to_log(),
+        "outcome": decision,
         "globalClockMs": global_clock_ms,
     }

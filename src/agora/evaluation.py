@@ -7,9 +7,9 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .datasets import load_input_file, read_jsonl
+from .datasets import FormatError, load_input_file, read_jsonl
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
@@ -247,7 +247,27 @@ def evaluate_logs(
     return written
 
 
+def _numbers(*values: Any) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
+# The fields of an eval file that EvalResult.from_json and the charts read, each
+# with the test its value must pass; all but jobName and repeats may be absent.
+_EVAL_FIELDS: dict[str, Callable[[Any], bool]] = {
+    "jobName": lambda value: isinstance(value, str),
+    "repeats": lambda value: isinstance(value, int) and _numbers(value),
+    "mean": lambda value: isinstance(value, dict) and _numbers(*value.values()),
+    "std": lambda value: isinstance(value, dict) and _numbers(*value.values()),
+    "annotations": lambda value: isinstance(value, dict),
+    "metricValues": lambda value: isinstance(value, dict),
+    "decisionSuccessRate": _numbers,
+    "turns": lambda value: isinstance(value, list) and _numbers(*value),
+    "wallClockS": lambda value: isinstance(value, list) and _numbers(*value),
+}
+
+
 def load_eval_results(evals_dir: str | Path) -> list[EvalResult]:
+    """Every eval file under `evals_dir`; one the charts cannot read raises FormatError."""
     path = Path(evals_dir)
     if path.is_dir():
         files = sorted(path.glob("*.eval.json"))
@@ -255,6 +275,13 @@ def load_eval_results(evals_dir: str | Path) -> list[EvalResult]:
         files = [path]
     else:
         raise FileNotFoundError(f"no such evaluation path: {evals_dir}")
-    return [
-        EvalResult.from_json(json.loads(f.read_text(encoding="utf-8"))) for f in files
-    ]
+    results = []
+    for file in files:
+        data = json.loads(file.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise FormatError(f"{file} is not a JSON object")
+        for name, valid in _EVAL_FIELDS.items():
+            if (name in data or name in ("jobName", "repeats")) and not valid(data.get(name)):
+                raise FormatError(f"{file} has no valid {name}")
+        results.append(EvalResult.from_json(data))
+    return results

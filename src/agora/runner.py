@@ -7,35 +7,22 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import datasets, decisions, paradigms, prompts
 from .agents import build_panel, neutral_panel
 from .config import JobParams, JobSpec, resolve_job_params
-from .domain import (
-    AgentProfile,
-    DebateState,
-    DecisionOutcome,
-    Phase,
-    build_log_record,
-)
+from .domain import AgentProfile, DebateState, DecisionOutcome, Phase, build_log_record
 from .gateway import Backend, DebateBackend, HttpGateway, ScriptedGateway, chat_request
 from .paradigms import DebateContext
 
 
-def _run_recorded(
-    params: JobParams,
-    sample,
-    backend: Backend,
-    protocol: str,
-    body: Callable[[DebateState, list, str, Backend], DecisionOutcome],
-) -> dict[str, Any]:
-    """Time and log one sample's run; a crash becomes a failure outcome, never raises.
+def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
+    """One sample's debate, or its single-agent baseline, as a log record; never raises.
 
-    `body(state, personas, task_text, backend)` sets the panel, appends the
-    persona log entries, runs the exchange and returns its outcome. Its
-    backend names the job's model in every request, and the run is timed
-    on the backend's clock (which reads zero for a scripted backend).
+    A crash becomes a failure outcome. Every request names the job's model,
+    and the run is timed on the backend's clock (which reads zero for a
+    scripted backend).
     """
     backend = DebateBackend(backend, params.model_name)
     started = backend.clock()
@@ -43,73 +30,30 @@ def _run_recorded(
         sample.instruction_key or params.task_instruction_prompt_template
     )
     state = DebateState(task=sample, panel=[])
-    personas: list[dict[str, Any]] = []
+    outcome: Optional[DecisionOutcome] = None
     try:
-        outcome = body(state, personas, task_text, backend)
+        if params.use_baseline:
+            state.panel = [AgentProfile(1, neutral_panel(1)[0])]
+            messages = [("system", prompts.render_cot_system(task_text, sample.input_text()))]
+            if params.use_chain_of_thought:
+                messages.append(("user", prompts.cot_user_text()))
+            resp = backend.complete(chat_request(messages))
+            state.add(1, 1, Phase.DRAFT, resp.text, resp.latency_ms)
+            state.turn = 1
+            outcome = DecisionOutcome(resp.text)
+        else:
+            ctx = DebateContext(params, task_text, sample.input_text(), sample.context_text())
+            state.panel = build_panel(
+                params.num_agents, params.persona_generator, task_text, backend
+            )
+            while outcome is None:
+                paradigms.run_turn(state, backend, ctx)
+                outcome = decisions.decide(state, backend, ctx)
     except Exception as exc:
-        outcome = DecisionOutcome(
-            protocol=protocol,
-            final_text="",
-            success=False,
-            decided_at_turn=state.turn,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        outcome = DecisionOutcome("", error=f"{type(exc).__name__}: {exc}")
     state.ended = True
     clock_ms = int((backend.clock() - started) * 1000)
-    return build_log_record(params.to_log(), state, personas, outcome, clock_ms)
-
-
-def run_debate(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
-    """One full multi-agent debate; crashes become a failure record, never raise."""
-
-    def debate(
-        state: DebateState, personas: list, task_text: str, backend: Backend
-    ) -> DecisionOutcome:
-        ctx = DebateContext(params, task_text, sample.input_text(), sample.context_text())
-        state.panel, entries = build_panel(
-            params.num_agents, params.persona_generator, task_text, backend
-        )
-        personas.extend(entries)
-        outcome: Optional[DecisionOutcome] = None
-        while outcome is None:
-            paradigms.run_turn(state, backend, ctx)
-            outcome = decisions.decide(state, backend, ctx)
-        return outcome
-
-    return _run_recorded(params, sample, backend, params.decision_protocol, debate)
-
-
-def run_baseline(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
-    """Single-agent answer shaped like a one-message debate record."""
-
-    def answer(
-        state: DebateState, personas: list, task_text: str, backend: Backend
-    ) -> DecisionOutcome:
-        persona = neutral_panel(1)[0]
-        state.panel = [AgentProfile(1, persona)]
-        personas.append(persona.to_log(1))
-        messages: list[tuple[str, str]] = [
-            ("system", prompts.render_cot_system(task_text, sample.input_text()))
-        ]
-        if params.use_chain_of_thought:
-            messages.append(("user", prompts.cot_user_text()))
-        resp = backend.complete(chat_request(messages))
-        state.add(1, 1, Phase.DRAFT, resp.text, resp.latency_ms)
-        state.turn = 1
-        return DecisionOutcome(
-            protocol="baseline",
-            final_text=resp.text,
-            success=True,
-            decided_at_turn=1,
-        )
-
-    return _run_recorded(params, sample, backend, "baseline", answer)
-
-
-def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
-    if params.use_baseline:
-        return run_baseline(params, sample, backend)
-    return run_debate(params, sample, backend)
+    return build_log_record(params, state, outcome, clock_ms)
 
 
 def serialize_record(record: dict[str, Any]) -> str:

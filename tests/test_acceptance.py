@@ -40,7 +40,7 @@ from agora.prompts import (
     render_turn_user_prompt,
     render_vote_user,
 )
-from agora.runner import run_debate, serialize_record
+from agora.runner import run_sample, serialize_record
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -296,7 +296,7 @@ def scenario_unanimity():
             ]
         }
     )
-    return run_debate(params, sample, script)
+    return run_sample(params, sample, script)
 
 
 def scenario_consensus_cap():
@@ -330,7 +330,7 @@ def scenario_consensus_cap():
             ]
         }
     )
-    return run_debate(params, sample, script)
+    return run_sample(params, sample, script)
 
 
 def scenario_voting_tie():
@@ -375,7 +375,7 @@ def scenario_voting_tie():
             ]
         }
     )
-    return run_debate(params, sample, script)
+    return run_sample(params, sample, script)
 
 
 GOLDEN_SCENARIOS = (

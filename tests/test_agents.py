@@ -229,25 +229,25 @@ def test_default_trait_options_cover_all_names():
 
 
 def test_build_panel_none_generator_needs_no_backend():
-    profiles, entries = build_panel(3, "none", "t", backend=None)
+    profiles = build_panel(3, "none", "t", backend=None)
     assert [p.agent_id for p in profiles] == [1, 2, 3]
     assert [p.persona.name for p in profiles] == [
         "Participant 1",
         "Participant 2",
         "Participant 3",
     ]
-    assert entries[0] == {"agentId": 1, "name": "Participant 1", "description": ""}
-    assert "rawText" not in entries[0]
+    assert profiles[0].to_log() == {"agentId": 1, "name": "Participant 1", "description": ""}
+    assert "rawText" not in profiles[0].to_log()
 
 
 def test_build_panel_expert_passes_prior_personas():
     backend = SeqBackend([expert_json("Chemist"), expert_json("Physicist")])
-    profiles, entries = build_panel(2, "expert", "t", backend)
+    profiles = build_panel(2, "expert", "t", backend)
     assert [p.persona.name for p in profiles] == ["Chemist", "Physicist"]
     # Second call saw the first persona as an assistant turn.
     second = backend.requests[1]
     assert [m.role for m in second.messages] == ["system", "assistant", "user"]
-    assert entries[1]["rawText"] == expert_json("Physicist")
+    assert profiles[1].to_log()["rawText"] == expert_json("Physicist")
 
 
 def test_build_panel_ipip():
@@ -257,9 +257,9 @@ def test_build_panel_ipip():
             ipip_json("B", "high", "high", "high", "high", "high"),
         ]
     )
-    profiles, entries = build_panel(2, "ipip", "t", backend)
+    profiles = build_panel(2, "ipip", "t", backend)
     assert [p.persona.name for p in profiles] == ["A", "B"]
-    assert entries[0]["traits"]["Openness"] == "low"
+    assert profiles[0].to_log()["traits"]["Openness"] == "low"
 
 
 def test_build_panel_unknown_generator():

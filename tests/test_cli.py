@@ -399,3 +399,21 @@ def test_chart_rejects_unknown_metric(tmp_path):
     )
     assert result.exit_code != 0
     assert "not present" in result.output
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        ({}, "has no valid jobName"),
+        ([1], "is not a JSON object"),
+        ({"jobName": "x", "repeats": 1, "turns": 5}, "has no valid turns"),
+    ],
+)
+def test_chart_rejects_an_eval_file_it_cannot_read(tmp_path, content, problem):
+    evals = tmp_path / "evals"
+    evals.mkdir()
+    bad = evals / "x.eval.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    result = CliRunner().invoke(main, ["chart", "--evals", str(evals), "--out", str(tmp_path / "c")])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output == f"Error: {bad} {problem}\n"

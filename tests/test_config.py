@@ -69,7 +69,7 @@ def test_every_accepted_choice_has_an_engine_dispatch():
         for prompt in prompts.TurnPrompt:
             assert prompts.render_turn_user_prompt(ResponseGeneratorKind(value), prompt)
     for value in CHOICES["persona_generator"]:
-        profiles, _ = build_panel(3, value, "t", PersonaBackend())
+        profiles = build_panel(3, value, "t", PersonaBackend())
         assert len(profiles) == 3
     for value in CHOICES["discussion_paradigm"]:
         assert schedule(ParadigmKind(value), 3)

@@ -12,6 +12,7 @@ from agora.domain import (
     DebateEnded,
     DebateState,
     DecisionOutcome,
+    JobParams,
     Message,
     Persona,
     Phase,
@@ -71,7 +72,7 @@ def test_message_agreement_only_on_improve_or_feedback():
     with pytest.raises(ValueError):
         msg(1, 1, 1, Phase.DRAFT, agreement=Agreement.AGREE)
     with pytest.raises(ValueError):
-        msg(1, 1, 1, Phase.VOTE, agreement=Agreement.DISAGREE)
+        msg(1, 1, 1, Phase.EXTRACTION, agreement=Agreement.DISAGREE)
 
 
 def test_message_log_shape():
@@ -84,25 +85,43 @@ def test_message_log_shape():
 
 
 def test_outcome_requires_reason_when_unsuccessful():
-    with pytest.raises(ValueError):
-        DecisionOutcome("majority_consensus", "x", False, 3)
-    DecisionOutcome("majority_consensus", "x", False, 3, fallback_reason="cap")
-    DecisionOutcome("majority_consensus", "x", False, 3, error="boom")
+    # Success is derived: an outcome fails exactly when it names a reason.
+    assert DecisionOutcome("x").success
+    assert not DecisionOutcome("x", fallback_reason="cap").success
+    assert not DecisionOutcome("x", error="boom").success
 
 
 def test_outcome_log_optional_keys():
-    full = DecisionOutcome(
-        "simple_voting",
-        "answer",
-        True,
-        4,
-        vote_detail=[{"turn": 3}],
-        tie_broken=TieBreak.EXTRA_ROUND,
-    ).to_log()
-    assert full["tieBroken"] == "extra_round"
-    assert full["voteDetail"] == [{"turn": 3}]
-    lean = DecisionOutcome("judge", "answer", True, 3).to_log()
-    assert set(lean) == {"protocol", "finalText", "success", "decidedAtTurn"}
+    state = make_state()
+    state.turn = 4
+    outcome = DecisionOutcome(
+        "answer", vote_detail=[{"turn": 3}], tie_broken=TieBreak.EXTRA_ROUND
+    )
+    full = build_log_record(JobParams(decision_protocol="simple_voting"), state, outcome, 0)
+    assert full["outcome"]["tieBroken"] == "extra_round"
+    assert full["outcome"]["voteDetail"] == [{"turn": 3}]
+    lean = build_log_record(JobParams(), state, DecisionOutcome("answer"), 0)
+    assert list(lean["outcome"]) == ["protocol", "finalText", "success", "decidedAtTurn"]
+    failed = DecisionOutcome("", fallback_reason="cap", error="boom")
+    assert list(build_log_record(JobParams(), state, failed, 0)["outcome"]) == [
+        "protocol",
+        "finalText",
+        "success",
+        "decidedAtTurn",
+        "fallbackReason",
+        "error",
+    ]
+
+
+def test_log_record_derives_protocol_and_turn_from_job_and_state():
+    state = make_state()
+    state.turn = 2
+    judged = build_log_record(JobParams(decision_protocol="judge"), state, DecisionOutcome("a"), 0)
+    assert judged["outcome"]["protocol"] == "judge"
+    assert judged["outcome"]["decidedAtTurn"] == 2
+    baseline = JobParams(decision_protocol="judge", use_baseline=True)
+    record = build_log_record(baseline, state, DecisionOutcome("a"), 0)
+    assert record["outcome"]["protocol"] == "baseline"
 
 
 def test_append_enforces_sequence():
@@ -202,8 +221,9 @@ def test_debate_messages_filters_bookkeeping_phases():
 def test_build_log_record_contract_keys():
     state = make_state()
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    outcome = DecisionOutcome("majority_consensus", "v1", True, 1)
-    record = build_log_record({"seed": 0}, state, [{"agentId": 1}], outcome, 12)
+    record = build_log_record(JobParams(seed=5, api_key="k"), state, DecisionOutcome("v1"), 12)
     assert list(record) == ["config", "task", "personas", "messages", "outcome", "globalClockMs"]
+    assert record["config"]["seed"] == 5 and "api_key" not in record["config"]
+    assert [p["agentId"] for p in record["personas"]] == [1, 2, 3]
     assert record["globalClockMs"] == 12
     assert record["messages"][0]["text"] == "v1"

@@ -164,7 +164,7 @@ def test_visibility_all_returns_debate_messages_only():
     state = make_state(3)
     add(state, 1, Phase.DRAFT, "draft", turn=1)
     add(state, 2, Phase.IMPROVE, "improve [DISAGREE]", turn=1, agreement=Agreement.DISAGREE)
-    add(state, 1, Phase.VOTE, "1", turn=1)
+    add(state, 1, Phase.EXTRACTION, "1", turn=1)
     step = TurnStep(3, Phase.IMPROVE)
     visible = visible_messages(ParadigmKind.MEMORY, state, step)
     assert [m.phase for m in visible] == [Phase.DRAFT, Phase.IMPROVE]

@@ -20,8 +20,6 @@ from agora.runner import (
     _shared_gateway,
     record_failed,
     run_batch,
-    run_baseline,
-    run_debate,
     run_sample,
     serialize_record,
 )
@@ -92,7 +90,7 @@ def debate_params(**overrides):
 
 
 def test_run_debate_unanimous_first_turn():
-    record = run_debate(debate_params(), make_sample(), unanimity_script())
+    record = run_sample(debate_params(), make_sample(), unanimity_script())
     outcome = record["outcome"]
     assert outcome["protocol"] == "majority_consensus"
     assert outcome["success"] is True
@@ -109,7 +107,7 @@ def test_run_debate_unanimous_first_turn():
 def test_run_debate_voting_and_call_accounting():
     gateway = voting_script()
     params = debate_params(decision_protocol="simple_voting", voting_after_turns=1)
-    record = run_debate(params, make_sample(), gateway)
+    record = run_sample(params, make_sample(), gateway)
     outcome = record["outcome"]
     assert outcome["success"] is True
     assert outcome["finalText"] == "Candidate text"
@@ -127,7 +125,7 @@ def test_run_debate_crash_becomes_failure_record():
     script = script_from_dict(
         {"rules": [{"match": [{"contains": DRAFT_HOOK}], "response": "x"}]}
     )
-    record = run_debate(debate_params(), make_sample(), script)
+    record = run_sample(debate_params(), make_sample(), script)
     outcome = record["outcome"]
     assert outcome["success"] is False
     assert outcome["error"].startswith("NoRuleMatched")
@@ -139,7 +137,7 @@ def test_run_debate_failure_during_persona_generation():
         {"rules": [{"match": [{"contains": DRAFT_HOOK}], "response": "x"}]}
     )
     params = debate_params(persona_generator="expert")
-    record = run_debate(params, make_sample(), script)
+    record = run_sample(params, make_sample(), script)
     assert record["outcome"]["error"].startswith("NoRuleMatched")
     assert record["messages"] == []
     assert record["personas"] == []
@@ -164,7 +162,7 @@ def baseline_script():
 
 def test_run_baseline_with_chain_of_thought():
     gateway = baseline_script()
-    record = run_baseline(debate_params(use_baseline=True), make_sample(), gateway)
+    record = run_sample(debate_params(use_baseline=True), make_sample(), gateway)
     outcome = record["outcome"]
     assert outcome["protocol"] == "baseline"
     assert outcome["success"] is True
@@ -181,7 +179,7 @@ def test_run_baseline_with_chain_of_thought():
 def test_run_baseline_without_chain_of_thought():
     gateway = baseline_script()
     params = debate_params(use_baseline=True, use_chain_of_thought=False)
-    run_baseline(params, make_sample(), gateway)
+    run_sample(params, make_sample(), gateway)
     (request,) = gateway.requests
     assert [m.role for m in request.messages] == ["system"]
 
@@ -191,6 +189,64 @@ def test_run_sample_dispatches_on_use_baseline():
     assert record["outcome"]["protocol"] == "baseline"
     record = run_sample(debate_params(), make_sample(), unanimity_script())
     assert record["outcome"]["protocol"] == "majority_consensus"
+
+
+def debate_rules(improve_repeatable: bool = True) -> list[dict]:
+    """Draft, disagreeing improves and extractions; no ballot or judge rule."""
+    return [
+        {"match": [{"contains": DRAFT_HOOK}], "response": "Draft answer."},
+        {
+            "match": [{"contains": IMPROVE_HOOK}],
+            "response": "Mine is better. [DISAGREE]",
+            "repeatable": improve_repeatable,
+        },
+        {"match": [{"contains": EXTRACTION_HOOK}], "response": "Candidate", "repeatable": True},
+    ]
+
+
+# Each place a run can end early: the job, the script, and the outcome the
+# record logs (protocol, decidedAtTurn, the reason key, the persona names).
+EARLY_ENDS = {
+    "baseline crash": (
+        {"use_baseline": True, "decision_protocol": "judge"},
+        debate_rules(),
+        ("baseline", 0, "error", ["Participant 1"]),
+    ),
+    "expert persona crash": (
+        {"persona_generator": "expert"},
+        debate_rules(),
+        ("majority_consensus", 0, "error", []),
+    ),
+    "crash in turn 2": (
+        {},
+        debate_rules(improve_repeatable=False),
+        ("majority_consensus", 1, "error", ["Participant 1", "Participant 2"]),
+    ),
+    "crash at a ballot": (
+        {"decision_protocol": "simple_voting", "voting_after_turns": 2},
+        debate_rules(),
+        ("simple_voting", 2, "error", ["Participant 1", "Participant 2"]),
+    ),
+    "judge fallback": (
+        {"decision_protocol": "judge", "voting_after_turns": 1},
+        debate_rules(),
+        ("judge", 1, "fallbackReason", ["Participant 1", "Participant 2"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_ENDS))
+def test_run_sample_logs_protocol_turn_and_personas_where_a_run_ends(case):
+    overrides, rules, (protocol, turn, reason, personas) = EARLY_ENDS[case]
+    script = script_from_dict({"rules": rules})
+    record = run_sample(debate_params(**overrides), make_sample(), script)
+    outcome = record["outcome"]
+    assert outcome["protocol"] == protocol
+    assert outcome["decidedAtTurn"] == turn
+    assert outcome["success"] is False
+    assert {"error", "fallbackReason"} & set(outcome) == {reason}
+    assert "no rule matched" in outcome[reason]
+    assert [p["name"] for p in record["personas"]] == personas
 
 
 # -- serialization helpers --

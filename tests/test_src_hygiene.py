@@ -4,7 +4,8 @@ A public function, class or constant that only its own definition mentions
 exists for tests alone (or for nobody); such code belongs in the tests or
 nowhere. The console entry point is the one name used from outside, and a
 decorated function counts as used, because its decorator may register it
-(the click subcommands).
+(the click subcommands). The same holds for each enum member, except in
+the enums whose members the config selects by value.
 
 Also: every function parameter in src/agora is read by its function
 (Protocol stubs aside), and starting the CLI imports no third-party HTTP
@@ -26,6 +27,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "agora"
 
 # Names used from outside src/agora by design: the console entry point.
 EXTERNAL_ENTRY_POINTS = {("cli", "main")}
+
+# Enums whose members the config selects by value (through config.CHOICES),
+# so a member may be named nowhere in the code.
+VALUE_SELECTED_ENUMS = {"ResponseGeneratorKind", "ParadigmKind"}
 
 
 def _definitions(tree: ast.Module):
@@ -57,11 +62,17 @@ def _references(node: ast.AST) -> Counter:
     return counts
 
 
-def unreferenced_public_names() -> list[str]:
+def _parsed_package() -> tuple[dict[str, ast.Module], Counter]:
+    """Each module's tree, and how often the whole package reads each identifier."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     total: Counter = Counter()
     for tree in trees.values():
         total.update(_references(tree))
+    return trees, total
+
+
+def unreferenced_public_names() -> list[str]:
+    trees, total = _parsed_package()
     flagged = []
     for module, tree in trees.items():
         for name, node in _definitions(tree):
@@ -76,6 +87,32 @@ def unreferenced_public_names() -> list[str]:
 
 def test_every_public_name_is_used_inside_the_package():
     assert unreferenced_public_names() == []
+
+
+def unreferenced_enum_members() -> list[str]:
+    """`module.Enum.MEMBER` for each member that no code in src/agora names."""
+    trees, total = _parsed_package()
+    flagged = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            is_enum = isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) == "Enum" for base in node.bases
+            )
+            if not is_enum or node.name in VALUE_SELECTED_ENUMS:
+                continue
+            flagged += [
+                f"{module}.{node.name}.{target.id}"
+                for statement in node.body
+                if isinstance(statement, ast.Assign)
+                for target in statement.targets
+                if isinstance(target, ast.Name) and total[target.id] == 0
+            ]
+    return sorted(flagged)
+
+
+def test_every_enum_member_is_used_inside_the_package():
+    # A member nothing writes or reads is a value the program never produces.
+    assert unreferenced_enum_members() == []
 
 
 def test_cli_import_loads_no_http_client_library():
