@@ -9,6 +9,7 @@ from __future__ import annotations
 import statistics
 from pathlib import Path
 from typing import Optional, Sequence
+from xml.sax.saxutils import escape
 
 from .evaluation import EvalResult
 
@@ -37,11 +38,11 @@ def _frame(title: str, scale: float, y_label: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>',
         f'<line x1="{LEFT}" y1="{TOP}" x2="{LEFT}" y2="{BOTTOM}" stroke="black"/>',
         f'<line x1="{LEFT}" y1="{BOTTOM}" x2="{WIDTH - RIGHT}" y2="{BOTTOM}" stroke="black"/>',
         f'<text x="16" y="{(TOP + BOTTOM) // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(TOP + BOTTOM) // 2})">{y_label}</text>',
+        f'transform="rotate(-90 16 {(TOP + BOTTOM) // 2})">{escape(y_label)}</text>',
     ]
     for tick in (0.0, scale / 2, scale):
         y = _y(tick, scale)
@@ -88,7 +89,7 @@ def _bar_svg(
         f'<text x="{fmt(center)}" y="{fmt(top - 8)}" text-anchor="middle">{fmt(value)}</text>'
     )
     parts.append(
-        f'<text x="{fmt(center)}" y="{BOTTOM + 20}" text-anchor="middle">{label}</text>'
+        f'<text x="{fmt(center)}" y="{BOTTOM + 20}" text-anchor="middle">{escape(label)}</text>'
     )
     return _close(parts)
 
@@ -120,7 +121,7 @@ def _box_svg(
         f'<line x1="{fmt(x0)}" y1="{fmt(y_med)}" x2="{fmt(x1)}" y2="{fmt(y_med)}" stroke="black" stroke-width="2"/>',
         f'<circle cx="{fmt(center)}" cy="{fmt(_y(mean, scale))}" r="4" fill="#d04848"/>',
         f'<text x="{fmt(center + box_w)}" y="{fmt(_y(mean, scale) + 4)}">mean {fmt(mean)}</text>',
-        f'<text x="{fmt(center)}" y="{BOTTOM + 20}" text-anchor="middle">{label}</text>',
+        f'<text x="{fmt(center)}" y="{BOTTOM + 20}" text-anchor="middle">{escape(label)}</text>',
     ]
     return _close(parts)
 

@@ -92,7 +92,9 @@ class BatchConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"no such config file: {path}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # a directory, say
+            raise ConfigError(f"cannot read config file {path}: {exc}")
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"{path} is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")

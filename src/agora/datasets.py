@@ -43,6 +43,13 @@ class FieldMapping:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FieldMapping":
+        for key in ("input_fields", "reference_fields", "context_fields"):
+            value = data.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"{key} must be a list of strings")
+        for key in ("id_field", "answer_letter_field"):
+            if not isinstance(data.get(key), (str, type(None))):
+                raise ValueError(f"{key} must be a string")
         return cls(
             input_fields=tuple(data.get("input_fields", ())),
             reference_fields=tuple(data.get("reference_fields", ())),

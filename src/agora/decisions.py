@@ -18,7 +18,6 @@ from .domain import (
     TieBreak,
 )
 from .gateway import Backend, GatewayError, chat_request
-from .paradigms import DebateContext
 
 logger = logging.getLogger(__name__)
 
@@ -253,9 +252,7 @@ class VoteRound:
         return entry
 
 
-def collect_candidates(
-    state: DebateState, backend: Backend, ctx: DebateContext
-) -> list[str]:
+def collect_candidates(state: DebateState, backend: Backend) -> list[str]:
     """One extracted final answer per agent, in panel order, duplicates kept."""
     if len(state.panel) < 2:
         raise ValueError("candidate collection needs a panel of at least 2")
@@ -263,7 +260,7 @@ def collect_candidates(
     for profile in state.panel:
         previous = _previous_response(state, profile.agent_id)
         resp = extract_final_answer_response(
-            profile.persona, ctx.task_text, ctx.input_text, previous, backend
+            profile.persona, state.task_text, state.task.input_text(), previous, backend
         )
         candidates.append(resp.text)
         state.add(state.turn, profile.agent_id, Phase.EXTRACTION, resp.text, resp.latency_ms)
@@ -283,23 +280,17 @@ def _previous_response(state: DebateState, agent_id: int) -> str:
 _MAX_BALLOT_ATTEMPTS = 4
 
 
-def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> VoteRound:
-    candidates = collect_candidates(state, backend, ctx)
+def run_vote_round(state: DebateState, backend: Backend) -> VoteRound:
+    candidates = collect_candidates(state, backend)
     k = len(candidates)
-    protocol, points = ctx.params.decision_protocol, ctx.params.cumulative_points
+    protocol, points = state.params.decision_protocol, state.params.cumulative_points
+    user = prompts.render_vote_user(
+        protocol, state.task_text, state.task.input_text(), candidates, points=points
+    )
     ballots: list[Ballot] = []
     for profile in state.panel:
-        req = chat_request(
-            [
-                ("system", prompts.render_role_system(profile.persona)),
-                (
-                    "user",
-                    prompts.render_vote_user(
-                        protocol, ctx.task_text, ctx.input_text, candidates, points=points
-                    ),
-                ),
-            ]
-        )
+        system = prompts.render_role_system(profile.persona)
+        req = chat_request([("system", system), ("user", user)])
         for _ in range(_MAX_BALLOT_ATTEMPTS):
             resp = backend.complete(req)
             try:
@@ -315,14 +306,11 @@ def run_vote_round(state: DebateState, backend: Backend, ctx: DebateContext) -> 
     return VoteRound(state.turn, candidates, ballots, tally(protocol, ballots, k))
 
 
-def judge_decide(
-    state: DebateState, backend: Backend, ctx: DebateContext, candidates: list[str]
-) -> DecisionOutcome:
+def judge_decide(state: DebateState, backend: Backend, candidates: list[str]) -> DecisionOutcome:
     if not candidates:
         raise ValueError("the judge needs at least one candidate")
-    req = chat_request(
-        [("user", prompts.render_judge_user(ctx.task_text, ctx.input_text, candidates))]
-    )
+    user = prompts.render_judge_user(state.task_text, state.task.input_text(), candidates)
+    req = chat_request([("user", user)])
     try:
         resp = backend.complete(req)
     except GatewayError as exc:
@@ -332,11 +320,9 @@ def judge_decide(
     return DecisionOutcome(resp.text)
 
 
-def decide(
-    state: DebateState, backend: Backend, ctx: DebateContext
-) -> Optional[DecisionOutcome]:
+def decide(state: DebateState, backend: Backend) -> Optional[DecisionOutcome]:
     """Protocol check after a completed turn; None means keep debating."""
-    params = ctx.params
+    params = state.params
     protocol = params.decision_protocol
 
     def outcome(
@@ -362,14 +348,14 @@ def decide(
         return None
 
     if protocol == "judge":
-        candidates = collect_candidates(state, backend, ctx)
-        return judge_decide(state, backend, ctx, candidates)
+        candidates = collect_candidates(state, backend)
+        return judge_decide(state, backend, candidates)
 
     # One vote round, plus one extra turn and round to break a tie while
     # turns remain; a tie that persists goes to the lowest tied index.
     rounds: list[VoteRound] = []
     while True:
-        rounds.append(run_vote_round(state, backend, ctx))
+        rounds.append(run_vote_round(state, backend))
         tie_round = len(rounds) == 2
         result = rounds[-1].tally
         if result is None:
@@ -385,4 +371,4 @@ def decide(
             return outcome(final_text, rounds, tie_broken=TieBreak.EXTRA_ROUND if tie_round else None)
         if tie_round or state.turn >= params.max_turns:
             return outcome(final_text, rounds, tie_broken=TieBreak.DETERMINISTIC_INDEX)
-        paradigms.run_turn(state, backend, ctx)
+        paradigms.run_turn(state, backend)

@@ -212,9 +212,11 @@ def _installs_draft(msg: Message) -> bool:
 
 @dataclass
 class DebateState:
-    """Single-owner mutable transcript; `turn` counts completed turns."""
+    """One debate's job, sample, task text and transcript; `turn` counts completed turns."""
 
+    params: JobParams
     task: TaskInstance
+    task_text: str  # the resolved instruction the prompts carry
     panel: list[AgentProfile]
     transcript: list[Message] = field(default_factory=list)
     current_draft: Optional[str] = None  # the text of the solution under discussion
@@ -270,13 +272,14 @@ class DebateState:
 
 
 def build_log_record(
-    params: JobParams, state: DebateState, outcome: DecisionOutcome, global_clock_ms: int
+    state: DebateState, outcome: DecisionOutcome, global_clock_ms: int
 ) -> dict[str, Any]:
     """Assemble the serialized debate log; key names are the log contract.
 
     The outcome's protocol is the job's (or "baseline"), and it was decided
     at the turns completed when the run ended.
     """
+    params = state.params
     decision: dict[str, Any] = {
         "protocol": "baseline" if params.use_baseline else params.decision_protocol,
         "finalText": outcome.final_text,

@@ -74,6 +74,25 @@ def aggregate(per_repeat_results: Sequence[float]) -> RepeatStats:
     return RepeatStats(mean=mean, std=statistics.stdev(values), n=len(values))
 
 
+def _numbers(*values: Any) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
+# The eval file's fields in file order: each key's EvalResult attribute and the
+# test its value must pass. All but jobName and repeats may be absent.
+_EVAL_FIELDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "jobName": ("job_name", lambda value: isinstance(value, str)),
+    "repeats": ("repeats", lambda value: isinstance(value, int) and _numbers(value)),
+    "mean": ("mean", lambda value: isinstance(value, dict) and _numbers(*value.values())),
+    "std": ("std", lambda value: isinstance(value, dict) and _numbers(*value.values())),
+    "annotations": ("annotations", lambda value: isinstance(value, dict)),
+    "metricValues": ("metric_values", lambda value: isinstance(value, dict)),
+    "decisionSuccessRate": ("decision_success_rate", _numbers),
+    "turns": ("turns", lambda value: isinstance(value, list) and _numbers(*value)),
+    "wallClockS": ("wall_clock_s", lambda value: isinstance(value, list) and _numbers(*value)),
+}
+
+
 @dataclass
 class EvalResult:
     job_name: str
@@ -87,31 +106,13 @@ class EvalResult:
     wall_clock_s: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "jobName": self.job_name,
-            "repeats": self.repeats,
-            "mean": dict(sorted(self.mean.items())),
-            "std": dict(sorted(self.std.items())),
-            "annotations": dict(sorted(self.annotations.items())),
-            "metricValues": dict(sorted(self.metric_values.items())),
-            "decisionSuccessRate": self.decision_success_rate,
-            "turns": list(self.turns),
-            "wallClockS": list(self.wall_clock_s),
-        }
+        # Dict fields are written key-sorted, so one result always gives the same bytes.
+        values = {key: getattr(self, attr) for key, (attr, _) in _EVAL_FIELDS.items()}
+        return {k: dict(sorted(v.items())) if isinstance(v, dict) else v for k, v in values.items()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "EvalResult":
-        return cls(
-            job_name=data["jobName"],
-            repeats=data["repeats"],
-            mean=dict(data.get("mean", {})),
-            std=dict(data.get("std", {})),
-            annotations=dict(data.get("annotations", {})),
-            metric_values=dict(data.get("metricValues", {})),
-            decision_success_rate=data.get("decisionSuccessRate", 0.0),
-            turns=list(data.get("turns", [])),
-            wall_clock_s=list(data.get("wallClockS", [])),
-        )
+        return cls(**{attr: data[key] for key, (attr, _) in _EVAL_FIELDS.items() if key in data})
 
 
 _REPEAT_SUFFIX_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
@@ -247,25 +248,6 @@ def evaluate_logs(
     return written
 
 
-def _numbers(*values: Any) -> bool:
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-
-
-# The fields of an eval file that EvalResult.from_json and the charts read, each
-# with the test its value must pass; all but jobName and repeats may be absent.
-_EVAL_FIELDS: dict[str, Callable[[Any], bool]] = {
-    "jobName": lambda value: isinstance(value, str),
-    "repeats": lambda value: isinstance(value, int) and _numbers(value),
-    "mean": lambda value: isinstance(value, dict) and _numbers(*value.values()),
-    "std": lambda value: isinstance(value, dict) and _numbers(*value.values()),
-    "annotations": lambda value: isinstance(value, dict),
-    "metricValues": lambda value: isinstance(value, dict),
-    "decisionSuccessRate": _numbers,
-    "turns": lambda value: isinstance(value, list) and _numbers(*value),
-    "wallClockS": lambda value: isinstance(value, list) and _numbers(*value),
-}
-
-
 def load_eval_results(evals_dir: str | Path) -> list[EvalResult]:
     """Every eval file under `evals_dir`; one the charts cannot read raises FormatError."""
     path = Path(evals_dir)
@@ -277,10 +259,13 @@ def load_eval_results(evals_dir: str | Path) -> list[EvalResult]:
         raise FileNotFoundError(f"no such evaluation path: {evals_dir}")
     results = []
     for file in files:
-        data = json.loads(file.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(file.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise FormatError(f"cannot read {file} as JSON: {exc}")
         if not isinstance(data, dict):
             raise FormatError(f"{file} is not a JSON object")
-        for name, valid in _EVAL_FIELDS.items():
+        for name, (_, valid) in _EVAL_FIELDS.items():
             if (name in data or name in ("jobName", "repeats")) and not valid(data.get(name)):
                 raise FormatError(f"{file} has no valid {name}")
         results.append(EvalResult.from_json(data))

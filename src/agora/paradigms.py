@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import prompts
 from .agents import parse_agreement
@@ -12,7 +11,6 @@ from .domain import (
     AgentProfile,
     DebateEnded,
     DebateState,
-    JobParams,
     Message,
     ParadigmKind,
     Phase,
@@ -29,16 +27,6 @@ class PanelTooSmall(Exception):
 class TurnStep:
     speaker: int
     phase: Phase
-
-
-@dataclass(frozen=True)
-class DebateContext:
-    """One debate's job parameters plus the sample texts its prompts carry."""
-
-    params: JobParams
-    task_text: str
-    input_text: str
-    context_text: Optional[str] = None
 
 
 # Central agent in report/debate; documented so researchers can remap.
@@ -135,21 +123,19 @@ _STEP_PROMPTS = {
 }
 
 
-def render_step_prompt(
-    state: DebateState, step: TurnStep, ctx: DebateContext
-) -> list[tuple[str, str]]:
+def render_step_prompt(state: DebateState, step: TurnStep) -> list[tuple[str, str]]:
     """Message list for one step's completion call."""
     profile = _profile(state, step.speaker)
-    visible = visible_messages(ParadigmKind(ctx.params.discussion_paradigm), state, step)
+    visible = visible_messages(ParadigmKind(state.params.discussion_paradigm), state, step)
     memory_text = prompts.render_memory(
         [(_profile(state, m.agent_id).persona.name, m.text) for m in visible]
     )
     draft = state.current_draft
     system = prompts.render_discussion_system(
         profile.persona,
-        ctx.task_text,
-        ctx.input_text,
-        ctx.context_text,
+        state.task_text,
+        state.task.input_text(),
+        state.task.context_text(),
         draft,
         memory_text,
     )
@@ -157,21 +143,21 @@ def render_step_prompt(
         # First proposal: the system prompt carries the whole instruction.
         return [("system", system)]
     user = prompts.render_turn_user_prompt(
-        ResponseGeneratorKind(ctx.params.response_generator), _STEP_PROMPTS[step.phase]
+        ResponseGeneratorKind(state.params.response_generator), _STEP_PROMPTS[step.phase]
     )
     return [("system", system), ("user", user)]
 
 
-def run_turn(state: DebateState, backend: Backend, ctx: DebateContext) -> DebateState:
+def run_turn(state: DebateState, backend: Backend) -> DebateState:
     if state.ended:
         raise DebateEnded("debate already ended")
-    if state.turn >= ctx.params.max_turns:
+    if state.turn >= state.params.max_turns:
         raise ValueError("turn cap reached; the decision protocol must settle it")
     turn_no = state.turn + 1
-    kind = ParadigmKind(ctx.params.discussion_paradigm)
-    for step in schedule(kind, len(state.panel), ctx.params.debate_exchanges):
+    kind = ParadigmKind(state.params.discussion_paradigm)
+    for step in schedule(kind, len(state.panel), state.params.debate_exchanges):
         had_draft = state.current_draft is not None
-        messages = render_step_prompt(state, step, ctx)
+        messages = render_step_prompt(state, step)
         resp = backend.complete(chat_request(messages))
         phase = step.phase if had_draft else Phase.DRAFT
         agreement = (

@@ -14,7 +14,6 @@ from .agents import build_panel, neutral_panel
 from .config import JobParams, JobSpec, resolve_job_params
 from .domain import AgentProfile, DebateState, DecisionOutcome, Phase, build_log_record
 from .gateway import Backend, DebateBackend, HttpGateway, ScriptedGateway, chat_request
-from .paradigms import DebateContext
 
 
 def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
@@ -29,7 +28,7 @@ def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
     task_text = datasets.resolve_instruction(
         sample.instruction_key or params.task_instruction_prompt_template
     )
-    state = DebateState(task=sample, panel=[])
+    state = DebateState(params, sample, task_text, panel=[])
     outcome: Optional[DecisionOutcome] = None
     try:
         if params.use_baseline:
@@ -42,18 +41,17 @@ def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
             state.turn = 1
             outcome = DecisionOutcome(resp.text)
         else:
-            ctx = DebateContext(params, task_text, sample.input_text(), sample.context_text())
             state.panel = build_panel(
                 params.num_agents, params.persona_generator, task_text, backend
             )
             while outcome is None:
-                paradigms.run_turn(state, backend, ctx)
-                outcome = decisions.decide(state, backend, ctx)
+                paradigms.run_turn(state, backend)
+                outcome = decisions.decide(state, backend)
     except Exception as exc:
         outcome = DecisionOutcome("", error=f"{type(exc).__name__}: {exc}")
     state.ended = True
     clock_ms = int((backend.clock() - started) * 1000)
-    return build_log_record(params, state, outcome, clock_ms)
+    return build_log_record(state, outcome, clock_ms)
 
 
 def serialize_record(record: dict[str, Any]) -> str:

@@ -30,7 +30,7 @@ from agora.domain import (
 from agora.evaluation import aggregate
 from agora.gateway import HttpGateway, chat_request, script_from_dict
 from agora.metrics import bleu, meteor_lite, rouge
-from agora.paradigms import DebateContext, ParadigmKind, run_turn
+from agora.paradigms import ParadigmKind, run_turn
 from agora.prompts import (
     TurnPrompt,
     render_cot_system,
@@ -224,14 +224,10 @@ def visibility_debate(kind: ParadigmKind, seed: int):
         for i in range(1, n_agents + 1)
     ]
     task = TaskInstance(id=f"{seed:04d}", instruction_key="", input_lines=("x",))
-    state = DebateState(task=task, panel=panel)
-    ctx = DebateContext(
-        JobParams(discussion_paradigm=kind.value, max_turns=turns),
-        task_text="solve",
-        input_text="x",
-    )
+    params = JobParams(discussion_paradigm=kind.value, max_turns=turns)
+    state = DebateState(params, task, "solve", panel)
     for _ in range(turns):
-        run_turn(state, backend, ctx)
+        run_turn(state, backend)
     return state, backend, n_agents
 
 

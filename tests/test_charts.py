@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from xml.dom import minidom
+
 import pytest
 
 from agora.charts import EmptyResults, emit_charts, fmt
@@ -138,3 +140,14 @@ def test_svg_has_no_timestamps(tmp_path):
     assert "date" not in svg.lower()
     assert svg.startswith("<svg ")
     assert svg.endswith("</svg>\n")
+
+
+def test_every_svg_is_well_formed_xml_for_a_job_name_with_markup(tmp_path):
+    result = make_result("q&a<2>", mean={"r&d": 0.5}, std={"r&d": 0.1})
+    svgs = [p for p in emit_charts([result], tmp_path) if p.suffix == ".svg"]
+    assert len(svgs) == 4
+    for svg in svgs:
+        texts = [
+            node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")
+        ]
+        assert "q&a<2>" in texts

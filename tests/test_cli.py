@@ -417,3 +417,47 @@ def test_chart_rejects_an_eval_file_it_cannot_read(tmp_path, content, problem):
     result = CliRunner().invoke(main, ["chart", "--evals", str(evals), "--out", str(tmp_path / "c")])
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     assert result.output == f"Error: {bad} {problem}\n"
+
+
+@pytest.mark.parametrize("content", [b'{"jobName": ', b"\xff\xfe"])
+def test_chart_names_an_eval_file_that_is_not_utf8_json(tmp_path, content):
+    evals = tmp_path / "evals"
+    evals.mkdir()
+    bad = evals / "x.eval.json"
+    bad.write_bytes(content)
+    result = CliRunner().invoke(main, ["chart", "--evals", str(evals), "--out", str(tmp_path / "c")])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output.startswith(f"Error: cannot read {bad} as JSON: ")
+    assert len(result.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_run_names_a_config_file_it_cannot_read(tmp_path, kind):
+    _, script, _ = make_workspace(tmp_path)
+    config = tmp_path / "cfg.json"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b'{"runs": [\xff]}')
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output.startswith("Error: ") and str(config) in result.output
+    assert "Traceback" not in result.output
+
+
+def test_evaluate_names_a_sidecar_with_a_mistyped_field(tmp_path):
+    dataset = write_json(tmp_path / "raw.json", [{"q": "What?", "a": "A"}])
+    sidecar = write_json(
+        tmp_path / "raw.json.mapping.json",
+        {"input_fields": ["q"], "reference_fields": ["a"], "id_field": ["x"]},
+    )
+    log = tmp_path / "demo.jsonl"
+    log.write_text("", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(tmp_path / "e")],
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output == f"Error: {sidecar}: id_field must be a string\n"

@@ -43,26 +43,22 @@ from agora.domain import (
     TieBreak,
 )
 from agora.gateway import ChatRequest, ChatResponse, EndpointUnreachable
-from agora.paradigms import DebateContext, ParadigmKind
+from agora.paradigms import ParadigmKind
 
 
-def make_state(n: int = 2) -> DebateState:
+def make_state(n: int = 2, **params) -> DebateState:
     panel = [
         AgentProfile(i, Persona(name=f"Participant {i}"))
         for i in range(1, n + 1)
     ]
     task = TaskInstance(id="s1", instruction_key="", input_lines=("x",))
-    return DebateState(task=task, panel=panel)
+    return DebateState(JobParams(**params), task, "solve", panel)
 
 
 def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int, **kw) -> None:
     state.append(
         Message(seq=state.next_seq(), turn=turn, agent_id=agent_id, phase=phase, text=text, **kw)
     )
-
-
-def ctx(**params) -> DebateContext:
-    return DebateContext(JobParams(**params), task_text="solve", input_text="x")
 
 
 def valid_ballot(voter: int, parsed) -> Ballot:
@@ -445,7 +441,7 @@ def test_collect_candidates_panel_order_and_extraction_log():
     add(state, 2, Phase.IMPROVE, "two's answer", turn=1)
     state.turn = 3
     backend = SeqBackend(["extracted A", "extracted B"])
-    candidates = collect_candidates(state, backend, ctx())
+    candidates = collect_candidates(state, backend)
     assert candidates == ["extracted A", "extracted B"]
     extractions = [m for m in state.transcript if m.phase is Phase.EXTRACTION]
     assert [m.agent_id for m in extractions] == [1, 2]
@@ -461,7 +457,7 @@ def test_collect_candidates_keeps_duplicates():
     add(state, 2, Phase.IMPROVE, "same", turn=1)
     state.turn = 1
     backend = SeqBackend(["dup", "dup"])
-    assert collect_candidates(state, backend, ctx()) == ["dup", "dup"]
+    assert collect_candidates(state, backend) == ["dup", "dup"]
 
 
 def test_collect_candidates_falls_back_to_draft():
@@ -469,7 +465,7 @@ def test_collect_candidates_falls_back_to_draft():
     add(state, 1, Phase.DRAFT, "only one spoke", turn=1)
     state.turn = 1
     backend = SeqBackend(["a", "b"])
-    collect_candidates(state, backend, ctx())
+    collect_candidates(state, backend)
     # Agent 2 never spoke, so its extraction quotes the standing draft.
     assert "only one spoke" in backend.requests[1].messages[1].content
 
@@ -477,21 +473,21 @@ def test_collect_candidates_falls_back_to_draft():
 def test_collect_candidates_needs_some_history():
     state = make_state(2)
     with pytest.raises(ValueError):
-        collect_candidates(state, SeqBackend([]), ctx())
+        collect_candidates(state, SeqBackend([]))
 
 
 def test_collect_candidates_needs_panel_of_two():
     state = make_state(2)
     state.panel = state.panel[:1]
     with pytest.raises(ValueError):
-        collect_candidates(state, SeqBackend([]), ctx())
+        collect_candidates(state, SeqBackend([]))
 
 
 # -- vote rounds --
 
 
-def vote_state(n: int = 2, turn: int = 3) -> DebateState:
-    state = make_state(n)
+def vote_state(n: int = 2, turn: int = 3, **params) -> DebateState:
+    state = make_state(n, **params)
     add(state, 1, Phase.DRAFT, "alpha", turn=1)
     for agent in range(2, n + 1):
         add(state, agent, Phase.IMPROVE, f"beta from {agent}", turn=1)
@@ -500,9 +496,9 @@ def vote_state(n: int = 2, turn: int = 3) -> DebateState:
 
 
 def test_run_vote_round_happy_path():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(["cand A", "cand B", "1", "1"])
-    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
+    rnd = run_vote_round(state, backend)
     assert rnd.turn == 3
     assert rnd.candidates == ["cand A", "cand B"]
     assert [b.valid for b in rnd.ballots] == [True, True]
@@ -510,48 +506,44 @@ def test_run_vote_round_happy_path():
 
 
 def test_run_vote_round_reprompts_and_records_failures():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(["cand A", "cand B", "no number here", "2", "1"])
-    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
+    rnd = run_vote_round(state, backend)
     assert [(b.voter, b.valid) for b in rnd.ballots] == [(1, False), (1, True), (2, True)]
     assert rnd.ballots[0].reason == "no integer in ballot"
     assert rnd.tally.winners == {1, 2}
 
 
 def test_run_vote_round_abstention_after_four_failures():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(["cand A", "cand B", "x", "x", "x", "x", "2"])
-    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
+    rnd = run_vote_round(state, backend)
     agent1 = [b for b in rnd.ballots if b.voter == 1]
     assert len(agent1) == 4 and not any(b.valid for b in agent1)
     assert rnd.tally.winners == {2}
 
 
 def test_run_vote_round_everyone_abstains():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(["cand A", "cand B"] + ["x"] * 8)
-    rnd = run_vote_round(state, backend, ctx(decision_protocol="simple_voting"))
+    rnd = run_vote_round(state, backend)
     assert rnd.tally is None
     assert len(rnd.ballots) == 8
 
 
 def test_run_vote_round_cumulative_uses_configured_points():
-    state = vote_state()
+    state = vote_state(decision_protocol="cumulative_voting", cumulative_points=4)
     backend = SeqBackend(["cand A", "cand B", '{"1": 4}', '{"2": 4}'])
-    rnd = run_vote_round(
-        state, backend, ctx(decision_protocol="cumulative_voting", cumulative_points=4)
-    )
+    rnd = run_vote_round(state, backend)
     ballot_prompt = backend.requests[2].messages[1].content
     assert "4 points" in ballot_prompt
     assert rnd.tally.winners == {1, 2}
 
 
 def test_run_vote_round_budget_respects_configuration():
-    state = vote_state()
+    state = vote_state(decision_protocol="cumulative_voting", cumulative_points=4)
     backend = SeqBackend(["cand A", "cand B", '{"1": 9}', '{"1": 9}', '{"1": 3}', '{"2": 1}'])
-    rnd = run_vote_round(
-        state, backend, ctx(decision_protocol="cumulative_voting", cumulative_points=4)
-    )
+    rnd = run_vote_round(state, backend)
     # Two over-budget ballots from agent 1 before a valid one.
     reasons = [b.reason for b in rnd.ballots if not b.valid]
     assert all("budget" in r for r in reasons) and len(reasons) == 2
@@ -562,9 +554,9 @@ def test_run_vote_round_budget_respects_configuration():
 
 
 def test_judge_decide_success_appends_message():
-    state = vote_state()
+    state = vote_state(decision_protocol="judge")
     backend = SeqBackend(["the winning text"])
-    outcome = judge_decide(state, backend, ctx(decision_protocol="judge"), ["a", "b"])
+    outcome = judge_decide(state, backend, ["a", "b"])
     assert outcome.success
     assert outcome.final_text == "the winning text"
     assert state.turn == 3
@@ -577,8 +569,8 @@ def test_judge_decide_gateway_failure_falls_back():
         def complete(self, req):
             raise EndpointUnreachable("boom")
 
-    state = vote_state()
-    outcome = judge_decide(state, Down(), ctx(decision_protocol="judge"), ["first", "second"])
+    state = vote_state(decision_protocol="judge")
+    outcome = judge_decide(state, Down(), ["first", "second"])
     assert not outcome.success
     assert outcome.final_text == "first"
     assert "judge call failed" in outcome.fallback_reason
@@ -587,14 +579,16 @@ def test_judge_decide_gateway_failure_falls_back():
 
 def test_judge_decide_needs_candidates():
     with pytest.raises(ValueError):
-        judge_decide(vote_state(), SeqBackend([]), ctx(decision_protocol="judge"), [])
+        judge_decide(vote_state(decision_protocol="judge"), SeqBackend([]), [])
 
 
 # -- decide(): consensus --
 
 
-def consensus_state(agreements: list[Agreement | None], turn: int = 1) -> DebateState:
-    state = make_state(len(agreements))
+def consensus_state(
+    agreements: list[Agreement | None], turn: int = 1, **params
+) -> DebateState:
+    state = make_state(len(agreements), **params)
     add(state, 1, Phase.DRAFT, "the draft", turn=1)
     for agent, agreement in enumerate(agreements[1:], start=2):
         add(
@@ -610,21 +604,30 @@ def consensus_state(agreements: list[Agreement | None], turn: int = 1) -> Debate
 
 
 def test_decide_consensus_reached():
-    state = consensus_state([None, Agreement.AGREE, Agreement.AGREE])
-    outcome = decide(state, SeqBackend([]), ctx(decision_protocol="majority_consensus"))
+    state = consensus_state(
+        [None, Agreement.AGREE, Agreement.AGREE], decision_protocol="majority_consensus"
+    )
+    outcome = decide(state, SeqBackend([]))
     assert outcome.success
     assert outcome.final_text == "the draft"
     assert state.turn == 1
 
 
 def test_decide_consensus_keeps_debating():
-    state = consensus_state([None, Agreement.DISAGREE, Agreement.DISAGREE])
-    assert decide(state, SeqBackend([]), ctx(decision_protocol="majority_consensus")) is None
+    state = consensus_state(
+        [None, Agreement.DISAGREE, Agreement.DISAGREE], decision_protocol="majority_consensus"
+    )
+    assert decide(state, SeqBackend([])) is None
 
 
 def test_decide_consensus_turn_cap_fallback():
-    state = consensus_state([None, Agreement.DISAGREE, Agreement.DISAGREE], turn=7)
-    outcome = decide(state, SeqBackend([]), ctx(decision_protocol="majority_consensus", max_turns=7))
+    state = consensus_state(
+        [None, Agreement.DISAGREE, Agreement.DISAGREE],
+        turn=7,
+        decision_protocol="majority_consensus",
+        max_turns=7,
+    )
+    outcome = decide(state, SeqBackend([]))
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached without consensus"
     # The second disagreeing improve replaced the slate, so it is the fallback.
@@ -632,31 +635,33 @@ def test_decide_consensus_turn_cap_fallback():
 
 
 def test_decide_unanimity_blocks_on_single_holdout():
-    state = consensus_state([None, Agreement.AGREE, Agreement.DISAGREE])
-    assert decide(state, SeqBackend([]), ctx(decision_protocol="unanimity_consensus")) is None
+    state = consensus_state(
+        [None, Agreement.AGREE, Agreement.DISAGREE], decision_protocol="unanimity_consensus"
+    )
+    assert decide(state, SeqBackend([])) is None
 
 
 # -- decide(): voting --
 
 
 def test_decide_voting_not_due_yet():
-    state = vote_state(turn=2)
-    assert decide(state, SeqBackend([]), ctx(decision_protocol="simple_voting")) is None
+    state = vote_state(turn=2, decision_protocol="simple_voting")
+    assert decide(state, SeqBackend([])) is None
 
 
 def test_decide_voting_cap_before_voting_turn():
-    state = vote_state(turn=2)
-    outcome = decide(
-        state, SeqBackend([]), ctx(decision_protocol="simple_voting", voting_after_turns=9, max_turns=2)
+    state = vote_state(
+        turn=2, decision_protocol="simple_voting", voting_after_turns=9, max_turns=2
     )
+    outcome = decide(state, SeqBackend([]))
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached before the voting turn"
 
 
 def test_decide_voting_unique_winner():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(["cand A", "cand B", "2", "2"])
-    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
+    outcome = decide(state, backend)
     assert outcome.success
     assert outcome.final_text == "cand B"
     assert state.turn == 3
@@ -666,9 +671,9 @@ def test_decide_voting_unique_winner():
 
 
 def test_decide_voting_all_invalid_falls_back():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(["cand A", "cand B"] + ["x"] * 8)
-    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
+    outcome = decide(state, backend)
     assert not outcome.success
     assert outcome.fallback_reason == "all ballots invalid after re-prompts"
     assert outcome.final_text == "beta from 2"  # the standing draft
@@ -676,7 +681,7 @@ def test_decide_voting_all_invalid_falls_back():
 
 
 def test_decide_voting_tie_resolved_by_extra_round():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(
         [
             "cand A", "cand B", "1", "2",  # round 1: tie
@@ -684,7 +689,7 @@ def test_decide_voting_tie_resolved_by_extra_round():
             "cand A2", "cand B2", "2", "2",  # round 2: agent 2's candidate wins
         ]
     )
-    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
+    outcome = decide(state, backend)
     assert outcome.success
     assert outcome.tie_broken is TieBreak.EXTRA_ROUND
     assert outcome.final_text == "cand B2"
@@ -693,7 +698,7 @@ def test_decide_voting_tie_resolved_by_extra_round():
 
 
 def test_decide_voting_persistent_tie_uses_lowest_index():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(
         [
             "cand A", "cand B", "1", "2",
@@ -701,16 +706,16 @@ def test_decide_voting_persistent_tie_uses_lowest_index():
             "cand A2", "cand B2", "1", "2",
         ]
     )
-    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
+    outcome = decide(state, backend)
     assert outcome.success
     assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
     assert outcome.final_text == "cand A2"
 
 
 def test_decide_voting_tie_at_cap_skips_extra_round():
-    state = vote_state(turn=7)
+    state = vote_state(turn=7, decision_protocol="simple_voting", max_turns=7)
     backend = SeqBackend(["cand A", "cand B", "1", "2"])
-    outcome = decide(state, backend, ctx(decision_protocol="simple_voting", max_turns=7))
+    outcome = decide(state, backend)
     assert outcome.success
     assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
     assert outcome.final_text == "cand A"
@@ -719,7 +724,7 @@ def test_decide_voting_tie_at_cap_skips_extra_round():
 
 
 def test_decide_voting_tie_break_round_all_invalid():
-    state = vote_state()
+    state = vote_state(decision_protocol="simple_voting")
     backend = SeqBackend(
         [
             "cand A", "cand B", "1", "2",
@@ -728,15 +733,15 @@ def test_decide_voting_tie_break_round_all_invalid():
         ]
         + ["x"] * 8
     )
-    outcome = decide(state, backend, ctx(decision_protocol="simple_voting"))
+    outcome = decide(state, backend)
     assert not outcome.success
     assert outcome.fallback_reason == "all ballots invalid in the tie-break round"
     assert len(outcome.vote_detail) == 2
 
 
 def test_decide_judge_protocol():
-    state = vote_state()
+    state = vote_state(decision_protocol="judge")
     backend = SeqBackend(["cand A", "cand B", "judged answer"])
-    outcome = decide(state, backend, ctx(decision_protocol="judge"))
+    outcome = decide(state, backend)
     assert outcome.success
     assert outcome.final_text == "judged answer"

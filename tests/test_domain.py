@@ -40,8 +40,8 @@ def make_panel(n: int) -> list[AgentProfile]:
     ]
 
 
-def make_state(n: int = 3) -> DebateState:
-    return DebateState(task=make_task(), panel=make_panel(n))
+def make_state(n: int = 3, **params) -> DebateState:
+    return DebateState(JobParams(**params), make_task(), "solve", make_panel(n))
 
 
 def msg(seq: int, turn: int, agent: int, phase: Phase, text: str = "x", **kw) -> Message:
@@ -92,18 +92,19 @@ def test_outcome_requires_reason_when_unsuccessful():
 
 
 def test_outcome_log_optional_keys():
-    state = make_state()
+    state = make_state(decision_protocol="simple_voting")
     state.turn = 4
     outcome = DecisionOutcome(
         "answer", vote_detail=[{"turn": 3}], tie_broken=TieBreak.EXTRA_ROUND
     )
-    full = build_log_record(JobParams(decision_protocol="simple_voting"), state, outcome, 0)
+    full = build_log_record(state, outcome, 0)
     assert full["outcome"]["tieBroken"] == "extra_round"
     assert full["outcome"]["voteDetail"] == [{"turn": 3}]
-    lean = build_log_record(JobParams(), state, DecisionOutcome("answer"), 0)
+    state.params = JobParams()
+    lean = build_log_record(state, DecisionOutcome("answer"), 0)
     assert list(lean["outcome"]) == ["protocol", "finalText", "success", "decidedAtTurn"]
     failed = DecisionOutcome("", fallback_reason="cap", error="boom")
-    assert list(build_log_record(JobParams(), state, failed, 0)["outcome"]) == [
+    assert list(build_log_record(state, failed, 0)["outcome"]) == [
         "protocol",
         "finalText",
         "success",
@@ -114,13 +115,13 @@ def test_outcome_log_optional_keys():
 
 
 def test_log_record_derives_protocol_and_turn_from_job_and_state():
-    state = make_state()
+    state = make_state(decision_protocol="judge")
     state.turn = 2
-    judged = build_log_record(JobParams(decision_protocol="judge"), state, DecisionOutcome("a"), 0)
+    judged = build_log_record(state, DecisionOutcome("a"), 0)
     assert judged["outcome"]["protocol"] == "judge"
     assert judged["outcome"]["decidedAtTurn"] == 2
-    baseline = JobParams(decision_protocol="judge", use_baseline=True)
-    record = build_log_record(baseline, state, DecisionOutcome("a"), 0)
+    state.params = JobParams(decision_protocol="judge", use_baseline=True)
+    record = build_log_record(state, DecisionOutcome("a"), 0)
     assert record["outcome"]["protocol"] == "baseline"
 
 
@@ -203,7 +204,7 @@ def test_agreement_fraction_is_exact():
 
 
 def test_agreement_fraction_needs_panel():
-    state = DebateState(task=make_task(), panel=[])
+    state = make_state(0)
     with pytest.raises(ValueError):
         state.agreement_fraction()
 
@@ -219,9 +220,9 @@ def test_debate_messages_filters_bookkeeping_phases():
 
 
 def test_build_log_record_contract_keys():
-    state = make_state()
+    state = make_state(seed=5, api_key="k")
     state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    record = build_log_record(JobParams(seed=5, api_key="k"), state, DecisionOutcome("v1"), 12)
+    record = build_log_record(state, DecisionOutcome("v1"), 12)
     assert list(record) == ["config", "task", "personas", "messages", "outcome", "globalClockMs"]
     assert record["config"]["seed"] == 5 and "api_key" not in record["config"]
     assert [p["agentId"] for p in record["personas"]] == [1, 2, 3]

@@ -18,7 +18,6 @@ from agora.domain import (
 from agora.gateway import ChatRequest, ChatResponse
 from agora.paradigms import (
     CENTRAL_AGENT_ID,
-    DebateContext,
     PanelTooSmall,
     ParadigmKind,
     TurnStep,
@@ -31,17 +30,13 @@ from agora.paradigms import (
 )
 
 
-def make_state(n: int = 3) -> DebateState:
+def make_state(n: int = 3, **params) -> DebateState:
     panel = [
         AgentProfile(i, Persona(name=f"Participant {i}"))
         for i in range(1, n + 1)
     ]
     task = TaskInstance(id="s1", instruction_key="", input_lines=("x",))
-    return DebateState(task=task, panel=panel)
-
-
-def ctx(**params) -> DebateContext:
-    return DebateContext(JobParams(**params), task_text="solve", input_text="x")
+    return DebateState(JobParams(**params), task, "solve", panel)
 
 
 def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int, **kw) -> Message:
@@ -148,10 +143,10 @@ def test_debate_schedule_lone_peer_gets_half_the_exchanges():
 
 def test_schedule_is_turn_invariant():
     for kind in ParadigmKind:
-        state = make_state(5)
+        state = make_state(5, discussion_paradigm=kind.value)
         backend = SeqBackend([f"m{i} [DISAGREE]" for i in range(40)])
         for _ in range(3):
-            run_turn(state, backend, ctx(discussion_paradigm=kind.value))
+            run_turn(state, backend)
         per_turn = [[m.agent_id for m in state.transcript if m.turn == t] for t in (1, 2, 3)]
         expected = [step.speaker for step in schedule(kind, 5)]
         assert per_turn == [expected] * 3
@@ -226,7 +221,7 @@ def test_visibility_pair_only_other_pair_is_invisible():
 def test_first_step_prompt_is_system_only():
     state = make_state(2)
     step = TurnStep(1, Phase.IMPROVE)
-    messages = render_step_prompt(state, step, ctx())
+    messages = render_step_prompt(state, step)
     assert len(messages) == 1
     role, text = messages[0]
     assert role == "system"
@@ -237,18 +232,19 @@ def test_step_prompt_with_draft_adds_user_turn():
     state = make_state(2)
     add(state, 1, Phase.DRAFT, "drafted answer", turn=1)
     step = TurnStep(2, Phase.IMPROVE)
-    messages = render_step_prompt(state, step, ctx())
+    messages = render_step_prompt(state, step)
     assert [role for role, _ in messages] == ["system", "user"]
     assert "drafted answer" in messages[0][1]
     assert "Participant 1" in messages[0][1]
 
 
 def test_step_prompt_honors_generator_choice():
-    state = make_state(2)
+    state = make_state(2, response_generator="simple")
     add(state, 1, Phase.DRAFT, "d", turn=1)
     step = TurnStep(2, Phase.IMPROVE)
-    simple = render_step_prompt(state, step, ctx(response_generator="simple"))
-    critical = render_step_prompt(state, step, ctx(response_generator="critical"))
+    simple = render_step_prompt(state, step)
+    state.params = JobParams(response_generator="critical")
+    critical = render_step_prompt(state, step)
     assert simple[1][1] != critical[1][1]
 
 
@@ -264,7 +260,7 @@ def test_run_turn_memory_first_turn():
             "fine [AGREE]",
         ]
     )
-    run_turn(state, backend, ctx())
+    run_turn(state, backend)
     assert state.turn == 1
     assert [m.phase for m in state.transcript] == [
         Phase.DRAFT,
@@ -286,14 +282,14 @@ def test_run_turn_memory_first_turn():
 def test_run_turn_draft_phase_never_parses_agreement():
     state = make_state(2)
     backend = SeqBackend(["I [AGREE] with myself", "second [AGREE]"])
-    run_turn(state, backend, ctx())
+    run_turn(state, backend)
     assert state.transcript[0].phase is Phase.DRAFT
     assert state.transcript[0].agreement is None
     assert state.transcript[1].agreement is Agreement.AGREE
 
 
 def test_run_turn_debate_records_synthesis_as_draft_holder():
-    state = make_state(3)
+    state = make_state(3, discussion_paradigm="debate", debate_exchanges=2)
     backend = SeqBackend(
         [
             "p2 opening",
@@ -301,7 +297,7 @@ def test_run_turn_debate_records_synthesis_as_draft_holder():
             "central summary",
         ]
     )
-    run_turn(state, backend, ctx(discussion_paradigm="debate", debate_exchanges=2))
+    run_turn(state, backend)
     phases = [m.phase for m in state.transcript]
     assert phases == [Phase.DRAFT, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS]
     assert state.current_draft == "central summary"
@@ -312,20 +308,20 @@ def test_run_turn_rejects_ended_debate():
     state = make_state(2)
     state.ended = True
     with pytest.raises(DebateEnded):
-        run_turn(state, SeqBackend([]), ctx())
+        run_turn(state, SeqBackend([]))
 
 
 def test_run_turn_rejects_exceeding_turn_cap():
-    state = make_state(2)
+    state = make_state(2, max_turns=7)
     state.turn = 7
     with pytest.raises(ValueError):
-        run_turn(state, SeqBackend([]), ctx(max_turns=7))
+        run_turn(state, SeqBackend([]))
 
 
 def test_run_turn_report_peers_never_see_each_other():
-    state = make_state(3)
+    state = make_state(3, discussion_paradigm="report")
     backend = SeqBackend(["p2 draft", "p3 says [DISAGREE]", "central merge"])
-    run_turn(state, backend, ctx(discussion_paradigm="report"))
+    run_turn(state, backend)
     # The shared solution slate is always visible; the discussion memory is
     # what visibility scopes, so agent 3's memory must not quote agent 2.
     p3_memory = backend.requests[1].messages[0].content.split("Discussion so far:")[1]
@@ -337,8 +333,8 @@ def test_run_turn_report_peers_never_see_each_other():
 def test_run_turn_second_turn_numbering():
     state = make_state(2)
     backend = SeqBackend(["a", "b [AGREE]", "c [DISAGREE]", "d [AGREE]"])
-    run_turn(state, backend, ctx())
-    run_turn(state, backend, ctx())
+    run_turn(state, backend)
+    run_turn(state, backend)
     assert state.turn == 2
     assert [m.turn for m in state.transcript] == [1, 1, 2, 2]
     assert [m.seq for m in state.transcript] == [1, 2, 3, 4]

@@ -12,6 +12,8 @@ Also: every function parameter in src/agora is read by its function
 client, because every `agora` invocation pays for what it imports. And the
 per-debate backend is the one carrier of the job's model and of the clock:
 no function takes a `model_name`, and nothing type-checks the scripted backend.
+The debate state is the one carrier of a debate's job: no function takes it
+next to a second one.
 """
 
 from __future__ import annotations
@@ -189,3 +191,25 @@ def test_the_debate_backend_alone_names_the_model_and_keeps_the_clock():
     # The job's model reaches every request through gateway.DebateBackend, and
     # each backend declares its own clock; a second route for either drifts.
     assert model_and_clock_bypasses() == []
+
+
+def second_job_carriers() -> list[str]:
+    """`module.function` for each function taking a DebateState and a JobParams or DebateContext."""
+    flagged = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                types: Counter = Counter()
+                for param in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+                    if param.annotation is not None:
+                        types.update(_references(param.annotation))
+                if types["DebateState"] and (types["JobParams"] or types["DebateContext"]):
+                    flagged.append(f"{path.stem}.{node.name}")
+    return sorted(flagged)
+
+
+def test_the_debate_state_alone_carries_its_job():
+    # DebateState holds the job, the sample and its task text; a function
+    # that takes them a second time next to it can see two that disagree.
+    assert second_job_carriers() == []
