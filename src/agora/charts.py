@@ -6,6 +6,7 @@ bytes; there are no timestamps, random ids, or library version drift.
 
 from __future__ import annotations
 
+import csv
 import statistics
 from pathlib import Path
 from typing import Optional, Sequence
@@ -160,11 +161,14 @@ def emit_charts(
     out.mkdir(parents=True, exist_ok=True)
     manifest: list[Path] = []
 
-    def write(name: str, svg: str, csv_text: str) -> None:
-        svg_path = out / f"{name}.svg"
-        csv_path = out / f"{name}.csv"
+    def write(kind: str, job: str, svg: str, columns: str, *values: float) -> None:
+        """`{kind}-{job}.svg`, and its CSV twin: a `config,{columns}` header and the job's row."""
+        svg_path = out / f"{kind}-{job}.svg"
+        csv_path = out / f"{kind}-{job}.csv"
         svg_path.write_text(svg, encoding="utf-8")
-        csv_path.write_text(csv_text, encoding="utf-8")
+        with csv_path.open("w", encoding="utf-8", newline="") as handle:
+            rows = [["config", *columns.split(",")], [job, *map(fmt, values)]]
+            csv.writer(handle, lineterminator="\n").writerows(rows)
         manifest.extend([svg_path, csv_path])
 
     for result in sorted(eval_results, key=lambda r: r.job_name):
@@ -172,36 +176,22 @@ def emit_charts(
         chosen = _pick_metric(result, metric)
         mean = result.mean[chosen]
         std = result.std.get(chosen, 0.0)
-        write(
-            f"score-{job}",
-            _bar_svg(f"{chosen} ({job})", job, mean, std, 1.0, chosen),
-            f"config,mean,std\n{job},{fmt(mean)},{fmt(std)}\n",
-        )
+        svg = _bar_svg(f"{chosen} ({job})", job, mean, std, 1.0, chosen)
+        write("score", job, svg, "mean,std", mean, std)
 
         turns = result.turns or [0]
         low, high = float(min(turns)), float(max(turns))
         q1, median, q3 = _quartiles(turns)
         turn_mean = statistics.fmean(turns)
-        scale = max(high, 1.0)
-        write(
-            f"turns-{job}",
-            _box_svg(f"turns ({job})", job, low, q1, median, q3, high, turn_mean, scale),
-            "config,min,q1,median,q3,max,mean\n"
-            f"{job},{fmt(low)},{fmt(q1)},{fmt(median)},{fmt(q3)},{fmt(high)},{fmt(turn_mean)}\n",
-        )
+        svg = _box_svg(f"turns ({job})", job, low, q1, median, q3, high, turn_mean, max(high, 1.0))
+        write("turns", job, svg, "min,q1,median,q3,max,mean", low, q1, median, q3, high, turn_mean)
 
         rate = result.decision_success_rate
-        write(
-            f"decision-{job}",
-            _bar_svg(f"decision success ({job})", job, rate, None, 1.0, "success rate"),
-            f"config,success_rate\n{job},{fmt(rate)}\n",
-        )
+        svg = _bar_svg(f"decision success ({job})", job, rate, None, 1.0, "success rate")
+        write("decision", job, svg, "success_rate", rate)
 
         clock_mean = statistics.fmean(result.wall_clock_s) if result.wall_clock_s else 0.0
         clock_scale = max(clock_mean * 1.25, 1.0)
-        write(
-            f"clock-{job}",
-            _bar_svg(f"wall clock ({job})", job, clock_mean, None, clock_scale, "seconds"),
-            f"config,mean_s\n{job},{fmt(clock_mean)}\n",
-        )
+        svg = _bar_svg(f"wall clock ({job})", job, clock_mean, None, clock_scale, "seconds")
+        write("clock", job, svg, "mean_s", clock_mean)
     return manifest

@@ -8,9 +8,9 @@ import click
 
 from . import charts, evaluation, runner
 from .config import BatchConfig, ConfigError, expand_config, resolve_job_params
-from .datasets import EmptyDataset, MappingError
+from .datasets import EmptyDataset, MappingError, read_input
 from .evaluation import MissingReference, UnknownSampleId
-from .gateway import ScriptedGateway, load_script
+from .gateway import ScriptedGateway, script_from_dict
 
 
 @click.group()
@@ -24,8 +24,8 @@ def _load_backend(backend: str) -> ScriptedGateway | None:
     if backend.startswith("scripted:"):
         path = backend.split(":", 1)[1]
         try:
-            return load_script(path)
-        except (OSError, ValueError) as exc:
+            return script_from_dict(read_input(path))
+        except ValueError as exc:  # FormatError among them
             raise click.ClickException(f"cannot load script {path}: {exc}")
     raise click.ClickException(
         f"unknown backend {backend!r}; expected http or scripted:<script.json>"
@@ -46,17 +46,19 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
     scripted = _load_backend(backend)
     try:
         cfg = BatchConfig.load(config_path)
-        jobs = expand_config(cfg, scripted_backend=scripted is not None)
-    except ConfigError as exc:
+    except ConfigError as exc:  # it names the file
         raise click.ClickException(str(exc))
     # Every job is resolved up front, so a job that cannot run stops the
     # batch (and a dry run) before any debate starts.
-    resolved = []
-    for job in jobs:
-        try:
+    where = ""
+    try:
+        jobs = expand_config(cfg, scripted_backend=scripted is not None)
+        resolved = []
+        for job in jobs:
+            where = f"{job.name} r{job.repeat_index}: "
             resolved.append(resolve_job_params(job.params, http_backend=scripted is None))
-        except ConfigError as exc:
-            raise click.ClickException(f"{job.name} r{job.repeat_index}: {exc}")
+    except ConfigError as exc:
+        raise click.ClickException(f"{config_path}: {where}{exc}")
 
     if dry_run:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
@@ -91,15 +93,10 @@ def evaluate(logs: str, dataset: str, out_dir: str) -> None:
     """Score debate logs against their dataset, one eval file per job."""
     try:
         written = evaluation.evaluate_logs(logs, dataset, out_dir)
-    except (
-        FileNotFoundError,
-        ValueError,  # FormatError among them
-        MappingError,
-        EmptyDataset,
-        MissingReference,
-        UnknownSampleId,
-    ) as exc:
+    except (FileNotFoundError, ValueError, MappingError, EmptyDataset) as exc:  # FormatError too
         raise click.ClickException(str(exc))
+    except (MissingReference, UnknownSampleId) as exc:  # a log and its dataset disagree
+        raise click.ClickException(f"{exc} (dataset {dataset})")
     for path in written:
         click.echo(str(path))
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -10,6 +9,7 @@ from typing import Any, Mapping
 
 from . import decisions, paradigms
 from .agents import PERSONA_GENERATORS
+from .datasets import FormatError, read_input
 from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
 from .gateway import is_endpoint_url
 
@@ -88,17 +88,17 @@ class BatchConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "BatchConfig":
+        """The config in a JSON file; every ConfigError it raises names the file."""
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"no such config file: {path}")
-        except OSError as exc:  # a directory, say
-            raise ConfigError(f"cannot read config file {path}: {exc}")
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError(f"{path} is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
-        return cls.from_dict(data)
+            data = read_input(path)
+        except FormatError as exc:
+            raise ConfigError(str(exc))
+        try:
+            if not isinstance(data, dict):
+                raise ConfigError("top level must be a JSON object")
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}")
 
 
 @dataclass(frozen=True)

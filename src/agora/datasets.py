@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .domain import TaskInstance
 from .prompts import multiple_choice_footer
@@ -47,7 +49,7 @@ class FieldMapping:
             value = data.get(key, [])
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ValueError(f"{key} must be a list of strings")
-        for key in ("id_field", "answer_letter_field"):
+        for key in ("id_field", "answer_letter_field", "format", "instruction"):
             if not isinstance(data.get(key), (str, type(None))):
                 raise ValueError(f"{key} must be a string")
         return cls(
@@ -59,20 +61,51 @@ class FieldMapping:
         )
 
 
-def read_jsonl(
-    path: str | Path, fault: Callable[[dict[str, Any]], Optional[str]] = lambda record: None
-) -> list[dict[str, Any]]:
-    """One object per non-blank line. A line that is not a JSON object, or for which
-    `fault(record)` names a fault, raises FormatError naming the file and the line."""
+def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> Any:
+    """`parse` of the file's text, decoded as UTF-8 with no newline translation.
+    A file that cannot be read, decoded or parsed raises FormatError naming it."""
+    try:
+        return parse(Path(path).read_bytes().decode("utf-8"))
+    except FileNotFoundError:
+        raise FormatError(f"no such file: {path}")
+    except (OSError, ValueError, RecursionError, csv.Error) as exc:  # ValueError: not UTF-8 or JSON
+        raise FormatError(f"cannot read {path}: {exc}")
+
+
+# A field table maps a dotted key to (required, test): an absent optional
+# field passes, and a present one must pass its test.
+FieldTable = Mapping[str, tuple[bool, Callable[[Any], bool]]]
+
+_ABSENT = object()
+
+
+def field_fault(data: Any, table: FieldTable) -> Optional[str]:
+    """What is wrong with a JSON object against `table`, or None."""
+    if not isinstance(data, dict):
+        return "is not a JSON object"
+    for name, (required, test) in table.items():
+        value: Any = data
+        for key in name.split("."):
+            value = value.get(key, _ABSENT) if isinstance(value, dict) else _ABSENT
+        if value is _ABSENT and not required:
+            continue
+        if value is _ABSENT or not test(value):
+            return f"has no valid {name}"
+    return None
+
+
+def read_jsonl(path: str | Path, fields: FieldTable = {}) -> list[dict[str, Any]]:
+    """One object per non-blank line. A line that is not a JSON object, or fails
+    the field table, raises FormatError naming the file and the line."""
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input(path, str.splitlines), 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path} line {lineno}: invalid JSON: {exc}")
-        problem = fault(record) if isinstance(record, dict) else "is not a JSON object"
+        problem = field_fault(record, fields)
         if problem is not None:
             raise FormatError(f"{path} line {lineno} {problem}")
         records.append(record)
@@ -80,24 +113,20 @@ def read_jsonl(
 
 
 def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"no such file: {path}")
     if fmt == "json":
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path} is not valid JSON: {exc}")
-        if not isinstance(data, list):
+        records = read_input(path)
+        if not isinstance(records, list):
             raise FormatError(f"{path}: top level must be a JSON array of records")
-        records = data
     elif fmt == "jsonl":
         records = read_jsonl(path)
     elif fmt == "csv":
-        with path.open(encoding="utf-8", newline="") as handle:
-            records = list(csv.DictReader(handle))
+        records = read_input(
+            path, lambda text: list(csv.DictReader(io.StringIO(text, newline="")))
+        )
     else:
-        raise FormatError(f"unsupported format {fmt!r}; expected json, jsonl, or csv")
+        raise FormatError(f"{path}: unsupported format {fmt!r}; expected json, jsonl, or csv")
+    if not records:
+        raise EmptyDataset(f"{path} contains no records")
     for row, record in enumerate(records, 1):
         if not isinstance(record, dict):
             raise FormatError(f"{path} record {row} is not an object")
@@ -115,8 +144,6 @@ def load_dataset(
 ) -> list[TaskInstance]:
     """Map raw records into TaskInstances, rejecting bad rows all at once."""
     records = _read_records(path, format)
-    if not records:
-        raise EmptyDataset(f"{path} contains no records")
     required = list(mapping.input_fields) + list(mapping.reference_fields)
     declared = list(required) + list(mapping.context_fields)
     if mapping.id_field:
@@ -164,27 +191,26 @@ def load_dataset(
                 answer_letter=letter,
             )
         )
-    if problems:
-        raise MappingError("; ".join(problems))
-    _check_unique_ids(instances)
-    return instances
+    return _checked(path, instances, problems)
 
 
-def _check_unique_ids(instances: Sequence[TaskInstance]) -> None:
-    seen: dict[str, int] = {}
-    for instance in instances:
-        seen[instance.id] = seen.get(instance.id, 0) + 1
-    duplicates = sorted(sample_id for sample_id, count in seen.items() if count > 1)
+def _checked(
+    path: str | Path, instances: list[TaskInstance], problems: list[str]
+) -> list[TaskInstance]:
+    """The instances, unless a row is bad or two share an id: one MappingError names them all."""
+    counts = Counter(instance.id for instance in instances)
+    duplicates = sorted(sample_id for sample_id, count in counts.items() if count > 1)
     if duplicates:
-        raise MappingError(f"duplicate sample ids: {', '.join(duplicates)}")
+        problems.append(f"duplicate sample ids: {', '.join(duplicates)}")
+    if problems:
+        raise MappingError(f"{path}: " + "; ".join(problems))
+    return instances
 
 
 def load_unified(path: str | Path) -> list[TaskInstance]:
     """Load a file already in the unified sample schema (JSON array or JSONL)."""
     fmt = "jsonl" if str(path).endswith(".jsonl") else "json"
     records = _read_records(path, fmt)
-    if not records:
-        raise EmptyDataset(f"{path} contains no records")
     problems: list[str] = []
     instances: list[TaskInstance] = []
     for row, record in enumerate(records, 1):
@@ -192,10 +218,7 @@ def load_unified(path: str | Path) -> list[TaskInstance]:
             instances.append(unified_record_to_instance(record))
         except MappingError as exc:
             problems.append(f"row {row}: {exc}")
-    if problems:
-        raise MappingError("; ".join(problems))
-    _check_unique_ids(instances)
-    return instances
+    return _checked(path, instances, problems)
 
 
 def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
@@ -232,10 +255,7 @@ def load_input_file(path: str | Path) -> list[TaskInstance]:
     sidecar = sidecar_path(path)
     if not sidecar.exists():
         return load_unified(path)
-    try:
-        spec = json.loads(sidecar.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{sidecar} is not valid JSON: {exc}")
+    spec = read_input(sidecar)
     if not isinstance(spec, dict):
         raise FormatError(f"{sidecar}: top level must be a JSON object")
     try:

@@ -7,9 +7,9 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .datasets import FormatError, load_input_file, read_jsonl
+from .datasets import FieldTable, FormatError, field_fault, load_input_file, read_input, read_jsonl
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
@@ -41,10 +41,10 @@ def extract_answer_letter(text: str) -> Optional[str]:
     return None
 
 
-def _joined(record: dict[str, Any], by_id: dict[str, TaskInstance]) -> TaskInstance:
+def _joined(record: dict[str, Any], by_id: dict[str, TaskInstance], file: Path) -> TaskInstance:
     sample_id = record["task"]["id"]
     if sample_id not in by_id:
-        raise UnknownSampleId(f"log references unknown sample id {sample_id!r}")
+        raise UnknownSampleId(f"{file}: log references unknown sample id {sample_id!r}")
     return by_id[sample_id]
 
 
@@ -78,19 +78,24 @@ def _numbers(*values: Any) -> bool:
     return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
-# The eval file's fields in file order: each key's EvalResult attribute and the
-# test its value must pass. All but jobName and repeats may be absent.
-_EVAL_FIELDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "jobName": ("job_name", lambda value: isinstance(value, str)),
-    "repeats": ("repeats", lambda value: isinstance(value, int) and _numbers(value)),
-    "mean": ("mean", lambda value: isinstance(value, dict) and _numbers(*value.values())),
-    "std": ("std", lambda value: isinstance(value, dict) and _numbers(*value.values())),
-    "annotations": ("annotations", lambda value: isinstance(value, dict)),
-    "metricValues": ("metric_values", lambda value: isinstance(value, dict)),
-    "decisionSuccessRate": ("decision_success_rate", _numbers),
-    "turns": ("turns", lambda value: isinstance(value, list) and _numbers(*value)),
-    "wallClockS": ("wall_clock_s", lambda value: isinstance(value, list) and _numbers(*value)),
+# The eval file's fields in file order, each the camelCase name of an EvalResult
+# attribute, with the test its value must pass. All but jobName and repeats may be absent.
+_EVAL_FIELDS: FieldTable = {
+    "jobName": (True, lambda value: isinstance(value, str)),
+    "repeats": (True, lambda value: isinstance(value, int) and _numbers(value)),
+    "mean": (False, lambda value: isinstance(value, dict) and _numbers(*value.values())),
+    "std": (False, lambda value: isinstance(value, dict) and _numbers(*value.values())),
+    "annotations": (False, lambda value: isinstance(value, dict)),
+    "metricValues": (False, lambda value: isinstance(value, dict)),
+    "decisionSuccessRate": (False, _numbers),
+    "turns": (False, lambda value: isinstance(value, list) and _numbers(*value)),
+    "wallClockS": (False, lambda value: isinstance(value, list) and _numbers(*value)),
 }
+
+
+def _attr(key: str) -> str:
+    """The EvalResult attribute an eval-file key names: wallClockS -> wall_clock_s."""
+    return re.sub("[A-Z]", lambda match: "_" + match[0].lower(), key)
 
 
 @dataclass
@@ -107,12 +112,12 @@ class EvalResult:
 
     def to_json(self) -> dict[str, Any]:
         # Dict fields are written key-sorted, so one result always gives the same bytes.
-        values = {key: getattr(self, attr) for key, (attr, _) in _EVAL_FIELDS.items()}
+        values = {key: getattr(self, _attr(key)) for key in _EVAL_FIELDS}
         return {k: dict(sorted(v.items())) if isinstance(v, dict) else v for k, v in values.items()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "EvalResult":
-        return cls(**{attr: data[key] for key, (attr, _) in _EVAL_FIELDS.items() if key in data})
+        return cls(**{_attr(key): data[key] for key in _EVAL_FIELDS if key in data})
 
 
 _REPEAT_SUFFIX_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
@@ -140,23 +145,13 @@ def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
     return groups
 
 
-# The fields evaluation reads from a debate log record, and their JSON types.
-_LOG_FIELDS: dict[str, Any] = {
-    "task.id": str,
-    "outcome.finalText": str,
-    "outcome.decidedAtTurn": int,
-    "globalClockMs": (int, float),
+# The fields evaluation reads from a debate log record, and the test each must pass.
+_LOG_FIELDS: FieldTable = {
+    "task.id": (True, lambda value: isinstance(value, str)),
+    "outcome.finalText": (True, lambda value: isinstance(value, str)),
+    "outcome.decidedAtTurn": (True, lambda value: isinstance(value, int) and _numbers(value)),
+    "globalClockMs": (True, _numbers),
 }
-
-
-def _log_record_fault(record: dict[str, Any]) -> Optional[str]:
-    for name, kind in _LOG_FIELDS.items():
-        value: Any = record
-        for key in name.split("."):
-            value = value.get(key) if isinstance(value, dict) else None
-        if not isinstance(value, kind) or isinstance(value, bool):
-            return f"has no valid {name}"
-    return None
 
 
 # evaluate_job reads each log through this name, which the benchmark's tracer times.
@@ -188,11 +183,11 @@ def evaluate_job(
     successes = 0
     total = 0
     for _, file in repeat_files:
-        records = read_records(file, _log_record_fault)
+        records = read_records(file, _LOG_FIELDS)
         if not records:
             continue
         repeat_scores: dict[str, list[float]] = {}
-        joined = [(record, _joined(record, by_id)) for record in records]
+        joined = [(record, _joined(record, by_id, file)) for record in records]
         letters = [sample.answer_letter is not None for _, sample in joined]
         with_accuracy = any(letters)
         for record, sample in joined:
@@ -259,14 +254,9 @@ def load_eval_results(evals_dir: str | Path) -> list[EvalResult]:
         raise FileNotFoundError(f"no such evaluation path: {evals_dir}")
     results = []
     for file in files:
-        try:
-            data = json.loads(file.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
-            raise FormatError(f"cannot read {file} as JSON: {exc}")
-        if not isinstance(data, dict):
-            raise FormatError(f"{file} is not a JSON object")
-        for name, (_, valid) in _EVAL_FIELDS.items():
-            if (name in data or name in ("jobName", "repeats")) and not valid(data.get(name)):
-                raise FormatError(f"{file} has no valid {name}")
+        data = read_input(file)
+        problem = field_fault(data, _EVAL_FIELDS)
+        if problem is not None:
+            raise FormatError(f"{file} {problem}")
         results.append(EvalResult.from_json(data))
     return results

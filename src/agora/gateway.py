@@ -381,8 +381,3 @@ def script_from_dict(data: Any) -> ScriptedGateway:
                 'and an optional "repeatable" boolean'
             ) from None
     return ScriptedGateway(rules)
-
-
-def load_script(path: str) -> ScriptedGateway:
-    with open(path, encoding="utf-8") as handle:
-        return script_from_dict(json.load(handle))

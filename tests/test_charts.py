@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from xml.dom import minidom
 
 import pytest
@@ -151,3 +152,14 @@ def test_every_svg_is_well_formed_xml_for_a_job_name_with_markup(tmp_path):
             node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")
         ]
         assert "q&a<2>" in texts
+
+
+def test_every_csv_row_keeps_the_header_width_for_a_job_name_with_csv_syntax(tmp_path):
+    results = [make_result("a,b"), make_result('q"x')]
+    tables = [p for p in emit_charts(results, tmp_path) if p.suffix == ".csv"]
+    assert len(tables) == 8
+    for table in tables:
+        with table.open(encoding="utf-8", newline="") as handle:
+            header, row = csv.reader(handle)
+        assert len(row) == len(header)
+        assert row[0] == table.stem.split("-", 1)[1]

@@ -427,7 +427,7 @@ def test_chart_names_an_eval_file_that_is_not_utf8_json(tmp_path, content):
     bad.write_bytes(content)
     result = CliRunner().invoke(main, ["chart", "--evals", str(evals), "--out", str(tmp_path / "c")])
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output.startswith(f"Error: cannot read {bad} as JSON: ")
+    assert result.output.startswith(f"Error: cannot read {bad}: ")
     assert len(result.output.splitlines()) == 1
 
 
@@ -461,3 +461,39 @@ def test_evaluate_names_a_sidecar_with_a_mistyped_field(tmp_path):
     )
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     assert result.output == f"Error: {sidecar}: id_field must be a string\n"
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        ({"repeats": 0, "runs": [{}]}, "repeats must be an integer >= 1"),
+        ({"runs": [{"output_json_file_path": "o.jsonl"}]}, "run 1 is missing required key(s)"),
+        ({"runs": [{"input_json_file_path": "i.json", "output_json_file_path": "one.jsonl",
+                    "num_agents": 1}]}, "one r1: num_agents must be >= 2"),
+    ],
+)
+def test_run_names_the_config_once_in_front_of_a_content_error(tmp_path, content, problem):
+    _, script, _ = make_workspace(tmp_path)
+    config = write_json(tmp_path / "cfg.json", content)
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output.startswith(f"Error: {config}: {problem}")
+    assert result.output.count(str(config)) == 1
+
+
+def test_evaluate_names_the_log_and_the_dataset_of_an_unknown_sample_id(tmp_path):
+    dataset, _, _ = make_workspace(tmp_path)
+    log = tmp_path / "odd.jsonl"
+    record = {"task": {"id": "9"}, "outcome": {"finalText": "A", "decidedAtTurn": 1},
+              "globalClockMs": 5}
+    log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(tmp_path / "e")],
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output == (
+        f"Error: {log}: log references unknown sample id '9' (dataset {dataset})\n"
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -11,9 +13,12 @@ from agora.datasets import (
     FieldMapping,
     FormatError,
     MappingError,
+    field_fault,
     load_dataset,
     load_input_file,
     load_unified,
+    read_input,
+    read_jsonl,
     resolve_instruction,
     sidecar_path,
     subset,
@@ -35,6 +40,59 @@ def write_jsonl(tmp_path, name: str, records) -> str:
     path = tmp_path / name
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
     return str(path)
+
+
+# -- the reader and the field checker --
+
+
+@pytest.mark.parametrize(
+    "kind", ["missing", "directory", "not-utf8", "not-json", "too-deep", "csv-error"]
+)
+def test_read_input_names_a_file_it_cannot_read(tmp_path, kind):
+    path = tmp_path / "input.txt"
+    parse = json.loads
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'["\xff"]')
+    elif kind == "not-json":
+        path.write_text("[1,", encoding="utf-8")
+    elif kind == "too-deep":
+        path.write_text("[" * 100_000, encoding="utf-8")
+    elif kind == "csv-error":
+        path.write_text("a\n" + "x" * 200_000 + "\n", encoding="utf-8")
+        parse = lambda text: list(csv.reader(io.StringIO(text)))
+    with pytest.raises(FormatError) as excinfo:
+        read_input(path, parse)
+    expected = f"no such file: {path}" if kind == "missing" else f"cannot read {path}: "
+    assert str(excinfo.value).startswith(expected)
+
+
+def test_a_csv_cell_keeps_its_line_breaks(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b'question,answer\r\n"one\r\ntwo",a\r\n"three\rfour",b\nfive,c\r')
+    instances = load_dataset(str(path), "csv", BASIC_MAPPING)
+    assert [i.input_lines for i in instances] == [("one\r\ntwo",), ("three\rfour",), ("five",)]
+
+
+def test_read_jsonl_names_a_line_nested_too_deep(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("{}\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: invalid JSON"):
+        read_jsonl(path)
+
+
+def test_field_fault_checks_required_optional_and_dotted_keys():
+    table = {
+        "a.b": (True, lambda value: isinstance(value, int)),
+        "c": (False, lambda value: isinstance(value, str)),
+    }
+    assert field_fault({"a": {"b": 1}}, table) is None
+    assert field_fault({"a": {"b": 1}, "c": "x"}, table) is None
+    assert field_fault({"a": {"b": "1"}}, table) == "has no valid a.b"
+    assert field_fault({"a": 1, "c": "x"}, table) == "has no valid a.b"
+    assert field_fault({"a": {"b": 1}, "c": None}, table) == "has no valid c"
+    assert field_fault([{"a": {"b": 1}}], table) == "is not a JSON object"
 
 
 # -- field mapping --
@@ -194,6 +252,20 @@ def test_load_dataset_rejects_non_array_json(tmp_path):
         load_dataset(path, "json", BASIC_MAPPING)
 
 
+@pytest.mark.parametrize(
+    "records, problem",
+    [
+        ([{"qid": "a", "question": "q"}], "row 1: missing field(s) answer"),
+        ([{"qid": "a", "question": "q", "answer": "a"}] * 2, "duplicate sample ids: a"),
+    ],
+)
+def test_load_dataset_names_the_file_in_a_content_error(tmp_path, records, problem):
+    path = write_json(tmp_path, "data.json", records)
+    with pytest.raises(MappingError) as excinfo:
+        load_dataset(path, "json", FieldMapping(("question",), ("answer",), id_field="qid"))
+    assert str(excinfo.value) == f"{path}: {problem}"
+
+
 # -- unified schema --
 
 
@@ -248,6 +320,20 @@ def test_load_unified_reports_rows(tmp_path):
     path = write_json(tmp_path, "u.json", [unified_record(), {"inputs": ["x"]}])
     with pytest.raises(MappingError, match="row 2: missing id"):
         load_unified(path)
+
+
+@pytest.mark.parametrize(
+    "records, problem",
+    [
+        ([unified_record(), {"inputs": ["x"]}], "row 2: missing id"),
+        ([unified_record(), unified_record()], "duplicate sample ids: 0001"),
+    ],
+)
+def test_load_unified_names_the_file_in_a_content_error(tmp_path, records, problem):
+    path = write_json(tmp_path, "u.json", records)
+    with pytest.raises(MappingError) as excinfo:
+        load_unified(path)
+    assert str(excinfo.value) == f"{path}: {problem}"
 
 
 # -- sidecar flow --
@@ -306,6 +392,8 @@ def test_load_input_file_bad_sidecar(tmp_path):
         ({"context_fields": None}, "context_fields must be a list of strings"),
         ({"id_field": ["x"]}, "id_field must be a string"),
         ({"answer_letter_field": 2}, "answer_letter_field must be a string"),
+        ({"format": 5}, "format must be a string"),
+        ({"instruction": ["gpqa"]}, "instruction must be a string"),
     ],
 )
 def test_load_input_file_rejects_a_mistyped_sidecar_field(tmp_path, override, problem):

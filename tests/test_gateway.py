@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from agora.datasets import read_input
 from agora.gateway import (
     AuthRejected,
     ChatMessage,
@@ -23,7 +24,6 @@ from agora.gateway import (
     ScriptRule,
     ScriptedGateway,
     chat_request,
-    load_script,
     script_from_dict,
     wire_body,
 )
@@ -510,5 +510,5 @@ def test_script_from_dict_and_file(tmp_path):
     assert gw.complete(vote_req("has x")).text == "a"
     path = tmp_path / "script.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    loaded = load_script(str(path))
+    loaded = script_from_dict(read_input(path))
     assert loaded.complete(vote_req("no match")).text == "b"

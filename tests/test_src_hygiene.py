@@ -13,7 +13,8 @@ client, because every `agora` invocation pays for what it imports. And the
 per-debate backend is the one carrier of the job's model and of the clock:
 no function takes a `model_name`, and nothing type-checks the scripted backend.
 The debate state is the one carrier of a debate's job: no function takes it
-next to a second one.
+next to a second one. And `datasets.read_input` is the one place that reads
+an input file, so every input error names its file in one way.
 """
 
 from __future__ import annotations
@@ -213,3 +214,49 @@ def test_the_debate_state_alone_carries_its_job():
     # DebateState holds the job, the sample and its task text; a function
     # that takes them a second time next to it can see two that disagree.
     assert second_job_carriers() == []
+
+
+# The one reader of input files, and the one package resource read beside it.
+READERS = {("datasets", "read_input"), ("prompts", "template_text")}
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """read_text, read_bytes, json.load, or open / .open in a mode that reads."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
+        return True
+    if isinstance(func, ast.Attribute) and func.attr == "load":
+        return getattr(func.value, "id", None) == "json"
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes = call.args[:1]
+    else:
+        return False
+    modes += [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    if not modes:
+        return True  # the default mode is "r"
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or not set("wax").intersection(str(mode.value))
+
+
+def file_reads_outside_the_reader() -> list[str]:
+    """`module.py:line` for each call in src/agora that reads a file outside READERS."""
+    flagged = []
+
+    def visit(node: ast.AST, module: str, function: str) -> None:
+        if isinstance(node, ast.Call) and _reads_a_file(node) and (module, function) not in READERS:
+            flagged.append(f"{module}.py:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            visit(child, module, function or inner or "")
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return sorted(flagged)
+
+
+def test_only_the_reader_reads_files():
+    # A second reader is a second set of read, decode and parse errors, and
+    # the ones it forgets reach the user as a traceback or an unnamed file.
+    assert file_reads_outside_the_reader() == []
