@@ -7,11 +7,13 @@ bytes; there are no timestamps, random ids, or library version drift.
 from __future__ import annotations
 
 import csv
+import io
 import statistics
 from pathlib import Path
 from typing import Optional, Sequence
 from xml.sax.saxutils import escape
 
+from .datasets import write_output
 from .evaluation import EvalResult
 
 
@@ -158,17 +160,17 @@ def emit_charts(
     if not eval_results:
         raise EmptyResults("no evaluation results to chart")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest: list[Path] = []
 
     def write(kind: str, job: str, svg: str, columns: str, *values: float) -> None:
         """`{kind}-{job}.svg`, and its CSV twin: a `config,{columns}` header and the job's row."""
         svg_path = out / f"{kind}-{job}.svg"
         csv_path = out / f"{kind}-{job}.csv"
-        svg_path.write_text(svg, encoding="utf-8")
-        with csv_path.open("w", encoding="utf-8", newline="") as handle:
-            rows = [["config", *columns.split(",")], [job, *map(fmt, values)]]
-            csv.writer(handle, lineterminator="\n").writerows(rows)
+        write_output(svg_path, [svg])
+        table = io.StringIO()
+        rows = [["config", *columns.split(",")], [job, *map(fmt, values)]]
+        csv.writer(table, lineterminator="\n").writerows(rows)
+        write_output(csv_path, [table.getvalue()])
         manifest.extend([svg_path, csv_path])
 
     for result in sorted(eval_results, key=lambda r: r.job_name):

@@ -93,7 +93,7 @@ def evaluate(logs: str, dataset: str, out_dir: str) -> None:
     """Score debate logs against their dataset, one eval file per job."""
     try:
         written = evaluation.evaluate_logs(logs, dataset, out_dir)
-    except (FileNotFoundError, ValueError, MappingError, EmptyDataset) as exc:  # FormatError too
+    except (ValueError, MappingError, EmptyDataset) as exc:  # FormatError too
         raise click.ClickException(str(exc))
     except (MissingReference, UnknownSampleId) as exc:  # a log and its dataset disagree
         raise click.ClickException(f"{exc} (dataset {dataset})")
@@ -110,7 +110,7 @@ def chart(evals: str, out_dir: str, metric: str | None) -> None:
     try:
         results = evaluation.load_eval_results(evals)
         manifest = charts.emit_charts(results, out_dir, metric=metric)
-    except (FileNotFoundError, ValueError, charts.EmptyResults) as exc:
+    except (ValueError, charts.EmptyResults) as exc:  # FormatError too
         raise click.ClickException(str(exc))
     for path in manifest:
         click.echo(str(path))

@@ -133,7 +133,7 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
         missing = [key for key in required if key not in merged]
         if missing:
             raise ConfigMissingRequired(missing, index)
-        output = str(merged["output_json_file_path"])
+        output = _typed("output_json_file_path", merged["output_json_file_path"], "")
         first = writers.setdefault(os.path.abspath(output), index)
         if first != index:
             raise ConfigError(f"runs {first} and {index} both write {output!r}")
@@ -186,7 +186,9 @@ def _typed(key: str, value: Any, default: Any) -> Any:
     if isinstance(default, bool):
         return _as_bool(value, key)
     if isinstance(default, str):
-        return str(value)
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {type(value).__name__}")
+        return value
     if default is None and value is None:
         return None
     return _as_int(value, key, _MINIMUMS.get(key, 1))
@@ -229,9 +231,7 @@ def resolve_job_params(params: Mapping[str, Any], http_backend: bool = False) ->
         for f in fields(JobParams)
         if f.name in params
     }
-    values["api_key"] = str(params.get("api_key") or "") or os.environ.get(
-        "AGORA_API_KEY", ""
-    )
+    values["api_key"] = values.get("api_key") or os.environ.get("AGORA_API_KEY", "")
     job = JobParams(**values)
     _check_runnable(job, http_backend)
     return job

@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .domain import TaskInstance
 from .prompts import multiple_choice_footer
@@ -70,6 +70,27 @@ def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> An
         raise FormatError(f"no such file: {path}")
     except (OSError, ValueError, RecursionError, csv.Error) as exc:  # ValueError: not UTF-8 or JSON
         raise FormatError(f"cannot read {path}: {exc}")
+
+
+def write_output(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the chunks as UTF-8 with no newline translation, making the file's
+    directory. A file that cannot be written, or text that is not UTF-8 (a lone
+    surrogate), raises FormatError naming the file."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise FormatError(f"cannot write {path}: {exc}")
+
+
+def input_files(path: str | Path, keep: Callable[[Path], bool]) -> list[Path]:
+    """The files in a directory that `keep` accepts, in name order, or the one file `path` is."""
+    if Path(path).is_dir():
+        return sorted(file for file in Path(path).iterdir() if keep(file))
+    if not Path(path).exists():
+        raise FormatError(f"no such file: {path}")
+    return [Path(path)]
 
 
 # A field table maps a dotted key to (required, test): an absent optional
@@ -221,28 +242,38 @@ def load_unified(path: str | Path) -> list[TaskInstance]:
     return _checked(path, instances, problems)
 
 
+def _strings(record: dict[str, Any], key: str) -> tuple[str, ...]:
+    """The record's list of strings under `key` (none when absent), checked as it is copied."""
+    value = record.get(key, [])
+    if isinstance(value, list):
+        lines = tuple(item for item in value if isinstance(item, str))
+        if len(lines) == len(value):
+            return lines
+    raise MappingError(f"{key} must be a list of strings")
+
+
 def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
     if "id" not in record:
         raise MappingError("missing id")
-    inputs = record.get("inputs")
-    if not isinstance(inputs, list) or not inputs:
+    if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
+        raise MappingError("id must be a string or an integer")
+    instruction, letter = record.get("instruction", ""), record.get("answerLetter")
+    if not isinstance(instruction, str):
+        raise MappingError("instruction must be a string")
+    if not isinstance(letter, (str, type(None))):
+        raise MappingError("answerLetter must be a string")
+    inputs, references = _strings(record, "inputs"), _strings(record, "references")
+    if not inputs:
         raise MappingError("inputs must be a non-empty list")
-    references = record.get("references", [])
-    if not isinstance(references, list):
-        raise MappingError("references must be a list")
-    letter = record.get("answerLetter")
     if not references and letter is None:
         raise MappingError("record needs references or answerLetter")
-    context = record.get("context", [])
-    if not isinstance(context, list):
-        raise MappingError("context must be a list")
     return TaskInstance(
         id=str(record["id"]),
-        instruction_key=str(record.get("instruction", "")),
-        input_lines=tuple(str(v) for v in inputs),
-        context_lines=tuple(str(v) for v in context),
-        references=tuple(str(v) for v in references),
-        answer_letter=None if letter is None else str(letter),
+        instruction_key=instruction,
+        input_lines=inputs,
+        context_lines=_strings(record, "context"),
+        references=references,
+        answer_letter=letter,
     )
 
 

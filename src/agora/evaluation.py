@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .datasets import FieldTable, FormatError, field_fault, load_input_file, read_input, read_jsonl
+from .datasets import FieldTable, FormatError, field_fault, input_files, load_input_file
+from .datasets import read_input, read_jsonl, write_output
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
@@ -125,15 +126,8 @@ _REPEAT_SUFFIX_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
 
 def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
     """Map job name -> [(repeat index, path)] from -r{i} file name suffixes."""
-    path = Path(logs)
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix in (".json", ".jsonl"))
-    elif path.exists():
-        files = [path]
-    else:
-        raise FileNotFoundError(f"no such log path: {logs}")
     groups: dict[str, list[tuple[int, Path]]] = {}
-    for file in files:
+    for file in input_files(logs, lambda file: file.suffix in (".json", ".jsonl")):
         match = _REPEAT_SUFFIX_RE.match(file.stem)
         if match:
             job, repeat = match.group("job"), int(match.group("repeat"))
@@ -229,31 +223,19 @@ def evaluate_logs(
 ) -> list[Path]:
     """Evaluate every job found under `logs`; one {job}.eval.json per job."""
     samples = load_input_file(dataset)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for job_name, repeat_files in sorted(group_log_files(logs).items()):
         result = evaluate_job(job_name, repeat_files, samples)
-        target = out / f"{job_name}.eval.json"
-        target.write_text(
-            json.dumps(result.to_json(), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        target = Path(out_dir) / f"{job_name}.eval.json"
+        write_output(target, [json.dumps(result.to_json(), ensure_ascii=False, indent=2), "\n"])
         written.append(target)
     return written
 
 
 def load_eval_results(evals_dir: str | Path) -> list[EvalResult]:
     """Every eval file under `evals_dir`; one the charts cannot read raises FormatError."""
-    path = Path(evals_dir)
-    if path.is_dir():
-        files = sorted(path.glob("*.eval.json"))
-    elif path.exists():
-        files = [path]
-    else:
-        raise FileNotFoundError(f"no such evaluation path: {evals_dir}")
     results = []
-    for file in files:
+    for file in input_files(evals_dir, lambda file: file.name.endswith(".eval.json")):
         data = read_input(file)
         problem = field_fault(data, _EVAL_FIELDS)
         if problem is not None:

@@ -151,19 +151,6 @@ def _align_blocks(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, in
         blocks.append((ci, ri, best_len))
 
 
-def _chunk_count(blocks: list[tuple[int, int, int]]) -> int:
-    pairs = sorted(
-        (ci + offset, ri + offset) for ci, ri, length in blocks for offset in range(length)
-    )
-    chunks = 0
-    previous: tuple[int, int] | None = None
-    for ci, ri in pairs:
-        if previous is None or (ci, ri) != (previous[0] + 1, previous[1] + 1):
-            chunks += 1
-        previous = (ci, ri)
-    return chunks
-
-
 def meteor_lite(candidate: str, reference: str) -> float:
     """Exact-match METEOR: no stemming or synonymy, alignment by common blocks."""
     cand = tokenize(candidate)
@@ -177,6 +164,9 @@ def meteor_lite(candidate: str, reference: str) -> float:
     precision = m / len(cand)
     recall = m / len(ref)
     f_mean = 10 * precision * recall / (recall + 9 * precision)
-    chunks = _chunk_count(blocks)
+    # Each block is one chunk. Had block B followed block A in both texts,
+    # the first of them picked would have run on into the other's free
+    # positions, since the alignment takes the longest free run first.
+    chunks = len(blocks)
     penalty = 0.5 * (chunks / m) ** 3
     return f_mean * (1 - penalty)

@@ -6,7 +6,6 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Optional
 
 from . import datasets, decisions, paradigms, prompts
@@ -109,14 +108,9 @@ def _write_job(job: _QueuedJob, queued_at: float) -> None:
     """Write the job's log in sample order, fill its report and drop its records."""
     report, path = job.report, job.params.output_json_file_path
     try:
-        out = Path(path)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as handle:
-            for record in job.records:
-                handle.write(serialize_record(record) + "\n")
-    except OSError as exc:
-        report.error = f"cannot write {path}: {exc}"
+        datasets.write_output(path, (serialize_record(record) + "\n" for record in job.records))
+    except datasets.FormatError as exc:
+        report.error = str(exc)
     else:
         report.records = len(job.records)
         report.failures = sum(1 for record in job.records if record_failed(record))

@@ -1,7 +1,7 @@
 """Reference implementations kept as equivalence oracles for `agora.metrics`.
 
-These are the straightforward versions the optimised metrics replaced; the
-property tests in test_metrics.py require exactly equal scores.
+These are the straightforward versions the optimised or simplified metrics
+replaced; the property tests in test_metrics.py require exactly equal scores.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from agora.metrics import _ngram_counts, tokenize
+from agora.metrics import _align_blocks, _ngram_counts, tokenize
 
 
 def reference_bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
@@ -44,3 +44,34 @@ def reference_bleu(candidate: str, references: Iterable[str], max_n: int = 4) ->
     r = min((len(ref) for ref in refs), key=lambda rl: (abs(rl - c), rl))
     brevity = 1.0 if c >= r else math.exp(1 - r / c)
     return brevity * geo_mean
+
+
+def reference_chunk_count(blocks: list[tuple[int, int, int]]) -> int:
+    """Chunks counted from the aligned token pairs: runs adjacent in both texts."""
+    pairs = sorted(
+        (ci + offset, ri + offset) for ci, ri, length in blocks for offset in range(length)
+    )
+    chunks = 0
+    previous: tuple[int, int] | None = None
+    for ci, ri in pairs:
+        if previous is None or (ci, ri) != (previous[0] + 1, previous[1] + 1):
+            chunks += 1
+        previous = (ci, ri)
+    return chunks
+
+
+def reference_meteor_lite(candidate: str, reference: str) -> float:
+    """meteor_lite with its chunks counted from the token pairs, not the blocks."""
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    if not cand or not ref:
+        return 0.0
+    blocks = _align_blocks(cand, ref)
+    m = sum(length for _, _, length in blocks)
+    if m == 0:
+        return 0.0
+    precision = m / len(cand)
+    recall = m / len(ref)
+    f_mean = 10 * precision * recall / (recall + 9 * precision)
+    penalty = 0.5 * (reference_chunk_count(blocks) / m) ** 3
+    return f_mean * (1 - penalty)

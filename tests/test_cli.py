@@ -146,6 +146,20 @@ def test_run_rejects_a_job_that_cannot_run_before_any_debate(tmp_path, run, key)
         assert not (tmp_path / "logs").exists()
 
 
+@pytest.mark.parametrize("key, value", [("model_name", ["m"]), ("api_key", 7)])
+def test_run_dry_run_names_the_config_job_and_key_of_a_string_key_of_another_type(
+    tmp_path, key, value
+):
+    dataset, script, _ = make_workspace(tmp_path)
+    config = one_run_config(tmp_path, dataset, **{key: value})
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    kind = type(value).__name__
+    assert result.output == f"Error: {config}: one r1: {key} must be a string, got {kind}\n"
+
+
 @pytest.mark.parametrize(
     "url", ["localhost:8000/v1", "ftp://host/v1", "http:///v1", "http://host:port/v1", ""]
 )

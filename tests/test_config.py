@@ -269,6 +269,24 @@ def test_resolve_rejects_bad_values():
         resolve_job_params({"decision_protocol": "coin_flip"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("model_name", ["m"]), ("input_json_file_path", 5), ("output_json_file_path", None),
+     ("api_key", 7), ("endpoint_url", {"url": "http://x"}),
+     ("task_instruction_prompt_template", True)],
+)
+def test_resolve_rejects_a_string_key_of_another_type(key, value):
+    with pytest.raises(ConfigError) as caught:
+        resolve_job_params({key: value})
+    assert str(caught.value) == f"{key} must be a string, got {type(value).__name__}"
+
+
+def test_expand_rejects_an_output_path_that_is_not_a_string():
+    with pytest.raises(ConfigError) as caught:
+        expand_config(batch(runs=[{"output_json_file_path": None}]))
+    assert str(caught.value) == "output_json_file_path must be a string, got NoneType"
+
+
 def test_resolve_rejects_a_panel_too_small_for_its_paradigm():
     for paradigm in ("report", "debate"):
         with pytest.raises(ConfigError, match="num_agents=2"):

@@ -1,4 +1,5 @@
-"""Dataset ingestion: raw-file mapping, unified schema, subsetting, templates."""
+"""Dataset ingestion: raw-file mapping, unified schema, subsetting, templates,
+and the one reader, writer and lister of files."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from agora.datasets import (
     FormatError,
     MappingError,
     field_fault,
+    input_files,
     load_dataset,
     load_input_file,
     load_unified,
@@ -23,6 +25,7 @@ from agora.datasets import (
     sidecar_path,
     subset,
     unified_record_to_instance,
+    write_output,
 )
 from agora.domain import TaskInstance
 
@@ -66,6 +69,39 @@ def test_read_input_names_a_file_it_cannot_read(tmp_path, kind):
         read_input(path, parse)
     expected = f"no such file: {path}" if kind == "missing" else f"cannot read {path}: "
     assert str(excinfo.value).startswith(expected)
+
+
+def test_write_output_streams_utf8_with_no_newline_translation_into_new_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.jsonl"
+    write_output(path, (f"{line}\n" for line in ["déjà", "x\r\ny"]))
+    assert path.read_bytes() == "déjà\nx\r\ny\n".encode("utf-8")
+    write_output(path, ["replaced"])
+    assert path.read_bytes() == b"replaced"
+
+
+@pytest.mark.parametrize("kind", ["parent-is-a-file", "target-is-a-directory", "lone-surrogate"])
+def test_write_output_names_a_file_it_cannot_write(tmp_path, kind):
+    path, chunks = tmp_path / "out" / "x.json", ["{}"]
+    if kind == "parent-is-a-file":
+        (tmp_path / "out").write_text("", encoding="utf-8")
+    elif kind == "target-is-a-directory":
+        path.mkdir(parents=True)
+    else:
+        chunks = ["ok", "\ud800"]
+    with pytest.raises(FormatError) as excinfo:
+        write_output(path, chunks)
+    assert str(excinfo.value).startswith(f"cannot write {path}: ")
+
+
+def test_input_files_lists_a_directory_in_name_order_or_names_one_file(tmp_path):
+    for name in ("b.json", "a.jsonl", "c.txt"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    keep = lambda file: file.suffix in (".json", ".jsonl")
+    assert input_files(tmp_path, keep) == [tmp_path / "a.jsonl", tmp_path / "b.json"]
+    assert input_files(tmp_path / "c.txt", keep) == [tmp_path / "c.txt"]
+    with pytest.raises(FormatError) as excinfo:
+        input_files(tmp_path / "nowhere", keep)
+    assert str(excinfo.value) == f"no such file: {tmp_path / 'nowhere'}"
 
 
 def test_a_csv_cell_keeps_its_line_breaks(tmp_path):
@@ -299,6 +335,32 @@ def test_unified_record_requirements():
         unified_record_to_instance(unified_record(inputs=[]))
     with pytest.raises(MappingError, match="references or answerLetter"):
         unified_record_to_instance(unified_record(references=[]))
+
+
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        ({"id": ["0001"]}, "id must be a string or an integer"),
+        ({"id": True}, "id must be a string or an integer"),
+        ({"instruction": ["gpqa"]}, "instruction must be a string"),
+        ({"instruction": None}, "instruction must be a string"),
+        ({"answerLetter": ["B"]}, "answerLetter must be a string"),
+        ({"inputs": [{"a": 1}]}, "inputs must be a list of strings"),
+        ({"inputs": "An article."}, "inputs must be a list of strings"),
+        ({"context": ["c", 2]}, "context must be a list of strings"),
+        ({"context": None}, "context must be a list of strings"),
+        ({"references": [None]}, "references must be a list of strings"),
+    ],
+)
+def test_unified_record_rejects_a_mistyped_field(override, problem):
+    with pytest.raises(MappingError) as excinfo:
+        unified_record_to_instance(unified_record(**override))
+    assert str(excinfo.value) == problem
+
+
+def test_unified_record_keeps_an_integer_id_and_a_null_letter():
+    instance = unified_record_to_instance(unified_record(id=5, answerLetter=None))
+    assert (instance.id, instance.answer_letter) == ("5", None)
 
 
 def test_unified_letter_only_record_is_valid():

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from agora.datasets import FormatError
 from agora.domain import TaskInstance
 from agora.evaluation import (
     EvalResult,
@@ -177,8 +178,9 @@ def test_group_log_files_single_file(tmp_path):
 
 
 def test_group_log_files_missing_path(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FormatError) as caught:
         group_log_files(tmp_path / "nowhere")
+    assert str(caught.value) == f"no such file: {tmp_path / 'nowhere'}"
 
 
 def test_read_records_skips_blank_lines(tmp_path):
@@ -291,5 +293,6 @@ def test_evaluate_logs_writes_one_file_per_job(tmp_path):
 
 
 def test_load_eval_results_missing_path(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FormatError) as caught:
         load_eval_results(tmp_path / "nope")
+    assert str(caught.value) == f"no such file: {tmp_path / 'nope'}"

@@ -15,6 +15,10 @@ A file is spoiled by a corruption (bytes that are not UTF-8, a truncation, an
 empty file, or a directory in its place) or by a mutation of its JSON
 document: a dropped key or list item, or a value retyped to null, 5, "s",
 [], {} or true.
+
+The outputs get the same oracle: an `--out` that cannot be written (a file in
+its place or in a parent's, or a directory where an eval file goes) fails with
+exit 1 in one line that names it.
 """
 
 from __future__ import annotations
@@ -115,9 +119,13 @@ def documents(root: Path) -> dict[str, Any]:
     }
 
 
-def _evaluate(dataset: str):
+def _evaluate(dataset: str, out: str = "scores"):
     return lambda root: ["evaluate", "--logs", root / "logs", "--dataset", root / dataset,
-                         "--out", root / "scores"]
+                         "--out", root / out]
+
+
+def _chart(out: str = "charts"):
+    return lambda root: ["chart", "--evals", root / "evals", "--out", root / out]
 
 
 def _run(*flags: str):
@@ -133,8 +141,7 @@ ENTRIES = {
     "tasks.json": (_evaluate("tasks.json"), "tasks.json"),
     "raw.json.mapping.json": (_evaluate("raw.json"), "raw.json"),
     "logs/demo-r1.jsonl": (_evaluate("tasks.json"), "logs/demo-r1.jsonl"),
-    "evals/demo.eval.json": (lambda root: ["chart", "--evals", root / "evals",
-                                           "--out", root / "charts"], "evals/demo.eval.json"),
+    "evals/demo.eval.json": (_chart(), "evals/demo.eval.json"),
 }
 
 CORRUPTIONS = ["not-utf8", "truncated", "empty", "directory"]
@@ -183,31 +190,43 @@ def _spoiled(name: str, document: Any, kind: str, arg: Any) -> bytes:
     return _encoded(name, _mutated(document, *arg))
 
 
+def workspace(root: Path) -> dict[str, Any]:
+    """Write every input file's valid document under `root`, and return the documents."""
+    valid = documents(root)
+    for file, document in valid.items():
+        (root / file).parent.mkdir(parents=True, exist_ok=True)
+        (root / file).write_bytes(_encoded(file, document))
+    return valid
+
+
+def judged(args: list, named: Path, where: str, job_named: bool = False) -> Result:
+    """Run the CLI: no exception escapes, the exit code is 0 or 1, and every error
+    line names `named` (or a job with no metrics, when `job_named` allows it)."""
+    result = CliRunner().invoke(main, [str(part) for part in args])
+    where += f":\n{result.output}"
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        where += "".join(traceback.format_exception(result.exception))
+        pytest.fail(f"uncaught exception for {where}")
+    assert result.exit_code in (0, 1), where
+    for line in result.output.splitlines():
+        if line.startswith("Error:") or "ABORTED:" in line:
+            assert str(named) in line or (job_named and "has no metrics" in line), where
+    return result
+
+
 def check(name: str, kind: str, arg: Any = None) -> Result:
     """Spoil one file of a fresh workspace, run the entry that reads it, and judge the output."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        valid = documents(root)
-        for file, document in valid.items():
-            (root / file).parent.mkdir(parents=True, exist_ok=True)
-            (root / file).write_bytes(_encoded(file, document))
+        valid = workspace(root)
         if kind == "directory":
             (root / name).unlink()
             (root / name).mkdir()
         elif kind != "valid":
             (root / name).write_bytes(_spoiled(name, valid[name], kind, arg))
         args, named = ENTRIES[name]
-        result = CliRunner().invoke(main, [str(part) for part in args(root)])
-        where = f"{name} {kind} {arg!r}:\n{result.output}"
-        if result.exception is not None and not isinstance(result.exception, SystemExit):
-            where += "".join(traceback.format_exception(result.exception))
-            pytest.fail(f"uncaught exception for {where}")
-        assert result.exit_code in (0, 1), where
-        for line in result.output.splitlines():
-            if line.startswith("Error:") or "ABORTED:" in line:
-                job_named = name.startswith("evals/") and "has no metrics" in line
-                assert str(root / named) in line or job_named, where
-        return result
+        where = f"{name} {kind} {arg!r}"
+        return judged(args(root), root / named, where, job_named=name.startswith("evals/"))
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
@@ -246,3 +265,33 @@ def spoilings(draw) -> tuple[str, str, Any]:
 @example(("tasks.json", "mutated", ((1, "answerLetter"), DROP)))  # a sample with no letter
 def test_a_mutated_input_file_fails_in_one_line_naming_it_or_runs(spoiling):
     check(*spoiling)
+
+
+# An output path the entry cannot write: its --out, and what stands in the way
+# (a file, or a directory where the entry writes a file).
+BLOCKED_OUTPUTS = [
+    (_evaluate("tasks.json", "scores"), "scores", "file", "scores"),
+    (_chart("charts"), "charts", "file", "charts"),
+    (_chart("charts/sub"), "charts/sub", "file", "charts"),
+    (_evaluate("tasks.json", "scores"), "scores", "directory", "scores/demo.eval.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, out, kind, blocker",
+    BLOCKED_OUTPUTS,
+    ids=["evaluate-out-is-a-file", "chart-out-is-a-file", "chart-out-under-a-file",
+         "eval-file-is-a-directory"],
+)
+def test_an_output_that_cannot_be_written_fails_in_one_line_naming_it(
+    tmp_path, args, out, kind, blocker
+):
+    workspace(tmp_path)
+    if kind == "directory":
+        (tmp_path / blocker).mkdir(parents=True)
+    else:
+        (tmp_path / blocker).write_bytes(b"")
+    result = judged(args(tmp_path), tmp_path / out, f"--out {out}, a {kind} at {blocker}")
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: cannot write "), result.output
+    assert len(result.output.splitlines()) == 1, result.output

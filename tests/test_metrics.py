@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agora.metrics import bleu, meteor_lite, rouge, tokenize
-from metrics_oracle import reference_bleu
+from metrics_oracle import reference_bleu, reference_meteor_lite
 
 
 # -- tokenizer --
@@ -226,3 +226,13 @@ def test_meteor_identity_property(text):
 @given(sentences, sentences)
 def test_meteor_stays_in_unit_interval(a, b):
     assert 0.0 <= meteor_lite(a, b) <= 1.0 + 1e-12
+
+
+def _texts_over(size: int):
+    """Texts of 0-12 tokens over a vocabulary of `size` tokens, so blocks repeat and interleave."""
+    return st.lists(st.sampled_from("abcd"[:size]), max_size=12).map(" ".join)
+
+
+@given(st.integers(1, 4).flatmap(lambda size: st.tuples(_texts_over(size), _texts_over(size))))
+def test_meteor_matches_reference_oracle_exactly(pair):
+    assert meteor_lite(*pair) == reference_meteor_lite(*pair)

@@ -406,6 +406,34 @@ def test_execute_job_creates_output_directory(tmp_path):
     assert out.exists()
 
 
+def test_run_batch_reports_a_log_it_cannot_write_and_goes_on(tmp_path):
+    dataset = write_dataset(tmp_path, 2)
+    (tmp_path / "blocker").write_text("", encoding="utf-8")
+    blocked = str(tmp_path / "blocker" / "job.json")
+    jobs = [
+        job_spec(tmp_path, dataset, name="blocked", output_json_file_path=blocked),
+        job_spec(tmp_path, dataset, name="after"),
+    ]
+    summary = run_batch(jobs, scripted=unanimity_script())
+    broken, after = summary.reports
+    assert broken.error.startswith(f"cannot write {blocked}: [Errno ")
+    assert (broken.records, broken.failures) == (0, 0)
+    assert after.error is None and len(read_jsonl(after.output_path)) == 2
+    assert summary.aborted_jobs == 1 and not summary.ok
+
+
+def test_run_batch_reports_a_log_it_cannot_encode_and_goes_on(tmp_path):
+    # JSON can carry a lone surrogate ("\ud800"), which UTF-8 cannot encode.
+    odd = write_dataset(tmp_path, stem="odd", questions=["what is \ud800?"])
+    jobs = [
+        job_spec(tmp_path, odd, name="odd"),
+        job_spec(tmp_path, write_dataset(tmp_path), name="after"),
+    ]
+    broken, after = run_batch(jobs, scripted=unanimity_script()).reports
+    assert broken.error.startswith(f"cannot write {broken.output_path}: 'utf-8' codec")
+    assert after.error is None and len(read_jsonl(after.output_path)) == 2
+
+
 # -- batch --
 
 

@@ -14,7 +14,8 @@ per-debate backend is the one carrier of the job's model and of the clock:
 no function takes a `model_name`, and nothing type-checks the scripted backend.
 The debate state is the one carrier of a debate's job: no function takes it
 next to a second one. And `datasets.read_input` is the one place that reads
-an input file, so every input error names its file in one way.
+an input file, and `datasets.write_output` the one place that writes an
+output file, so every input and output error names its file in one way.
 """
 
 from __future__ import annotations
@@ -219,6 +220,25 @@ def test_the_debate_state_alone_carries_its_job():
 # The one reader of input files, and the one package resource read beside it.
 READERS = {("datasets", "read_input"), ("prompts", "template_text")}
 
+# The one writer of output files.
+WRITERS = {("datasets", "write_output")}
+
+
+def _open_mode(call: ast.Call) -> str | None:
+    """The mode an `open` or `.open` call opens in ("r" by default, "?" when not a
+    constant), or None for any other call."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes = call.args[:1]
+    else:
+        return None
+    modes += [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    if not modes:
+        return "r"
+    return str(modes[0].value) if isinstance(modes[0], ast.Constant) else "?"
+
 
 def _reads_a_file(call: ast.Call) -> bool:
     """read_text, read_bytes, json.load, or open / .open in a mode that reads."""
@@ -227,25 +247,26 @@ def _reads_a_file(call: ast.Call) -> bool:
         return True
     if isinstance(func, ast.Attribute) and func.attr == "load":
         return getattr(func.value, "id", None) == "json"
-    if isinstance(func, ast.Name) and func.id == "open":
-        modes = call.args[1:2]
-    elif isinstance(func, ast.Attribute) and func.attr == "open":
-        modes = call.args[:1]
-    else:
-        return False
-    modes += [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
-    if not modes:
-        return True  # the default mode is "r"
-    mode = modes[0]
-    return not isinstance(mode, ast.Constant) or not set("wax").intersection(str(mode.value))
+    mode = _open_mode(call)
+    return mode is not None and (mode == "?" or not set("wax").intersection(mode))
 
 
-def file_reads_outside_the_reader() -> list[str]:
-    """`module.py:line` for each call in src/agora that reads a file outside READERS."""
+def _writes_a_file(call: ast.Call) -> bool:
+    """write_text, write_bytes, mkdir, makedirs, or open / .open in a mode that writes."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+        return True
+    mode = _open_mode(call)
+    return mode is not None and (mode == "?" or bool(set("wax").intersection(mode)))
+
+
+def calls_outside(matches, allowed: set[tuple[str, str]]) -> list[str]:
+    """`module.py:line` for each call in src/agora that `matches`, outside `allowed`."""
     flagged = []
 
     def visit(node: ast.AST, module: str, function: str) -> None:
-        if isinstance(node, ast.Call) and _reads_a_file(node) and (module, function) not in READERS:
+        if isinstance(node, ast.Call) and matches(node) and (module, function) not in allowed:
             flagged.append(f"{module}.py:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
@@ -259,4 +280,10 @@ def file_reads_outside_the_reader() -> list[str]:
 def test_only_the_reader_reads_files():
     # A second reader is a second set of read, decode and parse errors, and
     # the ones it forgets reach the user as a traceback or an unnamed file.
-    assert file_reads_outside_the_reader() == []
+    assert calls_outside(_reads_a_file, READERS) == []
+
+
+def test_only_the_writer_writes_files():
+    # A second writer is a second set of directory, encoding and write errors,
+    # and the ones it forgets reach the user as a traceback.
+    assert calls_outside(_writes_a_file, WRITERS) == []
