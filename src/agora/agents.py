@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Callable, Optional
 
 from . import prompts
-from .domain import AgentProfile, Agreement, Persona
+from .domain import AgentProfile, Persona
 from .gateway import Backend, chat_request
 
 
@@ -36,21 +35,9 @@ TRAIT_OPTIONS: dict[str, list[str]] = {
     name: ["very low", "low", "average", "high", "very high"] for name in TRAIT_NAMES
 }
 
-_AGREEMENT_RE = re.compile(r"\[(agree|disagree)\]", re.IGNORECASE)
-
 # Three tries each before giving up on malformed or colliding personas.
 _MAX_PARSE_ATTEMPTS = 3
 _MAX_DUPLICATE_ATTEMPTS = 3
-
-
-def parse_agreement(text: str) -> Optional[Agreement]:
-    """Last bracketed marker wins; None means the response was unmarked."""
-    last = None
-    for match in _AGREEMENT_RE.finditer(text):
-        last = match.group(1).lower()
-    if last is None:
-        return None
-    return Agreement.AGREE if last == "agree" else Agreement.DISAGREE
 
 
 def neutral_panel(n: int) -> list[Persona]:

@@ -61,6 +61,11 @@ class BatchConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BatchConfig":
+        for key in data:
+            if key not in ("name", "repeats", "common", "runs"):
+                raise ConfigError(
+                    f"unknown top-level key {key!r}; the keys are name, repeats, common and runs"
+                )
         repeats = data.get("repeats", 1)
         if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
             raise ConfigError("repeats must be an integer >= 1")

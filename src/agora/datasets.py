@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -75,11 +77,22 @@ def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> An
 def write_output(path: str | Path, chunks: Iterable[str]) -> None:
     """Write the chunks as UTF-8 with no newline translation, making the file's
     directory. A file that cannot be written, or text that is not UTF-8 (a lone
-    surrogate), raises FormatError naming the file."""
+    surrogate), raises FormatError naming the file.
+
+    The chunks go to a hidden sibling that replaces the file once all are
+    written, so a failed write leaves the previous file, or none."""
+    target = Path(path)
+    temp = target.parent / f".{target.name}.{os.urandom(4).hex()}.tmp"
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(temp, "x", encoding="utf-8", newline="") as handle:
+                handle.writelines(chunks)
+            os.replace(temp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+            raise
     except (OSError, UnicodeEncodeError) as exc:
         raise FormatError(f"cannot write {path}: {exc}")
 
@@ -154,10 +167,52 @@ def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
     return records
 
 
-def _lines(value: Any) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        return [str(item) for item in value]
-    return [str(value)]
+def _sample_id(field: str, value: Any) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise MappingError(f"{field} must be a string or an integer")
+    return str(value)
+
+
+def _lines(field: str, value: Any) -> list[str]:
+    """A mapped value's lines: a string, number or boolean is one, a flat list of them one each."""
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(item, (str, int, float)) for item in items):
+        raise MappingError(f"{field} must be a string, number or boolean, or a flat list of them")
+    return [str(item) for item in items]
+
+
+def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str) -> TaskInstance:
+    """One raw record in the unified format; `row_id` is its id when the mapping names none."""
+    required = mapping.input_fields + mapping.reference_fields
+    if mapping.id_field:
+        required += (mapping.id_field,)
+    missing = [field for field in required if record.get(field) is None]
+    if missing:
+        raise MappingError(f"missing field(s) {', '.join(missing)}")
+    if mapping.id_field:
+        row_id = _sample_id(mapping.id_field, record[mapping.id_field])
+
+    def lines(fields: Iterable[str], optional: bool = False) -> tuple[str, ...]:
+        # An empty optional value counts as absent.
+        return tuple(
+            line
+            for field in fields
+            if not optional or record.get(field) not in (None, "")
+            for line in _lines(field, record[field])
+        )
+
+    letter, letter_field = None, mapping.answer_letter_field
+    if letter_field and record.get(letter_field) not in (None, ""):
+        _lines(letter_field, record[letter_field])  # checked like every mapped value
+        letter = str(record[letter_field]).strip()
+    return TaskInstance(
+        id=row_id,
+        instruction_key="",
+        input_lines=lines(mapping.input_fields),
+        context_lines=lines(mapping.context_fields, optional=True),
+        references=lines(mapping.reference_fields),
+        answer_letter=letter,
+    )
 
 
 def load_dataset(
@@ -165,60 +220,26 @@ def load_dataset(
 ) -> list[TaskInstance]:
     """Map raw records into TaskInstances, rejecting bad rows all at once."""
     records = _read_records(path, format)
-    required = list(mapping.input_fields) + list(mapping.reference_fields)
-    declared = list(required) + list(mapping.context_fields)
-    if mapping.id_field:
-        declared.append(mapping.id_field)
-    if mapping.answer_letter_field:
-        declared.append(mapping.answer_letter_field)
-
-    problems: list[str] = []
-    instances: list[TaskInstance] = []
     width = max(4, len(str(len(records))))
-    for row, record in enumerate(records, 1):
-        missing = [f for f in declared if f not in record or record[f] is None]
-        hard_missing = [f for f in missing if f in required or f == mapping.id_field]
-        if hard_missing:
-            problems.append(f"row {row}: missing field(s) {', '.join(hard_missing)}")
-            continue
-        if mapping.id_field:
-            sample_id = str(record[mapping.id_field])
-        else:
-            sample_id = str(row).zfill(width)
-        inputs: list[str] = []
-        for field in mapping.input_fields:
-            inputs.extend(_lines(record[field]))
-        context: list[str] = []
-        for field in mapping.context_fields:
-            value = record.get(field)
-            if value is None or value == "":
-                continue
-            context.extend(_lines(value))
-        references: list[str] = []
-        for field in mapping.reference_fields:
-            references.extend(_lines(record[field]))
-        letter = None
-        if mapping.answer_letter_field:
-            raw = record.get(mapping.answer_letter_field)
-            if raw not in (None, ""):
-                letter = str(raw).strip()
-        instances.append(
-            TaskInstance(
-                id=sample_id,
-                instruction_key="",
-                input_lines=tuple(inputs),
-                context_lines=tuple(context),
-                references=tuple(references),
-                answer_letter=letter,
-            )
-        )
-    return _checked(path, instances, problems)
+    return _checked(
+        path, records, lambda row, record: _mapped_instance(record, mapping, str(row).zfill(width))
+    )
 
 
 def _checked(
-    path: str | Path, instances: list[TaskInstance], problems: list[str]
+    path: str | Path,
+    records: list[dict[str, Any]],
+    build: Callable[[int, dict[str, Any]], TaskInstance],
 ) -> list[TaskInstance]:
-    """The instances, unless a row is bad or two share an id: one MappingError names them all."""
+    """`build` of each numbered record, unless a row raises MappingError or two
+    share an id: one MappingError names them all."""
+    problems: list[str] = []
+    instances: list[TaskInstance] = []
+    for row, record in enumerate(records, 1):
+        try:
+            instances.append(build(row, record))
+        except MappingError as exc:
+            problems.append(f"row {row}: {exc}")
     counts = Counter(instance.id for instance in instances)
     duplicates = sorted(sample_id for sample_id, count in counts.items() if count > 1)
     if duplicates:
@@ -231,15 +252,9 @@ def _checked(
 def load_unified(path: str | Path) -> list[TaskInstance]:
     """Load a file already in the unified sample schema (JSON array or JSONL)."""
     fmt = "jsonl" if str(path).endswith(".jsonl") else "json"
-    records = _read_records(path, fmt)
-    problems: list[str] = []
-    instances: list[TaskInstance] = []
-    for row, record in enumerate(records, 1):
-        try:
-            instances.append(unified_record_to_instance(record))
-        except MappingError as exc:
-            problems.append(f"row {row}: {exc}")
-    return _checked(path, instances, problems)
+    return _checked(
+        path, _read_records(path, fmt), lambda row, record: unified_record_to_instance(record)
+    )
 
 
 def _strings(record: dict[str, Any], key: str) -> tuple[str, ...]:
@@ -255,8 +270,7 @@ def _strings(record: dict[str, Any], key: str) -> tuple[str, ...]:
 def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
     if "id" not in record:
         raise MappingError("missing id")
-    if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
-        raise MappingError("id must be a string or an integer")
+    sample_id = _sample_id("id", record["id"])
     instruction, letter = record.get("instruction", ""), record.get("answerLetter")
     if not isinstance(instruction, str):
         raise MappingError("instruction must be a string")
@@ -268,7 +282,7 @@ def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
     if not references and letter is None:
         raise MappingError("record needs references or answerLetter")
     return TaskInstance(
-        id=str(record["id"]),
+        id=sample_id,
         instruction_key=instruction,
         input_lines=inputs,
         context_lines=_strings(record, "context"),

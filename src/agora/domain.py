@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Optional
 
 
@@ -27,6 +29,19 @@ DEBATE_PHASES = frozenset(
 class Agreement(str, Enum):
     AGREE = "agree"
     DISAGREE = "disagree"
+
+
+_AGREEMENT_RE = re.compile(r"\[(agree|disagree)\]", re.IGNORECASE)
+
+
+def parse_agreement(text: str) -> Optional[Agreement]:
+    """Last bracketed marker wins; None means the response was unmarked."""
+    last = None
+    for match in _AGREEMENT_RE.finditer(text):
+        last = match.group(1).lower()
+    if last is None:
+        return None
+    return Agreement.AGREE if last == "agree" else Agreement.DISAGREE
 
 
 class TieBreak(str, Enum):
@@ -159,17 +174,14 @@ class Message:
     agent_id: int
     phase: Phase
     text: str
-    agreement: Optional[Agreement] = None
     wall_clock_ms: int = 0
 
-    def __post_init__(self) -> None:
-        if self.agreement is not None and self.phase not in (
-            Phase.IMPROVE,
-            Phase.FEEDBACK,
-        ):
-            raise ValueError(
-                f"agreement only allowed on improve/feedback messages, got {self.phase.value}"
-            )
+    @cached_property
+    def agreement(self) -> Optional[Agreement]:
+        """The text's last marker; only improve and feedback messages carry one."""
+        if self.phase in (Phase.IMPROVE, Phase.FEEDBACK):
+            return parse_agreement(self.text)
+        return None
 
     def to_log(self) -> dict[str, Any]:
         entry: dict[str, Any] = {
@@ -224,37 +236,19 @@ class DebateState:
     turn: int = 0
     ended: bool = False
 
-    def append(self, msg: Message) -> "DebateState":
+    def add(self, turn: int, agent_id: int, phase: Phase, text: str, clock_ms: int) -> None:
+        """Append the next message, numbered after the last; its text carries its agreement."""
         if self.ended:
-            raise DebateEnded("cannot append to an ended debate")
-        expected = len(self.transcript) + 1
-        if msg.seq != expected:
-            raise SequenceViolation(f"expected seq {expected}, got {msg.seq}")
-        if self.transcript and msg.turn < self.transcript[-1].turn:
-            raise SequenceViolation(
-                f"turn went backwards: {self.transcript[-1].turn} -> {msg.turn}"
-            )
+            raise DebateEnded("cannot add to an ended debate")
+        if self.transcript and turn < self.transcript[-1].turn:
+            raise SequenceViolation(f"turn went backwards: {self.transcript[-1].turn} -> {turn}")
+        msg = Message(len(self.transcript) + 1, turn, agent_id, phase, text, clock_ms)
         self.transcript.append(msg)
         if _installs_draft(msg):
             self.current_draft = msg.text
             self.agree_flags = {msg.agent_id: Agreement.AGREE}
         elif msg.agreement is not None:
             self.agree_flags[msg.agent_id] = msg.agreement
-        return self
-
-    def add(
-        self,
-        turn: int,
-        agent_id: int,
-        phase: Phase,
-        text: str,
-        clock_ms: int,
-        agreement: Optional[Agreement] = None,
-    ) -> None:
-        """Append the next message; its seq follows the transcript."""
-        self.append(
-            Message(self.next_seq(), turn, agent_id, phase, text, agreement, clock_ms)
-        )
 
     def agreement_fraction(self) -> Fraction:
         if not self.panel:
@@ -266,9 +260,6 @@ class DebateState:
 
     def debate_messages(self) -> list[Message]:
         return [m for m in self.transcript if m.phase in DEBATE_PHASES]
-
-    def next_seq(self) -> int:
-        return len(self.transcript) + 1
 
 
 def build_log_record(

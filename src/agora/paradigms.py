@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 from . import prompts
-from .agents import parse_agreement
 from .domain import (
     AgentProfile,
     DebateEnded,
@@ -160,11 +159,6 @@ def run_turn(state: DebateState, backend: Backend) -> DebateState:
         messages = render_step_prompt(state, step)
         resp = backend.complete(chat_request(messages))
         phase = step.phase if had_draft else Phase.DRAFT
-        agreement = (
-            parse_agreement(resp.text)
-            if phase in (Phase.IMPROVE, Phase.FEEDBACK)
-            else None
-        )
-        state.add(turn_no, step.speaker, phase, resp.text, resp.latency_ms, agreement)
+        state.add(turn_no, step.speaker, phase, resp.text, resp.latency_ms)
     state.turn = turn_no
     return state

@@ -1,4 +1,4 @@
-"""Persona generation, agreement parsing, and answer extraction."""
+"""Persona generation and answer extraction."""
 
 from __future__ import annotations
 
@@ -18,9 +18,8 @@ from agora.agents import (
     generate_expert_persona,
     generate_ipip_persona,
     neutral_panel,
-    parse_agreement,
 )
-from agora.domain import Agreement, Persona
+from agora.domain import Persona
 from agora.gateway import ChatRequest, ChatResponse
 
 
@@ -43,33 +42,6 @@ def expert_json(role: str, description: str = "desc") -> str:
 def ipip_json(role: str, *levels: str) -> str:
     traits = dict(zip(TRAIT_NAMES, levels))
     return json.dumps({"role": role, "traits": traits})
-
-
-# -- agreement markers --
-
-
-def test_parse_agreement_basic():
-    assert parse_agreement("I concur. [AGREE]") is Agreement.AGREE
-    assert parse_agreement("No. [DISAGREE]") is Agreement.DISAGREE
-
-
-def test_parse_agreement_case_insensitive():
-    assert parse_agreement("[agree]") is Agreement.AGREE
-    assert parse_agreement("[Disagree]") is Agreement.DISAGREE
-
-
-def test_parse_agreement_last_marker_wins():
-    text = "[AGREE] on points one and two, but overall [DISAGREE]"
-    assert parse_agreement(text) is Agreement.DISAGREE
-
-
-def test_parse_agreement_unmarked_is_none():
-    assert parse_agreement("I agree with you") is None
-    assert parse_agreement("") is None
-
-
-def test_parse_agreement_ignores_other_brackets():
-    assert parse_agreement("[MAYBE] [opinion] [AGREEMENT]") is None
 
 
 # -- neutral panel --

@@ -484,6 +484,7 @@ def test_evaluate_names_a_sidecar_with_a_mistyped_field(tmp_path):
         ({"runs": [{"output_json_file_path": "o.jsonl"}]}, "run 1 is missing required key(s)"),
         ({"runs": [{"input_json_file_path": "i.json", "output_json_file_path": "one.jsonl",
                     "num_agents": 1}]}, "one r1: num_agents must be >= 2"),
+        ({"repeat": 3, "commn": {}, "runs": [{}]}, "unknown top-level key 'repeat'"),
     ],
 )
 def test_run_names_the_config_once_in_front_of_a_content_error(tmp_path, content, problem):

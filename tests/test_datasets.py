@@ -93,6 +93,39 @@ def test_write_output_names_a_file_it_cannot_write(tmp_path, kind):
     assert str(excinfo.value).startswith(f"cannot write {path}: ")
 
 
+@pytest.mark.parametrize("previous", [None, "old\n"])
+def test_write_output_that_fails_leaves_the_previous_file_or_none(tmp_path, previous):
+    path = tmp_path / "out.jsonl"
+    if previous is not None:
+        path.write_text(previous, encoding="utf-8")
+    with pytest.raises(FormatError):
+        write_output(path, ["ok\n", "\ud800\n"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if previous is None else [path.name])
+    if previous is not None:
+        assert path.read_text(encoding="utf-8") == previous
+
+
+def test_write_output_removes_its_temporary_file_when_the_chunks_raise(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old\n", encoding="utf-8")
+
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("record cannot be serialized")
+
+    with pytest.raises(RuntimeError):
+        write_output(path, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text(encoding="utf-8") == "old\n"
+
+
+def test_write_output_gives_the_file_the_mode_a_plain_open_would(tmp_path):
+    write_output(tmp_path / "new.json", ["{}"])
+    with open(tmp_path / "plain.json", "w", encoding="utf-8") as handle:
+        handle.write("{}")
+    assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+
+
 def test_input_files_lists_a_directory_in_name_order_or_names_one_file(tmp_path):
     for name in ("b.json", "a.jsonl", "c.txt"):
         (tmp_path / name).write_text("", encoding="utf-8")
@@ -396,6 +429,51 @@ def test_load_unified_names_the_file_in_a_content_error(tmp_path, records, probl
     with pytest.raises(MappingError) as excinfo:
         load_unified(path)
     assert str(excinfo.value) == f"{path}: {problem}"
+
+
+def test_load_dataset_keeps_the_text_of_scalar_and_flat_list_values(tmp_path):
+    mapping = FieldMapping(("q",), ("ans",), id_field="id", context_fields=("c",),
+                           answer_letter_field="letter")
+    path = write_json(
+        tmp_path, "data.json",
+        [{"id": 7, "q": [1, 2.5, True, "x"], "ans": False, "c": 3, "letter": "B"}],
+    )
+    (instance,) = load_dataset(path, "json", mapping)
+    assert instance.id == "7"
+    assert instance.input_lines == ("1", "2.5", "True", "x")
+    assert instance.references == ("False",)
+    assert instance.context_lines == ("3",)
+    assert instance.answer_letter == "B"
+
+
+def test_load_dataset_names_every_row_with_a_value_it_cannot_map(tmp_path):
+    mapping = FieldMapping(("q",), ("ans",), id_field="id", context_fields=("c",),
+                           answer_letter_field="letter")
+    path = write_json(
+        tmp_path, "data.json",
+        [
+            {"id": "ok", "q": "q", "ans": "a"},
+            {"id": [7], "q": "q", "ans": "a"},
+            {"id": True, "q": "q", "ans": "a"},
+            {"id": "r4", "q": {"a": 1}, "ans": "a"},
+            {"id": "r5", "q": "q", "ans": [1, {"b": 2}]},
+            {"id": "r6", "q": "q", "ans": "a", "c": [["nested"]]},
+            {"id": "r7", "q": "q", "ans": "a", "letter": {"x": "A"}},
+        ],
+    )
+    with pytest.raises(MappingError) as excinfo:
+        load_dataset(path, "json", mapping)
+    flat = "must be a string, number or boolean, or a flat list of them"
+    assert str(excinfo.value) == f"{path}: " + "; ".join(
+        [
+            "row 2: id must be a string or an integer",
+            "row 3: id must be a string or an integer",
+            f"row 4: q {flat}",
+            f"row 5: ans {flat}",
+            f"row 6: c {flat}",
+            f"row 7: letter {flat}",
+        ]
+    )
 
 
 # -- sidecar flow --

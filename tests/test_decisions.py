@@ -36,7 +36,6 @@ from agora.domain import (
     Agreement,
     DebateState,
     JobParams,
-    Message,
     Persona,
     Phase,
     TaskInstance,
@@ -55,10 +54,8 @@ def make_state(n: int = 2, **params) -> DebateState:
     return DebateState(JobParams(**params), task, "solve", panel)
 
 
-def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int, **kw) -> None:
-    state.append(
-        Message(seq=state.next_seq(), turn=turn, agent_id=agent_id, phase=phase, text=text, **kw)
-    )
+def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int) -> None:
+    state.add(turn, agent_id, phase, text, 0)
 
 
 def valid_ballot(voter: int, parsed) -> Ballot:
@@ -597,7 +594,6 @@ def consensus_state(
             Phase.IMPROVE,
             "ok [AGREE]" if agreement is Agreement.AGREE else "no [DISAGREE]",
             turn=1,
-            agreement=agreement,
         )
     state.turn = turn
     return state

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from agora.domain import (
     Agreement,
@@ -20,6 +22,7 @@ from agora.domain import (
     TaskInstance,
     TieBreak,
     build_log_record,
+    parse_agreement,
 )
 
 
@@ -44,10 +47,6 @@ def make_state(n: int = 3, **params) -> DebateState:
     return DebateState(JobParams(**params), make_task(), "solve", make_panel(n))
 
 
-def msg(seq: int, turn: int, agent: int, phase: Phase, text: str = "x", **kw) -> Message:
-    return Message(seq=seq, turn=turn, agent_id=agent, phase=phase, text=text, **kw)
-
-
 def test_task_instance_text_joins():
     task = make_task(input_lines=("a", "b"), context_lines=("c1", "c2"))
     assert task.input_text() == "a\nb"
@@ -66,22 +65,83 @@ def test_to_unified_includes_letter_only_when_set():
     assert unified["inputs"] == ["What is 2+2?"]
 
 
+# -- agreement markers --
+
+
+def test_parse_agreement_basic():
+    assert parse_agreement("I concur. [AGREE]") is Agreement.AGREE
+    assert parse_agreement("No. [DISAGREE]") is Agreement.DISAGREE
+
+
+def test_parse_agreement_case_insensitive():
+    assert parse_agreement("[agree]") is Agreement.AGREE
+    assert parse_agreement("[Disagree]") is Agreement.DISAGREE
+
+
+def test_parse_agreement_last_marker_wins():
+    text = "[AGREE] on points one and two, but overall [DISAGREE]"
+    assert parse_agreement(text) is Agreement.DISAGREE
+
+
+def test_parse_agreement_unmarked_is_none():
+    assert parse_agreement("I agree with you") is None
+    assert parse_agreement("") is None
+
+
+def test_parse_agreement_ignores_other_brackets():
+    assert parse_agreement("[MAYBE] [opinion] [AGREEMENT]") is None
+
+
 def test_message_agreement_only_on_improve_or_feedback():
-    msg(1, 1, 1, Phase.IMPROVE, agreement=Agreement.AGREE)
-    msg(1, 1, 1, Phase.FEEDBACK, agreement=Agreement.DISAGREE)
-    with pytest.raises(ValueError):
-        msg(1, 1, 1, Phase.DRAFT, agreement=Agreement.AGREE)
-    with pytest.raises(ValueError):
-        msg(1, 1, 1, Phase.EXTRACTION, agreement=Agreement.DISAGREE)
+    assert Message(1, 1, 1, Phase.IMPROVE, "ok [AGREE]").agreement is Agreement.AGREE
+    assert Message(1, 1, 1, Phase.FEEDBACK, "no [DISAGREE]").agreement is Agreement.DISAGREE
+    assert Message(1, 1, 1, Phase.DRAFT, "ok [AGREE]").agreement is None
+    assert Message(1, 1, 1, Phase.EXTRACTION, "no [DISAGREE]").agreement is None
 
 
 def test_message_log_shape():
-    entry = msg(2, 1, 3, Phase.IMPROVE, "ok", agreement=Agreement.AGREE).to_log()
+    entry = Message(2, 1, 3, Phase.IMPROVE, "ok [AGREE]").to_log()
     assert list(entry) == ["seq", "turn", "agentId", "phase", "text", "agreement", "clockMs"]
     assert entry["agreement"] == "agree"
-    plain = msg(1, 1, 1, Phase.DRAFT).to_log()
+    plain = Message(1, 1, 1, Phase.DRAFT, "x").to_log()
     assert "agreement" not in plain
     assert list(plain) == ["seq", "turn", "agentId", "phase", "text", "clockMs"]
+
+
+def _marked_agreement(phase: Phase, text: str) -> Agreement | None:
+    """The rule the turn loop applied before messages read their own text: an
+    improve or feedback reply's last [agree]/[disagree] marker, any case."""
+    if phase not in (Phase.IMPROVE, Phase.FEEDBACK):
+        return None
+    markers = re.findall(r"\[(agree|disagree)\]", text, re.IGNORECASE)
+    if not markers:
+        return None
+    return Agreement.AGREE if markers[-1].lower() == "agree" else Agreement.DISAGREE
+
+
+_PIECES = st.one_of(
+    st.sampled_from(
+        ["[AGREE]", "[disagree]", "[Agree]", "[DisAgree]", "[agree", "agree]", "[ AGREE]",
+         "[AGREEMENT]", "[[DISAGREE]]", "\n"]
+    ),
+    st.text(max_size=12),
+)
+
+
+@given(st.lists(_PIECES, max_size=8).map("".join), st.sampled_from(list(Phase)))
+def test_message_agreement_and_log_follow_the_last_marker_of_improve_and_feedback(text, phase):
+    expected = _marked_agreement(phase, text)
+    state = make_state()
+    state.add(1, 2, phase, text, 3)
+    msg = state.transcript[0]
+    assert msg.agreement is expected
+    entry = msg.to_log()
+    keys = ["seq", "turn", "agentId", "phase", "text", "clockMs"]
+    if expected is not None:
+        keys.insert(5, "agreement")
+    assert list(entry) == keys
+    assert entry.get("agreement") == (expected.value if expected else None)
+    assert (entry["seq"], entry["phase"], entry["text"]) == (1, phase.value, text)
 
 
 def test_outcome_requires_reason_when_unsuccessful():
@@ -126,80 +186,85 @@ def test_log_record_derives_protocol_and_turn_from_job_and_state():
 
 
 def test_append_enforces_sequence():
+    # The state numbers each message itself, one after the last.
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT))
-    with pytest.raises(SequenceViolation):
-        state.append(msg(3, 1, 2, Phase.IMPROVE))
+    state.add(1, 1, Phase.DRAFT, "x", 0)
+    state.add(1, 2, Phase.IMPROVE, "x", 0)
+    state.add(2, 3, Phase.IMPROVE, "x", 0)
+    assert [m.seq for m in state.transcript] == [1, 2, 3]
 
 
 def test_append_rejects_backwards_turn():
     state = make_state()
-    state.append(msg(1, 2, 1, Phase.DRAFT))
+    state.add(2, 1, Phase.DRAFT, "x", 0)
     with pytest.raises(SequenceViolation):
-        state.append(msg(2, 1, 2, Phase.IMPROVE))
+        state.add(1, 2, Phase.IMPROVE, "x", 0)
+    assert len(state.transcript) == 1
 
 
 def test_append_after_end_raises():
     state = make_state()
     state.ended = True
     with pytest.raises(DebateEnded):
-        state.append(msg(1, 1, 1, Phase.DRAFT))
+        state.add(1, 1, Phase.DRAFT, "x", 0)
+    assert state.transcript == []
 
 
 def test_draft_installs_and_resets_agreement():
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
     assert state.current_draft == "v1"
     assert state.agree_flags == {1: Agreement.AGREE}
 
 
 def test_improve_with_agree_keeps_draft():
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    state.append(msg(2, 1, 2, Phase.IMPROVE, "fine [AGREE]", agreement=Agreement.AGREE))
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
+    state.add(1, 2, Phase.IMPROVE, "fine [AGREE]", 0)
     assert state.current_draft == "v1"
     assert state.agree_flags == {1: Agreement.AGREE, 2: Agreement.AGREE}
 
 
 def test_improve_with_disagree_replaces_draft():
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    state.append(msg(2, 1, 2, Phase.IMPROVE, "v2", agreement=Agreement.DISAGREE))
-    assert state.current_draft == "v2"
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
+    state.add(1, 2, Phase.IMPROVE, "v2 [DISAGREE]", 0)
+    assert state.current_draft == "v2 [DISAGREE]"
     # The replacement starts a fresh agreement slate around its author.
     assert state.agree_flags == {2: Agreement.AGREE}
 
 
 def test_unmarked_improve_replaces_draft():
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    state.append(msg(2, 1, 2, Phase.IMPROVE, "v2"))
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
+    state.add(1, 2, Phase.IMPROVE, "v2", 0)
     assert state.current_draft == "v2"
 
 
 def test_feedback_never_installs():
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    state.append(msg(2, 1, 2, Phase.FEEDBACK, "v2", agreement=Agreement.DISAGREE))
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
+    state.add(1, 2, Phase.FEEDBACK, "v2 [DISAGREE]", 0)
     assert state.current_draft == "v1"
     assert state.agree_flags[2] is Agreement.DISAGREE
 
 
 def test_central_synthesis_installs():
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    state.append(msg(2, 1, 1, Phase.CENTRAL_SYNTHESIS, "v2"))
-    assert state.current_draft == "v2"
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
+    state.add(1, 1, Phase.CENTRAL_SYNTHESIS, "v2 [AGREE]", 0)
+    assert state.current_draft == "v2 [AGREE]"
+    assert state.transcript[-1].agreement is None
 
 
 def test_agreement_fraction_is_exact():
     state = make_state(3)
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
-    state.append(msg(2, 1, 2, Phase.IMPROVE, "ok", agreement=Agreement.AGREE))
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
+    state.add(1, 2, Phase.IMPROVE, "ok [AGREE]", 0)
     assert state.agreement_fraction() == Fraction(2, 3)
-    state.append(msg(3, 1, 3, Phase.IMPROVE, "no", agreement=Agreement.DISAGREE))
+    state.add(1, 3, Phase.IMPROVE, "no [DISAGREE]", 0)
     # A disagreeing improve replaces the draft; the slate resets to its author.
-    assert state.current_draft == "no"
+    assert state.current_draft == "no [DISAGREE]"
     assert state.agreement_fraction() == Fraction(1, 3)
 
 
@@ -211,17 +276,17 @@ def test_agreement_fraction_needs_panel():
 
 def test_debate_messages_filters_bookkeeping_phases():
     state = make_state()
-    state.append(msg(1, 1, 1, Phase.DRAFT))
-    state.append(msg(2, 1, 2, Phase.IMPROVE))
-    state.append(msg(3, 1, 1, Phase.EXTRACTION))
-    state.append(msg(4, 1, 0, Phase.JUDGE))
+    state.add(1, 1, Phase.DRAFT, "x", 0)
+    state.add(1, 2, Phase.IMPROVE, "x", 0)
+    state.add(1, 1, Phase.EXTRACTION, "x", 0)
+    state.add(1, 0, Phase.JUDGE, "x", 0)
     assert [m.phase for m in state.debate_messages()] == [Phase.DRAFT, Phase.IMPROVE]
-    assert state.next_seq() == 5
+    assert [m.seq for m in state.transcript] == [1, 2, 3, 4]
 
 
 def test_build_log_record_contract_keys():
     state = make_state(seed=5, api_key="k")
-    state.append(msg(1, 1, 1, Phase.DRAFT, "v1"))
+    state.add(1, 1, Phase.DRAFT, "v1", 0)
     record = build_log_record(state, DecisionOutcome("v1"), 12)
     assert list(record) == ["config", "task", "personas", "messages", "outcome", "globalClockMs"]
     assert record["config"]["seed"] == 5 and "api_key" not in record["config"]

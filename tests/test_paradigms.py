@@ -39,12 +39,9 @@ def make_state(n: int = 3, **params) -> DebateState:
     return DebateState(JobParams(**params), task, "solve", panel)
 
 
-def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int, **kw) -> Message:
-    msg = Message(
-        seq=state.next_seq(), turn=turn, agent_id=agent_id, phase=phase, text=text, **kw
-    )
-    state.append(msg)
-    return msg
+def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int) -> Message:
+    state.add(turn, agent_id, phase, text, 0)
+    return state.transcript[-1]
 
 
 class SeqBackend:
@@ -158,7 +155,7 @@ def test_schedule_is_turn_invariant():
 def test_visibility_all_returns_debate_messages_only():
     state = make_state(3)
     add(state, 1, Phase.DRAFT, "draft", turn=1)
-    add(state, 2, Phase.IMPROVE, "improve [DISAGREE]", turn=1, agreement=Agreement.DISAGREE)
+    add(state, 2, Phase.IMPROVE, "improve [DISAGREE]", turn=1)
     add(state, 1, Phase.EXTRACTION, "1", turn=1)
     step = TurnStep(3, Phase.IMPROVE)
     visible = visible_messages(ParadigmKind.MEMORY, state, step)

@@ -7,6 +7,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -432,6 +433,21 @@ def test_run_batch_reports_a_log_it_cannot_encode_and_goes_on(tmp_path):
     broken, after = run_batch(jobs, scripted=unanimity_script()).reports
     assert broken.error.startswith(f"cannot write {broken.output_path}: 'utf-8' codec")
     assert after.error is None and len(read_jsonl(after.output_path)) == 2
+
+
+@pytest.mark.parametrize("previous", [None, "old\n"])
+def test_a_log_that_cannot_be_encoded_leaves_the_previous_log_or_none(tmp_path, previous):
+    odd = write_dataset(tmp_path, stem="odd", questions=["fine", "what is \ud800?"])
+    spec = job_spec(tmp_path, odd, name="odd")
+    log = Path(spec.output_path)
+    if previous is not None:
+        log.parent.mkdir(parents=True)
+        log.write_text(previous, encoding="utf-8")
+    (report,) = run_batch([spec], scripted=unanimity_script()).reports
+    assert report.error.startswith(f"cannot write {log}: ")
+    assert list(log.parent.iterdir()) == ([] if previous is None else [log])
+    if previous is not None:
+        assert log.read_text(encoding="utf-8") == previous
 
 
 # -- batch --

@@ -16,6 +16,8 @@ The debate state is the one carrier of a debate's job: no function takes it
 next to a second one. And `datasets.read_input` is the one place that reads
 an input file, and `datasets.write_output` the one place that writes an
 output file, so every input and output error names its file in one way.
+And `DebateState.add` is the one place that builds a `Message`: the state
+numbers each message, and the message reads its agreement from its text.
 """
 
 from __future__ import annotations
@@ -287,3 +289,14 @@ def test_only_the_writer_writes_files():
     # A second writer is a second set of directory, encoding and write errors,
     # and the ones it forgets reach the user as a traceback.
     assert calls_outside(_writes_a_file, WRITERS) == []
+
+
+def _builds_a_message(call: ast.Call) -> bool:
+    func = call.func
+    return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "Message"
+
+
+def test_only_the_state_builds_a_message():
+    # A message built anywhere else carries a number and an agreement that
+    # the transcript did not give it.
+    assert calls_outside(_builds_a_message, {("domain", "add")}) == []
