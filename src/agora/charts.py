@@ -17,10 +17,6 @@ from .datasets import write_output
 from .evaluation import EvalResult
 
 
-class EmptyResults(Exception):
-    pass
-
-
 WIDTH, HEIGHT = 480, 320
 LEFT, RIGHT, TOP, BOTTOM = 70, 20, 46, 270
 
@@ -158,7 +154,7 @@ def emit_charts(
 ) -> list[Path]:
     """Four chart kinds per job, each an SVG with a CSV carrying the numbers."""
     if not eval_results:
-        raise EmptyResults("no evaluation results to chart")
+        raise ValueError("no evaluation results to chart")
     out = Path(out_dir)
     manifest: list[Path] = []
 

@@ -9,7 +9,7 @@ import click
 from . import charts, evaluation, runner
 from .config import BatchConfig, ConfigError, expand_config, resolve_job_params
 from .datasets import EmptyDataset, MappingError, read_input
-from .evaluation import MissingReference, UnknownSampleId
+from .evaluation import DatasetMismatch
 from .gateway import ScriptedGateway, script_from_dict
 
 
@@ -95,7 +95,7 @@ def evaluate(logs: str, dataset: str, out_dir: str) -> None:
         written = evaluation.evaluate_logs(logs, dataset, out_dir)
     except (ValueError, MappingError, EmptyDataset) as exc:  # FormatError too
         raise click.ClickException(str(exc))
-    except (MissingReference, UnknownSampleId) as exc:  # a log and its dataset disagree
+    except DatasetMismatch as exc:
         raise click.ClickException(f"{exc} (dataset {dataset})")
     for path in written:
         click.echo(str(path))
@@ -110,7 +110,7 @@ def chart(evals: str, out_dir: str, metric: str | None) -> None:
     try:
         results = evaluation.load_eval_results(evals)
         manifest = charts.emit_charts(results, out_dir, metric=metric)
-    except (ValueError, charts.EmptyResults) as exc:  # FormatError too
+    except ValueError as exc:  # FormatError too
         raise click.ClickException(str(exc))
     for path in manifest:
         click.echo(str(path))

@@ -38,18 +38,10 @@ class ConfigError(Exception):
     pass
 
 
-class ConfigKeyUnknown(ConfigError):
-    def __init__(self, key: str):
-        super().__init__(f"unknown config key {key!r}")
-        self.key = key
-
-
-class ConfigMissingRequired(ConfigError):
-    def __init__(self, keys: list[str], run_index: int):
-        super().__init__(
-            f"run {run_index} is missing required key(s) after overlay: {', '.join(keys)}"
-        )
-        self.keys = keys
+def _check_keys(entries: Mapping[str, Any]) -> None:
+    for key in entries:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -75,15 +67,11 @@ class BatchConfig:
         runs = data.get("runs")
         if not isinstance(runs, list) or not runs:
             raise ConfigError("runs must be a non-empty list")
-        for key in common:
-            if key not in CONFIG_KEYS:
-                raise ConfigKeyUnknown(key)
+        _check_keys(common)
         for index, run in enumerate(runs, 1):
             if not isinstance(run, Mapping):
                 raise ConfigError(f"run {index} must be an object")
-            for key in run:
-                if key not in CONFIG_KEYS:
-                    raise ConfigKeyUnknown(key)
+            _check_keys(run)
         return cls(
             name=str(data.get("name", "")),
             repeats=repeats,
@@ -137,7 +125,9 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
         merged = {**cfg.common, **run}
         missing = [key for key in required if key not in merged]
         if missing:
-            raise ConfigMissingRequired(missing, index)
+            raise ConfigError(
+                f"run {index} is missing required key(s) after overlay: {', '.join(missing)}"
+            )
         output = _typed("output_json_file_path", merged["output_json_file_path"], "")
         first = writers.setdefault(os.path.abspath(output), index)
         if first != index:
@@ -228,9 +218,7 @@ def resolve_job_params(params: Mapping[str, Any], http_backend: bool = False) ->
     backend), a debate panel too small for its paradigm, or a voting or
     judge protocol whose voting turn lies beyond max_turns.
     """
-    for key in params:
-        if key not in CONFIG_KEYS:
-            raise ConfigKeyUnknown(key)
+    _check_keys(params)
     values = {
         f.name: _typed(f.name, params[f.name], f.default)
         for f in fields(JobParams)

@@ -203,8 +203,9 @@ def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str)
 
     letter, letter_field = None, mapping.answer_letter_field
     if letter_field and record.get(letter_field) not in (None, ""):
-        _lines(letter_field, record[letter_field])  # checked like every mapped value
-        letter = str(record[letter_field]).strip()
+        if not isinstance(record[letter_field], str):
+            raise MappingError(f"{letter_field} must be a string")
+        letter = record[letter_field].strip()
     return TaskInstance(
         id=row_id,
         instruction_key="",

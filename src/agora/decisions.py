@@ -25,14 +25,6 @@ class VoteParseFailure(Exception):
     pass
 
 
-class BudgetExceeded(VoteParseFailure):
-    pass
-
-
-class DuplicateRank(VoteParseFailure):
-    pass
-
-
 # The consensus vocabulary: each protocol's test of the agreeing share,
 # in exact rationals so boundary cases never depend on float rounding;
 # the supermajority bar is the literal 66 percent.
@@ -109,7 +101,7 @@ def parse_ranked(text: str, k: int) -> list[int]:
         logger.warning("ranking longer than %d entries truncated: %r", limit, text)
         values = values[:limit]
     if len(values) != len(set(values)):
-        raise DuplicateRank(f"duplicate rank in {values}")
+        raise VoteParseFailure(f"duplicate rank in {values}")
     for value in values:
         if not 1 <= value <= k:
             raise VoteParseFailure(f"rank {value} out of range for {k} solutions")
@@ -143,7 +135,7 @@ def parse_cumulative(text: str, k: int, budget: int = 10) -> dict[int, int]:
             raise VoteParseFailure(f"index {index} out of range for {k} solutions")
     total = sum(allocations.values())
     if total > budget:
-        raise BudgetExceeded(f"allocated {total} points, budget is {budget}")
+        raise VoteParseFailure(f"allocated {total} points, budget is {budget}")
     return allocations
 
 

@@ -49,15 +49,11 @@ class TieBreak(str, Enum):
     DETERMINISTIC_INDEX = "deterministic_index"
 
 
-class DomainError(Exception):
-    """Base class for transcript state machine violations."""
-
-
-class SequenceViolation(DomainError):
+class SequenceViolation(Exception):
     pass
 
 
-class DebateEnded(DomainError):
+class DebateEnded(Exception):
     pass
 
 

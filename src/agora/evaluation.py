@@ -15,12 +15,8 @@ from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
 
-class MissingReference(Exception):
-    pass
-
-
-class UnknownSampleId(Exception):
-    pass
+class DatasetMismatch(Exception):
+    """A log and its dataset disagree: an unknown sample id, or no answer letter to score."""
 
 
 _FINAL_RE = re.compile(
@@ -45,13 +41,13 @@ def extract_answer_letter(text: str) -> Optional[str]:
 def _joined(record: dict[str, Any], by_id: dict[str, TaskInstance], file: Path) -> TaskInstance:
     sample_id = record["task"]["id"]
     if sample_id not in by_id:
-        raise UnknownSampleId(f"{file}: log references unknown sample id {sample_id!r}")
+        raise DatasetMismatch(f"{file}: log references unknown sample id {sample_id!r}")
     return by_id[sample_id]
 
 
 def record_correct(record: dict[str, Any], sample: TaskInstance) -> bool:
     if sample.answer_letter is None:
-        raise MissingReference(f"sample {sample.id} has no answer letter")
+        raise DatasetMismatch(f"sample {sample.id} has no answer letter")
     extracted = extract_answer_letter(record["outcome"]["finalText"])
     return extracted is not None and extracted == sample.answer_letter.strip().upper()
 
@@ -60,7 +56,6 @@ def record_correct(record: dict[str, Any], sample: TaskInstance) -> bool:
 class RepeatStats:
     mean: float
     std: float
-    n: int
     annotation: Optional[str] = None
 
 
@@ -71,18 +66,24 @@ def aggregate(per_repeat_results: Sequence[float]) -> RepeatStats:
         raise ValueError("aggregate needs at least one repeat")
     mean = statistics.fmean(values)
     if len(values) == 1:
-        return RepeatStats(mean=mean, std=0.0, n=1, annotation="single repeat")
-    return RepeatStats(mean=mean, std=statistics.stdev(values), n=len(values))
+        return RepeatStats(mean=mean, std=0.0, annotation="single repeat")
+    return RepeatStats(mean=mean, std=statistics.stdev(values))
 
 
 def _numbers(*values: Any) -> bool:
     return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
+def _file_name_part(name: str) -> bool:
+    """Not empty, `.` or `..`, and no slash, backslash or NUL: a name that stays in its directory."""
+    return name not in ("", ".", "..") and not set("/\\\0").intersection(name)
+
+
 # The eval file's fields in file order, each the camelCase name of an EvalResult
 # attribute, with the test its value must pass. All but jobName and repeats may be absent.
+# The job name names the chart files, so it must stay one plain file-name part.
 _EVAL_FIELDS: FieldTable = {
-    "jobName": (True, lambda value: isinstance(value, str)),
+    "jobName": (True, lambda value: isinstance(value, str) and _file_name_part(value)),
     "repeats": (True, lambda value: isinstance(value, int) and _numbers(value)),
     "mean": (False, lambda value: isinstance(value, dict) and _numbers(*value.values())),
     "std": (False, lambda value: isinstance(value, dict) and _numbers(*value.values())),

@@ -207,6 +207,12 @@ def is_endpoint_url(url: str) -> bool:
         return False
 
 
+# The retry policy: a transient failure (no response, 429 or 5xx) is retried
+# this many times, and each attempt may take this long.
+MAX_RETRIES = 3
+TIMEOUT_S = 120.0
+
+
 class HttpGateway:
     """Shared chokepoint for one endpoint; safe for concurrent use.
 
@@ -220,8 +226,6 @@ class HttpGateway:
         endpoint_url: str,
         api_key: str = "",
         max_in_flight: int = 8,
-        max_retries: int = 3,
-        timeout_s: float = 120.0,
         transport: Optional[Transport] = None,
         sleeper: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
@@ -233,8 +237,6 @@ class HttpGateway:
             raise ValueError(f"not an http(s)://host URL: {endpoint_url!r}")
         self.endpoint_url = endpoint_url.rstrip("/")
         self.api_key = api_key
-        self.max_retries = max_retries
-        self.timeout_s = timeout_s
         self._transport = transport or _ConnectionPool()
         self._sleeper = sleeper
         self._rng = rng or random.Random()
@@ -254,7 +256,7 @@ class HttpGateway:
             started = self.clock()
             try:
                 with self._slots:
-                    status, payload = self._transport(url, headers, body, self.timeout_s)
+                    status, payload = self._transport(url, headers, body, TIMEOUT_S)
             except (OSError, http.client.HTTPException) as exc:
                 status, payload, failure = None, None, str(exc)
             else:
@@ -268,7 +270,7 @@ class HttpGateway:
             transient = status is None or status == 429 or 500 <= status < 600
             if not transient:
                 raise EndpointUnreachable(f"non-retryable HTTP status {status}")
-            if attempt >= self.max_retries:
+            if attempt >= MAX_RETRIES:
                 reason = failure or f"HTTP {status}"
                 raise EndpointUnreachable(
                     f"retries exhausted after {attempt + 1} attempts: {reason}"
@@ -328,7 +330,6 @@ class ScriptedGateway:
         self._rules = list(rules)
         self._consumed = [False] * len(rules)
         self._lock = threading.Lock()
-        self.requests: list[ChatRequest] = []
 
     def fork(self) -> "ScriptedGateway":
         """Fresh copy with all rules unconsumed, for per-debate isolation."""
@@ -340,7 +341,6 @@ class ScriptedGateway:
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         with self._lock:
-            self.requests.append(req)
             for idx, rule in enumerate(self._rules):
                 if self._consumed[idx] and not rule.repeatable:
                     continue

@@ -41,6 +41,7 @@ from agora.prompts import (
     render_vote_user,
 )
 from agora.runner import run_sample, serialize_record
+from recording import Recording
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -216,9 +217,8 @@ def visibility_debate(kind: ParadigmKind, seed: int):
     else:
         n_agents = 3 + seed % 4
     turns = 1 + seed % 3
-    backend = script_from_dict(
-        {"rules": [{"match": [], "response": f"tok{i} [DISAGREE]"} for i in range(64)]}
-    )
+    rules = [{"match": [], "response": f"tok{i} [DISAGREE]"} for i in range(64)]
+    backend = Recording(script_from_dict({"rules": rules}))
     panel = [
         AgentProfile(i, Persona(name=f"Participant {i}"))
         for i in range(1, n_agents + 1)

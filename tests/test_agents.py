@@ -20,19 +20,8 @@ from agora.agents import (
     neutral_panel,
 )
 from agora.domain import Persona
-from agora.gateway import ChatRequest, ChatResponse
-
-
-class SeqBackend:
-    """Replays canned texts in order, recording every request."""
-
-    def __init__(self, texts: list[str]) -> None:
-        self.texts = list(texts)
-        self.requests: list[ChatRequest] = []
-
-    def complete(self, req: ChatRequest) -> ChatResponse:
-        self.requests.append(req)
-        return ChatResponse(text=self.texts.pop(0))
+from agora.gateway import ChatResponse
+from recording import replay
 
 
 def expert_json(role: str, description: str = "desc") -> str:
@@ -89,7 +78,7 @@ def test_extract_json_object_rejects_non_object():
 
 
 def test_expert_persona_happy_path():
-    backend = SeqBackend([expert_json("  Economist ", " Knows markets. ")])
+    backend = replay([expert_json("  Economist ", " Knows markets. ")])
     persona, raw = generate_expert_persona("task", [], backend)
     assert persona.name == "Economist"
     assert persona.description == "Knows markets."
@@ -99,7 +88,7 @@ def test_expert_persona_happy_path():
 
 def test_expert_persona_prompt_layout():
     existing = [Persona(name="Chemist", description="Labs.")]
-    backend = SeqBackend([expert_json("Biologist")])
+    backend = replay([expert_json("Biologist")])
     generate_expert_persona("classify cells", existing, backend)
     (req,) = backend.requests
     roles = [m.role for m in req.messages]
@@ -110,28 +99,28 @@ def test_expert_persona_prompt_layout():
 
 
 def test_expert_persona_retries_malformed_then_succeeds():
-    backend = SeqBackend(["not json", '{"role": ""}', expert_json("Judge")])
+    backend = replay(["not json", '{"role": ""}', expert_json("Judge")])
     persona, _ = generate_expert_persona("t", [], backend)
     assert persona.name == "Judge"
     assert len(backend.requests) == 3
 
 
 def test_expert_persona_three_parse_failures_raise():
-    backend = SeqBackend(["x", "y", "z"])
+    backend = replay(["x", "y", "z"])
     with pytest.raises(PersonaParseFailure):
         generate_expert_persona("t", [], backend)
 
 
 def test_expert_persona_duplicate_names_raise_after_three():
     existing = [Persona(name="Chemist")]
-    backend = SeqBackend([expert_json("chemist"), expert_json("CHEMIST"), expert_json("Chemist ")])
+    backend = replay([expert_json("chemist"), expert_json("CHEMIST"), expert_json("Chemist ")])
     with pytest.raises(PersonaUniquenessFailure):
         generate_expert_persona("t", existing, backend)
 
 
 def test_expert_persona_duplicate_then_fresh_name():
     existing = [Persona(name="Chemist")]
-    backend = SeqBackend([expert_json("Chemist"), expert_json("Physicist")])
+    backend = replay([expert_json("Chemist"), expert_json("Physicist")])
     persona, _ = generate_expert_persona("t", existing, backend)
     assert persona.name == "Physicist"
 
@@ -140,7 +129,7 @@ def test_expert_persona_duplicate_then_fresh_name():
 
 
 def test_ipip_persona_happy_path():
-    backend = SeqBackend([ipip_json("Optimist", "high", "very high", "average", "low", "high")])
+    backend = replay([ipip_json("Optimist", "high", "very high", "average", "low", "high")])
     persona, raw = generate_ipip_persona("t", [], backend)
     assert persona.name == "Optimist"
     assert persona.traits == {
@@ -160,13 +149,13 @@ def test_ipip_persona_happy_path():
 def test_ipip_persona_missing_trait_counts_as_parse_failure():
     bad = json.dumps({"role": "X", "traits": {"Extraversion": "high"}})
     good = ipip_json("Y", "low", "low", "low", "low", "low")
-    backend = SeqBackend([bad, good])
+    backend = replay([bad, good])
     persona, _ = generate_ipip_persona("t", [], backend)
     assert persona.name == "Y"
 
 
 def test_ipip_persona_trait_out_of_range_is_immediate():
-    backend = SeqBackend([ipip_json("X", "extreme", "low", "low", "low", "low")])
+    backend = replay([ipip_json("X", "extreme", "low", "low", "low", "low")])
     with pytest.raises(TraitOutOfRange):
         generate_ipip_persona("t", [], backend)
     assert len(backend.requests) == 1
@@ -180,14 +169,14 @@ def test_ipip_persona_duplicate_vector_raises_after_three():
         )
     ]
     same = ipip_json("B", "average", "average", "average", "average", "average")
-    backend = SeqBackend([same, same, same])
+    backend = replay([same, same, same])
     with pytest.raises(PersonaUniquenessFailure):
         generate_ipip_persona("t", existing, backend)
 
 
 def test_ipip_persona_same_role_different_vector_is_fine():
     existing = [Persona(name="A", traits={name: "average" for name in TRAIT_NAMES})]
-    backend = SeqBackend([ipip_json("A", "high", "average", "average", "average", "average")])
+    backend = replay([ipip_json("A", "high", "average", "average", "average", "average")])
     persona, _ = generate_ipip_persona("t", existing, backend)
     assert persona.name == "A"
 
@@ -213,7 +202,7 @@ def test_build_panel_none_generator_needs_no_backend():
 
 
 def test_build_panel_expert_passes_prior_personas():
-    backend = SeqBackend([expert_json("Chemist"), expert_json("Physicist")])
+    backend = replay([expert_json("Chemist"), expert_json("Physicist")])
     profiles = build_panel(2, "expert", "t", backend)
     assert [p.persona.name for p in profiles] == ["Chemist", "Physicist"]
     # Second call saw the first persona as an assistant turn.
@@ -223,7 +212,7 @@ def test_build_panel_expert_passes_prior_personas():
 
 
 def test_build_panel_ipip():
-    backend = SeqBackend(
+    backend = replay(
         [
             ipip_json("A", "low", "low", "low", "low", "low"),
             ipip_json("B", "high", "high", "high", "high", "high"),
@@ -243,7 +232,7 @@ def test_build_panel_unknown_generator():
 
 
 def test_extract_final_answer_prompt_and_text():
-    backend = SeqBackend(["Final solution: B"])
+    backend = replay(["Final solution: B"])
     persona = Persona(name="Mathematician", description="Numbers.")
     text = extract_final_answer_response(
         persona, "task", "input", "I think B because...", backend
@@ -266,4 +255,4 @@ def test_extract_final_answer_response_carries_latency():
 
 def test_extract_final_answer_requires_previous_text():
     with pytest.raises(ValueError):
-        extract_final_answer_response(Persona(name="P"), "t", "i", "", SeqBackend(["x"]))
+        extract_final_answer_response(Persona(name="P"), "t", "i", "", replay(["x"]))

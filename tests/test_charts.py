@@ -7,7 +7,7 @@ from xml.dom import minidom
 
 import pytest
 
-from agora.charts import EmptyResults, emit_charts, fmt
+from agora.charts import emit_charts, fmt
 from agora.evaluation import EvalResult
 
 
@@ -125,7 +125,7 @@ def test_metric_selection_errors(tmp_path):
 
 
 def test_emit_charts_rejects_empty_input(tmp_path):
-    with pytest.raises(EmptyResults):
+    with pytest.raises(ValueError, match="no evaluation results to chart"):
         emit_charts([], tmp_path)
 
 

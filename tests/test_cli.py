@@ -421,6 +421,11 @@ def test_chart_rejects_unknown_metric(tmp_path):
         ({}, "has no valid jobName"),
         ([1], "is not a JSON object"),
         ({"jobName": "x", "repeats": 1, "turns": 5}, "has no valid turns"),
+        # The job name names the chart files; a path in it would write outside --out.
+        ({"jobName": "x/../../escaped", "repeats": 1}, "has no valid jobName"),
+        ({"jobName": "x\\..\\escaped", "repeats": 1}, "has no valid jobName"),
+        ({"jobName": "..", "repeats": 1}, "has no valid jobName"),
+        ({"jobName": "", "repeats": 1}, "has no valid jobName"),
     ],
 )
 def test_chart_rejects_an_eval_file_it_cannot_read(tmp_path, content, problem):

@@ -459,6 +459,10 @@ def test_load_dataset_names_every_row_with_a_value_it_cannot_map(tmp_path):
             {"id": "r5", "q": "q", "ans": [1, {"b": 2}]},
             {"id": "r6", "q": "q", "ans": "a", "c": [["nested"]]},
             {"id": "r7", "q": "q", "ans": "a", "letter": {"x": "A"}},
+            # A letter read as the text of a list or a number never equals
+            # an extracted one, so the sample would be scored wrong silently.
+            {"id": "r8", "q": "q", "ans": "a", "letter": ["B"]},
+            {"id": "r9", "q": "q", "ans": "a", "letter": 5},
         ],
     )
     with pytest.raises(MappingError) as excinfo:
@@ -471,7 +475,9 @@ def test_load_dataset_names_every_row_with_a_value_it_cannot_map(tmp_path):
             f"row 4: q {flat}",
             f"row 5: ans {flat}",
             f"row 6: c {flat}",
-            f"row 7: letter {flat}",
+            "row 7: letter must be a string",
+            "row 8: letter must be a string",
+            "row 9: letter must be a string",
         ]
     )
 

@@ -14,8 +14,6 @@ from agora.decisions import (
     CONSENSUS_PROTOCOLS,
     VOTING_PROTOCOLS,
     Ballot,
-    BudgetExceeded,
-    DuplicateRank,
     VoteParseFailure,
     VoteRound,
     collect_candidates,
@@ -41,8 +39,9 @@ from agora.domain import (
     TaskInstance,
     TieBreak,
 )
-from agora.gateway import ChatRequest, ChatResponse, EndpointUnreachable
+from agora.gateway import EndpointUnreachable
 from agora.paradigms import ParadigmKind
+from recording import REPLAY_LATENCY_MS, replay
 
 
 def make_state(n: int = 2, **params) -> DebateState:
@@ -60,16 +59,6 @@ def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int) -
 
 def valid_ballot(voter: int, parsed) -> Ballot:
     return Ballot(voter=voter, raw_text=str(parsed), parsed=parsed, valid=True)
-
-
-class SeqBackend:
-    def __init__(self, texts: list[str]) -> None:
-        self.texts = list(texts)
-        self.requests: list[ChatRequest] = []
-
-    def complete(self, req: ChatRequest) -> ChatResponse:
-        self.requests.append(req)
-        return ChatResponse(text=self.texts.pop(0), latency_ms=5)
 
 
 # -- protocol registry --
@@ -197,7 +186,7 @@ def test_ranked_truncation_runs_before_duplicate_check():
 
 
 def test_ranked_duplicates_rejected():
-    with pytest.raises(DuplicateRank):
+    with pytest.raises(VoteParseFailure, match="duplicate rank"):
         parse_ranked("1 1", 3)
 
 
@@ -230,10 +219,10 @@ def test_cumulative_underspend_is_fine():
 
 def test_cumulative_budget_enforced():
     assert parse_cumulative('{"1": 10}', 3) == {1: 10}
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(VoteParseFailure, match="budget is"):
         parse_cumulative('{"1": 6, "2": 5}', 3)
     assert parse_cumulative('{"1": 3}', 3, budget=3) == {1: 3}
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(VoteParseFailure, match="budget is"):
         parse_cumulative('{"1": 4}', 3, budget=3)
 
 
@@ -437,12 +426,12 @@ def test_collect_candidates_panel_order_and_extraction_log():
     add(state, 1, Phase.DRAFT, "one's answer", turn=1)
     add(state, 2, Phase.IMPROVE, "two's answer", turn=1)
     state.turn = 3
-    backend = SeqBackend(["extracted A", "extracted B"])
+    backend = replay(["extracted A", "extracted B"])
     candidates = collect_candidates(state, backend)
     assert candidates == ["extracted A", "extracted B"]
     extractions = [m for m in state.transcript if m.phase is Phase.EXTRACTION]
     assert [m.agent_id for m in extractions] == [1, 2]
-    assert all(m.turn == 3 and m.wall_clock_ms == 5 for m in extractions)
+    assert all(m.turn == 3 and m.wall_clock_ms == REPLAY_LATENCY_MS for m in extractions)
     # The extraction prompt quotes each agent's own last debate message.
     assert "one's answer" in backend.requests[0].messages[1].content
     assert "two's answer" in backend.requests[1].messages[1].content
@@ -453,7 +442,7 @@ def test_collect_candidates_keeps_duplicates():
     add(state, 1, Phase.DRAFT, "same", turn=1)
     add(state, 2, Phase.IMPROVE, "same", turn=1)
     state.turn = 1
-    backend = SeqBackend(["dup", "dup"])
+    backend = replay(["dup", "dup"])
     assert collect_candidates(state, backend) == ["dup", "dup"]
 
 
@@ -461,7 +450,7 @@ def test_collect_candidates_falls_back_to_draft():
     state = make_state(2)
     add(state, 1, Phase.DRAFT, "only one spoke", turn=1)
     state.turn = 1
-    backend = SeqBackend(["a", "b"])
+    backend = replay(["a", "b"])
     collect_candidates(state, backend)
     # Agent 2 never spoke, so its extraction quotes the standing draft.
     assert "only one spoke" in backend.requests[1].messages[1].content
@@ -470,14 +459,14 @@ def test_collect_candidates_falls_back_to_draft():
 def test_collect_candidates_needs_some_history():
     state = make_state(2)
     with pytest.raises(ValueError):
-        collect_candidates(state, SeqBackend([]))
+        collect_candidates(state, replay([]))
 
 
 def test_collect_candidates_needs_panel_of_two():
     state = make_state(2)
     state.panel = state.panel[:1]
     with pytest.raises(ValueError):
-        collect_candidates(state, SeqBackend([]))
+        collect_candidates(state, replay([]))
 
 
 # -- vote rounds --
@@ -494,7 +483,7 @@ def vote_state(n: int = 2, turn: int = 3, **params) -> DebateState:
 
 def test_run_vote_round_happy_path():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(["cand A", "cand B", "1", "1"])
+    backend = replay(["cand A", "cand B", "1", "1"])
     rnd = run_vote_round(state, backend)
     assert rnd.turn == 3
     assert rnd.candidates == ["cand A", "cand B"]
@@ -504,7 +493,7 @@ def test_run_vote_round_happy_path():
 
 def test_run_vote_round_reprompts_and_records_failures():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(["cand A", "cand B", "no number here", "2", "1"])
+    backend = replay(["cand A", "cand B", "no number here", "2", "1"])
     rnd = run_vote_round(state, backend)
     assert [(b.voter, b.valid) for b in rnd.ballots] == [(1, False), (1, True), (2, True)]
     assert rnd.ballots[0].reason == "no integer in ballot"
@@ -513,7 +502,7 @@ def test_run_vote_round_reprompts_and_records_failures():
 
 def test_run_vote_round_abstention_after_four_failures():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(["cand A", "cand B", "x", "x", "x", "x", "2"])
+    backend = replay(["cand A", "cand B", "x", "x", "x", "x", "2"])
     rnd = run_vote_round(state, backend)
     agent1 = [b for b in rnd.ballots if b.voter == 1]
     assert len(agent1) == 4 and not any(b.valid for b in agent1)
@@ -522,7 +511,7 @@ def test_run_vote_round_abstention_after_four_failures():
 
 def test_run_vote_round_everyone_abstains():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(["cand A", "cand B"] + ["x"] * 8)
+    backend = replay(["cand A", "cand B"] + ["x"] * 8)
     rnd = run_vote_round(state, backend)
     assert rnd.tally is None
     assert len(rnd.ballots) == 8
@@ -530,7 +519,7 @@ def test_run_vote_round_everyone_abstains():
 
 def test_run_vote_round_cumulative_uses_configured_points():
     state = vote_state(decision_protocol="cumulative_voting", cumulative_points=4)
-    backend = SeqBackend(["cand A", "cand B", '{"1": 4}', '{"2": 4}'])
+    backend = replay(["cand A", "cand B", '{"1": 4}', '{"2": 4}'])
     rnd = run_vote_round(state, backend)
     ballot_prompt = backend.requests[2].messages[1].content
     assert "4 points" in ballot_prompt
@@ -539,7 +528,7 @@ def test_run_vote_round_cumulative_uses_configured_points():
 
 def test_run_vote_round_budget_respects_configuration():
     state = vote_state(decision_protocol="cumulative_voting", cumulative_points=4)
-    backend = SeqBackend(["cand A", "cand B", '{"1": 9}', '{"1": 9}', '{"1": 3}', '{"2": 1}'])
+    backend = replay(["cand A", "cand B", '{"1": 9}', '{"1": 9}', '{"1": 3}', '{"2": 1}'])
     rnd = run_vote_round(state, backend)
     # Two over-budget ballots from agent 1 before a valid one.
     reasons = [b.reason for b in rnd.ballots if not b.valid]
@@ -552,7 +541,7 @@ def test_run_vote_round_budget_respects_configuration():
 
 def test_judge_decide_success_appends_message():
     state = vote_state(decision_protocol="judge")
-    backend = SeqBackend(["the winning text"])
+    backend = replay(["the winning text"])
     outcome = judge_decide(state, backend, ["a", "b"])
     assert outcome.success
     assert outcome.final_text == "the winning text"
@@ -576,7 +565,7 @@ def test_judge_decide_gateway_failure_falls_back():
 
 def test_judge_decide_needs_candidates():
     with pytest.raises(ValueError):
-        judge_decide(vote_state(decision_protocol="judge"), SeqBackend([]), [])
+        judge_decide(vote_state(decision_protocol="judge"), replay([]), [])
 
 
 # -- decide(): consensus --
@@ -603,7 +592,7 @@ def test_decide_consensus_reached():
     state = consensus_state(
         [None, Agreement.AGREE, Agreement.AGREE], decision_protocol="majority_consensus"
     )
-    outcome = decide(state, SeqBackend([]))
+    outcome = decide(state, replay([]))
     assert outcome.success
     assert outcome.final_text == "the draft"
     assert state.turn == 1
@@ -613,7 +602,7 @@ def test_decide_consensus_keeps_debating():
     state = consensus_state(
         [None, Agreement.DISAGREE, Agreement.DISAGREE], decision_protocol="majority_consensus"
     )
-    assert decide(state, SeqBackend([])) is None
+    assert decide(state, replay([])) is None
 
 
 def test_decide_consensus_turn_cap_fallback():
@@ -623,7 +612,7 @@ def test_decide_consensus_turn_cap_fallback():
         decision_protocol="majority_consensus",
         max_turns=7,
     )
-    outcome = decide(state, SeqBackend([]))
+    outcome = decide(state, replay([]))
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached without consensus"
     # The second disagreeing improve replaced the slate, so it is the fallback.
@@ -634,7 +623,7 @@ def test_decide_unanimity_blocks_on_single_holdout():
     state = consensus_state(
         [None, Agreement.AGREE, Agreement.DISAGREE], decision_protocol="unanimity_consensus"
     )
-    assert decide(state, SeqBackend([])) is None
+    assert decide(state, replay([])) is None
 
 
 # -- decide(): voting --
@@ -642,21 +631,21 @@ def test_decide_unanimity_blocks_on_single_holdout():
 
 def test_decide_voting_not_due_yet():
     state = vote_state(turn=2, decision_protocol="simple_voting")
-    assert decide(state, SeqBackend([])) is None
+    assert decide(state, replay([])) is None
 
 
 def test_decide_voting_cap_before_voting_turn():
     state = vote_state(
         turn=2, decision_protocol="simple_voting", voting_after_turns=9, max_turns=2
     )
-    outcome = decide(state, SeqBackend([]))
+    outcome = decide(state, replay([]))
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached before the voting turn"
 
 
 def test_decide_voting_unique_winner():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(["cand A", "cand B", "2", "2"])
+    backend = replay(["cand A", "cand B", "2", "2"])
     outcome = decide(state, backend)
     assert outcome.success
     assert outcome.final_text == "cand B"
@@ -668,7 +657,7 @@ def test_decide_voting_unique_winner():
 
 def test_decide_voting_all_invalid_falls_back():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(["cand A", "cand B"] + ["x"] * 8)
+    backend = replay(["cand A", "cand B"] + ["x"] * 8)
     outcome = decide(state, backend)
     assert not outcome.success
     assert outcome.fallback_reason == "all ballots invalid after re-prompts"
@@ -678,7 +667,7 @@ def test_decide_voting_all_invalid_falls_back():
 
 def test_decide_voting_tie_resolved_by_extra_round():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(
+    backend = replay(
         [
             "cand A", "cand B", "1", "2",  # round 1: tie
             "new say 1 [DISAGREE]", "new say 2 [AGREE]",  # extra debate turn
@@ -695,7 +684,7 @@ def test_decide_voting_tie_resolved_by_extra_round():
 
 def test_decide_voting_persistent_tie_uses_lowest_index():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(
+    backend = replay(
         [
             "cand A", "cand B", "1", "2",
             "say [DISAGREE]", "say [AGREE]",
@@ -710,7 +699,7 @@ def test_decide_voting_persistent_tie_uses_lowest_index():
 
 def test_decide_voting_tie_at_cap_skips_extra_round():
     state = vote_state(turn=7, decision_protocol="simple_voting", max_turns=7)
-    backend = SeqBackend(["cand A", "cand B", "1", "2"])
+    backend = replay(["cand A", "cand B", "1", "2"])
     outcome = decide(state, backend)
     assert outcome.success
     assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
@@ -721,7 +710,7 @@ def test_decide_voting_tie_at_cap_skips_extra_round():
 
 def test_decide_voting_tie_break_round_all_invalid():
     state = vote_state(decision_protocol="simple_voting")
-    backend = SeqBackend(
+    backend = replay(
         [
             "cand A", "cand B", "1", "2",
             "say [DISAGREE]", "say [AGREE]",
@@ -737,7 +726,7 @@ def test_decide_voting_tie_break_round_all_invalid():
 
 def test_decide_judge_protocol():
     state = vote_state(decision_protocol="judge")
-    backend = SeqBackend(["cand A", "cand B", "judged answer"])
+    backend = replay(["cand A", "cand B", "judged answer"])
     outcome = decide(state, backend)
     assert outcome.success
     assert outcome.final_text == "judged answer"

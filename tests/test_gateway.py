@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from agora import gateway
 from agora.datasets import read_input
 from agora.gateway import (
     AuthRejected,
@@ -27,6 +28,7 @@ from agora.gateway import (
     script_from_dict,
     wire_body,
 )
+from recording import Recording
 
 
 def ok_payload(text: str = "hello", usage: dict | None = None) -> dict:
@@ -159,22 +161,24 @@ def test_retries_on_429_and_timeouts():
     assert calls["n"] == 3
 
 
-def test_retries_exhausted():
+def test_retries_exhausted(monkeypatch):
     def transport(url, headers, body, timeout):
         return 503, None
 
-    gw = make_gateway(transport, max_retries=2)
-    with pytest.raises(EndpointUnreachable):
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 2)
+    gw = make_gateway(transport)
+    with pytest.raises(EndpointUnreachable, match="after 3 attempts"):
         gw.complete(req())
 
 
-def test_backoff_cap():
+def test_backoff_cap(monkeypatch):
     sleeps: list[float] = []
 
     def transport(url, headers, body, timeout):
         return 500, None
 
-    gw = make_gateway(transport, max_retries=8, sleeper=sleeps.append)
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 8)
+    gw = make_gateway(transport, sleeper=sleeps.append)
     with pytest.raises(EndpointUnreachable):
         gw.complete(req())
     assert max(sleeps) <= 30.0
@@ -381,10 +385,12 @@ def test_dropped_idle_connection_is_replaced_without_a_retry(loopback_server):
     assert sleeps == []
 
 
-def test_stalled_reply_times_out_and_is_retried(loopback_server):
+def test_stalled_reply_times_out_and_is_retried(loopback_server, monkeypatch):
     server = loopback_server("stall")
     sleeps: list[float] = []
-    gw = HttpGateway(server.url, max_retries=1, timeout_s=0.1, sleeper=sleeps.append)
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
+    monkeypatch.setattr(gateway, "TIMEOUT_S", 0.1)
+    gw = HttpGateway(server.url, sleeper=sleeps.append)
     started = time.monotonic()
     with pytest.raises(EndpointUnreachable, match="2 attempts"):
         gw.complete(req())
@@ -393,12 +399,13 @@ def test_stalled_reply_times_out_and_is_retried(loopback_server):
     assert len(sleeps) == 1
 
 
-def test_closed_port_is_unreachable():
+def test_closed_port_is_unreachable(monkeypatch):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     sleeps: list[float] = []
-    gw = HttpGateway(f"http://127.0.0.1:{port}/v1", max_retries=1, sleeper=sleeps.append)
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
+    gw = HttpGateway(f"http://127.0.0.1:{port}/v1", sleeper=sleeps.append)
     with pytest.raises(EndpointUnreachable):
         gw.complete(req())
     assert len(sleeps) == 1
@@ -420,11 +427,12 @@ def test_http_proxy_gets_the_absolute_uri(loopback_server, no_proxy_env):
     assert proxy.proxy_auth == ["Basic dXNlcjpwYSBzcw=="]  # base64 of "user:pa ss"
 
 
-def test_https_proxy_gets_a_connect_tunnel(loopback_server, no_proxy_env):
+def test_https_proxy_gets_a_connect_tunnel(loopback_server, no_proxy_env, monkeypatch):
     proxy = loopback_server()
     host, port = proxy.server_address
     no_proxy_env.setenv("HTTPS_PROXY", f"http://{host}:{port}")
-    gw = HttpGateway("https://endpoint.invalid/v1", max_retries=0)
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 0)
+    gw = HttpGateway("https://endpoint.invalid/v1")
     with pytest.raises(EndpointUnreachable, match="Tunnel connection failed"):
         gw.complete(req())
     assert proxy.targets == ["endpoint.invalid:443"]
@@ -459,7 +467,7 @@ def test_scripted_rules_fire_in_order_and_consume():
 
 
 def test_scripted_repeatable_rule():
-    gw = ScriptedGateway([ScriptRule("always", repeatable=True)])
+    gw = Recording(ScriptedGateway([ScriptRule("always", repeatable=True)]))
     for _ in range(5):
         assert gw.complete(vote_req("anything")).text == "always"
     assert len(gw.requests) == 5

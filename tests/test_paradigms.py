@@ -15,7 +15,6 @@ from agora.domain import (
     Phase,
     TaskInstance,
 )
-from agora.gateway import ChatRequest, ChatResponse
 from agora.paradigms import (
     CENTRAL_AGENT_ID,
     PanelTooSmall,
@@ -28,6 +27,7 @@ from agora.paradigms import (
     schedule,
     visible_messages,
 )
+from recording import REPLAY_LATENCY_MS, replay
 
 
 def make_state(n: int = 3, **params) -> DebateState:
@@ -42,16 +42,6 @@ def make_state(n: int = 3, **params) -> DebateState:
 def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int) -> Message:
     state.add(turn, agent_id, phase, text, 0)
     return state.transcript[-1]
-
-
-class SeqBackend:
-    def __init__(self, texts: list[str]) -> None:
-        self.texts = list(texts)
-        self.requests: list[ChatRequest] = []
-
-    def complete(self, req: ChatRequest) -> ChatResponse:
-        self.requests.append(req)
-        return ChatResponse(text=self.texts.pop(0), latency_ms=7)
 
 
 # -- pairing --
@@ -141,7 +131,7 @@ def test_debate_schedule_lone_peer_gets_half_the_exchanges():
 def test_schedule_is_turn_invariant():
     for kind in ParadigmKind:
         state = make_state(5, discussion_paradigm=kind.value)
-        backend = SeqBackend([f"m{i} [DISAGREE]" for i in range(40)])
+        backend = replay([f"m{i} [DISAGREE]" for i in range(40)])
         for _ in range(3):
             run_turn(state, backend)
         per_turn = [[m.agent_id for m in state.transcript if m.turn == t] for t in (1, 2, 3)]
@@ -250,7 +240,7 @@ def test_step_prompt_honors_generator_choice():
 
 def test_run_turn_memory_first_turn():
     state = make_state(3)
-    backend = SeqBackend(
+    backend = replay(
         [
             "first draft",
             "better [DISAGREE]",
@@ -270,7 +260,7 @@ def test_run_turn_memory_first_turn():
         Agreement.AGREE,
     ]
     assert [m.seq for m in state.transcript] == [1, 2, 3]
-    assert all(m.wall_clock_ms == 7 for m in state.transcript)
+    assert all(m.wall_clock_ms == REPLAY_LATENCY_MS for m in state.transcript)
     # Disagreeing improve replaced the draft; the agree vote targeted it.
     assert state.current_draft == "better [DISAGREE]"
     assert state.agree_flags == {2: Agreement.AGREE, 3: Agreement.AGREE}
@@ -278,7 +268,7 @@ def test_run_turn_memory_first_turn():
 
 def test_run_turn_draft_phase_never_parses_agreement():
     state = make_state(2)
-    backend = SeqBackend(["I [AGREE] with myself", "second [AGREE]"])
+    backend = replay(["I [AGREE] with myself", "second [AGREE]"])
     run_turn(state, backend)
     assert state.transcript[0].phase is Phase.DRAFT
     assert state.transcript[0].agreement is None
@@ -287,7 +277,7 @@ def test_run_turn_draft_phase_never_parses_agreement():
 
 def test_run_turn_debate_records_synthesis_as_draft_holder():
     state = make_state(3, discussion_paradigm="debate", debate_exchanges=2)
-    backend = SeqBackend(
+    backend = replay(
         [
             "p2 opening",
             "p3 pushback [DISAGREE]",
@@ -305,19 +295,19 @@ def test_run_turn_rejects_ended_debate():
     state = make_state(2)
     state.ended = True
     with pytest.raises(DebateEnded):
-        run_turn(state, SeqBackend([]))
+        run_turn(state, replay([]))
 
 
 def test_run_turn_rejects_exceeding_turn_cap():
     state = make_state(2, max_turns=7)
     state.turn = 7
     with pytest.raises(ValueError):
-        run_turn(state, SeqBackend([]))
+        run_turn(state, replay([]))
 
 
 def test_run_turn_report_peers_never_see_each_other():
     state = make_state(3, discussion_paradigm="report")
-    backend = SeqBackend(["p2 draft", "p3 says [DISAGREE]", "central merge"])
+    backend = replay(["p2 draft", "p3 says [DISAGREE]", "central merge"])
     run_turn(state, backend)
     # The shared solution slate is always visible; the discussion memory is
     # what visibility scopes, so agent 3's memory must not quote agent 2.
@@ -329,7 +319,7 @@ def test_run_turn_report_peers_never_see_each_other():
 
 def test_run_turn_second_turn_numbering():
     state = make_state(2)
-    backend = SeqBackend(["a", "b [AGREE]", "c [DISAGREE]", "d [AGREE]"])
+    backend = replay(["a", "b [AGREE]", "c [DISAGREE]", "d [AGREE]"])
     run_turn(state, backend)
     run_turn(state, backend)
     assert state.turn == 2

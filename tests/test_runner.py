@@ -24,6 +24,7 @@ from agora.runner import (
     run_sample,
     serialize_record,
 )
+from recording import Recording
 
 DRAFT_HOOK = "Nobody proposed a solution yet."
 IMPROVE_HOOK = "Improve the current solution."
@@ -106,7 +107,7 @@ def test_run_debate_unanimous_first_turn():
 
 
 def test_run_debate_voting_and_call_accounting():
-    gateway = voting_script()
+    gateway = Recording(voting_script())
     params = debate_params(decision_protocol="simple_voting", voting_after_turns=1)
     record = run_sample(params, make_sample(), gateway)
     outcome = record["outcome"]
@@ -162,7 +163,7 @@ def baseline_script():
 
 
 def test_run_baseline_with_chain_of_thought():
-    gateway = baseline_script()
+    gateway = Recording(baseline_script())
     record = run_sample(debate_params(use_baseline=True), make_sample(), gateway)
     outcome = record["outcome"]
     assert outcome["protocol"] == "baseline"
@@ -178,7 +179,7 @@ def test_run_baseline_with_chain_of_thought():
 
 
 def test_run_baseline_without_chain_of_thought():
-    gateway = baseline_script()
+    gateway = Recording(baseline_script())
     params = debate_params(use_baseline=True, use_chain_of_thought=False)
     run_sample(params, make_sample(), gateway)
     (request,) = gateway.requests

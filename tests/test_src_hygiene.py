@@ -18,11 +18,15 @@ an input file, and `datasets.write_output` the one place that writes an
 output file, so every input and output error names its file in one way.
 And `DebateState.add` is the one place that builds a `Message`: the state
 numbers each message, and the message reads its agreement from its text.
+And an exception class that subclasses, or is subclassed by, another one
+defined in src/agora is caught by name somewhere in src/agora: a subclass
+nothing tells apart from its base is a second name for one failure.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -300,3 +304,49 @@ def test_only_the_state_builds_a_message():
     # A message built anywhere else carries a number and an agreement that
     # the transcript did not give it.
     assert calls_outside(_builds_a_message, {("domain", "add")}) == []
+
+
+# The gateway's failures that no src code tells apart, kept under their own
+# names: a failure record's error reads "<class>: <message>", so each name is
+# the diagnosis the user reads.
+GATEWAY_DIAGNOSES = {"EndpointUnreachable", "MalformedResponse", "AuthRejected", "NoRuleMatched"}
+
+
+def uncaught_family_members() -> list[str]:
+    """`module.Class` for each exception class in a family that no `except` names.
+
+    A family is the exception classes defined in src/agora that subclass one
+    another; a class that subclasses none of the others, and none of the
+    others subclasses, stands alone and is no family.
+    """
+    trees, _ = _parsed_package()
+    bases: dict[str, set[str]] = {}
+    modules: dict[str, str] = {}
+    caught: set[str] = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(_references(node.type))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {name for base in node.bases for name in _references(base)}
+                modules[node.name] = module
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_exception(base) for base in bases.get(name, ()))
+
+    exceptions = {name for name in bases if is_exception(name)}
+    subclasses = {name for name in exceptions if bases[name] & exceptions}
+    family = subclasses | {base for name in subclasses for base in bases[name] & exceptions}
+    return sorted(
+        f"{modules[name]}.{name}" for name in family - caught - GATEWAY_DIAGNOSES
+    )
+
+
+def test_an_exception_family_is_caught_by_name():
+    # A subclass that no code catches by name tells the program nothing its
+    # base does not: one error type per failure the program handles.
+    assert uncaught_family_members() == []
