@@ -11,7 +11,6 @@ import io
 import statistics
 from pathlib import Path
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 from .datasets import write_output
 from .evaluation import EvalResult
@@ -19,6 +18,11 @@ from .evaluation import EvalResult
 
 WIDTH, HEIGHT = 480, 320
 LEFT, RIGHT, TOP, BOTTOM = 70, 20, 46, 270
+
+
+def escape(text: str) -> str:
+    """XML character data: `&` first, so the entities the others add stay whole."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def fmt(value: float) -> str:

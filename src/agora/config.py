@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from . import decisions, paradigms
 from .agents import PERSONA_GENERATORS
@@ -13,7 +12,7 @@ from .datasets import FormatError, read_input
 from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
 from .gateway import is_endpoint_url
 
-CONFIG_KEYS = frozenset(f.name for f in fields(JobParams))
+CONFIG_KEYS = frozenset(JobParams._fields)
 
 REQUIRED_KEYS = (
     "endpoint_url",
@@ -44,8 +43,7 @@ def _check_keys(entries: Mapping[str, Any]) -> None:
             raise ConfigError(f"unknown config key {key!r}")
 
 
-@dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(NamedTuple):
     name: str
     repeats: int
     common: dict[str, Any]
@@ -94,8 +92,7 @@ class BatchConfig:
             raise ConfigError(f"{path}: {exc}")
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     name: str
     params: dict[str, Any]
     repeat_index: int
@@ -220,9 +217,9 @@ def resolve_job_params(params: Mapping[str, Any], http_backend: bool = False) ->
     """
     _check_keys(params)
     values = {
-        f.name: _typed(f.name, params[f.name], f.default)
-        for f in fields(JobParams)
-        if f.name in params
+        key: _typed(key, params[key], JobParams._field_defaults[key])
+        for key in JobParams._fields
+        if key in params
     }
     values["api_key"] = values.get("api_key") or os.environ.get("AGORA_API_KEY", "")
     job = JobParams(**values)

@@ -9,9 +9,8 @@ import json
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .domain import TaskInstance
 from .prompts import multiple_choice_footer
@@ -29,21 +28,26 @@ class EmptyDataset(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FieldMapping:
-    """Where unified-format fields come from in a raw dataset file."""
-
+class _MappingFields(NamedTuple):
     input_fields: tuple[str, ...]
     reference_fields: tuple[str, ...]
     id_field: Optional[str] = None
     context_fields: tuple[str, ...] = ()
     answer_letter_field: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not self.input_fields:
+
+class FieldMapping(_MappingFields):
+    """Where unified-format fields come from in a raw dataset file."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "FieldMapping":
+        mapping = super().__new__(cls, *args, **kwargs)
+        if not mapping.input_fields:
             raise ValueError("input_fields must not be empty")
-        if not self.reference_fields:
+        if not mapping.reference_fields:
             raise ValueError("reference_fields must not be empty")
+        return mapping
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FieldMapping":
@@ -76,8 +80,8 @@ def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> An
 
 def write_output(path: str | Path, chunks: Iterable[str]) -> None:
     """Write the chunks as UTF-8 with no newline translation, making the file's
-    directory. A file that cannot be written, or text that is not UTF-8 (a lone
-    surrogate), raises FormatError naming the file.
+    directory. A file that cannot be written (a NUL in its path among them), or
+    text that is not UTF-8 (a lone surrogate), raises FormatError naming the file.
 
     The chunks go to a hidden sibling that replaces the file once all are
     written, so a failed write leaves the previous file, or none."""
@@ -90,10 +94,10 @@ def write_output(path: str | Path, chunks: Iterable[str]) -> None:
                 handle.writelines(chunks)
             os.replace(temp, target)
         except BaseException:
-            with contextlib.suppress(OSError):
+            with contextlib.suppress(OSError, ValueError):
                 temp.unlink()
             raise
-    except (OSError, UnicodeEncodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a lone surrogate, or a NUL in the path
         raise FormatError(f"cannot write {path}: {exc}")
 
 
@@ -312,7 +316,7 @@ def load_input_file(path: str | Path) -> list[TaskInstance]:
     instances = load_dataset(path, fmt, mapping)
     instruction = spec.get("instruction")
     if instruction:
-        instances = [replace(i, instruction_key=str(instruction)) for i in instances]
+        instances = [i._replace(instruction_key=str(instruction)) for i in instances]
     return instances
 
 

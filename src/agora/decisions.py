@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -176,8 +175,7 @@ def parse_ballot(protocol: str, text: str, k: int, budget: int = 10) -> Any:
     return _voting_rule(protocol).parse(text, k, budget)
 
 
-@dataclass
-class Ballot:
+class Ballot(NamedTuple):
     voter: int
     raw_text: str
     parsed: Any = None
@@ -202,8 +200,7 @@ def _serialize_parsed(parsed: Any) -> Any:
     return parsed
 
 
-@dataclass
-class Tally:
+class Tally(NamedTuple):
     per_solution_score: dict[int, int]  # every rule awards whole points
     winners: set[int]
 
@@ -223,8 +220,7 @@ def tally(protocol: str, ballots: list[Ballot], k: int) -> Optional[Tally]:
     return Tally(per_solution_score=scores, winners=winners)
 
 
-@dataclass
-class VoteRound:
+class VoteRound(NamedTuple):
     turn: int
     candidates: list[str]
     ballots: list[Ballot]

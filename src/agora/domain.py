@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
 class Phase(str, Enum):
@@ -57,8 +55,7 @@ class DebateEnded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(NamedTuple):
     """One dataset sample in the unified format."""
 
     id: str
@@ -87,8 +84,7 @@ class TaskInstance:
         return record
 
 
-@dataclass(frozen=True)
-class Persona:
+class Persona(NamedTuple):
     name: str
     description: str = ""
     traits: Optional[dict[str, str]] = None
@@ -107,8 +103,7 @@ class ParadigmKind(str, Enum):
     DEBATE = "debate"
 
 
-@dataclass(frozen=True)
-class JobParams:
+class JobParams(NamedTuple):
     """One job's parameters, defaults filled in; the field names are the config keys."""
 
     endpoint_url: str = ""
@@ -136,7 +131,7 @@ class JobParams:
         # api_key never lands in logs.
         entry = {
             key: getattr(self, key)
-            for key in sorted(f.name for f in fields(self))
+            for key in sorted(self._fields)
             if key != "api_key"
         }
         if entry["num_samples"] is None:
@@ -144,8 +139,7 @@ class JobParams:
         return entry
 
 
-@dataclass(frozen=True)
-class AgentProfile:
+class AgentProfile(NamedTuple):
     agent_id: int
     persona: Persona
     raw_text: Optional[str] = None  # the generator's response the persona was parsed from
@@ -163,8 +157,7 @@ class AgentProfile:
         return entry
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     seq: int
     turn: int
     agent_id: int
@@ -172,7 +165,7 @@ class Message:
     text: str
     wall_clock_ms: int = 0
 
-    @cached_property
+    @property
     def agreement(self) -> Optional[Agreement]:
         """The text's last marker; only improve and feedback messages carry one."""
         if self.phase in (Phase.IMPROVE, Phase.FEEDBACK):
@@ -187,14 +180,13 @@ class Message:
             "phase": self.phase.value,
             "text": self.text,
         }
-        if self.agreement is not None:
-            entry["agreement"] = self.agreement.value
+        if (agreement := self.agreement) is not None:
+            entry["agreement"] = agreement.value
         entry["clockMs"] = self.wall_clock_ms
         return entry
 
 
-@dataclass
-class DecisionOutcome:
+class DecisionOutcome(NamedTuple):
     """How a run ended; the log record adds the protocol and the turn."""
 
     final_text: str
@@ -218,19 +210,23 @@ def _installs_draft(msg: Message) -> bool:
     return False
 
 
-@dataclass
 class DebateState:
     """One debate's job, sample, task text and transcript; `turn` counts completed turns."""
 
-    params: JobParams
-    task: TaskInstance
-    task_text: str  # the resolved instruction the prompts carry
-    panel: list[AgentProfile]
-    transcript: list[Message] = field(default_factory=list)
-    current_draft: Optional[str] = None  # the text of the solution under discussion
-    agree_flags: dict[int, Agreement] = field(default_factory=dict)
-    turn: int = 0
-    ended: bool = False
+    __slots__ = (
+        "params", "task", "task_text", "panel", "transcript", "current_draft", "agree_flags", "turn", "ended"
+    )
+
+    def __init__(
+        self, params: JobParams, task: TaskInstance, task_text: str, panel: list[AgentProfile]
+    ) -> None:
+        self.params, self.task, self.panel = params, task, panel
+        self.task_text = task_text  # the resolved instruction the prompts carry
+        self.transcript: list[Message] = []
+        self.current_draft: Optional[str] = None  # the text of the solution under discussion
+        self.agree_flags: dict[int, Agreement] = {}
+        self.turn = 0
+        self.ended = False
 
     def add(self, turn: int, agent_id: int, phase: Phase, text: str, clock_ms: int) -> None:
         """Append the next message, numbered after the last; its text carries its agreement."""
@@ -243,8 +239,8 @@ class DebateState:
         if _installs_draft(msg):
             self.current_draft = msg.text
             self.agree_flags = {msg.agent_id: Agreement.AGREE}
-        elif msg.agreement is not None:
-            self.agree_flags[msg.agent_id] = msg.agreement
+        elif (agreement := msg.agreement) is not None:
+            self.agree_flags[msg.agent_id] = agreement
 
     def agreement_fraction(self) -> Fraction:
         if not self.panel:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 import re
 import statistics
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .datasets import FieldTable, FormatError, field_fault, input_files, load_input_file
 from .datasets import read_input, read_jsonl, write_output
@@ -52,8 +51,7 @@ def record_correct(record: dict[str, Any], sample: TaskInstance) -> bool:
     return extracted is not None and extracted == sample.answer_letter.strip().upper()
 
 
-@dataclass(frozen=True)
-class RepeatStats:
+class RepeatStats(NamedTuple):
     mean: float
     std: float
     annotation: Optional[str] = None
@@ -100,17 +98,28 @@ def _attr(key: str) -> str:
     return re.sub("[A-Z]", lambda match: "_" + match[0].lower(), key)
 
 
-@dataclass
-class EvalResult:
+class _EvalFields(NamedTuple):
     job_name: str
     repeats: int
-    mean: dict[str, float] = field(default_factory=dict)
-    std: dict[str, float] = field(default_factory=dict)
-    annotations: dict[str, str] = field(default_factory=dict)
-    metric_values: dict[str, list[float]] = field(default_factory=dict)
-    decision_success_rate: float = 0.0
-    turns: list[int] = field(default_factory=list)
-    wall_clock_s: list[float] = field(default_factory=list)
+    mean: dict[str, float]
+    std: dict[str, float]
+    annotations: dict[str, str]
+    metric_values: dict[str, list[float]]
+    decision_success_rate: float
+    turns: list[int]
+    wall_clock_s: list[float]
+
+
+class EvalResult(_EvalFields):
+    """One job's scores; a field not given is zero or empty, and each dict and list is its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, job_name: str, repeats: int, **given: Any) -> "EvalResult":
+        defaults = dict(
+            mean={}, std={}, annotations={}, metric_values={}, decision_success_rate=0.0, turns=[], wall_clock_s=[]
+        )
+        return super().__new__(cls, job_name, repeats, **{**defaults, **given})
 
     def to_json(self) -> dict[str, Any]:
         # Dict fields are written key-sorted, so one result always gives the same bytes.
@@ -134,6 +143,8 @@ def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
             job, repeat = match.group("job"), int(match.group("repeat"))
         else:
             job, repeat = file.stem, 1
+        if not _file_name_part(job):  # it names the eval file and the charts
+            raise FormatError(f"{file}: job name {job!r} is not a plain file name")
         groups.setdefault(job, []).append((repeat, file))
     for job in groups:
         groups[job].sort()

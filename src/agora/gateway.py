@@ -12,7 +12,6 @@ import time
 import urllib.request
 import weakref
 from base64 import b64encode
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit
 
@@ -37,24 +36,27 @@ class NoRuleMatched(GatewayError):
     pass
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(NamedTuple):
     role: str
     content: str
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class _RequestFields(NamedTuple):
     messages: tuple[ChatMessage, ...]
     model_name: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.messages:
+
+class ChatRequest(_RequestFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ChatRequest":
+        req = super().__new__(cls, *args, **kwargs)
+        if not req.messages:
             raise ValueError("a chat request needs at least one message")
+        return req
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     text: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -88,8 +90,7 @@ class Backend(Protocol):
     def clock(self) -> float: ...  # seconds; times the backend's calls and whole debates
 
 
-@dataclass(frozen=True)
-class DebateBackend:
+class DebateBackend(NamedTuple):
     """One debate's backend: forwards each request with the job's model filled in."""
 
     backend: Backend
@@ -295,8 +296,7 @@ class HttpGateway:
         return ChatResponse(text, prompt_tokens, completion_tokens, latency_ms)
 
 
-@dataclass(frozen=True)
-class MatchClause:
+class MatchClause(NamedTuple):
     contains: str
     role: Optional[str] = None
 
@@ -307,8 +307,7 @@ class MatchClause:
         )
 
 
-@dataclass(frozen=True)
-class ScriptRule:
+class ScriptRule(NamedTuple):
     response: str
     match: tuple[MatchClause, ...] = ()  # empty matches every request
     repeatable: bool = False

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import prompts
 from .domain import (
@@ -22,8 +22,7 @@ class PanelTooSmall(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TurnStep:
+class TurnStep(NamedTuple):
     speaker: int
     phase: Phase
 

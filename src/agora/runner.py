@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import datasets, decisions, paradigms, prompts
@@ -61,21 +60,22 @@ def record_failed(record: dict[str, Any]) -> bool:
     return record.get("outcome", {}).get("error") is not None
 
 
-@dataclass
 class JobReport:
-    name: str
-    repeat_index: int
-    output_path: str
-    records: int = 0
-    failures: int = 0
-    wall_clock_s: float = 0.0
-    error: Optional[str] = None
+    __slots__ = ("name", "repeat_index", "output_path", "records", "failures", "wall_clock_s", "error")
+
+    def __init__(self, name: str, repeat_index: int, output_path: str) -> None:
+        self.name, self.repeat_index, self.output_path = name, repeat_index, output_path
+        self.records = self.failures = 0
+        self.wall_clock_s = 0.0
+        self.error: Optional[str] = None
 
 
-@dataclass
 class BatchSummary:
-    reports: list[JobReport] = field(default_factory=list)
-    total_wall_clock_s: float = 0.0
+    __slots__ = ("reports", "total_wall_clock_s")
+
+    def __init__(self, reports: list[JobReport]) -> None:
+        self.reports = reports
+        self.total_wall_clock_s = 0.0
 
     @property
     def total_records(self) -> int:
@@ -94,14 +94,15 @@ class BatchSummary:
         return self.total_failures == 0 and self.aborted_jobs == 0
 
 
-@dataclass
 class _QueuedJob:
     """A job whose debates are in the batch queue; holds records until its last one ends."""
 
-    report: JobReport
-    params: JobParams
-    records: list[Optional[dict[str, Any]]]
-    pending: int
+    __slots__ = ("report", "params", "records", "pending")
+
+    def __init__(self, report: JobReport, params: JobParams, samples: int) -> None:
+        self.report, self.params = report, params
+        self.records: list[Optional[dict[str, Any]]] = [None] * samples
+        self.pending = samples
 
 
 def _write_job(job: _QueuedJob, queued_at: float) -> None:
@@ -158,7 +159,7 @@ def run_batch(
         except Exception as exc:
             report.error = f"{type(exc).__name__}: {exc}"
             continue
-        ready.append((_QueuedJob(report, params, [None] * len(samples), len(samples)), samples))
+        ready.append((_QueuedJob(report, params, len(samples)), samples))
 
     gateways: dict = {}
 

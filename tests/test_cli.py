@@ -517,3 +517,40 @@ def test_evaluate_names_the_log_and_the_dataset_of_an_unknown_sample_id(tmp_path
     assert result.output == (
         f"Error: {log}: log references unknown sample id '9' (dataset {dataset})\n"
     )
+
+
+def test_run_aborts_a_job_whose_output_path_holds_a_nul(tmp_path):
+    dataset, script, _ = make_workspace(tmp_path)
+    output = tmp_path / "logs" / "de\0mo.jsonl"
+    config = write_json(
+        tmp_path / "nul.json",
+        {
+            "repeats": 1,
+            "common": {"input_json_file_path": str(dataset)},
+            "runs": [{"output_json_file_path": str(output)}],
+        },
+    )
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--backend", f"scripted:{script}"]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    aborted = [line for line in result.output.splitlines() if "ABORTED:" in line]
+    written = tmp_path / "logs" / "de\0mo-r1.jsonl"
+    assert aborted == [f"de\0mo r1: ABORTED: cannot write {written}: embedded null byte"]
+
+
+@pytest.mark.parametrize(
+    "name, job", [("..jsonl", "."), ("..-r2.jsonl", ".."), ("a\\b.jsonl", "a\\b")]
+)
+def test_evaluate_rejects_a_log_whose_name_gives_no_plain_job_name(tmp_path, name, job):
+    # The job name names the eval file, and chart would reject it.
+    dataset, runner = run_pipeline(tmp_path)
+    log = tmp_path / "logs" / name
+    log.write_bytes((tmp_path / "logs" / "demo-r1.jsonl").read_bytes())
+    out_dir = tmp_path / "evals"
+    result = runner.invoke(
+        main, ["evaluate", "--logs", str(log.parent), "--dataset", str(dataset), "--out", str(out_dir)]
+    )
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    assert result.output == f"Error: {log}: job name {job!r} is not a plain file name\n"
+    assert not out_dir.exists()

@@ -482,12 +482,10 @@ def test_run_batch_summary(tmp_path):
 
 
 def test_batch_summary_flags():
-    summary = BatchSummary(
-        reports=[
-            JobReport("a", 1, "a.json", records=2, failures=1),
-            JobReport("b", 1, "b.json", error="boom"),
-        ]
-    )
+    failed, aborted = JobReport("a", 1, "a.json"), JobReport("b", 1, "b.json")
+    failed.records, failed.failures = 2, 1
+    aborted.error = "boom"
+    summary = BatchSummary(reports=[failed, aborted])
     assert summary.total_failures == 1
     assert summary.aborted_jobs == 1
     assert not summary.ok

@@ -9,7 +9,9 @@ the enums whose members the config selects by value.
 
 Also: every function parameter in src/agora is read by its function
 (Protocol stubs aside), and starting the CLI imports no third-party HTTP
-client, because every `agora` invocation pays for what it imports. And the
+client, because every `agora` invocation pays for what it imports, and
+importing the modules a command sets up with loads neither `dataclasses` nor
+`xml.sax`, for the same reason. And the
 per-debate backend is the one carrier of the job's model and of the clock:
 no function takes a `model_name`, and nothing type-checks the scripted backend.
 The debate state is the one carrier of a debate's job: no function takes it
@@ -125,8 +127,9 @@ def test_every_enum_member_is_used_inside_the_package():
     assert unreferenced_enum_members() == []
 
 
-def test_cli_import_loads_no_http_client_library():
-    code = "import sys, agora.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+def loaded_by_a_fresh_import(modules: str) -> set[str]:
+    """The names of the modules a fresh interpreter holds after `import <modules>`."""
+    code = f"import sys, {modules}; print(' '.join(sys.modules))"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -136,7 +139,19 @@ def test_cli_import_loads_no_http_client_library():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_no_http_client_library():
+    assert {"requests", "urllib3"} & loaded_by_a_fresh_import("agora.cli") == set()
+
+
+def test_setup_imports_load_no_dataclasses_or_xml_sax():
+    # What `run`, `evaluate` and `chart` import before their first debate or
+    # file: the value types are NamedTuples and plain classes, and the charts
+    # escape their own text, so neither module's import cost is paid.
+    setup = "agora.charts, agora.config, agora.datasets, agora.evaluation, agora.runner"
+    assert {"dataclasses", "xml.sax"} & loaded_by_a_fresh_import(setup) == set()
 
 
 def _is_stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
