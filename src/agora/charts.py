@@ -6,14 +6,12 @@ bytes; there are no timestamps, random ids, or library version drift.
 
 from __future__ import annotations
 
-import csv
 import io
-import statistics
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .datasets import write_output
-from .evaluation import EvalResult
+from .evaluation import EvalResult, fmean
 
 
 WIDTH, HEIGHT = 480, 320
@@ -133,6 +131,8 @@ def _quartiles(values: Sequence[int]) -> tuple[float, float, float]:
     if len(values) == 1:
         v = float(values[0])
         return v, v, v
+    import statistics
+
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
@@ -159,6 +159,8 @@ def emit_charts(
     """Four chart kinds per job, each an SVG with a CSV carrying the numbers."""
     if not eval_results:
         raise ValueError("no evaluation results to chart")
+    import csv
+
     out = Path(out_dir)
     manifest: list[Path] = []
 
@@ -184,7 +186,7 @@ def emit_charts(
         turns = result.turns or [0]
         low, high = float(min(turns)), float(max(turns))
         q1, median, q3 = _quartiles(turns)
-        turn_mean = statistics.fmean(turns)
+        turn_mean = fmean(turns)
         svg = _box_svg(f"turns ({job})", job, low, q1, median, q3, high, turn_mean, max(high, 1.0))
         write("turns", job, svg, "min,q1,median,q3,max,mean", low, q1, median, q3, high, turn_mean)
 
@@ -192,7 +194,7 @@ def emit_charts(
         svg = _bar_svg(f"decision success ({job})", job, rate, None, 1.0, "success rate")
         write("decision", job, svg, "success_rate", rate)
 
-        clock_mean = statistics.fmean(result.wall_clock_s) if result.wall_clock_s else 0.0
+        clock_mean = fmean(result.wall_clock_s) if result.wall_clock_s else 0.0
         clock_scale = max(clock_mean * 1.25, 1.0)
         svg = _bar_svg(f"wall clock ({job})", job, clock_mean, None, clock_scale, "seconds")
         write("clock", job, svg, "mean_s", clock_mean)

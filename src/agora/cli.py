@@ -6,30 +6,12 @@ import sys
 
 import click
 
-from . import charts, evaluation, runner
-from .config import BatchConfig, ConfigError, expand_config, resolve_job_params
 from .datasets import EmptyDataset, MappingError, read_input
-from .evaluation import DatasetMismatch
-from .gateway import ScriptedGateway, script_from_dict
 
 
 @click.group()
 def main() -> None:
     """Multi-agent debate batches over a chat-completions endpoint."""
-
-
-def _load_backend(backend: str) -> ScriptedGateway | None:
-    if backend == "http":
-        return None
-    if backend.startswith("scripted:"):
-        path = backend.split(":", 1)[1]
-        try:
-            return script_from_dict(read_input(path))
-        except ValueError as exc:  # FormatError among them
-            raise click.ClickException(f"cannot load script {path}: {exc}")
-    raise click.ClickException(
-        f"unknown backend {backend!r}; expected http or scripted:<script.json>"
-    )
 
 
 @main.command()
@@ -43,7 +25,22 @@ def _load_backend(backend: str) -> ScriptedGateway | None:
 @click.option("--dry-run", is_flag=True, help="Print the expanded job table and exit.")
 def run(config_path: str, backend: str, dry_run: bool) -> None:
     """Expand a batch config into jobs and run every debate."""
-    scripted = _load_backend(backend)
+    # Each command imports what it runs: `evaluate` and `chart` load no gateway.
+    from . import runner
+    from .config import BatchConfig, ConfigError, expand_config, resolve_job_params
+    from .gateway import script_from_dict
+
+    scripted = None
+    if backend.startswith("scripted:"):
+        path = backend.split(":", 1)[1]
+        try:
+            scripted = script_from_dict(read_input(path))
+        except ValueError as exc:  # FormatError among them
+            raise click.ClickException(f"cannot load script {path}: {exc}")
+    elif backend != "http":
+        raise click.ClickException(
+            f"unknown backend {backend!r}; expected http or scripted:<script.json>"
+        )
     try:
         cfg = BatchConfig.load(config_path)
     except ConfigError as exc:  # it names the file
@@ -91,11 +88,13 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
 @click.option("--out", "out_dir", required=True, help="Directory for eval JSON files.")
 def evaluate(logs: str, dataset: str, out_dir: str) -> None:
     """Score debate logs against their dataset, one eval file per job."""
+    from . import evaluation
+
     try:
         written = evaluation.evaluate_logs(logs, dataset, out_dir)
     except (ValueError, MappingError, EmptyDataset) as exc:  # FormatError too
         raise click.ClickException(str(exc))
-    except DatasetMismatch as exc:
+    except evaluation.DatasetMismatch as exc:
         raise click.ClickException(f"{exc} (dataset {dataset})")
     for path in written:
         click.echo(str(path))
@@ -107,6 +106,8 @@ def evaluate(logs: str, dataset: str, out_dir: str) -> None:
 @click.option("--metric", default=None, help="Metric for the score chart.")
 def chart(evals: str, out_dir: str, metric: str | None) -> None:
     """Render score, turns, decision, and wall-clock charts per job."""
+    from . import charts, evaluation
+
     try:
         results = evaluation.load_eval_results(evals)
         manifest = charts.emit_charts(results, out_dir, metric=metric)

@@ -111,7 +111,7 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
     """Overlay each run onto common (run wins) and fan out over repeats.
 
     Two runs may not share an output file, however its path is spelled: the
-    later job's log would replace the earlier one's.
+    later job's log would replace the earlier one's. Nor may it hold a NUL.
     """
     required = list(REQUIRED_KEYS)
     if scripted_backend:
@@ -126,6 +126,8 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
                 f"run {index} is missing required key(s) after overlay: {', '.join(missing)}"
             )
         output = _typed("output_json_file_path", merged["output_json_file_path"], "")
+        if "\0" in output:
+            raise ConfigError(f"run {index} writes {output!r}, a path that holds a NUL")
         first = writers.setdefault(os.path.abspath(output), index)
         if first != index:
             raise ConfigError(f"runs {first} and {index} both write {output!r}")

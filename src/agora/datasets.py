@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import os
@@ -74,7 +73,7 @@ def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> An
         return parse(Path(path).read_bytes().decode("utf-8"))
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}")
-    except (OSError, ValueError, RecursionError, csv.Error) as exc:  # ValueError: not UTF-8 or JSON
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or JSON
         raise FormatError(f"cannot read {path}: {exc}")
 
 
@@ -158,9 +157,15 @@ def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
     elif fmt == "jsonl":
         records = read_jsonl(path)
     elif fmt == "csv":
-        records = read_input(
-            path, lambda text: list(csv.DictReader(io.StringIO(text, newline="")))
-        )
+        import csv
+
+        def parse(text: str) -> list[dict[str, Any]]:
+            try:
+                return list(csv.DictReader(io.StringIO(text, newline="")))
+            except csv.Error as exc:  # read_input names the file
+                raise ValueError(str(exc))
+
+        records = read_input(path, parse)
     else:
         raise FormatError(f"{path}: unsupported format {fmt!r}; expected json, jsonl, or csv")
     if not records:

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import logging
 import re
-from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import paradigms, prompts
@@ -14,29 +12,30 @@ from .domain import (
     DebateState,
     DecisionOutcome,
     Phase,
+    Share,
     TieBreak,
 )
 from .gateway import Backend, GatewayError, chat_request
 
-logger = logging.getLogger(__name__)
 
 class VoteParseFailure(Exception):
     pass
 
 
-# The consensus vocabulary: each protocol's test of the agreeing share,
-# in exact rationals so boundary cases never depend on float rounding;
-# the supermajority bar is the literal 66 percent.
-_CONSENSUS_RULES: dict[str, Callable[[Fraction], bool]] = {
-    "majority_consensus": lambda share: share > Fraction(1, 2),
-    "supermajority_consensus": lambda share: share > Fraction(33, 50),
-    "unanimity_consensus": lambda share: share == 1,
+# The consensus vocabulary: each protocol's test of n agreeing agents out
+# of d, cross-multiplied in integers so boundary cases never depend on
+# float rounding; the supermajority bar is the literal 66 percent.
+_CONSENSUS_RULES: dict[str, Callable[[int, int], bool]] = {
+    "majority_consensus": lambda n, d: 2 * n > d,
+    "supermajority_consensus": lambda n, d: 50 * n > 33 * d,
+    "unanimity_consensus": lambda n, d: n == d,
 }
 CONSENSUS_PROTOCOLS = frozenset(_CONSENSUS_RULES)
 
 
-def consensus_reached(fraction: Fraction, protocol: str) -> bool:
-    return _CONSENSUS_RULES[protocol](fraction)
+def consensus_reached(share: Share, protocol: str) -> bool:
+    """`share` is a Share, or a Fraction: its denominator is positive."""
+    return _CONSENSUS_RULES[protocol](share.numerator, share.denominator)
 
 
 def voting_due(turn: int, voting_after_turns: int = 3) -> bool:
@@ -95,10 +94,7 @@ def parse_ranked(text: str, k: int) -> list[int]:
     # A 0 anywhere marks the whole ballot as 0-based.
     if any(v == 0 for v in values):
         values = [v + 1 for v in values]
-    limit = min(k, 5)
-    if len(values) > limit:
-        logger.warning("ranking longer than %d entries truncated: %r", limit, text)
-        values = values[:limit]
+    values = values[: min(k, 5)]  # a longer ranking is cut silently
     if len(values) != len(set(values)):
         raise VoteParseFailure(f"duplicate rank in {values}")
     for value in values:

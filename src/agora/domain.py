@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from fractions import Fraction
 from typing import Any, NamedTuple, Optional
 
 
@@ -53,6 +52,13 @@ class SequenceViolation(Exception):
 
 class DebateEnded(Exception):
     pass
+
+
+class Share(NamedTuple):
+    """An exact share of a panel, unreduced, read like a Fraction."""
+
+    numerator: int
+    denominator: int
 
 
 class TaskInstance(NamedTuple):
@@ -242,13 +248,13 @@ class DebateState:
         elif (agreement := msg.agreement) is not None:
             self.agree_flags[msg.agent_id] = agreement
 
-    def agreement_fraction(self) -> Fraction:
+    def agreement_fraction(self) -> Share:
         if not self.panel:
             raise ValueError("panel must be non-empty")
         agreeing = sum(
             1 for flag in self.agree_flags.values() if flag is Agreement.AGREE
         )
-        return Fraction(agreeing, len(self.panel))
+        return Share(agreeing, len(self.panel))
 
     def debate_messages(self) -> list[Message]:
         return [m for m in self.transcript if m.phase in DEBATE_PHASES]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
 import re
-import statistics
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -57,14 +57,21 @@ class RepeatStats(NamedTuple):
     annotation: Optional[str] = None
 
 
+def fmean(values: Sequence[float]) -> float:
+    """`statistics.fmean`, bit for bit, without importing `statistics`."""
+    return math.fsum(values) / len(values)
+
+
 def aggregate(per_repeat_results: Sequence[float]) -> RepeatStats:
     """Mean and sample std (n-1) over repeat-level means."""
     values = list(per_repeat_results)
     if not values:
         raise ValueError("aggregate needs at least one repeat")
-    mean = statistics.fmean(values)
+    mean = fmean(values)
     if len(values) == 1:
         return RepeatStats(mean=mean, std=0.0, annotation="single repeat")
+    import statistics
+
     return RepeatStats(mean=mean, std=statistics.stdev(values))
 
 
@@ -211,7 +218,7 @@ def evaluate_job(
                 for metric, value in scores.items():
                     repeat_scores.setdefault(metric, []).append(value)
         for metric, values in repeat_scores.items():
-            per_repeat.setdefault(metric, []).append(statistics.fmean(values))
+            per_repeat.setdefault(metric, []).append(fmean(values))
             pooled.setdefault(metric, []).extend(values)
     result = EvalResult(
         job_name=job_name,

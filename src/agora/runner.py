@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import deque
 from typing import Any, Optional
 
 from . import datasets, decisions, paradigms, prompts
@@ -140,8 +141,9 @@ def run_batch(
     """Run every job's debates through one queue; per-debate failures are recorded, never fatal.
 
     The queue has one worker per gateway slot (the sum of the distinct
-    gateways' caps) and takes samples in job order, so jobs overlap. Each
-    job's log is written as soon as its last debate ends.
+    gateways' caps) and takes samples in job order, so jobs overlap; every
+    gateway exists before the first worker starts. Each job's log is
+    written as soon as its last debate ends.
     """
     if not jobs:
         raise ValueError("no jobs to run")
@@ -161,25 +163,47 @@ def run_batch(
             continue
         ready.append((_QueuedJob(report, params, len(samples)), samples))
 
-    gateways: dict = {}
-
-    def backend_for(params: JobParams) -> Backend:
-        if scripted is not None:
-            return scripted.fork()
-        return _shared_gateway(params, gateways)
-
     caps = {_gateway_key(job.params): job.params.concurrent_api_requests for job, _ in ready}
-    with ThreadPoolExecutor(max_workers=max(1, sum(caps.values()))) as pool:
-        queued = {
-            pool.submit(run_sample, job.params, sample, backend_for(job.params)): (job, index)
-            for job, samples in ready
-            for index, sample in enumerate(samples)
-        }
-        for future in as_completed(queued):
-            job, index = queued.pop(future)
-            job.records[index] = future.result()
+    gateways: dict = {}
+    todo = deque(
+        (job, index, sample, scripted.fork() if scripted is not None else _shared_gateway(job.params, gateways))
+        for job, samples in ready
+        for index, sample in enumerate(samples)
+    )
+    finished: deque = deque()  # (job, index, record or exception) as each debate ends
+    ended = threading.Semaphore(0)
+
+    def work() -> None:
+        while True:
+            try:
+                job, index, sample, backend = todo.popleft()
+            except IndexError:
+                return
+            try:
+                finished.append((job, index, run_sample(job.params, sample, backend)))
+            except BaseException as exc:
+                finished.append((job, index, exc))
+                return  # the caller raises it and hands out no more samples
+            finally:
+                ended.release()
+
+    queued = len(todo)
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(max(1, sum(caps.values())))]
+    for worker in workers:
+        worker.start()
+    try:
+        for _ in range(queued):
+            ended.acquire()
+            job, index, record = finished.popleft()
+            if isinstance(record, BaseException):
+                raise record
+            job.records[index] = record
             job.pending -= 1
             if job.pending == 0:
                 _write_job(job, started)
+    finally:
+        todo.clear()
+        for worker in workers:
+            worker.join()
     summary.total_wall_clock_s = time.monotonic() - started
     return summary

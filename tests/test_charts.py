@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import csv
+import statistics
+import tempfile
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given, strategies as st
 
+from agora import charts
 from agora.charts import emit_charts, fmt
 from agora.evaluation import EvalResult
 
@@ -163,3 +168,18 @@ def test_every_csv_row_keeps_the_header_width_for_a_job_name_with_csv_syntax(tmp
             header, row = csv.reader(handle)
         assert len(row) == len(header)
         assert row[0] == table.stem.split("-", 1)[1]
+
+
+@given(
+    st.lists(st.integers(0, 50), min_size=1, max_size=20),
+    st.lists(st.floats(0, 1e6), min_size=1, max_size=20),
+)
+def test_chart_means_equal_statistics_fmean_bit_for_bit(turns, clocks):
+    # The CSV cells carry every bit of each number once fmt writes hex.
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        patch.setattr(charts, "fmt", lambda value: float(value).hex())
+        emit_charts([make_result("job", turns=turns, wall_clock_s=clocks)], out)
+        turns_row = (Path(out) / "turns-job.csv").read_text(encoding="utf-8").split(",")
+        clock_row = (Path(out) / "clock-job.csv").read_text(encoding="utf-8").split(",")
+    assert turns_row[-1] == statistics.fmean(turns).hex() + "\n"
+    assert clock_row[-1] == statistics.fmean(clocks).hex() + "\n"

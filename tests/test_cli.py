@@ -519,24 +519,26 @@ def test_evaluate_names_the_log_and_the_dataset_of_an_unknown_sample_id(tmp_path
     )
 
 
-def test_run_aborts_a_job_whose_output_path_holds_a_nul(tmp_path):
+def test_a_log_path_holding_a_nul_stops_run_and_dry_run(tmp_path):
+    # No file name holds a NUL, so the config fails at expansion: a dry run
+    # that passed would promise a job that cannot write its log.
     dataset, script, _ = make_workspace(tmp_path)
-    output = tmp_path / "logs" / "de\0mo.jsonl"
+    output = str(tmp_path / "logs" / "de\0mo.jsonl")
     config = write_json(
         tmp_path / "nul.json",
         {
             "repeats": 1,
             "common": {"input_json_file_path": str(dataset)},
-            "runs": [{"output_json_file_path": str(output)}],
+            "runs": [{"output_json_file_path": output}],
         },
     )
-    result = CliRunner().invoke(
-        main, ["run", "--config", str(config), "--backend", f"scripted:{script}"]
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    aborted = [line for line in result.output.splitlines() if "ABORTED:" in line]
-    written = tmp_path / "logs" / "de\0mo-r1.jsonl"
-    assert aborted == [f"de\0mo r1: ABORTED: cannot write {written}: embedded null byte"]
+    for extra in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {config}: run 1 writes {output!r}, a path that holds a NUL\n"
+    assert not (tmp_path / "logs").exists()
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,8 @@ import pytest
 
 from agora import runner
 from agora.config import CHOICES, JobSpec
+from agora.decisions import consensus_reached
+from agora.domain import Share
 from agora.gateway import HttpGateway
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +61,15 @@ CONSENSUS = {
     "supermajority_consensus": lambda share: share > Fraction(66, 100),
     "unanimity_consensus": lambda share: share == 1,
 }
+
+
+def test_the_integer_consensus_rules_are_the_fraction_rules():
+    # Every agreeing count on every panel of 1 to 100 agents.
+    for panel in range(1, 101):
+        for agreeing in range(panel + 1):
+            for protocol, rule in CONSENSUS.items():
+                expected = rule(Fraction(agreeing, panel))
+                assert consensus_reached(Share(agreeing, panel), protocol) == expected, (protocol, agreeing, panel)
 
 
 def space() -> list[dict]:

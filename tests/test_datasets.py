@@ -3,8 +3,6 @@ and the one reader, writer and lister of files."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import pytest
@@ -53,7 +51,6 @@ def write_jsonl(tmp_path, name: str, records) -> str:
 )
 def test_read_input_names_a_file_it_cannot_read(tmp_path, kind):
     path = tmp_path / "input.txt"
-    parse = json.loads
     if kind == "directory":
         path.mkdir()
     elif kind == "not-utf8":
@@ -63,10 +60,12 @@ def test_read_input_names_a_file_it_cannot_read(tmp_path, kind):
     elif kind == "too-deep":
         path.write_text("[" * 100_000, encoding="utf-8")
     elif kind == "csv-error":
+        # A field past the csv module's limit, read through a CSV dataset.
         path.write_text("a\n" + "x" * 200_000 + "\n", encoding="utf-8")
-        parse = lambda text: list(csv.reader(io.StringIO(text)))
+        mapping = {"input_fields": ["a"], "reference_fields": ["a"], "format": "csv"}
+        sidecar_path(path).write_text(json.dumps(mapping), encoding="utf-8")
     with pytest.raises(FormatError) as excinfo:
-        read_input(path, parse)
+        load_input_file(path) if kind == "csv-error" else read_input(path)
     expected = f"no such file: {path}" if kind == "missing" else f"cannot read {path}: "
     assert str(excinfo.value).startswith(expected)
 

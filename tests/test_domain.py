@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +18,7 @@ from agora.domain import (
     Persona,
     Phase,
     SequenceViolation,
+    Share,
     TaskInstance,
     TieBreak,
     build_log_record,
@@ -261,11 +261,11 @@ def test_agreement_fraction_is_exact():
     state = make_state(3)
     state.add(1, 1, Phase.DRAFT, "v1", 0)
     state.add(1, 2, Phase.IMPROVE, "ok [AGREE]", 0)
-    assert state.agreement_fraction() == Fraction(2, 3)
+    assert state.agreement_fraction() == Share(2, 3)
     state.add(1, 3, Phase.IMPROVE, "no [DISAGREE]", 0)
     # A disagreeing improve replaces the draft; the slate resets to its author.
     assert state.current_draft == "no [DISAGREE]"
-    assert state.agreement_fraction() == Fraction(1, 3)
+    assert state.agreement_fraction() == Share(1, 3)
 
 
 def test_agreement_fraction_needs_panel():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from agora.evaluation import (
     evaluate_job,
     evaluate_logs,
     extract_answer_letter,
+    fmean,
     group_log_files,
     load_eval_results,
     read_records,
@@ -154,6 +156,18 @@ def test_aggregate_is_permutation_invariant(values, data):
     b = aggregate(shuffled)
     assert a.mean == pytest.approx(b.mean)
     assert a.std == pytest.approx(b.std)
+
+
+@given(
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50)
+    | st.lists(st.integers(0, 10**6), min_size=1, max_size=50)
+)
+def test_means_equal_statistics_fmean_bit_for_bit(values):
+    # `fmean` takes each repeat's mean and the charts' means; `aggregate`
+    # takes the mean over repeats. Floats and integers (turn counts) alike.
+    expected = statistics.fmean(values).hex()
+    assert fmean(values).hex() == expected
+    assert aggregate(values).mean.hex() == expected
 
 
 # -- file grouping --

@@ -669,6 +669,96 @@ def test_run_batch_calls_patchable_hooks_once_per_sample(tmp_path, monkeypatch):
     assert sorted(serialized) == ["0001", "0001", "0002", "0002", "0003", "0003"]
 
 
+@pytest.fixture
+def started_threads(monkeypatch) -> list[threading.Thread]:
+    """Every thread started while the test runs, in start order."""
+    started: list[threading.Thread] = []
+
+    class RecordingThread(threading.Thread):
+        def start(self) -> None:
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return started
+
+
+def test_a_run_sample_that_raises_reaches_the_caller(tmp_path, monkeypatch):
+    calls: list[str] = []
+
+    def broken(params, sample, backend):
+        calls.append(sample.id)
+        raise RuntimeError(f"broken {sample.id}")
+
+    monkeypatch.setattr(runner, "run_sample", broken)
+    jobs = [job_spec(tmp_path, write_dataset(tmp_path, 4), concurrent_api_requests=1)]
+    raised: list[BaseException] = []
+
+    def call() -> None:
+        try:
+            run_batch(jobs, scripted=unanimity_script())
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    # A lost exception would leave the caller waiting on a record that never
+    # comes; the join times out instead of hanging the suite.
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["broken 0001"]
+    # The one worker stopped at the failure: no other sample was taken.
+    assert calls == ["0001"]
+
+
+def test_run_batch_starts_one_worker_per_slot(tmp_path, started_threads):
+    dataset = write_dataset(tmp_path, 6)
+    jobs = [
+        job_spec(tmp_path, dataset, name="two", concurrent_api_requests=2),
+        job_spec(tmp_path, dataset, name="three", concurrent_api_requests=3),
+        job_spec(tmp_path, dataset, name="three-again", concurrent_api_requests=3),
+    ]
+    summary = run_batch(jobs, scripted=unanimity_script())
+    assert summary.ok and summary.total_records == 18
+    # Two distinct caps, 2 + 3: the jobs that share a cap share its slots.
+    assert len(started_threads) == 5
+
+
+def test_run_batch_hands_out_samples_in_job_order(tmp_path, monkeypatch):
+    seen: list[str] = []
+    original = runner.run_sample
+
+    def recording(params, sample, backend):
+        seen.append(f"{Path(params.output_json_file_path).stem}:{sample.id}")
+        return original(params, sample, backend)
+
+    monkeypatch.setattr(runner, "run_sample", recording)
+    dataset = write_dataset(tmp_path, 3)
+    jobs = [job_spec(tmp_path, dataset, name=name, concurrent_api_requests=1) for name in "ab"]
+    assert run_batch(jobs, scripted=unanimity_script()).ok
+    # One slot, so one worker: the order it takes the samples in is visible.
+    assert seen == ["a:0001", "a:0002", "a:0003", "b:0001", "b:0002", "b:0003"]
+
+
+def test_every_gateway_is_built_before_the_first_worker_starts(tmp_path, monkeypatch, started_threads):
+    built: list[tuple[str, bool, int]] = []
+
+    def gateway(url, *args, **kwargs):
+        built.append((url, threading.current_thread() is threading.main_thread(), len(started_threads)))
+        return HttpGateway(url, *args, transport=CountingTransport(), **kwargs)
+
+    monkeypatch.setattr(runner, "HttpGateway", gateway)
+    dataset = write_dataset(tmp_path, 2)
+    jobs = [
+        job_spec(tmp_path, dataset, name=name, endpoint_url=url, model_name="m")
+        for name, url in [("a", "http://one.invalid"), ("b", "http://two.invalid"), ("c", "http://one.invalid")]
+    ]
+    assert run_batch(jobs).ok
+    # One gateway, so one set of slots, per endpoint, each built on the
+    # calling thread while no worker was running.
+    assert built == [("http://one.invalid", True, 0), ("http://two.invalid", True, 0)]
+
+
 # -- the per-debate backend --
 
 # Kind of call -> a phrase only its prompt holds; a turn (draft or

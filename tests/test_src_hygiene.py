@@ -10,8 +10,10 @@ the enums whose members the config selects by value.
 Also: every function parameter in src/agora is read by its function
 (Protocol stubs aside), and starting the CLI imports no third-party HTTP
 client, because every `agora` invocation pays for what it imports, and
-importing the modules a command sets up with loads neither `dataclasses` nor
-`xml.sax`, for the same reason. And the
+importing the modules a command sets up with loads none of `dataclasses`,
+`xml.sax`, `logging`, `concurrent.futures`, `fractions`, `decimal`,
+`statistics` or `csv`, for the same reason; nor does `agora run`, and
+`agora evaluate` and `agora chart` load no gateway or network code. And the
 per-debate backend is the one carrier of the job's model and of the clock:
 no function takes a `model_name`, and nothing type-checks the scripted backend.
 The debate state is the one carrier of a debate's job: no function takes it
@@ -34,6 +36,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "agora"
 
@@ -127,9 +131,10 @@ def test_every_enum_member_is_used_inside_the_package():
     assert unreferenced_enum_members() == []
 
 
-def loaded_by_a_fresh_import(modules: str) -> set[str]:
-    """The names of the modules a fresh interpreter holds after `import <modules>`."""
-    code = f"import sys, {modules}; print(' '.join(sys.modules))"
+def loaded_by_a_fresh_import(modules: str, then: str = "") -> set[str]:
+    """The names of the modules a fresh interpreter holds after `import <modules>`
+    and the statements `then`."""
+    code = f"import sys, {modules}\n{then}\nprint(' '.join(sys.modules))"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -146,12 +151,90 @@ def test_cli_import_loads_no_http_client_library():
     assert {"requests", "urllib3"} & loaded_by_a_fresh_import("agora.cli") == set()
 
 
+# What set-up never runs: the value types are NamedTuples and plain classes,
+# the charts escape their own text, the ranked-ballot cut logs nothing, the
+# batch runs its own workers, consensus is decided in integers, and only
+# `evaluate` and `chart` use statistics and csv, which they import where
+# they use them.
+NOT_FOR_SETUP = {
+    "dataclasses", "xml.sax", "logging", "concurrent.futures", "fractions", "decimal", "statistics", "csv",
+}
+
+
 def test_setup_imports_load_no_dataclasses_or_xml_sax():
     # What `run`, `evaluate` and `chart` import before their first debate or
-    # file: the value types are NamedTuples and plain classes, and the charts
-    # escape their own text, so neither module's import cost is paid.
+    # file; every command pays for it.
     setup = "agora.charts, agora.config, agora.datasets, agora.evaluation, agora.runner"
-    assert {"dataclasses", "xml.sax"} & loaded_by_a_fresh_import(setup) == set()
+    assert NOT_FOR_SETUP & loaded_by_a_fresh_import(setup) == set()
+
+
+def loaded_by_a_command(*args: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `agora <args>` on
+    inputs that do not exist: the command's own imports, and no file's."""
+    then = (
+        "try:\n"
+        f"    agora.cli.main({list(args)!r})\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 1, exit.code"
+    )
+    return loaded_by_a_fresh_import("agora.cli", then)
+
+
+# What a command that sends no request must not load.
+NETWORK = {"agora.gateway", "http.client", "ssl", "urllib.request", "concurrent.futures", "logging"}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--logs", "no-logs", "--dataset", "no-dataset.json", "--out", "no-evals"],
+        ["chart", "--evals", "no-evals", "--out", "no-charts"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_a_command_that_sends_no_request_loads_no_network_code(command):
+    loaded = loaded_by_a_command(*command)
+    assert "agora.evaluation" in loaded
+    assert NETWORK & loaded == set()
+
+
+def test_run_loads_no_thread_pool_logging_or_http_client_library():
+    loaded = loaded_by_a_command("run", "--config", "no-config.json", "--dry-run")
+    assert "agora.runner" in loaded
+    assert ({"requests", "urllib3"} | NOT_FOR_SETUP) & loaded == set()
+
+
+# What a function may import: the two stdlib modules that only `evaluate`
+# and `chart` use, and, in the CLI, each command's own agora modules.
+LOCAL_IMPORTS = {"statistics", "csv"}
+
+
+def imports_inside_functions() -> list[str]:
+    """`module.function: name` for each import a function makes outside LOCAL_IMPORTS."""
+    flagged = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Import):
+                    names = [alias.name for alias in sub.names]
+                elif isinstance(sub, ast.ImportFrom):
+                    names = ["." * sub.level + (sub.module or "")]
+                else:
+                    continue
+                flagged.update(
+                    f"{path.stem}.{node.name}: {name}"
+                    for name in names
+                    if name not in LOCAL_IMPORTS and not (path.stem == "cli" and name.startswith("."))
+                )
+    return sorted(flagged)
+
+
+def test_start_up_saves_by_removing_imports_not_by_moving_them():
+    # An import moved into a function is paid on first use instead, and
+    # hides what a module needs from the fresh-import checks above.
+    assert imports_inside_functions() == []
 
 
 def _is_stub(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

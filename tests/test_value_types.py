@@ -19,6 +19,7 @@ from agora.domain import (
     Message,
     Persona,
     Phase,
+    Share,
     TaskInstance,
 )
 from agora.evaluation import EvalResult, RepeatStats
@@ -46,6 +47,7 @@ IMMUTABLE = {
     AgentProfile: lambda: AgentProfile(1, Persona("critic"), "raw"),
     Message: lambda: Message(1, 1, 2, Phase.IMPROVE, "Fine. [AGREE]", 5),
     DecisionOutcome: lambda: DecisionOutcome("A", vote_detail=[{"turn": 3}]),
+    Share: lambda: Share(2, 3),
     ChatMessage: lambda: ChatMessage("user", "hi"),
     ChatRequest: lambda: ChatRequest((ChatMessage("user", "hi"),), "m"),
     ChatResponse: lambda: ChatResponse("hello", 3, 1, 20),
