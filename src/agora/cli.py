@@ -27,7 +27,7 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
     """Expand a batch config into jobs and run every debate."""
     # Each command imports what it runs: `evaluate` and `chart` load no gateway.
     from . import runner
-    from .config import BatchConfig, ConfigError, expand_config, resolve_job_params
+    from .config import BatchConfig, ConfigError, expand_config
     from .gateway import script_from_dict
 
     scripted = None
@@ -45,28 +45,26 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         cfg = BatchConfig.load(config_path)
     except ConfigError as exc:  # it names the file
         raise click.ClickException(str(exc))
-    # Every job is resolved up front, so a job that cannot run stops the
+    # Every job is prepared up front, so a job that cannot run stops the
     # batch (and a dry run) before any debate starts.
-    where = ""
     try:
         jobs = expand_config(cfg, scripted_backend=scripted is not None)
-        resolved = []
-        for job in jobs:
-            where = f"{job.name} r{job.repeat_index}: "
-            resolved.append(resolve_job_params(job.params, http_backend=scripted is None))
+        if dry_run:
+            prepared = runner.prepare_jobs(jobs, http_backend=scripted is None)
+        else:
+            summary = runner.run_batch(jobs, scripted=scripted)
     except ConfigError as exc:
-        raise click.ClickException(f"{config_path}: {where}{exc}")
+        raise click.ClickException(f"{config_path}: {exc}")
 
     if dry_run:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
-        for job, params in zip(jobs, resolved):
+        for job in prepared:
             click.echo(
-                f"  {job.name} r{job.repeat_index} -> {job.output_path} "
-                f"[protocol={params.decision_protocol} paradigm={params.discussion_paradigm}]"
+                f"  {job.report.name} r{job.report.repeat_index} -> {job.report.output_path} "
+                f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}]"
             )
         return
 
-    summary = runner.run_batch(jobs, scripted=scripted)
     for report in summary.reports:
         if report.error is not None:
             click.echo(f"{report.name} r{report.repeat_index}: ABORTED: {report.error}")

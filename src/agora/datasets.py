@@ -160,10 +160,8 @@ def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
         import csv
 
         def parse(text: str) -> list[dict[str, Any]]:
-            try:
-                return list(csv.DictReader(io.StringIO(text, newline="")))
-            except csv.Error as exc:  # read_input names the file
-                raise ValueError(str(exc))
+            csv.field_size_limit(max(csv.field_size_limit(), len(text)))  # never lowered
+            return list(csv.DictReader(io.StringIO(text, newline="")))
 
         records = read_input(path, parse)
     else:

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from collections import deque
+from pathlib import Path
 from typing import Any, Optional
 
 from . import datasets, decisions, paradigms, prompts
 from .agents import build_panel, neutral_panel
-from .config import JobParams, JobSpec, resolve_job_params
-from .domain import AgentProfile, DebateState, DecisionOutcome, Phase, build_log_record
+from .config import ConfigError, JobParams, JobSpec, resolve_job_params
+from .domain import AgentProfile, DebateState, DecisionOutcome, Phase, TaskInstance, build_log_record
 from .gateway import Backend, DebateBackend, HttpGateway, ScriptedGateway, chat_request
 
 
@@ -96,14 +98,43 @@ class BatchSummary:
 
 
 class _QueuedJob:
-    """A job whose debates are in the batch queue; holds records until its last one ends."""
+    """A prepared job: its params and samples, and its records until its last debate ends."""
 
-    __slots__ = ("report", "params", "records", "pending")
+    __slots__ = ("report", "params", "samples", "records", "pending")
 
-    def __init__(self, report: JobReport, params: JobParams, samples: int) -> None:
-        self.report, self.params = report, params
-        self.records: list[Optional[dict[str, Any]]] = [None] * samples
-        self.pending = samples
+    def __init__(self, report: JobReport, params: JobParams, samples: list[TaskInstance]) -> None:
+        self.report, self.params, self.samples = report, params, samples
+        self.records: list[Optional[dict[str, Any]]] = [None] * len(samples)
+        self.pending = len(samples)
+
+
+def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[_QueuedJob]:
+    """Each job resolved, its samples taken from a dataset loaded once per batch,
+    and its log path checked. The first job that cannot run raises one
+    ConfigError naming the job (and the file at fault), before any debate."""
+    loaded: dict[str, list[TaskInstance]] = {}
+    prepared = []
+    for spec in jobs:
+        try:
+            params = resolve_job_params(spec.params, http_backend)
+            dataset = os.path.abspath(params.input_json_file_path)
+            if dataset not in loaded:
+                loaded[dataset] = datasets.load_input_file(params.input_json_file_path)
+            samples = loaded[dataset]
+            if params.num_samples is not None:
+                samples = datasets.subset(samples, params.num_samples, params.seed)
+            log = params.output_json_file_path
+            if os.path.isdir(log):
+                raise ConfigError(f"cannot write {log}: it is a directory")
+            ancestor = Path(log).parent  # the nearest one that exists must be a directory
+            while not ancestor.exists() and ancestor != ancestor.parent:
+                ancestor = ancestor.parent
+            if not ancestor.is_dir():
+                raise ConfigError(f"cannot write {log}: {ancestor} is not a directory")
+        except (ConfigError, datasets.MappingError, datasets.EmptyDataset, OSError, ValueError) as exc:
+            raise ConfigError(f"{spec.name} r{spec.repeat_index}: {exc}")
+        prepared.append(_QueuedJob(JobReport(spec.name, spec.repeat_index, spec.output_path), params, samples))
+    return prepared
 
 
 def _write_job(job: _QueuedJob, queued_at: float) -> None:
@@ -120,55 +151,28 @@ def _write_job(job: _QueuedJob, queued_at: float) -> None:
     job.records = []
 
 
-def _gateway_key(params: JobParams) -> tuple:
-    return (params.endpoint_url, params.api_key, params.concurrent_api_requests)
-
-
-def _shared_gateway(params: JobParams, cache: dict) -> HttpGateway:
-    key = _gateway_key(params)
-    if key not in cache:
-        cache[key] = HttpGateway(
-            params.endpoint_url,
-            params.api_key,
-            max_in_flight=params.concurrent_api_requests,
-        )
-    return cache[key]
-
-
 def run_batch(
     jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None
 ) -> BatchSummary:
     """Run every job's debates through one queue; per-debate failures are recorded, never fatal.
 
-    The queue has one worker per gateway slot (the sum of the distinct
-    gateways' caps) and takes samples in job order, so jobs overlap; every
-    gateway exists before the first worker starts. Each job's log is
-    written as soon as its last debate ends.
+    A job that cannot run raises ConfigError before any debate. The queue has
+    one worker per gateway slot (the sum of the distinct gateways' caps) and
+    takes samples in job order, so jobs overlap; every gateway exists before
+    the first worker starts. Each job's log is written when its last debate ends.
     """
     if not jobs:
         raise ValueError("no jobs to run")
     started = time.monotonic()
-    summary = BatchSummary(
-        reports=[JobReport(s.name, s.repeat_index, s.output_path) for s in jobs]
-    )
-    ready: list[tuple[_QueuedJob, list]] = []
-    for spec, report in zip(jobs, summary.reports):
-        try:
-            params = resolve_job_params(spec.params, http_backend=scripted is None)
-            samples = datasets.load_input_file(params.input_json_file_path)
-            if params.num_samples is not None:
-                samples = datasets.subset(samples, params.num_samples, params.seed)
-        except Exception as exc:
-            report.error = f"{type(exc).__name__}: {exc}"
-            continue
-        ready.append((_QueuedJob(report, params, len(samples)), samples))
-
-    caps = {_gateway_key(job.params): job.params.concurrent_api_requests for job, _ in ready}
-    gateways: dict = {}
+    queued = prepare_jobs(jobs, http_backend=scripted is None)
+    summary = BatchSummary(reports=[job.report for job in queued])
+    # One gateway, so one set of slots, per endpoint, API key and cap.
+    keys = [(job.params.endpoint_url, job.params.api_key, job.params.concurrent_api_requests) for job in queued]
+    gateways = {key: HttpGateway(*key) for key in dict.fromkeys(keys)} if scripted is None else {}
     todo = deque(
-        (job, index, sample, scripted.fork() if scripted is not None else _shared_gateway(job.params, gateways))
-        for job, samples in ready
-        for index, sample in enumerate(samples)
+        (job, index, sample, scripted.fork() if scripted is not None else gateways[key])
+        for job, key in zip(queued, keys)
+        for index, sample in enumerate(job.samples)
     )
     finished: deque = deque()  # (job, index, record or exception) as each debate ends
     ended = threading.Semaphore(0)
@@ -187,12 +191,12 @@ def run_batch(
             finally:
                 ended.release()
 
-    queued = len(todo)
-    workers = [threading.Thread(target=work, daemon=True) for _ in range(max(1, sum(caps.values())))]
+    debates = len(todo)
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(sum(cap for _, _, cap in set(keys)))]
     for worker in workers:
         worker.start()
     try:
-        for _ in range(queued):
+        for _ in range(debates):
             ended.acquire()
             job, index, record = finished.popleft()
             if isinstance(record, BaseException):

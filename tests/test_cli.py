@@ -286,13 +286,14 @@ def test_run_scripted_end_to_end(tmp_path):
         assert record["globalClockMs"] == 0
 
 
-def test_run_reports_aborted_job(tmp_path):
+def test_run_refuses_a_job_whose_dataset_is_missing_before_any_debate(tmp_path):
     _, script, _ = make_workspace(tmp_path)
+    absent = tmp_path / "absent.json"
     config = write_json(
         tmp_path / "missing-input.json",
         {
             "repeats": 1,
-            "common": {"input_json_file_path": str(tmp_path / "absent.json")},
+            "common": {"input_json_file_path": str(absent)},
             "runs": [{"output_json_file_path": str(tmp_path / "out.jsonl")}],
         },
     )
@@ -300,8 +301,24 @@ def test_run_reports_aborted_job(tmp_path):
         main, ["run", "--config", str(config), "--backend", f"scripted:{script}"]
     )
     assert result.exit_code == 1
-    assert "ABORTED:" in result.output
+    assert result.output == f"Error: {config}: out r1: no such file: {absent}\n"
+
+
+def test_run_reports_aborted_job(tmp_path):
+    # Only a log that fails as it is written aborts its job: a lone
+    # surrogate in a sample reaches the log, which UTF-8 cannot encode.
+    dataset, script, config = make_workspace(tmp_path, repeats=1)
+    records = json.loads(dataset.read_text(encoding="utf-8"))
+    records[1]["inputs"] = ["What is \ud800?"]
+    write_json(dataset, records)
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--backend", f"scripted:{script}"]
+    )
+    assert result.exit_code == 1
+    log = tmp_path / "logs" / "demo-r1.jsonl"
+    assert f"demo r1: ABORTED: cannot write {log}: 'utf-8' codec" in result.output
     assert "1 aborted job(s)" in result.output
+    assert not log.exists()
 
 
 def run_pipeline(tmp_path):

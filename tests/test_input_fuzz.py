@@ -19,6 +19,10 @@ document: a dropped key or list item, or a value retyped to null, 5, "s",
 The outputs get the same oracle: an `--out` that cannot be written (a file in
 its place or in a parent's, or a directory where an eval file goes) fails with
 exit 1 in one line that names it.
+
+And `run --dry-run` is checked against `run`: a fault that `run` meets as it
+prepares a job (in the dataset, its sidecar or a log path) gives both the same
+exit code and the same one `Error:` line, and neither writes a log.
 """
 
 from __future__ import annotations
@@ -295,3 +299,49 @@ def test_an_output_that_cannot_be_written_fails_in_one_line_naming_it(
     assert result.exit_code == 1, result.output
     assert result.output.startswith("Error: cannot write "), result.output
     assert len(result.output.splitlines()) == 1, result.output
+
+
+# One fault that `run` meets only as it sets a job up: in the dataset, in its
+# sidecar, or where a log goes. Each is (the file, how it is spoiled, the
+# argument of the spoiling); the sidecar's faults run on the dataset it maps.
+SETUP_FAULTS = {
+    "valid": ("tasks.json", "valid", None),
+    "valid-mapped": ("raw.json.mapping.json", "valid", None),
+    "dataset-missing": ("tasks.json", "missing", None),
+    **{f"dataset-{kind}": ("tasks.json", kind, 100) for kind in CORRUPTIONS},
+    "dataset-record-without-inputs": ("tasks.json", "mutated", ((0, "inputs"), DROP)),
+    "sidecar-input-fields-retyped": ("raw.json.mapping.json", "mutated", (("input_fields",), 5)),
+    "sidecar-id-field-absent-from-rows": ("raw.json.mapping.json", "mutated", (("id_field",), "s")),
+    "log-under-a-file": ("out/demo-r1.jsonl", "under-a-file", None),
+    "log-is-a-directory": ("out/demo-r1.jsonl", "directory", None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SETUP_FAULTS))
+def test_dry_run_refuses_exactly_what_run_refuses(tmp_path, fault):
+    name, kind, arg = SETUP_FAULTS[fault]
+    valid = workspace(tmp_path)
+    if name.startswith("raw.json"):
+        valid["batch.json"]["common"]["input_json_file_path"] = str(tmp_path / "raw.json")
+        (tmp_path / "batch.json").write_bytes(_encoded("batch.json", valid["batch.json"]))
+    target = tmp_path / name
+    if kind == "missing":
+        target.unlink()
+    elif kind == "under-a-file":
+        target.parent.write_bytes(b"")
+    elif kind == "directory":
+        target.unlink(missing_ok=True)
+        target.mkdir(parents=True)
+    elif kind != "valid":
+        target.write_bytes(_spoiled(name, valid[name], kind, arg))
+    named = target if name.startswith("out/") else tmp_path / name.removesuffix(".mapping.json")
+    logs = [tmp_path / "out" / f"{job}-r1.jsonl" for job in ("demo", "vote")]
+    errors, codes = [], []
+    # The dry run goes first and must write nothing the run could then see.
+    for flags in (["--dry-run"], []):
+        result = judged(_run(*flags)(tmp_path), named, f"{fault} {flags}")
+        errors.append([line for line in result.output.splitlines() if line.startswith("Error:")])
+        codes.append(result.exit_code)
+        assert any(log.is_file() for log in logs) == (not flags and kind == "valid"), result.output
+    assert codes[0] == codes[1] and errors[0] == errors[1], (codes, errors)
+    assert (codes[0], len(errors[0])) == ((0, 0) if kind == "valid" else (1, 1)), errors

@@ -11,14 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from agora import runner
-from agora.config import JobSpec, resolve_job_params
+from agora import datasets, runner
+from agora.config import ConfigError, JobSpec, resolve_job_params
 from agora.domain import TaskInstance
 from agora.gateway import ChatResponse, HttpGateway, script_from_dict
 from agora.runner import (
     BatchSummary,
     JobReport,
-    _shared_gateway,
     record_failed,
     run_batch,
     run_sample,
@@ -350,46 +349,65 @@ def test_execute_job_isolates_per_sample_failures(tmp_path):
 
 def test_execute_job_reports_bad_input_file(tmp_path):
     spec = job_spec(tmp_path, str(tmp_path / "absent.json"))
-    report = execute_job(spec, scripted=unanimity_script())
-    assert report.error is not None
-    assert "absent.json" in report.error
-    assert report.records == 0
+    with pytest.raises(ConfigError) as excinfo:
+        execute_job(spec, scripted=unanimity_script())
+    assert str(excinfo.value) == f"job r1: no such file: {tmp_path / 'absent.json'}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_execute_job_reports_bad_config(tmp_path):
     spec = job_spec(tmp_path, write_dataset(tmp_path), max_turns=0)
-    report = execute_job(spec, scripted=unanimity_script())
-    assert report.error is not None
-    assert "max_turns" in report.error
+    with pytest.raises(ConfigError, match="^job r1: max_turns must be >= 1"):
+        execute_job(spec, scripted=unanimity_script())
 
 
-def test_run_batch_aborts_only_the_job_that_cannot_run(tmp_path):
+@pytest.mark.parametrize("log", ["under-a-file", "a-directory"])
+def test_a_log_path_that_cannot_be_written_is_refused_before_any_debate(tmp_path, log):
+    (tmp_path / "blocker").write_text("", encoding="utf-8")
+    path = tmp_path / "blocker" / "job.json" if log == "under-a-file" else tmp_path
+    fault = f"{tmp_path / 'blocker'} is not a directory" if log == "under-a-file" else "it is a directory"
+    spec = job_spec(tmp_path, write_dataset(tmp_path), output_json_file_path=str(path))
+    with pytest.raises(ConfigError) as excinfo:
+        execute_job(spec, scripted=unanimity_script())
+    assert str(excinfo.value) == f"job r1: cannot write {path}: {fault}"
+
+
+def test_run_batch_refuses_a_job_that_cannot_run_before_any_worker_starts(tmp_path, started_threads):
     # report needs a central agent plus two peers; every sample would fail.
     dataset = write_dataset(tmp_path, 3)
-    bad = job_spec(tmp_path, dataset, name="bad", discussion_paradigm="report")
     good = job_spec(tmp_path, dataset, name="good")
-    bad_report, good_report = run_batch([bad, good], scripted=unanimity_script()).reports
-    assert "num_agents=2" in bad_report.error
-    assert (bad_report.records, bad_report.failures) == (0, 0)
-    assert not (tmp_path / "out" / "bad.json").exists()
-    assert good_report.error is None
-    assert good_report.records == 3
+    bad = job_spec(tmp_path, dataset, name="bad", discussion_paradigm="report")
+    with pytest.raises(ConfigError, match="^bad r1: num_agents=2 is too small"):
+        run_batch([good, bad], scripted=unanimity_script())
+    assert started_threads == []
+    assert not (tmp_path / "out").exists()
 
 
-def test_run_batch_aborts_an_http_job_whose_endpoint_url_is_not_http(tmp_path):
+def test_run_batch_refuses_an_http_job_whose_endpoint_url_is_not_http(tmp_path):
     dataset = write_dataset(tmp_path, 2)
-    jobs = [
-        job_spec(tmp_path, dataset, name="bare", endpoint_url="localhost:8000/v1"),
-        job_spec(tmp_path, dataset, name="empty", endpoint_url=""),
-    ]
     started = time.monotonic()
-    reports = run_batch(jobs).reports
+    for name, url in [("bare", "localhost:8000/v1"), ("empty", "")]:
+        with pytest.raises(ConfigError, match=f"^{name} r1: endpoint_url must be an http"):
+            run_batch([job_spec(tmp_path, dataset, name=name, endpoint_url=url)])
     # No debate ran, so no call was retried after a backoff sleep.
     assert time.monotonic() - started < 1.0
-    for report in reports:
-        assert "endpoint_url" in report.error
-        assert (report.records, report.failures) == (0, 0)
     assert not (tmp_path / "out").exists()
+
+
+def test_run_batch_loads_each_dataset_file_once(tmp_path, monkeypatch):
+    loads: list[str] = []
+    original = datasets.load_input_file
+
+    def counted(path):
+        loads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(datasets, "load_input_file", counted)
+    dataset = write_dataset(tmp_path, 3)
+    jobs = [job_spec(tmp_path, dataset, name=f"job{n}", num_samples=n) for n in (1, 2, 3)]
+    summary = run_batch(jobs, scripted=unanimity_script())
+    assert [report.records for report in summary.reports] == [1, 2, 3]
+    assert loads == [dataset]
 
 
 def test_execute_job_creates_output_directory(tmp_path):
@@ -410,13 +428,15 @@ def test_execute_job_creates_output_directory(tmp_path):
 
 def test_run_batch_reports_a_log_it_cannot_write_and_goes_on(tmp_path):
     dataset = write_dataset(tmp_path, 2)
-    (tmp_path / "blocker").write_text("", encoding="utf-8")
-    blocked = str(tmp_path / "blocker" / "job.json")
+    blocker = tmp_path / "blocker"
+    blocked = str(blocker / "job.json")
     jobs = [
         job_spec(tmp_path, dataset, name="blocked", output_json_file_path=blocked),
         job_spec(tmp_path, dataset, name="after"),
     ]
-    summary = run_batch(jobs, scripted=unanimity_script())
+    # The file that blocks the log's directory appears only once the debates
+    # run, after the batch checked the log path.
+    summary = run_batch(jobs, scripted=AgreeingBackend(lambda text: blocker.touch()))
     broken, after = summary.reports
     assert broken.error.startswith(f"cannot write {blocked}: [Errno ")
     assert (broken.records, broken.failures) == (0, 0)
@@ -489,15 +509,6 @@ def test_batch_summary_flags():
     assert summary.total_failures == 1
     assert summary.aborted_jobs == 1
     assert not summary.ok
-
-
-def test_shared_gateway_is_cached_per_endpoint():
-    cache: dict = {}
-    a = _shared_gateway(debate_params(endpoint_url="http://one"), cache)
-    b = _shared_gateway(debate_params(endpoint_url="http://one"), cache)
-    c = _shared_gateway(debate_params(endpoint_url="http://two"), cache)
-    assert a is b
-    assert a is not c
 
 
 # -- the batch-wide debate queue --
@@ -626,15 +637,17 @@ def test_run_batch_keeps_sample_order_per_job(tmp_path):
 
 
 def test_run_batch_isolates_an_aborted_job(tmp_path):
+    # A job aborts only when its log fails as it is written: here a sample
+    # holds a lone surrogate, which its log cannot encode.
     dataset = write_dataset(tmp_path, 2)
     jobs = [
         job_spec(tmp_path, dataset, name="before"),
-        job_spec(tmp_path, str(tmp_path / "absent.json"), name="broken"),
+        job_spec(tmp_path, write_dataset(tmp_path, stem="odd", questions=["\ud800?"]), name="broken"),
         job_spec(tmp_path, dataset, name="after"),
     ]
     summary = run_batch(jobs, scripted=unanimity_script())
     before, broken, after = summary.reports
-    assert "absent.json" in broken.error
+    assert broken.error.startswith(f"cannot write {broken.output_path}: 'utf-8' codec")
     assert broken.records == 0
     for report in (before, after):
         assert report.error is None

@@ -25,6 +25,10 @@ numbers each message, and the message reads its agreement from its text.
 And an exception class that subclasses, or is subclassed by, another one
 defined in src/agora is caught by name somewhere in src/agora: a subclass
 nothing tells apart from its base is a second name for one failure.
+And `runner.prepare_jobs` is the one place that resolves a job and loads
+its dataset (`evaluate` loads its own), and `run_sample` the one place that
+catches any exception, so a job's set-up fault stops the batch instead of
+becoming a result.
 """
 
 from __future__ import annotations
@@ -365,12 +369,13 @@ def _writes_a_file(call: ast.Call) -> bool:
     return mode is not None and (mode == "?" or bool(set("wax").intersection(mode)))
 
 
-def calls_outside(matches, allowed: set[tuple[str, str]]) -> list[str]:
-    """`module.py:line` for each call in src/agora that `matches`, outside `allowed`."""
+def calls_outside(matches, allowed: set[tuple[str, str]], kind: type = ast.Call) -> list[str]:
+    """`module.py:line` for each call (or other `kind` of node) in src/agora that
+    `matches`, outside the top-level functions `allowed`."""
     flagged = []
 
     def visit(node: ast.AST, module: str, function: str) -> None:
-        if isinstance(node, ast.Call) and matches(node) and (module, function) not in allowed:
+        if isinstance(node, kind) and matches(node) and (module, function) not in allowed:
             flagged.append(f"{module}.py:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
@@ -393,15 +398,38 @@ def test_only_the_writer_writes_files():
     assert calls_outside(_writes_a_file, WRITERS) == []
 
 
-def _builds_a_message(call: ast.Call) -> bool:
-    func = call.func
-    return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "Message"
+def _calls(name: str):
+    """A matcher for calls of the function, class or method `name`."""
+
+    def matches(call: ast.Call) -> bool:
+        func = call.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name
+
+    return matches
 
 
 def test_only_the_state_builds_a_message():
     # A message built anywhere else carries a number and an agreement that
     # the transcript did not give it.
-    assert calls_outside(_builds_a_message, {("domain", "add")}) == []
+    assert calls_outside(_calls("Message"), {("domain", "add")}) == []
+
+
+def test_only_the_preparation_step_resolves_a_job_or_loads_its_dataset():
+    # A second place would check a job, or read its dataset, a second time,
+    # and could let through what the first refuses.
+    prepare = ("runner", "prepare_jobs")
+    assert calls_outside(_calls("resolve_job_params"), {prepare}) == []
+    assert calls_outside(_calls("load_input_file"), {prepare, ("evaluation", "evaluate_logs")}) == []
+
+
+def _catches_any_exception(handler: ast.ExceptHandler) -> bool:
+    return handler.type is None or _references(handler.type)["Exception"] > 0
+
+
+def test_only_a_debate_turns_any_exception_into_a_result():
+    # run_sample turns a crashed debate into a failure record; a catch-all
+    # anywhere else would turn a set-up fault, or a bug, into a result too.
+    assert calls_outside(_catches_any_exception, {("runner", "run_sample")}, ast.ExceptHandler) == []
 
 
 # The gateway's failures that no src code tells apart, kept under their own

@@ -112,7 +112,9 @@ def test_two_debate_states_share_no_dict_or_list():
         lambda: DebateState(JobParams(), TaskInstance("1", "qa", ("x",)), "solve", []),
         lambda: JobReport("demo", 1, "demo-r1.jsonl"),
         lambda: BatchSummary([]),
-        lambda: _QueuedJob(JobReport("demo", 1, "demo-r1.jsonl"), JobParams(), 2),
+        lambda: _QueuedJob(
+            JobReport("demo", 1, "demo-r1.jsonl"), JobParams(), [TaskInstance("1", "qa", ("x",))]
+        ),
     ],
     ids=["DebateState", "JobReport", "BatchSummary", "_QueuedJob"],
 )
@@ -124,7 +126,8 @@ def test_a_mutable_value_holds_only_its_own_attributes(build):
 
 def test_two_queued_jobs_share_no_list():
     report = JobReport("demo", 1, "demo-r1.jsonl")
-    first, second = (_QueuedJob(report, JobParams(), 2) for _ in range(2))
+    samples = [TaskInstance("1", "qa", ("x",))] * 2
+    first, second = (_QueuedJob(report, JobParams(), samples) for _ in range(2))
     first.records[0] = {}
     assert second.records == [None, None]
     assert (first.pending, second.pending) == (2, 2)
