@@ -47,12 +47,17 @@ def neutral_panel(n: int) -> list[Persona]:
 
 
 def extract_json_object(text: str) -> dict:
-    """First {...} span in the text parsed as an object; fences tolerated."""
+    """First {...} span in the text parsed as an object; fences tolerated.
+    A span that is no JSON object, or nests deeper than the parser recurses,
+    raises ValueError."""
     start = text.find("{")
     end = text.rfind("}")
     if start == -1 or end <= start:
         raise ValueError(f"no JSON object in {text[:80]!r}")
-    obj = json.loads(text[start : end + 1])
+    try:
+        obj = json.loads(text[start : end + 1])
+    except RecursionError:
+        raise ValueError("JSON object nested too deep") from None
     if not isinstance(obj, dict):
         raise ValueError("top-level JSON value is not an object")
     return obj
@@ -79,7 +84,7 @@ def _generate_persona(
         resp = backend.complete(req)
         try:
             persona = parse(extract_json_object(resp.text))
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except (ValueError, KeyError):
             parse_failures += 1
             if parse_failures >= _MAX_PARSE_ATTEMPTS:
                 raise PersonaParseFailure(

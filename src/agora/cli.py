@@ -60,7 +60,7 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
         for job in prepared:
             click.echo(
-                f"  {job.report.name} r{job.report.repeat_index} -> {job.report.output_path} "
+                f"  {job.name} r{job.repeat_index} -> {job.output_path} "
                 f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}]"
             )
         return

@@ -8,7 +8,7 @@ from typing import Any, Mapping, NamedTuple
 
 from . import decisions, paradigms
 from .agents import PERSONA_GENERATORS
-from .datasets import FormatError, read_input
+from .datasets import LOG_SUFFIXES, FormatError, read_input
 from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
 from .gateway import is_endpoint_url
 
@@ -111,7 +111,8 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
     """Overlay each run onto common (run wins) and fan out over repeats.
 
     Two runs may not share an output file, however its path is spelled: the
-    later job's log would replace the earlier one's. Nor may it hold a NUL.
+    later job's log would replace the earlier one's. Nor may it hold a NUL,
+    or write a log whose suffix `evaluate` does not read.
     """
     required = list(REQUIRED_KEYS)
     if scripted_backend:
@@ -128,6 +129,9 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
         output = _typed("output_json_file_path", merged["output_json_file_path"], "")
         if "\0" in output:
             raise ConfigError(f"run {index} writes {output!r}, a path that holds a NUL")
+        if Path(_suffix_output(output, 1)).suffix not in LOG_SUFFIXES:  # as each repeat's log is named
+            suffixes = " nor ".join(LOG_SUFFIXES)
+            raise ConfigError(f"run {index} writes {output!r}, a log path that ends in neither {suffixes}")
         first = writers.setdefault(os.path.abspath(output), index)
         if first != index:
             raise ConfigError(f"runs {first} and {index} both write {output!r}")

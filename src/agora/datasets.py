@@ -15,6 +15,10 @@ from .domain import TaskInstance
 from .prompts import multiple_choice_footer
 
 
+# The file suffixes of a debate log: what `agora run` may write and `agora evaluate` reads.
+LOG_SUFFIXES = (".json", ".jsonl")
+
+
 class FormatError(ValueError):
     pass
 
@@ -27,29 +31,18 @@ class EmptyDataset(Exception):
     pass
 
 
-class _MappingFields(NamedTuple):
+class FieldMapping(NamedTuple):
+    """Where unified-format fields come from in a raw dataset file."""
+
     input_fields: tuple[str, ...]
     reference_fields: tuple[str, ...]
     id_field: Optional[str] = None
     context_fields: tuple[str, ...] = ()
     answer_letter_field: Optional[str] = None
 
-
-class FieldMapping(_MappingFields):
-    """Where unified-format fields come from in a raw dataset file."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "FieldMapping":
-        mapping = super().__new__(cls, *args, **kwargs)
-        if not mapping.input_fields:
-            raise ValueError("input_fields must not be empty")
-        if not mapping.reference_fields:
-            raise ValueError("reference_fields must not be empty")
-        return mapping
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FieldMapping":
+        """The mapping a sidecar object describes; a malformed one raises ValueError."""
         for key in ("input_fields", "reference_fields", "context_fields"):
             value = data.get(key, [])
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -57,6 +50,9 @@ class FieldMapping(_MappingFields):
         for key in ("id_field", "answer_letter_field", "format", "instruction"):
             if not isinstance(data.get(key), (str, type(None))):
                 raise ValueError(f"{key} must be a string")
+        for key in ("input_fields", "reference_fields"):
+            if not data.get(key):
+                raise ValueError(f"{key} must not be empty")
         return cls(
             input_fields=tuple(data.get("input_fields", ())),
             reference_fields=tuple(data.get("reference_fields", ())),
@@ -131,11 +127,17 @@ def field_fault(data: Any, table: FieldTable) -> Optional[str]:
     return None
 
 
+def _lines_of(text: str) -> list[str]:
+    """The text's lines, ended by CR LF, CR or LF only: a JSON string may hold
+    U+2028, U+2029 or U+0085 unescaped, and `str.splitlines` ends lines there too."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_jsonl(path: str | Path, fields: FieldTable = {}) -> list[dict[str, Any]]:
     """One object per non-blank line. A line that is not a JSON object, or fails
     the field table, raises FormatError naming the file and the line."""
     records = []
-    for lineno, line in enumerate(read_input(path, str.splitlines), 1):
+    for lineno, line in enumerate(read_input(path, _lines_of), 1):
         if not line.strip():
             continue
         try:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -53,7 +52,11 @@ def parse_simple_vote(text: str, k: int) -> int:
     match = _INT_RE.search(text)
     if match is None:
         raise VoteParseFailure("no integer in ballot")
-    return _normalize_index(int(match.group()), k)
+    try:
+        value = int(match.group())
+    except ValueError:  # more digits than int() converts
+        raise VoteParseFailure(f"integer of {len(match.group())} characters in ballot") from None
+    return _normalize_index(value, k)
 
 
 def _normalize_index(value: int, k: int) -> int:
@@ -108,7 +111,7 @@ def parse_cumulative(text: str, k: int, budget: int = 10) -> dict[int, int]:
         raise ValueError("budget must be >= 1")
     try:
         obj = extract_json_object(text)
-    except (ValueError, json.JSONDecodeError):
+    except ValueError:
         raise VoteParseFailure(f"no JSON object in ballot {text[:80]!r}")
     allocations: dict[int, int] = {}
     for key, value in obj.items():

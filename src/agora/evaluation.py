@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .datasets import FieldTable, FormatError, field_fault, input_files, load_input_file
+from .datasets import LOG_SUFFIXES, FieldTable, FormatError, field_fault, input_files, load_input_file
 from .datasets import read_input, read_jsonl, write_output
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
@@ -18,8 +18,10 @@ class DatasetMismatch(Exception):
     """A log and its dataset disagree: an unknown sample id, or no answer letter to score."""
 
 
+# Each whitespace run has one place in a match: when two `\s*` could share a
+# run, a long run that ends in no letter is tried in every split (cubic time).
 _FINAL_RE = re.compile(
-    r"final\s+solution\s*[:\-–=]*\s*[\(\[\{]?\s*([A-Za-z])\b", re.IGNORECASE
+    r"final\s+solution\s*(?:[:\-–=]+\s*)?(?:[\(\[\{]\s*)?([A-Za-z])\b", re.IGNORECASE
 )
 _STANDALONE_CAPITAL_RE = re.compile(r"\b([A-Z])\b")
 
@@ -105,7 +107,9 @@ def _attr(key: str) -> str:
     return re.sub("[A-Z]", lambda match: "_" + match[0].lower(), key)
 
 
-class _EvalFields(NamedTuple):
+class EvalResult(NamedTuple):
+    """One job's scores."""
+
     job_name: str
     repeats: int
     mean: dict[str, float]
@@ -116,18 +120,6 @@ class _EvalFields(NamedTuple):
     turns: list[int]
     wall_clock_s: list[float]
 
-
-class EvalResult(_EvalFields):
-    """One job's scores; a field not given is zero or empty, and each dict and list is its own."""
-
-    __slots__ = ()
-
-    def __new__(cls, job_name: str, repeats: int, **given: Any) -> "EvalResult":
-        defaults = dict(
-            mean={}, std={}, annotations={}, metric_values={}, decision_success_rate=0.0, turns=[], wall_clock_s=[]
-        )
-        return super().__new__(cls, job_name, repeats, **{**defaults, **given})
-
     def to_json(self) -> dict[str, Any]:
         # Dict fields are written key-sorted, so one result always gives the same bytes.
         values = {key: getattr(self, _attr(key)) for key in _EVAL_FIELDS}
@@ -135,7 +127,11 @@ class EvalResult(_EvalFields):
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "EvalResult":
-        return cls(**{_attr(key): data[key] for key in _EVAL_FIELDS if key in data})
+        """The result an eval file holds; a field it leaves out is zero, or its own empty dict or list."""
+        empty = dict(
+            mean={}, std={}, annotations={}, metricValues={}, decisionSuccessRate=0.0, turns=[], wallClockS=[]
+        )
+        return cls(**{_attr(key): data[key] if key in data else empty[key] for key in _EVAL_FIELDS})
 
 
 _REPEAT_SUFFIX_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
@@ -144,7 +140,7 @@ _REPEAT_SUFFIX_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
 def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
     """Map job name -> [(repeat index, path)] from -r{i} file name suffixes."""
     groups: dict[str, list[tuple[int, Path]]] = {}
-    for file in input_files(logs, lambda file: file.suffix in (".json", ".jsonl")):
+    for file in input_files(logs, lambda file: file.suffix in LOG_SUFFIXES):
         match = _REPEAT_SUFFIX_RE.match(file.stem)
         if match:
             job, repeat = match.group("job"), int(match.group("repeat"))
@@ -220,21 +216,18 @@ def evaluate_job(
         for metric, values in repeat_scores.items():
             per_repeat.setdefault(metric, []).append(fmean(values))
             pooled.setdefault(metric, []).extend(values)
-    result = EvalResult(
+    stats = {metric: aggregate(means) for metric, means in per_repeat.items()}
+    return EvalResult(
         job_name=job_name,
         repeats=len(repeat_files),
+        mean={metric: stat.mean for metric, stat in stats.items()},
+        std={metric: stat.std for metric, stat in stats.items()},
+        annotations={metric: stat.annotation for metric, stat in stats.items() if stat.annotation},
         metric_values=pooled,
         decision_success_rate=(successes / total) if total else 0.0,
         turns=turns,
         wall_clock_s=clocks,
     )
-    for metric, means in per_repeat.items():
-        stats = aggregate(means)
-        result.mean[metric] = stats.mean
-        result.std[metric] = stats.std
-        if stats.annotation:
-            result.annotations[metric] = stats.annotation
-    return result
 
 
 def evaluate_logs(

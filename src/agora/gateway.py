@@ -41,19 +41,9 @@ class ChatMessage(NamedTuple):
     content: str
 
 
-class _RequestFields(NamedTuple):
+class ChatRequest(NamedTuple):
     messages: tuple[ChatMessage, ...]
     model_name: str = ""
-
-
-class ChatRequest(_RequestFields):
-    __slots__ = ()
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "ChatRequest":
-        req = super().__new__(cls, *args, **kwargs)
-        if not req.messages:
-            raise ValueError("a chat request needs at least one message")
-        return req
 
 
 class ChatResponse(NamedTuple):
@@ -65,6 +55,8 @@ class ChatResponse(NamedTuple):
 
 def chat_request(messages: list[tuple[str, str]]) -> ChatRequest:
     """A request that names no model; a `DebateBackend` fills in the job's."""
+    if not messages:
+        raise ValueError("a chat request needs at least one message")
     return ChatRequest(tuple(ChatMessage(role, content) for role, content in messages))
 
 

@@ -64,13 +64,22 @@ def record_failed(record: dict[str, Any]) -> bool:
 
 
 class JobReport:
-    __slots__ = ("name", "repeat_index", "output_path", "records", "failures", "wall_clock_s", "error")
+    """A prepared job: its params and samples, and its debates' records until
+    its log is written; then the count of records and failures written, or
+    the error that stopped the write."""
 
-    def __init__(self, name: str, repeat_index: int, output_path: str) -> None:
-        self.name, self.repeat_index, self.output_path = name, repeat_index, output_path
+    __slots__ = ("name", "repeat_index", "params", "samples", "in_flight", "pending", "records", "failures", "error")
+
+    def __init__(self, name: str, repeat_index: int, params: JobParams, samples: list[TaskInstance]) -> None:
+        self.name, self.repeat_index, self.params, self.samples = name, repeat_index, params, samples
+        self.in_flight: list[Optional[dict[str, Any]]] = [None] * len(samples)
+        self.pending = len(samples)
         self.records = self.failures = 0
-        self.wall_clock_s = 0.0
         self.error: Optional[str] = None
+
+    @property
+    def output_path(self) -> str:
+        return self.params.output_json_file_path
 
 
 class BatchSummary:
@@ -97,18 +106,7 @@ class BatchSummary:
         return self.total_failures == 0 and self.aborted_jobs == 0
 
 
-class _QueuedJob:
-    """A prepared job: its params and samples, and its records until its last debate ends."""
-
-    __slots__ = ("report", "params", "samples", "records", "pending")
-
-    def __init__(self, report: JobReport, params: JobParams, samples: list[TaskInstance]) -> None:
-        self.report, self.params, self.samples = report, params, samples
-        self.records: list[Optional[dict[str, Any]]] = [None] * len(samples)
-        self.pending = len(samples)
-
-
-def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[_QueuedJob]:
+def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     """Each job resolved, its samples taken from a dataset loaded once per batch,
     and its log path checked. The first job that cannot run raises one
     ConfigError naming the job (and the file at fault), before any debate."""
@@ -133,22 +131,20 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[_QueuedJob]:
                 raise ConfigError(f"cannot write {log}: {ancestor} is not a directory")
         except (ConfigError, datasets.MappingError, datasets.EmptyDataset, OSError, ValueError) as exc:
             raise ConfigError(f"{spec.name} r{spec.repeat_index}: {exc}")
-        prepared.append(_QueuedJob(JobReport(spec.name, spec.repeat_index, spec.output_path), params, samples))
+        prepared.append(JobReport(spec.name, spec.repeat_index, params, samples))
     return prepared
 
 
-def _write_job(job: _QueuedJob, queued_at: float) -> None:
-    """Write the job's log in sample order, fill its report and drop its records."""
-    report, path = job.report, job.params.output_json_file_path
+def _write_job(job: JobReport) -> None:
+    """Write the job's log in sample order, count what it holds, and drop its records and samples."""
     try:
-        datasets.write_output(path, (serialize_record(record) + "\n" for record in job.records))
+        datasets.write_output(job.output_path, (serialize_record(record) + "\n" for record in job.in_flight))
     except datasets.FormatError as exc:
-        report.error = str(exc)
+        job.error = str(exc)
     else:
-        report.records = len(job.records)
-        report.failures = sum(1 for record in job.records if record_failed(record))
-    report.wall_clock_s = time.monotonic() - queued_at
-    job.records = []
+        job.records = len(job.in_flight)
+        job.failures = sum(1 for record in job.in_flight if record_failed(record))
+    job.in_flight, job.samples = [], []
 
 
 def run_batch(
@@ -165,7 +161,7 @@ def run_batch(
         raise ValueError("no jobs to run")
     started = time.monotonic()
     queued = prepare_jobs(jobs, http_backend=scripted is None)
-    summary = BatchSummary(reports=[job.report for job in queued])
+    summary = BatchSummary(reports=queued)
     # One gateway, so one set of slots, per endpoint, API key and cap.
     keys = [(job.params.endpoint_url, job.params.api_key, job.params.concurrent_api_requests) for job in queued]
     gateways = {key: HttpGateway(*key) for key in dict.fromkeys(keys)} if scripted is None else {}
@@ -201,10 +197,10 @@ def run_batch(
             job, index, record = finished.popleft()
             if isinstance(record, BaseException):
                 raise record
-            job.records[index] = record
+            job.in_flight[index] = record
             job.pending -= 1
             if job.pending == 0:
-                _write_job(job, started)
+                _write_job(job)
     finally:
         todo.clear()
         for worker in workers:

@@ -1,15 +1,26 @@
-"""Reference implementations kept as equivalence oracles for `agora.metrics`.
+"""Reference implementations kept as equivalence oracles for `agora.metrics`
+and for the answer-letter pattern of `agora.evaluation`.
 
-These are the straightforward versions the optimised or simplified metrics
-replaced; the property tests in test_metrics.py require exactly equal scores.
+These are the straightforward versions the optimised or simplified code
+replaced; the property tests in test_metrics.py require exactly equal scores,
+and test_evaluation.py exactly equal matches.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable
 
 from agora.metrics import _align_blocks, _ngram_counts, tokenize
+
+
+# The answer-letter pattern before each whitespace run had one parse: its
+# three `\s*` may split one run, so a long run that ends in no letter takes
+# cubic time. Feed it short texts only.
+REFERENCE_FINAL_RE = re.compile(
+    r"final\s+solution\s*[:\-–=]*\s*[\(\[\{]?\s*([A-Za-z])\b", re.IGNORECASE
+)
 
 
 def reference_bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:

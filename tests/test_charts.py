@@ -22,6 +22,7 @@ def make_result(job: str = "majority", **overrides) -> EvalResult:
         repeats=2,
         mean={"accuracy": 0.75, "bleu": 0.4},
         std={"accuracy": 0.05, "bleu": 0.01},
+        annotations={},
         metric_values={"accuracy": [1.0, 0.5], "bleu": [0.4, 0.4]},
         decision_success_rate=0.9,
         turns=[1, 3, 3, 7],

@@ -573,3 +573,43 @@ def test_evaluate_rejects_a_log_whose_name_gives_no_plain_job_name(tmp_path, nam
     assert isinstance(result.exception, SystemExit) and result.exit_code == 1
     assert result.output == f"Error: {log}: job name {job!r} is not a plain file name\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_evaluate_reads_the_log_of_a_reply_holding_a_unicode_line_separator(tmp_path, separator):
+    # The log holds the character unescaped inside a JSON string, and a JSONL
+    # line ends only at CR LF, CR or LF.
+    dataset, script, config = make_workspace(tmp_path, repeats=1)
+    rules = json.loads(script.read_text(encoding="utf-8"))
+    rules["rules"][0]["response"] = f"It is A.{separator}FINAL SOLUTION: (A)"
+    write_json(script, rules)
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", "--config", str(config), "--backend", f"scripted:{script}"])
+    assert result.exit_code == 0
+    assert separator in (tmp_path / "logs" / "demo-r1.jsonl").read_text(encoding="utf-8")
+    out_dir = tmp_path / "evals"
+    result = runner.invoke(
+        main, ["evaluate", "--logs", str(tmp_path / "logs"), "--dataset", str(dataset), "--out", str(out_dir)]
+    )
+    assert result.exit_code == 0, result.output
+    payload = json.loads((out_dir / "demo.eval.json").read_text(encoding="utf-8"))
+    assert payload["mean"]["accuracy"] == 0.5
+
+
+@pytest.mark.parametrize("name", ["demo.txt", "demo", "..jsonl"])
+def test_a_log_path_whose_suffix_evaluate_skips_stops_run_and_dry_run(tmp_path, name):
+    # evaluate reads only .json and .jsonl logs, so any other log would be
+    # written and then never scored. "..jsonl" has no suffix: its repeat
+    # writes "..jsonl-r1".
+    dataset, script, _ = make_workspace(tmp_path)
+    output = str(tmp_path / "logs" / name)
+    config = one_run_config(tmp_path, dataset, output_json_file_path=output)
+    for extra in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {config}: run 1 writes {output!r}, a log path that ends in neither .json nor .jsonl\n"
+        )
+    assert not (tmp_path / "logs").exists()

@@ -154,6 +154,31 @@ def test_read_jsonl_names_a_line_nested_too_deep(tmp_path):
         read_jsonl(path)
 
 
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_read_jsonl_ends_a_line_at_lf_crlf_or_cr(tmp_path, line_end):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(line_end.join(['{"a": 1}', "", '{"b": 2}', "x"]).encode("utf-8"))
+    with pytest.raises(FormatError, match="line 4: invalid JSON"):
+        read_jsonl(path)
+    path.write_bytes(line_end.join(['{"a": 1}', "", '{"b": 2}', ""]).encode("utf-8"))
+    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+
+
+def test_a_unified_jsonl_dataset_whose_text_holds_a_unicode_line_separator_loads(tmp_path):
+    # Written as `agora run` writes, unescaped: a JSONL line ends only at CR LF, CR or LF.
+    records = [
+        unified_record(inputs=["one\u2028two", "three\u2029four"]),
+        unified_record(id="0002", inputs=["\x85"]),
+    ]
+    json_path = write_json(tmp_path, "u.json", records)
+    jsonl_path = tmp_path / "u.jsonl"
+    lines = (json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    jsonl_path.write_text("".join(lines), encoding="utf-8")
+    assert "\u2028" in jsonl_path.read_text(encoding="utf-8")
+    assert load_unified(jsonl_path) == load_unified(json_path)
+    assert load_unified(jsonl_path)[0].input_lines == ("one\u2028two", "three\u2029four")
+
+
 def test_field_fault_checks_required_optional_and_dotted_keys():
     table = {
         "a.b": (True, lambda value: isinstance(value, int)),
@@ -171,10 +196,13 @@ def test_field_fault_checks_required_optional_and_dotted_keys():
 
 
 def test_mapping_requires_input_and_reference_fields():
-    with pytest.raises(ValueError):
-        FieldMapping(input_fields=(), reference_fields=("a",))
-    with pytest.raises(ValueError):
-        FieldMapping(input_fields=("q",), reference_fields=())
+    with pytest.raises(ValueError, match="input_fields must not be empty"):
+        FieldMapping.from_dict({"input_fields": [], "reference_fields": ["a"]})
+    with pytest.raises(ValueError, match="reference_fields must not be empty"):
+        FieldMapping.from_dict({"input_fields": ["q"]})
+    # The type checks come first, so a sidecar with several faults names a wrong type.
+    with pytest.raises(ValueError, match="id_field must be a string"):
+        FieldMapping.from_dict({"input_fields": [], "id_field": 3})
 
 
 def test_mapping_from_dict():

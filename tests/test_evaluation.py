@@ -6,11 +6,12 @@ import json
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agora.datasets import FormatError
 from agora.domain import TaskInstance
 from agora.evaluation import (
+    _FINAL_RE,
     DatasetMismatch,
     EvalResult,
     aggregate,
@@ -23,6 +24,7 @@ from agora.evaluation import (
     read_records,
     record_correct,
 )
+from metrics_oracle import REFERENCE_FINAL_RE
 
 
 def mc_sample(i: int, letter: str) -> TaskInstance:
@@ -83,6 +85,31 @@ def test_extract_letter_final_line_fallback():
 def test_extract_letter_none_when_absent():
     assert extract_answer_letter("no letters here") is None
     assert extract_answer_letter("") is None
+
+
+# Texts that come near a FINAL SOLUTION marker: each part of the marker in
+# its order (spelling, whitespace, separators, bracket, letter, what follows),
+# each part drawn from right and wrong pieces, among bits of other text.
+_WHITESPACE = st.sampled_from(["", " ", "  ", "\n", "\t ", "\u2028", "\r\n"])
+markers = st.tuples(
+    st.sampled_from(["final", "FINAL", "Final"]),
+    _WHITESPACE,
+    st.sampled_from(["solution", "SOLUTION", "solutions"]),
+    _WHITESPACE,
+    st.sampled_from(["", ":", "-", "–", "=", ":-", "==", "!", ";"]),
+    _WHITESPACE,
+    st.sampled_from(["", "(", "[", "{", "((", ")"]),
+    _WHITESPACE,
+    st.sampled_from(["", "a", "B", "é", "1", "_", "ab"]),
+    st.sampled_from(["", " ", ".", ")", "x", "1"]),
+).map("".join)
+marker_texts = st.lists(st.one_of(markers, st.text(max_size=6)), min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=500)
+@given(marker_texts)
+def test_the_answer_pattern_matches_as_the_reference_pattern_does(text):
+    assert _FINAL_RE.findall(text) == REFERENCE_FINAL_RE.findall(text)
 
 
 def test_extract_letter_ignores_capitals_inside_words():

@@ -59,8 +59,8 @@ def test_chat_request_defaults():
 
 
 def test_chat_request_rejects_empty_messages():
-    with pytest.raises(ValueError):
-        ChatRequest(messages=())
+    with pytest.raises(ValueError, match="at least one message"):
+        chat_request([])
 
 
 def test_wire_body_key_set():

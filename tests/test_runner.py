@@ -13,7 +13,7 @@ import pytest
 
 from agora import datasets, runner
 from agora.config import ConfigError, JobSpec, resolve_job_params
-from agora.domain import TaskInstance
+from agora.domain import JobParams, TaskInstance
 from agora.gateway import ChatResponse, HttpGateway, script_from_dict
 from agora.runner import (
     BatchSummary,
@@ -142,6 +142,53 @@ def test_run_debate_failure_during_persona_generation():
     assert record["outcome"]["error"].startswith("NoRuleMatched")
     assert record["messages"] == []
     assert record["personas"] == []
+
+
+# A reply that holds one JSON object nested far deeper than the parser recurses.
+DEEP_JSON_REPLY = '{"a":' * 100_000 + "1" + "}" * 100_000
+PERSONA_HOOK = "Now generate a participant"
+CUMULATIVE_VOTE_HOOK = "distributing"
+
+
+def test_a_persona_reply_nested_too_deep_is_retried_as_a_malformed_one():
+    personas = [
+        '{"role": "Mathematician", "description": "Counts."}',
+        '{"role": "Physicist", "description": "Measures."}',
+    ]
+    script = script_from_dict(
+        {
+            "rules": [
+                {"match": [{"contains": PERSONA_HOOK}], "response": reply}
+                for reply in [DEEP_JSON_REPLY, *personas]
+            ]
+            + [
+                {"match": [{"contains": DRAFT_HOOK}], "response": "The answer is 42."},
+                {"match": [{"contains": IMPROVE_HOOK}], "response": "Right. [AGREE]", "repeatable": True},
+            ]
+        }
+    )
+    record = run_sample(debate_params(persona_generator="expert"), make_sample(), script)
+    assert record["outcome"]["success"] is True
+    assert [p["name"] for p in record["personas"]] == ["Mathematician", "Physicist"]
+
+
+def test_a_cumulative_ballot_nested_too_deep_is_an_invalid_ballot_and_re_prompted():
+    script = script_from_dict(
+        {
+            "rules": debate_rules()
+            + [
+                {"match": [{"contains": CUMULATIVE_VOTE_HOOK}], "response": DEEP_JSON_REPLY},
+                {"match": [{"contains": CUMULATIVE_VOTE_HOOK}], "response": '{"2": 10}', "repeatable": True},
+            ]
+        }
+    )
+    params = debate_params(decision_protocol="cumulative_voting", voting_after_turns=1)
+    record = run_sample(params, make_sample(), script)
+    outcome = record["outcome"]
+    assert outcome["success"] is True
+    (round_log,) = outcome["voteDetail"]
+    assert [ballot["valid"] for ballot in round_log["ballots"]] == [False, True, True]
+    assert round_log["winners"] == [2]
 
 
 # -- baseline --
@@ -502,7 +549,9 @@ def test_run_batch_summary(tmp_path):
 
 
 def test_batch_summary_flags():
-    failed, aborted = JobReport("a", 1, "a.json"), JobReport("b", 1, "b.json")
+    failed, aborted = (
+        JobReport(name, 1, JobParams(output_json_file_path=f"{name}.json"), []) for name in "ab"
+    )
     failed.records, failed.failures = 2, 1
     aborted.error = "boom"
     summary = BatchSummary(reports=[failed, aborted])

@@ -28,7 +28,9 @@ nothing tells apart from its base is a second name for one failure.
 And `runner.prepare_jobs` is the one place that resolves a job and loads
 its dataset (`evaluate` loads its own), and `run_sample` the one place that
 catches any exception, so a job's set-up fault stops the batch instead of
-becoming a result.
+becoming a result. And each value type is one class: no class derives from
+a NamedTuple defined in src/agora, and no NamedTuple defines `__new__`, so
+a value is checked by the one reader of outside input that builds it.
 """
 
 from __future__ import annotations
@@ -476,3 +478,28 @@ def test_an_exception_family_is_caught_by_name():
     # A subclass that no code catches by name tells the program nothing its
     # base does not: one error type per failure the program handles.
     assert uncaught_family_members() == []
+
+
+def layered_value_types() -> list[str]:
+    """`module.Class` for each class that derives from a NamedTuple defined in
+    src/agora, and for each NamedTuple that defines `__new__`."""
+    trees, _ = _parsed_package()
+    classes = [
+        (module, node, {name for base in node.bases for name in _references(base)})
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    ]
+    named_tuples = {node.name for _, node, bases in classes if "NamedTuple" in bases}
+    flagged = []
+    for module, node, bases in classes:
+        defines_new = any(isinstance(item, ast.FunctionDef) and item.name == "__new__" for item in node.body)
+        if bases & named_tuples or ("NamedTuple" in bases and defines_new):
+            flagged.append(f"{module}.{node.name}")
+    return sorted(flagged)
+
+
+def test_each_value_type_is_one_class():
+    # A private base plus a subclass that checks or fills it in `__new__` is
+    # two carriers of one value, and the check runs on every internal copy too.
+    assert layered_value_types() == []

@@ -1,6 +1,7 @@
 """The value types: each immutable one is a NamedTuple that compares by value
-and refuses attribute writes, and no two instances of a mutable one (or of
-EvalResult, whose dicts the evaluation fills) share a dict or a list."""
+and refuses attribute writes, and no two instances of a mutable one (or two
+EvalResults read from files that leave out the same fields) share a dict or
+a list."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from agora.gateway import (
     ScriptRule,
 )
 from agora.paradigms import TurnStep
-from agora.runner import BatchSummary, JobReport, _QueuedJob
+from agora.runner import BatchSummary, JobReport
 
 MODULES = ("config", "datasets", "decisions", "domain", "evaluation", "gateway", "paradigms", "runner")
 
@@ -62,7 +63,9 @@ IMMUTABLE = {
     Tally: lambda: Tally({1: 2, 2: 0}, {1}),
     VoteRound: lambda: VoteRound(3, ["A", "B"], [Ballot(1, "1", 1, True)], Tally({1: 1, 2: 0}, {1})),
     RepeatStats: lambda: RepeatStats(0.5, 0.1, None),
-    EvalResult: lambda: EvalResult("demo", 2, mean={"accuracy": 0.5}, turns=[1, 3]),
+    EvalResult: lambda: EvalResult(
+        "demo", 2, {"accuracy": 0.5}, {"accuracy": 0.0}, {}, {"accuracy": [0.5]}, 1.0, [1, 3], [0.5]
+    ),
 }
 
 
@@ -90,7 +93,7 @@ def test_an_immutable_value_compares_by_value_and_refuses_writes(kind):
 
 
 def test_two_eval_results_share_no_dict_or_list():
-    first, second = EvalResult("a", 1), EvalResult("b", 1)
+    first, second = (EvalResult.from_json({"jobName": name, "repeats": 1}) for name in "ab")
     assert first.decision_success_rate == 0.0
     for name in ("mean", "std", "annotations", "metric_values", "turns", "wall_clock_s"):
         assert getattr(first, name) == getattr(second, name)
@@ -110,13 +113,10 @@ def test_two_debate_states_share_no_dict_or_list():
     "build",
     [
         lambda: DebateState(JobParams(), TaskInstance("1", "qa", ("x",)), "solve", []),
-        lambda: JobReport("demo", 1, "demo-r1.jsonl"),
+        lambda: JobReport("demo", 1, JobParams(), [TaskInstance("1", "qa", ("x",))]),
         lambda: BatchSummary([]),
-        lambda: _QueuedJob(
-            JobReport("demo", 1, "demo-r1.jsonl"), JobParams(), [TaskInstance("1", "qa", ("x",))]
-        ),
     ],
-    ids=["DebateState", "JobReport", "BatchSummary", "_QueuedJob"],
+    ids=["DebateState", "JobReport", "BatchSummary"],
 )
 def test_a_mutable_value_holds_only_its_own_attributes(build):
     value = build()
@@ -125,16 +125,8 @@ def test_a_mutable_value_holds_only_its_own_attributes(build):
 
 
 def test_two_queued_jobs_share_no_list():
-    report = JobReport("demo", 1, "demo-r1.jsonl")
     samples = [TaskInstance("1", "qa", ("x",))] * 2
-    first, second = (_QueuedJob(report, JobParams(), samples) for _ in range(2))
-    first.records[0] = {}
-    assert second.records == [None, None]
+    first, second = (JobReport("demo", 1, JobParams(), samples) for _ in range(2))
+    first.in_flight[0] = {}
+    assert second.in_flight == [None, None]
     assert (first.pending, second.pending) == (2, 2)
-
-
-def test_the_validating_types_reject_empty_fields_on_construction():
-    with pytest.raises(ValueError, match="input_fields must not be empty"):
-        FieldMapping((), ("a",))
-    with pytest.raises(ValueError, match="at least one message"):
-        ChatRequest(())
