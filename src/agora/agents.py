@@ -58,8 +58,6 @@ def extract_json_object(text: str) -> dict:
         obj = json.loads(text[start : end + 1])
     except RecursionError:
         raise ValueError("JSON object nested too deep") from None
-    if not isinstance(obj, dict):
-        raise ValueError("top-level JSON value is not an object")
     return obj
 
 

@@ -29,8 +29,6 @@ def fmt(value: float) -> str:
 
 
 def _y(value: float, scale: float) -> float:
-    if scale <= 0:
-        scale = 1.0
     return BOTTOM - (value / scale) * (BOTTOM - TOP)
 
 

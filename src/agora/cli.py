@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import click
 
@@ -52,7 +53,8 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         if dry_run:
             prepared = runner.prepare_jobs(jobs, http_backend=scripted is None)
         else:
-            summary = runner.run_batch(jobs, scripted=scripted)
+            started = time.monotonic()
+            reports = runner.run_batch(jobs, scripted=scripted)
     except ConfigError as exc:
         raise click.ClickException(f"{config_path}: {exc}")
 
@@ -60,24 +62,27 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
         for job in prepared:
             click.echo(
-                f"  {job.name} r{job.repeat_index} -> {job.output_path} "
+                f"  {job.name} r{job.repeat_index} -> {job.params.output_json_file_path} "
                 f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}]"
             )
         return
 
-    for report in summary.reports:
+    seconds = time.monotonic() - started
+    for report in reports:
         if report.error is not None:
             click.echo(f"{report.name} r{report.repeat_index}: ABORTED: {report.error}")
         else:
             click.echo(
                 f"{report.name} r{report.repeat_index}: {report.records} record(s), "
-                f"{report.failures} failure(s) -> {report.output_path}"
+                f"{report.failures} failure(s) -> {report.params.output_json_file_path}"
             )
+    failures = sum(report.failures for report in reports)
+    aborted = sum(1 for report in reports if report.error is not None)
     click.echo(
-        f"total: {summary.total_records} record(s), {summary.total_failures} failure(s), "
-        f"{summary.aborted_jobs} aborted job(s), {summary.total_wall_clock_s:.1f}s"
+        f"total: {sum(report.records for report in reports)} record(s), {failures} failure(s), "
+        f"{aborted} aborted job(s), {seconds:.1f}s"
     )
-    sys.exit(0 if summary.ok else 1)
+    sys.exit(1 if failures or aborted else 0)
 
 
 @main.command()

@@ -97,10 +97,6 @@ class JobSpec(NamedTuple):
     params: dict[str, Any]
     repeat_index: int
 
-    @property
-    def output_path(self) -> str:
-        return str(self.params["output_json_file_path"])
-
 
 def _suffix_output(path: str, repeat_index: int) -> str:
     root, ext = os.path.splitext(path)
@@ -111,8 +107,9 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
     """Overlay each run onto common (run wins) and fan out over repeats.
 
     Two runs may not share an output file, however its path is spelled: the
-    later job's log would replace the earlier one's. Nor may it hold a NUL,
-    or write a log whose suffix `evaluate` does not read.
+    later job's log would replace the earlier one's. Nor may their files differ
+    only in suffix, since `evaluate` names a job by its log's stem. Nor may a
+    path hold a NUL, or write a log whose suffix `evaluate` does not read.
     """
     required = list(REQUIRED_KEYS)
     if scripted_backend:
@@ -132,7 +129,7 @@ def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobS
         if Path(_suffix_output(output, 1)).suffix not in LOG_SUFFIXES:  # as each repeat's log is named
             suffixes = " nor ".join(LOG_SUFFIXES)
             raise ConfigError(f"run {index} writes {output!r}, a log path that ends in neither {suffixes}")
-        first = writers.setdefault(os.path.abspath(output), index)
+        first = writers.setdefault(os.path.splitext(os.path.abspath(output))[0], index)
         if first != index:
             raise ConfigError(f"runs {first} and {index} both write {output!r}")
         name = Path(output).stem

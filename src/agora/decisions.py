@@ -14,7 +14,7 @@ from .domain import (
     Share,
     TieBreak,
 )
-from .gateway import Backend, GatewayError, chat_request
+from .gateway import AuthRejected, Backend, GatewayError, chat_request
 
 
 class VoteParseFailure(Exception):
@@ -300,6 +300,8 @@ def judge_decide(state: DebateState, backend: Backend, candidates: list[str]) ->
     req = chat_request([("user", user)])
     try:
         resp = backend.complete(req)
+    except AuthRejected:
+        raise  # as on any other call, rejected credentials fail the debate
     except GatewayError as exc:
         return DecisionOutcome(candidates[0], fallback_reason=f"judge call failed: {exc}")
     # The judge sits outside the panel; agent_id 0 marks that in the log.

@@ -148,7 +148,11 @@ def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
             job, repeat = file.stem, 1
         if not _file_name_part(job):  # it names the eval file and the charts
             raise FormatError(f"{file}: job name {job!r} is not a plain file name")
-        groups.setdefault(job, []).append((repeat, file))
+        repeats = groups.setdefault(job, [])
+        for other_repeat, other in repeats:
+            if other_repeat == repeat:
+                raise FormatError(f"{other} and {file} are both repeat {repeat} of job {job!r}")
+        repeats.append((repeat, file))
     for job in groups:
         groups[job].sort()
     return groups

@@ -76,8 +76,6 @@ def bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for token in a:
         current = [0]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Optional
@@ -77,34 +76,6 @@ class JobReport:
         self.records = self.failures = 0
         self.error: Optional[str] = None
 
-    @property
-    def output_path(self) -> str:
-        return self.params.output_json_file_path
-
-
-class BatchSummary:
-    __slots__ = ("reports", "total_wall_clock_s")
-
-    def __init__(self, reports: list[JobReport]) -> None:
-        self.reports = reports
-        self.total_wall_clock_s = 0.0
-
-    @property
-    def total_records(self) -> int:
-        return sum(r.records for r in self.reports)
-
-    @property
-    def total_failures(self) -> int:
-        return sum(r.failures for r in self.reports)
-
-    @property
-    def aborted_jobs(self) -> int:
-        return sum(1 for r in self.reports if r.error is not None)
-
-    @property
-    def ok(self) -> bool:
-        return self.total_failures == 0 and self.aborted_jobs == 0
-
 
 def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     """Each job resolved, its samples taken from a dataset loaded once per batch,
@@ -138,7 +109,7 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
 def _write_job(job: JobReport) -> None:
     """Write the job's log in sample order, count what it holds, and drop its records and samples."""
     try:
-        datasets.write_output(job.output_path, (serialize_record(record) + "\n" for record in job.in_flight))
+        datasets.write_output(job.params.output_json_file_path, (serialize_record(record) + "\n" for record in job.in_flight))
     except datasets.FormatError as exc:
         job.error = str(exc)
     else:
@@ -149,19 +120,18 @@ def _write_job(job: JobReport) -> None:
 
 def run_batch(
     jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None
-) -> BatchSummary:
+) -> list[JobReport]:
     """Run every job's debates through one queue; per-debate failures are recorded, never fatal.
 
     A job that cannot run raises ConfigError before any debate. The queue has
     one worker per gateway slot (the sum of the distinct gateways' caps) and
     takes samples in job order, so jobs overlap; every gateway exists before
     the first worker starts. Each job's log is written when its last debate ends.
+    Returns the prepared jobs, in order, each holding what its log holds.
     """
     if not jobs:
         raise ValueError("no jobs to run")
-    started = time.monotonic()
     queued = prepare_jobs(jobs, http_backend=scripted is None)
-    summary = BatchSummary(reports=queued)
     # One gateway, so one set of slots, per endpoint, API key and cap.
     keys = [(job.params.endpoint_url, job.params.api_key, job.params.concurrent_api_requests) for job in queued]
     gateways = {key: HttpGateway(*key) for key in dict.fromkeys(keys)} if scripted is None else {}
@@ -205,5 +175,4 @@ def run_batch(
         todo.clear()
         for worker in workers:
             worker.join()
-    summary.total_wall_clock_s = time.monotonic() - started
-    return summary
+    return queued

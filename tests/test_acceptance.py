@@ -1,7 +1,11 @@
 """Acceptance gate: independently-written oracles against the shipped behavior.
 
 Each test covers one release criterion; the conftest terminal hook prints a
-PASS/FAIL verdict line per test at the end of the run.
+PASS/FAIL verdict line per test at the end of the run. The criteria:
+exhaustive voting-oracle equivalence, the consensus threshold table, paradigm
+visibility sweeps, byte-pinned golden logs, config-expansion oracles, pinned
+metric values, repeat statistics, the gateway concurrency bound, and the
+prompt-catalog digests.
 """
 
 from __future__ import annotations
@@ -429,7 +433,7 @@ def test_criterion_5_config_expansion():
     assert [job.name for job in jobs] == [s for s in stems for _ in range(3)]
     assert [job.repeat_index for job in jobs] == [1, 2, 3] * 9
     for job in jobs:
-        assert job.output_path == f"results/{job.name}-r{job.repeat_index}.json"
+        assert job.params["output_json_file_path"] == f"results/{job.name}-r{job.repeat_index}.json"
         assert job.params["concurrent_api_requests"] == 200
         assert job.params["max_turns"] == 5
 

@@ -105,6 +105,13 @@ def test_expert_persona_retries_malformed_then_succeeds():
     assert len(backend.requests) == 3
 
 
+def test_expert_persona_description_that_is_not_a_string_is_retried():
+    backend = replay([json.dumps({"role": "Counter", "description": 5}), expert_json("Judge")])
+    persona, _ = generate_expert_persona("t", [], backend)
+    assert persona.name == "Judge"
+    assert len(backend.requests) == 2
+
+
 def test_expert_persona_three_parse_failures_raise():
     backend = replay(["x", "y", "z"])
     with pytest.raises(PersonaParseFailure):
@@ -152,6 +159,14 @@ def test_ipip_persona_missing_trait_counts_as_parse_failure():
     backend = replay([bad, good])
     persona, _ = generate_ipip_persona("t", [], backend)
     assert persona.name == "Y"
+
+
+def test_ipip_persona_traits_that_are_not_an_object_are_retried():
+    bad = json.dumps({"role": "X", "traits": "high"})
+    backend = replay([bad, ipip_json("Y", "low", "low", "low", "low", "low")])
+    persona, _ = generate_ipip_persona("t", [], backend)
+    assert persona.name == "Y"
+    assert len(backend.requests) == 2
 
 
 def test_ipip_persona_trait_out_of_range_is_immediate():

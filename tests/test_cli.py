@@ -227,6 +227,30 @@ def test_run_rejects_two_runs_with_one_output_path_before_any_debate(tmp_path):
         assert not (tmp_path / "logs").exists()
 
 
+def test_run_rejects_two_runs_whose_logs_differ_only_in_suffix(tmp_path):
+    # `evaluate` names a job by its log's stem: x.jsonl and x.json would be
+    # merged into one job x.
+    dataset, script, _ = make_workspace(tmp_path)
+    logs = tmp_path / "logs"
+    config = write_json(
+        tmp_path / "suffixes.json",
+        {
+            "common": {"input_json_file_path": str(dataset)},
+            "runs": [
+                {"output_json_file_path": str(logs / "x.jsonl")},
+                {"output_json_file_path": str(logs / "x.json"), "use_baseline": True},
+            ],
+        },
+    )
+    for flags in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *flags]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {config}: runs 1 and 2 both write {str(logs / 'x.json')!r}\n"
+        assert not logs.exists()
+
+
 @pytest.mark.parametrize(
     "script, where",
     [
@@ -319,6 +343,41 @@ def test_run_reports_aborted_job(tmp_path):
     assert f"demo r1: ABORTED: cannot write {log}: 'utf-8' codec" in result.output
     assert "1 aborted job(s)" in result.output
     assert not log.exists()
+
+
+def test_run_totals_a_failed_record_and_an_aborted_job_and_exits_1(tmp_path):
+    # Sample 0002 of "mixed" meets no draft rule, so its record fails; the
+    # "odd" job's log cannot encode its sample's lone surrogate.
+    dataset, _, _ = make_workspace(tmp_path)
+    odd = write_json(
+        tmp_path / "odd.json",
+        [{"id": "0001", "instruction": "Answer the question.", "inputs": ["What is 2+2 \ud800?"], "answerLetter": "A"}],
+    )
+    script = write_json(
+        tmp_path / "script.json",
+        {
+            "rules": [
+                {"match": [{"contains": DRAFT_HOOK}, {"contains": "2+2"}], "response": "4", "repeatable": True},
+                {"match": [{"contains": IMPROVE_HOOK}], "response": "Right. [AGREE]", "repeatable": True},
+            ]
+        },
+    )
+    logs = tmp_path / "logs"
+    config = write_json(
+        tmp_path / "batch.json",
+        {
+            "runs": [
+                {"input_json_file_path": str(dataset), "output_json_file_path": str(logs / "mixed.jsonl")},
+                {"input_json_file_path": str(odd), "output_json_file_path": str(logs / "odd.jsonl")},
+            ]
+        },
+    )
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--backend", f"scripted:{script}"])
+    assert result.exit_code == 1
+    mixed, odd, total = result.output.splitlines()
+    assert mixed == f"mixed r1: 2 record(s), 1 failure(s) -> {logs / 'mixed-r1.jsonl'}"
+    assert odd.startswith(f"odd r1: ABORTED: cannot write {logs / 'odd-r1.jsonl'}: 'utf-8' codec")
+    assert total.startswith("total: 2 record(s), 1 failure(s), 1 aborted job(s), ")
 
 
 def run_pipeline(tmp_path):

@@ -152,7 +152,7 @@ def test_expand_repeats_suffix_output_paths():
     cfg = batch(repeats=3)
     jobs = expand_config(cfg)
     assert [j.repeat_index for j in jobs] == [1, 2, 3]
-    assert [j.output_path for j in jobs] == [
+    assert [j.params["output_json_file_path"] for j in jobs] == [
         "out/majority-r1.json",
         "out/majority-r2.json",
         "out/majority-r3.json",
@@ -212,7 +212,7 @@ def test_expand_scripted_backend_relaxes_endpoint_keys():
     with pytest.raises(ConfigError, match="missing required key"):
         expand_config(cfg)
     (job,) = expand_config(cfg, scripted_backend=True)
-    assert job.output_path == "o-r1.json"
+    assert job.params["output_json_file_path"] == "o-r1.json"
 
 
 def test_expand_does_not_mutate_source_config():
@@ -246,6 +246,11 @@ def test_resolve_accepts_string_integers():
     params = resolve_job_params({"max_turns": " 5 ", "num_agents": "4"})
     assert params.max_turns == 5
     assert params.num_agents == 4
+
+
+def test_resolve_rejects_an_integer_key_given_a_fraction():
+    with pytest.raises(ConfigError, match="^max_turns must be an integer, got float$"):
+        resolve_job_params({"max_turns": 3.5})
 
 
 def test_resolve_rejects_bad_values():

@@ -136,10 +136,10 @@ def run_space(cap: int, monkeypatch) -> tuple[list[list[dict]], dict, dict]:
             **params,
         }
         specs.append(JobSpec(f"c{job}", params, 1))
-    summary = runner.run_batch(specs)
-    assert [report.error for report in summary.reports] == [None] * len(specs)
+    reports = runner.run_batch(specs)
+    assert [report.error for report in reports] == [None] * len(specs)
     logs = [
-        [json.loads(line) for line in Path(spec.output_path).read_text("utf-8").splitlines()]
+        [json.loads(line) for line in Path(spec.params["output_json_file_path"]).read_text("utf-8").splitlines()]
         for spec in specs
     ]
     return logs, backend.stats(), calls

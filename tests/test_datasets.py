@@ -554,6 +554,16 @@ def test_load_input_file_sidecar_format_override(tmp_path):
     assert len(load_input_file(data_path)) == 1
 
 
+def test_load_input_file_sidecar_without_format_infers_csv(tmp_path):
+    data_path = tmp_path / "raw.csv"
+    data_path.write_text("question,answer\nq,a\n", encoding="utf-8")
+    sidecar_path(data_path).write_text(
+        json.dumps({"input_fields": ["question"], "reference_fields": ["answer"]}), encoding="utf-8"
+    )
+    (instance,) = load_input_file(data_path)
+    assert (instance.input_lines, instance.references) == (("q",), ("a",))
+
+
 def test_load_input_file_bad_sidecar(tmp_path):
     data_path = write_json(tmp_path, "raw.json", [{"question": "q", "answer": "a"}])
     sidecar_path(data_path).write_text("not json", encoding="utf-8")

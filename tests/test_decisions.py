@@ -131,6 +131,11 @@ def test_simple_vote_rejects_bad_k():
         parse_simple_vote("1", 0)
 
 
+def test_approval_rejects_bad_k():
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        parse_approval("1", 0)
+
+
 # -- approval parsing --
 
 

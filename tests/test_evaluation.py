@@ -216,6 +216,17 @@ def test_group_log_files_single_file(tmp_path):
     assert groups == {"job": [(2, path)]}
 
 
+@pytest.mark.parametrize("names", [("x-r1.json", "x-r1.jsonl"), ("x-r1.jsonl", "x.jsonl")])
+def test_group_log_files_rejects_two_logs_of_one_repeat(tmp_path, names):
+    # Merged, a debate's log and a baseline's would be averaged as one job.
+    for name in names:
+        (tmp_path / name).write_text("", encoding="utf-8")
+    first, second = (tmp_path / name for name in names)
+    with pytest.raises(FormatError) as caught:
+        group_log_files(tmp_path)
+    assert str(caught.value) == f"{first} and {second} are both repeat 1 of job 'x'"
+
+
 def test_group_log_files_missing_path(tmp_path):
     with pytest.raises(FormatError) as caught:
         group_log_files(tmp_path / "nowhere")

@@ -225,6 +225,11 @@ def test_step_prompt_with_draft_adds_user_turn():
     assert "Participant 1" in messages[0][1]
 
 
+def test_step_prompt_rejects_a_speaker_the_panel_lacks():
+    with pytest.raises(ValueError, match="^no panel agent 3$"):
+        render_step_prompt(make_state(2), TurnStep(3, Phase.IMPROVE))
+
+
 def test_step_prompt_honors_generator_choice():
     state = make_state(2, response_generator="simple")
     add(state, 1, Phase.DRAFT, "d", turn=1)

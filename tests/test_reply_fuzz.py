@@ -1,10 +1,13 @@
 """Every parser of model text, fed arbitrary replies: each returns, or raises
 only its own parse failure, and none takes long on a pathological reply.
 
-The pinned replies are what a model can send back when it degenerates: a
-whitespace run up to its token limit after a FINAL SOLUTION marker, JSON
-nested far past the parser's recursion limit, a number longer than `int()`
-converts, a NUL, a lone surrogate, and Unicode line separators.
+The parsers: the agreement marker, the ballot of each voting protocol, the
+JSON object extractor, both persona generators through `build_panel`, and the
+answer letter. The pinned replies are what a model can send back when it
+degenerates: a 100k whitespace run after a FINAL SOLUTION marker, JSON nested
+100k deep, far past the parser's recursion limit, a number longer than
+`int()` converts, a NUL, a lone surrogate, and Unicode line separators; each
+must be done within a second.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ import pytest
 
 from agora import datasets, runner
 from agora.config import ConfigError, JobSpec, resolve_job_params
-from agora.domain import JobParams, TaskInstance
-from agora.gateway import ChatResponse, HttpGateway, script_from_dict
+from agora.domain import TaskInstance
+from agora.gateway import AuthRejected, ChatResponse, HttpGateway, script_from_dict
 from agora.runner import (
-    BatchSummary,
     JobReport,
     record_failed,
     run_batch,
@@ -347,7 +346,16 @@ def read_jsonl(path: str) -> list[dict]:
 
 def execute_job(spec: JobSpec, scripted) -> JobReport:
     """A one-job batch, which is how a single job runs."""
-    return run_batch([spec], scripted=scripted).reports[0]
+    return run_batch([spec], scripted=scripted)[0]
+
+
+def batch_ok(reports: list[JobReport]) -> bool:
+    """No job aborted and no record failed: the batch `agora run` exits 0 on."""
+    return all(report.error is None and report.failures == 0 for report in reports)
+
+
+def total_records(reports: list[JobReport]) -> int:
+    return sum(report.records for report in reports)
 
 
 def test_execute_job_writes_records_in_sample_order(tmp_path):
@@ -356,7 +364,7 @@ def test_execute_job_writes_records_in_sample_order(tmp_path):
     assert report.error is None
     assert report.records == 4
     assert report.failures == 0
-    records = read_jsonl(report.output_path)
+    records = read_jsonl(report.params.output_json_file_path)
     assert [r["task"]["id"] for r in records] == ["0001", "0002", "0003", "0004"]
 
 
@@ -364,7 +372,14 @@ def test_execute_job_subsets_samples(tmp_path):
     spec = job_spec(tmp_path, write_dataset(tmp_path, 6), num_samples=2, seed=3)
     report = execute_job(spec, scripted=unanimity_script())
     assert report.records == 2
-    assert len(read_jsonl(report.output_path)) == 2
+    assert len(read_jsonl(report.params.output_json_file_path)) == 2
+
+
+def test_execute_job_runs_every_sample_when_num_samples_is_null(tmp_path):
+    spec = job_spec(tmp_path, write_dataset(tmp_path, 3), num_samples=None)
+    report = execute_job(spec, scripted=unanimity_script())
+    assert report.params.num_samples is None
+    assert report.records == 3
 
 
 def test_execute_job_isolates_per_sample_failures(tmp_path):
@@ -389,7 +404,7 @@ def test_execute_job_isolates_per_sample_failures(tmp_path):
     assert report.error is None
     assert report.records == 2
     assert report.failures == 1
-    first, second = read_jsonl(report.output_path)
+    first, second = read_jsonl(report.params.output_json_file_path)
     assert first["outcome"]["success"] is True
     assert second["outcome"]["error"].startswith("NoRuleMatched")
 
@@ -452,8 +467,8 @@ def test_run_batch_loads_each_dataset_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(datasets, "load_input_file", counted)
     dataset = write_dataset(tmp_path, 3)
     jobs = [job_spec(tmp_path, dataset, name=f"job{n}", num_samples=n) for n in (1, 2, 3)]
-    summary = run_batch(jobs, scripted=unanimity_script())
-    assert [report.records for report in summary.reports] == [1, 2, 3]
+    reports = run_batch(jobs, scripted=unanimity_script())
+    assert [report.records for report in reports] == [1, 2, 3]
     assert loads == [dataset]
 
 
@@ -483,12 +498,12 @@ def test_run_batch_reports_a_log_it_cannot_write_and_goes_on(tmp_path):
     ]
     # The file that blocks the log's directory appears only once the debates
     # run, after the batch checked the log path.
-    summary = run_batch(jobs, scripted=AgreeingBackend(lambda text: blocker.touch()))
-    broken, after = summary.reports
+    reports = run_batch(jobs, scripted=AgreeingBackend(lambda text: blocker.touch()))
+    broken, after = reports
     assert broken.error.startswith(f"cannot write {blocked}: [Errno ")
     assert (broken.records, broken.failures) == (0, 0)
-    assert after.error is None and len(read_jsonl(after.output_path)) == 2
-    assert summary.aborted_jobs == 1 and not summary.ok
+    assert after.error is None and len(read_jsonl(after.params.output_json_file_path)) == 2
+    assert not batch_ok(reports)
 
 
 def test_run_batch_reports_a_log_it_cannot_encode_and_goes_on(tmp_path):
@@ -498,20 +513,20 @@ def test_run_batch_reports_a_log_it_cannot_encode_and_goes_on(tmp_path):
         job_spec(tmp_path, odd, name="odd"),
         job_spec(tmp_path, write_dataset(tmp_path), name="after"),
     ]
-    broken, after = run_batch(jobs, scripted=unanimity_script()).reports
-    assert broken.error.startswith(f"cannot write {broken.output_path}: 'utf-8' codec")
-    assert after.error is None and len(read_jsonl(after.output_path)) == 2
+    broken, after = run_batch(jobs, scripted=unanimity_script())
+    assert broken.error.startswith(f"cannot write {broken.params.output_json_file_path}: 'utf-8' codec")
+    assert after.error is None and len(read_jsonl(after.params.output_json_file_path)) == 2
 
 
 @pytest.mark.parametrize("previous", [None, "old\n"])
 def test_a_log_that_cannot_be_encoded_leaves_the_previous_log_or_none(tmp_path, previous):
     odd = write_dataset(tmp_path, stem="odd", questions=["fine", "what is \ud800?"])
     spec = job_spec(tmp_path, odd, name="odd")
-    log = Path(spec.output_path)
+    log = Path(spec.params["output_json_file_path"])
     if previous is not None:
         log.parent.mkdir(parents=True)
         log.write_text(previous, encoding="utf-8")
-    (report,) = run_batch([spec], scripted=unanimity_script()).reports
+    (report,) = run_batch([spec], scripted=unanimity_script())
     assert report.error.startswith(f"cannot write {log}: ")
     assert list(log.parent.iterdir()) == ([] if previous is None else [log])
     if previous is not None:
@@ -540,24 +555,9 @@ def test_run_batch_summary(tmp_path):
         )
         for name in ("first", "second")
     ]
-    summary = run_batch(jobs, scripted=unanimity_script())
-    assert [r.name for r in summary.reports] == ["first", "second"]
-    assert summary.total_records == 4
-    assert summary.total_failures == 0
-    assert summary.aborted_jobs == 0
-    assert summary.ok
-
-
-def test_batch_summary_flags():
-    failed, aborted = (
-        JobReport(name, 1, JobParams(output_json_file_path=f"{name}.json"), []) for name in "ab"
-    )
-    failed.records, failed.failures = 2, 1
-    aborted.error = "boom"
-    summary = BatchSummary(reports=[failed, aborted])
-    assert summary.total_failures == 1
-    assert summary.aborted_jobs == 1
-    assert not summary.ok
+    reports = run_batch(jobs, scripted=unanimity_script())
+    assert [r.name for r in reports] == ["first", "second"]
+    assert [(r.records, r.failures, r.error) for r in reports] == [(2, 0, None), (2, 0, None)]
 
 
 # -- the batch-wide debate queue --
@@ -605,9 +605,9 @@ def test_run_batch_overlaps_jobs(tmp_path):
             name="two",
         ),
     ]
-    summary = run_batch(jobs, scripted=AgreeingBackend(on_call))
-    assert summary.ok
-    assert summary.total_records == 3
+    reports = run_batch(jobs, scripted=AgreeingBackend(on_call))
+    assert batch_ok(reports)
+    assert total_records(reports) == 3
 
 
 class CountingTransport:
@@ -651,9 +651,9 @@ def test_run_batch_never_exceeds_the_cap(tmp_path, monkeypatch):
     dataset = write_dataset(tmp_path, 4)
     common = {"endpoint_url": "http://counting.invalid", "model_name": "m", "concurrent_api_requests": 3}
     jobs = [job_spec(tmp_path, dataset, name=f"job{i}", **common) for i in range(3)]
-    summary = run_batch(jobs)
-    assert summary.ok
-    assert summary.total_records == 12
+    reports = run_batch(jobs)
+    assert batch_ok(reports)
+    assert total_records(reports) == 12
     assert transport.calls == 12 * 2
     assert transport.max_in_flight <= 3
     assert debates["peak"] <= 3
@@ -675,13 +675,13 @@ def test_run_batch_keeps_sample_order_per_job(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        summary = run_batch(jobs, scripted=AgreeingBackend(on_call))
+        reports = run_batch(jobs, scripted=AgreeingBackend(on_call))
     finally:
         sys.setswitchinterval(interval)
-    assert summary.ok
-    for report in summary.reports:
+    assert batch_ok(reports)
+    for report in reports:
         assert report.records == 4
-        records = read_jsonl(report.output_path)
+        records = read_jsonl(report.params.output_json_file_path)
         assert [r["task"]["id"] for r in records] == ["0001", "0002", "0003", "0004"]
 
 
@@ -694,15 +694,13 @@ def test_run_batch_isolates_an_aborted_job(tmp_path):
         job_spec(tmp_path, write_dataset(tmp_path, stem="odd", questions=["\ud800?"]), name="broken"),
         job_spec(tmp_path, dataset, name="after"),
     ]
-    summary = run_batch(jobs, scripted=unanimity_script())
-    before, broken, after = summary.reports
-    assert broken.error.startswith(f"cannot write {broken.output_path}: 'utf-8' codec")
+    before, broken, after = run_batch(jobs, scripted=unanimity_script())
+    assert broken.error.startswith(f"cannot write {broken.params.output_json_file_path}: 'utf-8' codec")
     assert broken.records == 0
     for report in (before, after):
         assert report.error is None
         assert report.records == 2
-        assert len(read_jsonl(report.output_path)) == 2
-    assert summary.aborted_jobs == 1
+        assert len(read_jsonl(report.params.output_json_file_path)) == 2
 
 
 def test_run_batch_calls_patchable_hooks_once_per_sample(tmp_path, monkeypatch):
@@ -725,8 +723,7 @@ def test_run_batch_calls_patchable_hooks_once_per_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "serialize_record", serialize_spy)
     dataset = write_dataset(tmp_path, 3)
     jobs = [job_spec(tmp_path, dataset, name=name) for name in ("a", "b")]
-    summary = run_batch(jobs, scripted=unanimity_script())
-    assert summary.total_records == 6
+    assert total_records(run_batch(jobs, scripted=unanimity_script())) == 6
     assert len(seen) == len(set(seen)) == 6
     assert sorted(serialized) == ["0001", "0001", "0002", "0002", "0003", "0003"]
 
@@ -780,8 +777,8 @@ def test_run_batch_starts_one_worker_per_slot(tmp_path, started_threads):
         job_spec(tmp_path, dataset, name="three", concurrent_api_requests=3),
         job_spec(tmp_path, dataset, name="three-again", concurrent_api_requests=3),
     ]
-    summary = run_batch(jobs, scripted=unanimity_script())
-    assert summary.ok and summary.total_records == 18
+    reports = run_batch(jobs, scripted=unanimity_script())
+    assert batch_ok(reports) and total_records(reports) == 18
     # Two distinct caps, 2 + 3: the jobs that share a cap share its slots.
     assert len(started_threads) == 5
 
@@ -797,7 +794,7 @@ def test_run_batch_hands_out_samples_in_job_order(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "run_sample", recording)
     dataset = write_dataset(tmp_path, 3)
     jobs = [job_spec(tmp_path, dataset, name=name, concurrent_api_requests=1) for name in "ab"]
-    assert run_batch(jobs, scripted=unanimity_script()).ok
+    assert batch_ok(run_batch(jobs, scripted=unanimity_script()))
     # One slot, so one worker: the order it takes the samples in is visible.
     assert seen == ["a:0001", "a:0002", "a:0003", "b:0001", "b:0002", "b:0003"]
 
@@ -815,7 +812,7 @@ def test_every_gateway_is_built_before_the_first_worker_starts(tmp_path, monkeyp
         job_spec(tmp_path, dataset, name=name, endpoint_url=url, model_name="m")
         for name, url in [("a", "http://one.invalid"), ("b", "http://two.invalid"), ("c", "http://one.invalid")]
     ]
-    assert run_batch(jobs).ok
+    assert batch_ok(run_batch(jobs))
     # One gateway, so one set of slots, per endpoint, each built on the
     # calling thread while no worker was running.
     assert built == [("http://one.invalid", True, 0), ("http://two.invalid", True, 0)]
@@ -877,6 +874,30 @@ def test_every_call_names_the_jobs_model(overrides, kinds):
     assert record["outcome"]["success"] is True
     assert {kind for kind, _ in backend.calls} == kinds
     assert {model for _, model in backend.calls} == {"job-model"}
+
+
+class RejectingBackend(KindRecordingBackend):
+    """Rejects the credentials of one kind of call and answers every other."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def complete(self, req) -> ChatResponse:
+        reply = super().complete(req)
+        if self.calls[-1][0] == self.kind:
+            raise AuthRejected("endpoint rejected credentials (HTTP 401)")
+        return reply
+
+
+@pytest.mark.parametrize("kind", ["turn", "judge"])
+def test_rejected_credentials_fail_the_debate_on_every_kind_of_call(kind):
+    # Other gateway failures of the judge call fall back to the first candidate.
+    params = debate_params(decision_protocol="judge", voting_after_turns=1)
+    outcome = run_sample(params, make_sample(), RejectingBackend(kind))["outcome"]
+    assert outcome["success"] is False
+    assert outcome["error"] == "AuthRejected: endpoint rejected credentials (HTTP 401)"
+    assert "fallbackReason" not in outcome
 
 
 class SteppingClockBackend(AgreeingBackend):

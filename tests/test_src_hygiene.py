@@ -5,7 +5,8 @@ exists for tests alone (or for nobody); such code belongs in the tests or
 nowhere. The console entry point is the one name used from outside, and a
 decorated function counts as used, because its decorator may register it
 (the click subcommands). The same holds for each enum member, except in
-the enums whose members the config selects by value.
+the enums whose members the config selects by value (`ResponseGeneratorKind`,
+`ParadigmKind`).
 
 Also: every function parameter in src/agora is read by its function
 (Protocol stubs aside), and starting the CLI imports no third-party HTTP
@@ -18,19 +19,33 @@ per-debate backend is the one carrier of the job's model and of the clock:
 no function takes a `model_name`, and nothing type-checks the scripted backend.
 The debate state is the one carrier of a debate's job: no function takes it
 next to a second one. And `datasets.read_input` is the one place that reads
-an input file, and `datasets.write_output` the one place that writes an
-output file, so every input and output error names its file in one way.
+an input file (the package's prompt templates aside), and
+`datasets.write_output` the one place that writes an output file
+(`write_text`, `write_bytes`, `mkdir`, `makedirs`, or `open` in a mode with
+`w`, `a` or `x`), so every input and output error names its file in one way.
 And `DebateState.add` is the one place that builds a `Message`: the state
 numbers each message, and the message reads its agreement from its text.
 And an exception class that subclasses, or is subclassed by, another one
 defined in src/agora is caught by name somewhere in src/agora: a subclass
-nothing tells apart from its base is a second name for one failure.
+nothing tells apart from its base is a second name for one failure. The
+gateway's `EndpointUnreachable`, `MalformedResponse` and `NoRuleMatched` are
+exempt: a failure record's error reads `<class>: <message>`, so each name is
+the diagnosis the user reads.
 And `runner.prepare_jobs` is the one place that resolves a job and loads
 its dataset (`evaluate` loads its own), and `run_sample` the one place that
 catches any exception, so a job's set-up fault stops the batch instead of
 becoming a result. And each value type is one class: no class derives from
 a NamedTuple defined in src/agora, and no NamedTuple defines `__new__`, so
 a value is checked by the one reader of outside input that builds it.
+
+The rule for start-up imports: a module imports at its top only what the
+commands that import it run. `agora.cli` imports each command's modules
+inside that command, so `evaluate` and `chart` never load the gateway (nor
+`http.client`, `ssl`, `urllib.request`, `concurrent.futures` or `logging`).
+`statistics` (for `stdev` and chart quartiles) and `csv` (for chart CSV twins
+and CSV datasets) are imported inside the one function that uses each; means
+are `math.fsum(v) / len(v)`, which is `statistics.fmean` bit for bit. No other
+module is imported inside a function.
 """
 
 from __future__ import annotations
@@ -437,7 +452,7 @@ def test_only_a_debate_turns_any_exception_into_a_result():
 # The gateway's failures that no src code tells apart, kept under their own
 # names: a failure record's error reads "<class>: <message>", so each name is
 # the diagnosis the user reads.
-GATEWAY_DIAGNOSES = {"EndpointUnreachable", "MalformedResponse", "AuthRejected", "NoRuleMatched"}
+GATEWAY_DIAGNOSES = {"EndpointUnreachable", "MalformedResponse", "NoRuleMatched"}
 
 
 def uncaught_family_members() -> list[str]:

@@ -34,7 +34,7 @@ from agora.gateway import (
     ScriptRule,
 )
 from agora.paradigms import TurnStep
-from agora.runner import BatchSummary, JobReport
+from agora.runner import JobReport
 
 MODULES = ("config", "datasets", "decisions", "domain", "evaluation", "gateway", "paradigms", "runner")
 
@@ -114,9 +114,8 @@ def test_two_debate_states_share_no_dict_or_list():
     [
         lambda: DebateState(JobParams(), TaskInstance("1", "qa", ("x",)), "solve", []),
         lambda: JobReport("demo", 1, JobParams(), [TaskInstance("1", "qa", ("x",))]),
-        lambda: BatchSummary([]),
     ],
-    ids=["DebateState", "JobReport", "BatchSummary"],
+    ids=["DebateState", "JobReport"],
 )
 def test_a_mutable_value_holds_only_its_own_attributes(build):
     value = build()
