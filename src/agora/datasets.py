@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -17,6 +18,8 @@ from .prompts import multiple_choice_footer
 
 # The file suffixes of a debate log: what `agora run` may write and `agora evaluate` reads.
 LOG_SUFFIXES = (".json", ".jsonl")
+# The stem of a job's log for repeat N, as `agora run` names it and `agora evaluate` reads it.
+LOG_REPEAT_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
 
 
 class FormatError(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .datasets import LOG_SUFFIXES, FieldTable, FormatError, field_fault, input_files, load_input_file
-from .datasets import read_input, read_jsonl, write_output
+from .datasets import LOG_REPEAT_RE, read_input, read_jsonl, write_output
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
@@ -134,14 +134,11 @@ class EvalResult(NamedTuple):
         return cls(**{_attr(key): data[key] if key in data else empty[key] for key in _EVAL_FIELDS})
 
 
-_REPEAT_SUFFIX_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
-
-
 def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
     """Map job name -> [(repeat index, path)] from -r{i} file name suffixes."""
     groups: dict[str, list[tuple[int, Path]]] = {}
     for file in input_files(logs, lambda file: file.suffix in LOG_SUFFIXES):
-        match = _REPEAT_SUFFIX_RE.match(file.stem)
+        match = LOG_REPEAT_RE.match(file.stem)
         if match:
             job, repeat = match.group("job"), int(match.group("repeat"))
         else:

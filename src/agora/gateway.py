@@ -111,6 +111,10 @@ def _close_idle(idle: list[_Pooled]) -> None:
         pooled.conn.close()
 
 
+# The most bytes a response body may hold: far above any 1024-token completion.
+MAX_RESPONSE_BYTES = 8 * 1024 * 1024
+
+
 class _ConnectionPool:
     """Keep-alive transport for one endpoint: idle connections, each serving one call at a time.
 
@@ -137,7 +141,11 @@ class _ConnectionPool:
         try:
             pooled.conn.request("POST", target, json.dumps(body).encode("utf-8"), headers)
             resp = pooled.conn.getresponse()
-            raw = resp.read()
+            raw = resp.read(MAX_RESPONSE_BYTES + 1)
+            if len(raw) > MAX_RESPONSE_BYTES:  # not retried: the server would send it again
+                raise MalformedResponse(f"response body is over the {MAX_RESPONSE_BYTES}-byte cap")
+            if resp.length:  # the body ended short of its Content-Length, as read() with no limit raises
+                raise http.client.IncompleteRead(raw, resp.length)
         except BaseException:
             pooled.conn.close()
             raise

@@ -28,12 +28,13 @@ def _strip_punct(token: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    tokens = (_strip_punct(raw) for raw in text.lower().split())
+    # No alphanumeric character is punctuation, so such ends need no strip.
+    tokens = (raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw) for raw in text.lower().split())
     return [t for t in tokens if t]
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
@@ -76,16 +77,16 @@ def bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    prev = [0] * (len(b) + 1)
+    """Bit-parallel LCS length (Allison & Dix 1986, Hyyrö 2004): bit j of `row`
+    is clear where the LCS of `a`'s prefix with `b[: j + 1]` steps up."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | 1 << j
+    full = row = (1 << len(b)) - 1
     for token in a:
-        current = [0]
-        for j, other in enumerate(b, 1):
-            if token == other:
-                current.append(prev[j - 1] + 1)
-            else:
-                current.append(max(prev[j], current[j - 1]))
-        prev = current
-    return prev[-1]
+        m = row & masks.get(token, 0)
+        row = ((row + m) | (row - m)) & full
+    return len(b) - row.bit_count()
 
 
 def _f1(overlap: float, cand_total: int, ref_total: int) -> float:
@@ -112,41 +113,38 @@ def rouge(candidate: str, reference: str, variant: int | str = 1) -> float:
 
 
 def _align_blocks(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int, int]]:
-    """Greedy longest-common-block alignment; ties go leftmost in the candidate.
+    """Greedy common-block alignment: take the longest run of equal tokens free
+    in both texts, ties to the smallest candidate then reference index; repeat.
 
-    Quadratic-ish per block, which is fine for sentence-length inputs.
+    Each matching pair is filed under the length of the run that starts there.
+    Taking a block only shortens runs, so the lengths are scanned from the
+    longest down, and a run is measured again when its length comes up: taken
+    if still that long, else filed lower. The work grows with the matching
+    pairs: near-linear on natural text, quadratic on a text of few tokens.
     """
+    where: dict[str, list[int]] = {}
+    for ri, token in enumerate(ref):
+        where.setdefault(token, []).append(ri)
+    by_length: list[list[tuple[int, int]]] = [[] for _ in range(min(len(cand), len(ref)) + 1)]
+    after: dict[int, int] = {}  # the run length at (ci + 1, ri), by ri
+    for ci in range(len(cand) - 1, -1, -1):
+        after = {ri: after.get(ri + 1, 0) + 1 for ri in where.get(cand[ci], ())}
+        for ri, length in after.items():
+            by_length[length].append((ci, ri))
     free_c = [True] * len(cand)
     free_r = [True] * len(ref)
     blocks: list[tuple[int, int, int]] = []
-    while True:
-        best_len = 0
-        best: tuple[int, int] | None = None
-        for ci in range(len(cand)):
-            if not free_c[ci]:
-                continue
-            for ri in range(len(ref)):
-                if not free_r[ri] or cand[ci] != ref[ri]:
-                    continue
-                length = 0
-                while (
-                    ci + length < len(cand)
-                    and ri + length < len(ref)
-                    and free_c[ci + length]
-                    and free_r[ri + length]
-                    and cand[ci + length] == ref[ri + length]
-                ):
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best = (ci, ri)
-        if best is None:
-            return blocks
-        ci, ri = best
-        for offset in range(best_len):
-            free_c[ci + offset] = False
-            free_r[ri + offset] = False
-        blocks.append((ci, ri, best_len))
+    for length in range(len(by_length) - 1, 0, -1):
+        for ci, ri in sorted(by_length[length]):
+            run = 0
+            while run < length and free_c[ci + run] and free_r[ri + run]:
+                run += 1
+            if run == length:
+                free_c[ci : ci + length] = free_r[ri : ri + length] = [False] * length
+                blocks.append((ci, ri, length))
+            elif run:
+                by_length[run].append((ci, ri))
+    return blocks
 
 
 def meteor_lite(candidate: str, reference: str) -> float:

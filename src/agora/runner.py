@@ -80,7 +80,10 @@ class JobReport:
 def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     """Each job resolved, its samples taken from a dataset loaded once per batch,
     and its log path checked. The first job that cannot run raises one
-    ConfigError naming the job (and the file at fault), before any debate."""
+    ConfigError naming the job (and the file at fault), before any debate.
+    A log beside the job's numbered above the batch's repeats is at fault too:
+    it is left from an earlier batch, and `evaluate` would average it in."""
+    repeats = max((spec.repeat_index for spec in jobs), default=0)
     loaded: dict[str, list[TaskInstance]] = {}
     prepared = []
     for spec in jobs:
@@ -100,6 +103,11 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
                 ancestor = ancestor.parent
             if not ancestor.is_dir():
                 raise ConfigError(f"cannot write {log}: {ancestor} is not a directory")
+            folder = Path(log).parent
+            for file in folder.iterdir() if folder.is_dir() else ():
+                named = datasets.LOG_REPEAT_RE.match(file.stem) if file.suffix in datasets.LOG_SUFFIXES else None
+                if named and named["job"] == spec.name and int(named["repeat"]) > repeats:
+                    raise ConfigError(f"{file} is left from an earlier batch of more than {repeats} repeat(s)")
         except (ConfigError, datasets.MappingError, datasets.EmptyDataset, OSError, ValueError) as exc:
             raise ConfigError(f"{spec.name} r{spec.repeat_index}: {exc}")
         prepared.append(JobReport(spec.name, spec.repeat_index, params, samples))

@@ -263,7 +263,8 @@ class ChatHandler(BaseHTTPRequestHandler):
 
     Modes: "ok"; "close" answers with Connection: close; "drop" answers,
     then closes the connection without saying so; "stall" never answers;
-    "text" answers 200 with a body that is not JSON. A CONNECT request
+    "text" answers 200 with a body that is not JSON; "short" sends less body
+    than its Content-Length says, then closes the connection. A CONNECT request
     (an HTTPS tunnel) is refused. The server counts the connections it
     accepts and records each request line's target and proxy credentials.
     """
@@ -295,12 +296,12 @@ class ChatHandler(BaseHTTPRequestHandler):
         reply = b"<html>busy</html>" if mode == "text" else json.dumps(ok_payload("ok")).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(reply)))
+        self.send_header("Content-Length", str(len(reply) + (10 if mode == "short" else 0)))
         if mode == "close":
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(reply)
-        if mode == "drop":
+        if mode in ("drop", "short"):
             self.close_connection = True
 
     def log_message(self, *args) -> None:
@@ -415,6 +416,31 @@ def test_non_json_body_is_malformed(loopback_server):
     server = loopback_server("text")
     with pytest.raises(MalformedResponse):
         HttpGateway(server.url).complete(req())
+
+
+def test_a_body_over_the_cap_is_malformed_and_not_retried(loopback_server, monkeypatch):
+    server = loopback_server()
+    size = len(json.dumps(ok_payload("ok")).encode("utf-8"))
+    sleeps: list[float] = []
+    gw = HttpGateway(server.url, sleeper=sleeps.append)
+    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size)
+    assert gw.complete(req()).text == "ok"
+    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size - 1)
+    with pytest.raises(MalformedResponse, match=f"over the {size - 1}-byte cap"):
+        gw.complete(req())
+    assert len(server.targets) == 2
+    assert sleeps == []
+    assert server.closed.acquire(timeout=5)  # the connection, the rest of the body unread, is closed
+
+
+def test_a_body_cut_short_of_its_length_is_retried(loopback_server, monkeypatch):
+    server = loopback_server("short")
+    sleeps: list[float] = []
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
+    with pytest.raises(EndpointUnreachable, match="2 attempts: IncompleteRead"):
+        HttpGateway(server.url, sleeper=sleeps.append).complete(req())
+    assert len(server.targets) == 2
+    assert len(sleeps) == 1
 
 
 def test_http_proxy_gets_the_absolute_uri(loopback_server, no_proxy_env):

@@ -21,8 +21,9 @@ its place or in a parent's, or a directory where an eval file goes) fails with
 exit 1 in one line that names it.
 
 And `run --dry-run` is checked against `run`: a fault that `run` meets as it
-prepares a job (in the dataset, its sidecar or a log path) gives both the same
-exit code and the same one `Error:` line, and neither writes a log.
+prepares a job (in the dataset, its sidecar, a log path, or a log left beside
+it by an earlier batch of more repeats) gives both the same exit code and the
+same one `Error:` line, and neither writes a log.
 """
 
 from __future__ import annotations
@@ -314,6 +315,7 @@ SETUP_FAULTS = {
     "sidecar-id-field-absent-from-rows": ("raw.json.mapping.json", "mutated", (("id_field",), "s")),
     "log-under-a-file": ("out/demo-r1.jsonl", "under-a-file", None),
     "log-is-a-directory": ("out/demo-r1.jsonl", "directory", None),
+    "log-of-a-repeat-beyond-the-batch": ("out/demo-r2.jsonl", "left-over", None),
 }
 
 
@@ -332,6 +334,9 @@ def test_dry_run_refuses_exactly_what_run_refuses(tmp_path, fault):
     elif kind == "directory":
         target.unlink(missing_ok=True)
         target.mkdir(parents=True)
+    elif kind == "left-over":  # an earlier batch's log, which `evaluate` would read as this job's repeat 2
+        target.parent.mkdir(parents=True)
+        target.write_bytes(_encoded(name, valid["logs/demo-r1.jsonl"]))
     elif kind != "valid":
         target.write_bytes(_spoiled(name, valid[name], kind, arg))
     named = target if name.startswith("out/") else tmp_path / name.removesuffix(".mapping.json")
@@ -345,3 +350,4 @@ def test_dry_run_refuses_exactly_what_run_refuses(tmp_path, fault):
         assert any(log.is_file() for log in logs) == (not flags and kind == "valid"), result.output
     assert codes[0] == codes[1] and errors[0] == errors[1], (codes, errors)
     assert (codes[0], len(errors[0])) == ((0, 0) if kind == "valid" else (1, 1)), errors
+    assert kind != "left-over" or target.is_file()  # refused, not deleted

@@ -1,19 +1,33 @@
 """Overlap metrics against hand-counted oracles.
 
 Every pinned value below was worked out on paper from the n-gram counts
-before the implementation existed; the comments keep the arithmetic.
+before the implementation existed; the comments keep the arithmetic. The
+tokenizer, the n-gram counts, the LCS and the alignment must equal, exactly,
+the straightforward versions in metrics_oracle.py on texts of 1-4 token types,
+which force ties and repeats; and long texts must score within a time limit.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import sys
 import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
 
-from agora.metrics import bleu, meteor_lite, rouge, tokenize
-from metrics_oracle import reference_bleu, reference_meteor_lite
+from agora.metrics import _align_blocks, _lcs_length, _ngram_counts, bleu, meteor_lite, rouge, tokenize
+from conftest import finishes_within
+from metrics_oracle import (
+    reference_align_blocks,
+    reference_bleu,
+    reference_lcs_length,
+    reference_meteor_lite,
+    reference_ngram_counts,
+    reference_rouge_l,
+    reference_tokenize,
+)
 
 
 # -- tokenizer --
@@ -40,6 +54,12 @@ def test_tokenize_handles_unicode_punctuation():
 sentences = st.lists(
     st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=8
 ).map(" ".join)
+
+
+def test_no_alphanumeric_character_is_punctuation():
+    # tokenize leaves a token whose ends are alphanumeric as it is, unstripped.
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if c.isalnum() and unicodedata.category(c).startswith("P")] == []
 
 
 @given(st.text(max_size=40))
@@ -228,11 +248,59 @@ def test_meteor_stays_in_unit_interval(a, b):
     assert 0.0 <= meteor_lite(a, b) <= 1.0 + 1e-12
 
 
-def _texts_over(size: int):
-    """Texts of 0-12 tokens over a vocabulary of `size` tokens, so blocks repeat and interleave."""
-    return st.lists(st.sampled_from("abcd"[:size]), max_size=12).map(" ".join)
+def _tokens_over(size: int):
+    """0-16 tokens over a vocabulary of `size` tokens, so blocks repeat and interleave."""
+    return st.lists(st.sampled_from("abcd"[:size]), max_size=16)
 
 
-@given(st.integers(1, 4).flatmap(lambda size: st.tuples(_texts_over(size), _texts_over(size))))
+token_pairs = st.integers(1, 4).flatmap(lambda size: st.tuples(_tokens_over(size), _tokens_over(size)))
+text_pairs = token_pairs.map(lambda pair: tuple(" ".join(tokens) for tokens in pair))
+
+
+@given(text_pairs)
 def test_meteor_matches_reference_oracle_exactly(pair):
     assert meteor_lite(*pair) == reference_meteor_lite(*pair)
+
+
+# -- the kernels and the tokenizer against the straightforward versions --
+
+
+@given(_tokens_over(4), st.integers(1, 5))
+def test_ngram_counts_match_reference_oracle_exactly(tokens, n):
+    assert list(_ngram_counts(tokens, n).items()) == list(reference_ngram_counts(tokens, n).items())
+
+
+@given(token_pairs)
+def test_lcs_length_matches_reference_oracle_exactly(pair):
+    assert _lcs_length(*pair) == reference_lcs_length(*pair)
+
+
+@given(token_pairs)
+def test_align_blocks_matches_reference_oracle_exactly(pair):
+    assert _align_blocks(*pair) == reference_align_blocks(*pair)
+
+
+@given(text_pairs)
+def test_rouge_l_matches_reference_oracle_exactly(pair):
+    assert rouge(*pair, "L") == reference_rouge_l(*pair)
+
+
+@given(overlapping_texts | st.text(max_size=60))
+def test_tokenize_matches_reference_oracle_exactly(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_long_texts_score_within_seconds():
+    # 2000 tokens over 300 words, and 800 copies of one word, whose every
+    # token pair matches: the worst case of the alignment.
+    rng = random.Random(0)
+    words = [f"w{i}" for i in range(300)]
+    cand, ref = (" ".join(rng.choices(words, k=2000)) for _ in range(2))
+    with finishes_within(1.0):
+        meteor_lite(cand, ref)
+    with finishes_within(1.0):
+        rouge(cand, ref, "L")
+    one_word = " ".join(["w"] * 800)
+    with finishes_within(5.0):
+        assert meteor_lite(one_word, one_word) == 1 - 0.5 / 800**3
+        assert rouge(one_word, one_word, "L") == 1.0

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-import signal
 import time
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +29,7 @@ from agora.agents import (
 from agora.decisions import VOTING_PROTOCOLS, VoteParseFailure, parse_ballot
 from agora.domain import parse_agreement
 from agora.evaluation import extract_answer_letter
+from conftest import finishes_within
 from recording import replay
 
 # The most calls a panel of two makes on one repeated reply: three malformed
@@ -84,24 +83,6 @@ def parse_reply(parser: str, text: str) -> None:
         parse(text)
     except failures:
         pass
-
-
-@contextmanager
-def finishes_within(seconds: float):
-    """Stop the block with TimeoutError once it runs past `seconds`: a signal
-    reaches the main thread even inside a regex match or a JSON parse."""
-
-    def expire(signum, frame):
-        del signum, frame
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_REPLIES))

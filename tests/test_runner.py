@@ -17,6 +17,7 @@ from agora.domain import TaskInstance
 from agora.gateway import AuthRejected, ChatResponse, HttpGateway, script_from_dict
 from agora.runner import (
     JobReport,
+    prepare_jobs,
     record_failed,
     run_batch,
     run_sample,
@@ -432,6 +433,26 @@ def test_a_log_path_that_cannot_be_written_is_refused_before_any_debate(tmp_path
     with pytest.raises(ConfigError) as excinfo:
         execute_job(spec, scripted=unanimity_script())
     assert str(excinfo.value) == f"job r1: cannot write {path}: {fault}"
+
+
+def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path):
+    # Only a log `evaluate` would read as a repeat of this job beyond the batch's
+    # repeats is at fault: not an earlier repeat, another job's, nor another suffix.
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("job-r1.jsonl", "other-r3.json", "job-r3.txt", "job-rx.json", "job-r3", "job3.json"):
+        (out / name).write_text("", encoding="utf-8")
+    dataset = write_dataset(tmp_path)
+    specs = [
+        job_spec(tmp_path, dataset, output_json_file_path=str(out / f"job-r{k}.json"))._replace(repeat_index=k)
+        for k in (1, 2)
+    ]
+    assert len(prepare_jobs(specs, http_backend=False)) == 2
+    (out / "job-r3.json").write_text("", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        prepare_jobs(specs, http_backend=False)
+    assert str(excinfo.value) == f"job r1: {out / 'job-r3.json'} is left from an earlier batch of more than 2 repeat(s)"
+    assert (out / "job-r3.json").is_file()
 
 
 def test_run_batch_refuses_a_job_that_cannot_run_before_any_worker_starts(tmp_path, started_threads):
