@@ -18,8 +18,17 @@ from .prompts import multiple_choice_footer
 
 # The file suffixes of a debate log: what `agora run` may write and `agora evaluate` reads.
 LOG_SUFFIXES = (".json", ".jsonl")
-# The stem of a job's log for repeat N, as `agora run` names it and `agora evaluate` reads it.
-LOG_REPEAT_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
+_LOG_REPEAT_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
+
+
+def log_repeat(path: Path) -> Optional[tuple[str, int]]:
+    """(job, repeat) as `agora run` names a debate log and `agora evaluate` reads
+    it: `<job>-r<N>.jsonl` is repeat N of `<job>`, and `<job>.jsonl` repeat 1.
+    None for a file whose suffix is not a log's."""
+    if path.suffix not in LOG_SUFFIXES:
+        return None
+    match = _LOG_REPEAT_RE.match(path.stem)
+    return (match["job"], int(match["repeat"])) if match else (path.stem, 1)
 
 
 class FormatError(ValueError):

@@ -8,8 +8,8 @@ import re
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .datasets import LOG_SUFFIXES, FieldTable, FormatError, field_fault, input_files, load_input_file
-from .datasets import LOG_REPEAT_RE, read_input, read_jsonl, write_output
+from .datasets import FieldTable, FormatError, field_fault, input_files, load_input_file, log_repeat
+from .datasets import read_input, read_jsonl, write_output
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
@@ -137,12 +137,8 @@ class EvalResult(NamedTuple):
 def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
     """Map job name -> [(repeat index, path)] from -r{i} file name suffixes."""
     groups: dict[str, list[tuple[int, Path]]] = {}
-    for file in input_files(logs, lambda file: file.suffix in LOG_SUFFIXES):
-        match = LOG_REPEAT_RE.match(file.stem)
-        if match:
-            job, repeat = match.group("job"), int(match.group("repeat"))
-        else:
-            job, repeat = file.stem, 1
+    for file in input_files(logs, lambda file: log_repeat(file) is not None):
+        job, repeat = log_repeat(file) or (file.stem, 1)  # a file named alone is read whatever its suffix
         if not _file_name_part(job):  # it names the eval file and the charts
             raise FormatError(f"{file}: job name {job!r} is not a plain file name")
         repeats = groups.setdefault(job, [])

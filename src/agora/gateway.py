@@ -142,8 +142,11 @@ class _ConnectionPool:
             pooled.conn.request("POST", target, json.dumps(body).encode("utf-8"), headers)
             resp = pooled.conn.getresponse()
             raw = resp.read(MAX_RESPONSE_BYTES + 1)
-            if len(raw) > MAX_RESPONSE_BYTES:  # not retried: the server would send it again
-                raise MalformedResponse(f"response body is over the {MAX_RESPONSE_BYTES}-byte cap")
+            if len(raw) > MAX_RESPONSE_BYTES:  # the rest is left unread; only a 200's body is needed
+                pooled.conn.close()
+                if resp.status == 200:  # not retried: the server would send it again
+                    raise MalformedResponse(f"response body is over the {MAX_RESPONSE_BYTES}-byte cap")
+                return resp.status, None
             if resp.length:  # the body ended short of its Content-Length, as read() with no limit raises
                 raise http.client.IncompleteRead(raw, resp.length)
         except BaseException:

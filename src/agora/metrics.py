@@ -34,7 +34,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
 def bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
@@ -116,11 +116,10 @@ def _align_blocks(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, in
     """Greedy common-block alignment: take the longest run of equal tokens free
     in both texts, ties to the smallest candidate then reference index; repeat.
 
-    Each matching pair is filed under the length of the run that starts there.
-    Taking a block only shortens runs, so the lengths are scanned from the
-    longest down, and a run is measured again when its length comes up: taken
-    if still that long, else filed lower. The work grows with the matching
-    pairs: near-linear on natural text, quadratic on a text of few tokens.
+    Each maximal run of equal tokens is filed under its length. Taking a block
+    only splits runs, so the lengths are scanned from the longest down: a run
+    still free throughout is taken, and the free parts of any other are filed
+    lower. Time grows with the matching token pairs, memory with the runs.
     """
     where: dict[str, list[int]] = {}
     for ri, token in enumerate(ref):
@@ -130,20 +129,22 @@ def _align_blocks(cand: Sequence[str], ref: Sequence[str]) -> list[tuple[int, in
     for ci in range(len(cand) - 1, -1, -1):
         after = {ri: after.get(ri + 1, 0) + 1 for ri in where.get(cand[ci], ())}
         for ri, length in after.items():
-            by_length[length].append((ci, ri))
-    free_c = [True] * len(cand)
-    free_r = [True] * len(ref)
+            if not (ci and ri and cand[ci - 1] == ref[ri - 1]):  # else a longer run holds it
+                by_length[length].append((ci, ri))
+    free_c, free_r = [True] * len(cand), [True] * len(ref)
     blocks: list[tuple[int, int, int]] = []
     for length in range(len(by_length) - 1, 0, -1):
         for ci, ri in sorted(by_length[length]):
             run = 0
-            while run < length and free_c[ci + run] and free_r[ri + run]:
-                run += 1
-            if run == length:
-                free_c[ci : ci + length] = free_r[ri : ri + length] = [False] * length
-                blocks.append((ci, ri, length))
-            elif run:
-                by_length[run].append((ci, ri))
+            for k in range(length + 1):
+                if k < length and free_c[ci + k] and free_r[ri + k]:
+                    run += 1
+                elif run == length:
+                    free_c[ci : ci + length] = free_r[ri : ri + length] = [False] * length
+                    blocks.append((ci, ri, length))
+                elif run:
+                    by_length[run].append((ci + k - run, ri + k - run))
+                    run = 0
     return blocks
 
 

@@ -85,6 +85,7 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     it is left from an earlier batch, and `evaluate` would average it in."""
     repeats = max((spec.repeat_index for spec in jobs), default=0)
     loaded: dict[str, list[TaskInstance]] = {}
+    stale: dict[Path, dict[str, Path]] = {}  # per log folder, a log of each job numbered above `repeats`
     prepared = []
     for spec in jobs:
         try:
@@ -104,10 +105,15 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
             if not ancestor.is_dir():
                 raise ConfigError(f"cannot write {log}: {ancestor} is not a directory")
             folder = Path(log).parent
-            for file in folder.iterdir() if folder.is_dir() else ():
-                named = datasets.LOG_REPEAT_RE.match(file.stem) if file.suffix in datasets.LOG_SUFFIXES else None
-                if named and named["job"] == spec.name and int(named["repeat"]) > repeats:
-                    raise ConfigError(f"{file} is left from an earlier batch of more than {repeats} repeat(s)")
+            if folder not in stale:
+                stale[folder] = {}
+                for file in sorted(folder.iterdir()) if folder.is_dir() else ():
+                    named = datasets.log_repeat(file)
+                    if named and named[1] > repeats:
+                        stale[folder].setdefault(named[0], file)
+            left = stale[folder].get(spec.name)
+            if left:
+                raise ConfigError(f"{left} is left from an earlier batch of more than {repeats} repeat(s)")
         except (ConfigError, datasets.MappingError, datasets.EmptyDataset, OSError, ValueError) as exc:
             raise ConfigError(f"{spec.name} r{spec.repeat_index}: {exc}")
         prepared.append(JobReport(spec.name, spec.repeat_index, params, samples))

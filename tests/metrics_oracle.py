@@ -2,11 +2,10 @@
 and for the answer-letter pattern of `agora.evaluation`.
 
 These are the straightforward versions the optimised or simplified code
-replaced: the tokenizer without its fast path, n-grams counted by slicing,
-the row-by-row LCS table, and the alignment that rescans every free pair for
-each block it takes. The property tests in test_metrics.py require exactly
-equal tokens, counts, lengths, blocks and scores, and test_evaluation.py
-exactly equal matches.
+replaced: the tokenizer without its fast path, the row-by-row LCS table,
+and the alignment that rescans every free pair for each block it takes. The
+property tests in test_metrics.py require exactly equal tokens, lengths,
+blocks and scores, and test_evaluation.py exactly equal matches.
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from collections import Counter
 from typing import Iterable, Sequence
 
-from agora.metrics import _f1
+from agora.metrics import _f1, _ngram_counts
 
 
 # The answer-letter pattern before each whitespace run had one parse: its
@@ -101,10 +99,6 @@ def reference_align_blocks(cand: Sequence[str], ref: Sequence[str]) -> list[tupl
         blocks.append((ci, ri, best_len))
 
 
-def reference_ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def reference_bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
     """BLEU that rebuilds each reference's n-gram counts per candidate n-gram."""
     refs = [reference_tokenize(r) for r in references]
@@ -119,11 +113,11 @@ def reference_bleu(candidate: str, references: Iterable[str], max_n: int = 4) ->
 
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        cand_grams = reference_ngram_counts(cand, n)
+        cand_grams = _ngram_counts(cand, n)
         total = sum(cand_grams.values())
         clipped = 0
         for gram, count in cand_grams.items():
-            best = max(reference_ngram_counts(ref, n).get(gram, 0) for ref in refs)
+            best = max(_ngram_counts(ref, n).get(gram, 0) for ref in refs)
             clipped += min(count, best)
         if total > 0 and clipped > 0:
             precision = clipped / total

@@ -264,7 +264,8 @@ class ChatHandler(BaseHTTPRequestHandler):
     Modes: "ok"; "close" answers with Connection: close; "drop" answers,
     then closes the connection without saying so; "stall" never answers;
     "text" answers 200 with a body that is not JSON; "short" sends less body
-    than its Content-Length says, then closes the connection. A CONNECT request
+    than its Content-Length says, then closes the connection; "busy" answers
+    503 with the body "ok" would send. A CONNECT request
     (an HTTPS tunnel) is refused. The server counts the connections it
     accepts and records each request line's target and proxy credentials.
     """
@@ -294,7 +295,7 @@ class ChatHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         reply = b"<html>busy</html>" if mode == "text" else json.dumps(ok_payload("ok")).encode("utf-8")
-        self.send_response(200)
+        self.send_response(503 if mode == "busy" else 200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply) + (10 if mode == "short" else 0)))
         if mode == "close":
@@ -431,6 +432,19 @@ def test_a_body_over_the_cap_is_malformed_and_not_retried(loopback_server, monke
     assert len(server.targets) == 2
     assert sleeps == []
     assert server.closed.acquire(timeout=5)  # the connection, the rest of the body unread, is closed
+
+
+def test_a_transient_status_over_the_cap_is_retried(loopback_server, monkeypatch):
+    server = loopback_server("busy")
+    size = len(json.dumps(ok_payload("ok")).encode("utf-8"))
+    sleeps: list[float] = []
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
+    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size - 1)
+    with pytest.raises(EndpointUnreachable, match="2 attempts: HTTP 503"):
+        HttpGateway(server.url, sleeper=sleeps.append).complete(req())
+    assert len(server.targets) == 2
+    assert len(sleeps) == 1
+    assert server.connections == 2  # neither connection, its body unread, is used again
 
 
 def test_a_body_cut_short_of_its_length_is_retried(loopback_server, monkeypatch):

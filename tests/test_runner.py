@@ -435,9 +435,10 @@ def test_a_log_path_that_cannot_be_written_is_refused_before_any_debate(tmp_path
     assert str(excinfo.value) == f"job r1: cannot write {path}: {fault}"
 
 
-def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path):
+def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path, monkeypatch):
     # Only a log `evaluate` would read as a repeat of this job beyond the batch's
     # repeats is at fault: not an earlier repeat, another job's, nor another suffix.
+    # The folder is listed once for the whole batch, not once per repeat.
     out = tmp_path / "out"
     out.mkdir()
     for name in ("job-r1.jsonl", "other-r3.json", "job-r3.txt", "job-rx.json", "job-r3", "job3.json"):
@@ -447,7 +448,11 @@ def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path):
         job_spec(tmp_path, dataset, output_json_file_path=str(out / f"job-r{k}.json"))._replace(repeat_index=k)
         for k in (1, 2)
     ]
+    listed: list[Path] = []
+    iterdir = Path.iterdir
+    monkeypatch.setattr(Path, "iterdir", lambda folder: listed.append(folder) or iterdir(folder))
     assert len(prepare_jobs(specs, http_backend=False)) == 2
+    assert listed == [out]
     (out / "job-r3.json").write_text("", encoding="utf-8")
     with pytest.raises(ConfigError) as excinfo:
         prepare_jobs(specs, http_backend=False)
