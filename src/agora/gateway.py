@@ -257,9 +257,9 @@ class HttpGateway:
         body = wire_body(req)
         attempt = 0
         while True:
-            started = self.clock()
             try:
-                with self._slots:
+                with self._slots:  # a call's latency starts once it holds a slot
+                    started = self.clock()
                     status, payload = self._transport(url, headers, body, TIMEOUT_S)
             except (OSError, http.client.HTTPException) as exc:
                 status, payload, failure = None, None, str(exc)

@@ -135,58 +135,58 @@ def _write_job(job: JobReport) -> None:
 def run_batch(
     jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None
 ) -> list[JobReport]:
-    """Run every job's debates through one queue; per-debate failures are recorded, never fatal.
+    """Run every job's debates on one queue and `cap` workers per endpoint; per-debate failures are recorded, never fatal.
 
-    A job that cannot run raises ConfigError before any debate. The queue has
-    one worker per gateway slot (the sum of the distinct gateways' caps) and
-    takes samples in job order, so jobs overlap; every gateway exists before
-    the first worker starts. Each job's log is written when its last debate ends.
-    Returns the prepared jobs, in order, each holding what its log holds.
+    A job that cannot run raises ConfigError before any debate. An endpoint's
+    queue holds its jobs' samples in job order, so jobs overlap, every endpoint
+    is busy from the start and no call waits for a slot; every gateway exists
+    before the first worker starts. The worker that ends a job's last debate
+    writes its log. After a worker's error or Ctrl-C no sample starts, and the
+    debates in flight end before the error reaches the caller. Returns the
+    prepared jobs, in order, each holding what its log holds.
     """
     if not jobs:
         raise ValueError("no jobs to run")
     queued = prepare_jobs(jobs, http_backend=scripted is None)
-    # One gateway, so one set of slots, per endpoint, API key and cap.
+    # An endpoint is a URL, API key and cap: one gateway (so one set of slots), queue and set of workers each.
     keys = [(job.params.endpoint_url, job.params.api_key, job.params.concurrent_api_requests) for job in queued]
     gateways = {key: HttpGateway(*key) for key in dict.fromkeys(keys)} if scripted is None else {}
-    todo = deque(
-        (job, index, sample, scripted.fork() if scripted is not None else gateways[key])
-        for job, key in zip(queued, keys)
-        for index, sample in enumerate(job.samples)
-    )
-    finished: deque = deque()  # (job, index, record or exception) as each debate ends
-    ended = threading.Semaphore(0)
+    queues: dict[tuple[str, str, int], deque] = {key: deque() for key in keys}
+    for job, key in zip(queued, keys):
+        queues[key].extend((job, index, sample, gateways.get(key) or scripted.fork()) for index, sample in enumerate(job.samples))
+    lock = threading.Lock()
+    raised: list[BaseException] = []
 
-    def work() -> None:
-        while True:
-            try:
-                job, index, sample, backend = todo.popleft()
-            except IndexError:
-                return
-            try:
-                finished.append((job, index, run_sample(job.params, sample, backend)))
-            except BaseException as exc:
-                finished.append((job, index, exc))
-                return  # the caller raises it and hands out no more samples
-            finally:
-                ended.release()
-
-    debates = len(todo)
-    workers = [threading.Thread(target=work, daemon=True) for _ in range(sum(cap for _, _, cap in set(keys)))]
-    for worker in workers:
-        worker.start()
-    try:
-        for _ in range(debates):
-            ended.acquire()
-            job, index, record = finished.popleft()
-            if isinstance(record, BaseException):
-                raise record
-            job.in_flight[index] = record
-            job.pending -= 1
-            if job.pending == 0:
+    def work(todo: deque) -> None:
+        try:
+            while True:
+                with lock:
+                    if raised or not todo:
+                        return
+                    job, index, sample, backend = todo.popleft()
+                record = run_sample(job.params, sample, backend)
+                with lock:
+                    job.in_flight[index] = record
+                    job.pending -= 1
+                    if job.pending:
+                        continue
                 _write_job(job)
-    finally:
-        todo.clear()
+        except BaseException as exc:
+            with lock:
+                raised.append(exc)
+
+    workers = [threading.Thread(target=work, args=(todo,), daemon=True) for (_, _, cap), todo in queues.items() for _ in range(cap)]
+    try:
+        for worker in workers:
+            worker.start()
         for worker in workers:
             worker.join()
+    finally:
+        for todo in queues.values():
+            todo.clear()
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+    if raised:
+        raise raised[0]
     return queued

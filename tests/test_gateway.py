@@ -245,6 +245,47 @@ def test_max_in_flight_bound_under_threads():
     assert active["peak"] <= 3
 
 
+def test_a_call_that_waits_for_a_slot_reports_only_its_own_transport_time():
+    # One slot. The first call holds it for 5 s of the injected clock, the
+    # second (which waits for it) for 0.25 s, and only the transport moves the
+    # clock; the wait for the slot belongs to no call's latency.
+    now = [0.0]
+    first_in, first_go = threading.Event(), threading.Event()
+    second_read = threading.Event()  # the second thread read the clock before it held the slot
+
+    def clock() -> float:
+        if threading.current_thread().name == "second":
+            second_read.set()
+        return now[0]
+
+    def transport(url, headers, body, timeout):
+        if threading.current_thread().name == "first":
+            first_in.set()
+            assert first_go.wait(timeout=5)
+            return 200, ok_payload("first")
+        now[0] += 0.25
+        return 200, ok_payload("second")
+
+    gw = make_gateway(transport, max_in_flight=1, clock=clock)
+    latency: dict[str, int] = {}
+
+    def call() -> None:
+        latency[threading.current_thread().name] = gw.complete(req()).latency_ms
+
+    first = threading.Thread(target=call, name="first")
+    first.start()
+    assert first_in.wait(timeout=5)
+    second = threading.Thread(target=call, name="second")
+    second.start()
+    second_read.wait(timeout=0.2)  # times out unless the clock is read before the slot is held
+    now[0] += 5.0
+    first_go.set()
+    first.join(timeout=5)
+    second.join(timeout=5)
+    assert latency["second"] == 250
+    assert latency["first"] >= 5000
+
+
 def test_invalid_max_in_flight():
     with pytest.raises(ValueError):
         HttpGateway("http://fake", max_in_flight=0)

@@ -586,7 +586,7 @@ def test_run_batch_summary(tmp_path):
     assert [(r.records, r.failures, r.error) for r in reports] == [(2, 0, None), (2, 0, None)]
 
 
-# -- the batch-wide debate queue --
+# -- the per-endpoint debate queues --
 
 
 class AgreeingBackend:
@@ -639,8 +639,9 @@ def test_run_batch_overlaps_jobs(tmp_path):
 class CountingTransport:
     """Fake endpoint that tracks how many requests are in flight at once."""
 
-    def __init__(self) -> None:
+    def __init__(self, seconds: float = 0.002) -> None:
         self._lock = threading.Lock()
+        self.seconds = seconds
         self.in_flight = 0
         self.max_in_flight = 0
         self.calls = 0
@@ -650,7 +651,7 @@ class CountingTransport:
             self.in_flight += 1
             self.calls += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        time.sleep(0.002)
+        time.sleep(self.seconds)
         with self._lock:
             self.in_flight -= 1
         return 200, {"choices": [{"message": {"content": "Fine. [AGREE]"}}]}
@@ -842,6 +843,51 @@ def test_every_gateway_is_built_before_the_first_worker_starts(tmp_path, monkeyp
     # One gateway, so one set of slots, per endpoint, each built on the
     # calling thread while no worker was running.
     assert built == [("http://one.invalid", True, 0), ("http://two.invalid", True, 0)]
+
+
+def test_two_endpoints_are_busy_at_once_each_at_its_cap(tmp_path, monkeypatch):
+    # Each endpoint has a job of six debates, cap 2 and 20 ms calls. The
+    # second endpoint's first call must come while the first endpoint's job
+    # still has debates to start; each endpoint keeps exactly its cap in
+    # flight, so no call waits for a slot (and no latency holds such a wait).
+    events: list[tuple[str, str]] = []  # ("start", job) and ("call", endpoint), in order
+    transports = {url: CountingTransport(seconds=0.02) for url in ("http://one.invalid", "http://two.invalid")}
+    slot_waits: list[str] = []
+
+    def transport_of(url):
+        def transport(*args):
+            events.append(("call", url))
+            return transports[url](*args)
+
+        return transport
+
+    class WaitCountingSlots(threading.BoundedSemaphore):
+        def __enter__(self):
+            if not self.acquire(blocking=False):
+                slot_waits.append(threading.current_thread().name)
+                self.acquire()
+            return True
+
+    original = runner.run_sample
+
+    def recording(params, sample, backend):
+        events.append(("start", Path(params.output_json_file_path).stem))
+        return original(params, sample, backend)
+
+    monkeypatch.setattr(threading, "BoundedSemaphore", WaitCountingSlots)
+    monkeypatch.setattr(runner, "HttpGateway", lambda url, *args: HttpGateway(url, *args, transport=transport_of(url)))
+    monkeypatch.setattr(runner, "run_sample", recording)
+    dataset = write_dataset(tmp_path, 6)
+    common = {"model_name": "m", "concurrent_api_requests": 2}
+    jobs = [
+        job_spec(tmp_path, dataset, name=name, endpoint_url=f"http://{name}.invalid", **common) for name in ("one", "two")
+    ]
+    assert total_records(run_batch(jobs)) == 12
+    last_start = {name: max(i for i, event in enumerate(events) if event == ("start", name)) for name in ("one", "two")}
+    first_call = {name: events.index(("call", f"http://{name}.invalid")) for name in ("one", "two")}
+    assert first_call["two"] < last_start["one"] and first_call["one"] < last_start["two"]
+    assert [transport.max_in_flight for transport in transports.values()] == [2, 2]
+    assert slot_waits == []
 
 
 # -- the per-debate backend --

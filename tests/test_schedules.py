@@ -1,0 +1,375 @@
+"""Schedule exploration of `runner.run_batch`, after CHESS (Musuvathi et al.,
+OSDI 2008) and PCT (Burckhardt et al., ASPLOS 2010).
+
+A controller backend holds every call until the controller releases it. The
+controller waits until each worker is either held in a call or has ended,
+then releases one held call, which the schedule picks. The calls held at
+that point follow from the picks made before, so a list of picks replays a
+schedule. Tiny batches run in every order their calls can complete in;
+larger ones run seeded random-priority (PCT) schedules; one family of
+schedules interrupts the caller with `_thread.interrupt_main()`.
+
+On every schedule:
+- each job's log holds each record once, in sample order: it is byte for
+  byte the log a serial run writes (which is what cap 1 gives);
+- at every pause, a job's log exists exactly when all its debates have ended;
+- a `run_sample` that raises reaches the caller, and no debate starts after it;
+- no worker is alive once `run_batch` has returned or raised;
+- the schedule ends within WALL_S seconds.
+A failure names the scenario, the seed (for PCT) and the order of released
+calls; `replay(order)` runs that schedule again.
+"""
+
+from __future__ import annotations
+
+import _thread
+import json
+import random
+import re
+import threading
+import time
+from collections import Counter
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
+
+import pytest
+
+from agora import runner
+from agora.config import JobSpec
+from agora.gateway import ChatResponse
+from conftest import finishes_within
+
+REPLY = "The answer is 42. [AGREE]"
+DEBATE = re.compile(r"sample ([a-z]\d)")  # the input of job j's sample n reads "sample jn"
+WALL_S = 10.0
+Thread = threading.Thread  # the real class, for the controller's own thread
+
+# A pick: (step, the held calls' labels, sorted) -> the index of the call to release.
+Choose = Callable[[int, list[str]], int]
+
+
+class Job(NamedTuple):
+    name: str  # one letter
+    samples: int
+    endpoint: str = "one"
+    cap: int = 1
+
+
+def replay(order: list[str]) -> Choose:
+    """The schedule that releases the calls in `order`, as a failure prints it."""
+    return lambda step, labels: labels.index(order[step])
+
+
+def pct(seed: int, steps: int, depth: int = 3) -> Choose:
+    """PCT: each debate gets a random priority when its first call is held, the
+    held call of the highest priority goes next, and at `depth - 1` random
+    steps the debate just released drops below every other."""
+    rng = random.Random(seed)
+    changes = set(rng.sample(range(steps), depth - 1))
+    priority: dict[str, float] = {}
+
+    def choose(step: int, labels: list[str]) -> int:
+        for label in labels:
+            priority.setdefault(label[:2], 1 + rng.random())
+        pick = max(range(len(labels)), key=lambda i: priority[labels[i][:2]])
+        if step in changes:
+            priority[labels[pick][:2]] = -step - 1
+        return pick
+
+    return choose
+
+
+class Controller:
+    """Backend of every debate (each fork is this one), whose calls are held
+    until released, and the record of one schedule."""
+
+    def __init__(self, jobs: list[Job], logs: dict[str, Path], choose: Choose) -> None:
+        self.jobs, self.logs, self.choose = jobs, logs, choose
+        self.expected = sum(dict(((job.endpoint, job.cap), job.cap) for job in jobs).values())
+        self.cond = threading.Condition()
+        self.workers: list[threading.Thread] = []
+        self.joins: list[threading.Thread] = []  # the workers the caller joined, in order
+        self.held: dict[str, tuple[threading.Thread, threading.Event]] = {}
+        self.calls: Counter = Counter()
+        self.events: list[tuple[str, str]] = []  # ("start" | "end" | "raise" | "rejoin", debate or worker)
+        self.order: list[str] = []
+        self.faults: list[str] = []
+        self.free = False  # release every call at once: set when the schedule is over or stuck
+        self.caller_done = False
+
+    def fork(self) -> "Controller":
+        return self
+
+    @staticmethod
+    def clock() -> float:
+        return 0.0
+
+    def complete(self, req) -> ChatResponse:
+        debate = DEBATE.search("\n".join(m.content for m in req.messages)).group(1)
+        go = threading.Event()
+        with self.cond:
+            self.calls[debate] += 1
+            if self.free:
+                go.set()
+            else:
+                self.held[f"{debate}.{self.calls[debate]}"] = (threading.current_thread(), go)
+                self.cond.notify_all()
+        go.wait(timeout=2 * WALL_S)
+        return ChatResponse(REPLY)
+
+    def _paused(self, interrupted: bool) -> bool:
+        """Every worker has started and each is held in a call or has ended.
+        After an interrupt, the caller must also be joining a live worker or
+        be past clearing the queues, which it shows by joining a worker again."""
+        if len(self.workers) < self.expected:
+            return False
+        holding = {thread for thread, _ in self.held.values()}
+        if any(worker.is_alive() and worker not in holding for worker in self.workers):
+            return False
+        in_finally = any(event == "rejoin" for event, _ in self.events)
+        return not interrupted or in_finally or bool(self.joins) and self.joins[-1].is_alive()
+
+    def _check_logs(self) -> None:
+        ended = Counter(debate[0] for event, debate in self.events if event == "end")
+        for job in self.jobs:
+            if self.logs[job.name].exists() != (ended[job.name] == job.samples):
+                self.faults.append(f"after {self.order}: job {job.name} has {ended[job.name]} of {job.samples} debates ended, log exists: {self.logs[job.name].exists()}")
+
+    def _release_all(self) -> None:
+        self.free = True
+        for _, go in self.held.values():
+            go.set()
+        self.held.clear()
+
+    def drive(self, interrupt_at: Optional[int]) -> None:
+        """Release one held call per pause, as the schedule picks, until every worker has ended."""
+        deadline = time.monotonic() + WALL_S
+        interrupted = False
+        with self.cond:
+            while not self.caller_done:
+                while not self._paused(interrupted):
+                    if self.caller_done:  # the caller releases what is held
+                        return
+                    if time.monotonic() > deadline:
+                        self.faults.append(f"stuck after {self.order} (held: {sorted(self.held)})")
+                        self._release_all()
+                        return
+                    self.cond.wait(0.0005)
+                self._check_logs()
+                if not self.held:
+                    return
+                if len(self.order) == interrupt_at and not interrupted:
+                    while not self.joins and time.monotonic() < deadline:  # the caller is joining
+                        self.cond.wait(0.0005)
+                    _thread.interrupt_main()
+                    interrupted = True
+                    continue
+                labels = sorted(self.held)
+                label = labels[self.choose(len(self.order), labels)]
+                self.order.append(label)
+                self.held.pop(label)[1].set()
+
+
+class Outcome(NamedTuple):
+    raised: Optional[BaseException]
+    alive: list[threading.Thread]  # workers alive when run_batch was done
+    controller: Controller
+
+
+class Explorer:
+    """Runs one batch of `jobs` per schedule, each on the same paths, and knows
+    the logs a serial run writes."""
+
+    def __init__(self, tmp_path: Path, monkeypatch, jobs: list[Job]) -> None:
+        self.jobs = jobs
+        self.logs = {job.name: tmp_path / "out" / f"{job.name}.json" for job in jobs}
+        self.specs = []
+        for job in jobs:
+            dataset = tmp_path / f"{job.name}.json"
+            records = [
+                {"id": f"{n:04d}", "instruction": "Answer the question.", "inputs": [f"sample {job.name}{n}"], "references": ["42"]}
+                for n in range(1, job.samples + 1)
+            ]
+            dataset.write_text(json.dumps(records), encoding="utf-8")
+            params = {
+                "input_json_file_path": str(dataset),
+                "output_json_file_path": str(self.logs[job.name]),
+                "num_agents": 2,
+                "endpoint_url": f"http://{job.endpoint}.invalid",
+                "concurrent_api_requests": job.cap,
+            }
+            self.specs.append(JobSpec(name=job.name, params=params, repeat_index=1))
+        self.serial = {
+            prepared.name: "".join(
+                runner.serialize_record(runner.run_sample(prepared.params, sample, Serial())) + "\n" for sample in prepared.samples
+            ).encode("utf-8")
+            for prepared in runner.prepare_jobs(self.specs, http_backend=False)
+        }
+        self.controller: Optional[Controller] = None
+        self.raising: Optional[str] = None  # the debate whose run_sample raises once it has ended
+        explorer = self
+        original = runner.run_sample
+
+        def run_sample(params, sample, backend):
+            events = explorer.controller.events
+            debate = sample.input_lines[0].split()[-1]
+            events.append(("start", debate))
+            record = original(params, sample, backend)
+            if debate == explorer.raising:
+                events.append(("raise", debate))
+                raise broken(debate)
+            events.append(("end", debate))
+            return record
+
+        class Worker(Thread):
+            def start(self) -> None:
+                super().start()
+                explorer.controller.workers.append(self)
+
+            def join(self, timeout=None) -> None:
+                controller = explorer.controller
+                if self in controller.joins:
+                    controller.events.append(("rejoin", self.name))
+                controller.joins.append(self)
+                super().join(timeout)
+
+        monkeypatch.setattr(runner, "run_sample", run_sample)
+        monkeypatch.setattr(threading, "Thread", Worker)
+
+    def run(self, choose: Choose, raising: Optional[str] = None, interrupt_at: Optional[int] = None) -> Outcome:
+        """One schedule, with run_batch called on this (the main) thread."""
+        for log in self.logs.values():
+            log.unlink(missing_ok=True)
+        self.raising = raising
+        self.controller = controller = Controller(self.jobs, self.logs, choose)
+        driver = Thread(target=controller.drive, args=(interrupt_at,), daemon=True)
+        driver.start()
+        raised = None
+        try:
+            with finishes_within(WALL_S + 5):
+                runner.run_batch(self.specs, scripted=controller)
+        except BaseException as exc:  # KeyboardInterrupt included: the interrupt schedules expect it
+            raised = exc
+        with controller.cond:
+            controller.caller_done = True
+            alive = [thread for thread in threading.enumerate() if thread in controller.workers]
+            controller._release_all()
+        driver.join(timeout=WALL_S)
+        for worker in alive:
+            worker.join(timeout=WALL_S)
+        return Outcome(raised, alive, controller)
+
+    def check(self, outcome: Outcome, schedule: str, expect: Optional[BaseException] = None) -> None:
+        """Every check of the module docstring, naming `schedule` on failure;
+        `expect` is what run_batch should raise."""
+        controller = outcome.controller
+        ended = Counter(debate[0] for event, debate in controller.events if event == "end")
+        faults = list(controller.faults)
+        if repr(outcome.raised) != repr(expect):
+            faults.append(f"run_batch raised {outcome.raised!r}, expected {expect!r}")
+        if outcome.alive:
+            faults.append(f"workers alive after run_batch: {[worker.name for worker in outcome.alive]}")
+        for job in self.jobs:
+            log = self.logs[job.name]
+            if ended[job.name] == job.samples and (not log.exists() or log.read_bytes() != self.serial[job.name]):
+                faults.append(f"job {job.name}'s log is not the serial run's")
+            if ended[job.name] < job.samples and log.exists():
+                faults.append(f"job {job.name} wrote a log with {ended[job.name]} of {job.samples} debates ended")
+        starts = [debate for event, debate in controller.events if event == "start"]
+        if len(starts) != len(set(starts)):
+            faults.append(f"a debate started twice: {starts}")
+        stops = [i for i, (event, _) in enumerate(controller.events) if event in ("raise", "rejoin")]
+        if stops and "start" in (event for event, _ in controller.events[stops[0]:]):
+            faults.append(f"a debate started after the batch was stopped: {controller.events}")
+        assert faults == [], f"{schedule}; order {controller.order} (replay({controller.order}) reruns it): {faults}"
+
+
+class Serial:
+    """The serial run's backend: every call answered at once."""
+
+    def fork(self) -> "Serial":
+        return self
+
+    @staticmethod
+    def clock() -> float:
+        return 0.0
+
+    def complete(self, req) -> ChatResponse:
+        return ChatResponse(REPLY)
+
+
+def broken(debate: str) -> RuntimeError:
+    return RuntimeError(f"broken {debate}")
+
+
+def every_order(explorer: Explorer, raising: Optional[str] = None) -> list[list[str]]:
+    """Run each order in which the held calls can be released, depth first; the orders run."""
+    orders: list[list[str]] = []
+    prefix: list[int] = []
+    while True:
+        picks: list[int] = []
+        widths: list[int] = []
+
+        def choose(step: int, labels: list[str]) -> int:
+            picks.append(prefix[step] if step < len(prefix) else 0)
+            widths.append(len(labels))
+            return picks[-1]
+
+        outcome = explorer.run(choose, raising=raising)
+        explorer.check(outcome, f"every order, raising {raising}", expect=raising and broken(raising))
+        orders.append(outcome.controller.order)
+        deeper = [step for step in range(len(picks)) if picks[step] + 1 < widths[step]]
+        if not deeper:
+            return orders
+        prefix = picks[: deeper[-1]] + [picks[deeper[-1]] + 1]
+
+
+TWO_BY_TWO = {
+    "cap 1": [Job("a", 2), Job("b", 2)],
+    "cap 2": [Job("a", 2, cap=2), Job("b", 2, cap=2)],
+    "two endpoints": [Job("a", 2), Job("b", 2, endpoint="two")],
+}
+
+
+# Two endpoints at cap 1 interleave two sequences of four calls: 8 choose 4.
+@pytest.mark.parametrize("scenario, schedules", [("cap 1", 1), ("cap 2", 96), ("two endpoints", 70)])
+def test_every_completion_order_of_two_jobs_of_two_samples(tmp_path, monkeypatch, scenario, schedules):
+    orders = every_order(Explorer(tmp_path, monkeypatch, TWO_BY_TWO[scenario]))
+    assert len(orders) == len({tuple(order) for order in orders}) == schedules
+    assert all(len(order) == 8 for order in orders)  # two calls a debate
+
+
+@pytest.mark.parametrize("raising", ["a1", "b2"])
+def test_a_raising_run_sample_reaches_the_caller_in_every_order(tmp_path, monkeypatch, raising):
+    every_order(Explorer(tmp_path, monkeypatch, TWO_BY_TWO["cap 2"]), raising=raising)
+
+
+THREE_BY_THREE = [Job("a", 3, cap=2), Job("b", 3, cap=2), Job("c", 3, endpoint="two")]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_priority_schedules_of_three_jobs_of_three_samples(tmp_path, monkeypatch, seed):
+    explorer = Explorer(tmp_path, monkeypatch, THREE_BY_THREE)
+    raising = random.Random(seed).choice([None, "a3", "b1", "c2"])
+    outcome = explorer.run(pct(seed, steps=18), raising=raising)
+    explorer.check(outcome, f"PCT seed {seed}, raising {raising}", expect=raising and broken(raising))
+
+
+def test_replay_reruns_a_schedule(tmp_path, monkeypatch):
+    explorer = Explorer(tmp_path, monkeypatch, THREE_BY_THREE)
+    order = explorer.run(pct(3, steps=18)).controller.order
+    assert explorer.run(replay(order)).controller.order == order
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_an_interrupt_keeps_finished_jobs_and_starts_nothing(tmp_path, monkeypatch, step):
+    # Job a's one debate is on the worker the caller joins first, so the caller
+    # sees the interrupt when that debate ends; job b has a second sample.
+    explorer = Explorer(tmp_path, monkeypatch, [Job("a", 1), Job("b", 2, endpoint="two")])
+    outcome = explorer.run(replay(["a1.1", "a1.2", "b1.1", "b1.2", "b2.1", "b2.2"]), interrupt_at=step)
+    explorer.check(outcome, f"interrupt at step {step}", expect=KeyboardInterrupt())
+    starts = [debate for event, debate in outcome.controller.events if event == "start"]
+    # Job a's debate ends after the interrupt and keeps its log; b2 never starts.
+    assert explorer.logs["a"].read_bytes() == explorer.serial["a"]
+    assert sorted(starts) == ["a1", "b1"]
+    assert not explorer.logs["b"].exists()
