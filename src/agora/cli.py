@@ -39,9 +39,7 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         except ValueError as exc:  # FormatError among them
             raise click.ClickException(f"cannot load script {path}: {exc}")
     elif backend != "http":
-        raise click.ClickException(
-            f"unknown backend {backend!r}; expected http or scripted:<script.json>"
-        )
+        raise click.ClickException(f"unknown backend {backend!r}; expected http or scripted:<script.json>")
     try:
         cfg = BatchConfig.load(config_path)
     except ConfigError as exc:  # it names the file
@@ -49,18 +47,15 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
     # Every job is prepared up front, so a job that cannot run stops the
     # batch (and a dry run) before any debate starts.
     try:
-        jobs = expand_config(cfg, scripted_backend=scripted is not None)
-        if dry_run:
-            prepared = runner.prepare_jobs(jobs, http_backend=scripted is None)
-        else:
-            started = time.monotonic()
-            reports = runner.run_batch(jobs, scripted=scripted)
+        jobs = expand_config(cfg)
+        started = time.monotonic()
+        reports = runner.prepare_jobs(jobs, http_backend=scripted is None) if dry_run else runner.run_batch(jobs, scripted=scripted)
     except ConfigError as exc:
         raise click.ClickException(f"{config_path}: {exc}")
 
     if dry_run:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
-        for job in prepared:
+        for job in reports:
             click.echo(
                 f"  {job.name} r{job.repeat_index} -> {job.params.output_json_file_path} "
                 f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}]"

@@ -8,18 +8,11 @@ from typing import Any, Mapping, NamedTuple
 
 from . import decisions, paradigms
 from .agents import PERSONA_GENERATORS
-from .datasets import LOG_SUFFIXES, FormatError, read_input
+from .datasets import FormatError, read_input
 from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
 from .gateway import is_endpoint_url
 
 CONFIG_KEYS = frozenset(JobParams._fields)
-
-REQUIRED_KEYS = (
-    "endpoint_url",
-    "model_name",
-    "input_json_file_path",
-    "output_json_file_path",
-)
 
 # The values each choice key accepts: exactly what the engine dispatches on.
 CHOICES = {
@@ -37,12 +30,6 @@ class ConfigError(Exception):
     pass
 
 
-def _check_keys(entries: Mapping[str, Any]) -> None:
-    for key in entries:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-
-
 class BatchConfig(NamedTuple):
     name: str
     repeats: int
@@ -53,9 +40,7 @@ class BatchConfig(NamedTuple):
     def from_dict(cls, data: Mapping[str, Any]) -> "BatchConfig":
         for key in data:
             if key not in ("name", "repeats", "common", "runs"):
-                raise ConfigError(
-                    f"unknown top-level key {key!r}; the keys are name, repeats, common and runs"
-                )
+                raise ConfigError(f"unknown top-level key {key!r}; the keys are name, repeats, common and runs")
         repeats = data.get("repeats", 1)
         if isinstance(repeats, bool) or not isinstance(repeats, int) or repeats < 1:
             raise ConfigError("repeats must be an integer >= 1")
@@ -65,17 +50,10 @@ class BatchConfig(NamedTuple):
         runs = data.get("runs")
         if not isinstance(runs, list) or not runs:
             raise ConfigError("runs must be a non-empty list")
-        _check_keys(common)
         for index, run in enumerate(runs, 1):
             if not isinstance(run, Mapping):
                 raise ConfigError(f"run {index} must be an object")
-            _check_keys(run)
-        return cls(
-            name=str(data.get("name", "")),
-            repeats=repeats,
-            common=dict(common),
-            runs=tuple(dict(run) for run in runs),
-        )
+        return cls(str(data.get("name", "")), repeats, dict(common), tuple(dict(run) for run in runs))
 
     @classmethod
     def load(cls, path: str | Path) -> "BatchConfig":
@@ -98,45 +76,30 @@ class JobSpec(NamedTuple):
     repeat_index: int
 
 
-def _suffix_output(path: str, repeat_index: int) -> str:
-    root, ext = os.path.splitext(path)
-    return f"{root}-r{repeat_index}{ext}"
-
-
-def expand_config(cfg: BatchConfig, scripted_backend: bool = False) -> list[JobSpec]:
+def expand_config(cfg: BatchConfig) -> list[JobSpec]:
     """Overlay each run onto common (run wins) and fan out over repeats.
 
-    Two runs may not share an output file, however its path is spelled: the
-    later job's log would replace the earlier one's. Nor may their files differ
-    only in suffix, since `evaluate` names a job by its log's stem. Nor may a
-    path hold a NUL, or write a log whose suffix `evaluate` does not read.
+    Each run must name its dataset and its log. Two runs may not share an
+    output file, however its path is spelled: the later job's log would
+    replace the earlier one's. Nor may their files differ only in suffix,
+    since `evaluate` names a job by its log's stem. Every other check of a
+    job is made as it is prepared (`runner.prepare_jobs`).
     """
-    required = list(REQUIRED_KEYS)
-    if scripted_backend:
-        required = ["input_json_file_path", "output_json_file_path"]
     jobs: list[JobSpec] = []
     writers: dict[str, int] = {}
     for index, run in enumerate(cfg.runs, 1):
         merged = {**cfg.common, **run}
-        missing = [key for key in required if key not in merged]
+        missing = [key for key in ("input_json_file_path", "output_json_file_path") if key not in merged]
         if missing:
-            raise ConfigError(
-                f"run {index} is missing required key(s) after overlay: {', '.join(missing)}"
-            )
+            raise ConfigError(f"run {index} is missing required key(s) after overlay: {', '.join(missing)}")
         output = _typed("output_json_file_path", merged["output_json_file_path"], "")
-        if "\0" in output:
-            raise ConfigError(f"run {index} writes {output!r}, a path that holds a NUL")
-        if Path(_suffix_output(output, 1)).suffix not in LOG_SUFFIXES:  # as each repeat's log is named
-            suffixes = " nor ".join(LOG_SUFFIXES)
-            raise ConfigError(f"run {index} writes {output!r}, a log path that ends in neither {suffixes}")
         first = writers.setdefault(os.path.splitext(os.path.abspath(output))[0], index)
         if first != index:
             raise ConfigError(f"runs {first} and {index} both write {output!r}")
-        name = Path(output).stem
+        root, ext = os.path.splitext(output)
         for repeat in range(1, cfg.repeats + 1):
-            params = dict(merged)
-            params["output_json_file_path"] = _suffix_output(output, repeat)
-            jobs.append(JobSpec(name=name, params=params, repeat_index=repeat))
+            params = {**merged, "output_json_file_path": f"{root}-r{repeat}{ext}"}
+            jobs.append(JobSpec(name=Path(output).stem, params=params, repeat_index=repeat))
     return jobs
 
 
@@ -168,9 +131,7 @@ def _as_bool(value: Any, key: str) -> bool:
 def _as_choice(value: Any, key: str, choices: frozenset[str]) -> str:
     text = str(value)
     if text not in choices:
-        raise ConfigError(
-            f"{key} must be one of {', '.join(sorted(choices))}; got {text!r}"
-        )
+        raise ConfigError(f"{key} must be one of {', '.join(sorted(choices))}; got {text!r}")
     return text
 
 
@@ -196,14 +157,11 @@ def _check_runnable(job: JobParams, http_backend: bool) -> None:
     if job.use_baseline:
         return
     try:
-        paradigms.schedule(
-            ParadigmKind(job.discussion_paradigm), job.num_agents, job.debate_exchanges
-        )
+        paradigms.schedule(ParadigmKind(job.discussion_paradigm), job.num_agents, job.debate_exchanges)
     except paradigms.PanelTooSmall as exc:
         raise ConfigError(f"num_agents={job.num_agents} is too small: {exc}")
-    if job.decision_protocol not in decisions.CONSENSUS_PROTOCOLS and not decisions.voting_due(
-        job.max_turns, job.voting_after_turns
-    ):
+    voting = job.decision_protocol not in decisions.CONSENSUS_PROTOCOLS
+    if voting and not decisions.voting_due(job.max_turns, job.voting_after_turns):
         raise ConfigError(
             f"voting_after_turns={job.voting_after_turns} exceeds max_turns={job.max_turns}: "
             f"{job.decision_protocol} would never reach its voting turn"
@@ -213,17 +171,20 @@ def _check_runnable(job: JobParams, http_backend: bool) -> None:
 def resolve_job_params(params: Mapping[str, Any], http_backend: bool = False) -> JobParams:
     """Type-check and default one overlaid job map; AGORA_API_KEY fills api_key.
 
-    A job the engine cannot run is rejected as well: an endpoint_url that is
-    not an http(s) URL (or an empty one when the job runs against the HTTP
-    backend), a debate panel too small for its paradigm, or a voting or
-    judge protocol whose voting turn lies beyond max_turns.
+    A key outside the vocabulary is rejected, and so is a job the engine
+    cannot run: one for the HTTP backend without an endpoint_url or a
+    model_name, an endpoint_url that is not an http(s) URL (or an empty one
+    when the job runs against the HTTP backend), a debate panel too small
+    for its paradigm, or a voting or judge protocol whose voting turn lies
+    beyond max_turns.
     """
-    _check_keys(params)
-    values = {
-        key: _typed(key, params[key], JobParams._field_defaults[key])
-        for key in JobParams._fields
-        if key in params
-    }
+    for key in params:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    missing = [key for key in ("endpoint_url", "model_name") if http_backend and key not in params]
+    if missing:
+        raise ConfigError(f"missing required key(s) for the http backend: {', '.join(missing)}")
+    values = {key: _typed(key, params[key], default) for key, default in JobParams._field_defaults.items() if key in params}
     values["api_key"] = values.get("api_key") or os.environ.get("AGORA_API_KEY", "")
     job = JobParams(**values)
     _check_runnable(job, http_backend)

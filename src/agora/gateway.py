@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import random
 import selectors
+import socket
 import ssl
 import threading
 import time
@@ -115,6 +117,35 @@ def _close_idle(idle: list[_Pooled]) -> None:
 MAX_RESPONSE_BYTES = 8 * 1024 * 1024
 
 
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the attempt ran out of time")
+    return left
+
+
+class _AttemptReads(io.RawIOBase):
+    """A socket as one attempt's response reads it: each read is given only what is left of the attempt."""
+
+    def __init__(self, sock: socket.socket, deadline: float) -> None:
+        self._sock, self._deadline = sock, deadline
+
+    def makefile(self, mode: str) -> io.BufferedReader:  # HTTPResponse opens its socket once, to read it
+        self._raw = self._sock.makefile(mode, buffering=0)
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return self._raw.readable()
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
 class _ConnectionPool:
     """Keep-alive transport for one endpoint: idle connections, each serving one call at a time.
 
@@ -134,11 +165,16 @@ class _ConnectionPool:
     def __call__(
         self, url: str, headers: dict[str, str], body: dict[str, Any], timeout: float
     ) -> tuple[int, Any]:
+        deadline = time.monotonic() + timeout  # for the whole attempt, from connecting to the body's last byte
         parts = urlsplit(url)
-        pooled = self._reuse(timeout) or self._connect(parts, timeout)
+        pooled = self._reuse() or self._connect(parts, timeout)
+        pooled.conn.response_class = lambda sock, *args, **kw: http.client.HTTPResponse(_AttemptReads(sock, deadline), *args, **kw)
         target = url if pooled.absolute else parts._replace(scheme="", netloc="").geturl()
         headers = {**headers, **pooled.headers, "Content-Type": "application/json"}
         try:
+            if pooled.conn.sock is None:
+                pooled.conn.connect()
+            pooled.conn.sock.settimeout(_time_left(deadline))
             pooled.conn.request("POST", target, json.dumps(body).encode("utf-8"), headers)
             resp = pooled.conn.getresponse()
             raw = resp.read(MAX_RESPONSE_BYTES + 1)
@@ -163,7 +199,7 @@ class _ConnectionPool:
             payload = None
         return resp.status, payload
 
-    def _reuse(self, timeout: float) -> Optional[_Pooled]:
+    def _reuse(self) -> Optional[_Pooled]:
         """An idle connection that the server has not closed, or None."""
         while True:
             with self._lock:
@@ -176,7 +212,6 @@ class _ConnectionPool:
                 idle_check.register(pooled.conn.sock, selectors.EVENT_READ)
                 dropped = bool(idle_check.select(0))
             if not dropped:
-                pooled.conn.sock.settimeout(timeout)
                 return pooled
             pooled.conn.close()
 
@@ -276,9 +311,7 @@ class HttpGateway:
                 raise EndpointUnreachable(f"non-retryable HTTP status {status}")
             if attempt >= MAX_RETRIES:
                 reason = failure or f"HTTP {status}"
-                raise EndpointUnreachable(
-                    f"retries exhausted after {attempt + 1} attempts: {reason}"
-                )
+                raise EndpointUnreachable(f"retries exhausted after {attempt + 1} attempts: {reason}")
             self._sleeper(self._backoff_s(attempt))
             attempt += 1
 

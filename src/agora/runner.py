@@ -81,8 +81,10 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     """Each job resolved, its samples taken from a dataset loaded once per batch,
     and its log path checked. The first job that cannot run raises one
     ConfigError naming the job (and the file at fault), before any debate.
-    A log beside the job's numbered above the batch's repeats is at fault too:
-    it is left from an earlier batch, and `evaluate` would average it in."""
+    A log path is at fault if it holds a NUL, ends in a suffix `evaluate`
+    skips, is a directory or lies under a file, or if a log beside it is
+    numbered above the batch's repeats: that one is left from an earlier
+    batch, and `evaluate` would average it in."""
     repeats = max((spec.repeat_index for spec in jobs), default=0)
     loaded: dict[str, list[TaskInstance]] = {}
     stale: dict[Path, dict[str, Path]] = {}  # per log folder, a log of each job numbered above `repeats`
@@ -97,6 +99,10 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
             if params.num_samples is not None:
                 samples = datasets.subset(samples, params.num_samples, params.seed)
             log = params.output_json_file_path
+            if "\0" in log:
+                raise ConfigError(f"cannot write {log!r}: the path holds a NUL")
+            if Path(log).suffix not in datasets.LOG_SUFFIXES:
+                raise ConfigError(f"cannot write {log}: it ends in neither {' nor '.join(datasets.LOG_SUFFIXES)}, the logs evaluate reads")
             if os.path.isdir(log):
                 raise ConfigError(f"cannot write {log}: it is a directory")
             ancestor = Path(log).parent  # the nearest one that exists must be a directory
@@ -132,9 +138,7 @@ def _write_job(job: JobReport) -> None:
     job.in_flight, job.samples = [], []
 
 
-def run_batch(
-    jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None
-) -> list[JobReport]:
+def run_batch(jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None) -> list[JobReport]:
     """Run every job's debates on one queue and `cap` workers per endpoint; per-debate failures are recorded, never fatal.
 
     A job that cannot run raises ConfigError before any debate. An endpoint's
@@ -156,6 +160,7 @@ def run_batch(
         queues[key].extend((job, index, sample, gateways.get(key) or scripted.fork()) for index, sample in enumerate(job.samples))
     lock = threading.Lock()
     raised: list[BaseException] = []
+    ended = threading.Semaphore(0)  # one release per worker that has ended
 
     def work(todo: deque) -> None:
         try:
@@ -174,13 +179,18 @@ def run_batch(
         except BaseException as exc:
             with lock:
                 raised.append(exc)
+        finally:
+            ended.release()
 
     workers = [threading.Thread(target=work, args=(todo,), daemon=True) for (_, _, cap), todo in queues.items() for _ in range(cap)]
     try:
         for worker in workers:
             worker.start()
-        for worker in workers:
-            worker.join()
+        # Timed waits, which `_thread.interrupt_main()` ends as Ctrl-C does; an
+        # interrupted Thread.join can mark a live worker as ended.
+        for _ in workers:
+            while not ended.acquire(timeout=0.05):
+                pass
     finally:
         for todo in queues.values():
             todo.clear()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -278,7 +280,10 @@ def test_run_rejects_a_malformed_script_rule_without_a_traceback(tmp_path, scrip
 
 
 def test_run_rejects_config_missing_required(tmp_path):
-    _, script, _ = make_workspace(tmp_path)
+    # Every job needs its dataset and log, which the config's expansion checks;
+    # an HTTP job also needs endpoint_url and model_name, which are checked
+    # with the rest of the job.
+    dataset, script, _ = make_workspace(tmp_path)
     config = write_json(
         tmp_path / "bad.json",
         {"repeats": 1, "common": {}, "runs": [{"output_json_file_path": "x.jsonl"}]},
@@ -286,8 +291,16 @@ def test_run_rejects_config_missing_required(tmp_path):
     result = CliRunner().invoke(
         main, ["run", "--config", str(config), "--backend", f"scripted:{script}"]
     )
-    assert result.exit_code != 0
-    assert "input_json_file_path" in result.output
+    assert result.exit_code == 1
+    assert result.output == f"Error: {config}: run 1 is missing required key(s) after overlay: input_json_file_path\n"
+    config = one_run_config(tmp_path, dataset)
+    for extra in (["--dry-run"], []):
+        result = CliRunner().invoke(main, ["run", "--config", str(config), *extra])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {config}: one r1: missing required key(s) for the http backend: endpoint_url, model_name\n"
+        )
+    assert not (tmp_path / "logs").exists()
 
 
 def test_run_scripted_end_to_end(tmp_path):
@@ -596,10 +609,11 @@ def test_evaluate_names_the_log_and_the_dataset_of_an_unknown_sample_id(tmp_path
 
 
 def test_a_log_path_holding_a_nul_stops_run_and_dry_run(tmp_path):
-    # No file name holds a NUL, so the config fails at expansion: a dry run
-    # that passed would promise a job that cannot write its log.
+    # No file name holds a NUL, so the job is refused as it is prepared: a dry
+    # run that passed would promise a job that cannot write its log.
     dataset, script, _ = make_workspace(tmp_path)
     output = str(tmp_path / "logs" / "de\0mo.jsonl")
+    log = str(tmp_path / "logs" / "de\0mo-r1.jsonl")
     config = write_json(
         tmp_path / "nul.json",
         {
@@ -613,7 +627,7 @@ def test_a_log_path_holding_a_nul_stops_run_and_dry_run(tmp_path):
             main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
         )
         assert result.exit_code == 1
-        assert result.output == f"Error: {config}: run 1 writes {output!r}, a path that holds a NUL\n"
+        assert result.output == f"Error: {config}: de\0mo r1: cannot write {log!r}: the path holds a NUL\n"
     assert not (tmp_path / "logs").exists()
 
 
@@ -658,10 +672,11 @@ def test_evaluate_reads_the_log_of_a_reply_holding_a_unicode_line_separator(tmp_
 @pytest.mark.parametrize("name", ["demo.txt", "demo", "..jsonl"])
 def test_a_log_path_whose_suffix_evaluate_skips_stops_run_and_dry_run(tmp_path, name):
     # evaluate reads only .json and .jsonl logs, so any other log would be
-    # written and then never scored. "..jsonl" has no suffix: its repeat
-    # writes "..jsonl-r1".
+    # written and then never scored. "..jsonl" (the job ".") has no suffix:
+    # its repeat writes "..jsonl-r1".
     dataset, script, _ = make_workspace(tmp_path)
     output = str(tmp_path / "logs" / name)
+    root, ext = os.path.splitext(output)
     config = one_run_config(tmp_path, dataset, output_json_file_path=output)
     for extra in (["--dry-run"], []):
         result = CliRunner().invoke(
@@ -669,6 +684,7 @@ def test_a_log_path_whose_suffix_evaluate_skips_stops_run_and_dry_run(tmp_path, 
         )
         assert result.exit_code == 1
         assert result.output == (
-            f"Error: {config}: run 1 writes {output!r}, a log path that ends in neither .json nor .jsonl\n"
+            f"Error: {config}: {Path(name).stem} r1: cannot write {root}-r1{ext}: "
+            "it ends in neither .json nor .jsonl, the logs evaluate reads\n"
         )
     assert not (tmp_path / "logs").exists()

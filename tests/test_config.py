@@ -13,7 +13,6 @@ from agora.agents import TRAIT_OPTIONS, build_panel
 from agora.config import (
     CHOICES,
     CONFIG_KEYS,
-    REQUIRED_KEYS,
     BatchConfig,
     ConfigError,
     JobParams,
@@ -43,7 +42,6 @@ def batch(**overrides) -> BatchConfig:
 
 def test_config_key_vocabulary_is_pinned():
     assert len(CONFIG_KEYS) == 20
-    assert set(REQUIRED_KEYS) <= CONFIG_KEYS
 
 
 class PersonaBackend:
@@ -81,10 +79,14 @@ def test_every_accepted_choice_has_an_engine_dispatch():
 
 
 def test_unknown_key_rejected_in_common_and_runs():
-    with pytest.raises(ConfigError, match="unknown config key 'endpoiint_url'"):
-        batch(common={"endpoiint_url": "x"})
-    with pytest.raises(ConfigError, match="unknown config key 'turns'"):
-        batch(runs=[{"output_json_file_path": "o.json", "turns": 3}])
+    # The config checks only its top level; each job's keys are checked as
+    # the job is resolved, whichever of common and the run holds them.
+    (job,) = expand_config(batch(common={"input_json_file_path": "in.json", "endpoiint_url": "x"}))
+    with pytest.raises(ConfigError, match="^unknown config key 'endpoiint_url'$"):
+        resolve_job_params(job.params)
+    (job,) = expand_config(batch(runs=[{"output_json_file_path": "o.json", "turns": 3}]))
+    with pytest.raises(ConfigError, match="^unknown config key 'turns'$"):
+        resolve_job_params(job.params)
 
 
 def test_from_dict_validates_shape():
@@ -196,23 +198,29 @@ def test_expand_rejects_two_runs_writing_one_log():
 
 def test_expand_missing_required_after_overlay():
     cfg = batch(common={"endpoint_url": "http://x"})
-    with pytest.raises(ConfigError, match="missing required key") as exc:
+    with pytest.raises(ConfigError) as exc:
         expand_config(cfg)
-    assert "run 1" in str(exc.value)
-    assert "model_name" in str(exc.value)
+    assert str(exc.value) == "run 1 is missing required key(s) after overlay: input_json_file_path"
 
 
-def test_expand_scripted_backend_relaxes_endpoint_keys():
+def test_only_the_http_backend_requires_the_endpoint_keys():
     cfg = BatchConfig.from_dict(
         {
             "common": {"input_json_file_path": "i.json"},
             "runs": [{"output_json_file_path": "o.json"}],
         }
     )
-    with pytest.raises(ConfigError, match="missing required key"):
-        expand_config(cfg)
-    (job,) = expand_config(cfg, scripted_backend=True)
+    (job,) = expand_config(cfg)
     assert job.params["output_json_file_path"] == "o-r1.json"
+    assert resolve_job_params(job.params).endpoint_url == ""
+    with pytest.raises(ConfigError) as exc:
+        resolve_job_params(job.params, http_backend=True)
+    assert str(exc.value) == "missing required key(s) for the http backend: endpoint_url, model_name"
+    with_url = {**job.params, "endpoint_url": "http://x"}
+    with pytest.raises(ConfigError, match=r"^missing required key\(s\) for the http backend: model_name$"):
+        resolve_job_params(with_url, http_backend=True)
+    # Present is what the rule asks: an empty model name is the endpoint's to refuse.
+    assert resolve_job_params({**with_url, "model_name": ""}, http_backend=True).model_name == ""
 
 
 def test_expand_does_not_mutate_source_config():

@@ -11,7 +11,8 @@ and phases per turn, its contiguous `seq`, its success flag, where a
 consensus debate ends (agreement recomputed from the logged messages), where
 a voting or judge debate ends, and what each discussion prompt shows of the
 discussion so far (the model of acceptance criterion 3). The same batch at
-cap 1 and at cap 8 must write the same records, and one digest pins them.
+cap 1 and at cap 8 must write the same records, and one digest pins them; a
+table of smaller digests names the first job, sample and field that differ.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ MARKER_RE = re.compile(r"\[item (c\d+-n\d+)\]")
 # sha256 over every record of the space, in job and sample order, with
 # concurrent_api_requests dropped from its config.
 DIGEST = "5f75d387deadd24a45d05225baa2c40fb3209b2af95180eae5e123ed8b76d37b"
+# The same records, digested per job and, for each record, per top-level
+# field. After a change meant to alter the records, rewrite it, and get the
+# DIGEST to pin, with `PYTHONPATH=src python tests/test_config_space.py`; the
+# tests only read it.
+TABLE = ROOT / "tests" / "golden" / "config_space.json"
 
 # The paper's consensus bars on the share of the panel agreeing with the draft.
 CONSENSUS = {
@@ -327,10 +333,72 @@ def test_cap_1_and_cap_8_write_the_same_records_within_budget(runs):
     assert serial_s + concurrent_s < 30.0, (serial_s, concurrent_s)
 
 
+def _line(value) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def space_digest(logs: list[list[dict]]) -> str:
+    return _sha("\n".join(map(_line, _without_cap(logs))))
+
+
+def digest_table(logs: list[list[dict]]) -> dict[str, dict]:
+    """Per job, a digest of its records and, per record, a short digest of each top-level field."""
+    table = {}
+    for job, records in enumerate(logs):
+        records = _without_cap([records])
+        table[f"c{job}"] = {
+            "digest": _sha("\n".join(map(_line, records)))[:16],
+            "samples": [{field: _sha(_line(value))[:8] for field, value in record.items()} for record in records],
+        }
+    return table
+
+
+def first_difference(pinned: dict[str, dict], table: dict[str, dict]) -> str | None:
+    """Where `table` first departs from `pinned`: a job, sample and field, or None."""
+    for job in [*table, *(job for job in pinned if job not in table)]:
+        now, then = table.get(job), pinned.get(job)
+        if now is None or then is None:
+            return f"job {job} is {'missing' if now is None else 'new'}"
+        if now["digest"] == then["digest"]:
+            continue
+        for sample, (record, was) in enumerate(zip(now["samples"], then["samples"]), 1):
+            for field in [*record, *(field for field in was if field not in record)]:
+                if record.get(field) != was.get(field):
+                    return f"job {job}, sample {sample}, field {field!r}: {was.get(field)} pinned, {record.get(field)} now"
+        return f"job {job} has {len(now['samples'])} records, {len(then['samples'])} pinned"
+    return None
+
+
 def test_the_records_of_the_space_are_pinned(runs):
     (logs, _, _), _ = runs[1]
-    text = "\n".join(
-        json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-        for record in _without_cap(logs)
-    )
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGEST
+    difference = first_difference(json.loads(TABLE.read_text(encoding="utf-8")), digest_table(logs))
+    assert difference is None, difference
+    assert space_digest(logs) == DIGEST
+
+
+def test_the_table_names_the_first_job_sample_and_field_that_differ():
+    table = {"c0": {"digest": "a", "samples": [{"config": "1", "task": "2"}]},
+             "c1": {"digest": "b", "samples": [{"config": "3", "task": "4"}, {"config": "5", "task": "6"}]}}
+    changed = json.loads(json.dumps(table))
+    assert first_difference(table, changed) is None
+    changed["c1"] = {"digest": "c", "samples": [{"config": "3", "task": "4"}, {"config": "5", "task": "7"}]}
+    assert first_difference(table, changed) == "job c1, sample 2, field 'task': 6 pinned, 7 now"
+    changed["c1"]["samples"].pop()
+    assert first_difference(table, changed) == "job c1 has 1 records, 2 pinned"
+    del changed["c1"]
+    assert first_difference(table, changed) == "job c1 is missing"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
+        space_logs = run_space(1, patch)[0]
+    rows = [f"{json.dumps(job)}: {_line(entry)}" for job, entry in digest_table(space_logs).items()]
+    TABLE.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
+    print(f"wrote {TABLE}; DIGEST = {space_digest(space_logs)!r}")

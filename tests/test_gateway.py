@@ -306,7 +306,8 @@ class ChatHandler(BaseHTTPRequestHandler):
     then closes the connection without saying so; "stall" never answers;
     "text" answers 200 with a body that is not JSON; "short" sends less body
     than its Content-Length says, then closes the connection; "busy" answers
-    503 with the body "ok" would send. A CONNECT request
+    503 with the body "ok" would send; "drip" sends that body one byte every
+    50 ms, so no single read waits long but the whole reply does. A CONNECT request
     (an HTTPS tunnel) is refused. The server counts the connections it
     accepts and records each request line's target and proxy credentials.
     """
@@ -342,6 +343,14 @@ class ChatHandler(BaseHTTPRequestHandler):
         if mode == "close":
             self.send_header("Connection", "close")
         self.end_headers()
+        if mode == "drip":
+            try:
+                for byte in reply:
+                    time.sleep(0.05)
+                    self.wfile.write(bytes([byte]))
+            except OSError:  # the client gave up
+                self.close_connection = True
+            return
         self.wfile.write(reply)
         if mode in ("drop", "short"):
             self.close_connection = True
@@ -438,6 +447,22 @@ def test_stalled_reply_times_out_and_is_retried(loopback_server, monkeypatch):
     with pytest.raises(EndpointUnreachable, match="2 attempts"):
         gw.complete(req())
     assert time.monotonic() - started < 3
+    assert len(server.targets) == 2
+    assert len(sleeps) == 1
+
+
+def test_a_dripped_reply_ends_the_attempt_at_its_deadline(loopback_server, monkeypatch):
+    # Each byte of the body comes well within TIMEOUT_S, but the whole body
+    # takes seconds: the attempt, not each read, is what the deadline bounds.
+    server = loopback_server("drip")
+    sleeps: list[float] = []
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
+    monkeypatch.setattr(gateway, "TIMEOUT_S", 0.2)
+    gw = HttpGateway(server.url, sleeper=sleeps.append)
+    started = time.monotonic()
+    with pytest.raises(EndpointUnreachable, match="2 attempts"):
+        gw.complete(req())
+    assert time.monotonic() - started < 0.2 * 2 + 0.3
     assert len(server.targets) == 2
     assert len(sleeps) == 1
 

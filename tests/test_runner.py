@@ -424,15 +424,23 @@ def test_execute_job_reports_bad_config(tmp_path):
         execute_job(spec, scripted=unanimity_script())
 
 
-@pytest.mark.parametrize("log", ["under-a-file", "a-directory"])
-def test_a_log_path_that_cannot_be_written_is_refused_before_any_debate(tmp_path, log):
+@pytest.mark.parametrize("log", ["under-a-file", "a-directory", "holding-a-nul", "of-a-suffix-evaluate-skips"])
+def test_a_log_path_that_cannot_be_written_is_refused_before_any_debate(tmp_path, started_threads, log):
     (tmp_path / "blocker").write_text("", encoding="utf-8")
-    path = tmp_path / "blocker" / "job.json" if log == "under-a-file" else tmp_path
-    fault = f"{tmp_path / 'blocker'} is not a directory" if log == "under-a-file" else "it is a directory"
+    (tmp_path / "folder.json").mkdir()
+    path, fault = {
+        "under-a-file": (tmp_path / "blocker" / "job.json", f"{tmp_path / 'blocker'} is not a directory"),
+        "a-directory": (tmp_path / "folder.json", "it is a directory"),
+        "holding-a-nul": (tmp_path / "out" / "jo\0b.json", "the path holds a NUL"),
+        "of-a-suffix-evaluate-skips": (tmp_path / "out" / "job.txt", "it ends in neither .json nor .jsonl, the logs evaluate reads"),
+    }[log]
     spec = job_spec(tmp_path, write_dataset(tmp_path), output_json_file_path=str(path))
     with pytest.raises(ConfigError) as excinfo:
         execute_job(spec, scripted=unanimity_script())
-    assert str(excinfo.value) == f"job r1: cannot write {path}: {fault}"
+    shown = repr(str(path)) if log == "holding-a-nul" else path
+    assert str(excinfo.value) == f"job r1: cannot write {shown}: {fault}"
+    assert started_threads == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path, monkeypatch):
@@ -476,7 +484,7 @@ def test_run_batch_refuses_an_http_job_whose_endpoint_url_is_not_http(tmp_path):
     started = time.monotonic()
     for name, url in [("bare", "localhost:8000/v1"), ("empty", "")]:
         with pytest.raises(ConfigError, match=f"^{name} r1: endpoint_url must be an http"):
-            run_batch([job_spec(tmp_path, dataset, name=name, endpoint_url=url)])
+            run_batch([job_spec(tmp_path, dataset, name=name, endpoint_url=url, model_name="m")])
     # No debate ran, so no call was retried after a backoff sleep.
     assert time.monotonic() - started < 1.0
     assert not (tmp_path / "out").exists()

@@ -28,7 +28,7 @@ import random
 import re
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -88,10 +88,9 @@ class Controller:
         self.expected = sum(dict(((job.endpoint, job.cap), job.cap) for job in jobs).values())
         self.cond = threading.Condition()
         self.workers: list[threading.Thread] = []
-        self.joins: list[threading.Thread] = []  # the workers the caller joined, in order
         self.held: dict[str, tuple[threading.Thread, threading.Event]] = {}
         self.calls: Counter = Counter()
-        self.events: list[tuple[str, str]] = []  # ("start" | "end" | "raise" | "rejoin", debate or worker)
+        self.events: list[tuple[str, str]] = []  # ("start" | "end" | "raise", debate), or ("stop", "")
         self.order: list[str] = []
         self.faults: list[str] = []
         self.free = False  # release every call at once: set when the schedule is over or stuck
@@ -119,15 +118,13 @@ class Controller:
 
     def _paused(self, interrupted: bool) -> bool:
         """Every worker has started and each is held in a call or has ended.
-        After an interrupt, the caller must also be joining a live worker or
-        be past clearing the queues, which it shows by joining a worker again."""
+        After an interrupt, the caller must also have cleared the queues."""
         if len(self.workers) < self.expected:
             return False
         holding = {thread for thread, _ in self.held.values()}
         if any(worker.is_alive() and worker not in holding for worker in self.workers):
             return False
-        in_finally = any(event == "rejoin" for event, _ in self.events)
-        return not interrupted or in_finally or bool(self.joins) and self.joins[-1].is_alive()
+        return not interrupted or ("stop", "") in self.events
 
     def _check_logs(self) -> None:
         ended = Counter(debate[0] for event, debate in self.events if event == "end")
@@ -159,8 +156,6 @@ class Controller:
                 if not self.held:
                     return
                 if len(self.order) == interrupt_at and not interrupted:
-                    while not self.joins and time.monotonic() < deadline:  # the caller is joining
-                        self.cond.wait(0.0005)
                     _thread.interrupt_main()
                     interrupted = True
                     continue
@@ -226,15 +221,14 @@ class Explorer:
                 super().start()
                 explorer.controller.workers.append(self)
 
-            def join(self, timeout=None) -> None:
-                controller = explorer.controller
-                if self in controller.joins:
-                    controller.events.append(("rejoin", self.name))
-                controller.joins.append(self)
-                super().join(timeout)
+        class Queue(deque):
+            def clear(self) -> None:  # the batch hands out no more samples
+                explorer.controller.events.append(("stop", ""))
+                super().clear()
 
         monkeypatch.setattr(runner, "run_sample", run_sample)
         monkeypatch.setattr(threading, "Thread", Worker)
+        monkeypatch.setattr(runner, "deque", Queue)
 
     def run(self, choose: Choose, raising: Optional[str] = None, interrupt_at: Optional[int] = None) -> Outcome:
         """One schedule, with run_batch called on this (the main) thread."""
@@ -278,7 +272,7 @@ class Explorer:
         starts = [debate for event, debate in controller.events if event == "start"]
         if len(starts) != len(set(starts)):
             faults.append(f"a debate started twice: {starts}")
-        stops = [i for i, (event, _) in enumerate(controller.events) if event in ("raise", "rejoin")]
+        stops = [i for i, (event, _) in enumerate(controller.events) if event in ("raise", "stop")]
         if stops and "start" in (event for event, _ in controller.events[stops[0]:]):
             faults.append(f"a debate started after the batch was stopped: {controller.events}")
         assert faults == [], f"{schedule}; order {controller.order} (replay({controller.order}) reruns it): {faults}"
@@ -361,15 +355,17 @@ def test_replay_reruns_a_schedule(tmp_path, monkeypatch):
     assert explorer.run(replay(order)).controller.order == order
 
 
-@pytest.mark.parametrize("step", [0, 1])
+@pytest.mark.parametrize("step", [0, 1, 2, 3])
 def test_an_interrupt_keeps_finished_jobs_and_starts_nothing(tmp_path, monkeypatch, step):
-    # Job a's one debate is on the worker the caller joins first, so the caller
-    # sees the interrupt when that debate ends; job b has a second sample.
+    # Job a has one debate and job b two, each on its own endpoint. At steps 0
+    # and 1 a's debate ends after the interrupt; at steps 2 and 3 it has ended,
+    # and b's worker would start b2 when b1 ends if the caller missed the
+    # interrupt until that worker ended.
     explorer = Explorer(tmp_path, monkeypatch, [Job("a", 1), Job("b", 2, endpoint="two")])
     outcome = explorer.run(replay(["a1.1", "a1.2", "b1.1", "b1.2", "b2.1", "b2.2"]), interrupt_at=step)
     explorer.check(outcome, f"interrupt at step {step}", expect=KeyboardInterrupt())
     starts = [debate for event, debate in outcome.controller.events if event == "start"]
-    # Job a's debate ends after the interrupt and keeps its log; b2 never starts.
+    # Job a keeps its log; b2 never starts.
     assert explorer.logs["a"].read_bytes() == explorer.serial["a"]
     assert sorted(starts) == ["a1", "b1"]
     assert not explorer.logs["b"].exists()
