@@ -7,7 +7,11 @@ import time
 
 import click
 
-from .datasets import EmptyDataset, MappingError, read_input
+from .datasets import read_input
+
+
+# Each control character as `\xNN`, for every line a command prints: a job name or path may hold one.
+_ESCAPES = {code: f"\\x{code:02x}" for code in [*range(32), 127]}
 
 
 @click.group()
@@ -37,13 +41,13 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         try:
             scripted = script_from_dict(read_input(path))
         except ValueError as exc:  # FormatError among them
-            raise click.ClickException(f"cannot load script {path}: {exc}")
+            raise click.ClickException(f"cannot load script {path}: {exc}".translate(_ESCAPES))
     elif backend != "http":
         raise click.ClickException(f"unknown backend {backend!r}; expected http or scripted:<script.json>")
     try:
         cfg = BatchConfig.load(config_path)
     except ConfigError as exc:  # it names the file
-        raise click.ClickException(str(exc))
+        raise click.ClickException(str(exc).translate(_ESCAPES))
     # Every job is prepared up front, so a job that cannot run stops the
     # batch (and a dry run) before any debate starts.
     try:
@@ -51,26 +55,26 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         started = time.monotonic()
         reports = runner.prepare_jobs(jobs, http_backend=scripted is None) if dry_run else runner.run_batch(jobs, scripted=scripted)
     except ConfigError as exc:
-        raise click.ClickException(f"{config_path}: {exc}")
+        raise click.ClickException(f"{config_path}: {exc}".translate(_ESCAPES))
 
     if dry_run:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
         for job in reports:
-            click.echo(
+            click.echo((
                 f"  {job.name} r{job.repeat_index} -> {job.params.output_json_file_path} "
                 f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}]"
-            )
+            ).translate(_ESCAPES))
         return
 
     seconds = time.monotonic() - started
     for report in reports:
         if report.error is not None:
-            click.echo(f"{report.name} r{report.repeat_index}: ABORTED: {report.error}")
+            click.echo(f"{report.name} r{report.repeat_index}: ABORTED: {report.error}".translate(_ESCAPES))
         else:
-            click.echo(
+            click.echo((
                 f"{report.name} r{report.repeat_index}: {report.records} record(s), "
                 f"{report.failures} failure(s) -> {report.params.output_json_file_path}"
-            )
+            ).translate(_ESCAPES))
     failures = sum(report.failures for report in reports)
     aborted = sum(1 for report in reports if report.error is not None)
     click.echo(
@@ -90,12 +94,12 @@ def evaluate(logs: str, dataset: str, out_dir: str) -> None:
 
     try:
         written = evaluation.evaluate_logs(logs, dataset, out_dir)
-    except (ValueError, MappingError, EmptyDataset) as exc:  # FormatError too
-        raise click.ClickException(str(exc))
+    except ValueError as exc:  # FormatError too
+        raise click.ClickException(str(exc).translate(_ESCAPES))
     except evaluation.DatasetMismatch as exc:
-        raise click.ClickException(f"{exc} (dataset {dataset})")
+        raise click.ClickException(f"{exc} (dataset {dataset})".translate(_ESCAPES))
     for path in written:
-        click.echo(str(path))
+        click.echo(str(path).translate(_ESCAPES))
 
 
 @main.command()
@@ -110,6 +114,6 @@ def chart(evals: str, out_dir: str, metric: str | None) -> None:
         results = evaluation.load_eval_results(evals)
         manifest = charts.emit_charts(results, out_dir, metric=metric)
     except ValueError as exc:  # FormatError too
-        raise click.ClickException(str(exc))
+        raise click.ClickException(str(exc).translate(_ESCAPES))
     for path in manifest:
-        click.echo(str(path))
+        click.echo(str(path).translate(_ESCAPES))

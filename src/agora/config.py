@@ -8,7 +8,7 @@ from typing import Any, Mapping, NamedTuple
 
 from . import decisions, paradigms
 from .agents import PERSONA_GENERATORS
-from .datasets import FormatError, read_input
+from .datasets import FormatError, job_logs, read_input
 from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
 from .gateway import is_endpoint_url
 
@@ -79,27 +79,25 @@ class JobSpec(NamedTuple):
 def expand_config(cfg: BatchConfig) -> list[JobSpec]:
     """Overlay each run onto common (run wins) and fan out over repeats.
 
-    Each run must name its dataset and its log. Two runs may not share an
-    output file, however its path is spelled: the later job's log would
-    replace the earlier one's. Nor may their files differ only in suffix,
-    since `evaluate` names a job by its log's stem. Every other check of a
-    job is made as it is prepared (`runner.prepare_jobs`).
+    Each run must name its dataset and its log, and `datasets.job_logs` names
+    the job and each repeat's log. Two runs may not share a job name in one
+    folder, however the path is spelled: the later job's log would replace the
+    earlier one's, or `evaluate` would average both in as one job's. Every
+    other check of a job is made as it is prepared (`runner.prepare_jobs`).
     """
     jobs: list[JobSpec] = []
-    writers: dict[str, int] = {}
+    writers: dict[tuple[str, str], int] = {}
     for index, run in enumerate(cfg.runs, 1):
         merged = {**cfg.common, **run}
         missing = [key for key in ("input_json_file_path", "output_json_file_path") if key not in merged]
         if missing:
             raise ConfigError(f"run {index} is missing required key(s) after overlay: {', '.join(missing)}")
         output = _typed("output_json_file_path", merged["output_json_file_path"], "")
-        first = writers.setdefault(os.path.splitext(os.path.abspath(output))[0], index)
+        name, logs = job_logs(output, cfg.repeats)
+        first = writers.setdefault((os.path.abspath(os.path.dirname(output)), name), index)
         if first != index:
             raise ConfigError(f"runs {first} and {index} both write {output!r}")
-        root, ext = os.path.splitext(output)
-        for repeat in range(1, cfg.repeats + 1):
-            params = {**merged, "output_json_file_path": f"{root}-r{repeat}{ext}"}
-            jobs.append(JobSpec(name=Path(output).stem, params=params, repeat_index=repeat))
+        jobs += [JobSpec(name, {**merged, "output_json_file_path": log}, repeat) for repeat, log in enumerate(logs, 1)]
     return jobs
 
 

@@ -1,4 +1,4 @@
-"""Dataset ingestion: unified sample files, raw-file field mapping, instruction registry."""
+"""Dataset ingestion: unified sample files, raw-file field mapping, instruction registry, debate-log names."""
 
 from __future__ import annotations
 
@@ -16,9 +16,22 @@ from .domain import TaskInstance
 from .prompts import multiple_choice_footer
 
 
+class FormatError(ValueError):
+    """A file that cannot be read, parsed, mapped or written; the message names it."""
+
+
 # The file suffixes of a debate log: what `agora run` may write and `agora evaluate` reads.
 LOG_SUFFIXES = (".json", ".jsonl")
-_LOG_REPEAT_RE = re.compile(r"^(?P<job>.+)-r(?P<repeat>\d+)$")
+_LOG_REPEAT_RE = re.compile(r"(?P<job>.+)-r(?P<repeat>\d+)", re.S)
+
+
+def job_logs(output: str, repeats: int) -> tuple[str, list[str]]:
+    """The job that writes `output`, named by the stem of its file name, and its
+    logs beside it, `<stem>-r<N><suffix>` for each repeat N: the names that
+    `log_repeat` reads back as that job and repeat."""
+    name = Path(os.path.basename(output))
+    root = output[: len(output) - len(name.suffix)]
+    return name.stem, [f"{root}-r{repeat}{name.suffix}" for repeat in range(1, repeats + 1)]
 
 
 def log_repeat(path: Path) -> Optional[tuple[str, int]]:
@@ -27,20 +40,23 @@ def log_repeat(path: Path) -> Optional[tuple[str, int]]:
     None for a file whose suffix is not a log's."""
     if path.suffix not in LOG_SUFFIXES:
         return None
-    match = _LOG_REPEAT_RE.match(path.stem)
+    match = _LOG_REPEAT_RE.fullmatch(path.stem)
     return (match["job"], int(match["repeat"])) if match else (path.stem, 1)
 
 
-class FormatError(ValueError):
-    pass
+def plain_name(name: str) -> bool:
+    """Not empty, `.` or `..`, and no slash, backslash or NUL: a name that stays in its directory."""
+    return name not in ("", ".", "..") and not set("/\\\0").intersection(name)
 
 
-class MappingError(Exception):
-    pass
-
-
-class EmptyDataset(Exception):
-    pass
+def log_job(path: Path) -> tuple[str, int]:
+    """`log_repeat` of a log, a file of any other suffix being repeat 1 of its stem.
+    The job names its eval file and charts, so one that is not a plain file
+    name raises FormatError naming the log."""
+    job, repeat = log_repeat(path) or (path.stem, 1)
+    if not plain_name(job):
+        raise FormatError(f"{path}: job name {job!r} is not a plain file name")
+    return job, repeat
 
 
 class FieldMapping(NamedTuple):
@@ -181,7 +197,7 @@ def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
     else:
         raise FormatError(f"{path}: unsupported format {fmt!r}; expected json, jsonl, or csv")
     if not records:
-        raise EmptyDataset(f"{path} contains no records")
+        raise FormatError(f"{path} contains no records")
     for row, record in enumerate(records, 1):
         if not isinstance(record, dict):
             raise FormatError(f"{path} record {row} is not an object")
@@ -190,7 +206,7 @@ def _read_records(path: str | Path, fmt: str) -> list[dict[str, Any]]:
 
 def _sample_id(field: str, value: Any) -> str:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise MappingError(f"{field} must be a string or an integer")
+        raise FormatError(f"{field} must be a string or an integer")
     return str(value)
 
 
@@ -198,7 +214,7 @@ def _lines(field: str, value: Any) -> list[str]:
     """A mapped value's lines: a string, number or boolean is one, a flat list of them one each."""
     items = value if isinstance(value, list) else [value]
     if not all(isinstance(item, (str, int, float)) for item in items):
-        raise MappingError(f"{field} must be a string, number or boolean, or a flat list of them")
+        raise FormatError(f"{field} must be a string, number or boolean, or a flat list of them")
     return [str(item) for item in items]
 
 
@@ -209,7 +225,7 @@ def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str)
         required += (mapping.id_field,)
     missing = [field for field in required if record.get(field) is None]
     if missing:
-        raise MappingError(f"missing field(s) {', '.join(missing)}")
+        raise FormatError(f"missing field(s) {', '.join(missing)}")
     if mapping.id_field:
         row_id = _sample_id(mapping.id_field, record[mapping.id_field])
 
@@ -225,7 +241,7 @@ def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str)
     letter, letter_field = None, mapping.answer_letter_field
     if letter_field and record.get(letter_field) not in (None, ""):
         if not isinstance(record[letter_field], str):
-            raise MappingError(f"{letter_field} must be a string")
+            raise FormatError(f"{letter_field} must be a string")
         letter = record[letter_field].strip()
     return TaskInstance(
         id=row_id,
@@ -253,21 +269,21 @@ def _checked(
     records: list[dict[str, Any]],
     build: Callable[[int, dict[str, Any]], TaskInstance],
 ) -> list[TaskInstance]:
-    """`build` of each numbered record, unless a row raises MappingError or two
-    share an id: one MappingError names them all."""
+    """`build` of each numbered record, unless a row raises FormatError or two
+    share an id: one FormatError names them all."""
     problems: list[str] = []
     instances: list[TaskInstance] = []
     for row, record in enumerate(records, 1):
         try:
             instances.append(build(row, record))
-        except MappingError as exc:
+        except FormatError as exc:
             problems.append(f"row {row}: {exc}")
     counts = Counter(instance.id for instance in instances)
     duplicates = sorted(sample_id for sample_id, count in counts.items() if count > 1)
     if duplicates:
         problems.append(f"duplicate sample ids: {', '.join(duplicates)}")
     if problems:
-        raise MappingError(f"{path}: " + "; ".join(problems))
+        raise FormatError(f"{path}: " + "; ".join(problems))
     return instances
 
 
@@ -286,23 +302,23 @@ def _strings(record: dict[str, Any], key: str) -> tuple[str, ...]:
         lines = tuple(item for item in value if isinstance(item, str))
         if len(lines) == len(value):
             return lines
-    raise MappingError(f"{key} must be a list of strings")
+    raise FormatError(f"{key} must be a list of strings")
 
 
 def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
     if "id" not in record:
-        raise MappingError("missing id")
+        raise FormatError("missing id")
     sample_id = _sample_id("id", record["id"])
     instruction, letter = record.get("instruction", ""), record.get("answerLetter")
     if not isinstance(instruction, str):
-        raise MappingError("instruction must be a string")
+        raise FormatError("instruction must be a string")
     if not isinstance(letter, (str, type(None))):
-        raise MappingError("answerLetter must be a string")
+        raise FormatError("answerLetter must be a string")
     inputs, references = _strings(record, "inputs"), _strings(record, "references")
     if not inputs:
-        raise MappingError("inputs must be a non-empty list")
+        raise FormatError("inputs must be a non-empty list")
     if not references and letter is None:
-        raise MappingError("record needs references or answerLetter")
+        raise FormatError("record needs references or answerLetter")
     return TaskInstance(
         id=sample_id,
         instruction_key=instruction,
@@ -328,7 +344,7 @@ def load_input_file(path: str | Path) -> list[TaskInstance]:
     try:
         mapping = FieldMapping.from_dict(spec)
     except ValueError as exc:
-        raise MappingError(f"{sidecar}: {exc}")
+        raise FormatError(f"{sidecar}: {exc}")
     fmt = spec.get("format") or _infer_format(path)
     instances = load_dataset(path, fmt, mapping)
     instruction = spec.get("instruction")
@@ -339,11 +355,7 @@ def load_input_file(path: str | Path) -> list[TaskInstance]:
 
 def _infer_format(path: str | Path) -> str:
     name = str(path)
-    if name.endswith(".jsonl"):
-        return "jsonl"
-    if name.endswith(".csv"):
-        return "csv"
-    return "json"
+    return "jsonl" if name.endswith(".jsonl") else "csv" if name.endswith(".csv") else "json"
 
 
 def subset(

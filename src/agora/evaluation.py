@@ -8,8 +8,8 @@ import re
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .datasets import FieldTable, FormatError, field_fault, input_files, load_input_file, log_repeat
-from .datasets import read_input, read_jsonl, write_output
+from .datasets import FieldTable, FormatError, field_fault, input_files, load_input_file, log_job, log_repeat
+from .datasets import plain_name, read_input, read_jsonl, write_output
 from .domain import TaskInstance
 from .metrics import bleu, meteor_lite, rouge
 
@@ -81,16 +81,11 @@ def _numbers(*values: Any) -> bool:
     return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
-def _file_name_part(name: str) -> bool:
-    """Not empty, `.` or `..`, and no slash, backslash or NUL: a name that stays in its directory."""
-    return name not in ("", ".", "..") and not set("/\\\0").intersection(name)
-
-
 # The eval file's fields in file order, each the camelCase name of an EvalResult
 # attribute, with the test its value must pass. All but jobName and repeats may be absent.
 # The job name names the chart files, so it must stay one plain file-name part.
 _EVAL_FIELDS: FieldTable = {
-    "jobName": (True, lambda value: isinstance(value, str) and _file_name_part(value)),
+    "jobName": (True, lambda value: isinstance(value, str) and plain_name(value)),
     "repeats": (True, lambda value: isinstance(value, int) and _numbers(value)),
     "mean": (False, lambda value: isinstance(value, dict) and _numbers(*value.values())),
     "std": (False, lambda value: isinstance(value, dict) and _numbers(*value.values())),
@@ -135,20 +130,14 @@ class EvalResult(NamedTuple):
 
 
 def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
-    """Map job name -> [(repeat index, path)] from -r{i} file name suffixes."""
-    groups: dict[str, list[tuple[int, Path]]] = {}
+    """Map job name -> [(repeat index, path)], reading each log's name by `datasets.log_job`."""
+    groups: dict[str, dict[int, Path]] = {}
     for file in input_files(logs, lambda file: log_repeat(file) is not None):
-        job, repeat = log_repeat(file) or (file.stem, 1)  # a file named alone is read whatever its suffix
-        if not _file_name_part(job):  # it names the eval file and the charts
-            raise FormatError(f"{file}: job name {job!r} is not a plain file name")
-        repeats = groups.setdefault(job, [])
-        for other_repeat, other in repeats:
-            if other_repeat == repeat:
-                raise FormatError(f"{other} and {file} are both repeat {repeat} of job {job!r}")
-        repeats.append((repeat, file))
-    for job in groups:
-        groups[job].sort()
-    return groups
+        job, repeat = log_job(file)  # a file named alone is read whatever its suffix
+        other = groups.setdefault(job, {}).setdefault(repeat, file)
+        if other != file:
+            raise FormatError(f"{other} and {file} are both repeat {repeat} of job {job!r}")
+    return {job: sorted(repeats.items()) for job, repeats in groups.items()}
 
 
 # The fields evaluation reads from a debate log record, and the test each must pass.
@@ -187,17 +176,11 @@ def evaluate_job(
     turns: list[int] = []
     clocks: list[float] = []
     successes = 0
-    total = 0
     for _, file in repeat_files:
-        records = read_records(file, _LOG_FIELDS)
-        if not records:
-            continue
         repeat_scores: dict[str, list[float]] = {}
-        joined = [(record, _joined(record, by_id, file)) for record in records]
-        letters = [sample.answer_letter is not None for _, sample in joined]
-        with_accuracy = any(letters)
+        joined = [(record, _joined(record, by_id, file)) for record in read_records(file, _LOG_FIELDS)]
+        with_accuracy = any(sample.answer_letter is not None for _, sample in joined)
         for record, sample in joined:
-            total += 1
             outcome = record["outcome"]
             if outcome.get("success"):
                 successes += 1
@@ -221,7 +204,7 @@ def evaluate_job(
         std={metric: stat.std for metric, stat in stats.items()},
         annotations={metric: stat.annotation for metric, stat in stats.items() if stat.annotation},
         metric_values=pooled,
-        decision_success_rate=(successes / total) if total else 0.0,
+        decision_success_rate=(successes / len(turns)) if turns else 0.0,
         turns=turns,
         wall_clock_s=clocks,
     )

@@ -82,9 +82,9 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     and its log path checked. The first job that cannot run raises one
     ConfigError naming the job (and the file at fault), before any debate.
     A log path is at fault if it holds a NUL, ends in a suffix `evaluate`
-    skips, is a directory or lies under a file, or if a log beside it is
-    numbered above the batch's repeats: that one is left from an earlier
-    batch, and `evaluate` would average it in."""
+    skips, gives a job name `evaluate` refuses, is a directory or lies under
+    a file, or if a log beside it is numbered above the batch's repeats: that
+    one is left from an earlier batch, and `evaluate` would average it in."""
     repeats = max((spec.repeat_index for spec in jobs), default=0)
     loaded: dict[str, list[TaskInstance]] = {}
     stale: dict[Path, dict[str, Path]] = {}  # per log folder, a log of each job numbered above `repeats`
@@ -101,8 +101,9 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
             log = params.output_json_file_path
             if "\0" in log:
                 raise ConfigError(f"cannot write {log!r}: the path holds a NUL")
-            if Path(log).suffix not in datasets.LOG_SUFFIXES:
+            if datasets.log_repeat(Path(log)) is None:
                 raise ConfigError(f"cannot write {log}: it ends in neither {' nor '.join(datasets.LOG_SUFFIXES)}, the logs evaluate reads")
+            datasets.log_job(Path(log))  # refuses a job name that evaluate would refuse
             if os.path.isdir(log):
                 raise ConfigError(f"cannot write {log}: it is a directory")
             ancestor = Path(log).parent  # the nearest one that exists must be a directory
@@ -120,7 +121,7 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
             left = stale[folder].get(spec.name)
             if left:
                 raise ConfigError(f"{left} is left from an earlier batch of more than {repeats} repeat(s)")
-        except (ConfigError, datasets.MappingError, datasets.EmptyDataset, OSError, ValueError) as exc:
+        except (ConfigError, OSError, ValueError) as exc:  # FormatError too
             raise ConfigError(f"{spec.name} r{spec.repeat_index}: {exc}")
         prepared.append(JobReport(spec.name, spec.repeat_index, params, samples))
     return prepared

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -627,8 +628,35 @@ def test_a_log_path_holding_a_nul_stops_run_and_dry_run(tmp_path):
             main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
         )
         assert result.exit_code == 1
-        assert result.output == f"Error: {config}: de\0mo r1: cannot write {log!r}: the path holds a NUL\n"
+        assert result.output == f"Error: {config}: de\\x00mo r1: cannot write {log!r}: the path holds a NUL\n"
+        assert no_control_characters(result.output)
     assert not (tmp_path / "logs").exists()
+
+
+def no_control_characters(output: str) -> bool:
+    """Whether no line of the output holds a C0 control character or DEL."""
+    return not any(re.search("[\x00-\x1f\x7f]", line) for line in output.split("\n"))
+
+
+def test_a_job_name_holding_control_characters_prints_them_escaped(tmp_path):
+    # The name is a valid file name, but printed raw its ESC would drive the terminal.
+    dataset, script, _ = make_workspace(tmp_path)
+    config = one_run_config(tmp_path, dataset, output_json_file_path=str(tmp_path / "logs" / "de\x1bmo\t.jsonl"))
+    runner = CliRunner()
+    dry = runner.invoke(main, ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"])
+    assert dry.exit_code == 0, dry.output
+    assert f"  de\\x1bmo\\x09 r1 -> {tmp_path}/logs/de\\x1bmo\\x09-r1.jsonl [" in dry.output
+    ran = runner.invoke(main, ["run", "--config", str(config), "--backend", f"scripted:{script}"])
+    assert ran.exit_code == 0, ran.output
+    assert f"de\\x1bmo\\x09 r3: 2 record(s), 0 failure(s) -> {tmp_path}/logs/de\\x1bmo\\x09-r3.jsonl" in ran.output
+    assert (tmp_path / "logs" / "de\x1bmo\t-r3.jsonl").is_file()
+    evaluated = runner.invoke(
+        main, ["evaluate", "--logs", str(tmp_path / "logs"), "--dataset", str(dataset), "--out", str(tmp_path / "evals")]
+    )
+    assert evaluated.output == f"{tmp_path}/evals/de\\x1bmo\\x09.eval.json\n"
+    charted = runner.invoke(main, ["chart", "--evals", str(tmp_path / "evals"), "--out", str(tmp_path / "charts")])
+    assert f"{tmp_path}/charts/score-de\\x1bmo\\x09.svg\n" in charted.output
+    assert all(no_control_characters(result.output) for result in (dry, ran, evaluated, charted))
 
 
 @pytest.mark.parametrize(
@@ -669,11 +697,10 @@ def test_evaluate_reads_the_log_of_a_reply_holding_a_unicode_line_separator(tmp_
     assert payload["mean"]["accuracy"] == 0.5
 
 
-@pytest.mark.parametrize("name", ["demo.txt", "demo", "..jsonl"])
+@pytest.mark.parametrize("name", ["demo.txt", "demo"])
 def test_a_log_path_whose_suffix_evaluate_skips_stops_run_and_dry_run(tmp_path, name):
     # evaluate reads only .json and .jsonl logs, so any other log would be
-    # written and then never scored. "..jsonl" (the job ".") has no suffix:
-    # its repeat writes "..jsonl-r1".
+    # written and then never scored.
     dataset, script, _ = make_workspace(tmp_path)
     output = str(tmp_path / "logs" / name)
     root, ext = os.path.splitext(output)
@@ -688,3 +715,31 @@ def test_a_log_path_whose_suffix_evaluate_skips_stops_run_and_dry_run(tmp_path, 
             "it ends in neither .json nor .jsonl, the logs evaluate reads\n"
         )
     assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize(
+    "name, job, log",
+    [("..jsonl", ".", ".-r1.jsonl"), ("...json", "..", "..-r1.json"), ("a\\b.jsonl", "a\\b", "a\\b-r1.jsonl")],
+)
+def test_a_job_name_evaluate_refuses_stops_run_and_dry_run(tmp_path, name, job, log):
+    # The job is named, and its log built, by the rule evaluate reads logs by,
+    # so run refuses with evaluate's own reason before writing a log evaluate
+    # would refuse.
+    dataset, script, _ = make_workspace(tmp_path)
+    config = one_run_config(tmp_path, dataset, output_json_file_path=str(tmp_path / "logs" / name))
+    log = tmp_path / "logs" / log
+    reason = f"{log}: job name {job!r} is not a plain file name"
+    for extra in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {config}: {job} r1: {reason}\n"
+    assert not (tmp_path / "logs").exists()
+    log.parent.mkdir()
+    log.write_text("", encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["evaluate", "--logs", str(log.parent), "--dataset", str(dataset), "--out", str(tmp_path / "evals")]
+    )
+    assert result.exit_code == 1
+    assert result.output == f"Error: {reason}\n"

@@ -4,19 +4,21 @@ and the one reader, writer and lister of files."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from agora.datasets import (
-    EmptyDataset,
     FieldMapping,
     FormatError,
-    MappingError,
     field_fault,
     input_files,
+    job_logs,
     load_dataset,
     load_input_file,
     load_unified,
+    log_job,
+    log_repeat,
     read_input,
     read_jsonl,
     resolve_instruction,
@@ -263,7 +265,7 @@ def test_load_dataset_collects_all_bad_rows(tmp_path):
             {"answer": "no question"},
         ],
     )
-    with pytest.raises(MappingError) as exc:
+    with pytest.raises(FormatError) as exc:
         load_dataset(path, "json", BASIC_MAPPING)
     message = str(exc.value)
     assert "row 2: missing field(s) answer" in message
@@ -280,7 +282,7 @@ def test_load_dataset_duplicate_ids(tmp_path):
             {"qid": "a", "question": "q2", "answer": "a2"},
         ],
     )
-    with pytest.raises(MappingError, match="duplicate sample ids: a"):
+    with pytest.raises(FormatError, match="duplicate sample ids: a"):
         load_dataset(path, "json", mapping)
 
 
@@ -342,7 +344,7 @@ def test_load_dataset_rejects_missing_file(tmp_path):
 
 def test_load_dataset_rejects_empty(tmp_path):
     path = write_json(tmp_path, "data.json", [])
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(FormatError):
         load_dataset(path, "json", BASIC_MAPPING)
 
 
@@ -361,7 +363,7 @@ def test_load_dataset_rejects_non_array_json(tmp_path):
 )
 def test_load_dataset_names_the_file_in_a_content_error(tmp_path, records, problem):
     path = write_json(tmp_path, "data.json", records)
-    with pytest.raises(MappingError) as excinfo:
+    with pytest.raises(FormatError) as excinfo:
         load_dataset(path, "json", FieldMapping(("question",), ("answer",), id_field="qid"))
     assert str(excinfo.value) == f"{path}: {problem}"
 
@@ -393,11 +395,11 @@ def test_unified_record_roundtrip():
 
 
 def test_unified_record_requirements():
-    with pytest.raises(MappingError, match="missing id"):
+    with pytest.raises(FormatError, match="missing id"):
         unified_record_to_instance({"inputs": ["x"], "references": ["y"]})
-    with pytest.raises(MappingError, match="inputs"):
+    with pytest.raises(FormatError, match="inputs"):
         unified_record_to_instance(unified_record(inputs=[]))
-    with pytest.raises(MappingError, match="references or answerLetter"):
+    with pytest.raises(FormatError, match="references or answerLetter"):
         unified_record_to_instance(unified_record(references=[]))
 
 
@@ -417,7 +419,7 @@ def test_unified_record_requirements():
     ],
 )
 def test_unified_record_rejects_a_mistyped_field(override, problem):
-    with pytest.raises(MappingError) as excinfo:
+    with pytest.raises(FormatError) as excinfo:
         unified_record_to_instance(unified_record(**override))
     assert str(excinfo.value) == problem
 
@@ -444,7 +446,7 @@ def test_load_unified_json_and_jsonl(tmp_path):
 
 def test_load_unified_reports_rows(tmp_path):
     path = write_json(tmp_path, "u.json", [unified_record(), {"inputs": ["x"]}])
-    with pytest.raises(MappingError, match="row 2: missing id"):
+    with pytest.raises(FormatError, match="row 2: missing id"):
         load_unified(path)
 
 
@@ -457,7 +459,7 @@ def test_load_unified_reports_rows(tmp_path):
 )
 def test_load_unified_names_the_file_in_a_content_error(tmp_path, records, problem):
     path = write_json(tmp_path, "u.json", records)
-    with pytest.raises(MappingError) as excinfo:
+    with pytest.raises(FormatError) as excinfo:
         load_unified(path)
     assert str(excinfo.value) == f"{path}: {problem}"
 
@@ -496,7 +498,7 @@ def test_load_dataset_names_every_row_with_a_value_it_cannot_map(tmp_path):
             {"id": "r9", "q": "q", "ans": "a", "letter": 5},
         ],
     )
-    with pytest.raises(MappingError) as excinfo:
+    with pytest.raises(FormatError) as excinfo:
         load_dataset(path, "json", mapping)
     flat = "must be a string, number or boolean, or a flat list of them"
     assert str(excinfo.value) == f"{path}: " + "; ".join(
@@ -588,7 +590,7 @@ def test_load_input_file_rejects_a_mistyped_sidecar_field(tmp_path, override, pr
     sidecar = sidecar_path(data_path)
     spec = {"input_fields": ["question"], "reference_fields": ["answer"], **override}
     sidecar.write_text(json.dumps(spec), encoding="utf-8")
-    with pytest.raises(MappingError) as excinfo:
+    with pytest.raises(FormatError) as excinfo:
         load_input_file(data_path)
     assert str(excinfo.value) == f"{sidecar}: {problem}"
 
@@ -647,3 +649,32 @@ def test_multiple_choice_templates_carry_the_footer():
 def test_resolve_instruction_passthrough():
     assert resolve_instruction("xsum") == "Summarize the following article in a single sentence."
     assert resolve_instruction("Do the thing.") == "Do the thing."
+
+
+@pytest.mark.parametrize(
+    "output, job, logs, logs_read",
+    [
+        ("out/a.jsonl", "a", ["out/a-r1.jsonl", "out/a-r2.jsonl"], True),
+        ("./out//a.b.json", "a.b", ["./out//a.b-r1.json", "./out//a.b-r2.json"], True),
+        ("x-r3.jsonl", "x-r3", ["x-r3-r1.jsonl", "x-r3-r2.jsonl"], True),
+        ("out/a\nb-r1\n.jsonl", "a\nb-r1\n", ["out/a\nb-r1\n-r1.jsonl", "out/a\nb-r1\n-r2.jsonl"], True),
+        ("out/..jsonl", ".", ["out/.-r1.jsonl", "out/.-r2.jsonl"], True),
+        # No suffix a log has: `evaluate` reads none of these, and `run` refuses them.
+        ("out/a", "a", ["out/a-r1", "out/a-r2"], False),
+        ("out/a.jsonl/", "", ["out/a.jsonl/-r1", "out/a.jsonl/-r2"], False),
+    ],
+)
+def test_log_repeat_reads_back_the_job_and_repeat_job_logs_names(output, job, logs, logs_read):
+    assert job_logs(output, 2) == (job, logs)
+    assert [log_repeat(Path(log)) for log in logs] == ([(job, 1), (job, 2)] if logs_read else [None, None])
+
+
+@pytest.mark.parametrize("name", ["..-r3.json", ".-r2.jsonl", "..jsonl", "a\\b.json"])
+def test_log_job_refuses_a_job_name_that_is_not_a_plain_file_name(name):
+    with pytest.raises(FormatError, match="is not a plain file name"):
+        log_job(Path("logs") / name)
+
+
+def test_log_job_reads_a_file_of_another_suffix_as_repeat_1_of_its_stem():
+    # `evaluate` reads a log named alone whatever its suffix.
+    assert log_job(Path("logs") / "x-r2.txt") == ("x-r2", 1)

@@ -8,6 +8,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -463,6 +464,23 @@ def test_a_dripped_reply_ends_the_attempt_at_its_deadline(loopback_server, monke
     with pytest.raises(EndpointUnreachable, match="2 attempts"):
         gw.complete(req())
     assert time.monotonic() - started < 0.2 * 2 + 0.3
+    assert len(server.targets) == 2
+    assert len(sleeps) == 1
+
+
+def test_an_attempt_whose_deadline_passes_between_two_reads_is_retried(loopback_server, monkeypatch):
+    # Each reading of the gateway's clock advances it 1 s, so a 2.5 s attempt
+    # is past its deadline by the read after the one that gets the headers:
+    # that read raises before it waits, and the attempt counts as a timeout.
+    ticks = iter(range(1_000_000))
+    monkeypatch.setattr(gateway, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
+    monkeypatch.setattr(gateway, "TIMEOUT_S", 2.5)
+    server = loopback_server("drip")
+    sleeps: list[float] = []
+    gw = HttpGateway(server.url, sleeper=sleeps.append)
+    with pytest.raises(EndpointUnreachable, match="after 2 attempts: the attempt ran out of time$"):
+        gw.complete(req())
     assert len(server.targets) == 2
     assert len(sleeps) == 1
 

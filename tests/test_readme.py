@@ -1,4 +1,4 @@
-"""The README's quick start, run as written.
+"""The README's quick start and library use, run as written, and its error table.
 
 The `sh` block under "Quick start" is taken from `README.md`: its heredocs
 are written into a fresh directory, and its three `agora` commands run there
@@ -7,11 +7,17 @@ eval file, four SVGs and four CSVs) is pinned by sha256 below, and so are
 the lines `agora run` prints, with the seconds figure masked. A README edit
 that breaks the quick start fails here, and so does a change to a template,
 a rule or the CLI that alters one output byte.
+
+The `python` block under "Library use" runs as it stands, and the table of
+error types a library caller can catch names every exception class each
+module of src/agora defines, and no class that is gone.
 """
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -21,6 +27,7 @@ from click.testing import CliRunner
 from agora.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "agora"
 
 QUICK_START_OUTPUTS = {
     "logs/demo-r1.jsonl": "ed12cbe1561963fb412befa498bc1fd8e0e1f542138d236a016f9b2665b28151",
@@ -43,9 +50,12 @@ RUN_OUTPUT = [
 ]
 
 
+def readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def quick_start_script() -> str:
-    section = README.read_text(encoding="utf-8").split("\n## Quick start", 1)[1].split("\n## ", 1)[0]
-    (script,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    (script,) = re.findall(r"```sh\n(.*?)```", readme_section("Quick start"), re.S)
     return script
 
 
@@ -74,3 +84,33 @@ def test_the_quick_start_writes_its_pinned_outputs(tmp_path, monkeypatch):
     assert written == sorted([*QUICK_START_OUTPUTS, "tasks.json", "script.json", "batch.json"])
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in QUICK_START_OUTPUTS}
     assert digests == QUICK_START_OUTPUTS
+
+
+def test_the_library_use_block_runs_offline(monkeypatch):
+    monkeypatch.delenv("AGORA_API_KEY", raising=False)
+    (block,) = re.findall(r"```python\n(.*?)```", readme_section("Library use"), re.S)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["wider"] == names["params"]._replace(num_agents=5)
+    assert (names["params"].num_agents, names["wider"].num_agents) == (3, 5)
+
+
+def defined_exceptions() -> dict[str, set[str]]:
+    """Module -> the exception classes it defines, for each module of src/agora that defines one."""
+    defined: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("[!_]*.py")):
+        module = importlib.import_module(f"agora.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
+                defined.setdefault(path.stem, set()).add(name)
+    return defined
+
+
+def test_the_error_table_names_each_modules_exception_classes():
+    table = readme_section("Errors").split("The error types a library caller can catch", 1)[1]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M))
+    named = {module: set(re.findall(r"`([A-Z]\w*)`", text)) for module, text in rows.items()}
+    defined = defined_exceptions()
+    assert {module: named.get(module, set()) & classes for module, classes in defined.items()} == defined
+    builtin = {name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)}
+    assert set().union(*named.values()) - builtin - set().union(*defined.values()) == set()

@@ -37,6 +37,9 @@ catches any exception, so a job's set-up fault stops the batch instead of
 becoming a result. And each value type is one class: no class derives from
 a NamedTuple defined in src/agora, and no NamedTuple defines `__new__`, so
 a value is checked by the one reader of outside input that builds it.
+And `datasets` alone builds or parses a debate log's name (`<job>-r<N><suffix>`)
+and decides whether a job name is a plain file name, so `run` names a job,
+writes its logs and refuses a name by the rule `evaluate` reads them by.
 
 The rule for start-up imports: a module imports at its top only what the
 commands that import it run. `agora.cli` imports each command's modules
@@ -53,6 +56,7 @@ from __future__ import annotations
 import ast
 import builtins
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -518,3 +522,35 @@ def test_each_value_type_is_one_class():
     # A private base plus a subclass that checks or fills it in `__new__` is
     # two carriers of one value, and the check runs on every internal copy too.
     assert layered_value_types() == []
+
+
+# What only the log-name rule handles: a file name's stem and suffix, the
+# `-r<N>` of a repeat (an f-string part before the number, or a pattern), and
+# the names and separators that keep a job name plain.
+NAME_PARTS = {"splitext", "stem", "suffix", "suffixes", "with_stem", "with_suffix"}
+REPEAT_PART = re.compile(r"-r(\d|\\d|\(|$)")
+
+
+def _is_log_name_rule(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr in NAME_PARTS
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        text = node.value
+        return bool(REPEAT_PART.search(text)) or text == ".." or ("/" in text and "\\" in text)
+    return False
+
+
+def log_name_rules_outside_datasets() -> list[str]:
+    """`module.py:line` for each piece of the log-name rule outside `datasets`."""
+    flagged = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "datasets":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            flagged += [f"{path.stem}.py:{node.lineno}" for node in ast.walk(tree) if _is_log_name_rule(node)]
+    return flagged
+
+
+def test_only_datasets_names_a_log_or_judges_a_job_name():
+    # A second copy of the rule that names logs drifts from the one that
+    # reads them: a job `run` accepts whose logs `evaluate` then refuses.
+    assert log_name_rules_outside_datasets() == []
