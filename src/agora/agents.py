@@ -6,8 +6,8 @@ import json
 from typing import Any, Callable, Optional
 
 from . import prompts
-from .domain import AgentProfile, Persona
-from .gateway import Backend, chat_request
+from .domain import AgentProfile, CallKind, Persona, Phase
+from .gateway import Backend, call
 
 
 class PersonaParseFailure(Exception):
@@ -74,12 +74,11 @@ def _generate_persona(
     `parse` raises ValueError or KeyError on a malformed object; those
     responses and the duplicates are retried a bounded number of times.
     """
-    req = chat_request(messages)
     taken = {identity(p) for p in existing}
     parse_failures = 0
     duplicates = 0
     while True:
-        resp = backend.complete(req)
+        resp = call(backend, CallKind.PERSONA, len(existing) + 1, messages)
         try:
             persona = parse(extract_json_object(resp.text))
         except (ValueError, KeyError):
@@ -190,20 +189,18 @@ def build_panel(
 
 
 def extract_final_answer_response(
-    persona: Persona,
+    profile: AgentProfile,
     task_text: str,
     input_text: str,
     previous_response: str,
     backend: Backend,
 ):
-    """Full gateway response for an extraction call (text plus latency)."""
+    """Full gateway response for an agent's extraction call (text plus latency)."""
     if not previous_response:
         raise ValueError("previous response must be non-empty")
-    req = chat_request(
-        [
-            ("system", prompts.render_role_system(persona)),
-            ("user", prompts.render_extraction_user(task_text, input_text, previous_response)),
-        ]
-    )
-    return backend.complete(req)
+    messages = [
+        ("system", prompts.render_role_system(profile.persona)),
+        ("user", prompts.render_extraction_user(task_text, input_text, previous_response)),
+    ]
+    return call(backend, Phase.EXTRACTION, profile.agent_id, messages)
 

@@ -22,7 +22,7 @@ class FormatError(ValueError):
 
 # The file suffixes of a debate log: what `agora run` may write and `agora evaluate` reads.
 LOG_SUFFIXES = (".json", ".jsonl")
-_LOG_REPEAT_RE = re.compile(r"(?P<job>.+)-r(?P<repeat>\d+)", re.S)
+_LOG_REPEAT_RE = re.compile(r"(?P<job>.+)-r(?P<repeat>[0-9]+)", re.S)
 
 
 def job_logs(output: str, repeats: int) -> tuple[str, list[str]]:

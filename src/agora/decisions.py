@@ -7,14 +7,8 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import paradigms, prompts
 from .agents import extract_final_answer_response, extract_json_object
-from .domain import (
-    DebateState,
-    DecisionOutcome,
-    Phase,
-    Share,
-    TieBreak,
-)
-from .gateway import AuthRejected, Backend, GatewayError, chat_request
+from .domain import CallKind, DebateState, DecisionOutcome, Phase, Share, TieBreak
+from .gateway import AuthRejected, Backend, GatewayError, call
 
 
 class VoteParseFailure(Exception):
@@ -247,7 +241,7 @@ def collect_candidates(state: DebateState, backend: Backend) -> list[str]:
     for profile in state.panel:
         previous = _previous_response(state, profile.agent_id)
         resp = extract_final_answer_response(
-            profile.persona, state.task_text, state.task.input_text(), previous, backend
+            profile, state.task_text, state.task.input_text(), previous, backend
         )
         candidates.append(resp.text)
         state.add(state.turn, profile.agent_id, Phase.EXTRACTION, resp.text, resp.latency_ms)
@@ -276,10 +270,9 @@ def run_vote_round(state: DebateState, backend: Backend) -> VoteRound:
     )
     ballots: list[Ballot] = []
     for profile in state.panel:
-        system = prompts.render_role_system(profile.persona)
-        req = chat_request([("system", system), ("user", user)])
+        messages = [("system", prompts.render_role_system(profile.persona)), ("user", user)]
         for _ in range(_MAX_BALLOT_ATTEMPTS):
-            resp = backend.complete(req)
+            resp = call(backend, CallKind.BALLOT, profile.agent_id, messages)
             try:
                 parsed = parse_ballot(protocol, resp.text, k, points)
             except VoteParseFailure as exc:
@@ -297,14 +290,13 @@ def judge_decide(state: DebateState, backend: Backend, candidates: list[str]) ->
     if not candidates:
         raise ValueError("the judge needs at least one candidate")
     user = prompts.render_judge_user(state.task_text, state.task.input_text(), candidates)
-    req = chat_request([("user", user)])
+    # The judge sits outside the panel; agent 0 marks that in the call and the log.
     try:
-        resp = backend.complete(req)
+        resp = call(backend, Phase.JUDGE, 0, [("user", user)])
     except AuthRejected:
         raise  # as on any other call, rejected credentials fail the debate
     except GatewayError as exc:
         return DecisionOutcome(candidates[0], fallback_reason=f"judge call failed: {exc}")
-    # The judge sits outside the panel; agent_id 0 marks that in the log.
     state.add(state.turn, 0, Phase.JUDGE, resp.text, resp.latency_ms)
     return DecisionOutcome(resp.text)
 

@@ -16,6 +16,16 @@ class Phase(str, Enum):
     JUDGE = "judge"
 
 
+class CallKind(str, Enum):
+    """A debate call's kind when it is not the `Phase` of the message its reply is
+    logged as: persona and ballot replies add no message, and a baseline's
+    answer is a draft that no discussion prompt asked for."""
+
+    PERSONA = "persona"
+    BALLOT = "ballot"
+    BASELINE = "baseline"
+
+
 # Phases that drive the discussion itself; ballots and extractions are
 # bookkeeping and must never surface in rendered agent memory.
 DEBATE_PHASES = frozenset(

@@ -46,6 +46,9 @@ class ChatMessage(NamedTuple):
 class ChatRequest(NamedTuple):
     messages: tuple[ChatMessage, ...]
     model_name: str = ""
+    # What the call serves, for the backend alone; neither goes on the wire.
+    kind: str = ""  # a message's domain.Phase, or a domain.CallKind
+    agent: Optional[int] = None  # the speaker or voter; 0 is the judge
 
 
 class ChatResponse(NamedTuple):
@@ -53,13 +56,6 @@ class ChatResponse(NamedTuple):
     prompt_tokens: int = 0
     completion_tokens: int = 0
     latency_ms: int = 0
-
-
-def chat_request(messages: list[tuple[str, str]]) -> ChatRequest:
-    """A request that names no model; a `DebateBackend` fills in the job's."""
-    if not messages:
-        raise ValueError("a chat request needs at least one message")
-    return ChatRequest(tuple(ChatMessage(role, content) for role, content in messages))
 
 
 def wire_body(req: ChatRequest) -> dict[str, Any]:
@@ -91,10 +87,18 @@ class DebateBackend(NamedTuple):
     model_name: str
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        return self.backend.complete(ChatRequest(req.messages, self.model_name))
+        return self.backend.complete(req._replace(model_name=self.model_name))
 
     def clock(self) -> float:
         return self.backend.clock()
+
+
+def call(backend: Backend, kind: str, agent: int, messages: list[tuple[str, str]]) -> ChatResponse:
+    """Send one debate call, labelled with its kind and agent, as a request that
+    names no model: a `DebateBackend` fills in the job's."""
+    if not messages:
+        raise ValueError("a chat request needs at least one message")
+    return backend.complete(ChatRequest(tuple(ChatMessage(role, content) for role, content in messages), "", kind, agent))
 
 
 # Transport returns (status_code, parsed JSON payload or None); connection

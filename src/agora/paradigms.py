@@ -15,7 +15,7 @@ from .domain import (
     Phase,
     ResponseGeneratorKind,
 )
-from .gateway import Backend, chat_request
+from .gateway import Backend, call
 
 
 class PanelTooSmall(Exception):
@@ -154,10 +154,8 @@ def run_turn(state: DebateState, backend: Backend) -> DebateState:
     turn_no = state.turn + 1
     kind = ParadigmKind(state.params.discussion_paradigm)
     for step in schedule(kind, len(state.panel), state.params.debate_exchanges):
-        had_draft = state.current_draft is not None
-        messages = render_step_prompt(state, step)
-        resp = backend.complete(chat_request(messages))
-        phase = step.phase if had_draft else Phase.DRAFT
+        phase = step.phase if state.current_draft is not None else Phase.DRAFT
+        resp = call(backend, phase, step.speaker, render_step_prompt(state, step))
         state.add(turn_no, step.speaker, phase, resp.text, resp.latency_ms)
     state.turn = turn_no
     return state

@@ -12,8 +12,8 @@ from typing import Any, Optional
 from . import datasets, decisions, paradigms, prompts
 from .agents import build_panel, neutral_panel
 from .config import ConfigError, JobParams, JobSpec, resolve_job_params
-from .domain import AgentProfile, DebateState, DecisionOutcome, Phase, TaskInstance, build_log_record
-from .gateway import Backend, DebateBackend, HttpGateway, ScriptedGateway, chat_request
+from .domain import AgentProfile, CallKind, DebateState, DecisionOutcome, Phase, TaskInstance, build_log_record
+from .gateway import Backend, DebateBackend, HttpGateway, ScriptedGateway, call
 
 
 def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
@@ -36,7 +36,7 @@ def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
             messages = [("system", prompts.render_cot_system(task_text, sample.input_text()))]
             if params.use_chain_of_thought:
                 messages.append(("user", prompts.cot_user_text()))
-            resp = backend.complete(chat_request(messages))
+            resp = call(backend, CallKind.BASELINE, 1, messages)
             state.add(1, 1, Phase.DRAFT, resp.text, resp.latency_ms)
             state.turn = 1
             outcome = DecisionOutcome(resp.text)
@@ -83,11 +83,12 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     ConfigError naming the job (and the file at fault), before any debate.
     A log path is at fault if it holds a NUL, ends in a suffix `evaluate`
     skips, gives a job name `evaluate` refuses, is a directory or lies under
-    a file, or if a log beside it is numbered above the batch's repeats: that
-    one is left from an earlier batch, and `evaluate` would average it in."""
-    repeats = max((spec.repeat_index for spec in jobs), default=0)
+    a file, or if `evaluate` would read a file beside it that the batch does
+    not write as a repeat of the same job: that one is left from an earlier
+    batch, and `evaluate` would average it in or refuse the two."""
+    writes = {Path(str(spec.params.get("output_json_file_path"))) for spec in jobs}  # each is checked as its job is
     loaded: dict[str, list[TaskInstance]] = {}
-    stale: dict[Path, dict[str, Path]] = {}  # per log folder, a log of each job numbered above `repeats`
+    listed: dict[Path, list[tuple[str, Path]]] = {}  # per log folder, once a batch: each log's job and file
     prepared = []
     for spec in jobs:
         try:
@@ -103,7 +104,7 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
                 raise ConfigError(f"cannot write {log!r}: the path holds a NUL")
             if datasets.log_repeat(Path(log)) is None:
                 raise ConfigError(f"cannot write {log}: it ends in neither {' nor '.join(datasets.LOG_SUFFIXES)}, the logs evaluate reads")
-            datasets.log_job(Path(log))  # refuses a job name that evaluate would refuse
+            job, _ = datasets.log_job(Path(log))  # refuses a job name that evaluate would refuse
             if os.path.isdir(log):
                 raise ConfigError(f"cannot write {log}: it is a directory")
             ancestor = Path(log).parent  # the nearest one that exists must be a directory
@@ -112,15 +113,12 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
             if not ancestor.is_dir():
                 raise ConfigError(f"cannot write {log}: {ancestor} is not a directory")
             folder = Path(log).parent
-            if folder not in stale:
-                stale[folder] = {}
-                for file in sorted(folder.iterdir()) if folder.is_dir() else ():
-                    named = datasets.log_repeat(file)
-                    if named and named[1] > repeats:
-                        stale[folder].setdefault(named[0], file)
-            left = stale[folder].get(spec.name)
+            if folder not in listed:
+                files = sorted(folder.iterdir()) if folder.is_dir() else []
+                listed[folder] = [(named[0], file) for file in files if (named := datasets.log_repeat(file))]
+            left = [file for name, file in listed[folder] if name == job and file not in writes]
             if left:
-                raise ConfigError(f"{left} is left from an earlier batch of more than {repeats} repeat(s)")
+                raise ConfigError(f"{left[0]} is left from an earlier batch, and evaluate would read it as a repeat of job {job!r}")
         except (ConfigError, OSError, ValueError) as exc:  # FormatError too
             raise ConfigError(f"{spec.name} r{spec.repeat_index}: {exc}")
         prepared.append(JobReport(spec.name, spec.repeat_index, params, samples))

@@ -32,7 +32,7 @@ from agora.domain import (
     TaskInstance,
 )
 from agora.evaluation import aggregate
-from agora.gateway import HttpGateway, chat_request, script_from_dict
+from agora.gateway import ChatMessage, ChatRequest, HttpGateway, script_from_dict
 from agora.metrics import bleu, meteor_lite, rouge
 from agora.paradigms import ParadigmKind, run_turn
 from agora.prompts import (
@@ -247,6 +247,7 @@ def test_criterion_3_paradigm_visibility():
             positions = {m.seq: i for i, m in enumerate(messages)}
             for index, request in enumerate(backend.requests):
                 message = messages[index]
+                assert (request.kind, request.agent) == (message.phase, message.agent_id)
                 assert request.messages[0].role == "system"
                 system_text = request.messages[0].content
                 _, _, memory_section = system_text.partition("Discussion so far:")
@@ -534,7 +535,7 @@ def test_criterion_8_gateway_concurrency_bound():
     )
     with ThreadPoolExecutor(max_workers=32) as pool:
         futures = [
-            pool.submit(gateway.complete, chat_request([("user", f"q{i}")]))
+            pool.submit(gateway.complete, ChatRequest((ChatMessage("user", f"q{i}"),)))
             for i in range(200)
         ]
         for future in futures:

@@ -19,7 +19,7 @@ from agora.agents import (
     generate_ipip_persona,
     neutral_panel,
 )
-from agora.domain import Persona
+from agora.domain import AgentProfile, Persona
 from agora.gateway import ChatResponse
 from recording import replay
 
@@ -91,6 +91,7 @@ def test_expert_persona_prompt_layout():
     backend = replay([expert_json("Biologist")])
     generate_expert_persona("classify cells", existing, backend)
     (req,) = backend.requests
+    assert (req.kind, req.agent) == ("persona", 2)  # the panel's second agent
     roles = [m.role for m in req.messages]
     assert roles == ["system", "assistant", "user"]
     echoed = json.loads(req.messages[1].content)
@@ -102,7 +103,7 @@ def test_expert_persona_retries_malformed_then_succeeds():
     backend = replay(["not json", '{"role": ""}', expert_json("Judge")])
     persona, _ = generate_expert_persona("t", [], backend)
     assert persona.name == "Judge"
-    assert len(backend.requests) == 3
+    assert [(r.kind, r.agent) for r in backend.requests] == [("persona", 1)] * 3
 
 
 def test_expert_persona_description_that_is_not_a_string_is_retried():
@@ -248,12 +249,13 @@ def test_build_panel_unknown_generator():
 
 def test_extract_final_answer_prompt_and_text():
     backend = replay(["Final solution: B"])
-    persona = Persona(name="Mathematician", description="Numbers.")
+    profile = AgentProfile(2, Persona(name="Mathematician", description="Numbers."))
     text = extract_final_answer_response(
-        persona, "task", "input", "I think B because...", backend
+        profile, "task", "input", "I think B because...", backend
     ).text
     assert text == "Final solution: B"
     (req,) = backend.requests
+    assert (req.kind, req.agent) == ("extraction", 2)
     assert req.messages[0].role == "system"
     assert "Mathematician" in req.messages[0].content
     assert "I think B because..." in req.messages[1].content
@@ -264,10 +266,10 @@ def test_extract_final_answer_response_carries_latency():
         def complete(self, req):
             return ChatResponse(text="ok", latency_ms=42)
 
-    resp = extract_final_answer_response(Persona(name="P"), "t", "i", "prev", Slow())
+    resp = extract_final_answer_response(AgentProfile(1, Persona(name="P")), "t", "i", "prev", Slow())
     assert resp.latency_ms == 42
 
 
 def test_extract_final_answer_requires_previous_text():
     with pytest.raises(ValueError):
-        extract_final_answer_response(Persona(name="P"), "t", "i", "", replay(["x"]))
+        extract_final_answer_response(AgentProfile(1, Persona(name="P")), "t", "i", "", replay(["x"]))

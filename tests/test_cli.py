@@ -717,6 +717,32 @@ def test_a_log_path_whose_suffix_evaluate_skips_stops_run_and_dry_run(tmp_path, 
     assert not (tmp_path / "logs").exists()
 
 
+@pytest.mark.parametrize("left", ["demo.jsonl", "demo-r1.json", "demo-r2.jsonl"])
+def test_a_file_evaluate_would_read_as_a_repeat_of_the_job_stops_run_and_dry_run(tmp_path, left):
+    # A one-repeat batch writes logs/demo-r1.jsonl, and evaluate reads each of
+    # these as a repeat of job demo too: it would refuse two repeat 1s, or
+    # average an old repeat 2 in. The batch's own logs are no such file.
+    dataset, script, config = make_workspace(tmp_path, repeats=1)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / left).write_text("", encoding="utf-8")
+    for extra in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {config}: demo r1: {logs / left} is left from an earlier batch, "
+            "and evaluate would read it as a repeat of job 'demo'\n"
+        )
+    assert list(logs.iterdir()) == [logs / left]
+    (logs / left).unlink()
+    for _ in range(2):  # the second run overwrites the first one's log
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--backend", f"scripted:{script}"])
+        assert result.exit_code == 0, result.output
+    assert list(logs.iterdir()) == [logs / "demo-r1.jsonl"]
+
+
 @pytest.mark.parametrize(
     "name, job, log",
     [("..jsonl", ".", ".-r1.jsonl"), ("...json", "..", "..-r1.json"), ("a\\b.jsonl", "a\\b", "a\\b-r1.jsonl")],

@@ -9,8 +9,10 @@ protocol; and the CoT and plain baselines run once each. That is 322 jobs of
 The rules are written here, not read from the engine: a debate's speakers
 and phases per turn, its contiguous `seq`, its success flag, where a
 consensus debate ends (agreement recomputed from the logged messages), where
-a voting or judge debate ends, and what each discussion prompt shows of the
-discussion so far (the model of acceptance criterion 3). The same batch at
+a voting or judge debate ends, what each discussion prompt shows of the
+discussion so far (the model of acceptance criterion 3), and which kind of
+call and which agent each request is labelled with (the stub's reading of
+its prompt, and the log entry its reply became). The same batch at
 cap 1 and at cap 8 must write the same records, and one digest pins them; a
 table of smaller digests names the first job, sample and field that differ.
 """
@@ -33,8 +35,8 @@ import pytest
 from agora import runner
 from agora.config import CHOICES, JobSpec
 from agora.decisions import consensus_reached
-from agora.domain import Share
-from agora.gateway import HttpGateway
+from agora.domain import CallKind, Phase, Share
+from agora.gateway import HttpGateway, wire_body
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "perfbench") not in sys.path:
@@ -112,20 +114,26 @@ def sample(job: int, index: int) -> dict:
 
 
 def run_space(cap: int, monkeypatch) -> tuple[list[list[dict]], dict, dict]:
-    """Every job's records, the stub's counters, and each debate's (request, reply) pairs.
+    """Every job's records, the stub's counters, and each debate's calls: (request
+    messages, reply, (kind, agent) labels) as the gateway receives and answers them.
     Paths are relative to the working directory, so the records do not depend on it."""
     backend = stub.Stub(stub.Responder(SEED, stub.load_templates(ROOT / "src/agora/templates")))
-    calls: dict[str, list[tuple[list[dict], str]]] = defaultdict(list)
+    calls: dict[str, list[tuple[list[dict], str, tuple[str, int]]]] = defaultdict(list)
 
     def transport(url, headers, body, timeout):
         status, payload, _ = backend.complete(body)
-        marker = MARKER_RE.search("".join(m["content"] for m in body["messages"])).group(1)
-        calls[marker].append((body["messages"], payload["choices"][0]["message"]["content"]))
         return status, payload
+
+    class RecordingGateway(HttpGateway):
+        def complete(self, req):
+            reply = super().complete(req)
+            marker = MARKER_RE.search("".join(m.content for m in req.messages)).group(1)
+            calls[marker].append((wire_body(req)["messages"], reply.text, (req.kind, req.agent)))
+            return reply
 
     monkeypatch.setattr(
         runner, "HttpGateway",
-        lambda url, key, max_in_flight: HttpGateway(
+        lambda url, key, max_in_flight: RecordingGateway(
             url, key, max_in_flight=max_in_flight, transport=transport, clock=lambda: 0.0
         ),
     )
@@ -165,7 +173,7 @@ def runs(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def debates(runs):
-    """(marker, record, that debate's requests and replies) for every debate at cap 1."""
+    """(marker, record, that debate's calls) for every debate at cap 1."""
     (logs, _, calls), _ = runs[1]
     return [
         (f"c{job}-n{index}", record, calls[f"c{job}-n{index}"])
@@ -299,7 +307,7 @@ def test_each_discussion_prompt_shows_what_its_paradigm_allows(debates):
         if record["config"]["use_baseline"]:
             continue
         names = {p["agentId"]: p["name"] for p in record["personas"]}
-        prompts = [(request, reply) for request, reply in pairs
+        prompts = [(request, reply) for request, reply, _ in pairs
                    if request[0]["content"].startswith(DISCUSSION_HOOK)]
         messages = discussion(record)
         assert [reply for _, reply in prompts] == [m["text"] for m in messages], marker
@@ -315,6 +323,35 @@ def test_each_discussion_prompt_shows_what_its_paradigm_allows(debates):
                 marker, message["seq"])
             checked += 1
     assert checked > 4000
+
+
+def engine_kind(stub_kind: str) -> str:
+    """The engine's label for a kind of call that the stub tells apart by its prompt."""
+    if stub_kind.startswith(("ballot_", "persona_")):
+        return stub_kind.partition("_")[0]
+    return {"revise": "central_synthesis", "cot": "baseline", "plain": "baseline"}.get(stub_kind, stub_kind)
+
+
+def test_each_call_is_labelled_with_the_kind_and_agent_it_serves(debates):
+    # Each reply is logged under its call's labels: a message under its kind
+    # as the phase (a baseline's answer is its draft) and its agent as the
+    # speaker, a ballot under its voter, and a persona's accepted reply under
+    # its agent.
+    responder = stub.Responder(SEED, stub.load_templates(ROOT / "src/agora/templates"))
+    seen = set()
+    for marker, record, calls in debates:
+        for request, _, (kind, _) in calls:
+            assert engine_kind(responder.classify(request)[0]) == kind, (marker, kind)
+            seen.add(kind)
+        messages = [(Phase.DRAFT if kind == CallKind.BASELINE else kind, agent, reply)
+                    for _, reply, (kind, agent) in calls if kind not in (CallKind.PERSONA, CallKind.BALLOT)]
+        assert messages == [(m["phase"], m["agentId"], m["text"]) for m in record["messages"]], marker
+        ballots = [(agent, reply) for _, reply, (kind, agent) in calls if kind == CallKind.BALLOT]
+        voted = [b for vote_round in record["outcome"].get("voteDetail", []) for b in vote_round["ballots"]]
+        assert ballots == [(b["voter"], b["rawText"]) for b in voted], marker
+        personas = {agent: reply for _, reply, (kind, agent) in calls if kind == CallKind.PERSONA}
+        assert personas == {p["agentId"]: p["rawText"] for p in record["personas"] if "rawText" in p}, marker
+    assert seen == {*Phase, *CallKind}  # the space makes every kind of call
 
 
 def _without_cap(logs: list[list[dict]]) -> list[dict]:

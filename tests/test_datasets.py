@@ -669,6 +669,12 @@ def test_log_repeat_reads_back_the_job_and_repeat_job_logs_names(output, job, lo
     assert [log_repeat(Path(log)) for log in logs] == ([(job, 1), (job, 2)] if logs_read else [None, None])
 
 
+def test_log_repeat_reads_a_repeat_number_in_ascii_digits_only():
+    # As job_logs writes it: an ARABIC-INDIC DIGIT ONE is part of the job name.
+    assert log_repeat(Path("x-r\u0661.jsonl")) == ("x-r\u0661", 1)
+    assert log_repeat(Path("x-r01.jsonl")) == ("x", 1)
+
+
 @pytest.mark.parametrize("name", ["..-r3.json", ".-r2.jsonl", "..jsonl", "a\\b.json"])
 def test_log_job_refuses_a_job_name_that_is_not_a_plain_file_name(name):
     with pytest.raises(FormatError, match="is not a plain file name"):

@@ -25,7 +25,6 @@ from agora.gateway import (
     NoRuleMatched,
     ScriptRule,
     ScriptedGateway,
-    chat_request,
     script_from_dict,
     wire_body,
 )
@@ -59,9 +58,19 @@ def test_chat_request_defaults():
     ]
 
 
-def test_chat_request_rejects_empty_messages():
+def test_a_call_needs_a_message():
+    backend = Recording(ScriptedGateway([ScriptRule("r")]))
     with pytest.raises(ValueError, match="at least one message"):
-        chat_request([])
+        gateway.call(backend, "draft", 1, [])
+    assert backend.requests == []
+
+
+def test_a_call_is_labelled_and_its_labels_stay_off_the_wire():
+    backend = Recording(ScriptedGateway([ScriptRule("r")]))
+    gateway.call(gateway.DebateBackend(backend, "m"), "ballot", 2, [("user", "hi")])
+    (sent,) = backend.requests
+    assert sent == ChatRequest((ChatMessage("user", "hi"),), "m", "ballot", 2)
+    assert wire_body(sent) == wire_body(req())
 
 
 def test_wire_body_key_set():
@@ -574,7 +583,7 @@ def test_no_proxy_bypasses_the_proxy(loopback_server, no_proxy_env):
 
 
 def vote_req(content: str, role: str = "user") -> ChatRequest:
-    return chat_request([(role, content)])
+    return ChatRequest((ChatMessage(role, content),))
 
 
 def test_scripted_rules_fire_in_order_and_consume():

@@ -13,7 +13,7 @@ import pytest
 
 from agora import datasets, runner
 from agora.config import ConfigError, JobSpec, resolve_job_params
-from agora.domain import TaskInstance
+from agora.domain import CallKind, Phase, TaskInstance
 from agora.gateway import AuthRejected, ChatResponse, HttpGateway, script_from_dict
 from agora.runner import (
     JobReport,
@@ -444,12 +444,13 @@ def test_a_log_path_that_cannot_be_written_is_refused_before_any_debate(tmp_path
 
 
 def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path, monkeypatch):
-    # Only a log `evaluate` would read as a repeat of this job beyond the batch's
-    # repeats is at fault: not an earlier repeat, another job's, nor another suffix.
-    # The folder is listed once for the whole batch, not once per repeat.
+    # Only a file `evaluate` would read as a repeat of this job that the batch
+    # does not write is at fault: not one of the batch's own logs, another job's,
+    # nor a file of another suffix. The folder is listed once for the whole batch,
+    # not once per repeat.
     out = tmp_path / "out"
     out.mkdir()
-    for name in ("job-r1.jsonl", "other-r3.json", "job-r3.txt", "job-rx.json", "job-r3", "job3.json"):
+    for name in ("job-r1.json", "other-r3.json", "job-r3.txt", "job-rx.json", "job-r3", "job3.json"):
         (out / name).write_text("", encoding="utf-8")
     dataset = write_dataset(tmp_path)
     specs = [
@@ -464,7 +465,9 @@ def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path, mon
     (out / "job-r3.json").write_text("", encoding="utf-8")
     with pytest.raises(ConfigError) as excinfo:
         prepare_jobs(specs, http_backend=False)
-    assert str(excinfo.value) == f"job r1: {out / 'job-r3.json'} is left from an earlier batch of more than 2 repeat(s)"
+    assert str(excinfo.value) == (
+        f"job r1: {out / 'job-r3.json'} is left from an earlier batch, and evaluate would read it as a repeat of job 'job'"
+    )
     assert (out / "job-r3.json").is_file()
 
 
@@ -900,20 +903,12 @@ def test_two_endpoints_are_busy_at_once_each_at_its_cap(tmp_path, monkeypatch):
 
 # -- the per-debate backend --
 
-# Kind of call -> a phrase only its prompt holds; a turn (draft or
-# improvement) is whatever matches none of the others.
-CALL_HOOKS = [
-    ("persona", "identifying the participants"),
-    ("judge", "Please provide a decision"),
-    ("ballot", SIMPLE_VOTE_HOOK),
-    ("extraction", EXTRACTION_HOOK),
-    ("baseline", BASELINE_HOOK),
-    ("turn", ""),
-]
+# The discussion's own kinds of call: each reply is a turn's message.
+TURN_KINDS = {Phase.DRAFT, Phase.IMPROVE, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS}
 
 
 class KindRecordingBackend:
-    """Answers every kind of call and records each call's kind and model name."""
+    """Answers every kind of call, read from its label, and records each call's kind and model name."""
 
     def __init__(self) -> None:
         self.calls: list[tuple[str, str]] = []
@@ -923,14 +918,13 @@ class KindRecordingBackend:
         return 0.0
 
     def complete(self, req) -> ChatResponse:
-        prompt = "\n".join(m.content for m in req.messages)
-        kind = next(kind for kind, hook in CALL_HOOKS if hook in prompt)
-        self.calls.append((kind, req.model_name))
-        if kind == "persona":
+        self.calls.append((req.kind, req.model_name))
+        if req.kind == CallKind.PERSONA:
             persona = {"role": f"Expert {len(self.calls)}", "description": "d"}
             return ChatResponse(text=json.dumps(persona))
-        replies = {"ballot": "1", "turn": "Mine. [DISAGREE]"}
-        return ChatResponse(text=replies.get(kind, "An answer."))
+        if req.kind == CallKind.BALLOT:
+            return ChatResponse(text="1")
+        return ChatResponse(text="Mine. [DISAGREE]" if req.kind in TURN_KINDS else "An answer.")
 
 
 @pytest.mark.parametrize(
@@ -938,11 +932,11 @@ class KindRecordingBackend:
     [
         (
             {"persona_generator": "expert", "decision_protocol": "judge", "voting_after_turns": 1},
-            {"persona", "turn", "extraction", "judge"},
+            {"persona", "draft", "improve", "extraction", "judge"},
         ),
         (
             {"decision_protocol": "simple_voting", "voting_after_turns": 1},
-            {"turn", "extraction", "ballot"},
+            {"draft", "improve", "extraction", "ballot"},
         ),
         ({"use_baseline": True}, {"baseline"}),
     ],
@@ -970,11 +964,30 @@ class RejectingBackend(KindRecordingBackend):
         return reply
 
 
-@pytest.mark.parametrize("kind", ["turn", "judge"])
+# Each kind of call, and a job that makes it.
+JOB_OF_KIND = {
+    Phase.DRAFT: {},
+    Phase.IMPROVE: {},
+    Phase.FEEDBACK: {"discussion_paradigm": "debate", "num_agents": 3},
+    Phase.CENTRAL_SYNTHESIS: {"discussion_paradigm": "report", "num_agents": 3},
+    Phase.EXTRACTION: {"decision_protocol": "judge", "voting_after_turns": 1},
+    Phase.JUDGE: {"decision_protocol": "judge", "voting_after_turns": 1},
+    CallKind.PERSONA: {"persona_generator": "expert"},
+    CallKind.BALLOT: {"decision_protocol": "simple_voting", "voting_after_turns": 1},
+    CallKind.BASELINE: {"use_baseline": True},
+}
+
+
+def test_every_kind_of_call_has_a_job_that_makes_it():
+    assert set(JOB_OF_KIND) == {*Phase, *CallKind}
+
+
+@pytest.mark.parametrize("kind", JOB_OF_KIND, ids=lambda kind: kind.value)
 def test_rejected_credentials_fail_the_debate_on_every_kind_of_call(kind):
     # Other gateway failures of the judge call fall back to the first candidate.
-    params = debate_params(decision_protocol="judge", voting_after_turns=1)
-    outcome = run_sample(params, make_sample(), RejectingBackend(kind))["outcome"]
+    backend = RejectingBackend(kind)
+    outcome = run_sample(debate_params(**JOB_OF_KIND[kind]), make_sample(), backend)["outcome"]
+    assert backend.calls[-1][0] == kind  # the debate ended at the rejected call
     assert outcome["success"] is False
     assert outcome["error"] == "AuthRejected: endpoint rejected credentials (HTTP 401)"
     assert "fallbackReason" not in outcome

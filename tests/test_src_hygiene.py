@@ -25,6 +25,9 @@ an input file (the package's prompt templates aside), and
 `w`, `a` or `x`), so every input and output error names its file in one way.
 And `DebateState.add` is the one place that builds a `Message`: the state
 numbers each message, and the message reads its agreement from its text.
+And `gateway` alone builds a `ChatRequest` and calls `.complete(`: every
+debate call goes through `gateway.call`, which labels it with its kind and
+agent for the backend.
 And an exception class that subclasses, or is subclassed by, another one
 defined in src/agora is caught by name somewhere in src/agora: a subclass
 nothing tells apart from its base is a second name for one failure. The
@@ -433,6 +436,20 @@ def test_only_the_state_builds_a_message():
     # A message built anywhere else carries a number and an agreement that
     # the transcript did not give it.
     assert calls_outside(_calls("Message"), {("domain", "add")}) == []
+
+
+def requests_outside_the_gateway() -> list[str]:
+    """`module.py:line` for each `.complete(` call, and each `ChatRequest(` or
+    `chat_request(` built, outside `gateway`."""
+    names = ("complete", "ChatRequest", "chat_request")
+    sites = calls_outside(lambda call: any(_calls(name)(call) for name in names), set())
+    return [site for site in sites if not site.startswith("gateway.py:")]
+
+
+def test_only_the_gateway_builds_and_sends_a_request():
+    # A request built or sent anywhere else carries no kind or agent, so a
+    # backend that reads them (a trace, a deadline, a journal) misses it.
+    assert requests_outside_the_gateway() == []
 
 
 def test_only_the_preparation_step_resolves_a_job_or_loads_its_dataset():
