@@ -36,8 +36,8 @@ TRAIT_OPTIONS: dict[str, list[str]] = {
 }
 
 # Three tries each before giving up on malformed or colliding personas.
-_MAX_PARSE_ATTEMPTS = 3
-_MAX_DUPLICATE_ATTEMPTS = 3
+MAX_PARSE_ATTEMPTS = 3
+MAX_DUPLICATE_ATTEMPTS = 3
 
 
 def neutral_panel(n: int) -> list[Persona]:
@@ -83,14 +83,14 @@ def _generate_persona(
             persona = parse(extract_json_object(resp.text))
         except (ValueError, KeyError):
             parse_failures += 1
-            if parse_failures >= _MAX_PARSE_ATTEMPTS:
+            if parse_failures >= MAX_PARSE_ATTEMPTS:
                 raise PersonaParseFailure(
                     f"{parse_failures} malformed persona responses, last: {resp.text[:120]!r}"
                 )
             continue
         if identity(persona) in taken:
             duplicates += 1
-            if duplicates >= _MAX_DUPLICATE_ATTEMPTS:
+            if duplicates >= MAX_DUPLICATE_ATTEMPTS:
                 raise PersonaUniquenessFailure(
                     f"{duplicates} duplicate {duplicate_noun} for role {persona.name!r}"
                 )

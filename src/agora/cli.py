@@ -33,7 +33,7 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
     # Each command imports what it runs: `evaluate` and `chart` load no gateway.
     from . import runner
     from .config import BatchConfig, ConfigError, expand_config
-    from .gateway import script_from_dict
+    from .gateway import MAX_RETRIES, script_from_dict
 
     scripted = None
     if backend.startswith("scripted:"):
@@ -59,11 +59,16 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
 
     if dry_run:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
+        fewest = most = 0
         for job in reports:
+            low, high = runner.call_bounds(job.params)
+            fewest, most = fewest + low * len(job.samples), most + high * len(job.samples)
             click.echo((
                 f"  {job.name} r{job.repeat_index} -> {job.params.output_json_file_path} "
-                f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}]"
+                f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}] "
+                f"{low}-{high} call(s) per debate x {len(job.samples)} sample(s)"
             ).translate(_ESCAPES))
+        click.echo(f"total: {fewest}-{most} call(s), each of at most {MAX_RETRIES + 1} HTTP attempts")
         return
 
     seconds = time.monotonic() - started

@@ -258,7 +258,7 @@ def _previous_response(state: DebateState, agent_id: int) -> str:
 
 
 # One initial call plus up to three re-prompts per agent before abstention.
-_MAX_BALLOT_ATTEMPTS = 4
+MAX_BALLOT_ATTEMPTS = 4
 
 
 def run_vote_round(state: DebateState, backend: Backend) -> VoteRound:
@@ -271,7 +271,7 @@ def run_vote_round(state: DebateState, backend: Backend) -> VoteRound:
     ballots: list[Ballot] = []
     for profile in state.panel:
         messages = [("system", prompts.render_role_system(profile.persona)), ("user", user)]
-        for _ in range(_MAX_BALLOT_ATTEMPTS):
+        for _ in range(MAX_BALLOT_ATTEMPTS):
             resp = call(backend, CallKind.BALLOT, profile.agent_id, messages)
             try:
                 parsed = parse_ballot(protocol, resp.text, k, points)

@@ -292,7 +292,8 @@ class HttpGateway:
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         url = f"{self.endpoint_url}/chat/completions"
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        # An empty bearer token is malformed (RFC 6750 section 2.1): without a key, no header.
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         body = wire_body(req)
         attempt = 0
         while True:

@@ -114,6 +114,31 @@ def test_run_dry_run_shows_overridden_protocol(tmp_path):
     assert "[protocol=simple_voting paradigm=relay]" in result.output
 
 
+def test_run_dry_run_prints_each_jobs_call_bounds_and_the_batch_total(tmp_path):
+    dataset, script, _ = make_workspace(tmp_path)
+    config = write_json(
+        tmp_path / "bounds.json",
+        {
+            "common": {"input_json_file_path": str(dataset)},
+            "runs": [
+                {"output_json_file_path": str(tmp_path / "base.jsonl"), "use_baseline": True},
+                {"output_json_file_path": str(tmp_path / "vote.jsonl"), "decision_protocol": "simple_voting",
+                 "persona_generator": "expert"},
+            ],
+        },
+    )
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"]
+    )
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[1].endswith("] 1-1 call(s) per debate x 2 sample(s)")
+    # Three experts take 3 to 15 calls, three turns of three speakers 9, and
+    # a vote round 6 to 15; a tie adds a turn and a round.
+    assert lines[2].endswith("] 18-57 call(s) per debate x 2 sample(s)")
+    assert lines[3:] == ["total: 38-116 call(s), each of at most 4 HTTP attempts"]
+
+
 def one_run_config(tmp_path, dataset, **run):
     return write_json(
         tmp_path / "one-run.json",

@@ -12,7 +12,10 @@ consensus debate ends (agreement recomputed from the logged messages), where
 a voting or judge debate ends, what each discussion prompt shows of the
 discussion so far (the model of acceptance criterion 3), and which kind of
 call and which agent each request is labelled with (the stub's reading of
-its prompt, and the log entry its reply became). The same batch at
+its prompt, and the log entry its reply became). Each debate's count of
+calls is checked against the engine's bounds (`runner.call_bounds`), with
+the bounds met where its turns and rounds were the fewest or the most
+allowed. The same batch at
 cap 1 and at cap 8 must write the same records, and one digest pins them; a
 table of smaller digests names the first job, sample and field that differ.
 """
@@ -26,7 +29,7 @@ import math
 import re
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +38,7 @@ import pytest
 from agora import runner
 from agora.config import CHOICES, JobSpec
 from agora.decisions import consensus_reached
-from agora.domain import CallKind, Phase, Share
+from agora.domain import CallKind, JobParams, Phase, Share
 from agora.gateway import HttpGateway, wire_body
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -299,6 +302,40 @@ def test_a_voting_or_judge_debate_decides_at_its_voting_turn_or_after_one_tie_tu
         assert outcome["decidedAtTurn"] == VOTING_AFTER_TURNS + len(rounds) - 1, marker
         tie_broken = outcome.get("tieBroken") in ("extra_round", "deterministic_index")
         assert len(rounds) == 1 or tie_broken, marker
+
+
+# The most calls one persona takes (three malformed and three duplicate
+# replies are each retried twice) and one voter's ballot (three re-prompts).
+PERSONA_TRIES = 5
+BALLOT_TRIES = 4
+
+
+def test_each_debate_makes_between_the_fewest_and_the_most_calls_of_its_job(debates):
+    # With each persona and ballot retry it made taken out (`bare`), or every
+    # one it could have made put in (`full`), a debate meets its job's bound
+    # exactly when it took the fewest, or the most, turns and vote rounds its
+    # protocol allows. Its own count meets each bound somewhere beyond the baselines.
+    met = Counter()
+    for marker, record, calls in debates:
+        config, outcome = record["config"], record["outcome"]
+        fewest, most = runner.call_bounds(JobParams(**config))
+        kinds = Counter(kind for _, _, (kind, _) in calls)
+        rounds, turns, k = len(outcome.get("voteDetail", [])), outcome["decidedAtTurn"], config["num_agents"]
+        personas = k if kinds[CallKind.PERSONA] else 0
+        bare = len(calls) - (kinds[CallKind.PERSONA] - personas) - (kinds[CallKind.BALLOT] - k * rounds)
+        full = bare + personas * (PERSONA_TRIES - 1) + k * rounds * (BALLOT_TRIES - 1)
+        protocol = config["decision_protocol"]
+        if config["use_baseline"] or protocol == "judge":
+            shortest = longest = True
+        elif protocol in CONSENSUS:
+            shortest, longest = turns == 1, turns == MAX_TURNS
+        else:
+            shortest, longest = rounds == 1, rounds == 2 or turns == MAX_TURNS
+        assert fewest <= bare <= len(calls) <= full <= most, (marker, fewest, bare, len(calls), full, most)
+        assert (bare == fewest, full == most) == (shortest, longest), (marker, fewest, bare, full, most)
+        if not config["use_baseline"]:
+            met.update(end for end, bound in (("fewest", fewest), ("most", most)) if len(calls) == bound)
+    assert met["fewest"] and met["most"], met
 
 
 def test_each_discussion_prompt_shows_what_its_paradigm_allows(debates):

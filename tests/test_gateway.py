@@ -88,7 +88,10 @@ def test_wire_body_key_set():
     assert body["messages"] == [{"role": "user", "content": "hi"}]
 
 
-def test_complete_success_and_usage():
+@pytest.mark.parametrize("api_key", ["secret", ""])
+def test_complete_success_and_usage(api_key):
+    # Without a key the request carries no Authorization header: an empty
+    # bearer token is malformed (RFC 6750 section 2.1).
     seen = {}
 
     def transport(url, headers, body, timeout):
@@ -98,13 +101,13 @@ def test_complete_success_and_usage():
         seen["body"] = body
         return 200, ok_payload("out", {"prompt_tokens": 7, "completion_tokens": 3})
 
-    gw = make_gateway(transport)
+    gw = HttpGateway("http://fake", api_key, transport=transport)
     resp = gw.complete(req())
     assert resp.text == "out"
     assert resp.prompt_tokens == 7
     assert resp.completion_tokens == 3
     assert seen["url"] == "http://fake/chat/completions"
-    assert seen["headers"] == {"Authorization": "Bearer secret"}
+    assert seen["headers"] == ({"Authorization": "Bearer secret"} if api_key else {})
     assert seen["calls"] == 1
 
 

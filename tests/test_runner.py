@@ -837,6 +837,29 @@ def test_run_batch_hands_out_samples_in_job_order(tmp_path, monkeypatch):
     assert seen == ["a:0001", "a:0002", "a:0003", "b:0001", "b:0002", "b:0003"]
 
 
+def test_run_batch_hands_out_the_longest_debates_first(tmp_path, monkeypatch):
+    seen: list[str] = []
+    original = runner.run_sample
+
+    def recording(params, sample, backend):
+        seen.append(f"{Path(params.output_json_file_path).stem}:{sample.id}")
+        return original(params, sample, backend)
+
+    monkeypatch.setattr(runner, "run_sample", recording)
+    dataset = write_dataset(tmp_path, 2)
+    jobs = [
+        job_spec(tmp_path, dataset, name=name, concurrent_api_requests=1, **params)
+        for name, params in [("baseline", {"use_baseline": True}), ("consensus", {}), ("voting", {"decision_protocol": "simple_voting"})]
+    ]
+    reports = run_batch(jobs, scripted=AgreeingBackend())
+    assert batch_ok(reports)
+    assert [(report.name, report.records) for report in reports] == [("baseline", 2), ("consensus", 2), ("voting", 2)]
+    # At most 1, 14 and 28 calls a debate; one slot, so one worker takes the
+    # samples longest job first, and each job's in sample order.
+    assert [runner.call_bounds(report.params)[1] for report in reports] == [1, 14, 28]
+    assert seen == ["voting:0001", "voting:0002", "consensus:0001", "consensus:0002", "baseline:0001", "baseline:0002"]
+
+
 def test_every_gateway_is_built_before_the_first_worker_starts(tmp_path, monkeypatch, started_threads):
     built: list[tuple[str, bool, int]] = []
 

@@ -53,6 +53,7 @@ class Job(NamedTuple):
     samples: int
     endpoint: str = "one"
     cap: int = 1
+    use_baseline: bool = False  # one call a debate, where a debate makes two
 
 
 def replay(order: list[str]) -> Choose:
@@ -192,6 +193,7 @@ class Explorer:
                 "num_agents": 2,
                 "endpoint_url": f"http://{job.endpoint}.invalid",
                 "concurrent_api_requests": job.cap,
+                "use_baseline": job.use_baseline,
             }
             self.specs.append(JobSpec(name=job.name, params=params, repeat_index=1))
         self.serial = {
@@ -331,6 +333,14 @@ def test_every_completion_order_of_two_jobs_of_two_samples(tmp_path, monkeypatch
     orders = every_order(Explorer(tmp_path, monkeypatch, TWO_BY_TWO[scenario]))
     assert len(orders) == len({tuple(order) for order in orders}) == schedules
     assert all(len(order) == 8 for order in orders)  # two calls a debate
+
+
+def test_every_completion_order_with_the_queue_reordered(tmp_path, monkeypatch):
+    # Job a is a baseline, so job b's debates can make more calls and are
+    # queued first: both workers start on them.
+    orders = every_order(Explorer(tmp_path, monkeypatch, [Job("a", 2, cap=2, use_baseline=True), Job("b", 2, cap=2)]))
+    assert len(orders) == len({tuple(order) for order in orders}) == 30
+    assert all(len(order) == 6 and order[0][0] == order[1][0] == "b" for order in orders)
 
 
 @pytest.mark.parametrize("raising", ["a1", "b2"])
