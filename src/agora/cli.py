@@ -31,7 +31,7 @@ def main() -> None:
 def run(config_path: str, backend: str, dry_run: bool) -> None:
     """Expand a batch config into jobs and run every debate."""
     # Each command imports what it runs: `evaluate` and `chart` load no gateway.
-    from . import runner
+    from . import decisions, runner
     from .config import BatchConfig, ConfigError, expand_config
     from .gateway import MAX_RETRIES, script_from_dict
 
@@ -61,12 +61,13 @@ def run(config_path: str, backend: str, dry_run: bool) -> None:
         click.echo(f"{len(jobs)} job(s) from {len(cfg.runs)} run(s) x {cfg.repeats} repeat(s)")
         fewest = most = 0
         for job in reports:
-            low, high = runner.call_bounds(job.params)
+            low, high = decisions.call_bounds(job.params)
             fewest, most = fewest + low * len(job.samples), most + high * len(job.samples)
+            # A baseline runs no paradigm; its protocol is the one its log records.
+            kind = "protocol=baseline" if job.params.use_baseline else f"protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}"
             click.echo((
                 f"  {job.name} r{job.repeat_index} -> {job.params.output_json_file_path} "
-                f"[protocol={job.params.decision_protocol} paradigm={job.params.discussion_paradigm}] "
-                f"{low}-{high} call(s) per debate x {len(job.samples)} sample(s)"
+                f"[{kind}] {low}-{high} call(s) per debate x {len(job.samples)} sample(s)"
             ).translate(_ESCAPES))
         click.echo(f"total: {fewest}-{most} call(s), each of at most {MAX_RETRIES + 1} HTTP attempts")
         return

@@ -31,7 +31,6 @@ class ConfigError(Exception):
 
 
 class BatchConfig(NamedTuple):
-    name: str
     repeats: int
     common: dict[str, Any]
     runs: tuple[dict[str, Any], ...]
@@ -53,7 +52,7 @@ class BatchConfig(NamedTuple):
         for index, run in enumerate(runs, 1):
             if not isinstance(run, Mapping):
                 raise ConfigError(f"run {index} must be an object")
-        return cls(str(data.get("name", "")), repeats, dict(common), tuple(dict(run) for run in runs))
+        return cls(repeats, dict(common), tuple(dict(run) for run in runs))  # `name` labels the file for its reader only
 
     @classmethod
     def load(cls, path: str | Path) -> "BatchConfig":

@@ -107,7 +107,10 @@ def write_output(path: str | Path, chunks: Iterable[str]) -> None:
     text that is not UTF-8 (a lone surrogate), raises FormatError naming the file.
 
     The chunks go to a hidden sibling that replaces the file once all are
-    written, so a failed write leaves the previous file, or none."""
+    written, so a failed write leaves the previous file, or none. The sibling
+    reaches the disk before the rename, and the rename does too wherever the
+    platform opens a directory, so a crash or power loss after this returns
+    cannot leave an empty or short file."""
     target = Path(path)
     temp = target.parent / f".{target.name}.{os.urandom(4).hex()}.tmp"
     try:
@@ -115,11 +118,21 @@ def write_output(path: str | Path, chunks: Iterable[str]) -> None:
         try:
             with open(temp, "x", encoding="utf-8", newline="") as handle:
                 handle.writelines(chunks)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(temp, target)
         except BaseException:
             with contextlib.suppress(OSError, ValueError):
                 temp.unlink()
             raise
+        try:
+            folder = os.open(target.parent, os.O_RDONLY)
+        except OSError:  # Windows opens no directory, so it has none to sync
+            return
+        try:
+            os.fsync(folder)
+        finally:
+            os.close(folder)
     except (OSError, ValueError) as exc:  # ValueError: a lone surrogate, or a NUL in the path
         raise FormatError(f"cannot write {path}: {exc}")
 

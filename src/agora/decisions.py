@@ -6,8 +6,8 @@ import re
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import paradigms, prompts
-from .agents import extract_final_answer_response, extract_json_object
-from .domain import CallKind, DebateState, DecisionOutcome, Phase, Share, TieBreak
+from .agents import MAX_DUPLICATE_ATTEMPTS, MAX_PARSE_ATTEMPTS, PERSONA_GENERATORS, extract_final_answer_response, extract_json_object
+from .domain import CallKind, DebateState, DecisionOutcome, JobParams, ParadigmKind, Phase, Share, TieBreak
 from .gateway import AuthRejected, Backend, GatewayError, call
 
 
@@ -32,8 +32,8 @@ def consensus_reached(share: Share, protocol: str) -> bool:
 
 
 def voting_due(turn: int, voting_after_turns: int = 3) -> bool:
-    # >= rather than ==: a tie's extra round pushes past the boundary and
-    # voting must still be due on the turn after it.
+    # >= rather than ==: after a tie, decide's loop runs one more turn, and
+    # the revote runs because voting is still due on that later turn.
     return turn >= voting_after_turns
 
 
@@ -301,47 +301,46 @@ def judge_decide(state: DebateState, backend: Backend, candidates: list[str]) ->
     return DecisionOutcome(resp.text)
 
 
-def decide(state: DebateState, backend: Backend) -> Optional[DecisionOutcome]:
-    """Protocol check after a completed turn; None means keep debating."""
+def decide(state: DebateState, backend: Backend) -> DecisionOutcome:
+    """Run the debate from its panel to its outcome: a turn, then the protocol's check, until one settles it.
+
+    Consensus ends on an agreeing share or at the turn cap. Voting and the
+    judge end at the turn cap if it comes before the voting turn; on the
+    voting turn the judge decides, or a vote round does. A first-round tie
+    with turns left goes on to one more turn and a revote; a tie that
+    persists, or comes at the cap, goes to the lowest tied index.
+    """
     params = state.params
     protocol = params.decision_protocol
+    rounds: list[VoteRound] = []
 
-    def outcome(
-        final_text: Optional[str] = None, rounds: Optional[list[VoteRound]] = None, **extra: Any
-    ) -> DecisionOutcome:
+    def outcome(final_text: Optional[str] = None, **extra: Any) -> DecisionOutcome:
         # The standing draft unless a text is given.
         return DecisionOutcome(
             (state.current_draft or "") if final_text is None else final_text,
-            vote_detail=None if rounds is None else [r.to_log() for r in rounds],
+            vote_detail=[r.to_log() for r in rounds] if rounds else None,
             **extra,
         )
 
-    if protocol in CONSENSUS_PROTOCOLS:
-        if consensus_reached(state.agreement_fraction(), protocol):
-            return outcome()
-        if state.turn >= params.max_turns:
-            return outcome(fallback_reason="turn cap reached without consensus")
-        return None
-
-    if not voting_due(state.turn, params.voting_after_turns):
-        if state.turn >= params.max_turns:
-            return outcome(fallback_reason="turn cap reached before the voting turn")
-        return None
-
-    if protocol == "judge":
-        candidates = collect_candidates(state, backend)
-        return judge_decide(state, backend, candidates)
-
-    # One vote round, plus one extra turn and round to break a tie while
-    # turns remain; a tie that persists goes to the lowest tied index.
-    rounds: list[VoteRound] = []
     while True:
+        paradigms.run_turn(state, backend)
+        if protocol in CONSENSUS_PROTOCOLS:
+            if consensus_reached(state.agreement_fraction(), protocol):
+                return outcome()
+            if state.turn >= params.max_turns:
+                return outcome(fallback_reason="turn cap reached without consensus")
+            continue
+        if not voting_due(state.turn, params.voting_after_turns):
+            if state.turn >= params.max_turns:
+                return outcome(fallback_reason="turn cap reached before the voting turn")
+            continue
+        if protocol == "judge":
+            return judge_decide(state, backend, collect_candidates(state, backend))
         rounds.append(run_vote_round(state, backend))
         tie_round = len(rounds) == 2
         result = rounds[-1].tally
         if result is None:
             return outcome(
-                rounds=rounds,
                 fallback_reason="all ballots invalid in the tie-break round"
                 if tie_round
                 else "all ballots invalid after re-prompts",
@@ -349,7 +348,34 @@ def decide(state: DebateState, backend: Backend) -> Optional[DecisionOutcome]:
         winners = sorted(result.winners)
         final_text = rounds[-1].candidates[winners[0] - 1]
         if len(winners) == 1:
-            return outcome(final_text, rounds, tie_broken=TieBreak.EXTRA_ROUND if tie_round else None)
+            return outcome(final_text, tie_broken=TieBreak.EXTRA_ROUND if tie_round else None)
         if tie_round or state.turn >= params.max_turns:
-            return outcome(final_text, rounds, tie_broken=TieBreak.DETERMINISTIC_INDEX)
-        paradigms.run_turn(state, backend)
+            return outcome(final_text, tie_broken=TieBreak.DETERMINISTIC_INDEX)
+
+
+def call_bounds(params: JobParams) -> tuple[int, int]:
+    """The fewest and the most calls one debate of a prepared job makes when it ends without an error.
+
+    A debate's calls run one after another, so the count is also its critical
+    path. Each turn makes one call per step of the paradigm's schedule. Each
+    persona takes one call, or as many as its generator retries malformed and
+    duplicate replies. A consensus debate ends after 1 to `max_turns` turns.
+    The judge and a vote round come on the voting turn (which preparation
+    keeps within `max_turns`): the judge makes k extractions and its own call,
+    a vote round k extractions and 1 to MAX_BALLOT_ATTEMPTS ballots per voter,
+    and a tie adds one turn and round while turns remain.
+    """
+    if params.use_baseline:
+        return 1, 1
+    k = params.num_agents
+    turn = len(paradigms.schedule(ParadigmKind(params.discussion_paradigm), k, params.debate_exchanges))
+    personas = 0 if PERSONA_GENERATORS[params.persona_generator] is None else k
+    persona_most = personas * (MAX_PARSE_ATTEMPTS + MAX_DUPLICATE_ATTEMPTS - 1)
+    if params.decision_protocol in CONSENSUS_PROTOCOLS:
+        return personas + turn, persona_most + params.max_turns * turn
+    turns = params.voting_after_turns * turn
+    if params.decision_protocol == "judge":
+        return personas + turns + k + 1, persona_most + turns + k + 1
+    vote_round = k + MAX_BALLOT_ATTEMPTS * k
+    tie = turn + vote_round if params.voting_after_turns < params.max_turns else 0
+    return personas + turns + 2 * k, persona_most + turns + vote_round + tie

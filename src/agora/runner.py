@@ -9,19 +9,20 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Optional
 
-from . import datasets, decisions, paradigms, prompts
-from .agents import MAX_DUPLICATE_ATTEMPTS, MAX_PARSE_ATTEMPTS, PERSONA_GENERATORS, build_panel, neutral_panel
+from . import datasets, decisions, prompts
+from .agents import build_panel, neutral_panel
 from .config import ConfigError, JobParams, JobSpec, resolve_job_params
-from .domain import AgentProfile, CallKind, DebateState, DecisionOutcome, ParadigmKind, Phase, TaskInstance, build_log_record
+from .domain import AgentProfile, CallKind, DebateState, DecisionOutcome, Phase, TaskInstance, build_log_record
 from .gateway import Backend, DebateBackend, HttpGateway, ScriptedGateway, call
 
 
 def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
     """One sample's debate, or its single-agent baseline, as a log record; never raises.
 
-    A crash becomes a failure outcome. Every request names the job's model,
-    and the run is timed on the backend's clock (which reads zero for a
-    scripted backend).
+    A debate is its panel, then `decisions.decide`, which runs every turn
+    and the decision. A crash becomes a failure outcome. Every request names
+    the job's model, and the run is timed on the backend's clock (which reads
+    zero for a scripted backend).
     """
     backend = DebateBackend(backend, params.model_name)
     started = backend.clock()
@@ -29,7 +30,6 @@ def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
         sample.instruction_key or params.task_instruction_prompt_template
     )
     state = DebateState(params, sample, task_text, panel=[])
-    outcome: Optional[DecisionOutcome] = None
     try:
         if params.use_baseline:
             state.panel = [AgentProfile(1, neutral_panel(1)[0])]
@@ -41,45 +41,13 @@ def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
             state.turn = 1
             outcome = DecisionOutcome(resp.text)
         else:
-            state.panel = build_panel(
-                params.num_agents, params.persona_generator, task_text, backend
-            )
-            while outcome is None:
-                paradigms.run_turn(state, backend)
-                outcome = decisions.decide(state, backend)
+            state.panel = build_panel(params.num_agents, params.persona_generator, task_text, backend)
+            outcome = decisions.decide(state, backend)
     except Exception as exc:
         outcome = DecisionOutcome("", error=f"{type(exc).__name__}: {exc}")
     state.ended = True
     clock_ms = int((backend.clock() - started) * 1000)
     return build_log_record(state, outcome, clock_ms)
-
-
-def call_bounds(params: JobParams) -> tuple[int, int]:
-    """The fewest and the most calls one debate of a prepared job makes when it ends without an error.
-
-    A debate's calls run one after another, so the count is also its critical
-    path. Each turn makes one call per step of the paradigm's schedule. Each
-    persona takes one call, or as many as its generator retries malformed and
-    duplicate replies. A consensus debate ends after 1 to `max_turns` turns.
-    The judge and a vote round come on the voting turn (which preparation
-    keeps within `max_turns`): the judge makes k extractions and its own call,
-    a vote round k extractions and 1 to MAX_BALLOT_ATTEMPTS ballots per voter,
-    and a tie adds one turn and round while turns remain.
-    """
-    if params.use_baseline:
-        return 1, 1
-    k = params.num_agents
-    turn = len(paradigms.schedule(ParadigmKind(params.discussion_paradigm), k, params.debate_exchanges))
-    personas = 0 if PERSONA_GENERATORS[params.persona_generator] is None else k
-    persona_most = personas * (MAX_PARSE_ATTEMPTS + MAX_DUPLICATE_ATTEMPTS - 1)
-    if params.decision_protocol in decisions.CONSENSUS_PROTOCOLS:
-        return personas + turn, persona_most + params.max_turns * turn
-    turns = params.voting_after_turns * turn
-    if params.decision_protocol == "judge":
-        return personas + turns + k + 1, persona_most + turns + k + 1
-    vote_round = k + decisions.MAX_BALLOT_ATTEMPTS * k
-    tie = turn + vote_round if params.voting_after_turns < params.max_turns else 0
-    return personas + turns + 2 * k, persona_most + turns + vote_round + tie
 
 
 def serialize_record(record: dict[str, Any]) -> str:
@@ -170,10 +138,11 @@ def run_batch(jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None) -
 
     A job that cannot run raises ConfigError before any debate. An endpoint's
     queue holds its jobs longest first, by the most calls a debate of each can
-    make (`call_bounds`; ties keep job order), and each job's samples in sample
-    order. So jobs overlap, every endpoint is busy from the start, no call
-    waits for a slot, and the longest debates start first rather than run on
-    alone at the end; every gateway exists before the first worker starts.
+    make (`decisions.call_bounds`; ties keep job order), and each job's
+    samples in sample order. So jobs overlap, every endpoint is busy from the
+    start, no call waits for a slot, and the longest debates start first
+    rather than run on alone at the end; every gateway exists before the
+    first worker starts.
     The worker that ends a job's last debate writes its log. After a worker's
     error or Ctrl-C no sample starts, and the debates in flight end before the
     error reaches the caller. Returns the prepared jobs in the order given,
@@ -186,7 +155,7 @@ def run_batch(jobs: list[JobSpec], scripted: Optional[ScriptedGateway] = None) -
     keys = [(job.params.endpoint_url, job.params.api_key, job.params.concurrent_api_requests) for job in queued]
     gateways = {key: HttpGateway(*key) for key in dict.fromkeys(keys)} if scripted is None else {}
     queues: dict[tuple[str, str, int], deque] = {key: deque() for key in keys}
-    for job, key in sorted(zip(queued, keys), key=lambda pair: -call_bounds(pair[0].params)[1]):  # stable: ties keep job order
+    for job, key in sorted(zip(queued, keys), key=lambda pair: -decisions.call_bounds(pair[0].params)[1]):  # stable: ties keep job order
         queues[key].extend((job, index, sample, gateways.get(key) or scripted.fork()) for index, sample in enumerate(job.samples))
     lock = threading.Lock()
     raised: list[BaseException] = []

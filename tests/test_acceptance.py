@@ -471,7 +471,7 @@ def test_criterion_5_config_expansion():
         merged = {**common, **run}
         merged["output_json_file_path"] = "out/run-r1.jsonl"
         expanded = expand_config(
-            BatchConfig(name="x", repeats=1, common=common, runs=(run,))
+            BatchConfig(repeats=1, common=common, runs=(run,))
         )
         assert len(expanded) == 1
         assert expanded[0].params == merged, trial

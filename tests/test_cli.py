@@ -102,7 +102,12 @@ def test_run_dry_run_shows_overridden_protocol(tmp_path):
                     "output_json_file_path": str(tmp_path / "v.jsonl"),
                     "decision_protocol": "simple_voting",
                     "discussion_paradigm": "relay",
-                }
+                },
+                {
+                    "output_json_file_path": str(tmp_path / "b.jsonl"),
+                    "use_baseline": True,
+                    "discussion_paradigm": "relay",
+                },
             ],
         },
     )
@@ -112,6 +117,8 @@ def test_run_dry_run_shows_overridden_protocol(tmp_path):
     )
     assert result.exit_code == 0
     assert "[protocol=simple_voting paradigm=relay]" in result.output
+    # A baseline runs no paradigm, and its log records the protocol `baseline`.
+    assert f"  b r1 -> {tmp_path / 'b-r1.jsonl'} [protocol=baseline] 1-1 call(s) per debate x 2 sample(s)" in result.output.splitlines()
 
 
 def test_run_dry_run_prints_each_jobs_call_bounds_and_the_batch_total(tmp_path):

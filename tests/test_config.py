@@ -100,6 +100,10 @@ def test_from_dict_validates_shape():
         BatchConfig.from_dict({"runs": ["not an object"]})
 
 
+def test_the_top_level_name_is_accepted_and_ignored():
+    assert batch(name="my-experiment") == batch()
+
+
 def test_load_reads_json(tmp_path):
     path = tmp_path / "batch.json"
     path.write_text(

@@ -13,7 +13,7 @@ a voting or judge debate ends, what each discussion prompt shows of the
 discussion so far (the model of acceptance criterion 3), and which kind of
 call and which agent each request is labelled with (the stub's reading of
 its prompt, and the log entry its reply became). Each debate's count of
-calls is checked against the engine's bounds (`runner.call_bounds`), with
+calls is checked against the engine's bounds (`decisions.call_bounds`), with
 the bounds met where its turns and rounds were the fewest or the most
 allowed. The same batch at
 cap 1 and at cap 8 must write the same records, and one digest pins them; a
@@ -37,7 +37,7 @@ import pytest
 
 from agora import runner
 from agora.config import CHOICES, JobSpec
-from agora.decisions import consensus_reached
+from agora.decisions import call_bounds, consensus_reached
 from agora.domain import CallKind, JobParams, Phase, Share
 from agora.gateway import HttpGateway, wire_body
 
@@ -318,7 +318,7 @@ def test_each_debate_makes_between_the_fewest_and_the_most_calls_of_its_job(deba
     met = Counter()
     for marker, record, calls in debates:
         config, outcome = record["config"], record["outcome"]
-        fewest, most = runner.call_bounds(JobParams(**config))
+        fewest, most = call_bounds(JobParams(**config))
         kinds = Counter(kind for _, _, (kind, _) in calls)
         rounds, turns, k = len(outcome.get("voteDetail", [])), outcome["decidedAtTurn"], config["num_agents"]
         personas = k if kinds[CallKind.PERSONA] else 0

@@ -4,6 +4,8 @@ and the one reader, writer and lister of files."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,48 @@ def test_write_output_streams_utf8_with_no_newline_translation_into_new_director
     assert path.read_bytes() == "déjà\nx\r\ny\n".encode("utf-8")
     write_output(path, ["replaced"])
     assert path.read_bytes() == b"replaced"
+
+
+def record_syncs_and_renames(monkeypatch) -> list[tuple]:
+    """Each os.fsync (of a directory or of a file, with its size) and os.replace, in call order; both still run."""
+    events: list[tuple] = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", "directory") if stat.S_ISDIR(info.st_mode) else ("fsync", info.st_size))
+        fsync(fd)
+
+    def recording_replace(source, target):
+        events.append(("replace", Path(source).name.startswith("."), Path(target).name))
+        replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return events
+
+
+def test_write_output_syncs_the_whole_file_before_the_rename_and_the_directory_after(tmp_path, monkeypatch):
+    # A rename that reaches the disk before the file's bytes do can leave an
+    # empty or short file after a power loss.
+    events = record_syncs_and_renames(monkeypatch)
+    write_output(tmp_path / "out.jsonl", ["déjà\n", "x\n"])
+    assert events == [("fsync", len("déjà\nx\n".encode("utf-8"))), ("replace", True, "out.jsonl"), ("fsync", "directory")]
+
+
+def test_write_output_skips_the_directory_sync_where_no_directory_opens(tmp_path, monkeypatch):
+    events = record_syncs_and_renames(monkeypatch)
+    real_open = os.open
+
+    def open_no_directory(path, flags, *args, **kwargs):
+        if os.path.isdir(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", open_no_directory)
+    write_output(tmp_path / "out.jsonl", ["ok\n"])
+    assert (tmp_path / "out.jsonl").read_bytes() == b"ok\n"
+    assert events == [("fsync", 3), ("replace", True, "out.jsonl")]
 
 
 @pytest.mark.parametrize("kind", ["parent-is-a-file", "target-is-a-directory", "lone-surrogate"])

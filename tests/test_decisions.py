@@ -33,6 +33,7 @@ from agora.domain import (
     AgentProfile,
     Agreement,
     DebateState,
+    DecisionOutcome,
     JobParams,
     Persona,
     Phase,
@@ -573,84 +574,110 @@ def test_judge_decide_needs_candidates():
 
 
 # -- decide(): consensus --
+#
+# decide runs the debate's turns itself, so each case starts a turn before
+# the one it checks and scripts that turn's replies (memory paradigm: agent 1
+# drafts, each later agent answers in panel order).
 
 
-def consensus_state(
-    agreements: list[Agreement | None], turn: int = 1, **params
-) -> DebateState:
+def decide_with(state: DebateState, replies: list[str]) -> DecisionOutcome:
+    """decide's outcome on these replies, every one of which it must ask for."""
+    backend = replay(replies)
+    outcome = decide(state, backend)
+    assert len(backend.requests) == len(replies)
+    return outcome
+
+
+def consensus_turn(
+    agreements: list[Agreement | None], before: int = 0, **params
+) -> tuple[DebateState, list[str]]:
+    """A debate `before` turns in, and its next turn's replies: a draft, then each later agent's marker."""
     state = make_state(len(agreements), **params)
-    add(state, 1, Phase.DRAFT, "the draft", turn=1)
-    for agent, agreement in enumerate(agreements[1:], start=2):
-        add(
-            state,
-            agent,
-            Phase.IMPROVE,
-            "ok [AGREE]" if agreement is Agreement.AGREE else "no [DISAGREE]",
-            turn=1,
-        )
-    state.turn = turn
-    return state
+    state.turn = before
+    replies = ["the draft"] + [
+        "ok [AGREE]" if agreement is Agreement.AGREE else "no [DISAGREE]"
+        for agreement in agreements[1:]
+    ]
+    return state, replies
 
 
 def test_decide_consensus_reached():
-    state = consensus_state(
+    state, replies = consensus_turn(
         [None, Agreement.AGREE, Agreement.AGREE], decision_protocol="majority_consensus"
     )
-    outcome = decide(state, replay([]))
+    outcome = decide_with(state, replies)
     assert outcome.success
     assert outcome.final_text == "the draft"
     assert state.turn == 1
 
 
 def test_decide_consensus_keeps_debating():
-    state = consensus_state(
+    state, replies = consensus_turn(
         [None, Agreement.DISAGREE, Agreement.DISAGREE], decision_protocol="majority_consensus"
     )
-    assert decide(state, replay([])) is None
+    # No majority after turn 1, so turn 2 runs; there everyone agrees.
+    outcome = decide_with(state, replies + ["ok [AGREE]"] * 3)
+    assert outcome.success
+    assert outcome.final_text == "no [DISAGREE]"
+    assert state.turn == 2
 
 
 def test_decide_consensus_turn_cap_fallback():
-    state = consensus_state(
+    state, replies = consensus_turn(
         [None, Agreement.DISAGREE, Agreement.DISAGREE],
-        turn=7,
+        before=6,
         decision_protocol="majority_consensus",
         max_turns=7,
     )
-    outcome = decide(state, replay([]))
+    outcome = decide_with(state, replies)
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached without consensus"
     # The second disagreeing improve replaced the slate, so it is the fallback.
     assert outcome.final_text == "no [DISAGREE]"
+    assert state.turn == 7
 
 
 def test_decide_unanimity_blocks_on_single_holdout():
-    state = consensus_state(
+    state, replies = consensus_turn(
         [None, Agreement.AGREE, Agreement.DISAGREE], decision_protocol="unanimity_consensus"
     )
-    assert decide(state, replay([])) is None
+    # The holdout keeps turn 1 from settling it; turn 2 is unanimous.
+    outcome = decide_with(state, replies + ["ok [AGREE]"] * 3)
+    assert outcome.success
+    assert state.turn == 2
 
 
 # -- decide(): voting --
 
 
+def voting_turn(n: int = 2, before: int = 2, **params) -> tuple[DebateState, list[str]]:
+    """A debate `before` turns in, and its next turn's replies: what vote_state's transcript holds."""
+    state = make_state(n, **params)
+    state.turn = before
+    return state, ["alpha"] + [f"beta from {agent}" for agent in range(2, n + 1)]
+
+
 def test_decide_voting_not_due_yet():
-    state = vote_state(turn=2, decision_protocol="simple_voting")
-    assert decide(state, replay([])) is None
+    state, replies = voting_turn(before=1, decision_protocol="simple_voting")
+    # Turn 2 comes before the voting turn, so the vote waits for turn 3.
+    outcome = decide_with(state, replies + ["alpha 3", "beta 3", "cand A", "cand B", "1", "1"])
+    assert outcome.vote_detail[0]["turn"] == 3
+    assert state.turn == 3
 
 
 def test_decide_voting_cap_before_voting_turn():
-    state = vote_state(
-        turn=2, decision_protocol="simple_voting", voting_after_turns=9, max_turns=2
+    state, replies = voting_turn(
+        before=1, decision_protocol="simple_voting", voting_after_turns=9, max_turns=2
     )
-    outcome = decide(state, replay([]))
+    outcome = decide_with(state, replies)
     assert not outcome.success
     assert outcome.fallback_reason == "turn cap reached before the voting turn"
+    assert state.turn == 2
 
 
 def test_decide_voting_unique_winner():
-    state = vote_state(decision_protocol="simple_voting")
-    backend = replay(["cand A", "cand B", "2", "2"])
-    outcome = decide(state, backend)
+    state, replies = voting_turn(decision_protocol="simple_voting")
+    outcome = decide_with(state, replies + ["cand A", "cand B", "2", "2"])
     assert outcome.success
     assert outcome.final_text == "cand B"
     assert state.turn == 3
@@ -660,9 +687,8 @@ def test_decide_voting_unique_winner():
 
 
 def test_decide_voting_all_invalid_falls_back():
-    state = vote_state(decision_protocol="simple_voting")
-    backend = replay(["cand A", "cand B"] + ["x"] * 8)
-    outcome = decide(state, backend)
+    state, replies = voting_turn(decision_protocol="simple_voting")
+    outcome = decide_with(state, replies + ["cand A", "cand B"] + ["x"] * 8)
     assert not outcome.success
     assert outcome.fallback_reason == "all ballots invalid after re-prompts"
     assert outcome.final_text == "beta from 2"  # the standing draft
@@ -670,15 +696,16 @@ def test_decide_voting_all_invalid_falls_back():
 
 
 def test_decide_voting_tie_resolved_by_extra_round():
-    state = vote_state(decision_protocol="simple_voting")
-    backend = replay(
-        [
+    state, replies = voting_turn(decision_protocol="simple_voting")
+    outcome = decide_with(
+        state,
+        replies
+        + [
             "cand A", "cand B", "1", "2",  # round 1: tie
             "new say 1 [DISAGREE]", "new say 2 [AGREE]",  # extra debate turn
             "cand A2", "cand B2", "2", "2",  # round 2: agent 2's candidate wins
-        ]
+        ],
     )
-    outcome = decide(state, backend)
     assert outcome.success
     assert outcome.tie_broken is TieBreak.EXTRA_ROUND
     assert outcome.final_text == "cand B2"
@@ -687,24 +714,24 @@ def test_decide_voting_tie_resolved_by_extra_round():
 
 
 def test_decide_voting_persistent_tie_uses_lowest_index():
-    state = vote_state(decision_protocol="simple_voting")
-    backend = replay(
-        [
+    state, replies = voting_turn(decision_protocol="simple_voting")
+    outcome = decide_with(
+        state,
+        replies
+        + [
             "cand A", "cand B", "1", "2",
             "say [DISAGREE]", "say [AGREE]",
             "cand A2", "cand B2", "1", "2",
-        ]
+        ],
     )
-    outcome = decide(state, backend)
     assert outcome.success
     assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
     assert outcome.final_text == "cand A2"
 
 
 def test_decide_voting_tie_at_cap_skips_extra_round():
-    state = vote_state(turn=7, decision_protocol="simple_voting", max_turns=7)
-    backend = replay(["cand A", "cand B", "1", "2"])
-    outcome = decide(state, backend)
+    state, replies = voting_turn(before=6, decision_protocol="simple_voting", max_turns=7)
+    outcome = decide_with(state, replies + ["cand A", "cand B", "1", "2"])
     assert outcome.success
     assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
     assert outcome.final_text == "cand A"
@@ -713,24 +740,24 @@ def test_decide_voting_tie_at_cap_skips_extra_round():
 
 
 def test_decide_voting_tie_break_round_all_invalid():
-    state = vote_state(decision_protocol="simple_voting")
-    backend = replay(
-        [
+    state, replies = voting_turn(decision_protocol="simple_voting")
+    outcome = decide_with(
+        state,
+        replies
+        + [
             "cand A", "cand B", "1", "2",
             "say [DISAGREE]", "say [AGREE]",
             "cand A2", "cand B2",
         ]
-        + ["x"] * 8
+        + ["x"] * 8,
     )
-    outcome = decide(state, backend)
     assert not outcome.success
     assert outcome.fallback_reason == "all ballots invalid in the tie-break round"
     assert len(outcome.vote_detail) == 2
 
 
 def test_decide_judge_protocol():
-    state = vote_state(decision_protocol="judge")
-    backend = replay(["cand A", "cand B", "judged answer"])
-    outcome = decide(state, backend)
+    state, replies = voting_turn(decision_protocol="judge")
+    outcome = decide_with(state, replies + ["cand A", "cand B", "judged answer"])
     assert outcome.success
     assert outcome.final_text == "judged answer"

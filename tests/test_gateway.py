@@ -320,9 +320,12 @@ class ChatHandler(BaseHTTPRequestHandler):
     "text" answers 200 with a body that is not JSON; "short" sends less body
     than its Content-Length says, then closes the connection; "busy" answers
     503 with the body "ok" would send; "drip" sends that body one byte every
-    50 ms, so no single read waits long but the whole reply does. A CONNECT request
-    (an HTTPS tunnel) is refused. The server counts the connections it
-    accepts and records each request line's target and proxy credentials.
+    50 ms, so no single read waits long but the whole reply does; "chunked"
+    sends it with Transfer-Encoding: chunked, in two chunks and a last one;
+    "chunked-short" sends only its first chunk, then closes the connection.
+    A CONNECT request (an HTTPS tunnel) is refused. The server counts the
+    connections it accepts and records each request line's target and proxy
+    credentials.
     """
 
     protocol_version = "HTTP/1.1"
@@ -352,6 +355,14 @@ class ChatHandler(BaseHTTPRequestHandler):
         reply = b"<html>busy</html>" if mode == "text" else json.dumps(ok_payload("ok")).encode("utf-8")
         self.send_response(503 if mode == "busy" else 200)
         self.send_header("Content-Type", "application/json")
+        if mode.startswith("chunked"):
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            half = len(reply) // 2
+            chunks = [reply[:half]] if mode == "chunked-short" else [reply[:half], reply[half:], b""]
+            self.wfile.write(b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk) for chunk in chunks))
+            self.close_connection = mode == "chunked-short"
+            return
         self.send_header("Content-Length", str(len(reply) + (10 if mode == "short" else 0)))
         if mode == "close":
             self.send_header("Connection", "close")
@@ -551,6 +562,38 @@ def test_a_body_cut_short_of_its_length_is_retried(loopback_server, monkeypatch)
         HttpGateway(server.url, sleeper=sleeps.append).complete(req())
     assert len(server.targets) == 2
     assert len(sleeps) == 1
+
+
+def test_default_transport_reads_a_chunked_reply_and_reuses_its_connection(loopback_server):
+    server = loopback_server("chunked")
+    assert fifty_calls(server, max_in_flight=1) == ["ok"] * 50
+    assert server.connections == 1
+
+
+def test_a_chunked_body_cut_short_is_retried(loopback_server, monkeypatch):
+    server = loopback_server("chunked-short")
+    sleeps: list[float] = []
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
+    with pytest.raises(EndpointUnreachable, match="2 attempts: IncompleteRead"):
+        HttpGateway(server.url, sleeper=sleeps.append).complete(req())
+    assert len(server.targets) == 2
+    assert len(sleeps) == 1
+
+
+def test_a_chunked_body_over_the_cap_is_malformed_and_not_retried(loopback_server, monkeypatch):
+    server = loopback_server("chunked")
+    size = len(json.dumps(ok_payload("ok")).encode("utf-8"))
+    sleeps: list[float] = []
+    gw = HttpGateway(server.url, sleeper=sleeps.append)
+    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size)
+    assert gw.complete(req()).text == "ok"
+    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size - 1)
+    with pytest.raises(MalformedResponse, match=f"over the {size - 1}-byte cap"):
+        gw.complete(req())
+    assert len(server.targets) == 2
+    assert sleeps == []
+    assert server.connections == 1
+    assert server.closed.acquire(timeout=5)  # the connection, the rest of the body unread, is closed
 
 
 def test_http_proxy_gets_the_absolute_uri(loopback_server, no_proxy_env):

@@ -8,7 +8,9 @@ the lines `agora run` prints, with the seconds figure masked. A README edit
 that breaks the quick start fails here, and so does a change to a template,
 a rule or the CLI that alters one output byte.
 
-The `python` block under "Library use" runs as it stands, and the table of
+The `python` block under "Library use" runs as it stands; the key table
+under "Batch config" names every job key in `JobParams` order, and each
+default it gives as a literal is the code's; and the table of
 error types a library caller can catch names every exception class each
 module of src/agora defines, and no class that is gone.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import builtins
 import hashlib
 import importlib
+import json
 import re
 import shlex
 from pathlib import Path
@@ -25,6 +28,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from agora.cli import main
+from agora.domain import JobParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src" / "agora"
@@ -114,3 +118,22 @@ def test_the_error_table_names_each_modules_exception_classes():
     assert {module: named.get(module, set()) & classes for module, classes in defined.items()} == defined
     builtin = {name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)}
     assert set().union(*named.values()) - builtin - set().union(*defined.values()) == set()
+
+
+def literal_default(cell: str):
+    """The value a default cell gives as one code span (`8`, `""`, `simple`, `false`), or None for prose."""
+    if not re.fullmatch(r"`[^`]*`", cell):
+        return None
+    try:
+        return json.loads(cell[1:-1])
+    except ValueError:
+        return cell[1:-1]  # a bare word: a string value
+
+
+def test_the_batch_config_table_names_every_job_key_in_order_with_its_default():
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", readme_section("Batch config"), re.M)
+    assert [key for key, _ in rows] == list(JobParams._fields)
+    literals = {key: value for key, cell in rows if (value := literal_default(cell)) is not None}
+    assert {"api_key", "concurrent_api_requests", "response_generator", "use_baseline"} <= literals.keys()
+    defaults = {key: JobParams._field_defaults[key] for key in literals}
+    assert {key: (type(v), v) for key, v in literals.items()} == {key: (type(v), v) for key, v in defaults.items()}

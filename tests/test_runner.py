@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from agora import datasets, runner
+from agora import datasets, decisions, runner
 from agora.config import ConfigError, JobSpec, resolve_job_params
 from agora.domain import CallKind, Phase, TaskInstance
 from agora.gateway import AuthRejected, ChatResponse, HttpGateway, script_from_dict
@@ -856,7 +856,7 @@ def test_run_batch_hands_out_the_longest_debates_first(tmp_path, monkeypatch):
     assert [(report.name, report.records) for report in reports] == [("baseline", 2), ("consensus", 2), ("voting", 2)]
     # At most 1, 14 and 28 calls a debate; one slot, so one worker takes the
     # samples longest job first, and each job's in sample order.
-    assert [runner.call_bounds(report.params)[1] for report in reports] == [1, 14, 28]
+    assert [decisions.call_bounds(report.params)[1] for report in reports] == [1, 14, 28]
     assert seen == ["voting:0001", "voting:0002", "consensus:0001", "consensus:0002", "baseline:0001", "baseline:0002"]
 
 

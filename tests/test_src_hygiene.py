@@ -21,8 +21,9 @@ The debate state is the one carrier of a debate's job: no function takes it
 next to a second one. And `datasets.read_input` is the one place that reads
 an input file (the package's prompt templates aside), and
 `datasets.write_output` the one place that writes an output file
-(`write_text`, `write_bytes`, `mkdir`, `makedirs`, or `open` in a mode with
-`w`, `a` or `x`), so every input and output error names its file in one way.
+(`write_text`, `write_bytes`, `mkdir`, `makedirs`, `os.write`, an `os.open`
+that is not read-only, or `open` in a mode with `w`, `a` or `x`), so every
+input and output error names its file in one way.
 And `DebateState.add` is the one place that builds a `Message`: the state
 numbers each message, and the message reads its agreement from its text.
 And `gateway` alone builds a `ChatRequest` and calls `.complete(`: every
@@ -40,6 +41,9 @@ catches any exception, so a job's set-up fault stops the batch instead of
 becoming a result. And each value type is one class: no class derives from
 a NamedTuple defined in src/agora, and no NamedTuple defines `__new__`, so
 a value is checked by the one reader of outside input that builds it.
+And `decisions.decide` alone calls `paradigms.run_turn`, so one loop runs a
+debate's turns, its vote and a tie's extra round, and `decisions.call_bounds`,
+beside it, counts what that loop can call.
 And `datasets` alone builds or parses a debate log's name (`<job>-r<N><suffix>`)
 and decides whether a job name is a plain file name, so `run` names a job,
 writes its logs and refuses a name by the rule `evaluate` reads them by.
@@ -356,13 +360,21 @@ READERS = {("datasets", "read_input"), ("prompts", "template_text")}
 WRITERS = {("datasets", "write_output")}
 
 
+def _os_call(call: ast.Call, name: str) -> bool:
+    func = call.func
+    return isinstance(func, ast.Attribute) and func.attr == name and getattr(func.value, "id", None) == "os"
+
+
 def _open_mode(call: ast.Call) -> str | None:
     """The mode an `open` or `.open` call opens in ("r" by default, "?" when not a
-    constant), or None for any other call."""
+    constant), or None for any other call. `os.open` is none: it gives a
+    descriptor (the writer's directory sync takes one), so it counts as
+    writing unless its flags are `os.O_RDONLY`, and `os.read` and `os.write`
+    are what read and write through it."""
     func = call.func
     if isinstance(func, ast.Name) and func.id == "open":
         modes = call.args[1:2]
-    elif isinstance(func, ast.Attribute) and func.attr == "open":
+    elif isinstance(func, ast.Attribute) and func.attr == "open" and not _os_call(call, "open"):
         modes = call.args[:1]
     else:
         return None
@@ -373,9 +385,9 @@ def _open_mode(call: ast.Call) -> str | None:
 
 
 def _reads_a_file(call: ast.Call) -> bool:
-    """read_text, read_bytes, json.load, or open / .open in a mode that reads."""
+    """read_text, read_bytes, json.load, os.read, or open / .open in a mode that reads."""
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
+    if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes") or _os_call(call, "read"):
         return True
     if isinstance(func, ast.Attribute) and func.attr == "load":
         return getattr(func.value, "id", None) == "json"
@@ -384,11 +396,15 @@ def _reads_a_file(call: ast.Call) -> bool:
 
 
 def _writes_a_file(call: ast.Call) -> bool:
-    """write_text, write_bytes, mkdir, makedirs, or open / .open in a mode that writes."""
+    """write_text, write_bytes, mkdir, makedirs, os.write, os.open but read-only,
+    or open / .open in a mode that writes."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs") or _os_call(call, "write"):
         return True
+    if _os_call(call, "open"):
+        flags = call.args[1] if len(call.args) > 1 else None
+        return not (isinstance(flags, ast.Attribute) and flags.attr == "O_RDONLY")
     mode = _open_mode(call)
     return mode is not None and (mode == "?" or bool(set("wax").intersection(mode)))
 
@@ -458,6 +474,14 @@ def test_only_the_preparation_step_resolves_a_job_or_loads_its_dataset():
     prepare = ("runner", "prepare_jobs")
     assert calls_outside(_calls("resolve_job_params"), {prepare}) == []
     assert calls_outside(_calls("load_input_file"), {prepare, ("evaluation", "evaluate_logs")}) == []
+
+
+def test_only_decide_runs_a_turn():
+    # A second loop over turns would check the protocol by a second rule, and
+    # call_bounds would bound one of the two.
+    assert calls_outside(_calls("run_turn"), {("decisions", "decide")}) == []
+    trees, _ = _parsed_package()
+    assert [module for module, tree in trees.items() if "call_bounds" in dict(_definitions(tree))] == ["decisions"]
 
 
 def _catches_any_exception(handler: ast.ExceptHandler) -> bool:

@@ -57,7 +57,7 @@ IMMUTABLE = {
     ScriptRule: lambda: ScriptRule("ok", (MatchClause("draft"),), True),
     TurnStep: lambda: TurnStep(2, Phase.FEEDBACK),
     FieldMapping: lambda: FieldMapping(("q",), ("a",), id_field="id"),
-    BatchConfig: lambda: BatchConfig("sweep", 2, {"seed": 1}, ({"num_agents": 3},)),
+    BatchConfig: lambda: BatchConfig(2, {"seed": 1}, ({"num_agents": 3},)),
     JobSpec: lambda: JobSpec("demo", {"seed": 1}, 1),
     Ballot: lambda: Ballot(2, "I vote 1", parsed=1, valid=True),
     Tally: lambda: Tally({1: 2, 2: 0}, {1}),
