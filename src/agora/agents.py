@@ -196,8 +196,6 @@ def extract_final_answer_response(
     backend: Backend,
 ):
     """Full gateway response for an agent's extraction call (text plus latency)."""
-    if not previous_response:
-        raise ValueError("previous response must be non-empty")
     messages = [
         ("system", prompts.render_role_system(profile.persona)),
         ("user", prompts.render_extraction_user(task_text, input_text, previous_response)),

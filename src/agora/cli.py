@@ -123,3 +123,7 @@ def chart(evals: str, out_dir: str, metric: str | None) -> None:
         raise click.ClickException(str(exc).translate(_ESCAPES))
     for path in manifest:
         click.echo(str(path).translate(_ESCAPES))
+
+
+if __name__ == "__main__":
+    main()

@@ -80,9 +80,10 @@ def expand_config(cfg: BatchConfig) -> list[JobSpec]:
 
     Each run must name its dataset and its log, and `datasets.job_logs` names
     the job and each repeat's log. Two runs may not share a job name in one
-    folder, however the path is spelled: the later job's log would replace the
-    earlier one's, or `evaluate` would average both in as one job's. Every
-    other check of a job is made as it is prepared (`runner.prepare_jobs`).
+    folder, however the path is spelled or whichever link it goes through:
+    the later job's log would replace the earlier one's, or `evaluate` would
+    average both in as one job's. Every other check of a job is made as it
+    is prepared (`runner.prepare_jobs`).
     """
     jobs: list[JobSpec] = []
     writers: dict[tuple[str, str], int] = {}
@@ -93,7 +94,8 @@ def expand_config(cfg: BatchConfig) -> list[JobSpec]:
             raise ConfigError(f"run {index} is missing required key(s) after overlay: {', '.join(missing)}")
         output = _typed("output_json_file_path", merged["output_json_file_path"], "")
         name, logs = job_logs(output, cfg.repeats)
-        first = writers.setdefault((os.path.abspath(os.path.dirname(output)), name), index)
+        folder = os.path.dirname(output)  # realpath raises on a NUL, which prepare_jobs refuses by name
+        first = writers.setdefault((folder if "\0" in folder else os.path.realpath(folder), name), index)
         if first != index:
             raise ConfigError(f"runs {first} and {index} both write {output!r}")
         jobs += [JobSpec(name, {**merged, "output_json_file_path": log}, repeat) for repeat, log in enumerate(logs, 1)]

@@ -31,7 +31,7 @@ def consensus_reached(share: Share, protocol: str) -> bool:
     return _CONSENSUS_RULES[protocol](share.numerator, share.denominator)
 
 
-def voting_due(turn: int, voting_after_turns: int = 3) -> bool:
+def voting_due(turn: int, voting_after_turns: int) -> bool:
     # >= rather than ==: after a tie, decide's loop runs one more turn, and
     # the revote runs because voting is still due on that later turn.
     return turn >= voting_after_turns
@@ -100,7 +100,7 @@ def parse_ranked(text: str, k: int) -> list[int]:
     return values
 
 
-def parse_cumulative(text: str, k: int, budget: int = 10) -> dict[int, int]:
+def parse_cumulative(text: str, k: int, budget: int) -> dict[int, int]:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     try:
@@ -164,7 +164,7 @@ def _voting_rule(protocol: str) -> _VotingRule:
         raise ValueError(f"{protocol!r} is not a voting protocol") from None
 
 
-def parse_ballot(protocol: str, text: str, k: int, budget: int = 10) -> Any:
+def parse_ballot(protocol: str, text: str, k: int, budget: int) -> Any:
     return _voting_rule(protocol).parse(text, k, budget)
 
 

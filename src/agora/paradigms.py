@@ -13,7 +13,6 @@ from .domain import (
     Message,
     ParadigmKind,
     Phase,
-    ResponseGeneratorKind,
 )
 from .gateway import Backend, call
 
@@ -49,7 +48,7 @@ def pair_of(n_agents: int, agent_id: int) -> tuple[int, ...]:
     raise ValueError(f"agent {agent_id} is not a paired peer")
 
 
-def schedule(kind: ParadigmKind, n_agents: int, debate_exchanges: int = 2) -> list[TurnStep]:
+def schedule(kind: ParadigmKind, n_agents: int, debate_exchanges: int) -> list[TurnStep]:
     """Speaker order for one turn; identical for every turn of a debate, so pairs stay fixed."""
     if kind in (ParadigmKind.MEMORY, ParadigmKind.RELAY):
         if n_agents < 2:
@@ -77,15 +76,14 @@ def schedule(kind: ParadigmKind, n_agents: int, debate_exchanges: int = 2) -> li
     return steps
 
 
-def visible_messages(
-    kind: ParadigmKind, state: DebateState, step: TurnStep
-) -> list[Message]:
+def visible_messages(state: DebateState, step: TurnStep) -> list[Message]:
     """Messages the speaker may see; only debate phases ever qualify.
 
     Memory speakers and every central synthesis see the whole discussion,
     a relay speaker the last message, a report peer its own messages and
     the syntheses, a debate peer its pair's current turn and the syntheses.
     """
+    kind = ParadigmKind(state.params.discussion_paradigm)
     base = state.debate_messages()
     if kind is ParadigmKind.MEMORY or step.phase is Phase.CENTRAL_SYNTHESIS:
         return base
@@ -114,17 +112,10 @@ def _profile(state: DebateState, agent_id: int) -> AgentProfile:
     raise ValueError(f"no panel agent {agent_id}")
 
 
-_STEP_PROMPTS = {
-    Phase.IMPROVE: prompts.TurnPrompt.IMPROVE,
-    Phase.FEEDBACK: prompts.TurnPrompt.FEEDBACK,
-    Phase.CENTRAL_SYNTHESIS: prompts.TurnPrompt.REVISE,
-}
-
-
 def render_step_prompt(state: DebateState, step: TurnStep) -> list[tuple[str, str]]:
     """Message list for one step's completion call."""
     profile = _profile(state, step.speaker)
-    visible = visible_messages(ParadigmKind(state.params.discussion_paradigm), state, step)
+    visible = visible_messages(state, step)
     memory_text = prompts.render_memory(
         [(_profile(state, m.agent_id).persona.name, m.text) for m in visible]
     )
@@ -140,9 +131,7 @@ def render_step_prompt(state: DebateState, step: TurnStep) -> list[tuple[str, st
     if draft is None:
         # First proposal: the system prompt carries the whole instruction.
         return [("system", system)]
-    user = prompts.render_turn_user_prompt(
-        ResponseGeneratorKind(state.params.response_generator), _STEP_PROMPTS[step.phase]
-    )
+    user = prompts.render_turn_user_prompt(state.params.response_generator, step.phase)
     return [("system", system), ("user", user)]
 
 

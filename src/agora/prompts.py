@@ -6,19 +6,12 @@ renderers only fill named slots and assemble repeated blocks.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from string import Template
 from typing import Optional
 
-from .domain import Persona, ResponseGeneratorKind
-
-
-class TurnPrompt(str, Enum):
-    IMPROVE = "improve"
-    FEEDBACK = "feedback"
-    REVISE = "revise"
+from .domain import Persona, Phase
 
 
 @lru_cache(maxsize=None)
@@ -71,10 +64,12 @@ def render_discussion_system(
     )
 
 
-def render_turn_user_prompt(
-    generator: ResponseGeneratorKind, phase: TurnPrompt
-) -> str:
-    return template_text(f"{generator.value}_{phase.value}")
+# Each discussion step's turn prompt is <response_generator>_<suffix>.txt.
+_TURN_PROMPTS = {Phase.IMPROVE: "improve", Phase.FEEDBACK: "feedback", Phase.CENTRAL_SYNTHESIS: "revise"}
+
+
+def render_turn_user_prompt(generator: str, phase: Phase) -> str:
+    return template_text(f"{generator}_{_TURN_PROMPTS[phase]}")
 
 
 def render_vote_user(

@@ -79,9 +79,10 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
     ConfigError naming the job (and the file at fault), before any debate.
     A log path is at fault if it holds a NUL, ends in a suffix `evaluate`
     skips, gives a job name `evaluate` refuses, is a directory or lies under
-    a file, or if `evaluate` would read a file beside it that the batch does
-    not write as a repeat of the same job: that one is left from an earlier
-    batch, and `evaluate` would average it in or refuse the two."""
+    a file or a link that is not a directory, or if `evaluate` would read a
+    file beside it that the batch does not write as a repeat of the same
+    job: that one is left from an earlier batch, and `evaluate` would
+    average it in or refuse the two."""
     writes = {Path(str(spec.params.get("output_json_file_path"))) for spec in jobs}  # each is checked as its job is
     loaded: dict[str, list[TaskInstance]] = {}
     listed: dict[Path, list[tuple[str, Path]]] = {}  # per log folder, once a batch: each log's job and file
@@ -103,8 +104,8 @@ def prepare_jobs(jobs: list[JobSpec], http_backend: bool) -> list[JobReport]:
             job, _ = datasets.log_job(Path(log))  # refuses a job name that evaluate would refuse
             if os.path.isdir(log):
                 raise ConfigError(f"cannot write {log}: it is a directory")
-            ancestor = Path(log).parent  # the nearest one that exists must be a directory
-            while not ancestor.exists() and ancestor != ancestor.parent:
+            ancestor = Path(log).parent  # the nearest entry, a link too, must be a directory
+            while not os.path.lexists(ancestor) and ancestor != ancestor.parent:
                 ancestor = ancestor.parent
             if not ancestor.is_dir():
                 raise ConfigError(f"cannot write {log}: {ancestor} is not a directory")

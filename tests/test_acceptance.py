@@ -36,7 +36,6 @@ from agora.gateway import ChatMessage, ChatRequest, HttpGateway, script_from_dic
 from agora.metrics import bleu, meteor_lite, rouge
 from agora.paradigms import ParadigmKind, run_turn
 from agora.prompts import (
-    TurnPrompt,
     render_cot_system,
     render_discussion_system,
     render_extraction_user,
@@ -553,6 +552,10 @@ def test_criterion_8_gateway_concurrency_bound():
 # -- criterion 9: prompt catalog digests --
 
 
+# Each discussion step and the name its turn prompt has in the catalog.
+TURN_PROMPTS = ((Phase.IMPROVE, "improve"), (Phase.FEEDBACK, "feedback"), (Phase.CENTRAL_SYNTHESIS, "revise"))
+
+
 def prompt_catalog() -> dict[str, str]:
     """Eighteen canonical renderings with fixed inputs."""
     persona = Persona(
@@ -564,9 +567,9 @@ def prompt_catalog() -> dict[str, str]:
     candidates = ["Carbon dioxide.", "Oxygen.", "Nitrogen."]
     entries: dict[str, str] = {}
     for generator in ResponseGeneratorKind:
-        for phase in TurnPrompt:
-            entries[f"turn-{generator.value}-{phase.value}"] = render_turn_user_prompt(
-                generator, phase
+        for phase, prompt in TURN_PROMPTS:
+            entries[f"turn-{generator.value}-{prompt}"] = render_turn_user_prompt(
+                generator.value, phase
             )
     for protocol in (
         "simple_voting",

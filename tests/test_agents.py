@@ -21,6 +21,7 @@ from agora.agents import (
 )
 from agora.domain import AgentProfile, Persona
 from agora.gateway import ChatResponse
+from agora.prompts import render_extraction_user
 from recording import replay
 
 
@@ -270,6 +271,10 @@ def test_extract_final_answer_response_carries_latency():
     assert resp.latency_ms == 42
 
 
-def test_extract_final_answer_requires_previous_text():
-    with pytest.raises(ValueError):
-        extract_final_answer_response(AgentProfile(1, Persona(name="P")), "t", "i", "", replay(["x"]))
+def test_extract_final_answer_from_an_empty_previous_reply():
+    # Any endpoint can reply with nothing; the agent is still asked for its answer.
+    backend = replay(["x"])
+    resp = extract_final_answer_response(AgentProfile(1, Persona(name="P")), "t", "i", "", backend)
+    assert resp.text == "x"
+    (req,) = backend.requests
+    assert req.messages[1].content == render_extraction_user("t", "i", "")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -641,12 +643,14 @@ def test_evaluate_names_the_log_and_the_dataset_of_an_unknown_sample_id(tmp_path
     )
 
 
-def test_a_log_path_holding_a_nul_stops_run_and_dry_run(tmp_path):
+@pytest.mark.parametrize("folder, job", [("logs", "de\0mo"), ("lo\0gs", "demo")])
+def test_a_log_path_holding_a_nul_stops_run_and_dry_run(tmp_path, folder, job):
     # No file name holds a NUL, so the job is refused as it is prepared: a dry
     # run that passed would promise a job that cannot write its log.
     dataset, script, _ = make_workspace(tmp_path)
-    output = str(tmp_path / "logs" / "de\0mo.jsonl")
-    log = str(tmp_path / "logs" / "de\0mo-r1.jsonl")
+    output = str(tmp_path / folder / f"{job}.jsonl")
+    log = str(tmp_path / folder / f"{job}-r1.jsonl")
+    shown = job.replace("\0", "\\x00")
     config = write_json(
         tmp_path / "nul.json",
         {
@@ -660,9 +664,9 @@ def test_a_log_path_holding_a_nul_stops_run_and_dry_run(tmp_path):
             main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
         )
         assert result.exit_code == 1
-        assert result.output == f"Error: {config}: de\\x00mo r1: cannot write {log!r}: the path holds a NUL\n"
+        assert result.output == f"Error: {config}: {shown} r1: cannot write {log!r}: the path holds a NUL\n"
         assert no_control_characters(result.output)
-    assert not (tmp_path / "logs").exists()
+    assert not any(path.is_dir() for path in tmp_path.iterdir())
 
 
 def no_control_characters(output: str) -> bool:
@@ -801,3 +805,61 @@ def test_a_job_name_evaluate_refuses_stops_run_and_dry_run(tmp_path, name, job, 
     )
     assert result.exit_code == 1
     assert result.output == f"Error: {reason}\n"
+
+
+def test_two_runs_writing_one_log_through_a_linked_folder_stop_run_and_dry_run(tmp_path):
+    # alias links to logs, so both runs would write logs/a-r1.jsonl and the
+    # second log would replace the first.
+    dataset, script, _ = make_workspace(tmp_path)
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (tmp_path / "alias").symlink_to(logs, target_is_directory=True)
+    aliased = str(tmp_path / "alias" / "a.jsonl")
+    config = write_json(
+        tmp_path / "aliased.json",
+        {
+            "repeats": 1,
+            "common": {"input_json_file_path": str(dataset)},
+            "runs": [{"output_json_file_path": str(logs / "a.jsonl")}, {"output_json_file_path": aliased}],
+        },
+    )
+    for extra in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {config}: runs 1 and 2 both write {aliased!r}\n"
+    assert list(logs.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["dangling", "loop"])
+def test_a_log_folder_that_links_to_no_directory_stops_run_and_dry_run(tmp_path, kind):
+    # The link is the log's nearest existing entry; no log can be written
+    # under it, so the job stops before any debate.
+    dataset, script, _ = make_workspace(tmp_path)
+    link = tmp_path / "linked"
+    link.symlink_to(tmp_path / "nowhere" / "dir" if kind == "dangling" else link)
+    config = one_run_config(tmp_path, dataset, output_json_file_path=str(link / "a.jsonl"))
+    for extra in (["--dry-run"], []):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--backend", f"scripted:{script}", *extra]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {config}: a r1: cannot write {link / 'a-r1.jsonl'}: {link} is not a directory\n"
+    assert link.is_symlink()
+    assert not (tmp_path / "nowhere").exists()
+
+
+def test_the_cli_module_runs_as_a_script(tmp_path):
+    # `python -m agora.cli` is the CLI where the package is not installed.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "agora.cli", "run", "--config", str(tmp_path / "missing.json")],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"Error: no such file: {tmp_path / 'missing.json'}\n"

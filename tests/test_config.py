@@ -19,7 +19,7 @@ from agora.config import (
     expand_config,
     resolve_job_params,
 )
-from agora.domain import ParadigmKind, ResponseGeneratorKind
+from agora.domain import ParadigmKind
 from agora.gateway import ChatResponse
 from agora.paradigms import schedule
 
@@ -61,14 +61,15 @@ class PersonaBackend:
 def test_every_accepted_choice_has_an_engine_dispatch():
     # A value the config accepts must never pass validation and then find no
     # prompt, schedule, panel builder or decision rule at run time.
-    for value in CHOICES["response_generator"]:
-        for prompt in prompts.TurnPrompt:
-            assert prompts.render_turn_user_prompt(ResponseGeneratorKind(value), prompt)
     for value in CHOICES["persona_generator"]:
         profiles = build_panel(3, value, "t", PersonaBackend())
         assert len(profiles) == 3
     for value in CHOICES["discussion_paradigm"]:
-        assert schedule(ParadigmKind(value), 3)
+        steps = schedule(ParadigmKind(value), 3, 2)
+        assert steps
+        for generator in CHOICES["response_generator"]:
+            for step in steps:  # every step of every paradigm has its turn prompt
+                assert prompts.render_turn_user_prompt(generator, step.phase)
     protocols = CHOICES["decision_protocol"]
     voting = protocols - decisions.CONSENSUS_PROTOCOLS - {"judge"}
     assert decisions.VOTING_PROTOCOLS == voting

@@ -213,37 +213,37 @@ def test_ranked_rejects_bad_k():
 
 
 def test_cumulative_plain_and_fenced():
-    assert parse_cumulative('{"1": 6, "3": 4}', 3) == {1: 6, 3: 4}
+    assert parse_cumulative('{"1": 6, "3": 4}', 3, 10) == {1: 6, 3: 4}
     fenced = 'Here:\n```json\n{"2": 10}\n```'
-    assert parse_cumulative(fenced, 3) == {2: 10}
+    assert parse_cumulative(fenced, 3, 10) == {2: 10}
 
 
 def test_cumulative_underspend_is_fine():
-    assert parse_cumulative('{"2": 3}', 3) == {2: 3}
+    assert parse_cumulative('{"2": 3}', 3, 10) == {2: 3}
 
 
 def test_cumulative_budget_enforced():
-    assert parse_cumulative('{"1": 10}', 3) == {1: 10}
+    assert parse_cumulative('{"1": 10}', 3, 10) == {1: 10}
     with pytest.raises(VoteParseFailure, match="budget is"):
-        parse_cumulative('{"1": 6, "2": 5}', 3)
+        parse_cumulative('{"1": 6, "2": 5}', 3, 10)
     assert parse_cumulative('{"1": 3}', 3, budget=3) == {1: 3}
     with pytest.raises(VoteParseFailure, match="budget is"):
         parse_cumulative('{"1": 4}', 3, budget=3)
 
 
 def test_cumulative_zero_key_shifts_whole_ballot():
-    assert parse_cumulative('{"0": 5, "2": 5}', 3) == {1: 5, 3: 5}
+    assert parse_cumulative('{"0": 5, "2": 5}', 3, 10) == {1: 5, 3: 5}
 
 
 def test_cumulative_rejects_junk():
     for text in ['{"1": -2}', '{"1": "six"}', '{"1": true}', '{"one": 3}', "{}", "no json"]:
         with pytest.raises(VoteParseFailure):
-            parse_cumulative(text, 3)
+            parse_cumulative(text, 3, 10)
 
 
 def test_cumulative_out_of_range():
     with pytest.raises(VoteParseFailure):
-        parse_cumulative('{"5": 1}', 3)
+        parse_cumulative('{"5": 1}', 3, 10)
 
 
 def test_cumulative_rejects_bad_budget():
@@ -252,12 +252,12 @@ def test_cumulative_rejects_bad_budget():
 
 
 def test_parse_ballot_dispatch():
-    assert parse_ballot("simple_voting", "2", 3) == 2
-    assert parse_ballot("approval_voting", "1 2", 3) == {1, 2}
-    assert parse_ballot("ranked_voting", "2 1", 3) == [2, 1]
-    assert parse_ballot("cumulative_voting", '{"1": 1}', 3) == {1: 1}
+    assert parse_ballot("simple_voting", "2", 3, 10) == 2
+    assert parse_ballot("approval_voting", "1 2", 3, 10) == {1, 2}
+    assert parse_ballot("ranked_voting", "2 1", 3, 10) == [2, 1]
+    assert parse_ballot("cumulative_voting", '{"1": 1}', 3, 10) == {1: 1}
     with pytest.raises(ValueError):
-        parse_ballot("majority_consensus", "2", 3)
+        parse_ballot("majority_consensus", "2", 3, 10)
 
 
 # -- ballot logging --

@@ -74,7 +74,7 @@ def test_pair_of_rejects_central_agent():
 
 
 def test_memory_schedule_everyone_improves_with_full_view():
-    steps = schedule(ParadigmKind.MEMORY, 3)
+    steps = schedule(ParadigmKind.MEMORY, 3, 2)
     assert steps == [
         TurnStep(1, Phase.IMPROVE),
         TurnStep(2, Phase.IMPROVE),
@@ -83,19 +83,19 @@ def test_memory_schedule_everyone_improves_with_full_view():
 
 
 def test_relay_schedule_sees_only_last_message():
-    steps = schedule(ParadigmKind.RELAY, 2)
+    steps = schedule(ParadigmKind.RELAY, 2, 2)
     assert steps == [TurnStep(1, Phase.IMPROVE), TurnStep(2, Phase.IMPROVE)]
 
 
 def test_memory_and_relay_need_two_agents():
     with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.MEMORY, 1)
+        schedule(ParadigmKind.MEMORY, 1, 2)
     with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.RELAY, 1)
+        schedule(ParadigmKind.RELAY, 1, 2)
 
 
 def test_report_schedule_peers_then_central():
-    steps = schedule(ParadigmKind.REPORT, 4)
+    steps = schedule(ParadigmKind.REPORT, 4, 2)
     assert [s.speaker for s in steps] == [2, 3, 4, 1]
     assert steps[-1] == TurnStep(1, Phase.CENTRAL_SYNTHESIS)
     assert all(s.phase is Phase.IMPROVE for s in steps[:-1])
@@ -103,9 +103,9 @@ def test_report_schedule_peers_then_central():
 
 def test_report_and_debate_need_three_agents():
     with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.REPORT, 2)
+        schedule(ParadigmKind.REPORT, 2, 2)
     with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.DEBATE, 2)
+        schedule(ParadigmKind.DEBATE, 2, 2)
 
 
 def test_debate_schedule_alternates_within_pair():
@@ -135,7 +135,7 @@ def test_schedule_is_turn_invariant():
         for _ in range(3):
             run_turn(state, backend)
         per_turn = [[m.agent_id for m in state.transcript if m.turn == t] for t in (1, 2, 3)]
-        expected = [step.speaker for step in schedule(kind, 5)]
+        expected = [step.speaker for step in schedule(kind, 5, 2)]
         assert per_turn == [expected] * 3
 
 
@@ -143,42 +143,42 @@ def test_schedule_is_turn_invariant():
 
 
 def test_visibility_all_returns_debate_messages_only():
-    state = make_state(3)
+    state = make_state(3, discussion_paradigm="memory")
     add(state, 1, Phase.DRAFT, "draft", turn=1)
     add(state, 2, Phase.IMPROVE, "improve [DISAGREE]", turn=1)
     add(state, 1, Phase.EXTRACTION, "1", turn=1)
     step = TurnStep(3, Phase.IMPROVE)
-    visible = visible_messages(ParadigmKind.MEMORY, state, step)
+    visible = visible_messages(state, step)
     assert [m.phase for m in visible] == [Phase.DRAFT, Phase.IMPROVE]
 
 
 def test_visibility_last_message_only():
-    state = make_state(2)
+    state = make_state(2, discussion_paradigm="relay")
     add(state, 1, Phase.DRAFT, "first", turn=1)
     add(state, 2, Phase.IMPROVE, "second", turn=1)
     step = TurnStep(1, Phase.IMPROVE)
-    visible = visible_messages(ParadigmKind.RELAY, state, step)
+    visible = visible_messages(state, step)
     assert [m.text for m in visible] == ["second"]
 
 
 def test_visibility_last_message_only_empty_state():
-    state = make_state(2)
+    state = make_state(2, discussion_paradigm="relay")
     step = TurnStep(1, Phase.IMPROVE)
-    assert visible_messages(ParadigmKind.RELAY, state, step) == []
+    assert visible_messages(state, step) == []
 
 
 def test_visibility_own_and_central_hides_peer_traffic():
-    state = make_state(3)
+    state = make_state(3, discussion_paradigm="report")
     add(state, 2, Phase.DRAFT, "peer2 draft", turn=1)
     add(state, 3, Phase.IMPROVE, "peer3 improve", turn=1)
     add(state, 1, Phase.CENTRAL_SYNTHESIS, "central view", turn=1)
     step = TurnStep(2, Phase.IMPROVE)
-    visible = visible_messages(ParadigmKind.REPORT, state, step)
+    visible = visible_messages(state, step)
     assert [m.text for m in visible] == ["peer2 draft", "central view"]
 
 
 def test_visibility_pair_only_filters_by_pair_and_turn():
-    state = make_state(5)
+    state = make_state(5, discussion_paradigm="debate")
     # Turn 1 completed: both pairs spoke, central synthesized.
     add(state, 2, Phase.DRAFT, "t1 p2", turn=1)
     add(state, 3, Phase.FEEDBACK, "t1 p3", turn=1)
@@ -189,17 +189,17 @@ def test_visibility_pair_only_filters_by_pair_and_turn():
     # Turn 2 in progress: agent 2 already spoke.
     add(state, 2, Phase.FEEDBACK, "t2 p2", turn=2)
     step = TurnStep(3, Phase.FEEDBACK)
-    visible = visible_messages(ParadigmKind.DEBATE, state, step)
+    visible = visible_messages(state, step)
     # Own pair's current-turn message plus every central synthesis; nothing
     # from the other pair, nothing from the pair's previous turn.
     assert [m.text for m in visible] == ["t1 central", "t2 p2"]
 
 
 def test_visibility_pair_only_other_pair_is_invisible():
-    state = make_state(5)
+    state = make_state(5, discussion_paradigm="debate")
     add(state, 2, Phase.DRAFT, "t1 p2", turn=1)
     step = TurnStep(4, Phase.FEEDBACK)
-    assert visible_messages(ParadigmKind.DEBATE, state, step) == []
+    assert visible_messages(state, step) == []
 
 
 # -- prompt rendering --

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from agora.domain import Persona, ResponseGeneratorKind
+from agora.domain import Persona, Phase, ResponseGeneratorKind
 from agora.prompts import (
-    TurnPrompt,
     cot_user_text,
     format_role,
     multiple_choice_footer,
@@ -27,8 +26,9 @@ from agora.prompts import (
     template_text,
 )
 
-GENERATORS = list(ResponseGeneratorKind)
-PHASES = list(TurnPrompt)
+GENERATORS = [kind.value for kind in ResponseGeneratorKind]
+# The discussion steps that send a turn prompt.
+PHASES = [Phase.IMPROVE, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS]
 
 
 def test_template_text_drops_single_trailing_newline():
@@ -93,7 +93,7 @@ def test_all_turn_prompts_render():
 
 @pytest.mark.parametrize("generator", GENERATORS)
 def test_improve_and_feedback_offer_agreement_markers(generator):
-    for phase in (TurnPrompt.IMPROVE, TurnPrompt.FEEDBACK):
+    for phase in (Phase.IMPROVE, Phase.FEEDBACK):
         text = render_turn_user_prompt(generator, phase)
         assert "[AGREE]" in text
         assert "[DISAGREE]" in text
@@ -101,12 +101,12 @@ def test_improve_and_feedback_offer_agreement_markers(generator):
 
 @pytest.mark.parametrize("generator", GENERATORS)
 def test_revise_prompts_have_no_markers(generator):
-    text = render_turn_user_prompt(generator, TurnPrompt.REVISE)
+    text = render_turn_user_prompt(generator, Phase.CENTRAL_SYNTHESIS)
     assert "[AGREE]" not in text
 
 
 def test_simple_improve_wording():
-    assert render_turn_user_prompt(ResponseGeneratorKind.SIMPLE, TurnPrompt.IMPROVE) == (
+    assert render_turn_user_prompt("simple", Phase.IMPROVE) == (
         "Improve the current solution.\n"
         "If you agree with the current solution, answer with [AGREE].\n"
         "Else, answer with [DISAGREE], explain why, and provide an improved solution.\n"

@@ -48,7 +48,7 @@ PARSERS = {
     "parse_agreement": (parse_agreement, ()),
     **{
         f"parse_ballot[{protocol}]": (
-            functools.partial(lambda protocol, text: parse_ballot(protocol, text, 3), protocol),
+            functools.partial(lambda protocol, text: parse_ballot(protocol, text, 3, 10), protocol),
             (VoteParseFailure,),
         )
         for protocol in sorted(VOTING_PROTOCOLS)

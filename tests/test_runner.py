@@ -30,6 +30,7 @@ IMPROVE_HOOK = "Improve the current solution."
 EXTRACTION_HOOK = "your previous response"
 SIMPLE_VOTE_HOOK = "Answer only with the number."
 BASELINE_HOOK = "Solve the provided task."
+JUDGE_HOOK = "Please provide a decision"
 
 
 def make_sample(i: int = 1, question: str = "What is 2+2?") -> TaskInstance:
@@ -118,6 +119,34 @@ def test_run_debate_voting_and_call_accounting():
     # Every scripted call landed somewhere in the log: a debate or
     # extraction message, or a recorded ballot.
     assert len(gateway.requests) == len(record["messages"]) + len(round_log["ballots"])
+
+
+# Each protocol that extracts a final answer: its decision call's hook, its reply, the outcome's text.
+DECISION_CALLS = {"simple_voting": (SIMPLE_VOTE_HOOK, "2", "Candidate"), "judge": (JUDGE_HOOK, "Judged.", "Judged.")}
+
+
+@pytest.mark.parametrize("protocol", DECISION_CALLS)
+def test_an_empty_improve_reply_is_extracted_and_decided_like_any_other(protocol):
+    # Any endpoint can reply with nothing; the agent is still asked for its
+    # final answer from that reply, as a consensus debate reads it.
+    hook, decision, final_text = DECISION_CALLS[protocol]
+    script = script_from_dict(
+        {
+            "rules": [
+                {"match": [{"contains": DRAFT_HOOK}], "response": "Draft answer."},
+                {"match": [{"contains": IMPROVE_HOOK}], "response": "", "repeatable": True},
+                {"match": [{"contains": EXTRACTION_HOOK}], "response": "Candidate", "repeatable": True},
+                {"match": [{"contains": hook}], "response": decision, "repeatable": True},
+            ]
+        }
+    )
+    params = debate_params(decision_protocol=protocol, voting_after_turns=1)
+    record = run_sample(params, make_sample(), script)
+    outcome = record["outcome"]
+    assert "error" not in outcome
+    assert outcome["success"] is True
+    assert outcome["finalText"] == final_text
+    assert [(m["phase"], m["text"]) for m in record["messages"][:2]] == [("draft", "Draft answer."), ("improve", "")]
 
 
 def test_run_debate_crash_becomes_failure_record():

@@ -331,8 +331,13 @@ def test_the_debate_backend_alone_names_the_model_and_keeps_the_clock():
     assert model_and_clock_bypasses() == []
 
 
+# What a function next to a DebateState would take a second time: the job, or one of its values.
+JOB_CARRIERS = ("JobParams", "DebateContext", "ParadigmKind", "ResponseGeneratorKind")
+
+
 def second_job_carriers() -> list[str]:
-    """`module.function` for each function taking a DebateState and a JobParams or DebateContext."""
+    """`module.function` for each function taking a DebateState and a JobParams or
+    DebateContext, or a ParadigmKind or ResponseGeneratorKind: job values the state holds."""
     flagged = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -342,14 +347,15 @@ def second_job_carriers() -> list[str]:
                 for param in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
                     if param.annotation is not None:
                         types.update(_references(param.annotation))
-                if types["DebateState"] and (types["JobParams"] or types["DebateContext"]):
+                if types["DebateState"] and any(types[name] for name in JOB_CARRIERS):
                     flagged.append(f"{path.stem}.{node.name}")
     return sorted(flagged)
 
 
 def test_the_debate_state_alone_carries_its_job():
     # DebateState holds the job, the sample and its task text; a function
-    # that takes them a second time next to it can see two that disagree.
+    # that takes them, or the job's paradigm or generator, a second time next
+    # to it can see two that disagree.
     assert second_job_carriers() == []
 
 
