@@ -41,8 +41,6 @@ MAX_DUPLICATE_ATTEMPTS = 3
 
 
 def neutral_panel(n: int) -> list[Persona]:
-    if n < 1:
-        raise ValueError("panel size must be >= 1")
     return [Persona(name=f"Participant {i}") for i in range(1, n + 1)]
 
 
@@ -176,8 +174,6 @@ def build_panel(
     n: int, persona_generator: str, task_text: str, backend: Backend
 ) -> list[AgentProfile]:
     """Panel of n agents, each with the raw generator response its persona came from."""
-    if persona_generator not in PERSONA_GENERATORS:
-        raise ValueError(f"unknown persona generator {persona_generator!r}")
     generate = PERSONA_GENERATORS[persona_generator]
     profiles: list[AgentProfile] = []
     for i, persona in enumerate(neutral_panel(n), start=1):

@@ -6,11 +6,11 @@ import os
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
-from . import decisions, paradigms
+from . import decisions
 from .agents import PERSONA_GENERATORS
 from .datasets import FormatError, job_logs, read_input
 from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
-from .gateway import is_endpoint_url
+from .gateway import is_endpoint_url, shown_url
 
 CONFIG_KEYS = frozenset(JobParams._fields)
 
@@ -150,15 +150,17 @@ def _typed(key: str, value: Any, default: Any) -> Any:
 
 
 def _check_runnable(job: JobParams, http_backend: bool) -> None:
-    """Reject a job that would fail, or fall back, on every sample."""
+    """Reject a job that would fail, or fall back, on every sample. The panel-size
+    rule lives here alone (with the floor of 2 in `_MINIMUMS`); `paradigms.schedule` trusts it."""
     if (job.endpoint_url or http_backend) and not is_endpoint_url(job.endpoint_url):
-        raise ConfigError(f"endpoint_url must be an http(s)://host URL, got {job.endpoint_url!r}")
+        raise ConfigError(
+            f"endpoint_url must be an http(s)://host URL with no user, password, query or fragment "
+            f"(a key goes in api_key), got {shown_url(job.endpoint_url)}"
+        )
     if job.use_baseline:
         return
-    try:
-        paradigms.schedule(ParadigmKind(job.discussion_paradigm), job.num_agents, job.debate_exchanges)
-    except paradigms.PanelTooSmall as exc:
-        raise ConfigError(f"num_agents={job.num_agents} is too small: {exc}")
+    if job.num_agents < 3 and job.discussion_paradigm in (ParadigmKind.REPORT, ParadigmKind.DEBATE):
+        raise ConfigError(f"num_agents={job.num_agents} is too small: {job.discussion_paradigm} needs a central agent plus at least 2 peers")
     voting = job.decision_protocol not in decisions.CONSENSUS_PROTOCOLS
     if voting and not decisions.voting_due(job.max_turns, job.voting_after_turns):
         raise ConfigError(

@@ -375,8 +375,6 @@ def subset(
     samples: Sequence[TaskInstance], num_samples: int, seed: int
 ) -> list[TaskInstance]:
     """Seeded sample without replacement, preserving source order."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     if num_samples >= len(samples):
         return list(samples)
     indices = sorted(random.Random(seed).sample(range(len(samples)), num_samples))

@@ -41,8 +41,6 @@ _INT_RE = re.compile(r"-?\d+")
 
 
 def parse_simple_vote(text: str, k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     match = _INT_RE.search(text)
     if match is None:
         raise VoteParseFailure("no integer in ballot")
@@ -63,8 +61,6 @@ def _normalize_index(value: int, k: int) -> int:
 
 
 def parse_approval(text: str, k: int) -> set[int]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise VoteParseFailure("empty approval ballot")
@@ -79,8 +75,6 @@ def parse_approval(text: str, k: int) -> set[int]:
 
 
 def parse_ranked(text: str, k: int) -> list[int]:
-    if k < 2:
-        raise ValueError("k must be >= 2")
     tokens = text.split()
     if not tokens:
         raise VoteParseFailure("empty ranking")
@@ -101,8 +95,6 @@ def parse_ranked(text: str, k: int) -> list[int]:
 
 
 def parse_cumulative(text: str, k: int, budget: int) -> dict[int, int]:
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     try:
         obj = extract_json_object(text)
     except ValueError:
@@ -157,15 +149,8 @@ VOTING_PROTOCOLS = frozenset(_VOTING_RULES)
 ALL_PROTOCOLS = CONSENSUS_PROTOCOLS | VOTING_PROTOCOLS | {"judge"}
 
 
-def _voting_rule(protocol: str) -> _VotingRule:
-    try:
-        return _VOTING_RULES[protocol]
-    except KeyError:
-        raise ValueError(f"{protocol!r} is not a voting protocol") from None
-
-
 def parse_ballot(protocol: str, text: str, k: int, budget: int) -> Any:
-    return _voting_rule(protocol).parse(text, k, budget)
+    return _VOTING_RULES[protocol].parse(text, k, budget)
 
 
 class Ballot(NamedTuple):
@@ -203,7 +188,7 @@ def tally(protocol: str, ballots: list[Ballot], k: int) -> Optional[Tally]:
     valid = [b for b in ballots if b.valid]
     if not valid:
         return None
-    rule = _voting_rule(protocol)
+    rule = _VOTING_RULES[protocol]
     scores = dict.fromkeys(range(1, k + 1), 0)
     for ballot in valid:
         for index, points in rule.points(ballot.parsed, k):
@@ -235,8 +220,6 @@ class VoteRound(NamedTuple):
 
 def collect_candidates(state: DebateState, backend: Backend) -> list[str]:
     """One extracted final answer per agent, in panel order, duplicates kept."""
-    if len(state.panel) < 2:
-        raise ValueError("candidate collection needs a panel of at least 2")
     candidates: list[str] = []
     for profile in state.panel:
         previous = _previous_response(state, profile.agent_id)
@@ -249,12 +232,8 @@ def collect_candidates(state: DebateState, backend: Backend) -> list[str]:
 
 
 def _previous_response(state: DebateState, agent_id: int) -> str:
-    for msg in reversed(state.debate_messages()):
-        if msg.agent_id == agent_id:
-            return msg.text
-    if state.current_draft is not None:
-        return state.current_draft
-    raise ValueError(f"agent {agent_id} has no previous response to extract from")
+    # A debate peer that one exchange leaves silent extracts from the standing draft.
+    return next((m.text for m in reversed(state.debate_messages()) if m.agent_id == agent_id), state.current_draft)
 
 
 # One initial call plus up to three re-prompts per agent before abstention.
@@ -287,8 +266,6 @@ def run_vote_round(state: DebateState, backend: Backend) -> VoteRound:
 
 
 def judge_decide(state: DebateState, backend: Backend, candidates: list[str]) -> DecisionOutcome:
-    if not candidates:
-        raise ValueError("the judge needs at least one candidate")
     user = prompts.render_judge_user(state.task_text, state.task.input_text(), candidates)
     # The judge sits outside the panel; agent 0 marks that in the call and the log.
     try:

@@ -259,8 +259,6 @@ class DebateState:
             self.agree_flags[msg.agent_id] = agreement
 
     def agreement_fraction(self) -> Share:
-        if not self.panel:
-            raise ValueError("panel must be non-empty")
         agreeing = sum(
             1 for flag in self.agree_flags.values() if flag is Agreement.AGREE
         )

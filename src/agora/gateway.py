@@ -242,12 +242,20 @@ class _ConnectionPool:
 
 
 def is_endpoint_url(url: str) -> bool:
-    """Whether `url` is an http(s)://host URL, with a port number if it names a port."""
+    """Whether `url` is an http(s)://host URL, with a port number if it names a port, and with
+    no user or password (never sent, yet logged; a key goes in `api_key`), query or fragment
+    (either would land inside the request path)."""
     try:
         parts = urlsplit(url)
-        return parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+        plain = "@" not in parts.netloc and "?" not in url and "#" not in url
+        return plain and parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
     except ValueError:  # a malformed IPv6 host, or a port that is not a number below 65536
         return False
+
+
+def shown_url(url: str) -> str:
+    """`url` quoted for an error message, unless it may hold a password."""
+    return "a URL that holds '@'" if "@" in url else repr(url)
 
 
 # The retry policy: a transient failure (no response, 429 or 5xx) is retried
@@ -277,7 +285,7 @@ class HttpGateway:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if not is_endpoint_url(endpoint_url):
-            raise ValueError(f"not an http(s)://host URL: {endpoint_url!r}")
+            raise ValueError(f"not an http(s)://host URL with no user, password, query or fragment: {shown_url(endpoint_url)}")
         self.endpoint_url = endpoint_url.rstrip("/")
         self.api_key = api_key
         self._transport = transport or _ConnectionPool()

@@ -7,7 +7,6 @@ from typing import NamedTuple
 
 from . import prompts
 from .domain import (
-    AgentProfile,
     DebateEnded,
     DebateState,
     Message,
@@ -15,10 +14,6 @@ from .domain import (
     Phase,
 )
 from .gateway import Backend, call
-
-
-class PanelTooSmall(Exception):
-    pass
 
 
 class TurnStep(NamedTuple):
@@ -42,20 +37,14 @@ def peer_pairs(n_agents: int) -> list[tuple[int, ...]]:
 
 
 def pair_of(n_agents: int, agent_id: int) -> tuple[int, ...]:
-    for pair in peer_pairs(n_agents):
-        if agent_id in pair:
-            return pair
-    raise ValueError(f"agent {agent_id} is not a paired peer")
+    return next(pair for pair in peer_pairs(n_agents) if agent_id in pair)
 
 
 def schedule(kind: ParadigmKind, n_agents: int, debate_exchanges: int) -> list[TurnStep]:
-    """Speaker order for one turn; identical for every turn of a debate, so pairs stay fixed."""
+    """Speaker order for one turn; identical for every turn of a debate, so pairs stay fixed.
+    The panel is large enough: `config._check_runnable` refuses a smaller one."""
     if kind in (ParadigmKind.MEMORY, ParadigmKind.RELAY):
-        if n_agents < 2:
-            raise PanelTooSmall(f"{kind.value} needs at least 2 agents")
         return [TurnStep(speaker, Phase.IMPROVE) for speaker in range(1, n_agents + 1)]
-    if n_agents < 3:
-        raise PanelTooSmall(f"{kind.value} needs a central agent plus at least 2 peers")
     if kind is ParadigmKind.REPORT:
         steps = [TurnStep(speaker, Phase.IMPROVE) for speaker in range(2, n_agents + 1)]
     else:
@@ -105,19 +94,12 @@ def visible_messages(state: DebateState, step: TurnStep) -> list[Message]:
     ]
 
 
-def _profile(state: DebateState, agent_id: int) -> AgentProfile:
-    for profile in state.panel:
-        if profile.agent_id == agent_id:
-            return profile
-    raise ValueError(f"no panel agent {agent_id}")
-
-
 def render_step_prompt(state: DebateState, step: TurnStep) -> list[tuple[str, str]]:
-    """Message list for one step's completion call."""
-    profile = _profile(state, step.speaker)
+    """Message list for one step's completion call; agent i's profile is `state.panel[i - 1]`."""
+    profile = state.panel[step.speaker - 1]
     visible = visible_messages(state, step)
     memory_text = prompts.render_memory(
-        [(_profile(state, m.agent_id).persona.name, m.text) for m in visible]
+        [(state.panel[m.agent_id - 1].persona.name, m.text) for m in visible]
     )
     draft = state.current_draft
     system = prompts.render_discussion_system(
@@ -136,10 +118,9 @@ def render_step_prompt(state: DebateState, step: TurnStep) -> list[tuple[str, st
 
 
 def run_turn(state: DebateState, backend: Backend) -> DebateState:
+    """One turn of the schedule; `decisions.decide` runs it only below the turn cap."""
     if state.ended:
         raise DebateEnded("debate already ended")
-    if state.turn >= state.params.max_turns:
-        raise ValueError("turn cap reached; the decision protocol must settle it")
     turn_no = state.turn + 1
     kind = ParadigmKind(state.params.discussion_paradigm)
     for step in schedule(kind, len(state.panel), state.params.debate_exchanges):

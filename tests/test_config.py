@@ -303,13 +303,47 @@ def test_expand_rejects_an_output_path_that_is_not_a_string():
     assert str(caught.value) == "output_json_file_path must be a string, got NoneType"
 
 
-def test_resolve_rejects_a_panel_too_small_for_its_paradigm():
-    for paradigm in ("report", "debate"):
-        with pytest.raises(ConfigError, match="num_agents=2"):
-            resolve_job_params({"discussion_paradigm": paradigm, "num_agents": 2})
-    for paradigm in ("memory", "relay"):
-        params = resolve_job_params({"discussion_paradigm": paradigm, "num_agents": 2})
-        assert params.num_agents == 2
+# Values the debate engine trusts once a job is prepared, each refused here
+# with the message `run` and `--dry-run` print after `<config>: <job> r<N>: `.
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"discussion_paradigm": "memory", "num_agents": 1}, "num_agents must be >= 2, got 1"),
+        ({"discussion_paradigm": "relay", "num_agents": 1}, "num_agents must be >= 2, got 1"),
+        (
+            {"discussion_paradigm": "report", "num_agents": 2},
+            "num_agents=2 is too small: report needs a central agent plus at least 2 peers",
+        ),
+        (
+            {"discussion_paradigm": "debate", "num_agents": 2},
+            "num_agents=2 is too small: debate needs a central agent plus at least 2 peers",
+        ),
+        ({"decision_protocol": "cumulative_voting", "cumulative_points": 0}, "cumulative_points must be >= 1, got 0"),
+        ({"num_samples": 0}, "num_samples must be >= 1, got 0"),
+        ({"persona_generator": "mystery"}, "persona_generator must be one of expert, ipip, none; got 'mystery'"),
+        (
+            {"decision_protocol": "coin_flip"},
+            "decision_protocol must be one of approval_voting, cumulative_voting, judge, majority_consensus, "
+            "ranked_voting, simple_voting, supermajority_consensus, unanimity_consensus; got 'coin_flip'",
+        ),
+        (
+            {"decision_protocol": "simple_voting", "voting_after_turns": 5, "max_turns": 3},
+            "voting_after_turns=5 exceeds max_turns=3: simple_voting would never reach its voting turn",
+        ),
+    ],
+    ids=[
+        "memory-1", "relay-1", "report-2", "debate-2", "points-0", "samples-0", "generator", "protocol", "vote-late",
+    ],
+)
+def test_preparation_refuses_each_value_the_engine_trusts(params, message):
+    with pytest.raises(ConfigError) as caught:
+        resolve_job_params(params)
+    assert str(caught.value) == message
+
+
+def test_resolve_accepts_the_smallest_panel_of_each_paradigm():
+    for paradigm, smallest in (("memory", 2), ("relay", 2), ("report", 3), ("debate", 3)):
+        assert resolve_job_params({"discussion_paradigm": paradigm, "num_agents": smallest}).num_agents == smallest
 
 
 def test_resolve_rejects_a_voting_turn_beyond_the_turn_cap():

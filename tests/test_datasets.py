@@ -668,11 +668,6 @@ def test_subset_returns_everything_when_large_enough():
     assert subset(samples, 99, seed=1) == samples
 
 
-def test_subset_rejects_non_positive():
-    with pytest.raises(ValueError):
-        subset(make_samples(3), 0, seed=1)
-
-
 # -- instruction registry --
 
 

@@ -127,16 +127,6 @@ def test_simple_vote_no_integer():
         parse_simple_vote("the first one", 3)
 
 
-def test_simple_vote_rejects_bad_k():
-    with pytest.raises(ValueError):
-        parse_simple_vote("1", 0)
-
-
-def test_approval_rejects_bad_k():
-    with pytest.raises(ValueError, match="^k must be >= 1$"):
-        parse_approval("1", 0)
-
-
 # -- approval parsing --
 
 
@@ -204,11 +194,6 @@ def test_ranked_out_of_range_and_junk():
         parse_ranked("", 3)
 
 
-def test_ranked_rejects_bad_k():
-    with pytest.raises(ValueError):
-        parse_ranked("1", 1)
-
-
 # -- cumulative parsing --
 
 
@@ -246,18 +231,11 @@ def test_cumulative_out_of_range():
         parse_cumulative('{"5": 1}', 3, 10)
 
 
-def test_cumulative_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        parse_cumulative('{"1": 1}', 3, budget=0)
-
-
 def test_parse_ballot_dispatch():
     assert parse_ballot("simple_voting", "2", 3, 10) == 2
     assert parse_ballot("approval_voting", "1 2", 3, 10) == {1, 2}
     assert parse_ballot("ranked_voting", "2 1", 3, 10) == [2, 1]
     assert parse_ballot("cumulative_voting", '{"1": 1}', 3, 10) == {1: 1}
-    with pytest.raises(ValueError):
-        parse_ballot("majority_consensus", "2", 3, 10)
 
 
 # -- ballot logging --
@@ -461,19 +439,6 @@ def test_collect_candidates_falls_back_to_draft():
     assert "only one spoke" in backend.requests[1].messages[1].content
 
 
-def test_collect_candidates_needs_some_history():
-    state = make_state(2)
-    with pytest.raises(ValueError):
-        collect_candidates(state, replay([]))
-
-
-def test_collect_candidates_needs_panel_of_two():
-    state = make_state(2)
-    state.panel = state.panel[:1]
-    with pytest.raises(ValueError):
-        collect_candidates(state, replay([]))
-
-
 # -- vote rounds --
 
 
@@ -566,11 +531,6 @@ def test_judge_decide_gateway_failure_falls_back():
     assert outcome.final_text == "first"
     assert "judge call failed" in outcome.fallback_reason
     assert not [m for m in state.transcript if m.phase is Phase.JUDGE]
-
-
-def test_judge_decide_needs_candidates():
-    with pytest.raises(ValueError):
-        judge_decide(vote_state(decision_protocol="judge"), replay([]), [])
 
 
 # -- decide(): consensus --

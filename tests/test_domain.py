@@ -268,12 +268,6 @@ def test_agreement_fraction_is_exact():
     assert state.agreement_fraction() == Share(1, 3)
 
 
-def test_agreement_fraction_needs_panel():
-    state = make_state(0)
-    with pytest.raises(ValueError):
-        state.agreement_fraction()
-
-
 def test_debate_messages_filters_bookkeeping_phases():
     state = make_state()
     state.add(1, 1, Phase.DRAFT, "x", 0)

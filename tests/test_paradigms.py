@@ -17,7 +17,6 @@ from agora.domain import (
 )
 from agora.paradigms import (
     CENTRAL_AGENT_ID,
-    PanelTooSmall,
     ParadigmKind,
     TurnStep,
     pair_of,
@@ -65,11 +64,6 @@ def test_pair_of_lookup():
     assert pair_of(4, 4) == (4,)
 
 
-def test_pair_of_rejects_central_agent():
-    with pytest.raises(ValueError):
-        pair_of(5, CENTRAL_AGENT_ID)
-
-
 # -- schedules --
 
 
@@ -87,25 +81,11 @@ def test_relay_schedule_sees_only_last_message():
     assert steps == [TurnStep(1, Phase.IMPROVE), TurnStep(2, Phase.IMPROVE)]
 
 
-def test_memory_and_relay_need_two_agents():
-    with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.MEMORY, 1, 2)
-    with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.RELAY, 1, 2)
-
-
 def test_report_schedule_peers_then_central():
     steps = schedule(ParadigmKind.REPORT, 4, 2)
     assert [s.speaker for s in steps] == [2, 3, 4, 1]
     assert steps[-1] == TurnStep(1, Phase.CENTRAL_SYNTHESIS)
     assert all(s.phase is Phase.IMPROVE for s in steps[:-1])
-
-
-def test_report_and_debate_need_three_agents():
-    with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.REPORT, 2, 2)
-    with pytest.raises(PanelTooSmall):
-        schedule(ParadigmKind.DEBATE, 2, 2)
 
 
 def test_debate_schedule_alternates_within_pair():
@@ -225,11 +205,6 @@ def test_step_prompt_with_draft_adds_user_turn():
     assert "Participant 1" in messages[0][1]
 
 
-def test_step_prompt_rejects_a_speaker_the_panel_lacks():
-    with pytest.raises(ValueError, match="^no panel agent 3$"):
-        render_step_prompt(make_state(2), TurnStep(3, Phase.IMPROVE))
-
-
 def test_step_prompt_honors_generator_choice():
     state = make_state(2, response_generator="simple")
     add(state, 1, Phase.DRAFT, "d", turn=1)
@@ -300,13 +275,6 @@ def test_run_turn_rejects_ended_debate():
     state = make_state(2)
     state.ended = True
     with pytest.raises(DebateEnded):
-        run_turn(state, replay([]))
-
-
-def test_run_turn_rejects_exceeding_turn_cap():
-    state = make_state(2, max_turns=7)
-    state.turn = 7
-    with pytest.raises(ValueError):
         run_turn(state, replay([]))
 
 
