@@ -22,8 +22,9 @@ CHOICES = {
     "decision_protocol": decisions.ALL_PROTOCOLS,
 }
 
-# Integer keys whose floor is not 1.
-_MINIMUMS = {"num_agents": 2, "seed": 0}
+# Integer keys whose floor is not 1: a panel needs two agents, and a debate pair
+# two exchanges before both of its peers have spoken.
+_MINIMUMS = {"num_agents": 2, "seed": 0, "debate_exchanges": 2}
 
 
 class ConfigError(Exception):

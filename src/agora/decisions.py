@@ -232,8 +232,7 @@ def collect_candidates(state: DebateState, backend: Backend) -> list[str]:
 
 
 def _previous_response(state: DebateState, agent_id: int) -> str:
-    # A debate peer that one exchange leaves silent extracts from the standing draft.
-    return next((m.text for m in reversed(state.debate_messages()) if m.agent_id == agent_id), state.current_draft)
+    return next(m.text for m in reversed(state.debate_messages()) if m.agent_id == agent_id)
 
 
 # One initial call plus up to three re-prompts per agent before abstention.

@@ -1,10 +1,14 @@
-"""Shared pytest wiring: print one verdict line per acceptance check, and
-`finishes_within`, the time limit of the tests that guard against slow inputs."""
+"""Shared pytest wiring: print one verdict line per acceptance check;
+`finishes_within`, the time limit of the tests that guard against slow inputs;
+and `started_threads`, every thread a test starts."""
 
 from __future__ import annotations
 
 import signal
+import threading
 from contextlib import contextmanager
+
+import pytest
 
 
 @contextmanager
@@ -23,6 +27,20 @@ def finishes_within(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def started_threads(monkeypatch) -> list[threading.Thread]:
+    """Every thread started while the test runs, in start order."""
+    started: list[threading.Thread] = []
+
+    class RecordingThread(threading.Thread):
+        def start(self) -> None:
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return started
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

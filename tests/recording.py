@@ -1,7 +1,9 @@
-"""The tests' one recording backend: it keeps every request it forwards."""
+"""The tests' one recording backend, which keeps every request it forwards, and
+their one builder of a debate state."""
 
 from __future__ import annotations
 
+from agora.domain import AgentProfile, DebateState, JobParams, Persona, TaskInstance
 from agora.gateway import Backend, ChatRequest, ChatResponse
 
 # Every replayed reply takes this long, so a test can see latency reach the log.
@@ -41,3 +43,9 @@ class _Replay:
 def replay(texts: list[str]) -> Recording:
     """The canned texts in order, each request recorded."""
     return Recording(_Replay(texts))
+
+
+def make_state(n: int = 3, **params) -> DebateState:
+    """A debate on task "x" before its first turn, among agents 1..n named "Participant <i>"."""
+    panel = [AgentProfile(i, Persona(name=f"Participant {i}")) for i in range(1, n + 1)]
+    return DebateState(JobParams(**params), TaskInstance(id="s1", instruction_key="", input_lines=("x",)), "solve", panel)

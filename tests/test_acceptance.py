@@ -21,11 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from agora.config import BatchConfig, JobParams, expand_config, resolve_job_params
+from agora.config import BatchConfig, expand_config, resolve_job_params
 from agora.decisions import Ballot, consensus_reached, tally
 from agora.domain import (
-    AgentProfile,
-    DebateState,
     Persona,
     Phase,
     ResponseGeneratorKind,
@@ -44,7 +42,8 @@ from agora.prompts import (
     render_vote_user,
 )
 from agora.runner import run_sample, serialize_record
-from recording import Recording
+from paper_rules import CONSENSUS, visible
+from recording import Recording, make_state
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -167,15 +166,8 @@ def test_criterion_2_consensus_threshold_table():
     for n in range(2, 7):
         for agreed in range(0, n + 1):
             fraction = Fraction(agreed, n)
-            assert consensus_reached(fraction, "majority_consensus") == (
-                fraction > Fraction(1, 2)
-            ), (agreed, n)
-            assert consensus_reached(fraction, "supermajority_consensus") == (
-                fraction > Fraction(33, 50)
-            ), (agreed, n)
-            assert consensus_reached(fraction, "unanimity_consensus") == (
-                fraction == 1
-            ), (agreed, n)
+            for protocol, bar in CONSENSUS.items():
+                assert consensus_reached(fraction, protocol) == bar(fraction), (protocol, agreed, n)
     # The documented boundary: two thirds clears the 66 percent bar.
     assert consensus_reached(Fraction(2, 3), "supermajority_consensus")
     assert not consensus_reached(Fraction(33, 50), "supermajority_consensus")
@@ -186,34 +178,6 @@ def test_criterion_2_consensus_threshold_table():
 # -- criterion 3: what each paradigm lets a speaker see --
 
 
-def independent_pairs(n_agents: int) -> list[tuple[int, ...]]:
-    peers = list(range(2, n_agents + 1))
-    pairs = [tuple(peers[i : i + 2]) for i in range(0, len(peers), 2)]
-    return pairs
-
-
-def expected_visible(kind: ParadigmKind, prior, message, n_agents: int):
-    if kind is ParadigmKind.MEMORY:
-        return prior
-    if kind is ParadigmKind.RELAY:
-        return prior[-1:]
-    if message.agent_id == 1:
-        return prior
-    if kind is ParadigmKind.REPORT:
-        return [
-            m
-            for m in prior
-            if m.agent_id == message.agent_id or m.phase is Phase.CENTRAL_SYNTHESIS
-        ]
-    pair = next(p for p in independent_pairs(n_agents) if message.agent_id in p)
-    return [
-        m
-        for m in prior
-        if (m.agent_id in pair and m.turn == message.turn)
-        or m.phase is Phase.CENTRAL_SYNTHESIS
-    ]
-
-
 def visibility_debate(kind: ParadigmKind, seed: int):
     if kind in (ParadigmKind.MEMORY, ParadigmKind.RELAY):
         n_agents = 2 + seed % 4
@@ -222,13 +186,7 @@ def visibility_debate(kind: ParadigmKind, seed: int):
     turns = 1 + seed % 3
     rules = [{"match": [], "response": f"tok{i} [DISAGREE]"} for i in range(64)]
     backend = Recording(script_from_dict({"rules": rules}))
-    panel = [
-        AgentProfile(i, Persona(name=f"Participant {i}"))
-        for i in range(1, n_agents + 1)
-    ]
-    task = TaskInstance(id=f"{seed:04d}", instruction_key="", input_lines=("x",))
-    params = JobParams(discussion_paradigm=kind.value, max_turns=turns)
-    state = DebateState(params, task, "solve", panel)
+    state = make_state(n_agents, discussion_paradigm=kind.value, max_turns=turns)
     for _ in range(turns):
         run_turn(state, backend)
     return state, backend, n_agents
@@ -243,7 +201,6 @@ def test_criterion_3_paradigm_visibility():
             state, backend, n_agents = visibility_debate(kind, seed)
             messages = state.debate_messages()
             assert len(backend.requests) == len(messages)
-            positions = {m.seq: i for i, m in enumerate(messages)}
             for index, request in enumerate(backend.requests):
                 message = messages[index]
                 assert (request.kind, request.agent) == (message.phase, message.agent_id)
@@ -251,8 +208,8 @@ def test_criterion_3_paradigm_visibility():
                 system_text = request.messages[0].content
                 _, _, memory_section = system_text.partition("Discussion so far:")
                 seen = {int(tok[3:]) for tok in re.findall(r"tok\d+", memory_section)}
-                expected = expected_visible(kind, messages[:index], message, n_agents)
-                expected_tokens = {positions[m.seq] for m in expected}
+                prior = [(m.turn, m.agent_id, m.phase) for m in messages[:index]]
+                expected_tokens = set(visible(kind, prior, message.agent_id, message.turn, n_agents))
                 if seen != expected_tokens:
                     violations += 1
                 prompts_checked += 1

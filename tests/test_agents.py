@@ -96,7 +96,7 @@ def test_expert_persona_prompt_layout():
 
 
 def test_expert_persona_retries_malformed_then_succeeds():
-    backend = replay(["not json", '{"role": ""}', expert_json("Judge")])
+    backend = replay(["not json", '{"role": " ", "description": "d"}', expert_json("Judge")])
     persona, _ = generate_expert_persona("t", [], backend)
     assert persona.name == "Judge"
     assert [(r.kind, r.agent) for r in backend.requests] == [("persona", 1)] * 3
@@ -159,7 +159,7 @@ def test_ipip_persona_missing_trait_counts_as_parse_failure():
 
 
 def test_ipip_persona_traits_that_are_not_an_object_are_retried():
-    bad = json.dumps({"role": "X", "traits": "high"})
+    bad = json.dumps({"role": "X", "traits": list(TRAIT_OPTIONS)})
     backend = replay([bad, ipip_json("Y", "low", "low", "low", "low", "low")])
     persona, _ = generate_ipip_persona("t", [], backend)
     assert persona.name == "Y"

@@ -97,6 +97,12 @@ def test_svg_and_csv_share_number_rendering(tmp_path):
     assert fmt(1 / 3) in csv_text
 
 
+def test_a_score_with_a_spread_draws_an_error_bar_capped_at_both_ends(tmp_path):
+    emit_charts([make_result("spread"), make_result("flat", std={"accuracy": 0.0})], tmp_path)
+    lines = {job: (tmp_path / f"score-{job}.svg").read_text(encoding="utf-8").count("<line") for job in ("spread", "flat")}
+    assert lines["spread"] - lines["flat"] == 3
+
+
 def test_emit_charts_is_byte_deterministic(tmp_path):
     results = [make_result("a"), make_result("b")]
     first = emit_charts(results, tmp_path / "one")
@@ -107,13 +113,13 @@ def test_emit_charts_is_byte_deterministic(tmp_path):
 
 
 def test_metric_selection(tmp_path):
-    # Explicit metric wins; accuracy is the default; absence falls back
-    # to the alphabetically first metric.
+    # Explicit metric wins; accuracy is the default, even after a metric
+    # that sorts first; absence falls back to the alphabetically first metric.
     emit_charts([make_result()], tmp_path / "explicit", metric="bleu")
     svg = (tmp_path / "explicit" / "score-majority.svg").read_text(encoding="utf-8")
     assert "bleu (majority)" in svg
 
-    emit_charts([make_result()], tmp_path / "default")
+    emit_charts([make_result(mean={"abstentions": 0.1, "accuracy": 0.75})], tmp_path / "default")
     svg = (tmp_path / "default" / "score-majority.svg").read_text(encoding="utf-8")
     assert "accuracy (majority)" in svg
 

@@ -320,6 +320,7 @@ def test_expand_rejects_an_output_path_that_is_not_a_string():
         ),
         ({"decision_protocol": "cumulative_voting", "cumulative_points": 0}, "cumulative_points must be >= 1, got 0"),
         ({"num_samples": 0}, "num_samples must be >= 1, got 0"),
+        ({"discussion_paradigm": "debate", "debate_exchanges": 1}, "debate_exchanges must be >= 2, got 1"),
         ({"persona_generator": "mystery"}, "persona_generator must be one of expert, ipip, none; got 'mystery'"),
         (
             {"decision_protocol": "coin_flip"},
@@ -332,7 +333,7 @@ def test_expand_rejects_an_output_path_that_is_not_a_string():
         ),
     ],
     ids=[
-        "memory-1", "relay-1", "report-2", "debate-2", "points-0", "samples-0", "generator", "protocol", "vote-late",
+        "memory-1", "relay-1", "report-2", "debate-2", "points-0", "samples-0", "exchanges-1", "generator", "protocol", "vote-late",
     ],
 )
 def test_preparation_refuses_each_value_the_engine_trusts(params, message):
@@ -341,9 +342,10 @@ def test_preparation_refuses_each_value_the_engine_trusts(params, message):
     assert str(caught.value) == message
 
 
-def test_resolve_accepts_the_smallest_panel_of_each_paradigm():
+def test_resolve_accepts_the_smallest_panel_of_each_paradigm_and_two_exchanges():
     for paradigm, smallest in (("memory", 2), ("relay", 2), ("report", 3), ("debate", 3)):
         assert resolve_job_params({"discussion_paradigm": paradigm, "num_agents": smallest}).num_agents == smallest
+    assert resolve_job_params({"discussion_paradigm": "debate", "debate_exchanges": 2}).debate_exchanges == 2
 
 
 def test_resolve_rejects_a_voting_turn_beyond_the_turn_cap():

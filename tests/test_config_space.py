@@ -6,7 +6,7 @@ protocol; and the CoT and plain baselines run once each. That is 322 jobs of
 2 samples, 644 debates, against the benchmark's scripted stub in-process
 (`perfbench/stub.py`, imported read-only), through `runner.run_batch`.
 
-The rules are written here, not read from the engine: a debate's speakers
+The rules are read from `paper_rules.py`, not from the engine: a debate's speakers
 and phases per turn, its contiguous `seq`, its success flag, where a
 consensus debate ends (agreement recomputed from the logged messages), where
 a voting or judge debate ends, what each discussion prompt shows of the
@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import re
 import sys
 import time
@@ -40,6 +39,7 @@ from agora.config import CHOICES, JobSpec
 from agora.decisions import call_bounds, consensus_reached
 from agora.domain import CallKind, JobParams, Phase, Share
 from agora.gateway import HttpGateway, wire_body
+from paper_rules import CONSENSUS, shares_by_turn, turn_plan, visible
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "perfbench") not in sys.path:
@@ -65,14 +65,6 @@ DIGEST = "5f75d387deadd24a45d05225baa2c40fb3209b2af95180eae5e123ed8b76d37b"
 # DIGEST to pin, with `PYTHONPATH=src python tests/test_config_space.py`; the
 # tests only read it.
 TABLE = ROOT / "tests" / "golden" / "config_space.json"
-
-# The paper's consensus bars on the share of the panel agreeing with the draft.
-CONSENSUS = {
-    "majority_consensus": lambda share: share > Fraction(1, 2),
-    "supermajority_consensus": lambda share: share > Fraction(66, 100),
-    "unanimity_consensus": lambda share: share == 1,
-}
-
 
 def test_the_integer_consensus_rules_are_the_fraction_rules():
     # Every agreeing count on every panel of 1 to 100 agents.
@@ -189,59 +181,6 @@ def discussion(record: dict) -> list[dict]:
     return [m for m in record["messages"] if m["phase"] not in ("extraction", "judge")]
 
 
-def peer_pairs(n: int) -> list[list[int]]:
-    """Agent 1 is the central agent; the peers pair off in order, an odd one alone."""
-    peers = list(range(2, n + 1))
-    return [peers[i : i + 2] for i in range(0, len(peers), 2)]
-
-
-def turn_plan(paradigm: str, n: int) -> list[tuple[int, str]]:
-    """(speaker, phase) for each message of a turn, as the paper lays out the paradigm."""
-    if paradigm in ("memory", "relay"):
-        return [(agent, "improve") for agent in range(1, n + 1)]
-    if paradigm == "report":
-        return [(agent, "improve") for agent in range(2, n + 1)] + [(1, "central_synthesis")]
-    plan = []
-    for pair in peer_pairs(n):
-        exchanges = DEBATE_EXCHANGES if len(pair) == 2 else math.ceil(DEBATE_EXCHANGES / 2)
-        plan += [(pair[e % len(pair)], "feedback") for e in range(exchanges)]
-    return plan + [(1, "central_synthesis")]
-
-
-def visible(paradigm: str, prior: list[dict], message: dict, n: int) -> list[dict]:
-    """What a speaker may see of the discussion before its message (criterion 3's model)."""
-    if paradigm == "memory" or (paradigm in ("report", "debate") and message["agentId"] == 1):
-        return prior
-    if paradigm == "relay":
-        return prior[-1:]
-    if paradigm == "report":
-        return [m for m in prior
-                if m["agentId"] == message["agentId"] or m["phase"] == "central_synthesis"]
-    pair = next(pair for pair in peer_pairs(n) if message["agentId"] in pair)
-    return [m for m in prior
-            if (m["agentId"] in pair and m["turn"] == message["turn"])
-            or m["phase"] == "central_synthesis"]
-
-
-def shares_by_turn(record: dict) -> list[Fraction]:
-    """The agreeing share of the panel after each turn: a draft, a synthesis or a
-    disagreeing improve installs a new draft its author alone agrees with."""
-    n = len(record["personas"])
-    agreeing: dict[int, bool] = {}
-    shares = []
-    for turn in range(1, record["outcome"]["decidedAtTurn"] + 1):
-        for m in (m for m in discussion(record) if m["turn"] == turn):
-            new_draft = m["phase"] in ("draft", "central_synthesis") or (
-                m["phase"] == "improve" and m.get("agreement") != "agree"
-            )
-            if new_draft:
-                agreeing = {m["agentId"]: True}
-            elif "agreement" in m:
-                agreeing[m["agentId"]] = m["agreement"] == "agree"
-        shares.append(Fraction(sum(agreeing.values()), n))
-    return shares
-
-
 def test_every_debate_runs_without_error(runs, debates):
     (_, counters, calls), _ = runs[1]
     assert len(debates) == 644
@@ -263,7 +202,7 @@ def test_each_turn_has_the_speakers_and_phases_of_its_paradigm(debates):
         if config["use_baseline"]:
             assert (got, turns) == ([(1, 1, "draft")], 1), marker
             continue
-        plan = turn_plan(config["discussion_paradigm"], config["num_agents"])
+        plan = turn_plan(config["discussion_paradigm"], config["num_agents"], config["debate_exchanges"])
         expected = [(turn, agent, phase) for turn in range(1, turns + 1) for agent, phase in plan]
         expected[0] = (1, expected[0][1], "draft")
         assert got == expected, marker
@@ -282,7 +221,10 @@ def test_a_consensus_debate_ends_at_its_first_agreeing_turn_or_at_the_cap(debate
         protocol, outcome = record["config"]["decision_protocol"], record["outcome"]
         if protocol not in CONSENSUS or record["config"]["use_baseline"]:
             continue
-        reached = [CONSENSUS[protocol](share) for share in shares_by_turn(record)]
+        shares = shares_by_turn(
+            [(m["turn"], m["agentId"], m["phase"], m.get("agreement")) for m in discussion(record)], len(record["personas"])
+        )
+        reached = [CONSENSUS[protocol](share) for share in shares]
         if any(reached):
             assert reached.index(True) + 1 == outcome["decidedAtTurn"], marker
             assert "fallbackReason" not in outcome, marker
@@ -355,7 +297,8 @@ def test_each_discussion_prompt_shows_what_its_paradigm_allows(debates):
                 assert MEMORY_HOOK not in system, marker
                 continue
             shown = system.partition(MEMORY_HOOK)[2]
-            allowed = visible(paradigm, messages[:index], message, n)
+            prior = [(m["turn"], m["agentId"], m["phase"]) for m in messages[:index]]
+            allowed = [messages[i] for i in visible(paradigm, prior, message["agentId"], message["turn"], n)]
             assert shown == "\n".join(f"{names[m['agentId']]}: {m['text']}" for m in allowed), (
                 marker, message["seq"])
             checked += 1

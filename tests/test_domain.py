@@ -9,13 +9,10 @@ from hypothesis import given, strategies as st
 
 from agora.domain import (
     Agreement,
-    AgentProfile,
     DebateEnded,
-    DebateState,
     DecisionOutcome,
     JobParams,
     Message,
-    Persona,
     Phase,
     SequenceViolation,
     Share,
@@ -24,6 +21,7 @@ from agora.domain import (
     build_log_record,
     parse_agreement,
 )
+from recording import make_state
 
 
 def make_task(**overrides) -> TaskInstance:
@@ -34,17 +32,6 @@ def make_task(**overrides) -> TaskInstance:
     )
     fields.update(overrides)
     return TaskInstance(**fields)
-
-
-def make_panel(n: int) -> list[AgentProfile]:
-    return [
-        AgentProfile(i, Persona(f"Participant {i}"))
-        for i in range(1, n + 1)
-    ]
-
-
-def make_state(n: int = 3, **params) -> DebateState:
-    return DebateState(JobParams(**params), make_task(), "solve", make_panel(n))
 
 
 def test_task_instance_text_joins():

@@ -497,20 +497,23 @@ def test_a_dripped_reply_ends_the_attempt_at_its_deadline(loopback_server, monke
     assert len(sleeps) == 1
 
 
-def test_an_attempt_whose_deadline_passes_between_two_reads_is_retried(loopback_server, monkeypatch):
+@pytest.mark.parametrize("timeout_s, sent", [(2.5, 2), (0.5, 0)])
+def test_an_attempt_whose_deadline_passes_is_retried(loopback_server, monkeypatch, timeout_s, sent):
     # Each reading of the gateway's clock advances it 1 s, so a 2.5 s attempt
     # is past its deadline by the read after the one that gets the headers:
     # that read raises before it waits, and the attempt counts as a timeout.
+    # A 0.5 s attempt is past it before its request is sent, and sends none.
     ticks = iter(range(1_000_000))
     monkeypatch.setattr(gateway, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
     monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    monkeypatch.setattr(gateway, "TIMEOUT_S", 2.5)
+    monkeypatch.setattr(gateway, "TIMEOUT_S", timeout_s)
     server = loopback_server("drip")
     sleeps: list[float] = []
     gw = HttpGateway(server.url, sleeper=sleeps.append)
     with pytest.raises(EndpointUnreachable, match="after 2 attempts: the attempt ran out of time$"):
         gw.complete(req())
-    assert len(server.targets) == 2
+    assert all(server.closed.acquire(timeout=5) for _ in range(2))  # the server is done with both attempts
+    assert len(server.targets) == sent
     assert len(sleeps) == 1
 
 

@@ -18,19 +18,14 @@ document: a dropped key or list item, or a value retyped to null, 5, "s",
 
 The outputs get the same oracle: an `--out` that cannot be written (a file in
 its place or in a parent's, or a directory where an eval file goes) fails with
-exit 1 in one line that names it.
-
-And `run --dry-run` is checked against `run`: a fault that `run` meets as it
-prepares a job (in the dataset, its sidecar, a log path, a log left beside it
-by an earlier batch of more repeats, or a job's keys) gives both the same exit
-code and the same one `Error:` line, and neither writes a log.
+exit 1 in one line that names it. A fault that `run` meets as it prepares a
+job is a row of the refusal table in `test_cli.py` instead.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import socket
 import tempfile
 import traceback
 from functools import reduce
@@ -134,10 +129,10 @@ def _chart(out: str = "charts"):
     return lambda root: ["chart", "--evals", root / "evals", "--out", root / out]
 
 
-def _run(*flags: str, backend: str = ""):
-    """`agora run` on the workspace's config, against its script unless `backend` names another."""
+def _run(*flags: str):
+    """`agora run` on the workspace's config, against its script."""
     return lambda root: ["run", "--config", root / "batch.json",
-                         "--backend", backend or f"scripted:{root / 'script.json'}", *flags]
+                         "--backend", f"scripted:{root / 'script.json'}", *flags]
 
 
 # The file each entry spoils: the CLI arguments that read it, and the file its
@@ -302,84 +297,3 @@ def test_an_output_that_cannot_be_written_fails_in_one_line_naming_it(
     assert result.exit_code == 1, result.output
     assert result.output.startswith("Error: cannot write "), result.output
     assert len(result.output.splitlines()) == 1, result.output
-
-
-def _first_run_writes(name: str):
-    return lambda root, config: config["runs"][0].update(output_json_file_path=str(root / "out" / name))
-
-
-# One fault that `run` meets only as it sets a job up: in the dataset, in its
-# sidecar, where a log goes, or in a job's keys. Each is (the file, how it is
-# spoiled, the argument of the spoiling); the sidecar's faults run on the
-# dataset it maps. A "config" fault is an edit of the batch config; the "http"
-# one runs the config, which names no model_name, against the HTTP backend at
-# an endpoint nothing listens on.
-SETUP_FAULTS = {
-    "valid": ("tasks.json", "valid", None),
-    "valid-mapped": ("raw.json.mapping.json", "valid", None),
-    "dataset-missing": ("tasks.json", "missing", None),
-    **{f"dataset-{kind}": ("tasks.json", kind, 100) for kind in CORRUPTIONS},
-    "dataset-record-without-inputs": ("tasks.json", "mutated", ((0, "inputs"), DROP)),
-    "sidecar-input-fields-retyped": ("raw.json.mapping.json", "mutated", (("input_fields",), 5)),
-    "sidecar-id-field-absent-from-rows": ("raw.json.mapping.json", "mutated", (("id_field",), "s")),
-    "log-under-a-file": ("out/demo-r1.jsonl", "under-a-file", None),
-    "log-is-a-directory": ("out/demo-r1.jsonl", "directory", None),
-    "log-of-a-repeat-beyond-the-batch": ("out/demo-r2.jsonl", "left-over", None),
-    "unknown-key-in-common": ("batch.json", "config", lambda root, config: config["common"].update(turns=3)),
-    "unknown-key-in-a-run": ("batch.json", "config", lambda root, config: config["runs"][0].update(turns=3)),
-    "http-job-without-model-name": ("batch.json", "http", None),
-    "log-path-holding-a-nul": ("batch.json", "config", _first_run_writes("de\0mo.jsonl")),
-    "log-suffix-evaluate-skips": ("batch.json", "config", _first_run_writes("demo.txt")),
-}
-
-
-@pytest.fixture
-def unheard_url():
-    """The URL of a port that is bound but not listening: no request to it can be sent."""
-    with socket.socket() as bound:
-        bound.bind(("127.0.0.1", 0))
-        yield f"http://127.0.0.1:{bound.getsockname()[1]}/v1"
-
-
-@pytest.mark.parametrize("fault", sorted(SETUP_FAULTS))
-def test_dry_run_refuses_exactly_what_run_refuses(tmp_path, unheard_url, fault):
-    name, kind, arg = SETUP_FAULTS[fault]
-    valid = workspace(tmp_path)
-    if name.startswith("raw.json"):
-        valid["batch.json"]["common"]["input_json_file_path"] = str(tmp_path / "raw.json")
-        (tmp_path / "batch.json").write_bytes(_encoded("batch.json", valid["batch.json"]))
-    backend = ""
-    target = tmp_path / name
-    if kind == "missing":
-        target.unlink()
-    elif kind == "under-a-file":
-        target.parent.write_bytes(b"")
-    elif kind == "directory":
-        target.unlink(missing_ok=True)
-        target.mkdir(parents=True)
-    elif kind == "left-over":  # an earlier batch's log, which `evaluate` would read as this job's repeat 2
-        target.parent.mkdir(parents=True)
-        target.write_bytes(_encoded(name, valid["logs/demo-r1.jsonl"]))
-    elif kind in ("config", "http"):
-        config = copy.deepcopy(valid[name])
-        if kind == "http":
-            config["common"]["endpoint_url"], backend = unheard_url, "http"
-        else:
-            arg(tmp_path, config)
-        target.write_bytes(_encoded(name, config))
-    elif kind != "valid":
-        target.write_bytes(_spoiled(name, valid[name], kind, arg))
-    named = target if name.startswith("out/") else tmp_path / name.removesuffix(".mapping.json")
-    logs = [tmp_path / "out" / f"{job}-r1.jsonl" for job in ("demo", "vote")]
-    errors, codes = [], []
-    # The dry run goes first and must write nothing the run could then see.
-    for flags in (["--dry-run"], []):
-        result = judged(_run(*flags, backend=backend)(tmp_path), named, f"{fault} {flags}")
-        errors.append([line for line in result.output.splitlines() if line.startswith("Error:")])
-        codes.append(result.exit_code)
-        assert any(log.is_file() for log in logs) == (not flags and kind == "valid"), result.output
-    assert codes[0] == codes[1] and errors[0] == errors[1], (codes, errors)
-    assert (codes[0], len(errors[0])) == ((0, 0) if kind == "valid" else (1, 1)), errors
-    assert kind != "left-over" or target.is_file()  # refused, not deleted
-    if kind in ("config", "http"):  # refused in the form of every job's fault
-        assert errors[0][0].startswith(f"Error: {named}: ") and " r1: " in errors[0][0], errors

@@ -5,15 +5,12 @@ from __future__ import annotations
 import pytest
 
 from agora.domain import (
-    AgentProfile,
     Agreement,
     DebateEnded,
     DebateState,
     JobParams,
     Message,
-    Persona,
     Phase,
-    TaskInstance,
 )
 from agora.paradigms import (
     CENTRAL_AGENT_ID,
@@ -26,16 +23,7 @@ from agora.paradigms import (
     schedule,
     visible_messages,
 )
-from recording import REPLAY_LATENCY_MS, replay
-
-
-def make_state(n: int = 3, **params) -> DebateState:
-    panel = [
-        AgentProfile(i, Persona(name=f"Participant {i}"))
-        for i in range(1, n + 1)
-    ]
-    task = TaskInstance(id="s1", instruction_key="", input_lines=("x",))
-    return DebateState(JobParams(**params), task, "solve", panel)
+from recording import REPLAY_LATENCY_MS, make_state, replay
 
 
 def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int) -> Message:

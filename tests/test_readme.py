@@ -12,7 +12,9 @@ The `python` block under "Library use" runs as it stands; the key table
 under "Batch config" names every job key in `JobParams` order, and each
 default it gives as a literal is the code's; and the table of
 error types a library caller can catch names every exception class each
-module of src/agora defines, and no class that is gone.
+module of src/agora defines, and no class that is gone. And its "Testing"
+list names each test file that tests no `agora` module of its name, and no
+file that is gone.
 """
 
 from __future__ import annotations
@@ -137,3 +139,11 @@ def test_the_batch_config_table_names_every_job_key_in_order_with_its_default():
     assert {"api_key", "concurrent_api_requests", "response_generator", "use_baseline"} <= literals.keys()
     defaults = {key: JobParams._field_defaults[key] for key in literals}
     assert {key: (type(v), v) for key, v in literals.items()} == {key: (type(v), v) for key, v in defaults.items()}
+
+
+def test_the_testing_list_names_each_test_file_that_tests_no_module_of_its_name():
+    named = set(re.findall(r"`(\w+\.py)`", readme_section("Testing")))
+    files = {path.name for path in (README.parent / "tests").glob("*.py")}
+    modules = {f"test_{path.name}" for path in SRC.glob("[!_]*.py")}
+    assert {name for name in files if name.startswith("test_")} - modules - named == set()
+    assert named - files == set()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from agora import datasets, decisions, runner
-from agora.config import ConfigError, JobSpec, resolve_job_params
+from agora.config import JobSpec, resolve_job_params
 from agora.domain import CallKind, Phase, TaskInstance
 from agora.gateway import AuthRejected, ChatResponse, HttpGateway, script_from_dict
 from agora.runner import (
@@ -396,6 +396,7 @@ def test_execute_job_writes_records_in_sample_order(tmp_path):
     assert report.failures == 0
     records = read_jsonl(report.params.output_json_file_path)
     assert [r["task"]["id"] for r in records] == ["0001", "0002", "0003", "0004"]
+    assert (report.in_flight, report.samples) == ([], [])  # a written job holds no records or samples
 
 
 def test_execute_job_subsets_samples(tmp_path):
@@ -439,44 +440,11 @@ def test_execute_job_isolates_per_sample_failures(tmp_path):
     assert second["outcome"]["error"].startswith("NoRuleMatched")
 
 
-def test_execute_job_reports_bad_input_file(tmp_path):
-    spec = job_spec(tmp_path, str(tmp_path / "absent.json"))
-    with pytest.raises(ConfigError) as excinfo:
-        execute_job(spec, scripted=unanimity_script())
-    assert str(excinfo.value) == f"job r1: no such file: {tmp_path / 'absent.json'}"
-    assert not (tmp_path / "out").exists()
-
-
-def test_execute_job_reports_bad_config(tmp_path):
-    spec = job_spec(tmp_path, write_dataset(tmp_path), max_turns=0)
-    with pytest.raises(ConfigError, match="^job r1: max_turns must be >= 1"):
-        execute_job(spec, scripted=unanimity_script())
-
-
-@pytest.mark.parametrize("log", ["under-a-file", "a-directory", "holding-a-nul", "of-a-suffix-evaluate-skips"])
-def test_a_log_path_that_cannot_be_written_is_refused_before_any_debate(tmp_path, started_threads, log):
-    (tmp_path / "blocker").write_text("", encoding="utf-8")
-    (tmp_path / "folder.json").mkdir()
-    path, fault = {
-        "under-a-file": (tmp_path / "blocker" / "job.json", f"{tmp_path / 'blocker'} is not a directory"),
-        "a-directory": (tmp_path / "folder.json", "it is a directory"),
-        "holding-a-nul": (tmp_path / "out" / "jo\0b.json", "the path holds a NUL"),
-        "of-a-suffix-evaluate-skips": (tmp_path / "out" / "job.txt", "it ends in neither .json nor .jsonl, the logs evaluate reads"),
-    }[log]
-    spec = job_spec(tmp_path, write_dataset(tmp_path), output_json_file_path=str(path))
-    with pytest.raises(ConfigError) as excinfo:
-        execute_job(spec, scripted=unanimity_script())
-    shown = repr(str(path)) if log == "holding-a-nul" else path
-    assert str(excinfo.value) == f"job r1: cannot write {shown}: {fault}"
-    assert started_threads == []
-    assert not (tmp_path / "out").exists()
-
-
-def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path, monkeypatch):
+def test_no_file_but_a_leftover_repeat_is_at_fault_and_the_log_folder_is_listed_once(tmp_path, monkeypatch):
     # Only a file `evaluate` would read as a repeat of this job that the batch
-    # does not write is at fault: not one of the batch's own logs, another job's,
-    # nor a file of another suffix. The folder is listed once for the whole batch,
-    # not once per repeat.
+    # does not write is at fault (`tests/test_cli.py` refuses those): not one of
+    # the batch's own logs, another job's, nor a file of another suffix. The
+    # folder is listed once for the whole batch, not once per repeat.
     out = tmp_path / "out"
     out.mkdir()
     for name in ("job-r1.json", "other-r3.json", "job-r3.txt", "job-rx.json", "job-r3", "job3.json"):
@@ -491,35 +459,6 @@ def test_a_log_left_by_a_batch_of_more_repeats_is_refused_and_kept(tmp_path, mon
     monkeypatch.setattr(Path, "iterdir", lambda folder: listed.append(folder) or iterdir(folder))
     assert len(prepare_jobs(specs, http_backend=False)) == 2
     assert listed == [out]
-    (out / "job-r3.json").write_text("", encoding="utf-8")
-    with pytest.raises(ConfigError) as excinfo:
-        prepare_jobs(specs, http_backend=False)
-    assert str(excinfo.value) == (
-        f"job r1: {out / 'job-r3.json'} is left from an earlier batch, and evaluate would read it as a repeat of job 'job'"
-    )
-    assert (out / "job-r3.json").is_file()
-
-
-def test_run_batch_refuses_a_job_that_cannot_run_before_any_worker_starts(tmp_path, started_threads):
-    # report needs a central agent plus two peers; every sample would fail.
-    dataset = write_dataset(tmp_path, 3)
-    good = job_spec(tmp_path, dataset, name="good")
-    bad = job_spec(tmp_path, dataset, name="bad", discussion_paradigm="report")
-    with pytest.raises(ConfigError, match="^bad r1: num_agents=2 is too small"):
-        run_batch([good, bad], scripted=unanimity_script())
-    assert started_threads == []
-    assert not (tmp_path / "out").exists()
-
-
-def test_run_batch_refuses_an_http_job_whose_endpoint_url_is_not_http(tmp_path):
-    dataset = write_dataset(tmp_path, 2)
-    started = time.monotonic()
-    for name, url in [("bare", "localhost:8000/v1"), ("empty", "")]:
-        with pytest.raises(ConfigError, match=f"^{name} r1: endpoint_url must be an http"):
-            run_batch([job_spec(tmp_path, dataset, name=name, endpoint_url=url, model_name="m")])
-    # No debate ran, so no call was retried after a backoff sleep.
-    assert time.monotonic() - started < 1.0
-    assert not (tmp_path / "out").exists()
 
 
 def test_run_batch_loads_each_dataset_file_once(tmp_path, monkeypatch):
@@ -793,20 +732,6 @@ def test_run_batch_calls_patchable_hooks_once_per_sample(tmp_path, monkeypatch):
     assert total_records(run_batch(jobs, scripted=unanimity_script())) == 6
     assert len(seen) == len(set(seen)) == 6
     assert sorted(serialized) == ["0001", "0001", "0002", "0002", "0003", "0003"]
-
-
-@pytest.fixture
-def started_threads(monkeypatch) -> list[threading.Thread]:
-    """Every thread started while the test runs, in start order."""
-    started: list[threading.Thread] = []
-
-    class RecordingThread(threading.Thread):
-        def start(self) -> None:
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", RecordingThread)
-    return started
 
 
 def test_a_run_sample_that_raises_reaches_the_caller(tmp_path, monkeypatch):

@@ -60,6 +60,10 @@ inside that command, so `evaluate` and `chart` never load the gateway (nor
 and CSV datasets) are imported inside the one function that uses each; means
 are `math.fsum(v) / len(v)`, which is `statistics.fmean` bit for bit. No other
 module is imported inside a function.
+
+And the tests' oracles (`tests/metrics_oracle.py`, `tests/paper_rules.py`)
+import only the standard library: a fault the engine shared with its oracle
+would cancel out in every comparison.
 """
 
 from __future__ import annotations
@@ -659,3 +663,11 @@ def test_the_engine_raises_only_on_a_failed_reply_or_a_misused_transcript():
     # A check below the preparation step re-tests a value that step fixed:
     # only a test can trip it, and it drifts from the rule the user meets.
     assert engine_raises_of_another_kind() == []
+
+
+def test_each_oracle_imports_only_the_standard_library():
+    for oracle in ("metrics_oracle.py", "paper_rules.py"):
+        tree = ast.parse((Path(__file__).parent / oracle).read_text(encoding="utf-8"))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imported += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert [name for name in imported if name.partition(".")[0] not in sys.stdlib_module_names] == [], oracle
