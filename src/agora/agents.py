@@ -50,10 +50,8 @@ def extract_json_object(text: str) -> dict:
     raises ValueError."""
     start = text.find("{")
     end = text.rfind("}")
-    if start == -1 or end <= start:
-        raise ValueError(f"no JSON object in {text[:80]!r}")
     try:
-        obj = json.loads(text[start : end + 1])
+        obj = json.loads(text[start : end + 1])  # with no {...} span, "" or "}": json refuses both
     except RecursionError:
         raise ValueError("JSON object nested too deep") from None
     return obj

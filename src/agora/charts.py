@@ -154,7 +154,8 @@ def emit_charts(
     out_dir: str | Path,
     metric: Optional[str] = None,
 ) -> list[Path]:
-    """Four chart kinds per job, each an SVG with a CSV carrying the numbers."""
+    """Four chart kinds per job, each an SVG with a CSV carrying the numbers. Every
+    job's metric is picked before the first chart is written, so a job without one leaves none."""
     if not eval_results:
         raise ValueError("no evaluation results to chart")
     import csv
@@ -173,9 +174,9 @@ def emit_charts(
         write_output(csv_path, [table.getvalue()])
         manifest.extend([svg_path, csv_path])
 
-    for result in sorted(eval_results, key=lambda r: r.job_name):
+    ordered = sorted(eval_results, key=lambda r: r.job_name)
+    for result, chosen in zip(ordered, [_pick_metric(result, metric) for result in ordered]):
         job = result.job_name
-        chosen = _pick_metric(result, metric)
         mean = result.mean[chosen]
         std = result.std.get(chosen, 0.0)
         svg = _bar_svg(f"{chosen} ({job})", job, mean, std, 1.0, chosen)

@@ -59,6 +59,11 @@ def log_job(path: Path) -> tuple[str, int]:
     return job, repeat
 
 
+# The keys of a mapping sidecar: the lists of fields, then the strings.
+_LIST_KEYS = ("input_fields", "reference_fields", "context_fields")
+_STRING_KEYS = ("id_field", "answer_letter_field", "format", "instruction")
+
+
 class FieldMapping(NamedTuple):
     """Where unified-format fields come from in a raw dataset file."""
 
@@ -70,12 +75,16 @@ class FieldMapping(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FieldMapping":
-        """The mapping a sidecar object describes; a malformed one raises ValueError."""
-        for key in ("input_fields", "reference_fields", "context_fields"):
+        """The mapping a sidecar object describes; a malformed one, or one with a key
+        outside _LIST_KEYS and _STRING_KEYS, raises ValueError."""
+        for key in data:
+            if key not in _LIST_KEYS + _STRING_KEYS:
+                raise ValueError(f"unknown key {key!r}; the keys are {', '.join(_LIST_KEYS + _STRING_KEYS)}")
+        for key in _LIST_KEYS:
             value = data.get(key, [])
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ValueError(f"{key} must be a list of strings")
-        for key in ("id_field", "answer_letter_field", "format", "instruction"):
+        for key in _STRING_KEYS:
             if not isinstance(data.get(key), (str, type(None))):
                 raise ValueError(f"{key} must be a string")
         for key in ("input_fields", "reference_fields"):

@@ -213,12 +213,13 @@ def evaluate_job(
 def evaluate_logs(
     logs: str | Path, dataset: str | Path, out_dir: str | Path
 ) -> list[Path]:
-    """Evaluate every job found under `logs`; one {job}.eval.json per job."""
+    """Evaluate every job found under `logs`; one {job}.eval.json per job. Every
+    job is evaluated before the first file is written, so one that fails leaves none."""
     samples = load_input_file(dataset)
+    results = [evaluate_job(job, repeat_files, samples) for job, repeat_files in sorted(group_log_files(logs).items())]
     written: list[Path] = []
-    for job_name, repeat_files in sorted(group_log_files(logs).items()):
-        result = evaluate_job(job_name, repeat_files, samples)
-        target = Path(out_dir) / f"{job_name}.eval.json"
+    for result in results:
+        target = Path(out_dir) / f"{result.job_name}.eval.json"
         write_output(target, [json.dumps(result.to_json(), ensure_ascii=False, indent=2), "\n"])
         written.append(target)
     return written

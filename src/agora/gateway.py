@@ -402,7 +402,8 @@ class ScriptedGateway:
 
 
 def script_from_dict(data: Any) -> ScriptedGateway:
-    """Rules from a script object; a malformed rule raises ValueError naming its index."""
+    """Rules from a script object; a malformed rule, or one with a key it does not
+    know, raises ValueError naming its index."""
     entries = data.get("rules", []) if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError('a script is an object with a "rules" list')
@@ -421,11 +422,15 @@ def script_from_dict(data: Any) -> ScriptedGateway:
             repeatable = entry.get("repeatable", False)
             if not isinstance(repeatable, bool):
                 raise TypeError("repeatable is not a boolean")
+            unknown = [key for key in entry if key not in ("response", "match", "repeatable")]
+            unknown += [key for c in entry.get("match", []) for key in c if key not in ("contains", "role")]
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
             rules.append(ScriptRule(entry["response"], clauses, repeatable))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(
                 f"rules[{index}] is malformed ({type(exc).__name__}: {exc}): a rule is an object "
                 'with a "response" string, "match" clauses that each have a "contains" string '
-                'and an optional "repeatable" boolean'
+                'and an optional "role" string, and an optional "repeatable" boolean'
             ) from None
     return ScriptedGateway(rules)

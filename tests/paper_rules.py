@@ -1,11 +1,11 @@
 """The paper's debate rules, written once for the tests from the paper, not from the engine.
 
-The whole-space test (`test_config_space.py`) and acceptance criteria 2 and 3
-check the engine against these rules. Nothing here is imported from `agora`,
-so a fault the engine has cannot cancel out. Agent 1 is the central agent of
-report and debate. A message of the discussion is a plain tuple whose phase is
-the word a debate log writes (`"draft"`, `"improve"`, `"feedback"`,
-`"central_synthesis"`).
+The whole-space test (`test_config_space.py`), acceptance criteria 1, 2 and 3
+and the tally tests of `test_decisions.py` check the engine against these
+rules. Nothing here is imported from `agora`, so a fault the engine has cannot
+cancel out. Agent 1 is the central agent of report and debate. A message of
+the discussion is a plain tuple whose phase is the word a debate log writes
+(`"draft"`, `"improve"`, `"feedback"`, `"central_synthesis"`).
 """
 
 from __future__ import annotations
@@ -68,3 +68,31 @@ def shares_by_turn(discussion: list[tuple[int, int, str, str | None]], n: int) -
             agreeing[agent] = agreement == "agree"
         after[turn] = Fraction(sum(agreeing.values()), n)
     return list(after.values())
+
+
+def points(protocol: str, parsed, k: int) -> dict[int, int]:
+    """The points a valid ballot gives the candidates 1..k: a plurality vote one to its
+    choice, an approval ballot one to each it approves, a Borda ranking k - 1 - p to the
+    candidate at position p, and a cumulative ballot the points it allots."""
+    if protocol == "simple_voting":
+        return {parsed: 1}
+    if protocol == "approval_voting":
+        return dict.fromkeys(parsed, 1)
+    if protocol == "ranked_voting":
+        return {candidate: k - 1 - position for position, candidate in enumerate(parsed)}
+    return dict(parsed)
+
+
+def scores(ballots: list[dict[int, int]], k: int) -> dict[int, int]:
+    """Each candidate 1..k with the sum of the `points` of each ballot."""
+    totals = dict.fromkeys(range(1, k + 1), 0)
+    for ballot in ballots:
+        for candidate, given in ballot.items():
+            totals[candidate] += given
+    return totals
+
+
+def winners(totals: dict[int, int]) -> set[int]:
+    """The candidates with the most points."""
+    best = max(totals.values())
+    return {candidate for candidate, given in totals.items() if given == best}

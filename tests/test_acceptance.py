@@ -42,7 +42,7 @@ from agora.prompts import (
     render_vote_user,
 )
 from agora.runner import run_sample, serialize_record
-from paper_rules import CONSENSUS, visible
+from paper_rules import CONSENSUS, points, scores, visible, winners
 from recording import Recording, make_state
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,11 +58,6 @@ def ballot(parsed) -> Ballot:
     return Ballot(voter=0, raw_text=str(parsed), parsed=parsed, valid=True)
 
 
-def argmax_indices(scores: dict[int, int]) -> set[int]:
-    best = max(scores.values())
-    return {index for index, score in scores.items() if score == best}
-
-
 # -- criterion 1: voting rules vs a brute-force oracle --
 
 
@@ -70,63 +65,26 @@ def test_criterion_1_voting_rule_oracle_equivalence():
     started = time.monotonic()
     checked = 0
 
-    # Plurality: every profile of first choices.
-    for n in range(1, 5):
-        for k in range(1, 5):
-            choices = range(1, k + 1)
-            for profile in itertools.product(choices, repeat=n):
-                scores = {c: 0 for c in choices}
-                for vote in profile:
-                    scores[vote] += 1
-                expected = argmax_indices(scores)
-                got = tally("simple_voting", [ballot(v) for v in profile], k)
-                assert got.winners == expected, (profile, k)
-                checked += 1
-    assert checked == 494
-
-    # Approval: every profile of non-empty candidate subsets.
-    for n in range(1, 5):
-        for k in range(1, 5):
-            candidates = range(1, k + 1)
-            subsets = [
-                set(combo)
-                for size in range(1, k + 1)
-                for combo in itertools.combinations(candidates, size)
-            ]
-            prebuilt = [ballot(subset) for subset in subsets]
-            for profile in itertools.product(range(len(subsets)), repeat=n):
-                scores = {c: 0 for c in candidates}
-                for index in profile:
-                    for c in subsets[index]:
-                        scores[c] += 1
-                expected = argmax_indices(scores)
-                got = tally("approval_voting", [prebuilt[i] for i in profile], k)
-                assert got.winners == expected, (profile, k)
-                checked += 1
-    assert checked == 494 + 57164
-
-    # Ranked: every profile of complete rankings, Borda scored k - 1 - p.
-    for n in range(1, 5):
-        for k in range(1, 5):
-            candidates = range(1, k + 1)
-            rankings = list(itertools.permutations(candidates))
-            prebuilt = [ballot(list(r)) for r in rankings]
-            vectors = []
-            for ranking in rankings:
-                vector = {c: 0 for c in candidates}
-                for position, c in enumerate(ranking):
-                    vector[c] = k - 1 - position
-                vectors.append(vector)
-            for profile in itertools.product(range(len(rankings)), repeat=n):
-                scores = {c: 0 for c in candidates}
-                for index in profile:
-                    for c, score in vectors[index].items():
-                        scores[c] += score
-                expected = argmax_indices(scores)
-                got = tally("ranked_voting", [prebuilt[i] for i in profile], k)
-                assert got.winners == expected, (profile, k)
-                checked += 1
-    assert checked == 494 + 57164 + 347788
+    # Every profile of plurality votes, of non-empty approval sets and of
+    # complete Borda rankings, over 1-4 voters and 1-4 candidates.
+    options_of = {
+        "simple_voting": list,
+        "approval_voting": lambda candidates: [set(combo) for size in range(1, len(candidates) + 1)
+                                               for combo in itertools.combinations(candidates, size)],
+        "ranked_voting": lambda candidates: [list(ranking) for ranking in itertools.permutations(candidates)],
+    }
+    for protocol, total in zip(options_of, [494, 494 + 57164, 494 + 57164 + 347788]):
+        for n in range(1, 5):
+            for k in range(1, 5):
+                options = options_of[protocol](range(1, k + 1))
+                prebuilt = [ballot(option) for option in options]
+                given = [points(protocol, option, k) for option in options]
+                for profile in itertools.product(range(len(options)), repeat=n):
+                    expected = winners(scores([given[i] for i in profile], k))
+                    got = tally(protocol, [prebuilt[i] for i in profile], k)
+                    assert got.winners == expected, (protocol, profile, k)
+                    checked += 1
+        assert checked == total
 
     # Cumulative: seeded random point allocations within a budget of 10.
     rng = random.Random(20240817)
@@ -139,16 +97,12 @@ def test_criterion_1_voting_rule_oracle_equivalence():
             remaining = 10
             allocation: dict[int, int] = {}
             for c in rng.sample(candidates, k=rng.randint(1, k)):
-                points = rng.randint(0, remaining)
-                if points:
-                    allocation[c] = points
-                    remaining -= points
+                share = rng.randint(0, remaining)
+                if share:
+                    allocation[c] = share
+                    remaining -= share
             profile.append(allocation)
-        scores = {c: 0 for c in candidates}
-        for allocation in profile:
-            for c, points in allocation.items():
-                scores[c] += points
-        expected = argmax_indices(scores)
+        expected = winners(scores([points("cumulative_voting", a, k) for a in profile], k))
         got = tally("cumulative_voting", [ballot(a) for a in profile], k)
         assert got.winners == expected, (profile, k)
         checked += 1

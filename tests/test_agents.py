@@ -151,11 +151,13 @@ def test_ipip_persona_happy_path():
 
 
 def test_ipip_persona_missing_trait_counts_as_parse_failure():
-    bad = json.dumps({"role": "X", "traits": {"Extraversion": "high"}})
+    # Its one trait is off the scale: a reply missing a trait is retried before any value is checked.
+    bad = json.dumps({"role": "X", "traits": {"Extraversion": "extreme"}})
     good = ipip_json("Y", "low", "low", "low", "low", "low")
     backend = replay([bad, good])
     persona, _ = generate_ipip_persona("t", [], backend)
     assert persona.name == "Y"
+    assert len(backend.requests) == 2
 
 
 def test_ipip_persona_traits_that_are_not_an_object_are_retried():

@@ -172,14 +172,15 @@ def test_run_dry_run_accepts_consensus_with_a_late_voting_turn(tmp_path):
     assert "[protocol=majority_consensus paradigm=memory]" in result.output
 
 
-# One row per fault that stops a job as it is prepared: an edit of the valid
-# workspace of `edited_workspace`, and the one line that `run --dry-run` and
-# `run` both print after "Error: batch.json: ". An edit overlays keys on
-# `common` or on the run of job demo or of job other (DROP removes a key),
-# writes `files` (a list or dict as JSON, FOLDER as a folder, a Link as a
-# symbolic link to its target), and with `http` runs against the HTTP backend
-# instead of the script. <port> stands for a bound port that nothing listens on.
-# A fault in job other stops job demo too, though demo comes first and could run.
+# One row per fault that stops `run` before its first debate: an edit of the
+# valid workspace of `edited_workspace`, and the one line that `run --dry-run`
+# and `run` both print after "Error: batch.json: ", or the whole line when it
+# starts "Error: ". An edit overlays keys on `common` or on the run of job demo
+# or of job other (DROP removes a key), writes `files` (a list or dict as JSON,
+# FOLDER as a folder, a Link as a symbolic link to its target), and gives the
+# `backend` to run against instead of the script. <port> stands for a bound
+# port that nothing listens on. A fault in job other stops job demo too,
+# though demo comes first and could run.
 DROP, FOLDER = object(), object()
 
 
@@ -187,13 +188,52 @@ class Link(str):
     """The target of a symbolic link."""
 
 
+SCRIPT = "scripted:script.json"
 SIDECAR = {"input_fields": ["question"], "reference_fields": ["answer"], "id_field": "qid"}
+SIDECAR_KEYS = "input_fields, reference_fields, context_fields, id_field, answer_letter_field, format, instruction"
 URL_RULE = "endpoint_url must be an http(s)://host URL with no user, password, query or fragment (a key goes in api_key)"
+RULE_SHAPE = ('a rule is an object with a "response" string, "match" clauses that each have a "contains" string '
+              'and an optional "role" string, and an optional "repeatable" boolean')
 REFUSALS = {
+    "config-not-utf8": ({"files": {"batch.json": b'{"runs": [\xff]}'}},
+                        "Error: cannot read batch.json: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+    "config-folder": ({"files": {"batch.json": FOLDER}}, "Error: cannot read batch.json: [Errno 21] Is a directory: 'batch.json'"),
+    "repeats-0": ({"files": {"batch.json": {"repeats": 0, "runs": [{}]}}}, "repeats must be an integer >= 1"),
+    "unknown-top-level-key": ({"files": {"batch.json": {"repeat": 3, "commn": {}, "runs": [{}]}}},
+                              "unknown top-level key 'repeat'; the keys are name, repeats, common and runs"),
+    "backend-unknown": ({"backend": "grpc"}, "Error: unknown backend 'grpc'; expected http or scripted:<script.json>"),
+    "script-missing": ({"backend": "scripted:nope.json"}, "Error: cannot load script nope.json: no such file: nope.json"),
+    # A script the run cannot load stops it before its config is read.
+    **{
+        f"script-{case}": ({"files": {"script.json": script}}, f"Error: cannot load script script.json: {problem}")
+        for case, script, problem in [
+            ("no-response", {"rules": [{"response": "ok"}, {"match": [{"contains": "x"}]}]},
+             f"rules[1] is malformed (KeyError: 'response'): {RULE_SHAPE}"),
+            ("clause-without-contains", {"rules": [{"response": "ok"}, {"match": [{"role": "user"}], "response": "r"}]},
+             f"rules[1] is malformed (KeyError: 'contains'): {RULE_SHAPE}"),
+            ("rule-not-an-object", {"rules": [{"response": "ok"}, "not a rule"]},
+             f"rules[1] is malformed (TypeError: string indices must be integers, not 'str'): {RULE_SHAPE}"),
+            ("response-int", {"rules": [{"response": 5}]}, f"rules[0] is malformed (TypeError: the response is not a string): {RULE_SHAPE}"),
+            ("rules-object", {"rules": {"response": "ok"}}, 'a script is an object with a "rules" list'),
+            ("top-level-list", [{"response": "ok"}], 'a script is an object with a "rules" list'),
+            ("contains-int", {"rules": [{"match": [{"contains": 5}], "response": "r"}]},
+             f"rules[0] is malformed (TypeError: a match clause's contains or role is not a string): {RULE_SHAPE}"),
+            ("role-int", {"rules": [{"response": "ok"}, {"match": [{"contains": "x", "role": 1}], "response": "r"}]},
+             f"rules[1] is malformed (TypeError: a match clause's contains or role is not a string): {RULE_SHAPE}"),
+            ("repeatable-string", {"rules": [{"response": "ok", "repeatable": "false"}]},
+             f"rules[0] is malformed (TypeError: repeatable is not a boolean): {RULE_SHAPE}"),
+            # Dropped, a misspelt key would leave a rule that fires once.
+            ("rule-unknown-key", {"rules": [{"response": "x", "repeatble": True}]},
+             f"rules[0] is malformed (ValueError: unknown key 'repeatble'): {RULE_SHAPE}"),
+            ("clause-unknown-key", {"rules": [{"response": "x", "match": [{"contains": "x", "rol": "user"}]}]},
+             f"rules[0] is malformed (ValueError: unknown key 'rol'): {RULE_SHAPE}"),
+        ]
+    },
     "report-2": ({"other": {"discussion_paradigm": "report", "num_agents": 2}},
                  "other r1: num_agents=2 is too small: report needs a central agent plus at least 2 peers"),
     "vote-late": ({"other": {"decision_protocol": "simple_voting", "voting_after_turns": 5, "max_turns": 3}},
                   "other r1: voting_after_turns=5 exceeds max_turns=3: simple_voting would never reach its voting turn"),
+    "agents-1": ({"demo": {"num_agents": 1}}, "demo r1: num_agents must be >= 2, got 1"),
     "turns-many": ({"demo": {"max_turns": "many"}}, "demo r1: max_turns must be an integer, got 'many'"),
     "turns-0": ({"demo": {"max_turns": 0}}, "demo r1: max_turns must be >= 1, got 0"),
     "exchanges-1": ({"demo": {"discussion_paradigm": "debate", "debate_exchanges": 1}},
@@ -204,7 +244,7 @@ REFUSALS = {
     "unknown-in-a-run": ({"other": {"turns": 3}}, "other r1: unknown config key 'turns'"),
     # The script never calls the endpoint, so it may leave the URL empty.
     **{
-        f"url-{case}-{backend}": ({"common": {"endpoint_url": url, "model_name": "m"}, "http": backend == "http"},
+        f"url-{case}-{backend}": ({"common": {"endpoint_url": url, "model_name": "m"}, "backend": "http" if backend == "http" else SCRIPT},
                                   f"demo r1: {URL_RULE}, got {shown or repr(url)}")
         for case, url, shown in [
             ("no-scheme", "127.0.0.1:<port>/v1", ""), ("ftp", "ftp://host/v1", ""), ("no-host", "http:///v1", ""),
@@ -214,8 +254,8 @@ REFUSALS = {
         ]
         for backend in ("http", "script") if url or backend == "http"
     },
-    "http-without-endpoint-or-model": ({"http": True}, "demo r1: missing required key(s) for the http backend: endpoint_url, model_name"),
-    "http-without-model": ({"common": {"endpoint_url": "http://127.0.0.1:<port>/v1"}, "http": True},
+    "http-without-endpoint-or-model": ({"backend": "http"}, "demo r1: missing required key(s) for the http backend: endpoint_url, model_name"),
+    "http-without-model": ({"common": {"endpoint_url": "http://127.0.0.1:<port>/v1"}, "backend": "http"},
                            "demo r1: missing required key(s) for the http backend: model_name"),
     "no-dataset-key": ({"common": {"input_json_file_path": DROP}}, "run 1 is missing required key(s) after overlay: input_json_file_path"),
     "dataset-missing": ({"common": {"input_json_file_path": "absent.json"}}, "demo r1: no such file: absent.json"),
@@ -229,6 +269,9 @@ REFUSALS = {
                               "demo r1: tasks.json: row 1: inputs must be a non-empty list"),
     "sidecar-input-fields-retyped": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json.mapping.json": {**SIDECAR, "input_fields": 5}}},
                                      "demo r1: raw.json.mapping.json: input_fields must be a list of strings"),
+    # Dropped, a misspelt key would leave a field unmapped.
+    "sidecar-unknown-key": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json.mapping.json": {**SIDECAR, "context_field": ["question"]}}},
+                            f"demo r1: raw.json.mapping.json: unknown key 'context_field'; the keys are {SIDECAR_KEYS}"),
     "sidecar-id-field-absent-from-rows": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json.mapping.json": {**SIDECAR, "id_field": "s"}}},
                                           "demo r1: raw.json: row 1: missing field(s) s"),
     "mapped-dataset-not-a-list": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json": {"qid": "0001"}}},
@@ -277,13 +320,12 @@ def edited_workspace(root: Path, edit: dict, port: str) -> None:
     """Under `root`: a dataset, the same one through a mapping sidecar, the script, and
     batch.json, whose two jobs demo and other read the dataset; then `edit` made."""
     make_workspace(root)
-    files = {"raw.json": [{"qid": "0001", "question": "What is 2+2?", "answer": "4"}],
-             "raw.json.mapping.json": SIDECAR, **edit.get("files", {})}
     sections = {"common": {"input_json_file_path": "tasks.json"}, "demo": {"output_json_file_path": "logs/demo.jsonl"},
                 "other": {"output_json_file_path": "logs/other.jsonl"}}
     for name, keys in sections.items():
         sections[name] = {key: value for key, value in {**keys, **edit.get(name, {})}.items() if value is not DROP}
-    files["batch.json"] = {"common": sections["common"], "runs": [sections["demo"], sections["other"]]}
+    files = {"raw.json": [{"qid": "0001", "question": "What is 2+2?", "answer": "4"}], "raw.json.mapping.json": SIDECAR,
+             "batch.json": {"common": sections["common"], "runs": [sections["demo"], sections["other"]]}, **edit.get("files", {})}
     for name, content in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -302,9 +344,13 @@ def tree(root: Path) -> dict[str, bytes | str]:
             for path in root.rglob("*")}
 
 
-def run_workspace(*flags: str, http: bool = False):
-    backend = [] if http else ["--backend", "scripted:script.json"]
-    return CliRunner().invoke(main, ["run", "--config", "batch.json", *backend, *flags])
+def run_workspace(*flags: str, backend: str = SCRIPT):
+    return CliRunner().invoke(main, ["run", "--config", "batch.json", "--backend", backend, *flags])
+
+
+def refused(result, line: str) -> bool:
+    """Whether the command exited 1 with the one line `line`, and no traceback."""
+    return isinstance(result.exception, SystemExit) and (result.exit_code, result.output) == (1, f"{line}\n")
 
 
 @pytest.mark.parametrize("fault", REFUSALS)
@@ -312,6 +358,7 @@ def test_preparation_refuses_each_fault_alike_in_run_and_dry_run(tmp_path, monke
     # The dry run shows exactly what the run refuses, and neither writes a log,
     # starts a worker or opens a connection.
     edit, line = REFUSALS[fault]
+    line = line if line.startswith("Error: ") else f"Error: batch.json: {line}"
     connections = []
 
     def connect(sock, address):
@@ -326,17 +373,101 @@ def test_preparation_refuses_each_fault_alike_in_run_and_dry_run(tmp_path, monke
         edited_workspace(tmp_path, edit, port)
         before = tree(tmp_path)
         for flags in (["--dry-run"], []):
-            result = run_workspace(*flags, http=edit.get("http", False))
-            assert isinstance(result.exception, SystemExit), result.output
-            assert (result.exit_code, result.output) == (1, f"Error: batch.json: {line}\n".replace("<port>", port))
+            result = run_workspace(*flags, backend=edit.get("backend", SCRIPT))
+            assert refused(result, line.replace("<port>", port)), result.output
     assert tree(tmp_path) == before
     assert started_threads == [] and connections == []
 
 
+# One row per fault that stops `evaluate` or `chart`: the command, the files it
+# writes over the workspace of `edited_workspace` with OUTPUTS (as an edit's
+# `files`), and the one line it prints after "Error: ". Each row writes nothing,
+# not even under --out, though a later job may be the one that fails.
+GOOD_LOG = json.dumps({"task": {"id": "0001"}, "outcome": {"finalText": "FINAL SOLUTION: (A)", "decidedAtTurn": 1},
+                       "globalClockMs": 0}).encode() + b"\n"
+OUTPUTS = {"logs/demo-r1.jsonl": GOOD_LOG, "evals/demo.eval.json": {"jobName": "demo", "repeats": 1, "mean": {"accuracy": 1.0}}}
+
+
+def evaluate(logs: str = "logs", dataset: str = "tasks.json") -> list[str]:
+    return ["evaluate", "--logs", logs, "--dataset", dataset, "--out", "out"]
+
+
+def chart(*flags: str, evals: str = "evals") -> list[str]:
+    return ["chart", "--evals", evals, "--out", "out", *flags]
+
+
+ODD = "logs/odd.jsonl"
+OUTPUT_REFUSALS = {
+    "logs-missing": (evaluate("nowhere"), {}, "no such file: nowhere"),
+    "log-line-not-an-object": (evaluate(ODD), {ODD: b"[1]\n"}, f"{ODD} line 1 is not a JSON object"),
+    "log-line-not-an-object-after-a-good-job": (evaluate(), {ODD: b"[1]\n"}, f"{ODD} line 1 is not a JSON object"),
+    **{
+        f"record-without-{missing}": (evaluate(ODD), {ODD: b"\n" + json.dumps(record).encode()}, f"{ODD} line 2 has no valid {missing}")
+        for record, missing in [({}, "task.id"), ({"task": {"id": "1"}}, "outcome.finalText")]
+    },
+    "unknown-sample-id": (evaluate(ODD), {ODD: GOOD_LOG.replace(b"0001", b"9")},
+                          f"{ODD}: log references unknown sample id '9' (dataset tasks.json)"),
+    # The job name names the eval file, and chart would reject it.
+    **{
+        f"job-name-{name}": (evaluate(), {f"logs/{name}": GOOD_LOG}, f"logs/{name}: job name {job!r} is not a plain file name")
+        for name, job in [("..jsonl", "."), ("..-r2.jsonl", ".."), ("a\\b.jsonl", "a\\b"), (".-r1.jsonl", "."),
+                          ("..-r1.json", ".."), ("a\\b-r1.jsonl", "a\\b")]
+    },
+    # Merged, a debate's log and a baseline's would be averaged as one job.
+    **{
+        f"two-logs-of-repeat-1-{name}": (evaluate(), {f"logs/{name}": GOOD_LOG}, f"{first} and {second} are both repeat 1 of job 'demo'")
+        for name, first, second in [("demo-r1.json", "logs/demo-r1.json", "logs/demo-r1.jsonl"),
+                                    ("demo.jsonl", "logs/demo-r1.jsonl", "logs/demo.jsonl")]
+    },
+    "sidecar-not-json": (evaluate(dataset="raw.json"), {"raw.json.mapping.json": b"not json"},
+                         "cannot read raw.json.mapping.json: Expecting value: line 1 column 1 (char 0)"),
+    **{
+        f"sidecar-{key}-retyped": (evaluate(dataset="raw.json"), {"raw.json.mapping.json": {**SIDECAR, key: value}},
+                                   f"raw.json.mapping.json: {key} must be {kind}")
+        for key, value, kind in [("input_fields", "question", "a list of strings"), ("reference_fields", ["answer", 1], "a list of strings"),
+                                 ("context_fields", None, "a list of strings"), ("id_field", ["x"], "a string"),
+                                 ("answer_letter_field", 2, "a string"), ("format", 5, "a string"), ("instruction", ["gpqa"], "a string")]
+    },
+    "evals-missing": (chart(evals="nowhere"), {}, "no such file: nowhere"),
+    "metric-unknown": (chart("--metric", "bogus"), {}, "metric 'bogus' not present for job demo"),
+    "metric-missing-from-a-later-job": (chart("--metric", "bleu"), {"evals/a.eval.json": {"jobName": "a", "repeats": 1, "mean": {"bleu": 0.5}}},
+                                        "metric 'bleu' not present for job demo"),
+    "no-metric-in-a-later-job": (chart(), {"evals/z.eval.json": {"jobName": "z", "repeats": 1}}, "job z has no metrics to chart"),
+    **{
+        f"eval-file-{case}": (chart(), {"evals/x.eval.json": content}, f"evals/x.eval.json {problem}")
+        for case, content, problem in [
+            ("empty-object", {}, "has no valid jobName"), ("list", [1], "is not a JSON object"),
+            ("turns-int", {"jobName": "x", "repeats": 1, "turns": 5}, "has no valid turns"),
+            # The job name names the chart files; a path in it would write outside --out.
+            ("job-a-path", {"jobName": "x/../../escaped", "repeats": 1}, "has no valid jobName"),
+            ("job-a-windows-path", {"jobName": "x\\..\\escaped", "repeats": 1}, "has no valid jobName"),
+            ("job-dot-dot", {"jobName": "..", "repeats": 1}, "has no valid jobName"),
+            ("job-empty", {"jobName": "", "repeats": 1}, "has no valid jobName"),
+        ]
+    },
+    "eval-file-truncated": (chart(), {"evals/x.eval.json": b'{"jobName": '},
+                            "cannot read evals/x.eval.json: Expecting value: line 1 column 13 (char 12)"),
+    "eval-file-not-utf8": (chart(), {"evals/x.eval.json": b"\xff\xfe"},
+                           "cannot read evals/x.eval.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("fault", OUTPUT_REFUSALS)
+def test_evaluate_and_chart_refuse_each_fault_and_write_nothing(tmp_path, monkeypatch, fault):
+    argv, files, line = OUTPUT_REFUSALS[fault]
+    monkeypatch.chdir(tmp_path)
+    edited_workspace(tmp_path, {"files": {**OUTPUTS, **files}}, "")
+    before = tree(tmp_path)
+    result = CliRunner().invoke(main, argv)
+    assert refused(result, f"Error: {line}"), result.output
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("dataset", ["tasks.json", "raw.json"])
 def test_the_workspace_of_the_refusals_runs_and_reruns(tmp_path, monkeypatch, dataset):
-    # So each row's own edit is what stops its batch. A rerun overwrites the
-    # batch's own logs, which are not left from an earlier batch.
+    # So each row's own edit is what stops its command. A rerun overwrites the
+    # batch's own logs, which are not left from an earlier batch; with OUTPUTS
+    # beside them, evaluate and chart write their files.
     monkeypatch.chdir(tmp_path)
     edited_workspace(tmp_path, {"common": {"input_json_file_path": dataset}}, "")
     before = tree(tmp_path)
@@ -346,49 +477,12 @@ def test_the_workspace_of_the_refusals_runs_and_reruns(tmp_path, monkeypatch, da
         result = run_workspace()
         assert result.exit_code == 0, result.output
     assert sorted(os.listdir("logs")) == ["demo-r1.jsonl", "other-r1.jsonl"]
-
-
-def test_run_rejects_unknown_backend(tmp_path):
-    _, _, config = make_workspace(tmp_path)
-    result = CliRunner().invoke(main, ["run", "--config", str(config), "--backend", "grpc"])
-    assert result.exit_code != 0
-    assert "unknown backend" in result.output
-
-
-def test_run_rejects_missing_script(tmp_path):
-    _, _, config = make_workspace(tmp_path)
-    result = CliRunner().invoke(
-        main,
-        ["run", "--config", str(config), "--backend", f"scripted:{tmp_path / 'nope.json'}"],
-    )
-    assert result.exit_code != 0
-    assert "cannot load script" in result.output
-
-
-@pytest.mark.parametrize(
-    "script, where",
-    [
-        ({"rules": [{"response": "ok"}, {"match": [{"contains": "x"}]}]}, "rules[1]"),
-        ({"rules": [{"response": "ok"}, {"match": [{"role": "user"}], "response": "r"}]}, "rules[1]"),
-        ({"rules": [{"response": "ok"}, "not a rule"]}, "rules[1]"),
-        ({"rules": [{"response": 5}]}, "rules[0]"),
-        ({"rules": {"response": "ok"}}, '"rules" list'),
-        ([{"response": "ok"}], '"rules" list'),
-        ({"rules": [{"match": [{"contains": 5}], "response": "r"}]}, "rules[0]"),
-        ({"rules": [{"response": "ok"}, {"match": [{"contains": "x", "role": 1}], "response": "r"}]},
-         "rules[1]"),
-        ({"rules": [{"response": "ok", "repeatable": "false"}]}, "rules[0]"),
-    ],
-)
-def test_run_rejects_a_malformed_script_rule_without_a_traceback(tmp_path, script, where):
-    _, _, config = make_workspace(tmp_path)
-    path = write_json(tmp_path / "bad-script.json", script)
-    result = CliRunner().invoke(
-        main, ["run", "--config", str(config), "--backend", f"scripted:{path}"]
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code != 0
-    assert "cannot load script" in result.output
-    assert where in result.output
+    edited_workspace(tmp_path, {"common": {"input_json_file_path": dataset}, "files": OUTPUTS}, "")
+    for argv in (evaluate(dataset=dataset), chart(), chart("--metric", "accuracy")):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    charts = [f"{kind}-demo.{suffix}" for kind in ("score", "turns", "decision", "clock") for suffix in ("svg", "csv")]
+    assert sorted(os.listdir("out")) == sorted(["demo.eval.json", "other.eval.json", *charts])
 
 
 def test_run_scripted_end_to_end(tmp_path):
@@ -498,50 +592,6 @@ def test_evaluate_writes_one_eval_per_job(tmp_path):
     assert payload["std"]["accuracy"] == 0.0
 
 
-def test_evaluate_reports_missing_logs(tmp_path):
-    dataset, _, _ = make_workspace(tmp_path)
-    result = CliRunner().invoke(
-        main,
-        [
-            "evaluate",
-            "--logs", str(tmp_path / "nowhere"),
-            "--dataset", str(dataset),
-            "--out", str(tmp_path / "evals"),
-        ],
-    )
-    assert result.exit_code != 0
-    assert "nowhere" in result.output
-
-
-def test_evaluate_rejects_a_log_line_that_is_not_an_object(tmp_path):
-    dataset, _, _ = make_workspace(tmp_path)
-    log = tmp_path / "odd.jsonl"
-    log.write_text("[1]\n", encoding="utf-8")
-    out_dir = tmp_path / "evals"
-    result = CliRunner().invoke(
-        main, ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(out_dir)]
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert f"{log} line 1 is not a JSON object" in result.output
-    assert "Traceback" not in result.output
-
-
-@pytest.mark.parametrize(
-    "record, missing",
-    [({}, "task.id"), ({"task": {"id": "1"}}, "outcome.finalText")],
-)
-def test_evaluate_rejects_a_record_without_a_field_it_reads(tmp_path, record, missing):
-    dataset, _, _ = make_workspace(tmp_path)
-    log = tmp_path / "odd.jsonl"
-    log.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
-    out_dir = tmp_path / "evals"
-    result = CliRunner().invoke(
-        main, ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(out_dir)]
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output == f"Error: {log} line 2 has no valid {missing}\n"
-
-
 def test_chart_emits_files_for_each_kind(tmp_path):
     dataset, runner = run_pipeline(tmp_path)
     evals = tmp_path / "evals"
@@ -557,125 +607,6 @@ def test_chart_emits_files_for_each_kind(tmp_path):
     for kind in ("score", "turns", "decision", "clock"):
         assert (out_dir / f"{kind}-demo.svg").exists()
         assert (out_dir / f"{kind}-demo.csv").exists()
-
-
-def test_chart_rejects_unknown_metric(tmp_path):
-    dataset, runner = run_pipeline(tmp_path)
-    evals = tmp_path / "evals"
-    runner.invoke(
-        main,
-        ["evaluate", "--logs", str(tmp_path / "logs"), "--dataset", str(dataset), "--out", str(evals)],
-    )
-    result = runner.invoke(
-        main,
-        ["chart", "--evals", str(evals), "--out", str(tmp_path / "charts"), "--metric", "bogus"],
-    )
-    assert result.exit_code != 0
-    assert "not present" in result.output
-
-
-@pytest.mark.parametrize(
-    "content, problem",
-    [
-        ({}, "has no valid jobName"),
-        ([1], "is not a JSON object"),
-        ({"jobName": "x", "repeats": 1, "turns": 5}, "has no valid turns"),
-        # The job name names the chart files; a path in it would write outside --out.
-        ({"jobName": "x/../../escaped", "repeats": 1}, "has no valid jobName"),
-        ({"jobName": "x\\..\\escaped", "repeats": 1}, "has no valid jobName"),
-        ({"jobName": "..", "repeats": 1}, "has no valid jobName"),
-        ({"jobName": "", "repeats": 1}, "has no valid jobName"),
-    ],
-)
-def test_chart_rejects_an_eval_file_it_cannot_read(tmp_path, content, problem):
-    evals = tmp_path / "evals"
-    evals.mkdir()
-    bad = evals / "x.eval.json"
-    bad.write_text(json.dumps(content), encoding="utf-8")
-    result = CliRunner().invoke(main, ["chart", "--evals", str(evals), "--out", str(tmp_path / "c")])
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output == f"Error: {bad} {problem}\n"
-
-
-@pytest.mark.parametrize("content", [b'{"jobName": ', b"\xff\xfe"])
-def test_chart_names_an_eval_file_that_is_not_utf8_json(tmp_path, content):
-    evals = tmp_path / "evals"
-    evals.mkdir()
-    bad = evals / "x.eval.json"
-    bad.write_bytes(content)
-    result = CliRunner().invoke(main, ["chart", "--evals", str(evals), "--out", str(tmp_path / "c")])
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output.startswith(f"Error: cannot read {bad}: ")
-    assert len(result.output.splitlines()) == 1
-
-
-@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
-def test_run_names_a_config_file_it_cannot_read(tmp_path, kind):
-    _, script, _ = make_workspace(tmp_path)
-    config = tmp_path / "cfg.json"
-    if kind == "directory":
-        config.mkdir()
-    else:
-        config.write_bytes(b'{"runs": [\xff]}')
-    result = CliRunner().invoke(
-        main, ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"]
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output.startswith("Error: ") and str(config) in result.output
-    assert "Traceback" not in result.output
-
-
-def test_evaluate_names_a_sidecar_with_a_mistyped_field(tmp_path):
-    dataset = write_json(tmp_path / "raw.json", [{"q": "What?", "a": "A"}])
-    sidecar = write_json(
-        tmp_path / "raw.json.mapping.json",
-        {"input_fields": ["q"], "reference_fields": ["a"], "id_field": ["x"]},
-    )
-    log = tmp_path / "demo.jsonl"
-    log.write_text("", encoding="utf-8")
-    result = CliRunner().invoke(
-        main,
-        ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(tmp_path / "e")],
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output == f"Error: {sidecar}: id_field must be a string\n"
-
-
-@pytest.mark.parametrize(
-    "content, problem",
-    [
-        ({"repeats": 0, "runs": [{}]}, "repeats must be an integer >= 1"),
-        ({"runs": [{"output_json_file_path": "o.jsonl"}]}, "run 1 is missing required key(s)"),
-        ({"runs": [{"input_json_file_path": "i.json", "output_json_file_path": "one.jsonl",
-                    "num_agents": 1}]}, "one r1: num_agents must be >= 2"),
-        ({"repeat": 3, "commn": {}, "runs": [{}]}, "unknown top-level key 'repeat'"),
-    ],
-)
-def test_run_names_the_config_once_in_front_of_a_content_error(tmp_path, content, problem):
-    _, script, _ = make_workspace(tmp_path)
-    config = write_json(tmp_path / "cfg.json", content)
-    result = CliRunner().invoke(
-        main, ["run", "--config", str(config), "--backend", f"scripted:{script}", "--dry-run"]
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output.startswith(f"Error: {config}: {problem}")
-    assert result.output.count(str(config)) == 1
-
-
-def test_evaluate_names_the_log_and_the_dataset_of_an_unknown_sample_id(tmp_path):
-    dataset, _, _ = make_workspace(tmp_path)
-    log = tmp_path / "odd.jsonl"
-    record = {"task": {"id": "9"}, "outcome": {"finalText": "A", "decidedAtTurn": 1},
-              "globalClockMs": 5}
-    log.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    result = CliRunner().invoke(
-        main,
-        ["evaluate", "--logs", str(log), "--dataset", str(dataset), "--out", str(tmp_path / "e")],
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output == (
-        f"Error: {log}: log references unknown sample id '9' (dataset {dataset})\n"
-    )
 
 
 def no_control_characters(output: str) -> bool:
@@ -702,25 +633,6 @@ def test_a_job_name_holding_control_characters_prints_them_escaped(tmp_path):
     charted = runner.invoke(main, ["chart", "--evals", str(tmp_path / "evals"), "--out", str(tmp_path / "charts")])
     assert f"{tmp_path}/charts/score-de\\x1bmo\\x09.svg\n" in charted.output
     assert all(no_control_characters(result.output) for result in (dry, ran, evaluated, charted))
-
-
-@pytest.mark.parametrize(
-    "name, job",
-    [("..jsonl", "."), ("..-r2.jsonl", ".."), ("a\\b.jsonl", "a\\b"), (".-r1.jsonl", "."), ("..-r1.json", ".."),
-     ("a\\b-r1.jsonl", "a\\b")],
-)
-def test_evaluate_rejects_a_log_whose_name_gives_no_plain_job_name(tmp_path, name, job):
-    # The job name names the eval file, and chart would reject it.
-    dataset, runner = run_pipeline(tmp_path)
-    log = tmp_path / "logs" / name
-    log.write_bytes((tmp_path / "logs" / "demo-r1.jsonl").read_bytes())
-    out_dir = tmp_path / "evals"
-    result = runner.invoke(
-        main, ["evaluate", "--logs", str(log.parent), "--dataset", str(dataset), "--out", str(out_dir)]
-    )
-    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-    assert result.output == f"Error: {log}: job name {job!r} is not a plain file name\n"
-    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])

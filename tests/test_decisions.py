@@ -35,6 +35,7 @@ from agora.domain import (
     TieBreak,
 )
 from agora.gateway import EndpointUnreachable
+from paper_rules import points, scores, winners
 from recording import REPLAY_LATENCY_MS, make_state, replay
 
 
@@ -301,12 +302,9 @@ def test_simple_tally_matches_counter_oracle(k, data):
     votes = data.draw(st.lists(st.integers(1, k), min_size=1, max_size=8))
     ballots = [valid_ballot(i, v) for i, v in enumerate(votes, start=1)]
     result = tally("simple_voting", ballots, k)
-    counts = Counter(votes)
-    assert {i: int(s) for i, s in result.per_solution_score.items()} == {
-        i: counts.get(i, 0) for i in range(1, k + 1)
-    }
-    best = max(counts.values())
-    assert result.winners == {i for i, c in counts.items() if c == best}
+    expected = scores([points("simple_voting", vote, k) for vote in votes], k)
+    assert {i: int(s) for i, s in result.per_solution_score.items()} == expected
+    assert result.winners == winners(expected)
 
 
 @st.composite
@@ -323,20 +321,10 @@ def voting_cases(draw):
         ),
         # Each drawn solution is one point of the budget of 10.
         "cumulative_voting": st.lists(solution, min_size=1, max_size=10).map(
-            lambda points: dict(Counter(points))
+            lambda drawn: dict(Counter(drawn))
         ),
     }[protocol]
     return protocol, k, draw(st.lists(ballot, min_size=1, max_size=7))
-
-
-def points_oracle(protocol: str, parsed, k: int) -> Counter:
-    if protocol == "simple_voting":
-        return Counter({parsed: 1})
-    if protocol == "approval_voting":
-        return Counter(parsed)
-    if protocol == "ranked_voting":
-        return Counter({index: k - 1 - position for position, index in enumerate(parsed)})
-    return Counter(parsed)
 
 
 @given(voting_cases())
@@ -344,11 +332,11 @@ def test_tally_scores_are_whole_points_equal_to_an_independent_sum(case):
     protocol, k, parsed = case
     ballots = [valid_ballot(i, p) for i, p in enumerate(parsed, start=1)]
     result = tally(protocol, ballots, k)
-    expected = sum((points_oracle(protocol, p, k) for p in parsed), Counter())
-    assert result.per_solution_score == {i: expected[i] for i in range(1, k + 1)}
+    expected = scores([points(protocol, p, k) for p in parsed], k)
+    assert result.per_solution_score == expected
     assert all(type(score) is int for score in result.per_solution_score.values())
     logged = VoteRound(3, ["c"] * k, ballots, result).to_log()["scores"]
-    assert logged == {str(i): expected[i] for i in range(1, k + 1)}
+    assert logged == {str(i): expected[i] for i in expected}
     assert all(type(score) is int for score in logged.values())
 
 

@@ -8,7 +8,6 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agora.datasets import FormatError
 from agora.domain import TaskInstance
 from agora.evaluation import (
     _FINAL_RE,
@@ -216,23 +215,6 @@ def test_group_log_files_single_file(tmp_path):
     assert groups == {"job": [(2, path)]}
 
 
-@pytest.mark.parametrize("names", [("x-r1.json", "x-r1.jsonl"), ("x-r1.jsonl", "x.jsonl")])
-def test_group_log_files_rejects_two_logs_of_one_repeat(tmp_path, names):
-    # Merged, a debate's log and a baseline's would be averaged as one job.
-    for name in names:
-        (tmp_path / name).write_text("", encoding="utf-8")
-    first, second = (tmp_path / name for name in names)
-    with pytest.raises(FormatError) as caught:
-        group_log_files(tmp_path)
-    assert str(caught.value) == f"{first} and {second} are both repeat 1 of job 'x'"
-
-
-def test_group_log_files_missing_path(tmp_path):
-    with pytest.raises(FormatError) as caught:
-        group_log_files(tmp_path / "nowhere")
-    assert str(caught.value) == f"no such file: {tmp_path / 'nowhere'}"
-
-
 def test_read_records_skips_blank_lines(tmp_path):
     path = tmp_path / "log.json"
     path.write_text('{"a":1}\n\n{"b":2}\n', encoding="utf-8")
@@ -342,7 +324,3 @@ def test_evaluate_logs_writes_one_file_per_job(tmp_path):
     assert EvalResult.from_json(raw).mean == results[0].mean
 
 
-def test_load_eval_results_missing_path(tmp_path):
-    with pytest.raises(FormatError) as caught:
-        load_eval_results(tmp_path / "nope")
-    assert str(caught.value) == f"no such file: {tmp_path / 'nope'}"

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
-import socket
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -142,98 +144,6 @@ def test_endpoint_trailing_slash_is_normalized():
     assert seen["url"] == "http://fake/chat/completions"
 
 
-def test_retries_on_5xx_then_succeeds():
-    statuses = iter([500, 502, 200])
-    sleeps: list[float] = []
-
-    def transport(url, headers, body, timeout):
-        status = next(statuses)
-        return status, ok_payload() if status == 200 else None
-
-    gw = make_gateway(transport, sleeper=sleeps.append)
-    assert gw.complete(req()).text == "hello"
-    assert len(sleeps) == 2
-    # Exponential base doubles per attempt, jitter stays within 20 percent.
-    assert 0.8 <= sleeps[0] <= 1.2
-    assert 1.6 <= sleeps[1] <= 2.4
-
-
-def test_retries_on_429_and_timeouts():
-    calls = {"n": 0}
-
-    def transport(url, headers, body, timeout):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise TimeoutError("too slow")
-        if calls["n"] == 2:
-            return 429, None
-        return 200, ok_payload()
-
-    gw = make_gateway(transport)
-    assert gw.complete(req()).text == "hello"
-    assert calls["n"] == 3
-
-
-def test_retries_exhausted(monkeypatch):
-    def transport(url, headers, body, timeout):
-        return 503, None
-
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 2)
-    gw = make_gateway(transport)
-    with pytest.raises(EndpointUnreachable, match="after 3 attempts"):
-        gw.complete(req())
-
-
-def test_backoff_cap(monkeypatch):
-    sleeps: list[float] = []
-
-    def transport(url, headers, body, timeout):
-        return 500, None
-
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 8)
-    gw = make_gateway(transport, sleeper=sleeps.append)
-    with pytest.raises(EndpointUnreachable):
-        gw.complete(req())
-    assert max(sleeps) <= 30.0
-
-
-@pytest.mark.parametrize("status", [401, 403])
-def test_auth_rejection_is_not_retried(status):
-    calls = {"n": 0}
-
-    def transport(url, headers, body, timeout):
-        calls["n"] += 1
-        return status, None
-
-    with pytest.raises(AuthRejected):
-        make_gateway(transport).complete(req())
-    assert calls["n"] == 1
-
-
-def test_unexpected_status_fails_fast():
-    calls = {"n": 0}
-
-    def transport(url, headers, body, timeout):
-        calls["n"] += 1
-        return 404, None
-
-    with pytest.raises(EndpointUnreachable):
-        make_gateway(transport).complete(req())
-    assert calls["n"] == 1
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [None, {}, {"choices": []}, {"choices": [{"message": {}}]}, {"choices": [{"message": {"content": 5}}]}],
-)
-def test_malformed_payloads(payload):
-    def transport(url, headers, body, timeout):
-        return 200, payload
-
-    with pytest.raises(MalformedResponse):
-        make_gateway(transport).complete(req())
-
-
 def test_max_in_flight_bound_under_threads():
     active = {"now": 0, "peak": 0, "calls": 0}
     lock = threading.Lock()
@@ -328,8 +238,9 @@ class ChatHandler(BaseHTTPRequestHandler):
     503 with the body "ok" would send; "drip" sends that body one byte every
     50 ms, so no single read waits long but the whole reply does; "chunked"
     sends it with Transfer-Encoding: chunked, in two chunks and a last one;
-    "chunked-short" sends only its first chunk, then closes the connection.
-    A CONNECT request (an HTTPS tunnel) is refused. The server counts the
+    "chunked-short" sends only its first chunk, then closes the connection;
+    "closed-port" closes the server before it accepts, so nothing listens on
+    its port. A CONNECT request (an HTTPS tunnel) is refused. The server counts the
     connections it accepts and records each request line's target and proxy
     credentials.
     """
@@ -418,7 +329,10 @@ def loopback_server():
 
     def start(mode: str = "ok") -> LoopbackServer:
         server = LoopbackServer(mode)
-        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        if mode == "closed-port":
+            server.server_close()
+            return server
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
         servers.append(server)
         return server
 
@@ -437,172 +351,126 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
-def fifty_calls(server, max_in_flight: int) -> list[str]:
-    gw = HttpGateway(server.url, max_in_flight=max_in_flight)
+@pytest.mark.parametrize("mode", ["ok", "close"])
+def test_default_transport_reuses_connections_up_to_the_cap(loopback_server, mode):
+    # Eight callers share four slots; a connection the server closes is replaced.
+    server = loopback_server(mode)
+    gw = HttpGateway(server.url, max_in_flight=4)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        return list(pool.map(lambda _: gw.complete(req()).text, range(50)))
+        assert list(pool.map(lambda _: gw.complete(req()).text, range(50))) == ["ok"] * 50
+    assert server.connections in {"ok": range(1, 5), "close": [50]}[mode]
 
 
-def test_default_transport_reuses_connections_up_to_the_cap(loopback_server):
-    server = loopback_server()
-    assert fifty_calls(server, max_in_flight=4) == ["ok"] * 50
-    assert 1 <= server.connections <= 4
+class Fault(NamedTuple):
+    """How an endpoint's fault ends a call: `source` is a LoopbackServer mode, or the
+    replies of an injected transport (a status, a (status, payload) pair, or an
+    exception to raise), which opens no connection; `settings` overlays the
+    gateway module's constants."""
+
+    source: str | list
+    outcome: str | tuple  # each call's text, or the error's class and its message (a pattern, or the text)
+    attempts: int  # the requests the endpoint saw
+    sleeps: list[int]  # the backoff before each retry: 1 s doubling, capped at 30 s, with up to 20% jitter
+    connections: int = 0
+    last_closed: Optional[bool] = None  # whether the last connection ended by the time the call did
+    settings: dict = {}
+    calls: int = 1
 
 
-def test_default_transport_survives_connection_close(loopback_server):
-    server = loopback_server("close")
-    assert fifty_calls(server, max_in_flight=4) == ["ok"] * 50
-    assert server.connections == 50
+SIZE = len(json.dumps(ok_payload("ok")).encode("utf-8"))  # the body each server mode sends
+TICKS = SimpleNamespace(monotonic=itertools.count(0.0).__next__)  # each reading of the clock advances it 1 s
+EXHAUSTED = "retries exhausted after {} attempts: {}"
+ENDPOINT_FAULTS = {
+    "5xx-then-200": Fault([500, 502, 200], "hello", 3, [1, 2]),
+    "timeout-then-429-then-200": Fault([TimeoutError("too slow"), 429, 200], "hello", 3, [1, 2]),
+    "retries-exhausted": Fault([503] * 3, (EndpointUnreachable, EXHAUSTED.format(3, "HTTP 503")), 3, [1, 2], settings={"MAX_RETRIES": 2}),
+    "backoff-cap": Fault([500] * 9, (EndpointUnreachable, EXHAUSTED.format(9, "HTTP 500")), 9, [1, 2, 4, 8, 16, 32, 64, 128],
+                         settings={"MAX_RETRIES": 8}),
+    **{f"status-{status}": Fault([status], (AuthRejected, f"endpoint rejected credentials (HTTP {status})"), 1, []) for status in (401, 403)},
+    "status-404": Fault([404], (EndpointUnreachable, "non-retryable HTTP status 404"), 1, []),
+    **{
+        f"payload-{case}": Fault([(200, payload)], (MalformedResponse, f"missing choice text in response: {payload!r}"), 1, [])
+        for case, payload in [("none", None), ("empty", {}), ("no-choices", {"choices": []}), ("no-content", {"choices": [{"message": {}}]})]
+    },
+    "payload-content-int": Fault([(200, ok_payload(5))], (MalformedResponse, "choice text is not a string: 5"), 1, []),
+    "close": Fault("close", "ok", 1, [], 1, True),
+    # A dropped idle connection is replaced without a retry.
+    "drop": Fault("drop", "ok", 2, [], 2, True, calls=2),
+    "stall": Fault("stall", (EndpointUnreachable, EXHAUSTED.format(2, "timed out")), 2, [1], 2, True, {"MAX_RETRIES": 1, "TIMEOUT_S": 0.1}),
+    # Each byte comes well within TIMEOUT_S, but the whole body takes seconds:
+    # the attempt, not each read, is what the deadline bounds.
+    "drip": Fault("drip", (EndpointUnreachable, re.compile(EXHAUSTED.format(2, "(timed out|the attempt ran out of time)"))), 2, [1], 2, True,
+                  {"MAX_RETRIES": 1, "TIMEOUT_S": 0.2}),
+    # A 2.5 s attempt is past its deadline by the read after the one that gets
+    # the headers: that read raises before it waits. A 0.5 s attempt is past it
+    # before its request is sent, and sends none.
+    **{
+        f"deadline-{case}": Fault("drip", (EndpointUnreachable, EXHAUSTED.format(2, "the attempt ran out of time")), sent, [1], 2, True,
+                                  {"time": TICKS, "MAX_RETRIES": 1, "TIMEOUT_S": timeout_s})
+        for case, timeout_s, sent in [("after-the-headers", 2.5, 2), ("before-the-request", 0.5, 0)]
+    },
+    "closed-port": Fault("closed-port", (EndpointUnreachable, EXHAUSTED.format(2, "[Errno 111] Connection refused")), 0, [1],
+                         settings={"MAX_RETRIES": 1}),
+    "not-json": Fault("text", (MalformedResponse, "missing choice text in response: None"), 1, [], 1, False),
+    "short": Fault("short", (EndpointUnreachable, EXHAUSTED.format(2, f"IncompleteRead({SIZE} bytes read, 10 more expected)")), 2, [1], 2, True,
+                   {"MAX_RETRIES": 1}),
+    "chunked": Fault("chunked", "ok", 50, [], 1, False, calls=50),
+    "chunked-short": Fault("chunked-short", (EndpointUnreachable, EXHAUSTED.format(2, f"IncompleteRead({SIZE // 2} bytes read)")), 2, [1], 2, True,
+                           {"MAX_RETRIES": 1}),
+    # A 200 over the cap is not retried: the server would send it again. Its
+    # connection, the rest of the body unread, is closed.
+    **{
+        f"{mode}-{case}": Fault(mode, outcome, 1, [], 1, case == "over-the-cap", {"MAX_RESPONSE_BYTES": cap})
+        for mode in ("ok", "chunked")
+        for case, cap, outcome in [("at-the-cap", SIZE, "ok"),
+                                   ("over-the-cap", SIZE - 1, (MalformedResponse, f"response body is over the {SIZE - 1}-byte cap"))]
+    },
+    "busy-over-the-cap": Fault("busy", (EndpointUnreachable, EXHAUSTED.format(2, "HTTP 503")), 2, [1], 2, True,
+                               {"MAX_RETRIES": 1, "MAX_RESPONSE_BYTES": SIZE - 1}),
+}
 
 
-def test_dropped_idle_connection_is_replaced_without_a_retry(loopback_server):
-    server = loopback_server("drop")
-    sleeps: list[float] = []
-    gw = HttpGateway(server.url, max_in_flight=2, sleeper=sleeps.append)
-    assert gw.complete(req()).text == "ok"
-    assert server.closed.acquire(timeout=5)  # the idle connection is gone server-side
-    assert gw.complete(req()).text == "ok"
-    assert server.connections == 2
-    assert len(server.targets) == 2
-    assert sleeps == []
+@pytest.mark.parametrize("fault", ENDPOINT_FAULTS)
+def test_each_endpoint_fault_ends_its_call_as_its_row_says(loopback_server, monkeypatch, fault):
+    row = ENDPOINT_FAULTS[fault]
+    for name, value in row.settings.items():
+        monkeypatch.setattr(gateway, name, value)
+    sent, sleeps, server = [], [], None
+    if isinstance(row.source, list):
+        replies = iter(row.source)
 
+        def transport(url, headers, body, timeout):
+            sent.append(body)
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply if isinstance(reply, tuple) else (reply, ok_payload() if reply == 200 else None)
 
-def test_stalled_reply_times_out_and_is_retried(loopback_server, monkeypatch):
-    server = loopback_server("stall")
-    sleeps: list[float] = []
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    monkeypatch.setattr(gateway, "TIMEOUT_S", 0.1)
-    gw = HttpGateway(server.url, sleeper=sleeps.append)
+        gw = make_gateway(transport, sleeper=sleeps.append)
+    else:
+        server = loopback_server(row.source)
+        gw = HttpGateway(server.url, sleeper=sleeps.append)
     started = time.monotonic()
-    with pytest.raises(EndpointUnreachable, match="2 attempts"):
-        gw.complete(req())
-    assert time.monotonic() - started < 3
-    assert len(server.targets) == 2
-    assert len(sleeps) == 1
-
-
-def test_a_dripped_reply_ends_the_attempt_at_its_deadline(loopback_server, monkeypatch):
-    # Each byte of the body comes well within TIMEOUT_S, but the whole body
-    # takes seconds: the attempt, not each read, is what the deadline bounds.
-    server = loopback_server("drip")
-    sleeps: list[float] = []
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    monkeypatch.setattr(gateway, "TIMEOUT_S", 0.2)
-    gw = HttpGateway(server.url, sleeper=sleeps.append)
-    started = time.monotonic()
-    with pytest.raises(EndpointUnreachable, match="2 attempts"):
-        gw.complete(req())
-    assert time.monotonic() - started < 0.2 * 2 + 0.3
-    assert len(server.targets) == 2
-    assert len(sleeps) == 1
-
-
-@pytest.mark.parametrize("timeout_s, sent", [(2.5, 2), (0.5, 0)])
-def test_an_attempt_whose_deadline_passes_is_retried(loopback_server, monkeypatch, timeout_s, sent):
-    # Each reading of the gateway's clock advances it 1 s, so a 2.5 s attempt
-    # is past its deadline by the read after the one that gets the headers:
-    # that read raises before it waits, and the attempt counts as a timeout.
-    # A 0.5 s attempt is past it before its request is sent, and sends none.
-    ticks = iter(range(1_000_000))
-    monkeypatch.setattr(gateway, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    monkeypatch.setattr(gateway, "TIMEOUT_S", timeout_s)
-    server = loopback_server("drip")
-    sleeps: list[float] = []
-    gw = HttpGateway(server.url, sleeper=sleeps.append)
-    with pytest.raises(EndpointUnreachable, match="after 2 attempts: the attempt ran out of time$"):
-        gw.complete(req())
-    assert all(server.closed.acquire(timeout=5) for _ in range(2))  # the server is done with both attempts
-    assert len(server.targets) == sent
-    assert len(sleeps) == 1
-
-
-def test_closed_port_is_unreachable(monkeypatch):
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    sleeps: list[float] = []
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    gw = HttpGateway(f"http://127.0.0.1:{port}/v1", sleeper=sleeps.append)
-    with pytest.raises(EndpointUnreachable):
-        gw.complete(req())
-    assert len(sleeps) == 1
-
-
-def test_non_json_body_is_malformed(loopback_server):
-    server = loopback_server("text")
-    with pytest.raises(MalformedResponse):
-        HttpGateway(server.url).complete(req())
-
-
-def test_a_body_over_the_cap_is_malformed_and_not_retried(loopback_server, monkeypatch):
-    server = loopback_server()
-    size = len(json.dumps(ok_payload("ok")).encode("utf-8"))
-    sleeps: list[float] = []
-    gw = HttpGateway(server.url, sleeper=sleeps.append)
-    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size)
-    assert gw.complete(req()).text == "ok"
-    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size - 1)
-    with pytest.raises(MalformedResponse, match=f"over the {size - 1}-byte cap"):
-        gw.complete(req())
-    assert len(server.targets) == 2
-    assert sleeps == []
-    assert server.closed.acquire(timeout=5)  # the connection, the rest of the body unread, is closed
-
-
-def test_a_transient_status_over_the_cap_is_retried(loopback_server, monkeypatch):
-    server = loopback_server("busy")
-    size = len(json.dumps(ok_payload("ok")).encode("utf-8"))
-    sleeps: list[float] = []
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size - 1)
-    with pytest.raises(EndpointUnreachable, match="2 attempts: HTTP 503"):
-        HttpGateway(server.url, sleeper=sleeps.append).complete(req())
-    assert len(server.targets) == 2
-    assert len(sleeps) == 1
-    assert server.connections == 2  # neither connection, its body unread, is used again
-
-
-def test_a_body_cut_short_of_its_length_is_retried(loopback_server, monkeypatch):
-    server = loopback_server("short")
-    sleeps: list[float] = []
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    with pytest.raises(EndpointUnreachable, match="2 attempts: IncompleteRead"):
-        HttpGateway(server.url, sleeper=sleeps.append).complete(req())
-    assert len(server.targets) == 2
-    assert len(sleeps) == 1
-
-
-def test_default_transport_reads_a_chunked_reply_and_reuses_its_connection(loopback_server):
-    server = loopback_server("chunked")
-    assert fifty_calls(server, max_in_flight=1) == ["ok"] * 50
-    assert server.connections == 1
-
-
-def test_a_chunked_body_cut_short_is_retried(loopback_server, monkeypatch):
-    server = loopback_server("chunked-short")
-    sleeps: list[float] = []
-    monkeypatch.setattr(gateway, "MAX_RETRIES", 1)
-    with pytest.raises(EndpointUnreachable, match="2 attempts: IncompleteRead"):
-        HttpGateway(server.url, sleeper=sleeps.append).complete(req())
-    assert len(server.targets) == 2
-    assert len(sleeps) == 1
-
-
-def test_a_chunked_body_over_the_cap_is_malformed_and_not_retried(loopback_server, monkeypatch):
-    server = loopback_server("chunked")
-    size = len(json.dumps(ok_payload("ok")).encode("utf-8"))
-    sleeps: list[float] = []
-    gw = HttpGateway(server.url, sleeper=sleeps.append)
-    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size)
-    assert gw.complete(req()).text == "ok"
-    monkeypatch.setattr(gateway, "MAX_RESPONSE_BYTES", size - 1)
-    with pytest.raises(MalformedResponse, match=f"over the {size - 1}-byte cap"):
-        gw.complete(req())
-    assert len(server.targets) == 2
-    assert sleeps == []
-    assert server.connections == 1
-    assert server.closed.acquire(timeout=5)  # the connection, the rest of the body unread, is closed
+    for call in range(row.calls):
+        if call and row.source == "drop":
+            assert server.closed.acquire(timeout=5)  # the idle connection is gone server-side
+        try:
+            outcome = gw.complete(req()).text
+        except gateway.GatewayError as exc:
+            pattern = row.outcome[1] if isinstance(row.outcome[1], re.Pattern) else None
+            outcome = type(exc), pattern if pattern and pattern.fullmatch(str(exc)) else str(exc)
+        assert outcome == row.outcome
+    assert time.monotonic() - started < row.calls * (gateway.MAX_RETRIES + 1) * gateway.TIMEOUT_S + 0.3
+    assert len(sleeps) == len(row.sleeps)
+    assert all(min(0.8 * base, 30) <= slept <= min(1.2 * base, 30) for slept, base in zip(sleeps, row.sleeps)), sleeps
+    if server is None:
+        assert len(sent) == row.attempts
+        return
+    server.release.set()  # ends a stalled reply
+    closed = row.connections - (row.source == "drop") - (row.last_closed is False)
+    assert all(server.closed.acquire(timeout=5) for _ in range(closed))
+    assert (len(server.targets), server.connections) == (row.attempts, row.connections)
+    assert row.last_closed is not False or not server.closed.acquire(timeout=0.05)
 
 
 def test_http_proxy_gets_the_absolute_uri(loopback_server, no_proxy_env):

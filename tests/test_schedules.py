@@ -26,6 +26,7 @@ import _thread
 import json
 import random
 import re
+import signal
 import threading
 import time
 from collections import Counter, deque
@@ -371,8 +372,14 @@ def test_an_interrupt_keeps_finished_jobs_and_starts_nothing(tmp_path, monkeypat
     # and 1 a's debate ends after the interrupt; at steps 2 and 3 it has ended,
     # and b's worker would start b2 when b1 ends if the caller missed the
     # interrupt until that worker ended.
+    # `interrupt_main` raises KeyboardInterrupt only while Python handles SIGINT,
+    # and a shell starts a background command with SIGINT ignored.
     explorer = Explorer(tmp_path, monkeypatch, [Job("a", 1), Job("b", 2, endpoint="two")])
-    outcome = explorer.run(replay(["a1.1", "a1.2", "b1.1", "b1.2", "b2.1", "b2.2"]), interrupt_at=step)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        outcome = explorer.run(replay(["a1.1", "a1.2", "b1.1", "b1.2", "b2.1", "b2.2"]), interrupt_at=step)
+    finally:
+        signal.signal(signal.SIGINT, previous)
     explorer.check(outcome, f"interrupt at step {step}", expect=KeyboardInterrupt())
     starts = [debate for event, debate in outcome.controller.events if event == "start"]
     # Job a keeps its log; b2 never starts.
