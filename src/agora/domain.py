@@ -60,10 +60,6 @@ class SequenceViolation(Exception):
     pass
 
 
-class DebateEnded(Exception):
-    pass
-
-
 class Share(NamedTuple):
     """An exact share of a panel, unreduced, read like a Fraction."""
 
@@ -229,9 +225,7 @@ def _installs_draft(msg: Message) -> bool:
 class DebateState:
     """One debate's job, sample, task text and transcript; `turn` counts completed turns."""
 
-    __slots__ = (
-        "params", "task", "task_text", "panel", "transcript", "current_draft", "agree_flags", "turn", "ended"
-    )
+    __slots__ = ("params", "task", "task_text", "panel", "transcript", "current_draft", "agree_flags", "turn")
 
     def __init__(
         self, params: JobParams, task: TaskInstance, task_text: str, panel: list[AgentProfile]
@@ -242,12 +236,9 @@ class DebateState:
         self.current_draft: Optional[str] = None  # the text of the solution under discussion
         self.agree_flags: dict[int, Agreement] = {}
         self.turn = 0
-        self.ended = False
 
     def add(self, turn: int, agent_id: int, phase: Phase, text: str, clock_ms: int) -> None:
         """Append the next message, numbered after the last; its text carries its agreement."""
-        if self.ended:
-            raise DebateEnded("cannot add to an ended debate")
         if self.transcript and turn < self.transcript[-1].turn:
             raise SequenceViolation(f"turn went backwards: {self.transcript[-1].turn} -> {turn}")
         msg = Message(len(self.transcript) + 1, turn, agent_id, phase, text, clock_ms)

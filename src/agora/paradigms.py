@@ -7,7 +7,6 @@ from typing import NamedTuple
 
 from . import prompts
 from .domain import (
-    DebateEnded,
     DebateState,
     Message,
     ParadigmKind,
@@ -119,8 +118,6 @@ def render_step_prompt(state: DebateState, step: TurnStep) -> list[tuple[str, st
 
 def run_turn(state: DebateState, backend: Backend) -> DebateState:
     """One turn of the schedule; `decisions.decide` runs it only below the turn cap."""
-    if state.ended:
-        raise DebateEnded("debate already ended")
     turn_no = state.turn + 1
     kind = ParadigmKind(state.params.discussion_paradigm)
     for step in schedule(kind, len(state.panel), state.params.debate_exchanges):

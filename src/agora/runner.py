@@ -45,7 +45,6 @@ def run_sample(params: JobParams, sample, backend: Backend) -> dict[str, Any]:
             outcome = decisions.decide(state, backend)
     except Exception as exc:
         outcome = DecisionOutcome("", error=f"{type(exc).__name__}: {exc}")
-    state.ended = True
     clock_ms = int((backend.clock() - started) * 1000)
     return build_log_record(state, outcome, clock_ms)
 

@@ -1,5 +1,5 @@
-"""The tests' one recording backend, which keeps every request it forwards, and
-their one builder of a debate state."""
+"""The tests' one recording backend, which keeps every request it forwards,
+their one always-agreeing backend, and their one builder of a debate state."""
 
 from __future__ import annotations
 
@@ -38,6 +38,30 @@ class _Replay:
     @staticmethod
     def clock() -> float:
         return 0.0
+
+
+class Agreeing:
+    """Answers every call with an agreeing draft; every fork is this instance.
+
+    `on_call` sees each request's prompt text before the reply, so a test
+    can block or delay calls from any debate thread.
+    """
+
+    REPLY = "The answer is 42. [AGREE]"
+
+    def __init__(self, on_call=None) -> None:
+        self.on_call = on_call
+
+    def fork(self) -> "Agreeing":
+        return self
+
+    def clock(self) -> float:
+        return 0.0
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        if self.on_call is not None:
+            self.on_call("\n".join(m.content for m in req.messages))
+        return ChatResponse(text=self.REPLY)
 
 
 def replay(texts: list[str]) -> Recording:

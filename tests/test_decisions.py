@@ -3,6 +3,7 @@ against `paper_rules.py` by test_config_space.py and acceptance criterion 2."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -18,22 +19,12 @@ from agora.decisions import (
     collect_candidates,
     decide,
     judge_decide,
-    parse_approval,
     parse_ballot,
-    parse_cumulative,
-    parse_ranked,
-    parse_simple_vote,
     run_vote_round,
     tally,
     voting_due,
 )
-from agora.domain import (
-    Agreement,
-    DebateState,
-    DecisionOutcome,
-    Phase,
-    TieBreak,
-)
+from agora.domain import DebateState, Phase, TieBreak
 from agora.gateway import EndpointUnreachable
 from paper_rules import points, scores, winners
 from recording import REPLAY_LATENCY_MS, make_state, replay
@@ -64,141 +55,63 @@ def test_voting_due_boundary():
     assert voting_due(1, 1)
 
 
-# -- simple vote parsing --
+# Each ballot reply: the protocol, the text, the number of solutions k, the
+# cumulative budget, and the parsed ballot or the VoteParseFailure message.
+# The first integer is a simple vote. Indices are 1-based; a 0 reads the whole
+# ballot as 0-based, but in an approval ballot only the 0 itself shifts. A
+# ranking is cut, silently, to min(k, 5) before its duplicates are checked; a
+# cumulative ballot may be fenced and may underspend.
+BALLOTS = [
+    ("simple_voting", "Solution 2", 3, 10, 2),
+    ("simple_voting", "I pick 2 over 3", 3, 10, 2),
+    ("simple_voting", "0", 3, 10, 1),
+    ("simple_voting", "3", 3, 10, 3),
+    ("simple_voting", "4", 3, 10, "index 4 out of range for 3 solutions"),
+    ("simple_voting", "-1", 3, 10, "index -1 out of range for 3 solutions"),
+    ("simple_voting", "the first one", 3, 10, "no integer in ballot"),
+    ("approval_voting", "1, 3", 3, 10, {1, 3}),
+    ("approval_voting", "1 2", 3, 10, {1, 2}),
+    ("approval_voting", "1,2 3", 3, 10, {1, 2, 3}),
+    ("approval_voting", "0 2", 3, 10, {1, 2}),
+    ("approval_voting", "2, 2", 3, 10, {2}),
+    ("approval_voting", "", 3, 10, "empty approval ballot"),
+    ("approval_voting", "first", 3, 10, "non-integer token 'first'"),
+    ("approval_voting", "1, 9", 3, 10, "index 9 out of range for 3 solutions"),
+    ("ranked_voting", "2 1 3", 3, 10, [2, 1, 3]),
+    ("ranked_voting", "2", 3, 10, [2]),
+    ("ranked_voting", "0 2 1", 3, 10, [1, 3, 2]),
+    ("ranked_voting", "1 2 3 4 5 6", 6, 10, [1, 2, 3, 4, 5]),
+    ("ranked_voting", "1 2 3", 2, 10, [1, 2]),
+    ("ranked_voting", "1 2 3 4 5 1", 6, 10, [1, 2, 3, 4, 5]),
+    ("ranked_voting", "1 1", 3, 10, "duplicate rank in [1, 1]"),
+    ("ranked_voting", "7 1", 3, 10, "rank 7 out of range for 3 solutions"),
+    ("ranked_voting", "first second", 3, 10, "non-integer token in ranking 'first second'"),
+    ("ranked_voting", "", 3, 10, "empty ranking"),
+    ("cumulative_voting", '{"1": 6, "3": 4}', 3, 10, {1: 6, 3: 4}),
+    ("cumulative_voting", 'Here:\n```json\n{"2": 10}\n```', 3, 10, {2: 10}),
+    ("cumulative_voting", '{"2": 3}', 3, 10, {2: 3}),
+    ("cumulative_voting", '{"1": 10}', 3, 10, {1: 10}),
+    ("cumulative_voting", '{"1": 3}', 3, 3, {1: 3}),
+    ("cumulative_voting", '{"0": 5, "2": 5}', 3, 10, {1: 5, 3: 5}),
+    ("cumulative_voting", '{"1": 6, "2": 5}', 3, 10, "allocated 11 points, budget is 10"),
+    ("cumulative_voting", '{"1": 4}', 3, 3, "allocated 4 points, budget is 3"),
+    ("cumulative_voting", '{"1": -2}', 3, 10, "negative points for solution 1"),
+    ("cumulative_voting", '{"1": "six"}', 3, 10, "points for '1' are not an integer"),
+    ("cumulative_voting", '{"1": true}', 3, 10, "points for '1' are not an integer"),
+    ("cumulative_voting", '{"one": 3}', 3, 10, "non-integer solution key 'one'"),
+    ("cumulative_voting", "{}", 3, 10, "empty point allocation"),
+    ("cumulative_voting", "no json", 3, 10, "no JSON object in ballot 'no json'"),
+    ("cumulative_voting", '{"5": 1}', 3, 10, "index 5 out of range for 3 solutions"),
+]
 
 
-def test_simple_vote_first_integer_wins():
-    assert parse_simple_vote("Solution 2", 3) == 2
-    assert parse_simple_vote("I pick 2 over 3", 3) == 2
-
-
-def test_simple_vote_zero_based_fallback():
-    assert parse_simple_vote("0", 3) == 1
-    # 3 fits the 1-based reading, which takes precedence.
-    assert parse_simple_vote("3", 3) == 3
-
-
-def test_simple_vote_out_of_range():
-    with pytest.raises(VoteParseFailure):
-        parse_simple_vote("4", 3)
-    with pytest.raises(VoteParseFailure):
-        parse_simple_vote("-1", 3)
-
-
-def test_simple_vote_no_integer():
-    with pytest.raises(VoteParseFailure):
-        parse_simple_vote("the first one", 3)
-
-
-# -- approval parsing --
-
-
-def test_approval_commas_and_whitespace():
-    assert parse_approval("1, 3", 3) == {1, 3}
-    assert parse_approval("1 2", 3) == {1, 2}
-    assert parse_approval("1,2 3", 3) == {1, 2, 3}
-
-
-def test_approval_normalizes_per_element():
-    # 0 is out of 1-based range so it alone shifts; 2 stays 2.
-    assert parse_approval("0 2", 3) == {1, 2}
-
-
-def test_approval_deduplicates():
-    assert parse_approval("2, 2", 3) == {2}
-
-
-def test_approval_rejects_junk():
-    with pytest.raises(VoteParseFailure):
-        parse_approval("", 3)
-    with pytest.raises(VoteParseFailure):
-        parse_approval("first", 3)
-    with pytest.raises(VoteParseFailure):
-        parse_approval("1, 9", 3)
-
-
-# -- ranked parsing --
-
-
-def test_ranked_plain():
-    assert parse_ranked("2 1 3", 3) == [2, 1, 3]
-    assert parse_ranked("2", 3) == [2]
-
-
-def test_ranked_zero_shifts_whole_ballot():
-    assert parse_ranked("0 2 1", 3) == [1, 3, 2]
-
-
-def test_ranked_truncates_to_five_with_warning():
-    # The cut is silent (the README says so): nothing is logged.
-    assert parse_ranked("1 2 3 4 5 6", 6) == [1, 2, 3, 4, 5]
-
-
-def test_ranked_truncates_to_k_when_smaller():
-    assert parse_ranked("1 2 3", 2) == [1, 2]
-
-
-def test_ranked_truncation_runs_before_duplicate_check():
-    # The duplicate sits past the cut, so the ballot survives.
-    assert parse_ranked("1 2 3 4 5 1", 6) == [1, 2, 3, 4, 5]
-
-
-def test_ranked_duplicates_rejected():
-    with pytest.raises(VoteParseFailure, match="duplicate rank"):
-        parse_ranked("1 1", 3)
-
-
-def test_ranked_out_of_range_and_junk():
-    with pytest.raises(VoteParseFailure):
-        parse_ranked("7 1", 3)
-    with pytest.raises(VoteParseFailure):
-        parse_ranked("first second", 3)
-    with pytest.raises(VoteParseFailure):
-        parse_ranked("", 3)
-
-
-# -- cumulative parsing --
-
-
-def test_cumulative_plain_and_fenced():
-    assert parse_cumulative('{"1": 6, "3": 4}', 3, 10) == {1: 6, 3: 4}
-    fenced = 'Here:\n```json\n{"2": 10}\n```'
-    assert parse_cumulative(fenced, 3, 10) == {2: 10}
-
-
-def test_cumulative_underspend_is_fine():
-    assert parse_cumulative('{"2": 3}', 3, 10) == {2: 3}
-
-
-def test_cumulative_budget_enforced():
-    assert parse_cumulative('{"1": 10}', 3, 10) == {1: 10}
-    with pytest.raises(VoteParseFailure, match="budget is"):
-        parse_cumulative('{"1": 6, "2": 5}', 3, 10)
-    assert parse_cumulative('{"1": 3}', 3, budget=3) == {1: 3}
-    with pytest.raises(VoteParseFailure, match="budget is"):
-        parse_cumulative('{"1": 4}', 3, budget=3)
-
-
-def test_cumulative_zero_key_shifts_whole_ballot():
-    assert parse_cumulative('{"0": 5, "2": 5}', 3, 10) == {1: 5, 3: 5}
-
-
-def test_cumulative_rejects_junk():
-    for text in ['{"1": -2}', '{"1": "six"}', '{"1": true}', '{"one": 3}', "{}", "no json"]:
-        with pytest.raises(VoteParseFailure):
-            parse_cumulative(text, 3, 10)
-
-
-def test_cumulative_out_of_range():
-    with pytest.raises(VoteParseFailure):
-        parse_cumulative('{"5": 1}', 3, 10)
-
-
-def test_parse_ballot_dispatch():
-    assert parse_ballot("simple_voting", "2", 3, 10) == 2
-    assert parse_ballot("approval_voting", "1 2", 3, 10) == {1, 2}
-    assert parse_ballot("ranked_voting", "2 1", 3, 10) == [2, 1]
-    assert parse_ballot("cumulative_voting", '{"1": 1}', 3, 10) == {1: 1}
+@pytest.mark.parametrize("protocol, text, k, budget, expected", BALLOTS)
+def test_parse_ballot(protocol, text, k, budget, expected):
+    if isinstance(expected, str):
+        with pytest.raises(VoteParseFailure, match=re.escape(expected)):
+            parse_ballot(protocol, text, k, budget)
+    else:
+        assert parse_ballot(protocol, text, k, budget) == expected
 
 
 # -- ballot logging --
@@ -223,52 +136,29 @@ def test_ballot_log_serializes_collections():
 
 # -- tallies --
 
-
-def test_tally_simple_counts():
-    ballots = [valid_ballot(i, v) for i, v in enumerate([1, 2, 2], start=1)]
-    result = tally("simple_voting", ballots, 3)
-    assert result.per_solution_score == {1: 1, 2: 2, 3: 0}
-    assert result.winners == {2}
-
-
-def test_tally_approval_overlap():
-    ballots = [valid_ballot(1, {1, 2}), valid_ballot(2, {2, 3})]
-    result = tally("approval_voting", ballots, 3)
-    assert result.per_solution_score == {1: 1, 2: 2, 3: 1}
-    assert result.winners == {2}
-
-
-def test_tally_borda_hand_case():
-    ballots = [valid_ballot(1, [2, 1, 3]), valid_ballot(2, [2, 3, 1])]
-    result = tally("ranked_voting", ballots, 3)
-    assert result.per_solution_score == {1: 1, 2: 4, 3: 1}
-    assert result.winners == {2}
+# Hand-worked tallies: the protocol, each ballot's parsed value (None for an
+# invalid one, which is skipped), k, and the scores and winners, or None when
+# no ballot is valid.
+TALLIES = [
+    ("simple_voting", [1, 2, 2], 3, ({1: 1, 2: 2, 3: 0}, {2})),
+    ("approval_voting", [{1, 2}, {2, 3}], 3, ({1: 1, 2: 2, 3: 1}, {2})),
+    ("ranked_voting", [[2, 1, 3], [2, 3, 1]], 3, ({1: 1, 2: 4, 3: 1}, {2})),
+    ("ranked_voting", [[2]], 3, ({1: 0, 2: 2, 3: 0}, {2})),
+    ("cumulative_voting", [{1: 6, 3: 4}, {3: 5}], 3, ({1: 6, 2: 0, 3: 9}, {3})),
+    ("simple_voting", [1, 2], 2, ({1: 1, 2: 1}, {1, 2})),
+    ("simple_voting", [1, None], 2, ({1: 1, 2: 0}, {1})),
+    ("simple_voting", [None], 2, None),
+]
 
 
-def test_tally_borda_partial_ballot():
-    result = tally("ranked_voting", [valid_ballot(1, [2])], 3)
-    assert result.per_solution_score == {1: 0, 2: 2, 3: 0}
-
-
-def test_tally_cumulative_points():
-    ballots = [valid_ballot(1, {1: 6, 3: 4}), valid_ballot(2, {3: 5})]
-    result = tally("cumulative_voting", ballots, 3)
-    assert result.per_solution_score == {1: 6, 2: 0, 3: 9}
-    assert result.winners == {3}
-
-
-def test_tally_reports_ties():
-    ballots = [valid_ballot(1, 1), valid_ballot(2, 2)]
-    assert tally("simple_voting", ballots, 2).winners == {1, 2}
-
-
-def test_tally_skips_invalid_ballots():
-    ballots = [valid_ballot(1, 1), Ballot(2, "??", valid=False, reason="x")]
-    assert tally("simple_voting", ballots, 2).winners == {1}
-
-
-def test_tally_all_invalid_is_none():
-    assert tally("simple_voting", [Ballot(1, "??", valid=False, reason="x")], 2) is None
+@pytest.mark.parametrize("protocol, parsed, k, expected", TALLIES)
+def test_tally(protocol, parsed, k, expected):
+    ballots = [
+        Ballot(voter, "??", valid=False, reason="x") if p is None else valid_ballot(voter, p)
+        for voter, p in enumerate(parsed, start=1)
+    ]
+    result = tally(protocol, ballots, k)
+    assert (None if result is None else (result.per_solution_score, result.winners)) == expected
 
 
 def test_vote_round_log_shape():
@@ -473,191 +363,61 @@ def test_judge_decide_gateway_failure_falls_back():
     assert not [m for m in state.transcript if m.phase is Phase.JUDGE]
 
 
-# -- decide(): consensus --
-#
-# decide runs the debate's turns itself, so each case starts a turn before
-# the one it checks and scripts that turn's replies (memory paradigm: agent 1
-# drafts, each later agent answers in panel order).
+# -- decide() --
+
+AGREE, NO = "ok [AGREE]", "no [DISAGREE]"
+VOTE = {"decision_protocol": "simple_voting"}  # voting after turn 3, within 7
+TURN = ["alpha", "beta from 2"]  # the transcript vote_state builds
+CANDIDATES = ["cand A", "cand B"]
+TIE = CANDIDATES + ["1", "2"]
+TIE_BREAK = ["say [DISAGREE]", "say [AGREE]", "cand A2", "cand B2"]  # the extra turn, then the extractions
+
+# Each way decide ends, started `before` turns in: the panel size, the job's
+# params, and every reply it asks for, in order (memory paradigm: agent 1
+# drafts and each later agent answers; then the extractions, and the ballots
+# or the judge) -> success, final text, the turns completed, tie_broken, each
+# vote round's turn and winners, and the fallback reason.
+ENDINGS = {
+    "consensus reached": (3, {}, 0, ["the draft", AGREE, AGREE], (True, "the draft", 1, None, [], None)),
+    # The second disagreeing improve replaced the slate, so it is the answer.
+    "consensus keeps debating": (3, {}, 0, ["the draft", NO, NO] + [AGREE] * 3, (True, NO, 2, None, [], None)),
+    "consensus turn cap": (3, {"max_turns": 7}, 6, ["the draft", NO, NO], (False, NO, 7, None, [], "turn cap reached without consensus")),
+    # A consensus debate holds no vote, even past the voting turn.
+    "consensus past the voting turn": (3, {}, 2, ["the draft", NO, NO] + [AGREE] * 3, (True, NO, 4, None, [], None)),
+    "unanimity holdout": (
+        3, {"decision_protocol": "unanimity_consensus"}, 0, ["the draft", AGREE, NO] + [AGREE] * 3, (True, NO, 2, None, [], None)
+    ),
+    "voting not due yet": (2, VOTE, 1, TURN + ["alpha 3", "beta 3"] + CANDIDATES + ["1", "1"], (True, "cand A", 3, None, [(3, [1])], None)),
+    "cap before the voting turn": (
+        2, {**VOTE, "voting_after_turns": 9, "max_turns": 2}, 1, TURN, (False, "beta from 2", 2, None, [], "turn cap reached before the voting turn")
+    ),
+    "unique winner": (2, VOTE, 2, TURN + CANDIDATES + ["2", "2"], (True, "cand B", 3, None, [(3, [2])], None)),
+    # The standing draft is the fallback.
+    "all ballots invalid": (
+        2, VOTE, 2, TURN + CANDIDATES + ["x"] * 8, (False, "beta from 2", 3, None, [(3, None)], "all ballots invalid after re-prompts")
+    ),
+    "tie broken by an extra round": (
+        2, VOTE, 2, TURN + TIE + TIE_BREAK + ["2", "2"], (True, "cand B2", 4, TieBreak.EXTRA_ROUND, [(3, [1, 2]), (4, [2])], None)
+    ),
+    "persistent tie": (
+        2, VOTE, 2, TURN + TIE + TIE_BREAK + ["1", "2"], (True, "cand A2", 4, TieBreak.DETERMINISTIC_INDEX, [(3, [1, 2]), (4, [1, 2])], None)
+    ),
+    "tie at the cap": (2, {**VOTE, "max_turns": 7}, 6, TURN + TIE, (True, "cand A", 7, TieBreak.DETERMINISTIC_INDEX, [(7, [1, 2])], None)),
+    "tie-break round all invalid": (
+        2, VOTE, 2, TURN + TIE + TIE_BREAK + ["x"] * 8,
+        (False, "say [DISAGREE]", 4, None, [(3, [1, 2]), (4, None)], "all ballots invalid in the tie-break round"),
+    ),
+    "judge": (2, {"decision_protocol": "judge"}, 2, TURN + CANDIDATES + ["judged answer"], (True, "judged answer", 3, None, [], None)),
+}
 
 
-def decide_with(state: DebateState, replies: list[str]) -> DecisionOutcome:
-    """decide's outcome on these replies, every one of which it must ask for."""
+@pytest.mark.parametrize("case", ENDINGS)
+def test_decide_ends_each_way_on_the_replies_it_asks_for(case):
+    agents, params, before, replies, expected = ENDINGS[case]
+    state = make_state(agents, **params)
+    state.turn = before
     backend = replay(replies)
     outcome = decide(state, backend)
-    assert len(backend.requests) == len(replies)
-    return outcome
-
-
-def consensus_turn(
-    agreements: list[Agreement | None], before: int = 0, **params
-) -> tuple[DebateState, list[str]]:
-    """A debate `before` turns in, and its next turn's replies: a draft, then each later agent's marker."""
-    state = make_state(len(agreements), **params)
-    state.turn = before
-    replies = ["the draft"] + [
-        "ok [AGREE]" if agreement is Agreement.AGREE else "no [DISAGREE]"
-        for agreement in agreements[1:]
-    ]
-    return state, replies
-
-
-def test_decide_consensus_reached():
-    state, replies = consensus_turn(
-        [None, Agreement.AGREE, Agreement.AGREE], decision_protocol="majority_consensus"
-    )
-    outcome = decide_with(state, replies)
-    assert outcome.success
-    assert outcome.final_text == "the draft"
-    assert state.turn == 1
-
-
-def test_decide_consensus_keeps_debating():
-    state, replies = consensus_turn(
-        [None, Agreement.DISAGREE, Agreement.DISAGREE], decision_protocol="majority_consensus"
-    )
-    # No majority after turn 1, so turn 2 runs; there everyone agrees.
-    outcome = decide_with(state, replies + ["ok [AGREE]"] * 3)
-    assert outcome.success
-    assert outcome.final_text == "no [DISAGREE]"
-    assert state.turn == 2
-
-
-def test_decide_consensus_turn_cap_fallback():
-    state, replies = consensus_turn(
-        [None, Agreement.DISAGREE, Agreement.DISAGREE],
-        before=6,
-        decision_protocol="majority_consensus",
-        max_turns=7,
-    )
-    outcome = decide_with(state, replies)
-    assert not outcome.success
-    assert outcome.fallback_reason == "turn cap reached without consensus"
-    # The second disagreeing improve replaced the slate, so it is the fallback.
-    assert outcome.final_text == "no [DISAGREE]"
-    assert state.turn == 7
-
-
-def test_decide_unanimity_blocks_on_single_holdout():
-    state, replies = consensus_turn(
-        [None, Agreement.AGREE, Agreement.DISAGREE], decision_protocol="unanimity_consensus"
-    )
-    # The holdout keeps turn 1 from settling it; turn 2 is unanimous.
-    outcome = decide_with(state, replies + ["ok [AGREE]"] * 3)
-    assert outcome.success
-    assert state.turn == 2
-
-
-# -- decide(): voting --
-
-
-def voting_turn(n: int = 2, before: int = 2, **params) -> tuple[DebateState, list[str]]:
-    """A debate `before` turns in, and its next turn's replies: what vote_state's transcript holds."""
-    state = make_state(n, **params)
-    state.turn = before
-    return state, ["alpha"] + [f"beta from {agent}" for agent in range(2, n + 1)]
-
-
-def test_decide_voting_not_due_yet():
-    state, replies = voting_turn(before=1, decision_protocol="simple_voting")
-    # Turn 2 comes before the voting turn, so the vote waits for turn 3.
-    outcome = decide_with(state, replies + ["alpha 3", "beta 3", "cand A", "cand B", "1", "1"])
-    assert outcome.vote_detail[0]["turn"] == 3
-    assert state.turn == 3
-
-
-def test_decide_voting_cap_before_voting_turn():
-    state, replies = voting_turn(
-        before=1, decision_protocol="simple_voting", voting_after_turns=9, max_turns=2
-    )
-    outcome = decide_with(state, replies)
-    assert not outcome.success
-    assert outcome.fallback_reason == "turn cap reached before the voting turn"
-    assert state.turn == 2
-
-
-def test_decide_voting_unique_winner():
-    state, replies = voting_turn(decision_protocol="simple_voting")
-    outcome = decide_with(state, replies + ["cand A", "cand B", "2", "2"])
-    assert outcome.success
-    assert outcome.final_text == "cand B"
-    assert state.turn == 3
-    assert outcome.tie_broken is None
-    assert len(outcome.vote_detail) == 1
-    assert outcome.vote_detail[0]["winners"] == [2]
-
-
-def test_decide_voting_all_invalid_falls_back():
-    state, replies = voting_turn(decision_protocol="simple_voting")
-    outcome = decide_with(state, replies + ["cand A", "cand B"] + ["x"] * 8)
-    assert not outcome.success
-    assert outcome.fallback_reason == "all ballots invalid after re-prompts"
-    assert outcome.final_text == "beta from 2"  # the standing draft
-    assert len(outcome.vote_detail) == 1
-
-
-def test_decide_voting_tie_resolved_by_extra_round():
-    state, replies = voting_turn(decision_protocol="simple_voting")
-    outcome = decide_with(
-        state,
-        replies
-        + [
-            "cand A", "cand B", "1", "2",  # round 1: tie
-            "new say 1 [DISAGREE]", "new say 2 [AGREE]",  # extra debate turn
-            "cand A2", "cand B2", "2", "2",  # round 2: agent 2's candidate wins
-        ],
-    )
-    assert outcome.success
-    assert outcome.tie_broken is TieBreak.EXTRA_ROUND
-    assert outcome.final_text == "cand B2"
-    assert len(outcome.vote_detail) == 2
-    assert state.turn == 4
-
-
-def test_decide_voting_persistent_tie_uses_lowest_index():
-    state, replies = voting_turn(decision_protocol="simple_voting")
-    outcome = decide_with(
-        state,
-        replies
-        + [
-            "cand A", "cand B", "1", "2",
-            "say [DISAGREE]", "say [AGREE]",
-            "cand A2", "cand B2", "1", "2",
-        ],
-    )
-    assert outcome.success
-    assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
-    assert outcome.final_text == "cand A2"
-
-
-def test_decide_voting_tie_at_cap_skips_extra_round():
-    state, replies = voting_turn(before=6, decision_protocol="simple_voting", max_turns=7)
-    outcome = decide_with(state, replies + ["cand A", "cand B", "1", "2"])
-    assert outcome.success
-    assert outcome.tie_broken is TieBreak.DETERMINISTIC_INDEX
-    assert outcome.final_text == "cand A"
-    assert state.turn == 7
-    assert len(outcome.vote_detail) == 1
-
-
-def test_decide_voting_tie_break_round_all_invalid():
-    state, replies = voting_turn(decision_protocol="simple_voting")
-    outcome = decide_with(
-        state,
-        replies
-        + [
-            "cand A", "cand B", "1", "2",
-            "say [DISAGREE]", "say [AGREE]",
-            "cand A2", "cand B2",
-        ]
-        + ["x"] * 8,
-    )
-    assert not outcome.success
-    assert outcome.fallback_reason == "all ballots invalid in the tie-break round"
-    assert len(outcome.vote_detail) == 2
-
-
-def test_decide_judge_protocol():
-    state, replies = voting_turn(decision_protocol="judge")
-    outcome = decide_with(state, replies + ["cand A", "cand B", "judged answer"])
-    assert outcome.success
-    assert outcome.final_text == "judged answer"
+    assert len(backend.requests) == len(replies)  # every reply was asked for
+    rounds = [(entry["turn"], entry.get("winners")) for entry in outcome.vote_detail or []]
+    assert (outcome.success, outcome.final_text, state.turn, outcome.tie_broken, rounds, outcome.fallback_reason) == expected

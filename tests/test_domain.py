@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from agora.domain import (
     Agreement,
-    DebateEnded,
     DecisionOutcome,
     JobParams,
     Message,
@@ -187,14 +186,6 @@ def test_append_rejects_backwards_turn():
     with pytest.raises(SequenceViolation):
         state.add(1, 2, Phase.IMPROVE, "x", 0)
     assert len(state.transcript) == 1
-
-
-def test_append_after_end_raises():
-    state = make_state()
-    state.ended = True
-    with pytest.raises(DebateEnded):
-        state.add(1, 1, Phase.DRAFT, "x", 0)
-    assert state.transcript == []
 
 
 def test_draft_installs_and_resets_agreement():

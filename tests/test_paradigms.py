@@ -6,7 +6,6 @@ import pytest
 
 from agora.domain import (
     Agreement,
-    DebateEnded,
     DebateState,
     JobParams,
     Message,
@@ -257,13 +256,6 @@ def test_run_turn_debate_records_synthesis_as_draft_holder():
     assert phases == [Phase.DRAFT, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS]
     assert state.current_draft == "central summary"
     assert state.agree_flags == {CENTRAL_AGENT_ID: Agreement.AGREE}
-
-
-def test_run_turn_rejects_ended_debate():
-    state = make_state(2)
-    state.ended = True
-    with pytest.raises(DebateEnded):
-        run_turn(state, replay([]))
 
 
 def test_run_turn_report_peers_never_see_each_other():

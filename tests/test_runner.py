@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from agora import datasets, decisions, runner
+from agora import datasets, runner
 from agora.config import JobSpec, resolve_job_params
 from agora.domain import CallKind, Phase, TaskInstance
 from agora.gateway import AuthRejected, ChatResponse, HttpGateway, script_from_dict
@@ -23,7 +23,7 @@ from agora.runner import (
     run_sample,
     serialize_record,
 )
-from recording import Recording
+from recording import Agreeing, Recording
 
 DRAFT_HOOK = "Nobody proposed a solution yet."
 IMPROVE_HOOK = "Improve the current solution."
@@ -39,21 +39,6 @@ def make_sample(i: int = 1, question: str = "What is 2+2?") -> TaskInstance:
         instruction_key="Answer the question.",
         input_lines=(question,),
         references=("4",),
-    )
-
-
-def unanimity_script():
-    return script_from_dict(
-        {
-            "rules": [
-                {"match": [{"contains": DRAFT_HOOK}], "response": "The answer is 42."},
-                {
-                    "match": [{"contains": IMPROVE_HOOK}],
-                    "response": "Right. [AGREE]",
-                    "repeatable": True,
-                },
-            ]
-        }
     )
 
 
@@ -89,21 +74,6 @@ def debate_params(**overrides):
 
 
 # -- single debates --
-
-
-def test_run_debate_unanimous_first_turn():
-    record = run_sample(debate_params(), make_sample(), unanimity_script())
-    outcome = record["outcome"]
-    assert outcome["protocol"] == "majority_consensus"
-    assert outcome["success"] is True
-    assert outcome["finalText"] == "The answer is 42."
-    assert outcome["decidedAtTurn"] == 1
-    assert record["globalClockMs"] == 0
-    assert [m["phase"] for m in record["messages"]] == ["draft", "improve"]
-    assert record["messages"][1]["agreement"] == "agree"
-    assert [p["name"] for p in record["personas"]] == ["Participant 1", "Participant 2"]
-    assert record["task"]["id"] == "0001"
-    assert "api_key" not in record["config"]
 
 
 def test_run_debate_voting_and_call_accounting():
@@ -147,30 +117,6 @@ def test_an_empty_improve_reply_is_extracted_and_decided_like_any_other(protocol
     assert outcome["success"] is True
     assert outcome["finalText"] == final_text
     assert [(m["phase"], m["text"]) for m in record["messages"][:2]] == [("draft", "Draft answer."), ("improve", "")]
-
-
-def test_run_debate_crash_becomes_failure_record():
-    # The script only covers the first draft, so agent 2's improve call
-    # finds no rule and the debate dies; the record survives.
-    script = script_from_dict(
-        {"rules": [{"match": [{"contains": DRAFT_HOOK}], "response": "x"}]}
-    )
-    record = run_sample(debate_params(), make_sample(), script)
-    outcome = record["outcome"]
-    assert outcome["success"] is False
-    assert outcome["error"].startswith("NoRuleMatched")
-    assert record["config"]["num_agents"] == 2
-
-
-def test_run_debate_failure_during_persona_generation():
-    script = script_from_dict(
-        {"rules": [{"match": [{"contains": DRAFT_HOOK}], "response": "x"}]}
-    )
-    params = debate_params(persona_generator="expert")
-    record = run_sample(params, make_sample(), script)
-    assert record["outcome"]["error"].startswith("NoRuleMatched")
-    assert record["messages"] == []
-    assert record["personas"] == []
 
 
 # A reply that holds one JSON object nested far deeper than the parser recurses.
@@ -261,13 +207,6 @@ def test_run_baseline_without_chain_of_thought():
     assert [m.role for m in request.messages] == ["system"]
 
 
-def test_run_sample_dispatches_on_use_baseline():
-    record = run_sample(debate_params(use_baseline=True), make_sample(), baseline_script())
-    assert record["outcome"]["protocol"] == "baseline"
-    record = run_sample(debate_params(), make_sample(), unanimity_script())
-    assert record["outcome"]["protocol"] == "majority_consensus"
-
-
 def debate_rules(improve_repeatable: bool = True) -> list[dict]:
     """Draft, disagreeing improves and extractions; no ballot or judge rule."""
     return [
@@ -281,49 +220,62 @@ def debate_rules(improve_repeatable: bool = True) -> list[dict]:
     ]
 
 
-# Each place a run can end early: the job, the script, and the outcome the
-# record logs (protocol, decidedAtTurn, the reason key, the persona names).
+UNANIMITY_RULES = [
+    {"match": [{"contains": DRAFT_HOOK}], "response": "The answer is 42."},
+    {"match": [{"contains": IMPROVE_HOOK}], "response": "Right. [AGREE]", "repeatable": True},
+]
+PANEL = ["Participant 1", "Participant 2"]
+NO_RULE = "NoRuleMatched: no rule matched"
+
+# Each place a run can end: the job, the script, and what the record logs: the
+# protocol, decidedAtTurn, each message's phase (and agreement), the persona
+# names, finalText, and the outcome's reason key with the start of its value
+# ({} on success).
 EARLY_ENDS = {
+    "unanimous first turn": (
+        {}, UNANIMITY_RULES,
+        ("majority_consensus", 1, ["draft", "improve:agree"], PANEL, "The answer is 42.", {}),
+    ),
     "baseline crash": (
-        {"use_baseline": True, "decision_protocol": "judge"},
-        debate_rules(),
-        ("baseline", 0, "error", ["Participant 1"]),
+        {"use_baseline": True, "decision_protocol": "judge"}, debate_rules(),
+        ("baseline", 0, [], ["Participant 1"], "", {"error": NO_RULE}),
     ),
     "expert persona crash": (
-        {"persona_generator": "expert"},
-        debate_rules(),
-        ("majority_consensus", 0, "error", []),
+        {"persona_generator": "expert"}, debate_rules(),
+        ("majority_consensus", 0, [], [], "", {"error": NO_RULE}),
+    ),
+    "crash in turn 1": (
+        {}, debate_rules()[:1],
+        ("majority_consensus", 0, ["draft"], PANEL, "", {"error": NO_RULE}),
     ),
     "crash in turn 2": (
-        {},
-        debate_rules(improve_repeatable=False),
-        ("majority_consensus", 1, "error", ["Participant 1", "Participant 2"]),
+        {}, debate_rules(improve_repeatable=False),
+        ("majority_consensus", 1, ["draft", "improve:disagree"], PANEL, "", {"error": NO_RULE}),
     ),
     "crash at a ballot": (
-        {"decision_protocol": "simple_voting", "voting_after_turns": 2},
-        debate_rules(),
-        ("simple_voting", 2, "error", ["Participant 1", "Participant 2"]),
+        {"decision_protocol": "simple_voting", "voting_after_turns": 2}, debate_rules(),
+        ("simple_voting", 2, ["draft"] + ["improve:disagree"] * 3 + ["extraction"] * 2, PANEL, "", {"error": NO_RULE}),
     ),
     "judge fallback": (
-        {"decision_protocol": "judge", "voting_after_turns": 1},
-        debate_rules(),
-        ("judge", 1, "fallbackReason", ["Participant 1", "Participant 2"]),
+        {"decision_protocol": "judge", "voting_after_turns": 1}, debate_rules(),
+        ("judge", 1, ["draft", "improve:disagree", "extraction", "extraction"], PANEL, "Candidate", {"fallbackReason": "judge call failed: no rule matched"}),
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(EARLY_ENDS))
+@pytest.mark.parametrize("case", EARLY_ENDS)
 def test_run_sample_logs_protocol_turn_and_personas_where_a_run_ends(case):
-    overrides, rules, (protocol, turn, reason, personas) = EARLY_ENDS[case]
-    script = script_from_dict({"rules": rules})
-    record = run_sample(debate_params(**overrides), make_sample(), script)
+    overrides, rules, (protocol, turn, phases, personas, final_text, reason) = EARLY_ENDS[case]
+    record = run_sample(debate_params(**overrides), make_sample(), script_from_dict({"rules": rules}))
     outcome = record["outcome"]
-    assert outcome["protocol"] == protocol
-    assert outcome["decidedAtTurn"] == turn
-    assert outcome["success"] is False
-    assert {"error", "fallbackReason"} & set(outcome) == {reason}
-    assert "no rule matched" in outcome[reason]
+    assert (outcome["protocol"], outcome["decidedAtTurn"]) == (protocol, turn)
+    assert [":".join(filter(None, (m["phase"], m.get("agreement")))) for m in record["messages"]] == phases
     assert [p["name"] for p in record["personas"]] == personas
+    assert (outcome["finalText"], outcome["success"]) == (final_text, not reason)
+    assert {"error", "fallbackReason"} & set(outcome) == set(reason)
+    assert all(outcome[key].startswith(start) for key, start in reason.items())
+    assert (record["task"]["id"], record["config"]["num_agents"], record["globalClockMs"]) == ("0001", 2, 0)
+    assert "api_key" not in record["config"]
 
 
 # -- serialization helpers --
@@ -340,12 +292,14 @@ def test_record_failed():
     assert not record_failed({})
 
 
-# -- job execution --
+# -- batches --
 
 
-def write_dataset(tmp_path, n: int = 2, stem: str = "samples", questions=None) -> str:
+def write_dataset(tmp_path, questions: int | list[str] = 2, stem: str = "samples") -> str:
+    """A dataset of these questions, or of "question 1" to "question n" for a number n."""
     path = tmp_path / f"{stem}.json"
-    questions = questions or [f"question {i}" for i in range(1, n + 1)]
+    if isinstance(questions, int):
+        questions = [f"question {i}" for i in range(1, questions + 1)]
     records = [
         {
             "id": f"{i:04d}",
@@ -360,23 +314,16 @@ def write_dataset(tmp_path, n: int = 2, stem: str = "samples", questions=None) -
 
 
 def job_spec(tmp_path, dataset: str, name: str = "job", **params) -> JobSpec:
-    merged = {
-        "input_json_file_path": dataset,
-        "output_json_file_path": str(tmp_path / "out" / f"{name}.json"),
-        "num_agents": 2,
-    }
+    """A job of `dataset` whose log, unless given, is out/<name>.json; a relative log path is under `tmp_path`."""
+    merged = {"input_json_file_path": dataset, "output_json_file_path": f"out/{name}.json", "num_agents": 2}
     merged.update(params)
+    merged["output_json_file_path"] = str(tmp_path / merged["output_json_file_path"])
     return JobSpec(name=name, params=merged, repeat_index=1)
 
 
 def read_jsonl(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
-
-
-def execute_job(spec: JobSpec, scripted) -> JobReport:
-    """A one-job batch, which is how a single job runs."""
-    return run_batch([spec], scripted=scripted)[0]
 
 
 def batch_ok(reports: list[JobReport]) -> bool:
@@ -388,56 +335,84 @@ def total_records(reports: list[JobReport]) -> int:
     return sum(report.records for report in reports)
 
 
-def test_execute_job_writes_records_in_sample_order(tmp_path):
-    spec = job_spec(tmp_path, write_dataset(tmp_path, 4))
-    report = execute_job(spec, scripted=unanimity_script())
-    assert report.error is None
-    assert report.records == 4
-    assert report.failures == 0
-    records = read_jsonl(report.params.output_json_file_path)
-    assert [r["task"]["id"] for r in records] == ["0001", "0002", "0003", "0004"]
-    assert (report.in_flight, report.samples) == ([], [])  # a written job holds no records or samples
+def test_run_batch_requires_jobs():
+    with pytest.raises(ValueError):
+        run_batch([])
 
 
-def test_execute_job_subsets_samples(tmp_path):
-    spec = job_spec(tmp_path, write_dataset(tmp_path, 6), num_samples=2, seed=3)
-    report = execute_job(spec, scripted=unanimity_script())
-    assert report.records == 2
-    assert len(read_jsonl(report.params.output_json_file_path)) == 2
+# The draft rule answers a prompt holding "question <n>"; any other sample fails.
+ANSWERED_SCRIPT = {
+    "rules": [
+        {"match": [{"contains": DRAFT_HOOK}, {"contains": "question "}], "response": "Draft.", "repeatable": True},
+        {"match": [{"contains": IMPROVE_HOOK}], "response": "OK. [AGREE]", "repeatable": True},
+    ]
+}
+
+# Each batch over one dataset: its questions, each job's name and overrides,
+# and the task ids each job's log holds in order, "!" marking a sample whose
+# debate failed.
+BATCHES = {
+    "sample order": (4, {"job": {}}, ["0001 0002 0003 0004"]),
+    "subset": (6, {"job": {"num_samples": 2, "seed": 3}}, ["0002 0005"]),
+    "num_samples null": (3, {"job": {"num_samples": None}}, ["0001 0002 0003"]),
+    "per-sample failure": (["question 1", "unanswered"], {"job": {}}, ["0001 0002!"]),
+    "made output folder": (1, {"job": {"output_json_file_path": "deep/nested/x.json"}}, ["0001"]),
+    "two jobs": (2, {"first": {}, "second": {}}, ["0001 0002", "0001 0002"]),
+    "one load for three jobs": (3, {f"job{n}": {"num_samples": n} for n in (1, 2, 3)}, ["0002", "0002 0003", "0001 0002 0003"]),
+}
 
 
-def test_execute_job_runs_every_sample_when_num_samples_is_null(tmp_path):
-    spec = job_spec(tmp_path, write_dataset(tmp_path, 3), num_samples=None)
-    report = execute_job(spec, scripted=unanimity_script())
-    assert report.params.num_samples is None
-    assert report.records == 3
+@pytest.mark.parametrize("case", BATCHES)
+def test_run_batch_writes_each_jobs_records_in_sample_order(tmp_path, monkeypatch, case):
+    questions, jobs, logs = BATCHES[case]
+    loads: list[str] = []
+    load = datasets.load_input_file
+    monkeypatch.setattr(datasets, "load_input_file", lambda path: loads.append(path) or load(path))
+    dataset = write_dataset(tmp_path, questions)
+    reports = run_batch([job_spec(tmp_path, dataset, name, **overrides) for name, overrides in jobs.items()], scripted=script_from_dict(ANSWERED_SCRIPT))
+    assert loads == [dataset]
+    for report, (name, overrides), log in zip(reports, jobs.items(), logs, strict=True):
+        assert (report.name, report.params.num_samples, report.error) == (name, overrides.get("num_samples"), None)
+        records = read_jsonl(report.params.output_json_file_path)
+        assert " ".join(r["task"]["id"] + ("!" if record_failed(r) else "") for r in records) == log
+        assert all(r["outcome"]["success"] or r["outcome"]["error"].startswith(NO_RULE) for r in records)
+        assert (report.records, report.failures) == (len(records), log.count("!"))
+        assert (report.in_flight, report.samples) == ([], [])  # a written job holds no records or samples
 
 
-def test_execute_job_isolates_per_sample_failures(tmp_path):
-    # Only sample 0001's input has a draft rule; 0002 crashes mid-debate.
-    script = script_from_dict(
-        {
-            "rules": [
-                {
-                    "match": [{"contains": DRAFT_HOOK}, {"contains": "question 1"}],
-                    "response": "Draft.",
-                },
-                {
-                    "match": [{"contains": IMPROVE_HOOK}],
-                    "response": "OK. [AGREE]",
-                    "repeatable": True,
-                },
-            ]
-        }
-    )
-    spec = job_spec(tmp_path, write_dataset(tmp_path, 2))
-    report = execute_job(spec, scripted=script)
-    assert report.error is None
-    assert report.records == 2
-    assert report.failures == 1
-    first, second = read_jsonl(report.params.output_json_file_path)
-    assert first["outcome"]["success"] is True
-    assert second["outcome"]["error"].startswith("NoRuleMatched")
+# Each way a job's log can fail as it is written, after the batch checked its
+# path: the job's questions, the folder of its log, the log an earlier batch
+# left there (or None), and how the error goes on after "cannot write <log>: ".
+# A file that blocks the folder "blocker" appears once the debates run; UTF-8
+# cannot encode a lone surrogate ("\ud800"), which JSON can carry.
+LOG_FAULTS = {
+    "blocked folder": (2, "blocker", None, "[Errno "),
+    "lone surrogate": (["fine", "what is \ud800?"], "odd", None, "'utf-8' codec"),
+    "lone surrogate over a previous log": (["fine", "what is \ud800?"], "odd", "old\n", "'utf-8' codec"),
+}
+
+
+@pytest.mark.parametrize("case", LOG_FAULTS)
+def test_a_log_that_cannot_be_written_aborts_its_job_alone(tmp_path, case):
+    questions, folder, previous, error = LOG_FAULTS[case]
+    log = tmp_path / folder / "broken.json"
+    if previous is not None:
+        log.parent.mkdir()
+        log.write_text(previous, encoding="utf-8")
+    dataset = write_dataset(tmp_path)
+    jobs = [
+        job_spec(tmp_path, dataset, name="before"),
+        job_spec(tmp_path, write_dataset(tmp_path, questions, stem="broken"), "broken", output_json_file_path=log),
+        job_spec(tmp_path, dataset, name="after"),
+    ]
+    before, broken, after = run_batch(jobs, scripted=Agreeing(lambda text: (tmp_path / "blocker").touch()))
+    assert broken.error.startswith(f"cannot write {log}: {error}")
+    assert (broken.records, broken.failures) == (0, 0)
+    for report in (before, after):
+        assert report.error is None and report.records == len(read_jsonl(report.params.output_json_file_path)) == 2
+    # The earlier log keeps its bytes, or no file is left.
+    left = sorted(log.parent.iterdir()) if log.parent.is_dir() else []
+    assert {file: file.read_text(encoding="utf-8") for file in left} == ({log: previous} if previous else {})
 
 
 def test_no_file_but_a_leftover_repeat_is_at_fault_and_the_log_folder_is_listed_once(tmp_path, monkeypatch):
@@ -461,158 +436,7 @@ def test_no_file_but_a_leftover_repeat_is_at_fault_and_the_log_folder_is_listed_
     assert listed == [out]
 
 
-def test_run_batch_loads_each_dataset_file_once(tmp_path, monkeypatch):
-    loads: list[str] = []
-    original = datasets.load_input_file
-
-    def counted(path):
-        loads.append(path)
-        return original(path)
-
-    monkeypatch.setattr(datasets, "load_input_file", counted)
-    dataset = write_dataset(tmp_path, 3)
-    jobs = [job_spec(tmp_path, dataset, name=f"job{n}", num_samples=n) for n in (1, 2, 3)]
-    reports = run_batch(jobs, scripted=unanimity_script())
-    assert [report.records for report in reports] == [1, 2, 3]
-    assert loads == [dataset]
-
-
-def test_execute_job_creates_output_directory(tmp_path):
-    out = tmp_path / "deep" / "nested" / "x.json"
-    spec = JobSpec(
-        name="x",
-        params={
-            "input_json_file_path": write_dataset(tmp_path),
-            "output_json_file_path": str(out),
-            "num_agents": 2,
-        },
-        repeat_index=1,
-    )
-    report = execute_job(spec, scripted=unanimity_script())
-    assert report.error is None
-    assert out.exists()
-
-
-def test_run_batch_reports_a_log_it_cannot_write_and_goes_on(tmp_path):
-    dataset = write_dataset(tmp_path, 2)
-    blocker = tmp_path / "blocker"
-    blocked = str(blocker / "job.json")
-    jobs = [
-        job_spec(tmp_path, dataset, name="blocked", output_json_file_path=blocked),
-        job_spec(tmp_path, dataset, name="after"),
-    ]
-    # The file that blocks the log's directory appears only once the debates
-    # run, after the batch checked the log path.
-    reports = run_batch(jobs, scripted=AgreeingBackend(lambda text: blocker.touch()))
-    broken, after = reports
-    assert broken.error.startswith(f"cannot write {blocked}: [Errno ")
-    assert (broken.records, broken.failures) == (0, 0)
-    assert after.error is None and len(read_jsonl(after.params.output_json_file_path)) == 2
-    assert not batch_ok(reports)
-
-
-def test_run_batch_reports_a_log_it_cannot_encode_and_goes_on(tmp_path):
-    # JSON can carry a lone surrogate ("\ud800"), which UTF-8 cannot encode.
-    odd = write_dataset(tmp_path, stem="odd", questions=["what is \ud800?"])
-    jobs = [
-        job_spec(tmp_path, odd, name="odd"),
-        job_spec(tmp_path, write_dataset(tmp_path), name="after"),
-    ]
-    broken, after = run_batch(jobs, scripted=unanimity_script())
-    assert broken.error.startswith(f"cannot write {broken.params.output_json_file_path}: 'utf-8' codec")
-    assert after.error is None and len(read_jsonl(after.params.output_json_file_path)) == 2
-
-
-@pytest.mark.parametrize("previous", [None, "old\n"])
-def test_a_log_that_cannot_be_encoded_leaves_the_previous_log_or_none(tmp_path, previous):
-    odd = write_dataset(tmp_path, stem="odd", questions=["fine", "what is \ud800?"])
-    spec = job_spec(tmp_path, odd, name="odd")
-    log = Path(spec.params["output_json_file_path"])
-    if previous is not None:
-        log.parent.mkdir(parents=True)
-        log.write_text(previous, encoding="utf-8")
-    (report,) = run_batch([spec], scripted=unanimity_script())
-    assert report.error.startswith(f"cannot write {log}: ")
-    assert list(log.parent.iterdir()) == ([] if previous is None else [log])
-    if previous is not None:
-        assert log.read_text(encoding="utf-8") == previous
-
-
-# -- batch --
-
-
-def test_run_batch_requires_jobs():
-    with pytest.raises(ValueError):
-        run_batch([])
-
-
-def test_run_batch_summary(tmp_path):
-    dataset = write_dataset(tmp_path, 2)
-    jobs = [
-        JobSpec(
-            name=name,
-            params={
-                "input_json_file_path": dataset,
-                "output_json_file_path": str(tmp_path / f"{name}.json"),
-                "num_agents": 2,
-            },
-            repeat_index=1,
-        )
-        for name in ("first", "second")
-    ]
-    reports = run_batch(jobs, scripted=unanimity_script())
-    assert [r.name for r in reports] == ["first", "second"]
-    assert [(r.records, r.failures, r.error) for r in reports] == [(2, 0, None), (2, 0, None)]
-
-
 # -- the per-endpoint debate queues --
-
-
-class AgreeingBackend:
-    """Answers every call with an agreeing draft; every fork is this instance.
-
-    `on_call` sees each request's prompt text before the reply, so a test
-    can block or delay calls from any debate thread.
-    """
-
-    def __init__(self, on_call=None) -> None:
-        self.on_call = on_call
-
-    def fork(self) -> "AgreeingBackend":
-        return self
-
-    def clock(self) -> float:
-        return 0.0
-
-    def complete(self, req) -> ChatResponse:
-        if self.on_call is not None:
-            self.on_call("\n".join(m.content for m in req.messages))
-        return ChatResponse(text="The answer is 42. [AGREE]")
-
-
-def test_run_batch_overlaps_jobs(tmp_path):
-    # Job 1's only debate cannot finish until job 2's first debate has
-    # started, which a pool that drains each job before the next would
-    # never allow; the wait times out instead of hanging the suite.
-    job2_started = threading.Event()
-
-    def on_call(text: str) -> None:
-        if "job two" in text:
-            job2_started.set()
-        elif not job2_started.wait(timeout=5):
-            raise TimeoutError("job 2 never started while job 1 was running")
-
-    jobs = [
-        job_spec(tmp_path, write_dataset(tmp_path, stem="one", questions=["job one"]), name="one"),
-        job_spec(
-            tmp_path,
-            write_dataset(tmp_path, stem="two", questions=["job two", "job two again"]),
-            name="two",
-        ),
-    ]
-    reports = run_batch(jobs, scripted=AgreeingBackend(on_call))
-    assert batch_ok(reports)
-    assert total_records(reports) == 3
 
 
 class CountingTransport:
@@ -681,7 +505,7 @@ def test_run_batch_keeps_sample_order_per_job(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        reports = run_batch(jobs, scripted=AgreeingBackend(on_call))
+        reports = run_batch(jobs, scripted=Agreeing(on_call))
     finally:
         sys.setswitchinterval(interval)
     assert batch_ok(reports)
@@ -689,24 +513,6 @@ def test_run_batch_keeps_sample_order_per_job(tmp_path):
         assert report.records == 4
         records = read_jsonl(report.params.output_json_file_path)
         assert [r["task"]["id"] for r in records] == ["0001", "0002", "0003", "0004"]
-
-
-def test_run_batch_isolates_an_aborted_job(tmp_path):
-    # A job aborts only when its log fails as it is written: here a sample
-    # holds a lone surrogate, which its log cannot encode.
-    dataset = write_dataset(tmp_path, 2)
-    jobs = [
-        job_spec(tmp_path, dataset, name="before"),
-        job_spec(tmp_path, write_dataset(tmp_path, stem="odd", questions=["\ud800?"]), name="broken"),
-        job_spec(tmp_path, dataset, name="after"),
-    ]
-    before, broken, after = run_batch(jobs, scripted=unanimity_script())
-    assert broken.error.startswith(f"cannot write {broken.params.output_json_file_path}: 'utf-8' codec")
-    assert broken.records == 0
-    for report in (before, after):
-        assert report.error is None
-        assert report.records == 2
-        assert len(read_jsonl(report.params.output_json_file_path)) == 2
 
 
 def test_run_batch_calls_patchable_hooks_once_per_sample(tmp_path, monkeypatch):
@@ -729,89 +535,9 @@ def test_run_batch_calls_patchable_hooks_once_per_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "serialize_record", serialize_spy)
     dataset = write_dataset(tmp_path, 3)
     jobs = [job_spec(tmp_path, dataset, name=name) for name in ("a", "b")]
-    assert total_records(run_batch(jobs, scripted=unanimity_script())) == 6
+    assert total_records(run_batch(jobs, scripted=Agreeing())) == 6
     assert len(seen) == len(set(seen)) == 6
     assert sorted(serialized) == ["0001", "0001", "0002", "0002", "0003", "0003"]
-
-
-def test_a_run_sample_that_raises_reaches_the_caller(tmp_path, monkeypatch):
-    calls: list[str] = []
-
-    def broken(params, sample, backend):
-        calls.append(sample.id)
-        raise RuntimeError(f"broken {sample.id}")
-
-    monkeypatch.setattr(runner, "run_sample", broken)
-    jobs = [job_spec(tmp_path, write_dataset(tmp_path, 4), concurrent_api_requests=1)]
-    raised: list[BaseException] = []
-
-    def call() -> None:
-        try:
-            run_batch(jobs, scripted=unanimity_script())
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    # A lost exception would leave the caller waiting on a record that never
-    # comes; the join times out instead of hanging the suite.
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(timeout=10)
-    assert not caller.is_alive()
-    assert [str(exc) for exc in raised] == ["broken 0001"]
-    # The one worker stopped at the failure: no other sample was taken.
-    assert calls == ["0001"]
-
-
-def test_run_batch_starts_one_worker_per_slot(tmp_path, started_threads):
-    dataset = write_dataset(tmp_path, 6)
-    jobs = [
-        job_spec(tmp_path, dataset, name="two", concurrent_api_requests=2),
-        job_spec(tmp_path, dataset, name="three", concurrent_api_requests=3),
-        job_spec(tmp_path, dataset, name="three-again", concurrent_api_requests=3),
-    ]
-    reports = run_batch(jobs, scripted=unanimity_script())
-    assert batch_ok(reports) and total_records(reports) == 18
-    # Two distinct caps, 2 + 3: the jobs that share a cap share its slots.
-    assert len(started_threads) == 5
-
-
-def test_run_batch_hands_out_samples_in_job_order(tmp_path, monkeypatch):
-    seen: list[str] = []
-    original = runner.run_sample
-
-    def recording(params, sample, backend):
-        seen.append(f"{Path(params.output_json_file_path).stem}:{sample.id}")
-        return original(params, sample, backend)
-
-    monkeypatch.setattr(runner, "run_sample", recording)
-    dataset = write_dataset(tmp_path, 3)
-    jobs = [job_spec(tmp_path, dataset, name=name, concurrent_api_requests=1) for name in "ab"]
-    assert batch_ok(run_batch(jobs, scripted=unanimity_script()))
-    # One slot, so one worker: the order it takes the samples in is visible.
-    assert seen == ["a:0001", "a:0002", "a:0003", "b:0001", "b:0002", "b:0003"]
-
-
-def test_run_batch_hands_out_the_longest_debates_first(tmp_path, monkeypatch):
-    seen: list[str] = []
-    original = runner.run_sample
-
-    def recording(params, sample, backend):
-        seen.append(f"{Path(params.output_json_file_path).stem}:{sample.id}")
-        return original(params, sample, backend)
-
-    monkeypatch.setattr(runner, "run_sample", recording)
-    dataset = write_dataset(tmp_path, 2)
-    jobs = [
-        job_spec(tmp_path, dataset, name=name, concurrent_api_requests=1, **params)
-        for name, params in [("baseline", {"use_baseline": True}), ("consensus", {}), ("voting", {"decision_protocol": "simple_voting"})]
-    ]
-    reports = run_batch(jobs, scripted=AgreeingBackend())
-    assert batch_ok(reports)
-    assert [(report.name, report.records) for report in reports] == [("baseline", 2), ("consensus", 2), ("voting", 2)]
-    # At most 1, 14 and 28 calls a debate; one slot, so one worker takes the
-    # samples longest job first, and each job's in sample order.
-    assert [decisions.call_bounds(report.params)[1] for report in reports] == [1, 14, 28]
-    assert seen == ["voting:0001", "voting:0002", "consensus:0001", "consensus:0002", "baseline:0001", "baseline:0002"]
 
 
 def test_every_gateway_is_built_before_the_first_worker_starts(tmp_path, monkeypatch, started_threads):
@@ -970,7 +696,7 @@ def test_rejected_credentials_fail_the_debate_on_every_kind_of_call(kind):
     assert "fallbackReason" not in outcome
 
 
-class SteppingClockBackend(AgreeingBackend):
+class SteppingClockBackend(Agreeing):
     """An agreeing backend whose clock advances a quarter second on every read."""
 
     def __init__(self) -> None:

@@ -10,6 +10,7 @@ larger ones run seeded random-priority (PCT) schedules; one family of
 schedules interrupts the caller with `_thread.interrupt_main()`.
 
 On every schedule:
+- the workers started are the sum of the endpoints' caps, each counted once;
 - each job's log holds each record once, in sample order: it is byte for
   byte the log a serial run writes (which is what cap 1 gives);
 - at every pause, a job's log exists exactly when all its debates have ended;
@@ -35,12 +36,12 @@ from typing import Callable, NamedTuple, Optional
 
 import pytest
 
-from agora import runner
+from agora import decisions, runner
 from agora.config import JobSpec
 from agora.gateway import ChatResponse
 from conftest import finishes_within
+from recording import Agreeing
 
-REPLY = "The answer is 42. [AGREE]"
 DEBATE = re.compile(r"sample ([a-z]\d)")  # the input of job j's sample n reads "sample jn"
 WALL_S = 10.0
 Thread = threading.Thread  # the real class, for the controller's own thread
@@ -55,6 +56,7 @@ class Job(NamedTuple):
     endpoint: str = "one"
     cap: int = 1
     use_baseline: bool = False  # one call a debate, where a debate makes two
+    protocol: str = "majority_consensus"
 
 
 def replay(order: list[str]) -> Choose:
@@ -94,6 +96,7 @@ class Controller:
         self.calls: Counter = Counter()
         self.events: list[tuple[str, str]] = []  # ("start" | "end" | "raise", debate), or ("stop", "")
         self.order: list[str] = []
+        self.held_at: list[list[str]] = []  # the held calls' labels at each release
         self.faults: list[str] = []
         self.free = False  # release every call at once: set when the schedule is over or stuck
         self.caller_done = False
@@ -116,7 +119,7 @@ class Controller:
                 self.held[f"{debate}.{self.calls[debate]}"] = (threading.current_thread(), go)
                 self.cond.notify_all()
         go.wait(timeout=2 * WALL_S)
-        return ChatResponse(REPLY)
+        return ChatResponse(Agreeing.REPLY)
 
     def _paused(self, interrupted: bool) -> bool:
         """Every worker has started and each is held in a call or has ended.
@@ -162,6 +165,7 @@ class Controller:
                     interrupted = True
                     continue
                 labels = sorted(self.held)
+                self.held_at.append(labels)
                 label = labels[self.choose(len(self.order), labels)]
                 self.order.append(label)
                 self.held.pop(label)[1].set()
@@ -195,11 +199,12 @@ class Explorer:
                 "endpoint_url": f"http://{job.endpoint}.invalid",
                 "concurrent_api_requests": job.cap,
                 "use_baseline": job.use_baseline,
+                "decision_protocol": job.protocol,
             }
             self.specs.append(JobSpec(name=job.name, params=params, repeat_index=1))
         self.serial = {
             prepared.name: "".join(
-                runner.serialize_record(runner.run_sample(prepared.params, sample, Serial())) + "\n" for sample in prepared.samples
+                runner.serialize_record(runner.run_sample(prepared.params, sample, Agreeing())) + "\n" for sample in prepared.samples
             ).encode("utf-8")
             for prepared in runner.prepare_jobs(self.specs, http_backend=False)
         }
@@ -262,6 +267,8 @@ class Explorer:
         controller = outcome.controller
         ended = Counter(debate[0] for event, debate in controller.events if event == "end")
         faults = list(controller.faults)
+        if len(controller.workers) != controller.expected:
+            faults.append(f"{len(controller.workers)} workers started, where the caps sum to {controller.expected}")
         if repr(outcome.raised) != repr(expect):
             faults.append(f"run_batch raised {outcome.raised!r}, expected {expect!r}")
         if outcome.alive:
@@ -281,27 +288,13 @@ class Explorer:
         assert faults == [], f"{schedule}; order {controller.order} (replay({controller.order}) reruns it): {faults}"
 
 
-class Serial:
-    """The serial run's backend: every call answered at once."""
-
-    def fork(self) -> "Serial":
-        return self
-
-    @staticmethod
-    def clock() -> float:
-        return 0.0
-
-    def complete(self, req) -> ChatResponse:
-        return ChatResponse(REPLY)
-
-
 def broken(debate: str) -> RuntimeError:
     return RuntimeError(f"broken {debate}")
 
 
-def every_order(explorer: Explorer, raising: Optional[str] = None) -> list[list[str]]:
-    """Run each order in which the held calls can be released, depth first; the orders run."""
-    orders: list[list[str]] = []
+def every_order(explorer: Explorer, raising: Optional[str] = None) -> list[Controller]:
+    """Run each order in which the held calls can be released, depth first; the schedules run."""
+    runs: list[Controller] = []
     prefix: list[int] = []
     while True:
         picks: list[int] = []
@@ -314,10 +307,10 @@ def every_order(explorer: Explorer, raising: Optional[str] = None) -> list[list[
 
         outcome = explorer.run(choose, raising=raising)
         explorer.check(outcome, f"every order, raising {raising}", expect=raising and broken(raising))
-        orders.append(outcome.controller.order)
+        runs.append(outcome.controller)
         deeper = [step for step in range(len(picks)) if picks[step] + 1 < widths[step]]
         if not deeper:
-            return orders
+            return runs
         prefix = picks[: deeper[-1]] + [picks[deeper[-1]] + 1]
 
 
@@ -331,17 +324,32 @@ TWO_BY_TWO = {
 # Two endpoints at cap 1 interleave two sequences of four calls: 8 choose 4.
 @pytest.mark.parametrize("scenario, schedules", [("cap 1", 1), ("cap 2", 96), ("two endpoints", 70)])
 def test_every_completion_order_of_two_jobs_of_two_samples(tmp_path, monkeypatch, scenario, schedules):
-    orders = every_order(Explorer(tmp_path, monkeypatch, TWO_BY_TWO[scenario]))
+    runs = every_order(Explorer(tmp_path, monkeypatch, TWO_BY_TWO[scenario]))
+    orders = [run.order for run in runs]
     assert len(orders) == len({tuple(order) for order in orders}) == schedules
     assert all(len(order) == 8 for order in orders)  # two calls a debate
+    if scenario == "cap 1":  # one worker, which takes the jobs in order and each job's samples in order
+        assert orders == [["a1.1", "a1.2", "a2.1", "a2.2", "b1.1", "b1.2", "b2.1", "b2.2"]]
+    # With two slots the jobs overlap: some schedule holds calls of both at
+    # once, which a pool that drained each job before the next never does.
+    assert any({"a", "b"} <= {label[0] for label in held} for run in runs for held in run.held_at) == (scenario != "cap 1")
 
 
 def test_every_completion_order_with_the_queue_reordered(tmp_path, monkeypatch):
     # Job a is a baseline, so job b's debates can make more calls and are
     # queued first: both workers start on them.
-    orders = every_order(Explorer(tmp_path, monkeypatch, [Job("a", 2, cap=2, use_baseline=True), Job("b", 2, cap=2)]))
+    runs = every_order(Explorer(tmp_path, monkeypatch, [Job("a", 2, cap=2, use_baseline=True), Job("b", 2, cap=2)]))
+    orders = [run.order for run in runs]
     assert len(orders) == len({tuple(order) for order in orders}) == 30
     assert all(len(order) == 6 and order[0][0] == order[1][0] == "b" for order in orders)
+
+
+def test_one_worker_takes_the_longest_debates_first_and_ties_in_job_order(tmp_path, monkeypatch):
+    explorer = Explorer(tmp_path, monkeypatch, [Job("a", 2, use_baseline=True), Job("b", 2), Job("c", 2, protocol="simple_voting"), Job("d", 1)])
+    # At most 1, 14, 28 and 14 calls a debate; one slot, so one schedule.
+    assert [decisions.call_bounds(job.params)[1] for job in runner.prepare_jobs(explorer.specs, http_backend=False)] == [1, 14, 28, 14]
+    (run,) = every_order(explorer)
+    assert list(dict.fromkeys(label.split(".")[0] for label in run.order)) == ["c1", "c2", "b1", "b2", "d1", "a1", "a2"]
 
 
 @pytest.mark.parametrize("raising", ["a1", "b2"])

@@ -367,13 +367,6 @@ def test_the_debate_state_alone_carries_its_job():
     assert second_job_carriers() == []
 
 
-# The one reader of input files, and the one package resource read beside it.
-READERS = {("datasets", "read_input"), ("prompts", "template_text")}
-
-# The one writer of output files.
-WRITERS = {("datasets", "write_output")}
-
-
 def _os_call(call: ast.Call, name: str) -> bool:
     func = call.func
     return isinstance(func, ast.Attribute) and func.attr == name and getattr(func.value, "id", None) == "os"
@@ -398,8 +391,10 @@ def _open_mode(call: ast.Call) -> str | None:
     return str(modes[0].value) if isinstance(modes[0], ast.Constant) else "?"
 
 
-def _reads_a_file(call: ast.Call) -> bool:
-    """read_text, read_bytes, json.load, os.read, or open / .open in a mode that reads."""
+def _reads_a_file(call: ast.AST) -> bool:
+    """A call of read_text, read_bytes, json.load, os.read, or open / .open in a mode that reads."""
+    if not isinstance(call, ast.Call):
+        return False
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes") or _os_call(call, "read"):
         return True
@@ -409,9 +404,11 @@ def _reads_a_file(call: ast.Call) -> bool:
     return mode is not None and (mode == "?" or not set("wax").intersection(mode))
 
 
-def _writes_a_file(call: ast.Call) -> bool:
-    """write_text, write_bytes, mkdir, makedirs, os.write, os.open but read-only,
-    or open / .open in a mode that writes."""
+def _writes_a_file(call: ast.AST) -> bool:
+    """A call of write_text, write_bytes, mkdir, makedirs, os.write, os.open but
+    read-only, or open / .open in a mode that writes."""
+    if not isinstance(call, ast.Call):
+        return False
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     if name in ("write_text", "write_bytes", "mkdir", "makedirs") or _os_call(call, "write"):
@@ -423,13 +420,13 @@ def _writes_a_file(call: ast.Call) -> bool:
     return mode is not None and (mode == "?" or bool(set("wax").intersection(mode)))
 
 
-def calls_outside(matches, allowed: set[tuple[str, str]], kind: type = ast.Call) -> list[str]:
-    """`module.py:line` for each call (or other `kind` of node) in src/agora that
-    `matches`, outside the top-level functions `allowed`."""
+def sites_outside(matches, allowed: set[str]) -> list[str]:
+    """`module.py:line` for each node in src/agora that `matches`, outside the
+    places `allowed`: a module, or a `module.function` (a top-level function)."""
     flagged = []
 
     def visit(node: ast.AST, module: str, function: str) -> None:
-        if isinstance(node, kind) and matches(node) and (module, function) not in allowed:
+        if matches(node) and not {module, f"{module}.{function}"} & allowed:
             flagged.append(f"{module}.py:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
@@ -440,72 +437,61 @@ def calls_outside(matches, allowed: set[tuple[str, str]], kind: type = ast.Call)
     return sorted(flagged)
 
 
-def test_only_the_reader_reads_files():
-    # A second reader is a second set of read, decode and parse errors, and
-    # the ones it forgets reach the user as a traceback or an unnamed file.
-    assert calls_outside(_reads_a_file, READERS) == []
+def _calls(*names: str):
+    """A matcher for calls of any of the functions, classes or methods `names`."""
 
-
-def test_only_the_writer_writes_files():
-    # A second writer is a second set of directory, encoding and write errors,
-    # and the ones it forgets reach the user as a traceback.
-    assert calls_outside(_writes_a_file, WRITERS) == []
-
-
-def _calls(name: str):
-    """A matcher for calls of the function, class or method `name`."""
-
-    def matches(call: ast.Call) -> bool:
+    def matches(call: ast.AST) -> bool:
+        if not isinstance(call, ast.Call):
+            return False
         func = call.func
-        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names
 
     return matches
 
 
-def test_only_the_state_builds_a_message():
-    # A message built anywhere else carries a number and an agreement that
-    # the transcript did not give it.
-    assert calls_outside(_calls("Message"), {("domain", "add")}) == []
+def _catches_any_exception(handler: ast.AST) -> bool:
+    return isinstance(handler, ast.ExceptHandler) and (handler.type is None or _references(handler.type)["Exception"] > 0)
 
 
-def requests_outside_the_gateway() -> list[str]:
-    """`module.py:line` for each `.complete(` call, and each `ChatRequest(` or
-    `chat_request(` built, outside `gateway`."""
-    names = ("complete", "ChatRequest", "chat_request")
-    sites = calls_outside(lambda call: any(_calls(name)(call) for name in names), set())
-    return [site for site in sites if not site.startswith("gateway.py:")]
-
-
-def test_only_the_gateway_builds_and_sends_a_request():
+# Each thing that one place alone may do: the matcher of the nodes that do it,
+# and the places allowed (a module, or module.function).
+SOLE_SITES = {
+    # A second reader is a second set of read, decode and parse errors, and the
+    # ones it forgets reach the user as a traceback or an unnamed file. The
+    # package's prompt templates are read beside the input files.
+    "read a file": (_reads_a_file, {"datasets.read_input", "prompts.template_text"}),
+    # A second writer is a second set of directory, encoding and write errors,
+    # and the ones it forgets reach the user as a traceback.
+    "write a file": (_writes_a_file, {"datasets.write_output"}),
+    # A message built anywhere else carries a number and an agreement that the
+    # transcript did not give it.
+    "build a message": (_calls("Message"), {"domain.add"}),
     # A request built or sent anywhere else carries no kind or agent, so a
     # backend that reads them (a trace, a deadline, a journal) misses it.
-    assert requests_outside_the_gateway() == []
-
-
-def test_only_the_preparation_step_resolves_a_job_or_loads_its_dataset():
-    # A second place would check a job, or read its dataset, a second time,
-    # and could let through what the first refuses.
-    prepare = ("runner", "prepare_jobs")
-    assert calls_outside(_calls("resolve_job_params"), {prepare}) == []
-    assert calls_outside(_calls("load_input_file"), {prepare, ("evaluation", "evaluate_logs")}) == []
-
-
-def test_only_decide_runs_a_turn():
+    "build or send a request": (_calls("complete", "ChatRequest", "chat_request"), {"gateway"}),
+    # A second place would check a job, or read its dataset, a second time, and
+    # could let through what the first refuses.
+    "resolve a job": (_calls("resolve_job_params"), {"runner.prepare_jobs"}),
+    "load a dataset": (_calls("load_input_file"), {"runner.prepare_jobs", "evaluation.evaluate_logs"}),
     # A second loop over turns would check the protocol by a second rule, and
     # call_bounds would bound one of the two.
-    assert calls_outside(_calls("run_turn"), {("decisions", "decide")}) == []
-    trees, _ = _parsed_package()
-    assert [module for module, tree in trees.items() if "call_bounds" in dict(_definitions(tree))] == ["decisions"]
-
-
-def _catches_any_exception(handler: ast.ExceptHandler) -> bool:
-    return handler.type is None or _references(handler.type)["Exception"] > 0
-
-
-def test_only_a_debate_turns_any_exception_into_a_result():
+    "run a turn": (_calls("run_turn"), {"decisions.decide"}),
     # run_sample turns a crashed debate into a failure record; a catch-all
     # anywhere else would turn a set-up fault, or a bug, into a result too.
-    assert calls_outside(_catches_any_exception, {("runner", "run_sample")}, ast.ExceptHandler) == []
+    "catch any exception": (_catches_any_exception, {"runner.run_sample"}),
+}
+
+
+@pytest.mark.parametrize("rule", SOLE_SITES)
+def test_one_place_alone_does_each_thing(rule):
+    matches, allowed = SOLE_SITES[rule]
+    assert sites_outside(matches, allowed) == []
+
+
+def test_only_decisions_defines_call_bounds():
+    # The bound of the one loop over turns lives beside that loop.
+    trees, _ = _parsed_package()
+    assert [module for module, tree in trees.items() if "call_bounds" in dict(_definitions(tree))] == ["decisions"]
 
 
 # The gateway's failures that no src code tells apart, kept under their own
@@ -615,7 +601,7 @@ def test_only_datasets_names_a_log_or_judges_a_job_name():
 # misused transcript (stored state that a correct caller never trips).
 ENGINE = ("agents", "paradigms", "decisions", "domain")
 REPLY_FAILURES = {"VoteParseFailure", "PersonaParseFailure", "PersonaUniquenessFailure", "TraitOutOfRange"}
-TRANSCRIPT_GUARDS = {"SequenceViolation", "DebateEnded"}
+TRANSCRIPT_GUARDS = {"SequenceViolation"}
 
 # The functions that raise ValueError on a malformed reply: the JSON span
 # reader and the persona parsers (each generator's nested `parse`, and `_role`).
