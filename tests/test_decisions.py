@@ -381,15 +381,20 @@ ENDINGS = {
     "consensus reached": (3, {}, 0, ["the draft", AGREE, AGREE], (True, "the draft", 1, None, [], None)),
     # The second disagreeing improve replaced the slate, so it is the answer.
     "consensus keeps debating": (3, {}, 0, ["the draft", NO, NO] + [AGREE] * 3, (True, NO, 2, None, [], None)),
-    "consensus turn cap": (3, {"max_turns": 7}, 6, ["the draft", NO, NO], (False, NO, 7, None, [], "turn cap reached without consensus")),
+    "consensus turn cap": (
+        3, {"max_turns": 7}, 6, ["the draft", NO, NO], (False, NO, 7, None, [], "turn cap reached without consensus")
+    ),
     # A consensus debate holds no vote, even past the voting turn.
     "consensus past the voting turn": (3, {}, 2, ["the draft", NO, NO] + [AGREE] * 3, (True, NO, 4, None, [], None)),
     "unanimity holdout": (
         3, {"decision_protocol": "unanimity_consensus"}, 0, ["the draft", AGREE, NO] + [AGREE] * 3, (True, NO, 2, None, [], None)
     ),
-    "voting not due yet": (2, VOTE, 1, TURN + ["alpha 3", "beta 3"] + CANDIDATES + ["1", "1"], (True, "cand A", 3, None, [(3, [1])], None)),
+    "voting not due yet": (
+        2, VOTE, 1, TURN + ["alpha 3", "beta 3"] + CANDIDATES + ["1", "1"], (True, "cand A", 3, None, [(3, [1])], None)
+    ),
     "cap before the voting turn": (
-        2, {**VOTE, "voting_after_turns": 9, "max_turns": 2}, 1, TURN, (False, "beta from 2", 2, None, [], "turn cap reached before the voting turn")
+        2, {**VOTE, "voting_after_turns": 9, "max_turns": 2}, 1, TURN,
+        (False, "beta from 2", 2, None, [], "turn cap reached before the voting turn"),
     ),
     "unique winner": (2, VOTE, 2, TURN + CANDIDATES + ["2", "2"], (True, "cand B", 3, None, [(3, [2])], None)),
     # The standing draft is the fallback.
@@ -400,14 +405,19 @@ ENDINGS = {
         2, VOTE, 2, TURN + TIE + TIE_BREAK + ["2", "2"], (True, "cand B2", 4, TieBreak.EXTRA_ROUND, [(3, [1, 2]), (4, [2])], None)
     ),
     "persistent tie": (
-        2, VOTE, 2, TURN + TIE + TIE_BREAK + ["1", "2"], (True, "cand A2", 4, TieBreak.DETERMINISTIC_INDEX, [(3, [1, 2]), (4, [1, 2])], None)
+        2, VOTE, 2, TURN + TIE + TIE_BREAK + ["1", "2"],
+        (True, "cand A2", 4, TieBreak.DETERMINISTIC_INDEX, [(3, [1, 2]), (4, [1, 2])], None),
     ),
-    "tie at the cap": (2, {**VOTE, "max_turns": 7}, 6, TURN + TIE, (True, "cand A", 7, TieBreak.DETERMINISTIC_INDEX, [(7, [1, 2])], None)),
+    "tie at the cap": (
+        2, {**VOTE, "max_turns": 7}, 6, TURN + TIE, (True, "cand A", 7, TieBreak.DETERMINISTIC_INDEX, [(7, [1, 2])], None)
+    ),
     "tie-break round all invalid": (
         2, VOTE, 2, TURN + TIE + TIE_BREAK + ["x"] * 8,
         (False, "say [DISAGREE]", 4, None, [(3, [1, 2]), (4, None)], "all ballots invalid in the tie-break round"),
     ),
-    "judge": (2, {"decision_protocol": "judge"}, 2, TURN + CANDIDATES + ["judged answer"], (True, "judged answer", 3, None, [], None)),
+    "judge": (
+        2, {"decision_protocol": "judge"}, 2, TURN + CANDIDATES + ["judged answer"], (True, "judged answer", 3, None, [], None)
+    ),
 }
 
 

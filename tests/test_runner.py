@@ -258,7 +258,10 @@ EARLY_ENDS = {
     ),
     "judge fallback": (
         {"decision_protocol": "judge", "voting_after_turns": 1}, debate_rules(),
-        ("judge", 1, ["draft", "improve:disagree", "extraction", "extraction"], PANEL, "Candidate", {"fallbackReason": "judge call failed: no rule matched"}),
+        (
+            "judge", 1, ["draft", "improve:disagree", "extraction", "extraction"], PANEL, "Candidate",
+            {"fallbackReason": "judge call failed: no rule matched"},
+        ),
     ),
 }
 
@@ -358,7 +361,9 @@ BATCHES = {
     "per-sample failure": (["question 1", "unanswered"], {"job": {}}, ["0001 0002!"]),
     "made output folder": (1, {"job": {"output_json_file_path": "deep/nested/x.json"}}, ["0001"]),
     "two jobs": (2, {"first": {}, "second": {}}, ["0001 0002", "0001 0002"]),
-    "one load for three jobs": (3, {f"job{n}": {"num_samples": n} for n in (1, 2, 3)}, ["0002", "0002 0003", "0001 0002 0003"]),
+    "one load for three jobs": (
+        3, {f"job{n}": {"num_samples": n} for n in (1, 2, 3)}, ["0002", "0002 0003", "0001 0002 0003"]
+    ),
 }
 
 
@@ -369,7 +374,8 @@ def test_run_batch_writes_each_jobs_records_in_sample_order(tmp_path, monkeypatc
     load = datasets.load_input_file
     monkeypatch.setattr(datasets, "load_input_file", lambda path: loads.append(path) or load(path))
     dataset = write_dataset(tmp_path, questions)
-    reports = run_batch([job_spec(tmp_path, dataset, name, **overrides) for name, overrides in jobs.items()], scripted=script_from_dict(ANSWERED_SCRIPT))
+    specs = [job_spec(tmp_path, dataset, name, **overrides) for name, overrides in jobs.items()]
+    reports = run_batch(specs, scripted=script_from_dict(ANSWERED_SCRIPT))
     assert loads == [dataset]
     for report, (name, overrides), log in zip(reports, jobs.items(), logs, strict=True):
         assert (report.name, report.params.num_samples, report.error) == (name, overrides.get("num_samples"), None)

@@ -10,7 +10,7 @@ larger ones run seeded random-priority (PCT) schedules; one family of
 schedules interrupts the caller with `_thread.interrupt_main()`.
 
 On every schedule:
-- the workers started are the sum of the endpoints' caps, each counted once;
+- the workers started are the sum, over endpoints, of each distinct cap;
 - each job's log holds each record once, in sample order: it is byte for
   byte the log a serial run writes (which is what cap 1 gives);
 - at every pause, a job's log exists exactly when all its debates have ended;
@@ -321,18 +321,23 @@ TWO_BY_TWO = {
 }
 
 
-# Two endpoints at cap 1 interleave two sequences of four calls: 8 choose 4.
-@pytest.mark.parametrize("scenario, schedules", [("cap 1", 1), ("cap 2", 96), ("two endpoints", 70)])
-def test_every_completion_order_of_two_jobs_of_two_samples(tmp_path, monkeypatch, scenario, schedules):
+# Each scenario: the schedules it has, its one release order where it has one,
+# and whether some schedule holds calls of both jobs at once. One worker takes
+# the jobs in order and each job's samples in order; two endpoints at cap 1
+# interleave two sequences of four calls (8 choose 4). With two slots the jobs
+# overlap, which a pool that drained each job before the next never does.
+@pytest.mark.parametrize("scenario, schedules, only_order, overlap", [
+    ("cap 1", 1, ["a1.1", "a1.2", "a2.1", "a2.2", "b1.1", "b1.2", "b2.1", "b2.2"], False),
+    ("cap 2", 96, None, True),
+    ("two endpoints", 70, None, True),
+])
+def test_every_completion_order_of_two_jobs_of_two_samples(tmp_path, monkeypatch, scenario, schedules, only_order, overlap):
     runs = every_order(Explorer(tmp_path, monkeypatch, TWO_BY_TWO[scenario]))
     orders = [run.order for run in runs]
     assert len(orders) == len({tuple(order) for order in orders}) == schedules
     assert all(len(order) == 8 for order in orders)  # two calls a debate
-    if scenario == "cap 1":  # one worker, which takes the jobs in order and each job's samples in order
-        assert orders == [["a1.1", "a1.2", "a2.1", "a2.2", "b1.1", "b1.2", "b2.1", "b2.2"]]
-    # With two slots the jobs overlap: some schedule holds calls of both at
-    # once, which a pool that drained each job before the next never does.
-    assert any({"a", "b"} <= {label[0] for label in held} for run in runs for held in run.held_at) == (scenario != "cap 1")
+    assert only_order is None or orders == [only_order]
+    assert any({"a", "b"} <= {label[0] for label in held} for run in runs for held in run.held_at) == overlap
 
 
 def test_every_completion_order_with_the_queue_reordered(tmp_path, monkeypatch):
@@ -345,7 +350,8 @@ def test_every_completion_order_with_the_queue_reordered(tmp_path, monkeypatch):
 
 
 def test_one_worker_takes_the_longest_debates_first_and_ties_in_job_order(tmp_path, monkeypatch):
-    explorer = Explorer(tmp_path, monkeypatch, [Job("a", 2, use_baseline=True), Job("b", 2), Job("c", 2, protocol="simple_voting"), Job("d", 1)])
+    jobs = [Job("a", 2, use_baseline=True), Job("b", 2), Job("c", 2, protocol="simple_voting"), Job("d", 1)]
+    explorer = Explorer(tmp_path, monkeypatch, jobs)
     # At most 1, 14, 28 and 14 calls a debate; one slot, so one schedule.
     assert [decisions.call_bounds(job.params)[1] for job in runner.prepare_jobs(explorer.specs, http_backend=False)] == [1, 14, 28, 14]
     (run,) = every_order(explorer)
@@ -357,7 +363,8 @@ def test_a_raising_run_sample_reaches_the_caller_in_every_order(tmp_path, monkey
     every_order(Explorer(tmp_path, monkeypatch, TWO_BY_TWO["cap 2"]), raising=raising)
 
 
-THREE_BY_THREE = [Job("a", 3, cap=2), Job("b", 3, cap=2), Job("c", 3, endpoint="two")]
+# Jobs a and b share an endpoint at two caps, so each cap has its own workers: 2 + 3 + 1.
+THREE_BY_THREE = [Job("a", 3, cap=2), Job("b", 3, cap=3), Job("c", 3, endpoint="two")]
 
 
 @pytest.mark.parametrize("seed", range(16))

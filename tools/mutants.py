@@ -5,7 +5,8 @@ not a docstring or a `pass`) is replaced by `pass`, one at a time, in a copy
 of the tree made in a temporary folder; `src/` is never written. The given
 pytest arguments run in that copy. A mutant the tests pass on survives; a
 mutant they fail on is killed, and its failing node ids are printed (a run
-that takes longer than --timeout seconds is killed as a hang).
+that takes three times as long as the unmutated tree's is killed as a hang).
+As many mutants run at once as there are CPUs, each in its own copy.
 
     python tools/mutants.py runner decisions -- tests/test_runner.py tests/test_decisions.py -x
 
@@ -25,6 +26,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -67,7 +69,7 @@ def copy_tree(into: Path) -> Path:
     return tree
 
 
-def run(tree: Path, pytest_args: list[str], timeout: float) -> tuple[bool, list[str]]:
+def run(tree: Path, pytest_args: list[str], timeout: float | None) -> tuple[bool, list[str]]:
     """Whether the tests pass in `tree`, and the node ids that failed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *pytest_args]
@@ -77,15 +79,13 @@ def run(tree: Path, pytest_args: list[str], timeout: float) -> tuple[bool, list[
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)
         process.communicate()
-        return False, [f"(no result within {timeout:g} s)"]
+        return False, [f"(no result within {timeout:.0f} s)"]
     return process.returncode == 0, FAILED.findall(output)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="module names under src/agora, e.g. runner")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once, each in its own copy")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds a run may take; a longer one counts as a killing hang")
     argv = sys.argv[1:]
     split = argv.index("--") if "--" in argv else len(argv)  # what follows "--" goes to pytest
     args, pytest_args = parser.parse_args(argv[:split]), argv[split + 1 :]
@@ -95,11 +95,13 @@ def main() -> int:
         for name, mutated in mutants((ROOT / "src" / "agora" / f"{module}.py").read_text(encoding="utf-8"))
     ]
     with tempfile.TemporaryDirectory() as scratch:
-        trees = [copy_tree(Path(scratch) / str(n)) for n in range(args.jobs)]
-        passed, failed = run(trees[0], pytest_args, args.timeout)
+        trees = [copy_tree(Path(scratch) / str(n)) for n in range(os.cpu_count() or 1)]
+        start = time.monotonic()
+        passed, failed = run(trees[0], pytest_args, None)
         if not passed:
             print(f"the unmutated tree fails: {failed}", file=sys.stderr)
             return 2
+        timeout = 3 * (time.monotonic() - start)
         free = list(trees)
 
         def one(job: tuple[str, str, str]) -> tuple[str, bool, list[str]]:
@@ -109,14 +111,14 @@ def main() -> int:
             original = target.read_text(encoding="utf-8")
             target.write_text(mutated, encoding="utf-8")
             try:
-                survived, failed = run(tree, pytest_args, args.timeout)
+                survived, failed = run(tree, pytest_args, timeout)
             finally:
                 target.write_text(original, encoding="utf-8")
                 free.append(tree)
             return f"{module}.py:{name}", survived, failed
 
         survivors = []
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(len(trees)) as pool:
             for name, survived, failed in pool.map(one, todo):
                 print(f"{'SURVIVED' if survived else 'killed'} {name}" + ("" if survived else f" by {' '.join(failed) or '(no node id)'}"), flush=True)
                 if survived:
