@@ -240,7 +240,7 @@ def _lines(field: str, value: Any) -> list[str]:
     return [str(item) for item in items]
 
 
-def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str) -> TaskInstance:
+def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str, instruction: str) -> TaskInstance:
     """One raw record in the unified format; `row_id` is its id when the mapping names none."""
     required = mapping.input_fields + mapping.reference_fields
     if mapping.id_field:
@@ -267,53 +267,11 @@ def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str)
         letter = record[letter_field].strip()
     return TaskInstance(
         id=row_id,
-        instruction_key="",
+        instruction_key=instruction,
         input_lines=lines(mapping.input_fields),
         context_lines=lines(mapping.context_fields, optional=True),
         references=lines(mapping.reference_fields),
         answer_letter=letter,
-    )
-
-
-def load_dataset(
-    path: str | Path, format: str, mapping: FieldMapping
-) -> list[TaskInstance]:
-    """Map raw records into TaskInstances, rejecting bad rows all at once."""
-    records = _read_records(path, format)
-    width = max(4, len(str(len(records))))
-    return _checked(
-        path, records, lambda row, record: _mapped_instance(record, mapping, str(row).zfill(width))
-    )
-
-
-def _checked(
-    path: str | Path,
-    records: list[dict[str, Any]],
-    build: Callable[[int, dict[str, Any]], TaskInstance],
-) -> list[TaskInstance]:
-    """`build` of each numbered record, unless a row raises FormatError or two
-    share an id: one FormatError names them all."""
-    problems: list[str] = []
-    instances: list[TaskInstance] = []
-    for row, record in enumerate(records, 1):
-        try:
-            instances.append(build(row, record))
-        except FormatError as exc:
-            problems.append(f"row {row}: {exc}")
-    counts = Counter(instance.id for instance in instances)
-    duplicates = sorted(sample_id for sample_id, count in counts.items() if count > 1)
-    if duplicates:
-        problems.append(f"duplicate sample ids: {', '.join(duplicates)}")
-    if problems:
-        raise FormatError(f"{path}: " + "; ".join(problems))
-    return instances
-
-
-def load_unified(path: str | Path) -> list[TaskInstance]:
-    """Load a file already in the unified sample schema (JSON array or JSONL)."""
-    fmt = "jsonl" if str(path).endswith(".jsonl") else "json"
-    return _checked(
-        path, _read_records(path, fmt), lambda row, record: unified_record_to_instance(record)
     )
 
 
@@ -327,7 +285,8 @@ def _strings(record: dict[str, Any], key: str) -> tuple[str, ...]:
     raise FormatError(f"{key} must be a list of strings")
 
 
-def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
+def _unified_instance(record: dict[str, Any]) -> TaskInstance:
+    """One record already in the unified sample schema."""
     if "id" not in record:
         raise FormatError("missing id")
     sample_id = _sample_id("id", record["id"])
@@ -351,33 +310,44 @@ def unified_record_to_instance(record: dict[str, Any]) -> TaskInstance:
     )
 
 
-def sidecar_path(path: str | Path) -> Path:
-    return Path(str(path) + ".mapping.json")
-
-
 def load_input_file(path: str | Path) -> list[TaskInstance]:
-    """Entry point for batch inputs: sidecar mapping when present, else unified."""
-    sidecar = sidecar_path(path)
-    if not sidecar.exists():
-        return load_unified(path)
-    spec = read_input(sidecar)
-    if not isinstance(spec, dict):
-        raise FormatError(f"{sidecar}: top level must be a JSON object")
-    try:
-        mapping = FieldMapping.from_dict(spec)
-    except ValueError as exc:
-        raise FormatError(f"{sidecar}: {exc}")
-    fmt = spec.get("format") or _infer_format(path)
-    instances = load_dataset(path, fmt, mapping)
-    instruction = spec.get("instruction")
-    if instruction:
-        instances = [i._replace(instruction_key=str(instruction)) for i in instances]
-    return instances
-
-
-def _infer_format(path: str | Path) -> str:
+    """The samples of a batch input: a raw file (JSON, JSONL or CSV) mapped by
+    the sidecar `<file>.mapping.json` beside it, or else a JSON or JSONL file
+    in the unified sample schema. Every bad row, and any duplicate sample id,
+    is named in one FormatError."""
     name = str(path)
-    return "jsonl" if name.endswith(".jsonl") else "csv" if name.endswith(".csv") else "json"
+    fmt = "jsonl" if name.endswith(".jsonl") else "csv" if name.endswith(".csv") else "json"
+    sidecar, mapping, instruction = Path(name + ".mapping.json"), None, ""
+    if sidecar.exists():
+        spec = read_input(sidecar)
+        if not isinstance(spec, dict):
+            raise FormatError(f"{sidecar}: top level must be a JSON object")
+        try:
+            mapping = FieldMapping.from_dict(spec)
+        except ValueError as exc:
+            raise FormatError(f"{sidecar}: {exc}")
+        fmt, instruction = spec.get("format") or fmt, spec.get("instruction") or ""
+    elif fmt == "csv":  # a unified dataset is JSON or JSONL, whatever its suffix
+        fmt = "json"
+    records = _read_records(path, fmt)
+    width = max(4, len(str(len(records))))  # a mapped row's id when the mapping names none
+    problems: list[str] = []
+    instances: list[TaskInstance] = []
+    for row, record in enumerate(records, 1):
+        try:
+            if mapping is None:
+                instances.append(_unified_instance(record))
+            else:
+                instances.append(_mapped_instance(record, mapping, str(row).zfill(width), instruction))
+        except FormatError as exc:
+            problems.append(f"row {row}: {exc}")
+    counts = Counter(instance.id for instance in instances)
+    duplicates = sorted(sample_id for sample_id, count in counts.items() if count > 1)
+    if duplicates:
+        problems.append(f"duplicate sample ids: {', '.join(duplicates)}")
+    if problems:
+        raise FormatError(f"{path}: " + "; ".join(problems))
+    return instances
 
 
 def subset(

@@ -163,7 +163,6 @@ class _ConnectionPool:
     def __init__(self) -> None:
         self._idle: list[_Pooled] = []
         self._lock = threading.Lock()
-        self._tls: Optional[ssl.SSLContext] = None
         weakref.finalize(self, _close_idle, self._idle)
 
     def __call__(
@@ -219,7 +218,8 @@ class _ConnectionPool:
                 return pooled
             pooled.conn.close()
 
-    def _connect(self, parts: SplitResult, timeout: float) -> _Pooled:
+    @staticmethod
+    def _connect(parts: SplitResult, timeout: float) -> _Pooled:
         """A new connection to the URL's origin, through the environment's proxy if any."""
         proxy = urllib.request.getproxies().get(parts.scheme)
         if proxy and urllib.request.proxy_bypass(parts.netloc):
@@ -233,9 +233,7 @@ class _ConnectionPool:
                 auth["Proxy-Authorization"] = "Basic " + b64encode(user_pass.encode("latin-1")).decode()
         if parts.scheme == "http":
             return _Pooled(http.client.HTTPConnection(host, port, timeout=timeout), bool(proxy), auth)
-        if self._tls is None:
-            self._tls = ssl.create_default_context()
-        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=ssl.create_default_context())
         if proxy:
             conn.set_tunnel(parts.hostname, parts.port, headers=auth)
         return _Pooled(conn, False, {})

@@ -116,7 +116,7 @@ def render_step_prompt(state: DebateState, step: TurnStep) -> list[tuple[str, st
     return [("system", system), ("user", user)]
 
 
-def run_turn(state: DebateState, backend: Backend) -> DebateState:
+def run_turn(state: DebateState, backend: Backend) -> None:
     """One turn of the schedule; `decisions.decide` runs it only below the turn cap."""
     turn_no = state.turn + 1
     kind = ParadigmKind(state.params.discussion_paradigm)
@@ -125,4 +125,3 @@ def run_turn(state: DebateState, backend: Backend) -> DebateState:
         resp = call(backend, phase, step.speaker, render_step_prompt(state, step))
         state.add(turn_no, step.speaker, phase, resp.text, resp.latency_ms)
     state.turn = turn_no
-    return state

@@ -1,10 +1,18 @@
 """The tests' one recording backend, which keeps every request it forwards,
-their one always-agreeing backend, and their one builder of a debate state."""
+their one always-agreeing backend, their one builder of a debate state, and
+the template text that a script rule matches to tell the calls apart."""
 
 from __future__ import annotations
 
 from agora.domain import AgentProfile, DebateState, JobParams, Persona, TaskInstance
 from agora.gateway import Backend, ChatRequest, ChatResponse
+
+# Text that only one kind of prompt holds: a first draft, an improvement, an
+# answer extraction and a simple vote.
+DRAFT_HOOK = "Nobody proposed a solution yet."
+IMPROVE_HOOK = "Improve the current solution."
+EXTRACTION_HOOK = "your previous response"
+SIMPLE_VOTE_HOOK = "Answer only with the number."
 
 # Every replayed reply takes this long, so a test can see latency reach the log.
 REPLAY_LATENCY_MS = 7

@@ -43,15 +43,10 @@ from agora.prompts import (
 )
 from agora.runner import run_sample, serialize_record
 from paper_rules import CONSENSUS, points, scores, visible, winners
-from recording import Recording, make_state
+from recording import DRAFT_HOOK, EXTRACTION_HOOK, IMPROVE_HOOK, SIMPLE_VOTE_HOOK, Recording, make_state
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
-
-DRAFT_HOOK = "Nobody proposed a solution yet."
-IMPROVE_HOOK = "Improve the current solution."
-EXTRACTION_HOOK = "your previous response"
-SIMPLE_VOTE_HOOK = "Answer only with the number."
 
 
 def ballot(parsed) -> Ballot:

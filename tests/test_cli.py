@@ -14,9 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from agora.cli import main
-
-DRAFT_HOOK = "Nobody proposed a solution yet."
-IMPROVE_HOOK = "Improve the current solution."
+from recording import DRAFT_HOOK, IMPROVE_HOOK
 
 
 def write_json(path, payload):
@@ -177,10 +175,10 @@ def test_run_dry_run_accepts_consensus_with_a_late_voting_turn(tmp_path):
 # and `run` both print after "Error: batch.json: ", or the whole line when it
 # starts "Error: ". An edit overlays keys on `common` or on the run of job demo
 # or of job other (DROP removes a key), writes `files` (a list or dict as JSON,
-# FOLDER as a folder, a Link as a symbolic link to its target), and gives the
-# `backend` to run against instead of the script. <port> stands for a bound
-# port that nothing listens on. A fault in job other stops job demo too,
-# though demo comes first and could run.
+# FOLDER as a folder, a Link as a symbolic link to its target, DROP as no
+# file), and gives the `backend` to run against instead of the script.
+# <port> stands for a bound port that nothing listens on. A fault in job
+# other stops job demo too, though demo comes first and could run.
 DROP, FOLDER = object(), object()
 
 
@@ -190,6 +188,10 @@ class Link(str):
 
 SCRIPT = "scripted:script.json"
 SIDECAR = {"input_fields": ["question"], "reference_fields": ["answer"], "id_field": "qid"}
+MAPPED = {"common": {"input_json_file_path": "raw.json"}}  # the run reads raw.json through SIDECAR
+RECORD, QA = {"id": "0001", "inputs": ["q"], "references": ["a"]}, {"question": "q", "answer": "a"}
+FLAT = "must be a string, number or boolean, or a flat list of them"
+DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 SIDECAR_KEYS = "input_fields, reference_fields, context_fields, id_field, answer_letter_field, format, instruction"
 URL_RULE = "endpoint_url must be an http(s)://host URL with no user, password, query or fragment (a key goes in api_key)"
 RULE_SHAPE = ('a rule is an object with a "response" string, "match" clauses that each have a "contains" string '
@@ -198,7 +200,14 @@ REFUSALS = {
     "config-not-utf8": ({"files": {"batch.json": b'{"runs": [\xff]}'}},
                         "Error: cannot read batch.json: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
     "config-folder": ({"files": {"batch.json": FOLDER}}, "Error: cannot read batch.json: [Errno 21] Is a directory: 'batch.json'"),
-    "repeats-0": ({"files": {"batch.json": {"repeats": 0, "runs": [{}]}}}, "repeats must be an integer >= 1"),
+    "config-missing": ({"files": {"batch.json": DROP}}, "Error: no such file: batch.json"),
+    "config-top-level-list": ({"files": {"batch.json": [{"runs": [{}]}]}}, "top level must be a JSON object"),
+    "runs-empty": ({"files": {"batch.json": {"runs": []}}}, "runs must be a non-empty list"),
+    "run-not-an-object": ({"files": {"batch.json": {"runs": ["not an object"]}}}, "run 1 must be an object"),
+    **{
+        f"repeats-{value}": ({"files": {"batch.json": {"repeats": value, "runs": [{}]}}}, "repeats must be an integer >= 1")
+        for value in (0, True)
+    },
     "unknown-top-level-key": ({"files": {"batch.json": {"repeat": 3, "commn": {}, "runs": [{}]}}},
                               "unknown top-level key 'repeat'; the keys are name, repeats, common and runs"),
     "backend-unknown": ({"backend": "grpc"}, "Error: unknown backend 'grpc'; expected http or scripted:<script.json>"),
@@ -213,6 +222,7 @@ REFUSALS = {
              f"rules[1] is malformed (KeyError: 'contains'): {RULE_SHAPE}"),
             ("rule-not-an-object", {"rules": [{"response": "ok"}, "not a rule"]},
              f"rules[1] is malformed (TypeError: string indices must be integers, not 'str'): {RULE_SHAPE}"),
+            ("no-rules", {"rules": []}, "a script needs at least one rule"),
             ("response-int", {"rules": [{"response": 5}]}, f"rules[0] is malformed (TypeError: the response is not a string): {RULE_SHAPE}"),
             ("rules-object", {"rules": {"response": "ok"}}, 'a script is an object with a "rules" list'),
             ("top-level-list", [{"response": "ok"}], 'a script is an object with a "rules" list'),
@@ -229,17 +239,42 @@ REFUSALS = {
              f"rules[0] is malformed (ValueError: unknown key 'rol'): {RULE_SHAPE}"),
         ]
     },
-    "report-2": ({"other": {"discussion_paradigm": "report", "num_agents": 2}},
-                 "other r1: num_agents=2 is too small: report needs a central agent plus at least 2 peers"),
-    "vote-late": ({"other": {"decision_protocol": "simple_voting", "voting_after_turns": 5, "max_turns": 3}},
-                  "other r1: voting_after_turns=5 exceeds max_turns=3: simple_voting would never reach its voting turn"),
+    **{
+        f"{paradigm}-2": ({"other": {"discussion_paradigm": paradigm, "num_agents": 2}},
+                          f"other r1: num_agents=2 is too small: {paradigm} needs a central agent plus at least 2 peers")
+        for paradigm in ("report", "debate")
+    },
+    **{
+        f"vote-late{case}": ({"other": {"decision_protocol": protocol, "voting_after_turns": 5, "max_turns": 3}},
+                             f"other r1: voting_after_turns=5 exceeds max_turns=3: {protocol} would never reach its voting turn")
+        for case, protocol in [("", "simple_voting"), ("-cumulative", "cumulative_voting"), ("-judge", "judge")]
+    },
     "agents-1": ({"demo": {"num_agents": 1}}, "demo r1: num_agents must be >= 2, got 1"),
     "turns-many": ({"demo": {"max_turns": "many"}}, "demo r1: max_turns must be an integer, got 'many'"),
+    "turns-3.5": ({"demo": {"max_turns": 3.5}}, "demo r1: max_turns must be an integer, got float"),
+    "turns-true": ({"demo": {"max_turns": True}}, "demo r1: max_turns must be an integer, got a boolean"),
     "turns-0": ({"demo": {"max_turns": 0}}, "demo r1: max_turns must be >= 1, got 0"),
+    "samples-0": ({"demo": {"num_samples": 0}}, "demo r1: num_samples must be >= 1, got 0"),
+    "seed-negative": ({"demo": {"seed": -1}}, "demo r1: seed must be >= 0, got -1"),
+    "points-0": ({"demo": {"decision_protocol": "cumulative_voting", "cumulative_points": 0}}, "demo r1: cumulative_points must be >= 1, got 0"),
     "exchanges-1": ({"demo": {"discussion_paradigm": "debate", "debate_exchanges": 1}},
                     "demo r1: debate_exchanges must be >= 2, got 1"),
-    "model-list": ({"demo": {"model_name": ["m"]}}, "demo r1: model_name must be a string, got list"),
-    "key-int": ({"demo": {"api_key": 7}}, "demo r1: api_key must be a string, got int"),
+    "baseline-yes": ({"demo": {"use_baseline": "yes"}}, "demo r1: use_baseline must be a boolean, got 'yes'"),
+    **{
+        f"{key}-unknown": ({"demo": {key: value}}, f"demo r1: {key} must be one of {choices}; got {value!r}")
+        for key, value, choices in [
+            ("response_generator", "clever", "critical, reasoning, simple"), ("persona_generator", "mystery", "expert, ipip, none"),
+            ("decision_protocol", "coin_flip", "approval_voting, cumulative_voting, judge, majority_consensus, ranked_voting, "
+                                               "simple_voting, supermajority_consensus, unanimity_consensus"),
+        ]
+    },
+    **{
+        f"{key}-{type(value).__name__}": ({"demo": {key: value}}, f"demo r1: {key} must be a string, got {type(value).__name__}")
+        for key, value in [("model_name", ["m"]), ("api_key", 7), ("input_json_file_path", 5), ("endpoint_url", {"url": "http://x"}),
+                           ("task_instruction_prompt_template", True)]
+    },
+    # The log names the job, so expansion refuses it before any job is named.
+    "output_json_file_path-NoneType": ({"demo": {"output_json_file_path": None}}, "output_json_file_path must be a string, got NoneType"),
     "unknown-in-common": ({"common": {"turns": 3}}, "demo r1: unknown config key 'turns'"),
     "unknown-in-a-run": ({"other": {"turns": 3}}, "other r1: unknown config key 'turns'"),
     # The script never calls the endpoint, so it may leave the URL empty.
@@ -265,18 +300,70 @@ REFUSALS = {
                           "demo r1: cannot read tasks.json: Unterminated string starting at: line 1 column 32 (char 31)"),
     "dataset-empty": ({"files": {"tasks.json": b""}}, "demo r1: cannot read tasks.json: Expecting value: line 1 column 1 (char 0)"),
     "dataset-folder": ({"files": {"tasks.json": FOLDER}}, "demo r1: cannot read tasks.json: [Errno 21] Is a directory: 'tasks.json'"),
+    "dataset-no-records": ({"files": {"tasks.json": []}}, "demo r1: tasks.json contains no records"),
+    "dataset-too-deep": ({"files": {"tasks.json": b"[" * 100_000}}, f"demo r1: cannot read tasks.json: {DEEP}"),
+    "dataset-line-too-deep": ({"common": {"input_json_file_path": "tasks.jsonl"}, "files": {"tasks.jsonl": b"{}\n" + b"[" * 100_000 + b"\n"}},
+                              f"demo r1: tasks.jsonl line 2: invalid JSON: {DEEP}"),
     "record-without-inputs": ({"files": {"tasks.json": [{"id": "0001", "instruction": "Answer the question."}]}},
                               "demo r1: tasks.json: row 1: inputs must be a non-empty list"),
-    "sidecar-input-fields-retyped": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json.mapping.json": {**SIDECAR, "input_fields": 5}}},
+    "record-without-id": ({"files": {"tasks.json": [RECORD, {"inputs": ["x"]}]}}, "demo r1: tasks.json: row 2: missing id"),
+    "record-without-references-or-letter": ({"files": {"tasks.json": [{**RECORD, "references": []}]}},
+                                            "demo r1: tasks.json: row 1: record needs references or answerLetter"),
+    # Each field of a unified record has one type; no other is turned into text.
+    **{
+        f"record-{case}": ({"files": {"tasks.json": [{**RECORD, **field}]}}, f"demo r1: tasks.json: row 1: {problem}")
+        for case, field, problem in [
+            ("id-list", {"id": ["0001"]}, "id must be a string or an integer"), ("id-true", {"id": True}, "id must be a string or an integer"),
+            ("instruction-list", {"instruction": ["gpqa"]}, "instruction must be a string"),
+            ("instruction-null", {"instruction": None}, "instruction must be a string"),
+            ("letter-list", {"answerLetter": ["B"]}, "answerLetter must be a string"),
+            ("inputs-object-item", {"inputs": [{"a": 1}]}, "inputs must be a list of strings"),
+            ("inputs-string", {"inputs": "An article."}, "inputs must be a list of strings"),
+            ("context-int-item", {"context": ["c", 2]}, "context must be a list of strings"),
+            ("context-null", {"context": None}, "context must be a list of strings"),
+            ("references-null-item", {"references": [None]}, "references must be a list of strings"),
+        ]
+    },
+    "duplicate-ids": ({"files": {"tasks.json": [RECORD, {**RECORD, "inputs": ["y"]}]}}, "demo r1: tasks.json: duplicate sample ids: 0001"),
+    "duplicate-ids-mapped": ({**MAPPED, "files": {"raw.json": [{"qid": "a", **QA}] * 2}},
+                             "demo r1: raw.json: duplicate sample ids: a"),
+    # Every bad row of a mapped dataset, in one line. A letter read as the text
+    # of a list or a number never equals an extracted one, so the sample would
+    # be scored wrong silently.
+    "mapped-rows-bad": (
+        {**MAPPED,
+         "files": {"raw.json.mapping.json": {**SIDECAR, "context_fields": ["c"], "answer_letter_field": "letter"},
+                   "raw.json": [{"qid": "ok", **QA}, {"qid": "r2", "question": "no answer"}, {"qid": "r3", "answer": "no question"},
+                                {"qid": [7], **QA}, {"qid": True, **QA}, {"qid": "r6", **QA, "question": {"a": 1}},
+                                {"qid": "r7", **QA, "answer": [1, {"b": 2}]}, {"qid": "r8", **QA, "c": [["nested"]]},
+                                {"qid": "r9", **QA, "letter": {"x": "A"}}, {"qid": "r10", **QA, "letter": ["B"]}, {"qid": "r11", **QA, "letter": 5}]}},
+        "demo r1: raw.json: " + "; ".join(
+            ["row 2: missing field(s) answer", "row 3: missing field(s) question", "row 4: qid must be a string or an integer",
+             "row 5: qid must be a string or an integer", f"row 6: question {FLAT}", f"row 7: answer {FLAT}", f"row 8: c {FLAT}",
+             "row 9: letter must be a string", "row 10: letter must be a string", "row 11: letter must be a string"])),
+    "sidecar-input-fields-retyped": ({**MAPPED, "files": {"raw.json.mapping.json": {**SIDECAR, "input_fields": 5}}},
                                      "demo r1: raw.json.mapping.json: input_fields must be a list of strings"),
     # Dropped, a misspelt key would leave a field unmapped.
-    "sidecar-unknown-key": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json.mapping.json": {**SIDECAR, "context_field": ["question"]}}},
+    "sidecar-unknown-key": ({**MAPPED, "files": {"raw.json.mapping.json": {**SIDECAR, "context_field": ["question"]}}},
                             f"demo r1: raw.json.mapping.json: unknown key 'context_field'; the keys are {SIDECAR_KEYS}"),
-    "sidecar-id-field-absent-from-rows": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json.mapping.json": {**SIDECAR, "id_field": "s"}}},
+    "sidecar-format-unknown": ({**MAPPED, "files": {"raw.json.mapping.json": {**SIDECAR, "format": "xml"}}},
+                               "demo r1: raw.json: unsupported format 'xml'; expected json, jsonl, or csv"),
+    # A sidecar must map inputs and references, and its keys' types are checked first.
+    **{
+        f"sidecar-{case}": ({**MAPPED, "files": {"raw.json.mapping.json": sidecar}},
+                            f"demo r1: raw.json.mapping.json: {problem}")
+        for case, sidecar, problem in [
+            ("without-input-fields", {**SIDECAR, "input_fields": []}, "input_fields must not be empty"),
+            ("without-reference-fields", {"input_fields": ["question"]}, "reference_fields must not be empty"),
+            ("without-input-fields-and-id-int", {"input_fields": [], "id_field": 3}, "id_field must be a string"),
+        ]
+    },
+    "sidecar-id-field-absent-from-rows": ({**MAPPED, "files": {"raw.json.mapping.json": {**SIDECAR, "id_field": "s"}}},
                                           "demo r1: raw.json: row 1: missing field(s) s"),
-    "mapped-dataset-not-a-list": ({"common": {"input_json_file_path": "raw.json"}, "files": {"raw.json": {"qid": "0001"}}},
+    "mapped-dataset-not-a-list": ({**MAPPED, "files": {"raw.json": {"qid": "0001"}}},
                                   "demo r1: raw.json: top level must be a JSON array of records"),
     "same-log": ({"other": {"output_json_file_path": "logs/demo.jsonl"}}, "runs 1 and 2 both write 'logs/demo.jsonl'"),
+    "same-log-through-a-dot": ({"other": {"output_json_file_path": "logs/./demo.jsonl"}}, "runs 1 and 2 both write 'logs/./demo.jsonl'"),
     # evaluate names a job by its log's stem, so it would merge x.jsonl and x.json.
     "same-job-other-suffix": ({"other": {"output_json_file_path": "logs/demo.json"}}, "runs 1 and 2 both write 'logs/demo.json'"),
     "same-log-through-a-link": ({"other": {"output_json_file_path": "alias/demo.jsonl"}, "files": {"logs": FOLDER, "alias": Link("logs")}},
@@ -329,12 +416,13 @@ def edited_workspace(root: Path, edit: dict, port: str) -> None:
     for name, content in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        if content is FOLDER:
+        if content is FOLDER or content is DROP:
             path.unlink(missing_ok=True)
+        if content is FOLDER:
             path.mkdir()
         elif isinstance(content, Link):
             path.symlink_to(content)
-        else:
+        elif content is not DROP:
             path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).replace("<port>", port).encode())
 
 

@@ -38,9 +38,7 @@ from click.testing import CliRunner, Result
 from hypothesis import example, given, settings, strategies as st
 
 from agora.cli import main
-
-DRAFT_HOOK = "Nobody proposed a solution yet."
-IMPROVE_HOOK = "Improve the current solution."
+from recording import DRAFT_HOOK, IMPROVE_HOOK
 
 
 def documents(root: Path) -> dict[str, Any]:

@@ -23,12 +23,8 @@ from agora.runner import (
     run_sample,
     serialize_record,
 )
-from recording import Agreeing, Recording
+from recording import DRAFT_HOOK, EXTRACTION_HOOK, IMPROVE_HOOK, SIMPLE_VOTE_HOOK, Agreeing, Recording
 
-DRAFT_HOOK = "Nobody proposed a solution yet."
-IMPROVE_HOOK = "Improve the current solution."
-EXTRACTION_HOOK = "your previous response"
-SIMPLE_VOTE_HOOK = "Answer only with the number."
 BASELINE_HOOK = "Solve the provided task."
 JUDGE_HOOK = "Please provide a decision"
 

@@ -340,12 +340,12 @@ def test_the_debate_backend_alone_names_the_model_and_keeps_the_clock():
 
 
 # What a function next to a DebateState would take a second time: the job, or one of its values.
-JOB_CARRIERS = ("JobParams", "DebateContext", "ParadigmKind", "ResponseGeneratorKind")
+JOB_CARRIERS = ("JobParams", "ParadigmKind", "ResponseGeneratorKind")
 
 
 def second_job_carriers() -> list[str]:
-    """`module.function` for each function taking a DebateState and a JobParams or
-    DebateContext, or a ParadigmKind or ResponseGeneratorKind: job values the state holds."""
+    """`module.function` for each function taking a DebateState and a JobParams,
+    ParadigmKind or ResponseGeneratorKind: job values the state holds."""
     flagged = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
