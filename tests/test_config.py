@@ -150,6 +150,40 @@ def test_a_batch_expands_to_its_jobs(tmp_path, row):
     assert cfg == BatchConfig.load(path)
 
 
+def test_from_dict_validates_shape():
+    with pytest.raises(ConfigError):
+        BatchConfig.from_dict({"runs": []})
+    with pytest.raises(ConfigError):
+        BatchConfig.from_dict({"runs": [{}], "repeats": 0})
+    with pytest.raises(ConfigError):
+        BatchConfig.from_dict({"runs": [{}], "repeats": True})
+    with pytest.raises(ConfigError):
+        BatchConfig.from_dict({"runs": ["not an object"]})
+
+
+def test_load_rejects_missing_and_malformed(tmp_path):
+    with pytest.raises(ConfigError):
+        BatchConfig.load(tmp_path / "absent.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        BatchConfig.load(bad)
+
+
+def test_expand_missing_required_after_overlay():
+    cfg = BatchConfig.from_dict({"common": {"endpoint_url": "http://x"}, "runs": [{"output_json_file_path": "o.json"}]})
+    with pytest.raises(ConfigError) as exc:
+        expand_config(cfg)
+    assert str(exc.value) == "run 1 is missing required key(s) after overlay: input_json_file_path"
+
+
+def test_expand_rejects_an_output_path_that_is_not_a_string():
+    cfg = BatchConfig.from_dict({"common": {"input_json_file_path": "i.json"}, "runs": [{"output_json_file_path": None}]})
+    with pytest.raises(ConfigError) as caught:
+        expand_config(cfg)
+    assert str(caught.value) == "output_json_file_path must be a string, got NoneType"
+
+
 def test_expand_refuses_a_relative_and_an_absolute_spelling_of_one_log():
     # Not a REFUSALS row: the absolute spelling, and so the line, holds the
     # path of the test's own workspace. The line names the first writer.

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from agora.datasets import (
+    FieldMapping,
     FormatError,
     field_fault,
     input_files,
@@ -19,6 +20,7 @@ from agora.datasets import (
     load_input_file,
     log_job,
     log_repeat,
+    read_input,
     read_jsonl,
     resolve_instruction,
     subset,
@@ -27,7 +29,24 @@ from agora.datasets import (
 from agora.domain import TaskInstance
 
 
-# -- the writer, the lister and the field checker --
+# -- the reader, the writer, the lister and the field checker --
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "not-json", "too-deep"])
+def test_read_input_names_a_file_it_cannot_read(tmp_path, kind):
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'["\xff"]')
+    elif kind == "not-json":
+        path.write_text("[1,", encoding="utf-8")
+    elif kind == "too-deep":
+        path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(FormatError) as excinfo:
+        read_input(path)
+    expected = f"no such file: {path}" if kind == "missing" else f"cannot read {path}: "
+    assert str(excinfo.value).startswith(expected)
 
 
 def test_write_output_streams_utf8_with_no_newline_translation_into_new_directories(tmp_path):
@@ -80,6 +99,32 @@ def test_write_output_skips_the_directory_sync_where_no_directory_opens(tmp_path
     assert events == [("fsync", 3), ("replace", True, "out.jsonl")]
 
 
+@pytest.mark.parametrize("kind", ["parent-is-a-file", "target-is-a-directory", "lone-surrogate"])
+def test_write_output_names_a_file_it_cannot_write(tmp_path, kind):
+    path, chunks = tmp_path / "out" / "x.json", ["{}"]
+    if kind == "parent-is-a-file":
+        (tmp_path / "out").write_text("", encoding="utf-8")
+    elif kind == "target-is-a-directory":
+        path.mkdir(parents=True)
+    else:
+        chunks = ["ok", "\ud800"]
+    with pytest.raises(FormatError) as excinfo:
+        write_output(path, chunks)
+    assert str(excinfo.value).startswith(f"cannot write {path}: ")
+
+
+@pytest.mark.parametrize("previous", [None, "old\n"])
+def test_write_output_that_fails_leaves_the_previous_file_or_none(tmp_path, previous):
+    path = tmp_path / "out.jsonl"
+    if previous is not None:
+        path.write_text(previous, encoding="utf-8")
+    with pytest.raises(FormatError):
+        write_output(path, ["ok\n", "\ud800\n"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if previous is None else [path.name])
+    if previous is not None:
+        assert path.read_text(encoding="utf-8") == previous
+
+
 def test_write_output_removes_its_temporary_file_when_the_chunks_raise(tmp_path):
     path = tmp_path / "out.jsonl"
     path.write_text("old\n", encoding="utf-8")
@@ -110,6 +155,13 @@ def test_input_files_lists_a_directory_in_name_order_or_names_one_file(tmp_path)
     with pytest.raises(FormatError) as excinfo:
         input_files(tmp_path / "nowhere", keep)
     assert str(excinfo.value) == f"no such file: {tmp_path / 'nowhere'}"
+
+
+def test_read_jsonl_names_a_line_nested_too_deep(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("{}\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: invalid JSON"):
+        read_jsonl(path)
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
@@ -201,6 +253,16 @@ def test_load_input_file_loads_each_accepted_dataset(tmp_path, row):
     assert [instance.to_unified() for instance in load_input_file(tmp_path / next(iter(files)))] == samples
 
 
+def test_mapping_requires_input_and_reference_fields():
+    with pytest.raises(ValueError, match="input_fields must not be empty"):
+        FieldMapping.from_dict({"input_fields": [], "reference_fields": ["a"]})
+    with pytest.raises(ValueError, match="reference_fields must not be empty"):
+        FieldMapping.from_dict({"input_fields": ["q"]})
+    # The type checks come first, so a sidecar with several faults names a wrong type.
+    with pytest.raises(ValueError, match="id_field must be a string"):
+        FieldMapping.from_dict({"input_fields": [], "id_field": 3})
+
+
 # -- subsetting --
 
 
@@ -270,6 +332,12 @@ def test_log_repeat_reads_a_repeat_number_in_ascii_digits_only():
     # As job_logs writes it: an ARABIC-INDIC DIGIT ONE is part of the job name.
     assert log_repeat(Path("x-r\u0661.jsonl")) == ("x-r\u0661", 1)
     assert log_repeat(Path("x-r01.jsonl")) == ("x", 1)
+
+
+@pytest.mark.parametrize("name", ["..-r3.json", ".-r2.jsonl", "..jsonl", "a\\b.json"])
+def test_log_job_refuses_a_job_name_that_is_not_a_plain_file_name(name):
+    with pytest.raises(FormatError, match="is not a plain file name"):
+        log_job(Path("logs") / name)
 
 
 def test_log_job_reads_a_file_of_another_suffix_as_repeat_1_of_its_stem():

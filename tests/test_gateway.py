@@ -564,6 +564,11 @@ def test_scripted_fork_isolates_consumption():
         a.complete(vote_req("x"))
 
 
+def test_empty_script_rejected():
+    with pytest.raises(ValueError):
+        ScriptedGateway([])
+
+
 def test_scripted_zero_latency():
     gw = ScriptedGateway([ScriptRule("fast", repeatable=True)])
     assert gw.complete(vote_req("x")).latency_ms == 0
