@@ -110,7 +110,7 @@ def _as_int(value: Any, key: str, minimum: int = 1) -> int:
         result = value
     elif isinstance(value, str):
         try:
-            result = int(value.strip())
+            result = int(value)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
     else:

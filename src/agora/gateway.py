@@ -112,9 +112,10 @@ class _Pooled(NamedTuple):
     headers: dict[str, str]  # credentials for that proxy
 
 
-def _close_idle(idle: list[_Pooled]) -> None:
+def _close_idle(idle: list[_Pooled], idle_check: selectors.BaseSelector) -> None:
     for pooled in idle:
         pooled.conn.close()
+    idle_check.close()
 
 
 # The most bytes a response body may hold: far above any 1024-token completion.
@@ -162,61 +163,60 @@ class _ConnectionPool:
 
     def __init__(self) -> None:
         self._idle: list[_Pooled] = []
+        self._idle_check = selectors.DefaultSelector()  # holds one socket at a time, under the lock
         self._lock = threading.Lock()
-        weakref.finalize(self, _close_idle, self._idle)
+        weakref.finalize(self, _close_idle, self._idle, self._idle_check)
 
     def __call__(
         self, url: str, headers: dict[str, str], body: dict[str, Any], timeout: float
     ) -> tuple[int, Any]:
         deadline = time.monotonic() + timeout  # for the whole attempt, from connecting to the body's last byte
         parts = urlsplit(url)
-        pooled = self._reuse() or self._connect(parts, timeout)
-        pooled.conn.response_class = lambda sock, *args, **kw: http.client.HTTPResponse(_AttemptReads(sock, deadline), *args, **kw)
-        target = url if pooled.absolute else parts._replace(scheme="", netloc="").geturl()
-        headers = {**headers, **pooled.headers, "Content-Type": "application/json"}
-        try:
-            if pooled.conn.sock is None:
-                pooled.conn.connect()
-            pooled.conn.sock.settimeout(_time_left(deadline))
-            pooled.conn.request("POST", target, json.dumps(body).encode("utf-8"), headers)
-            resp = pooled.conn.getresponse()
-            raw = resp.read(MAX_RESPONSE_BYTES + 1)
-            if len(raw) > MAX_RESPONSE_BYTES:  # the rest is left unread; only a 200's body is needed
-                pooled.conn.close()
-                if resp.status == 200:  # not retried: the server would send it again
-                    raise MalformedResponse(f"response body is over the {MAX_RESPONSE_BYTES}-byte cap")
-                return resp.status, None
-            if resp.length:  # the body ended short of its Content-Length, as read() with no limit raises
-                raise http.client.IncompleteRead(raw, resp.length)
-        except BaseException:
-            pooled.conn.close()
-            raise
-        if resp.will_close:
-            pooled.conn.close()
-        else:
+        while True:
             with self._lock:
-                self._idle.append(pooled)
+                pooled = self._idle.pop() if self._idle else None
+            pooled = pooled or self._connect(parts, timeout)
+            kept = False  # the connection's one exit: back to the idle list if kept, else closed
+            try:
+                if pooled.conn.sock is None:
+                    pooled.conn.connect()  # which turns off Nagle's algorithm (TCP_NODELAY)
+                elif self._dropped(pooled.conn.sock):
+                    continue  # replaced by the next connection, without a retry
+                pooled.conn.response_class = lambda sock, *args, **kw: http.client.HTTPResponse(_AttemptReads(sock, deadline), *args, **kw)
+                target = url if pooled.absolute else parts._replace(scheme="", netloc="").geturl()
+                pooled.conn.sock.settimeout(_time_left(deadline))
+                pooled.conn.request("POST", target, json.dumps(body).encode("utf-8"), {**headers, **pooled.headers, "Content-Type": "application/json"})
+                resp = pooled.conn.getresponse()
+                raw = resp.read(MAX_RESPONSE_BYTES + 1)
+                if len(raw) > MAX_RESPONSE_BYTES:  # the rest is left unread; only a 200's body is needed
+                    if resp.status == 200:  # not retried: the server would send it again
+                        raise MalformedResponse(f"response body is over the {MAX_RESPONSE_BYTES}-byte cap")
+                    return resp.status, None
+                if resp.length:  # the body ended short of its Content-Length, as read() with no limit raises
+                    raise http.client.IncompleteRead(raw, resp.length)
+                kept = not resp.will_close
+                break
+            finally:
+                if kept:
+                    with self._lock:
+                        self._idle.append(pooled)
+                else:
+                    pooled.conn.close()
         try:
             payload = json.loads(raw)
         except ValueError:
             payload = None
         return resp.status, payload
 
-    def _reuse(self) -> Optional[_Pooled]:
-        """An idle connection that the server has not closed, or None."""
-        while True:
-            with self._lock:
-                if not self._idle:
-                    return None
-                pooled = self._idle.pop()
-            # An idle socket that is readable is at EOF (or holds bytes no
-            # request asked for): the server has dropped it.
-            with selectors.DefaultSelector() as idle_check:
-                idle_check.register(pooled.conn.sock, selectors.EVENT_READ)
-                dropped = bool(idle_check.select(0))
-            if not dropped:
-                return pooled
-            pooled.conn.close()
+    def _dropped(self, sock: socket.socket) -> bool:
+        """Whether an idle socket is readable, so at EOF (or holding bytes no
+        request asked for): the server has dropped it."""
+        with self._lock:
+            self._idle_check.register(sock, selectors.EVENT_READ)
+            try:
+                return bool(self._idle_check.select(0))
+            finally:
+                self._idle_check.unregister(sock)
 
     @staticmethod
     def _connect(parts: SplitResult, timeout: float) -> _Pooled:

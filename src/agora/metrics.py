@@ -51,8 +51,6 @@ def bleu(candidate: str, references: Iterable[str], max_n: int = 4) -> float:
         raise ValueError("max_n must be >= 1")
     cand = tokenize(candidate)
     c = len(cand)
-    if c == 0:
-        return 0.0
 
     log_sum = 0.0
     for n in range(1, max_n + 1):
@@ -152,8 +150,6 @@ def meteor_lite(candidate: str, reference: str) -> float:
     """Exact-match METEOR: no stemming or synonymy, alignment by common blocks."""
     cand = tokenize(candidate)
     ref = tokenize(reference)
-    if not cand or not ref:
-        return 0.0
     blocks = _align_blocks(cand, ref)
     m = sum(length for _, _, length in blocks)
     if m == 0:

@@ -21,7 +21,7 @@ from agora.agents import (
 )
 from agora.domain import AgentProfile, Persona
 from agora.gateway import ChatResponse
-from agora.prompts import render_extraction_user
+from agora.prompts import render_extraction_user, render_ipip_system, render_ipip_user
 from recording import replay
 
 
@@ -148,6 +148,21 @@ def test_ipip_persona_happy_path():
         "Neuroticism: low; Openness: high"
     )
     assert json.loads(raw)["role"] == "Optimist"
+
+
+def test_ipip_persona_prompt_layout():
+    # Earlier personas ride along as assistant turns, in panel order, then the user turn.
+    existing = [Persona(name="A", traits={name: "low" for name in TRAIT_NAMES}), Persona(name="B")]
+    backend = replay([ipip_json("C", "high", "high", "high", "high", "high")])
+    generate_ipip_persona("classify cells", existing, backend)
+    (req,) = backend.requests
+    assert (req.kind, req.agent) == ("persona", 3)
+    assert [(m.role, m.content) for m in req.messages] == [
+        ("system", render_ipip_system(TRAIT_OPTIONS)),
+        ("assistant", json.dumps({"role": "A", "traits": {name: "low" for name in TRAIT_NAMES}})),
+        ("assistant", json.dumps({"role": "B", "traits": {}})),
+        ("user", render_ipip_user("classify cells")),
+    ]
 
 
 def test_ipip_persona_missing_trait_counts_as_parse_failure():

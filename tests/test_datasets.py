@@ -99,6 +99,25 @@ def test_write_output_skips_the_directory_sync_where_no_directory_opens(tmp_path
     assert events == [("fsync", 3), ("replace", True, "out.jsonl")]
 
 
+def test_write_output_closes_the_directory_it_opens(tmp_path, monkeypatch):
+    opened, real_open = [], os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append(real_open(path, flags, *args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", recording_open)
+    write_output(tmp_path / "out.jsonl", ["ok\n"])
+
+    def still_the_folder(fd: int) -> bool:  # a closed number may be reused by another thread, for another file
+        try:
+            return os.path.samestat(os.fstat(fd), os.stat(tmp_path))
+        except OSError:
+            return False
+
+    assert opened and not any(still_the_folder(fd) for fd in opened)
+
+
 @pytest.mark.parametrize("kind", ["parent-is-a-file", "target-is-a-directory", "lone-surrogate"])
 def test_write_output_names_a_file_it_cannot_write(tmp_path, kind):
     path, chunks = tmp_path / "out" / "x.json", ["{}"]
@@ -208,6 +227,7 @@ MAPPED = [{"question": "Why?", "answer": "Because."}, {"question": "How?", "answ
 LONG = "x" * 200_000  # the csv module refuses a field over 131072 characters unless told otherwise
 LOADS = {
     **{f"unified {suffix}": ({f"u.{suffix}": UNIFIED}, UNIFIED) for suffix in ("json", "jsonl")},
+    "unified csv": ({"u.csv": UNIFIED}, UNIFIED),  # with no sidecar, a .csv file is read as JSON
     "an integer id and a null letter": ({"u.json": [{"id": 5, "inputs": ["q"], "references": ["a"], "answerLetter": None}]}, [sample("5")]),
     "a letter only": ({"u.json": [{"id": "0001", "inputs": ["q"], "answerLetter": "C"}]}, [sample(references=[], answerLetter="C")]),
     "unicode separators in jsonl": ({"u.jsonl": SEPARATED}, SEPARATED),

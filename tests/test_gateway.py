@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import re
+import selectors
+import socket
 import ssl
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
@@ -353,8 +357,20 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
+@pytest.fixture
+def unclosed_sockets():
+    """Fails the test if it left a socket for the collector to close (the
+    ResourceWarning that the collector then raises): the pool closes each
+    connection it does not keep, and its idle ones once it is dropped."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 @pytest.mark.parametrize("mode", ["ok", "close", "chunked"])
-def test_default_transport_reuses_connections_up_to_the_cap(loopback_server, mode):
+def test_default_transport_reuses_connections_up_to_the_cap(loopback_server, unclosed_sockets, mode):
     # Eight callers share four slots (one, for chunked replies); a connection the server closes is replaced.
     server = loopback_server(mode)
     gw = HttpGateway(server.url, max_in_flight=1 if mode == "chunked" else 4)
@@ -434,7 +450,7 @@ ENDPOINT_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", ENDPOINT_FAULTS)
-def test_each_endpoint_fault_ends_its_call_as_its_row_says(loopback_server, monkeypatch, fault):
+def test_each_endpoint_fault_ends_its_call_as_its_row_says(loopback_server, unclosed_sockets, monkeypatch, fault):
     row = ENDPOINT_FAULTS[fault]
     for name, value in row.settings.items():
         monkeypatch.setattr(gateway, name, value)
@@ -453,6 +469,9 @@ def test_each_endpoint_fault_ends_its_call_as_its_row_says(loopback_server, monk
     else:
         server = loopback_server(row.source)
         gw = HttpGateway(server.url, sleeper=sleeps.append)
+        # Each reply's reader is kept, and with it the socket under it: only a close the call makes reaches the server.
+        kept, reads = [], gateway._AttemptReads
+        monkeypatch.setattr(gateway, "_AttemptReads", lambda *args: kept.append(reads(*args)) or kept[-1])
     started = time.monotonic()
     for call in range(row.calls):
         if call and row.source == "drop":
@@ -474,6 +493,27 @@ def test_each_endpoint_fault_ends_its_call_as_its_row_says(loopback_server, monk
     assert all(server.closed.acquire(timeout=5) for _ in range(row.closed))
     assert (len(server.targets), server.connections) == (row.attempts, row.connections)
     assert row.closed == row.connections or not server.closed.acquire(timeout=0.05)  # the rest stay open
+
+
+def test_a_new_connection_turns_off_nagles_algorithm(loopback_server):
+    # A request goes out as two writes, its head and then its body. With Nagle's
+    # algorithm on, the body could wait for the server's delayed ACK (~40 ms).
+    gw = HttpGateway(loopback_server().url)
+    assert gw.complete(req()).text == "ok"
+    (pooled,) = gw._transport._idle
+    assert pooled.conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_the_idle_check_builds_one_selector_for_the_pools_life(loopback_server, monkeypatch):
+    built, selector = [], selectors.DefaultSelector
+    monkeypatch.setattr(selectors, "DefaultSelector", lambda: built.append(selector()) or built[-1])
+    server = loopback_server()
+    gw = HttpGateway(server.url)
+    assert [gw.complete(req()).text for _ in range(20)] == ["ok"] * 20
+    assert (server.connections, len(built)) == (1, 1)
+    del gw
+    gc.collect()
+    assert built[0].get_map() is None  # closed with the pool
 
 
 def test_http_proxy_gets_the_absolute_uri(loopback_server, no_proxy_env):

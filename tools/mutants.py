@@ -3,10 +3,12 @@
 Each statement in a function body of each given module (at any depth, but
 not a docstring or a `pass`) is replaced by `pass`, one at a time, in a copy
 of the tree made in a temporary folder; `src/` is never written. The given
-pytest arguments run in that copy. A mutant the tests pass on survives; a
-mutant they fail on is killed, and its failing node ids are printed (a run
-that takes three times as long as the unmutated tree's is killed as a hang).
-As many mutants run at once as there are CPUs, each in its own copy.
+pytest arguments run in that copy. A mutant they fail on is killed, and its
+failing node ids are printed (a run that takes three times as long as the
+unmutated tree's is killed as a hang). A mutant they pass on is then run
+against all of Tier-1 (`pytest --continue-on-collection-errors -x` at the
+copy's root), the same way, and survives only if that passes too. As many
+mutants run at once as there are CPUs, each in its own copy.
 
     python tools/mutants.py runner decisions -- tests/test_runner.py tests/test_decisions.py -x
 
@@ -31,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["--continue-on-collection-errors", "-x"]  # no path: all the tests at the tree's root
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)  # -rfE's lines: "FAILED <node id> - <message>"
 
 
@@ -96,37 +99,46 @@ def main() -> int:
     ]
     with tempfile.TemporaryDirectory() as scratch:
         trees = [copy_tree(Path(scratch) / str(n)) for n in range(os.cpu_count() or 1)]
-        start = time.monotonic()
-        passed, failed = run(trees[0], pytest_args, None)
-        if not passed:
-            print(f"the unmutated tree fails: {failed}", file=sys.stderr)
-            return 2
-        timeout = 3 * (time.monotonic() - start)
-        free = list(trees)
-
-        def one(job: tuple[str, str, str]) -> tuple[str, bool, list[str]]:
-            module, name, mutated = job
-            tree = free.pop()
-            target = tree / "src" / "agora" / f"{module}.py"
-            original = target.read_text(encoding="utf-8")
-            target.write_text(mutated, encoding="utf-8")
-            try:
-                survived, failed = run(tree, pytest_args, timeout)
-            finally:
-                target.write_text(original, encoding="utf-8")
-                free.append(tree)
-            return f"{module}.py:{name}", survived, failed
-
-        survivors = []
-        with ThreadPoolExecutor(len(trees)) as pool:
-            for name, survived, failed in pool.map(one, todo):
-                print(f"{'SURVIVED' if survived else 'killed'} {name}" + ("" if survived else f" by {' '.join(failed) or '(no node id)'}"), flush=True)
-                if survived:
-                    survivors.append(name)
-    print(f"\n{len(todo) - len(survivors)} of {len(todo)} mutants killed; survivors:")
-    for name in survivors:
-        print(f"  {name}")
+        first = run_pass(trees, todo, pytest_args, ("passed its tests", "killed"))
+        survivors = first and run_pass(trees, first, TIER1, ("SURVIVED", "killed in Tier-1"))
+    if first is None or survivors is None:
+        return 2
+    print(f"\n{len(todo) - len(first)} of {len(todo)} mutants killed by the given tests, {len(first) - len(survivors)} more by Tier-1; survivors:")
+    for module, name, _ in survivors:
+        print(f"  {module}.py:{name}")
     return 0
+
+
+def run_pass(trees: list[Path], todo: list[tuple[str, str, str]], pytest_args: list[str], verdicts: tuple[str, str]):
+    """Run each mutant against the pytest arguments, one per tree at a time, and print
+    each one's fate; the mutants the tests pass on, or None if the unmutated tree fails."""
+    start = time.monotonic()
+    passed, failed = run(trees[0], pytest_args, None)
+    if not passed:
+        print(f"the unmutated tree fails {' '.join(pytest_args)}: {failed}", file=sys.stderr)
+        return None
+    timeout = 3 * (time.monotonic() - start)
+    free = list(trees)
+
+    def one(job: tuple[str, str, str]) -> tuple[bool, list[str]]:
+        module, name, mutated = job
+        tree = free.pop()
+        target = tree / "src" / "agora" / f"{module}.py"
+        original = target.read_text(encoding="utf-8")
+        target.write_text(mutated, encoding="utf-8")
+        try:
+            return run(tree, pytest_args, timeout)
+        finally:
+            target.write_text(original, encoding="utf-8")
+            free.append(tree)
+
+    survivors = []
+    with ThreadPoolExecutor(len(trees)) as pool:
+        for job, (survived, failed) in zip(todo, pool.map(one, todo)):
+            print(f"{verdicts[not survived]} {job[0]}.py:{job[1]}" + ("" if survived else f" by {' '.join(failed) or '(no node id)'}"), flush=True)
+            if survived:
+                survivors.append(job)
+    return survivors
 
 
 if __name__ == "__main__":
