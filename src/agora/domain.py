@@ -56,10 +56,6 @@ class TieBreak(str, Enum):
     DETERMINISTIC_INDEX = "deterministic_index"
 
 
-class SequenceViolation(Exception):
-    pass
-
-
 class Share(NamedTuple):
     """An exact share of a panel, unreduced, read like a Fraction."""
 
@@ -239,8 +235,6 @@ class DebateState:
 
     def add(self, turn: int, agent_id: int, phase: Phase, text: str, clock_ms: int) -> None:
         """Append the next message, numbered after the last; its text carries its agreement."""
-        if self.transcript and turn < self.transcript[-1].turn:
-            raise SequenceViolation(f"turn went backwards: {self.transcript[-1].turn} -> {turn}")
         msg = Message(len(self.transcript) + 1, turn, agent_id, phase, text, clock_ms)
         self.transcript.append(msg)
         if _installs_draft(msg):

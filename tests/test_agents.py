@@ -1,4 +1,28 @@
-"""Persona generation and answer extraction."""
+"""Persona generation, panel assembly and answer extraction.
+
+- The neutral panel names agent i `Participant i`, with no description.
+- `JSON_SPANS`: a reply's JSON object is the span from its first `{` to its
+  last `}`, so fences and prose around it are ignored; a reply with no such
+  span, or whose span is no object, raises ValueError.
+- `PERSONA_REPLIES`: a generator asks for a persona, each request labelled
+  `persona` with the new agent's id, until a reply parses to a persona that
+  is new. An expert persona is a role that is not blank and a string
+  description, both stripped, and it is new when no earlier role is the same
+  up to case and surrounding space. An IPIP persona is a role that is not
+  blank and all five traits, its description listing them in order, and it
+  is new when its trait vector is, whatever its role. A malformed reply (a
+  missing trait among them) is retried, and the third raises
+  `PersonaParseFailure`; a duplicate is retried, and the third raises
+  `PersonaUniquenessFailure`; a trait off its scale raises `TraitOutOfRange`
+  at once. The generator returns the persona and the accepted reply as sent.
+- Earlier personas ride along as assistant turns, in panel order, between the
+  system prompt and the user prompt.
+- `build_panel` numbers its agents 1..n, each with the reply its persona came
+  from; the `none` generator gives the neutral panel and asks for nothing.
+- An extraction asks the agent, in its role, for the final answer in its
+  previous reply, labelled `extraction` with its id, and returns the reply
+  with its latency.
+"""
 
 from __future__ import annotations
 
@@ -20,9 +44,8 @@ from agora.agents import (
     neutral_panel,
 )
 from agora.domain import AgentProfile, Persona
-from agora.gateway import ChatResponse
 from agora.prompts import render_extraction_user, render_ipip_system, render_ipip_user
-from recording import replay
+from recording import REPLAY_LATENCY_MS, replay
 
 
 def expert_json(role: str, description: str = "desc") -> str:
@@ -38,48 +61,96 @@ def ipip_json(role: str, *levels: str) -> str:
 
 
 def test_neutral_panel_names():
-    panel = neutral_panel(3)
-    assert [p.name for p in panel] == ["Participant 1", "Participant 2", "Participant 3"]
-    assert all(p.description == "" for p in panel)
+    assert neutral_panel(3) == [Persona("Participant 1"), Persona("Participant 2"), Persona("Participant 3")]
 
 
 # -- JSON span extraction --
 
-
-def test_extract_json_object_plain():
-    assert extract_json_object('{"a": 1}') == {"a": 1}
-
-
-def test_extract_json_object_tolerates_fences_and_prose():
-    text = 'Sure! Here it is:\n```json\n{"role": "Chemist", "description": "x"}\n```\nDone.'
-    assert extract_json_object(text) == {"role": "Chemist", "description": "x"}
-
-
-def test_extract_json_object_spans_first_to_last_brace():
-    text = '{"outer": {"inner": 2}}'
-    assert extract_json_object(text) == {"outer": {"inner": 2}}
+# Each reply and the object `extract_json_object` reads from it, or ValueError.
+JSON_SPANS = {
+    "plain": ('{"a": 1}', {"a": 1}),
+    "fences and prose": (
+        'Sure! Here it is:\n```json\n{"role": "Chemist", "description": "x"}\n```\nDone.', {"role": "Chemist", "description": "x"}
+    ),
+    "first to last brace": ('{"outer": {"inner": 2}}', {"outer": {"inner": 2}}),
+    "no braces": ("no json here", ValueError),
+    "not an object": ("[1, 2, 3]", ValueError),
+}
 
 
-def test_extract_json_object_requires_braces():
-    with pytest.raises(ValueError):
-        extract_json_object("no json here")
+@pytest.mark.parametrize("text, expected", JSON_SPANS.values(), ids=list(JSON_SPANS))
+def test_extract_json_object(text, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            extract_json_object(text)
+    else:
+        assert extract_json_object(text) == expected
 
 
-def test_extract_json_object_rejects_non_object():
-    with pytest.raises(ValueError):
-        extract_json_object("[1, 2, 3]")
+# -- persona generation --
+
+LOW = ipip_json("Y", "low", "low", "low", "low", "low")
+ALL_LOW = Persona(
+    "Y",
+    "Extraversion: low; Agreeableness: low; Conscientiousness: low; Neuroticism: low; Openness: low",
+    {"Extraversion": "low", "Agreeableness": "low", "Conscientiousness": "low", "Neuroticism": "low", "Openness": "low"},
+)
+OPTIMIST = Persona(
+    "Optimist",
+    "Extraversion: high; Agreeableness: very high; Conscientiousness: average; Neuroticism: low; Openness: high",
+    {"Extraversion": "high", "Agreeableness": "very high", "Conscientiousness": "average", "Neuroticism": "low", "Openness": "high"},
+)
+CHEMIST = [Persona(name="Chemist")]
+AVERAGE = [Persona(name="Y", traits={name: "average" for name in TRAIT_NAMES})]
+
+EXPERT, IPIP = generate_expert_persona, generate_ipip_persona
+
+# The generator, the panel's earlier personas, the replies, and the persona
+# (or the error raised) and the number of requests made.
+PERSONA_REPLIES = {
+    "expert": (EXPERT, [], [expert_json("  Economist ", " Knows markets. ")], Persona("Economist", "Knows markets."), 1),
+    "expert retries malformed then succeeds": (
+        EXPERT, [], ["not json", '{"role": " ", "description": "d"}', expert_json("Judge")], Persona("Judge", "desc"), 3
+    ),
+    "expert description that is not a string is retried": (
+        EXPERT, [], [json.dumps({"role": "Counter", "description": 5}), expert_json("Judge")], Persona("Judge", "desc"), 2
+    ),
+    "expert three parse failures": (EXPERT, [], ["x", "y", "z"], PersonaParseFailure, 3),
+    "expert three duplicate names": (
+        EXPERT, CHEMIST, [expert_json("chemist"), expert_json("CHEMIST"), expert_json("Chemist ")], PersonaUniquenessFailure, 3
+    ),
+    "expert duplicate then fresh name": (
+        EXPERT, CHEMIST, [expert_json("Chemist"), expert_json("Physicist")], Persona("Physicist", "desc"), 2
+    ),
+    "ipip": (IPIP, [], [ipip_json("Optimist", "high", "very high", "average", "low", "high")], OPTIMIST, 1),
+    # Its one trait is off the scale: a reply missing a trait is retried before any value is checked.
+    "ipip missing trait counts as parse failure": (
+        IPIP, [], [json.dumps({"role": "X", "traits": {"Extraversion": "extreme"}}), LOW], ALL_LOW, 2
+    ),
+    "ipip traits that are not an object are retried": (
+        IPIP, [], [json.dumps({"role": "X", "traits": list(TRAIT_OPTIONS)}), LOW], ALL_LOW, 2
+    ),
+    "ipip trait out of range is immediate": (
+        IPIP, [], [ipip_json("X", "extreme", "low", "low", "low", "low"), LOW], TraitOutOfRange, 1
+    ),
+    "ipip three duplicate vectors": (
+        IPIP, AVERAGE, [ipip_json("B", "average", "average", "average", "average", "average")] * 3, PersonaUniquenessFailure, 3
+    ),
+    "ipip same role other vector": (IPIP, AVERAGE, [LOW], ALL_LOW, 1),
+}
 
 
-# -- expert personas --
-
-
-def test_expert_persona_happy_path():
-    backend = replay([expert_json("  Economist ", " Knows markets. ")])
-    persona, raw = generate_expert_persona("task", [], backend)
-    assert persona.name == "Economist"
-    assert persona.description == "Knows markets."
-    # raw is the untouched response text, not the cleaned persona
-    assert json.loads(raw)["role"] == "  Economist "
+@pytest.mark.parametrize("case", PERSONA_REPLIES)
+def test_persona_replies(case):
+    generate, existing, replies, expected, requests = PERSONA_REPLIES[case]
+    backend = replay(replies)
+    if isinstance(expected, Persona):
+        # The raw text is the accepted reply, untouched.
+        assert generate("t", existing, backend) == (expected, replies[requests - 1])
+    else:
+        with pytest.raises(expected):
+            generate("t", existing, backend)
+    assert [(r.kind, r.agent) for r in backend.requests] == [("persona", len(existing) + 1)] * requests
 
 
 def test_expert_persona_prompt_layout():
@@ -93,61 +164,6 @@ def test_expert_persona_prompt_layout():
     echoed = json.loads(req.messages[1].content)
     assert echoed == {"role": "Chemist", "description": "Labs."}
     assert "classify cells" in req.messages[2].content
-
-
-def test_expert_persona_retries_malformed_then_succeeds():
-    backend = replay(["not json", '{"role": " ", "description": "d"}', expert_json("Judge")])
-    persona, _ = generate_expert_persona("t", [], backend)
-    assert persona.name == "Judge"
-    assert [(r.kind, r.agent) for r in backend.requests] == [("persona", 1)] * 3
-
-
-def test_expert_persona_description_that_is_not_a_string_is_retried():
-    backend = replay([json.dumps({"role": "Counter", "description": 5}), expert_json("Judge")])
-    persona, _ = generate_expert_persona("t", [], backend)
-    assert persona.name == "Judge"
-    assert len(backend.requests) == 2
-
-
-def test_expert_persona_three_parse_failures_raise():
-    backend = replay(["x", "y", "z"])
-    with pytest.raises(PersonaParseFailure):
-        generate_expert_persona("t", [], backend)
-
-
-def test_expert_persona_duplicate_names_raise_after_three():
-    existing = [Persona(name="Chemist")]
-    backend = replay([expert_json("chemist"), expert_json("CHEMIST"), expert_json("Chemist ")])
-    with pytest.raises(PersonaUniquenessFailure):
-        generate_expert_persona("t", existing, backend)
-
-
-def test_expert_persona_duplicate_then_fresh_name():
-    existing = [Persona(name="Chemist")]
-    backend = replay([expert_json("Chemist"), expert_json("Physicist")])
-    persona, _ = generate_expert_persona("t", existing, backend)
-    assert persona.name == "Physicist"
-
-
-# -- IPIP personas --
-
-
-def test_ipip_persona_happy_path():
-    backend = replay([ipip_json("Optimist", "high", "very high", "average", "low", "high")])
-    persona, raw = generate_ipip_persona("t", [], backend)
-    assert persona.name == "Optimist"
-    assert persona.traits == {
-        "Extraversion": "high",
-        "Agreeableness": "very high",
-        "Conscientiousness": "average",
-        "Neuroticism": "low",
-        "Openness": "high",
-    }
-    assert persona.description == (
-        "Extraversion: high; Agreeableness: very high; Conscientiousness: average; "
-        "Neuroticism: low; Openness: high"
-    )
-    assert json.loads(raw)["role"] == "Optimist"
 
 
 def test_ipip_persona_prompt_layout():
@@ -165,51 +181,6 @@ def test_ipip_persona_prompt_layout():
     ]
 
 
-def test_ipip_persona_missing_trait_counts_as_parse_failure():
-    # Its one trait is off the scale: a reply missing a trait is retried before any value is checked.
-    bad = json.dumps({"role": "X", "traits": {"Extraversion": "extreme"}})
-    good = ipip_json("Y", "low", "low", "low", "low", "low")
-    backend = replay([bad, good])
-    persona, _ = generate_ipip_persona("t", [], backend)
-    assert persona.name == "Y"
-    assert len(backend.requests) == 2
-
-
-def test_ipip_persona_traits_that_are_not_an_object_are_retried():
-    bad = json.dumps({"role": "X", "traits": list(TRAIT_OPTIONS)})
-    backend = replay([bad, ipip_json("Y", "low", "low", "low", "low", "low")])
-    persona, _ = generate_ipip_persona("t", [], backend)
-    assert persona.name == "Y"
-    assert len(backend.requests) == 2
-
-
-def test_ipip_persona_trait_out_of_range_is_immediate():
-    backend = replay([ipip_json("X", "extreme", "low", "low", "low", "low")])
-    with pytest.raises(TraitOutOfRange):
-        generate_ipip_persona("t", [], backend)
-    assert len(backend.requests) == 1
-
-
-def test_ipip_persona_duplicate_vector_raises_after_three():
-    existing = [
-        Persona(
-            name="A",
-            traits={name: "average" for name in TRAIT_NAMES},
-        )
-    ]
-    same = ipip_json("B", "average", "average", "average", "average", "average")
-    backend = replay([same, same, same])
-    with pytest.raises(PersonaUniquenessFailure):
-        generate_ipip_persona("t", existing, backend)
-
-
-def test_ipip_persona_same_role_different_vector_is_fine():
-    existing = [Persona(name="A", traits={name: "average" for name in TRAIT_NAMES})]
-    backend = replay([ipip_json("A", "high", "average", "average", "average", "average")])
-    persona, _ = generate_ipip_persona("t", existing, backend)
-    assert persona.name == "A"
-
-
 def test_default_trait_options_cover_all_names():
     assert set(TRAIT_OPTIONS) == set(TRAIT_NAMES)
     assert all(len(v) == 5 for v in TRAIT_OPTIONS.values())
@@ -220,14 +191,7 @@ def test_default_trait_options_cover_all_names():
 
 def test_build_panel_none_generator_needs_no_backend():
     profiles = build_panel(3, "none", "t", backend=None)
-    assert [p.agent_id for p in profiles] == [1, 2, 3]
-    assert [p.persona.name for p in profiles] == [
-        "Participant 1",
-        "Participant 2",
-        "Participant 3",
-    ]
-    assert profiles[0].to_log() == {"agentId": 1, "name": "Participant 1", "description": ""}
-    assert "rawText" not in profiles[0].to_log()
+    assert [p.to_log() for p in profiles] == [{"agentId": i, "name": f"Participant {i}", "description": ""} for i in (1, 2, 3)]
 
 
 def test_build_panel_expert_passes_prior_personas():
@@ -241,12 +205,7 @@ def test_build_panel_expert_passes_prior_personas():
 
 
 def test_build_panel_ipip():
-    backend = replay(
-        [
-            ipip_json("A", "low", "low", "low", "low", "low"),
-            ipip_json("B", "high", "high", "high", "high", "high"),
-        ]
-    )
+    backend = replay([ipip_json("A", "low", "low", "low", "low", "low"), ipip_json("B", "high", "high", "high", "high", "high")])
     profiles = build_panel(2, "ipip", "t", backend)
     assert [p.persona.name for p in profiles] == ["A", "B"]
     assert profiles[0].to_log()["traits"]["Openness"] == "low"
@@ -258,9 +217,7 @@ def test_build_panel_ipip():
 def test_extract_final_answer_prompt_and_text():
     backend = replay(["Final solution: B"])
     profile = AgentProfile(2, Persona(name="Mathematician", description="Numbers."))
-    text = extract_final_answer_response(
-        profile, "task", "input", "I think B because...", backend
-    ).text
+    text = extract_final_answer_response(profile, "task", "input", "I think B because...", backend).text
     assert text == "Final solution: B"
     (req,) = backend.requests
     assert (req.kind, req.agent) == ("extraction", 2)
@@ -270,12 +227,8 @@ def test_extract_final_answer_prompt_and_text():
 
 
 def test_extract_final_answer_response_carries_latency():
-    class Slow:
-        def complete(self, req):
-            return ChatResponse(text="ok", latency_ms=42)
-
-    resp = extract_final_answer_response(AgentProfile(1, Persona(name="P")), "t", "i", "prev", Slow())
-    assert resp.latency_ms == 42
+    resp = extract_final_answer_response(AgentProfile(1, Persona(name="P")), "t", "i", "prev", replay(["ok"]))
+    assert resp.latency_ms == REPLAY_LATENCY_MS
 
 
 def test_extract_final_answer_from_an_empty_previous_reply():

@@ -27,7 +27,7 @@ from agora.decisions import (
 from agora.domain import DebateState, Phase, TieBreak
 from agora.gateway import EndpointUnreachable
 from paper_rules import points, scores, winners
-from recording import REPLAY_LATENCY_MS, make_state, replay
+from recording import REPLAY_LATENCY_MS, Agreeing, make_state, replay
 
 
 def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int) -> None:
@@ -431,3 +431,26 @@ def test_decide_ends_each_way_on_the_replies_it_asks_for(case):
     assert len(backend.requests) == len(replies)  # every reply was asked for
     rounds = [(entry["turn"], entry.get("winners")) for entry in outcome.vote_detail or []]
     assert (outcome.success, outcome.final_text, state.turn, outcome.tie_broken, rounds, outcome.fallback_reason) == expected
+
+
+# ROADMAP item 25: in report and debate each turn ends with the central
+# agent's synthesis, which installs a new draft that its author alone agrees
+# with, so the share after every turn is 1/3 and no consensus is reached.
+ITEM_25 = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 25: the synthesis that ends each turn resets the agreement slate"
+)
+
+# Each paradigm and consensus protocol in which a 3-agent panel that agrees
+# with every message, capped at 4 turns, succeeds at turn 1 with 3 messages.
+AGREEING_PANELS = [
+    pytest.param(paradigm, protocol, id=f"{paradigm}-{protocol}", marks=[ITEM_25] if paradigm in ("report", "debate") else [])
+    for paradigm in ("memory", "relay", "report", "debate")
+    for protocol in ("majority_consensus", "supermajority_consensus", "unanimity_consensus")
+]
+
+
+@pytest.mark.parametrize("paradigm, protocol", AGREEING_PANELS)
+def test_an_agreeing_panel_reaches_consensus_at_turn_one(paradigm, protocol):
+    state = make_state(3, discussion_paradigm=paradigm, decision_protocol=protocol, max_turns=4)
+    outcome = decide(state, Agreeing())
+    assert (outcome.success, state.turn, len(state.transcript)) == (True, 1, 3)

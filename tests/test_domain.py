@@ -1,4 +1,22 @@
-"""Transcript state machine and log record shape."""
+"""The transcript state machine and the log record's shape.
+
+- A task joins its input lines, and its context lines, with newlines; with no
+  context lines it has no context text. Its unified record holds
+  `answerLetter` only when it has one.
+- `AGREEMENTS`: a reply's agreement is its last bracketed `[agree]` or
+  `[disagree]`, in any case; a reply with neither has none. Only an improve or
+  a feedback message carries its text's agreement.
+- `ADDS`: the state numbers each message one after the last. A draft, a
+  central synthesis, and an improve that does not agree install their text
+  as the draft and reset the agreement slate to their author alone. Any other
+  improve or feedback sets its author's flag to its agreement, if it has one.
+  The agreeing share is the agreeing flags out of the panel. Extraction and
+  judge messages are bookkeeping: they install nothing, and they are not
+  debate messages.
+- A message's log entry and the log record hold their keys in the order
+  pinned here. An outcome fails exactly when it names a reason, and its log
+  entry adds each optional key the outcome has.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +31,6 @@ from agora.domain import (
     JobParams,
     Message,
     Phase,
-    SequenceViolation,
     Share,
     TaskInstance,
     TieBreak,
@@ -24,13 +41,7 @@ from recording import make_state
 
 
 def make_task(**overrides) -> TaskInstance:
-    fields = dict(
-        id="0001",
-        instruction_key="",
-        input_lines=("What is 2+2?",),
-    )
-    fields.update(overrides)
-    return TaskInstance(**fields)
+    return TaskInstance(**{"id": "0001", "instruction_key": "", "input_lines": ("What is 2+2?",), **overrides})
 
 
 def test_task_instance_text_joins():
@@ -53,36 +64,24 @@ def test_to_unified_includes_letter_only_when_set():
 
 # -- agreement markers --
 
+A, D = Agreement.AGREE, Agreement.DISAGREE
 
-def test_parse_agreement_basic():
-    assert parse_agreement("I concur. [AGREE]") is Agreement.AGREE
-    assert parse_agreement("No. [DISAGREE]") is Agreement.DISAGREE
-
-
-def test_parse_agreement_case_insensitive():
-    assert parse_agreement("[agree]") is Agreement.AGREE
-    assert parse_agreement("[Disagree]") is Agreement.DISAGREE
-
-
-def test_parse_agreement_last_marker_wins():
-    text = "[AGREE] on points one and two, but overall [DISAGREE]"
-    assert parse_agreement(text) is Agreement.DISAGREE
-
-
-def test_parse_agreement_unmarked_is_none():
-    assert parse_agreement("I agree with you") is None
-    assert parse_agreement("") is None
+# Each reply text and the agreement `parse_agreement` reads from it.
+AGREEMENTS = {
+    "agree": ("I concur. [AGREE]", A),
+    "disagree": ("No. [DISAGREE]", D),
+    "lower case": ("[agree]", A),
+    "mixed case": ("[Disagree]", D),
+    "last marker wins": ("[AGREE] on points one and two, but overall [DISAGREE]", D),
+    "unmarked": ("I agree with you", None),
+    "empty": ("", None),
+    "other brackets": ("[MAYBE] [opinion] [AGREEMENT]", None),
+}
 
 
-def test_parse_agreement_ignores_other_brackets():
-    assert parse_agreement("[MAYBE] [opinion] [AGREEMENT]") is None
-
-
-def test_message_agreement_only_on_improve_or_feedback():
-    assert Message(1, 1, 1, Phase.IMPROVE, "ok [AGREE]").agreement is Agreement.AGREE
-    assert Message(1, 1, 1, Phase.FEEDBACK, "no [DISAGREE]").agreement is Agreement.DISAGREE
-    assert Message(1, 1, 1, Phase.DRAFT, "ok [AGREE]").agreement is None
-    assert Message(1, 1, 1, Phase.EXTRACTION, "no [DISAGREE]").agreement is None
+@pytest.mark.parametrize("text, expected", AGREEMENTS.values(), ids=list(AGREEMENTS))
+def test_parse_agreement(text, expected):
+    assert parse_agreement(text) is expected
 
 
 def test_message_log_shape():
@@ -171,89 +170,45 @@ def test_log_record_derives_protocol_and_turn_from_job_and_state():
     assert record["outcome"]["protocol"] == "baseline"
 
 
-def test_append_enforces_sequence():
-    # The state numbers each message itself, one after the last.
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "x", 0)
-    state.add(1, 2, Phase.IMPROVE, "x", 0)
-    state.add(2, 3, Phase.IMPROVE, "x", 0)
-    assert [m.seq for m in state.transcript] == [1, 2, 3]
+V1 = (1, 1, "draft", "v1")
+
+# The messages added to a 3-agent debate, each as (turn, agent, phase, text),
+# then the draft, the agreement slate, the agreeing share's numerator, each
+# message's agreement, and the seqs of the debate messages.
+ADDS = {
+    "a draft installs itself": ([(1, 1, "draft", "v1 [AGREE]")], ("v1 [AGREE]", {1: A}, 1, [None], [1])),
+    "an agreeing improve keeps the draft": ([V1, (1, 2, "improve", "fine [AGREE]")], ("v1", {1: A, 2: A}, 2, [None, A], [1, 2])),
+    "a disagreeing improve replaces the draft": (
+        [V1, (1, 2, "improve", "v2 [DISAGREE]")], ("v2 [DISAGREE]", {2: A}, 1, [None, D], [1, 2])
+    ),
+    "an unmarked improve replaces the draft": ([V1, (1, 2, "improve", "v2")], ("v2", {2: A}, 1, [None, None], [1, 2])),
+    "a disagreeing improve resets the slate": (
+        [V1, (1, 2, "improve", "ok [AGREE]"), (1, 3, "improve", "no [DISAGREE]")],
+        ("no [DISAGREE]", {3: A}, 1, [None, A, D], [1, 2, 3]),
+    ),
+    "feedback never installs": ([V1, (1, 2, "feedback", "v2 [DISAGREE]")], ("v1", {1: A, 2: D}, 1, [None, D], [1, 2])),
+    "an agreeing feedback": ([V1, (1, 3, "feedback", "ok [AGREE]")], ("v1", {1: A, 3: A}, 2, [None, A], [1, 2])),
+    "a central synthesis installs": (
+        [V1, (1, 1, "central_synthesis", "v2 [AGREE]")], ("v2 [AGREE]", {1: A}, 1, [None, None], [1, 2])
+    ),
+    "bookkeeping": (
+        [V1, (1, 2, "improve", "x"), (1, 2, "extraction", "ok [AGREE]"), (1, 0, "judge", "no [DISAGREE]")],
+        ("x", {2: A}, 1, [None, None, None, None], [1, 2]),
+    ),
+    "turns": ([(1, 1, "draft", "x"), (1, 2, "improve", "x"), (2, 3, "improve", "x")], ("x", {3: A}, 1, [None] * 3, [1, 2, 3])),
+}
 
 
-def test_append_rejects_backwards_turn():
-    state = make_state()
-    state.add(2, 1, Phase.DRAFT, "x", 0)
-    with pytest.raises(SequenceViolation):
-        state.add(1, 2, Phase.IMPROVE, "x", 0)
-    assert len(state.transcript) == 1
-
-
-def test_draft_installs_and_resets_agreement():
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "v1", 0)
-    assert state.current_draft == "v1"
-    assert state.agree_flags == {1: Agreement.AGREE}
-
-
-def test_improve_with_agree_keeps_draft():
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "v1", 0)
-    state.add(1, 2, Phase.IMPROVE, "fine [AGREE]", 0)
-    assert state.current_draft == "v1"
-    assert state.agree_flags == {1: Agreement.AGREE, 2: Agreement.AGREE}
-
-
-def test_improve_with_disagree_replaces_draft():
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "v1", 0)
-    state.add(1, 2, Phase.IMPROVE, "v2 [DISAGREE]", 0)
-    assert state.current_draft == "v2 [DISAGREE]"
-    # The replacement starts a fresh agreement slate around its author.
-    assert state.agree_flags == {2: Agreement.AGREE}
-
-
-def test_unmarked_improve_replaces_draft():
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "v1", 0)
-    state.add(1, 2, Phase.IMPROVE, "v2", 0)
-    assert state.current_draft == "v2"
-
-
-def test_feedback_never_installs():
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "v1", 0)
-    state.add(1, 2, Phase.FEEDBACK, "v2 [DISAGREE]", 0)
-    assert state.current_draft == "v1"
-    assert state.agree_flags[2] is Agreement.DISAGREE
-
-
-def test_central_synthesis_installs():
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "v1", 0)
-    state.add(1, 1, Phase.CENTRAL_SYNTHESIS, "v2 [AGREE]", 0)
-    assert state.current_draft == "v2 [AGREE]"
-    assert state.transcript[-1].agreement is None
-
-
-def test_agreement_fraction_is_exact():
+@pytest.mark.parametrize("case", ADDS)
+def test_each_message_moves_the_draft_and_the_slate(case):
+    added, (draft, flags, agreeing, agreements, debate) = ADDS[case]
     state = make_state(3)
-    state.add(1, 1, Phase.DRAFT, "v1", 0)
-    state.add(1, 2, Phase.IMPROVE, "ok [AGREE]", 0)
-    assert state.agreement_fraction() == Share(2, 3)
-    state.add(1, 3, Phase.IMPROVE, "no [DISAGREE]", 0)
-    # A disagreeing improve replaces the draft; the slate resets to its author.
-    assert state.current_draft == "no [DISAGREE]"
-    assert state.agreement_fraction() == Share(1, 3)
-
-
-def test_debate_messages_filters_bookkeeping_phases():
-    state = make_state()
-    state.add(1, 1, Phase.DRAFT, "x", 0)
-    state.add(1, 2, Phase.IMPROVE, "x", 0)
-    state.add(1, 1, Phase.EXTRACTION, "x", 0)
-    state.add(1, 0, Phase.JUDGE, "x", 0)
-    assert [m.phase for m in state.debate_messages()] == [Phase.DRAFT, Phase.IMPROVE]
-    assert [m.seq for m in state.transcript] == [1, 2, 3, 4]
+    for turn, agent, phase, text in added:
+        state.add(turn, agent, Phase(phase), text, 0)
+    assert [(m.seq, m.turn) for m in state.transcript] == [(seq, turn) for seq, (turn, *_) in enumerate(added, start=1)]
+    assert (state.current_draft, state.agree_flags, state.agreement_fraction()) == (draft, flags, Share(agreeing, 3))
+    assert [m.agreement for m in state.transcript] == agreements
+    assert [m.seq for m in state.debate_messages()] == debate
 
 
 def test_build_log_record_contract_keys():

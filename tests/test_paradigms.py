@@ -1,16 +1,28 @@
-"""Speaker schedules, visibility filters, and turn execution per paradigm."""
+"""Speaker schedules, visibility filters, step prompts and turn execution per paradigm.
+
+- `PAIRS`: agent 1 is the central agent. The peers 2..n pair up in order,
+  (2, 3), (4, 5), ..., and an odd last peer stands alone.
+- `SCHEDULES`: in memory and relay each agent 1..n improves in turn. In
+  report each peer improves; in debate each pair exchanges
+  `debate_exchanges` feedback messages, alternating and opened by its first
+  peer, and a lone peer gives half as many, rounded up. Both end with the
+  central agent's synthesis. Every turn of a debate has the same schedule.
+- `VISIBLE`: a speaker sees debate messages only. A memory speaker and every
+  central synthesis see them all, a relay speaker the last one, a report peer
+  its own and the syntheses, and a debate peer its pair's messages of the
+  current turn and the syntheses.
+- A step's prompt is the system prompt alone until a draft stands; then the
+  system prompt holds the draft and the visible memory, and the response
+  generator's turn prompt follows it.
+- `run_turn` speaks the schedule once, as a draft while no draft stands,
+  numbers each message, and counts the turn.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from agora.domain import (
-    Agreement,
-    DebateState,
-    JobParams,
-    Message,
-    Phase,
-)
+from agora.domain import Agreement, JobParams, Phase
 from agora.paradigms import (
     CENTRAL_AGENT_ID,
     ParadigmKind,
@@ -25,74 +37,43 @@ from agora.paradigms import (
 from recording import REPLAY_LATENCY_MS, make_state, replay
 
 
-def add(state: DebateState, agent_id: int, phase: Phase, text: str, turn: int) -> Message:
-    state.add(turn, agent_id, phase, text, 0)
-    return state.transcript[-1]
-
-
 # -- pairing --
 
-
-def test_peer_pairs_even_peers():
-    assert peer_pairs(5) == [(2, 3), (4, 5)]
-
-
-def test_peer_pairs_odd_peer_stands_alone():
-    assert peer_pairs(4) == [(2, 3), (4,)]
-    assert peer_pairs(6) == [(2, 3), (4, 5), (6,)]
-
-
-def test_peer_pairs_minimum_panel():
-    assert peer_pairs(3) == [(2, 3)]
+# The panel size and its peer pairs, each peer's pair as `pair_of` gives it.
+PAIRS = {
+    "two pairs": (5, [(2, 3), (4, 5)]),
+    "a lone peer": (4, [(2, 3), (4,)]),
+    "two pairs and a lone peer": (6, [(2, 3), (4, 5), (6,)]),
+    "the smallest panel": (3, [(2, 3)]),
+}
 
 
-def test_pair_of_lookup():
-    assert pair_of(5, 4) == (4, 5)
-    assert pair_of(4, 4) == (4,)
+@pytest.mark.parametrize("n, pairs", PAIRS.values(), ids=list(PAIRS))
+def test_peer_pairs_and_pair_of(n, pairs):
+    assert peer_pairs(n) == pairs
+    assert [pair_of(n, agent) for pair in pairs for agent in pair] == [pair for pair in pairs for _ in pair]
 
 
 # -- schedules --
 
+I, F, C = Phase.IMPROVE, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS
 
-def test_memory_schedule_everyone_improves_with_full_view():
-    steps = schedule(ParadigmKind.MEMORY, 3, 2)
-    assert steps == [
-        TurnStep(1, Phase.IMPROVE),
-        TurnStep(2, Phase.IMPROVE),
-        TurnStep(3, Phase.IMPROVE),
-    ]
-
-
-def test_relay_schedule_sees_only_last_message():
-    steps = schedule(ParadigmKind.RELAY, 2, 2)
-    assert steps == [TurnStep(1, Phase.IMPROVE), TurnStep(2, Phase.IMPROVE)]
-
-
-def test_report_schedule_peers_then_central():
-    steps = schedule(ParadigmKind.REPORT, 4, 2)
-    assert [s.speaker for s in steps] == [2, 3, 4, 1]
-    assert steps[-1] == TurnStep(1, Phase.CENTRAL_SYNTHESIS)
-    assert all(s.phase is Phase.IMPROVE for s in steps[:-1])
+# The paradigm, the panel size and `debate_exchanges`, and one turn's steps.
+SCHEDULES = {
+    "memory": (ParadigmKind.MEMORY, 3, 2, [(1, I), (2, I), (3, I)]),
+    "relay": (ParadigmKind.RELAY, 2, 2, [(1, I), (2, I)]),
+    "report": (ParadigmKind.REPORT, 4, 2, [(2, I), (3, I), (4, I), (1, C)]),
+    "debate 3 agents 2 exchanges": (ParadigmKind.DEBATE, 3, 2, [(2, F), (3, F), (1, C)]),
+    "debate 3 agents 3 exchanges": (ParadigmKind.DEBATE, 3, 3, [(2, F), (3, F), (2, F), (1, C)]),
+    "debate two pairs": (ParadigmKind.DEBATE, 5, 3, [(2, F), (3, F), (2, F), (4, F), (5, F), (4, F), (1, C)]),
+    "debate lone peer 2 exchanges": (ParadigmKind.DEBATE, 4, 2, [(2, F), (3, F), (4, F), (1, C)]),
+    "debate lone peer 3 exchanges": (ParadigmKind.DEBATE, 4, 3, [(2, F), (3, F), (2, F), (4, F), (4, F), (1, C)]),
+}
 
 
-def test_debate_schedule_alternates_within_pair():
-    steps = schedule(ParadigmKind.DEBATE, 3, debate_exchanges=2)
-    assert [s.speaker for s in steps] == [2, 3, 1]
-    steps = schedule(ParadigmKind.DEBATE, 3, debate_exchanges=3)
-    assert [s.speaker for s in steps] == [2, 3, 2, 1]
-
-
-def test_debate_schedule_two_pairs():
-    steps = schedule(ParadigmKind.DEBATE, 5, debate_exchanges=3)
-    assert [s.speaker for s in steps] == [2, 3, 2, 4, 5, 4, 1]
-    assert all(s.phase is Phase.FEEDBACK for s in steps[:-1])
-
-
-def test_debate_schedule_lone_peer_gets_half_the_exchanges():
-    steps = schedule(ParadigmKind.DEBATE, 4, debate_exchanges=2)
-    assert [s.speaker for s in steps] == [2, 3, 4, 1]
-    steps = schedule(ParadigmKind.DEBATE, 4, debate_exchanges=3)
-    assert [s.speaker for s in steps] == [2, 3, 2, 4, 4, 1]
+@pytest.mark.parametrize("kind, n, exchanges, steps", SCHEDULES.values(), ids=list(SCHEDULES))
+def test_schedule(kind, n, exchanges, steps):
+    assert schedule(kind, n, exchanges) == steps
 
 
 def test_schedule_is_turn_invariant():
@@ -108,83 +89,53 @@ def test_schedule_is_turn_invariant():
 
 # -- visibility --
 
+D, X = Phase.DRAFT, Phase.EXTRACTION
+DEBATE_TURN_1 = [(1, 2, D, "t1 p2"), (1, 3, F, "t1 p3"), (1, 4, F, "t1 p4"), (1, 5, F, "t1 p5"), (1, 1, C, "t1 central")]
 
-def test_visibility_all_returns_debate_messages_only():
-    state = make_state(3, discussion_paradigm="memory")
-    add(state, 1, Phase.DRAFT, "draft", turn=1)
-    add(state, 2, Phase.IMPROVE, "improve [DISAGREE]", turn=1)
-    add(state, 1, Phase.EXTRACTION, "1", turn=1)
-    step = TurnStep(3, Phase.IMPROVE)
-    visible = visible_messages(state, step)
-    assert [m.phase for m in visible] == [Phase.DRAFT, Phase.IMPROVE]
-
-
-def test_visibility_last_message_only():
-    state = make_state(2, discussion_paradigm="relay")
-    add(state, 1, Phase.DRAFT, "first", turn=1)
-    add(state, 2, Phase.IMPROVE, "second", turn=1)
-    step = TurnStep(1, Phase.IMPROVE)
-    visible = visible_messages(state, step)
-    assert [m.text for m in visible] == ["second"]
-
-
-def test_visibility_last_message_only_empty_state():
-    state = make_state(2, discussion_paradigm="relay")
-    step = TurnStep(1, Phase.IMPROVE)
-    assert visible_messages(state, step) == []
-
-
-def test_visibility_own_and_central_hides_peer_traffic():
-    state = make_state(3, discussion_paradigm="report")
-    add(state, 2, Phase.DRAFT, "peer2 draft", turn=1)
-    add(state, 3, Phase.IMPROVE, "peer3 improve", turn=1)
-    add(state, 1, Phase.CENTRAL_SYNTHESIS, "central view", turn=1)
-    step = TurnStep(2, Phase.IMPROVE)
-    visible = visible_messages(state, step)
-    assert [m.text for m in visible] == ["peer2 draft", "central view"]
+# The paradigm, the panel size, the messages added as (turn, agent, phase,
+# text), the turns completed, the step, and the texts it sees.
+VISIBLE = {
+    "memory sees the debate messages": (
+        "memory", 3, [(1, 1, D, "draft"), (1, 2, I, "improve [DISAGREE]"), (1, 1, X, "1")], 0, (3, I), ["draft", "improve [DISAGREE]"]
+    ),
+    "relay sees the last message": ("relay", 2, [(1, 1, D, "first"), (1, 2, I, "second")], 0, (1, I), ["second"]),
+    "relay before any message": ("relay", 2, [], 0, (1, I), []),
+    "a report peer sees its own and the syntheses": (
+        "report", 3, [(1, 2, D, "peer2 draft"), (1, 3, I, "peer3 improve"), (1, 1, C, "central view")], 0, (2, I),
+        ["peer2 draft", "central view"],
+    ),
+    "a debate peer sees its pair's current turn and the syntheses": (
+        "debate", 5, DEBATE_TURN_1 + [(2, 2, F, "t2 p2")], 1, (3, F), ["t1 central", "t2 p2"]
+    ),
+    "a debate peer never sees the other pair": ("debate", 5, [(1, 2, D, "t1 p2")], 0, (4, F), []),
+    "a debate synthesis sees the whole discussion": (
+        "debate", 5, DEBATE_TURN_1[:4], 0, (1, C), ["t1 p2", "t1 p3", "t1 p4", "t1 p5"]
+    ),
+}
 
 
-def test_visibility_pair_only_filters_by_pair_and_turn():
-    state = make_state(5, discussion_paradigm="debate")
-    # Turn 1 completed: both pairs spoke, central synthesized.
-    add(state, 2, Phase.DRAFT, "t1 p2", turn=1)
-    add(state, 3, Phase.FEEDBACK, "t1 p3", turn=1)
-    add(state, 4, Phase.FEEDBACK, "t1 p4", turn=1)
-    add(state, 5, Phase.FEEDBACK, "t1 p5", turn=1)
-    add(state, 1, Phase.CENTRAL_SYNTHESIS, "t1 central", turn=1)
-    state.turn = 1
-    # Turn 2 in progress: agent 2 already spoke.
-    add(state, 2, Phase.FEEDBACK, "t2 p2", turn=2)
-    step = TurnStep(3, Phase.FEEDBACK)
-    visible = visible_messages(state, step)
-    # Own pair's current-turn message plus every central synthesis; nothing
-    # from the other pair, nothing from the pair's previous turn.
-    assert [m.text for m in visible] == ["t1 central", "t2 p2"]
-
-
-def test_visibility_pair_only_other_pair_is_invisible():
-    state = make_state(5, discussion_paradigm="debate")
-    add(state, 2, Phase.DRAFT, "t1 p2", turn=1)
-    step = TurnStep(4, Phase.FEEDBACK)
-    assert visible_messages(state, step) == []
+@pytest.mark.parametrize("case", VISIBLE)
+def test_visible_messages(case):
+    paradigm, n, added, turns, step, texts = VISIBLE[case]
+    state = make_state(n, discussion_paradigm=paradigm)
+    for turn, agent, phase, text in added:
+        state.add(turn, agent, phase, text, 0)
+    state.turn = turns
+    assert [m.text for m in visible_messages(state, TurnStep(*step))] == texts
 
 
 # -- prompt rendering --
 
 
 def test_first_step_prompt_is_system_only():
-    state = make_state(2)
-    step = TurnStep(1, Phase.IMPROVE)
-    messages = render_step_prompt(state, step)
-    assert len(messages) == 1
-    role, text = messages[0]
+    ((role, text),) = render_step_prompt(make_state(2), TurnStep(1, Phase.IMPROVE))
     assert role == "system"
     assert "Nobody proposed a solution yet." in text
 
 
 def test_step_prompt_with_draft_adds_user_turn():
     state = make_state(2)
-    add(state, 1, Phase.DRAFT, "drafted answer", turn=1)
+    state.add(1, 1, Phase.DRAFT, "drafted answer", 0)
     step = TurnStep(2, Phase.IMPROVE)
     messages = render_step_prompt(state, step)
     assert [role for role, _ in messages] == ["system", "user"]
@@ -194,7 +145,7 @@ def test_step_prompt_with_draft_adds_user_turn():
 
 def test_step_prompt_honors_generator_choice():
     state = make_state(2, response_generator="simple")
-    add(state, 1, Phase.DRAFT, "d", turn=1)
+    state.add(1, 1, Phase.DRAFT, "d", 0)
     step = TurnStep(2, Phase.IMPROVE)
     simple = render_step_prompt(state, step)
     state.params = JobParams(response_generator="critical")

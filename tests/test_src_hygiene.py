@@ -48,9 +48,9 @@ And `datasets` alone builds or parses a debate log's name (`<job>-r<N><suffix>`)
 and decides whether a job name is a plain file name, so `run` names a job,
 writes its logs and refuses a name by the rule `evaluate` reads them by.
 And the debate engine (`agents`, `paradigms`, `decisions`, `domain`) trusts
-a prepared job: each of its `raise`s is a failed model reply, a guard on the
-transcript or a bare re-raise, because `runner.prepare_jobs` has already
-refused every value a second check there could catch.
+a prepared job: each of its `raise`s is a failed model reply or a bare
+re-raise, because `runner.prepare_jobs` has already refused every value a
+second check there could catch.
 
 The rule for start-up imports: a module imports at its top only what the
 commands that import it run. `agora.cli` imports each command's modules
@@ -597,11 +597,9 @@ def test_only_datasets_names_a_log_or_judges_a_job_name():
     assert log_name_rules_outside_datasets() == []
 
 
-# What the debate engine may raise: a model reply it cannot use, and a
-# misused transcript (stored state that a correct caller never trips).
+# What the debate engine may raise: a model reply it cannot use.
 ENGINE = ("agents", "paradigms", "decisions", "domain")
 REPLY_FAILURES = {"VoteParseFailure", "PersonaParseFailure", "PersonaUniquenessFailure", "TraitOutOfRange"}
-TRANSCRIPT_GUARDS = {"SequenceViolation"}
 
 # The functions that raise ValueError on a malformed reply: the JSON span
 # reader and the persona parsers (each generator's nested `parse`, and `_role`).
@@ -626,9 +624,9 @@ def _walk(node: ast.AST, function: str = "", guarded: bool = False):
 
 def engine_raises_of_another_kind() -> list[str]:
     """`module.py:line function: Class` for each raise in the engine that is not a
-    failed reply, a transcript guard or a bare re-raise; and `module.py:line
-    function: calls reader` for each call of a reply reader that no `try`
-    catching ValueError surrounds, outside the readers themselves."""
+    failed reply or a bare re-raise; and `module.py:line function: calls reader`
+    for each call of a reply reader that no `try` catching ValueError
+    surrounds, outside the readers themselves."""
     flagged = []
     for module in ENGINE:
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
@@ -637,7 +635,7 @@ def engine_raises_of_another_kind() -> list[str]:
                 raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = getattr(raised, "id", None) or getattr(raised, "attr", None)
                 reply_value_error = name == "ValueError" and function in REPLY_READERS
-                if name not in REPLY_FAILURES | TRANSCRIPT_GUARDS and not reply_value_error:
+                if name not in REPLY_FAILURES and not reply_value_error:
                     flagged.append(f"{module}.py:{node.lineno} {function}: {name}")
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in REPLY_READERS:
                 if not guarded and function not in REPLY_READERS:
@@ -645,7 +643,7 @@ def engine_raises_of_another_kind() -> list[str]:
     return flagged
 
 
-def test_the_engine_raises_only_on_a_failed_reply_or_a_misused_transcript():
+def test_the_engine_raises_only_on_a_failed_reply():
     # A check below the preparation step re-tests a value that step fixed:
     # only a test can trip it, and it drifts from the rule the user meets.
     assert engine_raises_of_another_kind() == []
