@@ -88,7 +88,7 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 
 
 def _f1(overlap: float, cand_total: int, ref_total: int) -> float:
-    if cand_total == 0 or ref_total == 0 or overlap == 0:
+    if not overlap:
         return 0.0
     precision = overlap / cand_total
     recall = overlap / ref_total

@@ -1,5 +1,35 @@
-"""Ballot parsing, tallies, and the decide() flows. The consensus bars are checked
-against `paper_rules.py` by test_config_space.py and acceptance criterion 2."""
+"""Ballot parsing, tallies, vote rounds, the judge, and `decide`. The consensus
+bars are checked against `paper_rules.py` by test_config_space.py and
+acceptance criterion 2.
+
+- Three consensus protocols, four voting ones and the judge make eight.
+  Voting is due from turn `voting_after_turns` on.
+- `BALLOTS`: a simple ballot is its first integer. Indices are 1-based; a 0
+  makes a ballot 0-based, but only the 0 itself in an approval ballot. A
+  ranking is cut to min(k, 5) before duplicates are checked; a cumulative
+  ballot, fenced or not, may underspend. Any other raises VoteParseFailure.
+- `TALLIES`: invalid ballots are skipped. A vote gives 1 point, an approval
+  1 each, a ranking k - 1 - p at position p, and a cumulative ballot its
+  points; the winners have the most, and no valid ballot gives no tally.
+  Scores are whole and equal `paper_rules.py`'s sums in any voter order, and
+  one more vote makes a winner the only one. Ballots and rounds log as pinned.
+- Candidates are extracted per agent in panel order, duplicates kept, each
+  an extraction message quoting the agent's last debate message. A voter is
+  asked again after an invalid ballot, four ballots in all, then abstains. A
+  cumulative prompt names the configured budget, which bounds the ballot.
+- The judge's reply is logged as agent 0's judge message; a failed judge
+  call falls back to the first candidate and logs none.
+- `ENDINGS`: `decide` asks for exactly the replies it needs. Consensus ends
+  at the first turn that meets its bar, with the standing draft, never votes,
+  and fails at `max_turns`. Voting and the judge debate to the voting turn,
+  then decide; a cap before it fails with the draft. A tie gets one more
+  turn and round (`extra_round`); a lasting tie, or one at the cap, goes to
+  the lowest index (`deterministic_index`); a round of invalid ballots fails
+  with the draft.
+- `AGREEING_PANELS`: an agreeing 3-agent panel reaches consensus at turn 1
+  with 3 messages in every paradigm; the report and debate rows are strict
+  expected failures until ROADMAP item 25 lands.
+"""
 
 from __future__ import annotations
 

@@ -1,89 +1,90 @@
-"""Answer extraction, repeat statistics, and log evaluation."""
+"""Answer extraction, repeat statistics, and log evaluation.
+
+- `LETTERS`: a final text's answer is the letter after its last `FINAL
+  SOLUTION` marker in any case, past an optional run of `:`, `-`, `–` or `=`
+  and one opening bracket, upper-cased; without a marker, the one standalone
+  capital on its last non-blank line; else none. The marker pattern matches
+  what the reference pattern in metrics_oracle.py matches, on texts near one.
+- `CORRECT`: a record is correct when its answer is the sample's letter,
+  trimmed and upper-cased; a sample without a letter raises DatasetMismatch.
+- `AGGREGATES`: repeat means give their mean and sample std (n-1); one
+  repeat has std 0 and the annotation `single repeat`; none is a ValueError.
+  The repeats' order changes neither, and every mean is `statistics.fmean`,
+  bit for bit.
+- `GROUPS`: `<job>-r<N>` is repeat N of `<job>`, any other log repeat 1 of
+  its stem, each job's repeats in number order. A folder's files that are no
+  `.json` or `.jsonl` log are skipped; a file named alone is read whatever
+  its suffix.
+- A log holds one JSON record per non-blank line; any other line is a ValueError.
+- A job's accuracy is each repeat's share of correct records, then their mean
+  and std; its pooled values, success rate, turns and clocks (in seconds)
+  cover every record. A sample with references adds bleu, rouge1-3, rougeL
+  and meteor, and one with a letter accuracy; a record of a sample the
+  dataset lacks raises DatasetMismatch.
+- `evaluate_logs` writes one camelCase `<job>.eval.json` per job, in job
+  order, and `load_eval_results` reads back what it wrote.
+"""
 
 from __future__ import annotations
 
 import json
+import re
 import statistics
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from agora.domain import TaskInstance
-from agora.evaluation import (
-    _FINAL_RE,
-    DatasetMismatch,
-    EvalResult,
-    aggregate,
-    evaluate_job,
-    evaluate_logs,
-    extract_answer_letter,
-    fmean,
-    group_log_files,
-    load_eval_results,
-    read_records,
-    record_correct,
-)
+from agora.evaluation import _FINAL_RE, DatasetMismatch, EvalResult, aggregate, evaluate_job, evaluate_logs
+from agora.evaluation import extract_answer_letter, fmean, group_log_files, load_eval_results, read_records, record_correct
 from metrics_oracle import REFERENCE_FINAL_RE
 
 
-def mc_sample(i: int, letter: str) -> TaskInstance:
+def sample(i: int, letter: str | None = None, *references: str) -> TaskInstance:
     return TaskInstance(
-        id=f"{i:04d}",
-        instruction_key="q",
-        input_lines=("question",),
-        answer_letter=letter,
-    )
-
-
-def free_sample(i: int, *references: str) -> TaskInstance:
-    return TaskInstance(
-        id=f"{i:04d}",
-        instruction_key="q",
-        input_lines=("question",),
-        references=references,
+        id=f"{i:04d}", instruction_key="q", input_lines=("question",), references=references, answer_letter=letter
     )
 
 
 def log_record(sample_id: str, final_text: str, success: bool = True, turn: int = 1):
-    return {
-        "config": {},
-        "task": {"id": sample_id},
-        "personas": [],
-        "messages": [],
-        "outcome": {
-            "protocol": "majority_consensus",
-            "finalText": final_text,
-            "success": success,
-            "decidedAtTurn": turn,
-        },
-        "globalClockMs": 1500,
-    }
+    outcome = {"protocol": "majority_consensus", "finalText": final_text, "success": success, "decidedAtTurn": turn}
+    return {"config": {}, "task": {"id": sample_id}, "personas": [], "messages": [], "outcome": outcome, "globalClockMs": 1500}
+
+
+def write_log(folder, name: str, records) -> None:
+    (folder / name).write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+
+
+def raises_or_equals(expected, call, *args):
+    """`call(*args)` raises an exception of `expected`'s type ending in its message, or returns `expected`."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected)) + "$"):
+            call(*args)
+    else:
+        assert call(*args) == expected
 
 
 # -- letter extraction --
 
-
-def test_extract_letter_after_marker():
-    assert extract_answer_letter("Reasoning...\nFINAL SOLUTION: B") == "B"
-    assert extract_answer_letter("final solution: c") == "C"
-    assert extract_answer_letter("Final Solution - (d)") == "D"
-    assert extract_answer_letter("FINAL SOLUTION: [A] done") == "A"
-
-
-def test_extract_letter_last_marker_wins():
-    text = "FINAL SOLUTION: A\nwait, no.\nFINAL SOLUTION: C"
-    assert extract_answer_letter(text) == "C"
-
-
-def test_extract_letter_final_line_fallback():
-    assert extract_answer_letter("I believe the answer is:\nB") == "B"
-    # Two standalone capitals on the last line is ambiguous.
-    assert extract_answer_letter("either\nA or B") is None
+# Each final text and the letter extracted from it.
+LETTERS = {
+    "after the marker": ("Reasoning...\nFINAL SOLUTION: B", "B"),
+    "lower case": ("final solution: c", "C"),
+    "dash and parenthesis": ("Final Solution - (d)", "D"),
+    "bracket and more text": ("FINAL SOLUTION: [A] done", "A"),
+    "the last marker wins": ("FINAL SOLUTION: A\nwait, no.\nFINAL SOLUTION: C", "C"),
+    "the last line's capital": ("I believe the answer is:\nB", "B"),
+    "two capitals on the last line": ("either\nA or B", None),
+    "no letter": ("no letters here", None),
+    "empty": ("", None),
+    "a capital starting a word is no answer": ("The answer is\nB", "B"),
+    "capitals starting words only": ("It Depends", None),
+}
 
 
-def test_extract_letter_none_when_absent():
-    assert extract_answer_letter("no letters here") is None
-    assert extract_answer_letter("") is None
+@pytest.mark.parametrize("text, expected", LETTERS.values(), ids=list(LETTERS))
+def test_extract_answer_letter(text, expected):
+    assert extract_answer_letter(text) == expected
 
 
 # Texts that come near a FINAL SOLUTION marker: each part of the marker in
@@ -111,77 +112,46 @@ def test_the_answer_pattern_matches_as_the_reference_pattern_does(text):
     assert _FINAL_RE.findall(text) == REFERENCE_FINAL_RE.findall(text)
 
 
-def test_extract_letter_ignores_capitals_inside_words():
-    assert extract_answer_letter("The answer is\nB") == "B"
-    assert extract_answer_letter("It Depends") is None
+# -- correctness --
+
+# A final text and the sample's letter, and the verdict.
+CORRECT = {
+    "same letter": ("FINAL SOLUTION: B", "b", True),
+    "same letter, padded": ("FINAL SOLUTION: B", " b ", True),
+    "other letter": ("FINAL SOLUTION: A", "b", False),
+    "no letter extracted": ("mumble", "b", False),
+    "sample without a letter": ("FINAL SOLUTION: A", None, DatasetMismatch("sample 0001 has no answer letter")),
+}
 
 
-# -- correctness and accuracy --
-
-
-def test_record_correct_compares_upper():
-    sample = mc_sample(1, "b")
-    assert record_correct(log_record("0001", "FINAL SOLUTION: B"), sample)
-    assert not record_correct(log_record("0001", "FINAL SOLUTION: A"), sample)
-    assert not record_correct(log_record("0001", "mumble"), sample)
-
-
-def test_record_correct_requires_reference_letter():
-    with pytest.raises(DatasetMismatch, match="has no answer letter"):
-        record_correct(log_record("0001", "FINAL SOLUTION: A"), free_sample(1, "x"))
-
-
-def test_accuracy_over_records(tmp_path):
-    samples = [mc_sample(1, "A"), mc_sample(2, "B")]
-    records = [
-        log_record("0001", "FINAL SOLUTION: A"),
-        log_record("0002", "FINAL SOLUTION: C"),
-    ]
-    write_log(tmp_path, "job.json", records)
-    result = evaluate_job("job", [(1, tmp_path / "job.json")], samples)
-    assert result.mean["accuracy"] == 0.5
-
-
-def test_accuracy_unknown_sample_id(tmp_path):
-    write_log(tmp_path, "job.json", [log_record("9999", "x")])
-    with pytest.raises(DatasetMismatch, match="unknown sample id '9999'"):
-        evaluate_job("job", [(1, tmp_path / "job.json")], [mc_sample(1, "A")])
+@pytest.mark.parametrize("text, letter, expected", CORRECT.values(), ids=list(CORRECT))
+def test_record_correct(text, letter, expected):
+    raises_or_equals(expected, record_correct, log_record("0001", text), sample(1, letter, "x"))
 
 
 # -- repeat statistics --
 
-
-def test_aggregate_two_repeats():
-    stats = aggregate([0.4, 0.6])
-    assert stats.mean == pytest.approx(0.5)
+# Repeat means, and their mean, std and annotation.
+AGGREGATES = {
     # Sample std with n-1: sqrt(((0.1)^2 + (0.1)^2) / 1) = 0.141421...
-    assert stats.std == pytest.approx(0.1414213562, abs=1e-6)
-    assert stats.annotation is None
+    "two repeats": ([0.4, 0.6], (0.5, 0.1414213562, None)),
+    "one repeat": ([0.7], (0.7, 0.0, "single repeat")),
+    "equal repeats": ([0.3, 0.3, 0.3], (0.3, 0.0, None)),
+    "no repeat": ([], ValueError("aggregate needs at least one repeat")),
+}
 
 
-def test_aggregate_single_repeat_annotated():
-    stats = aggregate([0.7])
-    assert stats.mean == 0.7
-    assert stats.std == 0.0
-    assert stats.annotation == "single repeat"
-
-
-def test_aggregate_constant_repeats_zero_std():
-    assert aggregate([0.3, 0.3, 0.3]).std == 0.0
-
-
-def test_aggregate_rejects_empty():
-    with pytest.raises(ValueError):
-        aggregate([])
+@pytest.mark.parametrize("values, expected", AGGREGATES.values(), ids=list(AGGREGATES))
+def test_aggregate(values, expected):
+    if not isinstance(expected, Exception):
+        expected = pytest.approx(expected, abs=1e-9)
+    raises_or_equals(expected, lambda: tuple(aggregate(values)))
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=8), st.data())
 def test_aggregate_is_permutation_invariant(values, data):
     shuffled = data.draw(st.permutations(values))
-    a = aggregate(values)
-    b = aggregate(shuffled)
-    assert a.mean == pytest.approx(b.mean)
-    assert a.std == pytest.approx(b.std)
+    assert tuple(aggregate(shuffled))[:2] == pytest.approx(tuple(aggregate(values))[:2])
 
 
 @given(
@@ -196,23 +166,27 @@ def test_means_equal_statistics_fmean_bit_for_bit(values):
     assert aggregate(values).mean.hex() == expected
 
 
-# -- file grouping --
+# -- reading logs --
+
+# The files of a folder, the one given (None: the folder), and each job with its (repeat, file) pairs.
+GROUPS = {
+    "repeats and bare names": (
+        ["majority-r1.json", "majority-r2.json", "approval-r1.json", "solo.json"], None,
+        {"approval": [(1, "approval-r1.json")], "majority": [(1, "majority-r1.json"), (2, "majority-r2.json")], "solo": [(1, "solo.json")]},
+    ),
+    "repeats in number order": (["j-r10.jsonl", "j-r2.jsonl"], None, {"j": [(2, "j-r2.jsonl"), (10, "j-r10.jsonl")]}),
+    "other suffixes skipped": (["job-r1.json", "notes.txt", "job-r2.json.bak"], None, {"job": [(1, "job-r1.json")]}),
+    "a file given alone": (["job-r2.jsonl", "other-r1.json"], "job-r2.jsonl", {"job": [(2, "job-r2.jsonl")]}),
+    "a file of another suffix given alone": (["job-r2.txt"], "job-r2.txt", {"job-r2": [(1, "job-r2.txt")]}),
+}
 
 
-def test_group_log_files_by_repeat_suffix(tmp_path):
-    for name in ("majority-r1.json", "majority-r2.json", "approval-r1.json", "solo.json"):
+@pytest.mark.parametrize("names, given, expected", GROUPS.values(), ids=list(GROUPS))
+def test_group_log_files(tmp_path, names, given, expected):
+    for name in names:
         (tmp_path / name).write_text("", encoding="utf-8")
-    groups = group_log_files(tmp_path)
-    assert sorted(groups) == ["approval", "majority", "solo"]
-    assert [r for r, _ in groups["majority"]] == [1, 2]
-    assert groups["solo"][0][0] == 1
-
-
-def test_group_log_files_single_file(tmp_path):
-    path = tmp_path / "job-r2.jsonl"
-    path.write_text("", encoding="utf-8")
-    groups = group_log_files(path)
-    assert groups == {"job": [(2, path)]}
+    expected = {job: [(repeat, tmp_path / name) for repeat, name in files] for job, files in expected.items()}
+    assert group_log_files(tmp_path / given if given else tmp_path) == expected
 
 
 def test_read_records_skips_blank_lines(tmp_path):
@@ -228,33 +202,17 @@ def test_read_records_skips_blank_lines(tmp_path):
 # -- job evaluation --
 
 
-def write_log(tmp_path, name: str, records) -> None:
-    path = tmp_path / name
-    path.write_text(
-        "\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8"
-    )
+def evaluate(tmp_path, logs: dict, samples) -> EvalResult:
+    for name, records in logs.items():
+        write_log(tmp_path, name, records)
+    (job_files,) = group_log_files(tmp_path).values()
+    return evaluate_job("job", job_files, samples)
 
 
 def test_evaluate_job_accuracy_per_repeat(tmp_path):
-    samples = [mc_sample(1, "A"), mc_sample(2, "B")]
-    write_log(
-        tmp_path,
-        "job-r1.json",
-        [
-            log_record("0001", "FINAL SOLUTION: A"),
-            log_record("0002", "FINAL SOLUTION: B"),
-        ],
-    )
-    write_log(
-        tmp_path,
-        "job-r2.json",
-        [
-            log_record("0001", "FINAL SOLUTION: A"),
-            log_record("0002", "FINAL SOLUTION: C", success=False, turn=7),
-        ],
-    )
-    (job_files,) = group_log_files(tmp_path).values()
-    result = evaluate_job("job", job_files, samples)
+    right = [log_record("0001", "FINAL SOLUTION: A"), log_record("0002", "FINAL SOLUTION: B")]
+    wrong = [log_record("0001", "FINAL SOLUTION: A"), log_record("0002", "FINAL SOLUTION: C", success=False, turn=7)]
+    result = evaluate(tmp_path, {"job-r1.json": right, "job-r2.json": wrong}, [sample(1, "A"), sample(2, "B")])
     assert result.repeats == 2
     # Repeat means 1.0 and 0.5.
     assert result.mean["accuracy"] == pytest.approx(0.75)
@@ -267,10 +225,7 @@ def test_evaluate_job_accuracy_per_repeat(tmp_path):
 
 
 def test_evaluate_job_free_text_metrics(tmp_path):
-    samples = [free_sample(1, "the cat sat on the mat")]
-    write_log(tmp_path, "job-r1.json", [log_record("0001", "the cat sat on the mat")])
-    (job_files,) = group_log_files(tmp_path).values()
-    result = evaluate_job("job", job_files, samples)
+    result = evaluate(tmp_path, {"job-r1.json": [log_record("0001", "the cat sat on the mat")]}, [sample(1, None, "the cat sat on the mat")])
     for metric in ("bleu", "rouge1", "rouge2", "rouge3", "rougeL"):
         assert result.mean[metric] == pytest.approx(1.0)
     assert result.mean["meteor"] == pytest.approx(1 - 0.5 / 6**3)
@@ -279,17 +234,13 @@ def test_evaluate_job_free_text_metrics(tmp_path):
 
 
 def test_evaluate_job_letter_and_references_together(tmp_path):
-    sample = TaskInstance(
-        id="0001",
-        instruction_key="q",
-        input_lines=("question",),
-        references=("yes",),
-        answer_letter="A",
-    )
-    write_log(tmp_path, "job-r1.json", [log_record("0001", "FINAL SOLUTION: A")])
-    (job_files,) = group_log_files(tmp_path).values()
-    result = evaluate_job("job", job_files, [sample])
+    result = evaluate(tmp_path, {"job-r1.json": [log_record("0001", "FINAL SOLUTION: A")]}, [sample(1, "A", "yes")])
     assert "accuracy" in result.mean and "bleu" in result.mean
+
+
+def test_accuracy_unknown_sample_id(tmp_path):
+    with pytest.raises(DatasetMismatch, match="unknown sample id '9999'"):
+        evaluate(tmp_path, {"job.json": [log_record("9999", "x")]}, [sample(1, "A")])
 
 
 # -- end-to-end evaluate + reload --
@@ -298,12 +249,7 @@ def test_evaluate_job_letter_and_references_together(tmp_path):
 def test_evaluate_logs_writes_one_file_per_job(tmp_path):
     dataset = tmp_path / "data.json"
     dataset.write_text(
-        json.dumps(
-            [
-                {"id": "0001", "instruction": "q", "inputs": ["x"], "answerLetter": "A"},
-            ]
-        ),
-        encoding="utf-8",
+        json.dumps([{"id": "0001", "instruction": "q", "inputs": ["x"], "answerLetter": "A"}]), encoding="utf-8"
     )
     logs = tmp_path / "logs"
     logs.mkdir()
@@ -322,5 +268,3 @@ def test_evaluate_logs_writes_one_file_per_job(tmp_path):
     assert raw["jobName"] == "alpha"
     assert raw["decisionSuccessRate"] == 1.0
     assert EvalResult.from_json(raw).mean == results[0].mean
-
-

@@ -1,4 +1,32 @@
-"""Wire client behavior, retry policy, and the scripted backend."""
+"""The wire client, its retry policy and connection pool, and the scripted backend.
+
+- A request goes on the wire as seven pairs in order: model, messages,
+  temperature 1, top_p 1, presence and frequency penalties 0, max_tokens
+  1024. A call needs a message; its kind and agent label it off the wire.
+- A call posts to `<endpoint>/chat/completions` (a trailing slash dropped),
+  with a bearer token only when there is a key. A reply's text is its first
+  choice's content; a token count that is no whole number >= 0 reads as 0.
+- An endpoint that is not an http(s) URL with a host, or that holds
+  credentials, a query or a fragment, is refused before any call without
+  echoing them; so is a cap below 1. A wait for a slot is in no call's
+  latency; acceptance criterion 8 checks the cap.
+- `ENDPOINT_FAULTS`: no reply, a 429 or a 5xx is retried up to `MAX_RETRIES`
+  times after 1 s doubling, with 20% jitter, capped at 30 s; 401 and 403
+  raise AuthRejected, other statuses EndpointUnreachable, and a reply without
+  string text MalformedResponse. `TIMEOUT_S` bounds an attempt, not a read.
+  A 200 over `MAX_RESPONSE_BYTES` is not retried and closes its connection.
+  A dropped idle connection is replaced without a retry, and no socket is
+  left for the collector.
+- The pool reuses up to the cap of connections, Nagle's algorithm off, with
+  one idle-check selector for its life. `HTTP_PROXY` gets the absolute URI
+  and Basic credentials, `HTTPS_PROXY` a CONNECT tunnel, and `NO_PROXY`
+  bypasses them. HTTPS verifies the certificate and the host name, whatever
+  the process's default.
+- A script answers, in 0 ms, with the first rule left whose clauses all
+  match (a substring, of the role if named); a rule is used up unless
+  repeatable, and none left raises NoRuleMatched. An empty script is refused,
+  a fork uses up its own copy, and `script_from_dict` reads the JSON form.
+"""
 
 from __future__ import annotations
 
@@ -55,9 +83,11 @@ def req() -> ChatRequest:
     return ChatRequest((ChatMessage("user", "hi"),), model_name="m")
 
 
-def test_chat_request_defaults():
+def test_wire_body_is_seven_pairs_in_order():
     # Every request samples alike; the key order is part of the wire bytes.
-    assert list(wire_body(req()).items())[2:] == [
+    assert list(wire_body(req()).items()) == [
+        ("model", "m"),
+        ("messages", [{"role": "user", "content": "hi"}]),
         ("temperature", 1.0),
         ("top_p", 1.0),
         ("presence_penalty", 0.0),
@@ -79,21 +109,6 @@ def test_a_call_is_labelled_and_its_labels_stay_off_the_wire():
     (sent,) = backend.requests
     assert sent == ChatRequest((ChatMessage("user", "hi"),), "m", "ballot", 2)
     assert wire_body(sent) == wire_body(req())
-
-
-def test_wire_body_key_set():
-    body = wire_body(req())
-    assert set(body) == {
-        "model",
-        "messages",
-        "temperature",
-        "top_p",
-        "presence_penalty",
-        "frequency_penalty",
-        "max_tokens",
-    }
-    assert body["model"] == "m"
-    assert body["messages"] == [{"role": "user", "content": "hi"}]
 
 
 @pytest.mark.parametrize("api_key", ["secret", ""])
@@ -148,30 +163,6 @@ def test_endpoint_trailing_slash_is_normalized():
 
     HttpGateway("http://fake/", transport=transport).complete(req())
     assert seen["url"] == "http://fake/chat/completions"
-
-
-def test_max_in_flight_bound_under_threads():
-    active = {"now": 0, "peak": 0, "calls": 0}
-    lock = threading.Lock()
-
-    def transport(url, headers, body, timeout):
-        with lock:
-            active["calls"] += 1
-            active["now"] += 1
-            active["peak"] = max(active["peak"], active["now"])
-        time.sleep(0.002)
-        with lock:
-            active["now"] -= 1
-        return 200, ok_payload()
-
-    gw = make_gateway(transport, max_in_flight=3)
-    threads = [threading.Thread(target=lambda: gw.complete(req())) for _ in range(24)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert active["calls"] == 24
-    assert active["peak"] <= 3
 
 
 def test_a_call_that_waits_for_a_slot_reports_only_its_own_transport_time():

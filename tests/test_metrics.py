@@ -1,17 +1,31 @@
-"""Overlap metrics against hand-counted oracles.
+"""Overlap metrics against hand-worked values and straightforward oracles.
 
-Every pinned value below was worked out on paper from the n-gram counts
-before the implementation existed; the comments keep the arithmetic. The
-tokenizer, the LCS and the alignment must equal, exactly, the straightforward
-versions in metrics_oracle.py on texts of 1-4 token types, which force ties
-and repeats; long texts must score within a time limit, and a text of one
-word must align in little memory.
+- `TOKENS`: a text's tokens are its whitespace-separated words, lowercased,
+  with Unicode punctuation (category P*) stripped from both ends; inner
+  punctuation stays and a word of punctuation alone goes. No alphanumeric
+  character is punctuation, so a word with alphanumeric ends is kept whole.
+- `SCORES`: each metric call and its value, worked out on paper from the
+  n-gram counts (the comments keep the arithmetic), or its ValueError: `bleu`
+  without a reference or with `max_n` below 1, and `rouge` of a variant but
+  1, 2, 3 and L (either case). BLEU clips each n-gram count at the largest
+  in one reference, adds one to a zero precision above n = 1, is 0 without a
+  common unigram, and takes its brevity penalty from the reference length
+  closest to the candidate's, the shorter on a tie. ROUGE is the F1 of the
+  clipped n-gram overlap or of the LCS; METEOR-lite's chunks are its blocks.
+- `METRICS`: every score lies in [0, 1]. A text scores 1 against itself, but
+  0 in ROUGE-n with fewer than n tokens, and 1 - 0.5/m^3 in METEOR-lite with
+  m tokens. ROUGE is symmetric.
+- `ORACLES`: the tokenizer, the LCS, the alignment, BLEU, ROUGE-L and
+  METEOR-lite equal, exactly, the straightforward versions in
+  metrics_oracle.py, on texts of 1-4 token types that force ties and repeats.
+- Long texts score within a time limit; a text of one word aligns in little memory.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 import tracemalloc
 import unicodedata
@@ -21,40 +35,26 @@ from hypothesis import given, strategies as st
 
 from agora.metrics import _align_blocks, _lcs_length, bleu, meteor_lite, rouge, tokenize
 from conftest import finishes_within
-from metrics_oracle import (
-    reference_align_blocks,
-    reference_bleu,
-    reference_lcs_length,
-    reference_meteor_lite,
-    reference_rouge_l,
-    reference_tokenize,
-)
+from metrics_oracle import reference_align_blocks, reference_bleu, reference_lcs_length
+from metrics_oracle import reference_meteor_lite, reference_rouge_l, reference_tokenize
 
 
 # -- tokenizer --
 
-
-def test_tokenize_lowercase_and_strip():
-    assert tokenize("Hello, World!") == ["hello", "world"]
-    assert tokenize("...wow...") == ["wow"]
-
-
-def test_tokenize_keeps_internal_punctuation():
-    assert tokenize("it's don't--stop 3.14") == ["it's", "don't--stop", "3.14"]
-
-
-def test_tokenize_drops_pure_punctuation():
-    assert tokenize("!!! ??? --") == []
-    assert tokenize("") == []
+# Each text and its tokens.
+TOKENS = {
+    "lowercased, end punctuation stripped": ("Hello, World!", ["hello", "world"]),
+    "punctuation stripped from both ends": ("...wow...", ["wow"]),
+    "inner punctuation kept": ("it's don't--stop 3.14", ["it's", "don't--stop", "3.14"]),
+    "punctuation alone dropped": ("!!! ??? --", []),
+    "empty": ("", []),
+    "unicode punctuation": ("«quoted» —dash—", ["quoted", "dash"]),
+}
 
 
-def test_tokenize_handles_unicode_punctuation():
-    assert tokenize("«quoted» —dash—") == ["quoted", "dash"]
-
-
-sentences = st.lists(
-    st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=8
-).map(" ".join)
+@pytest.mark.parametrize("text, expected", TOKENS.values(), ids=list(TOKENS))
+def test_tokenize(text, expected):
+    assert tokenize(text) == expected
 
 
 def test_no_alphanumeric_character_is_punctuation():
@@ -73,217 +73,129 @@ def test_tokenize_output_is_clean(text):
         assert not unicodedata.category(token[-1]).startswith("P")
 
 
-# -- bleu --
+# -- hand-worked scores --
 
+CAT = "the cat sat on the mat"
 
-def test_bleu_clipping():
-    # cand {the:3}, ref caps it at 1: p1 = 1/3; c=3 >= r=2 so no brevity hit.
-    assert bleu("the the the", ["the cat"], max_n=1) == pytest.approx(1 / 3, abs=1e-9)
+# Each metric call and its value, or the ValueError it raises.
+SCORES = {
+    # cand {the:3}, the ref caps it at 1: p1 = 1/3; c=3 >= r=2, so no brevity penalty.
+    "bleu clips a count to 1": (bleu, ("the the the", ["the cat"], 1), 1 / 3),
     # cand {the:4}, ref {the:2}: p1 = 2/4.
-    assert bleu("the the the the", ["the the cat"], max_n=1) == pytest.approx(0.5)
-
-
-def test_bleu_identity_is_one():
-    text = "the cat sat on the mat"
-    assert bleu(text, [text]) == pytest.approx(1.0)
-
-
-def test_bleu_brevity_penalty():
-    # All precisions 1 (2-token prefix, 3/4-grams smoothed to 1);
-    # c=2, r=6 gives exp(1 - 6/2) = exp(-2).
-    value = bleu("the cat", ["the cat sat on the mat"])
-    assert value == pytest.approx(math.exp(-2), abs=1e-12)
-
-
-def test_bleu_closest_reference_tie_prefers_shorter():
-    # Lengths 2 and 4 are both one off from c=3; the tie picks r=2,
-    # which kills the brevity penalty entirely.
-    assert bleu("a b c", ["x y", "a b c x"]) == pytest.approx(1.0)
+    "bleu clips a count to 2": (bleu, ("the the the the", ["the the cat"], 1), 0.5),
+    "bleu of a text against itself": (bleu, (CAT, [CAT]), 1.0),
+    # All precisions 1 (2-token prefix, 3/4-grams smoothed to 1); c=2, r=6: exp(1 - 6/2).
+    "bleu brevity penalty": (bleu, ("the cat", [CAT]), math.exp(-2)),
+    # Lengths 2 and 4 are both one off from c=3; the tie picks r=2, so no penalty.
+    "bleu length tie picks the shorter reference": (bleu, ("a b c", ["x y", "a b c x"]), 1.0),
     # Without the short reference the penalty is exp(1 - 4/3).
-    assert bleu("a b c", ["a b c x"]) == pytest.approx(math.exp(1 - 4 / 3), abs=1e-12)
+    "bleu penalty against the one reference": (bleu, ("a b c", ["a b c x"]), math.exp(1 - 4 / 3)),
+    # p1 = 4/5 and p2 = 2/4 are nonzero, so no add-one anywhere: sqrt(0.8 * 0.5).
+    "bleu adds one to no nonzero precision": (bleu, ("a b c d e", ["a b x c d"], 2), math.sqrt(0.4)),
+    # p1 = 2/2; the one bigram (a b) is not in the reference: p2 = (0 + 1) / (1 + 1). sqrt(1 * 1/2).
+    "bleu adds one to a zero bigram precision": (bleu, ("a b", ["b a"], 2), math.sqrt(0.5)),
+    "bleu without a common unigram": (bleu, ("dog", ["cat"]), 0.0),
+    "bleu of an empty candidate": (bleu, ("", ["cat"]), 0.0),
+    "bleu of a punctuation candidate": (bleu, ("!!!", ["cat"]), 0.0),
+    "bleu without a reference": (bleu, ("x", []), ValueError("bleu needs at least one reference")),
+    "bleu max_n 0": (bleu, ("x", ["x"], 0), ValueError("max_n must be >= 1")),
+    # overlap 3, cand total 3, ref total 6: P=1, R=1/2, F1=2/3.
+    "rouge1": (rouge, ("the cat sat", CAT, 1), 2 / 3),
+    # bigram overlap 2 of cand 2 / ref 5: P=1, R=2/5, F1=4/7.
+    "rouge2": (rouge, ("the cat sat", CAT, 2), 4 / 7),
+    # trigram overlap 1 of cand 1 / ref 4: P=1, R=1/4, F1=2/5.
+    "rouge3": (rouge, ("the cat sat", CAT, 3), 0.4),
+    # LCS("the cat the dog", "the dog the cat") = 2; P=R=1/2, F1=1/2.
+    "rougeL": (rouge, ("the cat the dog", "the dog the cat", "L"), 0.5),
+    "rougeL in lower case": (rouge, ("a b", "a b", "l"), 1.0),
+    **{f"rouge{v} of a text against itself": (rouge, ("a b c d", "a b c d", v), 1.0) for v in (1, 2, 3, "L")},
+    **{f"rouge{v} of disjoint texts": (rouge, ("a b c", "x y z", v), 0.0) for v in (1, 2, 3, "L")},
+    "rouge variant 4": (rouge, ("a", "a", 4), ValueError("unsupported rouge variant 4")),
+    # m=3, Fmean=1, one chunk: 1 - 0.5*(1/3)^3 = 53/54.
+    "meteor of three tokens against themselves": (meteor_lite, ("a b c", "a b c"), 53 / 54),
+    # Blocks (a b) and (c d) swap sides: m=4, Fmean=1, chunks=2, penalty 0.5*(2/4)^3 = 0.0625.
+    "meteor of two swapped blocks": (meteor_lite, ("a b c d", "c d a b"), 0.9375),
+    # m=1 of 2/2: P=R=1/2, Fmean=0.5; one chunk of one token is fully fragmented: penalty 0.5.
+    "meteor partial overlap": (meteor_lite, ("the cat", "the dog"), 0.25),
+    "meteor without overlap": (meteor_lite, ("a b", "x y"), 0.0),
+    "meteor of an empty candidate": (meteor_lite, ("", "x"), 0.0),
+    "meteor against an empty reference": (meteor_lite, ("x", ""), 0.0),
+}
 
 
-def test_bleu_smoothing_only_at_zero():
-    # p1 = 4/5 and p2 = 2/4 are nonzero, so no add-one anywhere:
-    # score = sqrt(0.8 * 0.5).
-    value = bleu("a b c d e", ["a b x c d"], max_n=2)
-    assert value == pytest.approx(math.sqrt(0.4), abs=1e-12)
+@pytest.mark.parametrize("metric, args, expected", SCORES.values(), ids=list(SCORES))
+def test_each_score_is_its_hand_worked_value(metric, args, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
+            metric(*args)
+    else:
+        assert metric(*args) == pytest.approx(expected, abs=1e-12)
 
 
-def test_bleu_zero_unigram_overlap_is_zero():
-    assert bleu("dog", ["cat"]) == 0.0
+# -- properties --
+
+sentences = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=8).map(" ".join)
+
+# Each metric of (candidate, reference), and the score of a text of m tokens against itself.
+METRICS = {
+    "bleu": (lambda a, b: bleu(a, [b]), lambda m: 1.0),
+    "rouge1": (lambda a, b: rouge(a, b, 1), lambda m: 1.0),
+    "rouge2": (lambda a, b: rouge(a, b, 2), lambda m: float(m >= 2)),
+    "rouge3": (lambda a, b: rouge(a, b, 3), lambda m: float(m >= 3)),
+    "rougeL": (lambda a, b: rouge(a, b, "L"), lambda m: 1.0),
+    "meteor": (meteor_lite, lambda m: 1 - 0.5 / m**3),
+}
 
 
-def test_bleu_empty_candidate_is_zero():
-    assert bleu("", ["cat"]) == 0.0
-    assert bleu("!!!", ["cat"]) == 0.0
-
-
-def test_bleu_argument_validation():
-    with pytest.raises(ValueError):
-        bleu("x", [])
-    with pytest.raises(ValueError):
-        bleu("x", ["x"], max_n=0)
-
-
+@pytest.mark.parametrize("metric", METRICS)
 @given(sentences, sentences)
-def test_bleu_stays_in_unit_interval(cand, ref):
-    assert 0.0 <= bleu(cand, [ref]) <= 1.0 + 1e-12
+def test_each_metric_stays_in_the_unit_interval(metric, a, b):
+    assert 0.0 <= METRICS[metric][0](a, b) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("metric", METRICS)
 @given(sentences)
-def test_bleu_identity_property(text):
-    assert bleu(text, [text]) == pytest.approx(1.0)
+def test_each_metric_scores_a_text_against_itself_as_its_row_says(metric, text):
+    score, identity = METRICS[metric]
+    assert score(text, text) == pytest.approx(identity(len(tokenize(text))))
 
+
+@pytest.mark.parametrize("metric", ["rouge1", "rouge2", "rouge3", "rougeL"])
+@given(sentences, sentences)
+def test_rouge_is_symmetric(metric, a, b):
+    # Clipped-overlap F1 treats both sides alike.
+    score = METRICS[metric][0]
+    assert score(a, b) == pytest.approx(score(b, a))
+
+
+# -- the metrics, the kernels and the tokenizer against the straightforward versions --
 
 # Small vocabulary with edge punctuation and case, so n-grams repeat and
 # overlap across the candidate and its references.
-overlapping_texts = st.lists(
-    st.sampled_from(["a", "b", "c", "A", "b,", "(c)", "the", "!!"]), max_size=30
-).map(" ".join)
+overlapping_texts = st.lists(st.sampled_from(["a", "b", "c", "A", "b,", "(c)", "the", "!!"]), max_size=30).map(" ".join)
+any_text = overlapping_texts | st.text(max_size=60)
 
 
-@given(
-    overlapping_texts | st.text(max_size=60),
-    st.lists(overlapping_texts | st.text(max_size=60), min_size=1, max_size=3),
-    st.integers(1, 4),
-)
-def test_bleu_matches_reference_oracle_exactly(cand, refs, max_n):
-    assert bleu(cand, refs, max_n) == reference_bleu(cand, refs, max_n)
-
-
-# -- rouge --
-
-
-def test_rouge1_hand_case():
-    # overlap 3, cand total 3, ref total 6: P=1, R=1/2, F1=2/3.
-    value = rouge("the cat sat", "the cat sat on the mat", 1)
-    assert value == pytest.approx(2 / 3, abs=1e-9)
-
-
-def test_rouge2_hand_case():
-    # bigram overlap 2 of cand 2 / ref 5: P=1, R=2/5, F1=4/7.
-    value = rouge("the cat sat", "the cat sat on the mat", 2)
-    assert value == pytest.approx(4 / 7, abs=1e-12)
-
-
-def test_rouge3_hand_case():
-    # trigram overlap 1 of cand 1 / ref 4: P=1, R=1/4, F1=2/5.
-    value = rouge("the cat sat", "the cat sat on the mat", 3)
-    assert value == pytest.approx(0.4, abs=1e-12)
-
-
-def test_rouge_l_hand_case():
-    # LCS("the cat the dog", "the dog the cat") = 2; P=R=1/2, F1=1/2.
-    assert rouge("the cat the dog", "the dog the cat", "L") == pytest.approx(0.5)
-
-
-def test_rouge_identity_is_one():
-    for variant in (1, 2, 3, "L"):
-        assert rouge("a b c d", "a b c d", variant) == pytest.approx(1.0)
-
-
-def test_rouge_disjoint_is_zero():
-    for variant in (1, 2, 3, "L"):
-        assert rouge("a b c", "x y z", variant) == 0.0
-
-
-def test_rouge_accepts_lowercase_l():
-    assert rouge("a b", "a b", "l") == pytest.approx(1.0)
-
-
-def test_rouge_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        rouge("a", "a", 4)
-
-
-@given(sentences, sentences)
-def test_rouge_is_symmetric(a, b):
-    # Clipped-overlap F1 treats both sides alike.
-    for variant in (1, 2, "L"):
-        assert rouge(a, b, variant) == pytest.approx(rouge(b, a, variant))
-
-
-@given(sentences, sentences)
-def test_rouge_stays_in_unit_interval(a, b):
-    for variant in (1, 2, 3, "L"):
-        assert 0.0 <= rouge(a, b, variant) <= 1.0 + 1e-12
-
-
-# -- meteor --
-
-
-def test_meteor_identity_three_tokens():
-    # m=3, Fmean=1, one chunk: 1 - 0.5*(1/3)^3 = 53/54.
-    value = meteor_lite("a b c", "a b c")
-    assert value == pytest.approx(53 / 54, abs=1e-9)
-    assert value == pytest.approx(0.981481, abs=1e-6)
-
-
-def test_meteor_two_swapped_blocks():
-    # Blocks (a b) and (c d) swap sides: m=4, Fmean=1, chunks=2,
-    # penalty 0.5*(2/4)^3 = 0.0625.
-    assert meteor_lite("a b c d", "c d a b") == pytest.approx(0.9375, abs=1e-12)
-
-
-def test_meteor_partial_overlap():
-    # m=1 of 2/2: P=R=1/2, Fmean=0.5; single chunk of one token is fully
-    # fragmented: penalty 0.5. Score 0.25.
-    assert meteor_lite("the cat", "the dog") == pytest.approx(0.25, abs=1e-12)
-
-
-def test_meteor_no_overlap_or_empty():
-    assert meteor_lite("a b", "x y") == 0.0
-    assert meteor_lite("", "x") == 0.0
-    assert meteor_lite("x", "") == 0.0
-
-
-@given(sentences)
-def test_meteor_identity_property(text):
-    m = len(tokenize(text))
-    assert meteor_lite(text, text) == pytest.approx(1 - 0.5 / m**3)
-
-
-@given(sentences, sentences)
-def test_meteor_stays_in_unit_interval(a, b):
-    assert 0.0 <= meteor_lite(a, b) <= 1.0 + 1e-12
-
-
-def _tokens_over(size: int):
-    """0-16 tokens over a vocabulary of `size` tokens, so blocks repeat and interleave."""
-    return st.lists(st.sampled_from("abcd"[:size]), max_size=16)
-
-
-token_pairs = st.integers(1, 4).flatmap(lambda size: st.tuples(_tokens_over(size), _tokens_over(size)))
+# Two lists of 0-16 tokens over one vocabulary of 1-4 tokens, so blocks repeat and interleave.
+token_pairs = st.integers(1, 4).flatmap(lambda size: st.tuples(*[st.lists(st.sampled_from("abcd"[:size]), max_size=16)] * 2))
 text_pairs = token_pairs.map(lambda pair: tuple(" ".join(tokens) for tokens in pair))
 
-
-@given(text_pairs)
-def test_meteor_matches_reference_oracle_exactly(pair):
-    assert meteor_lite(*pair) == reference_meteor_lite(*pair)
-
-
-# -- the kernels and the tokenizer against the straightforward versions --
-
-
-@given(token_pairs)
-def test_lcs_length_matches_reference_oracle_exactly(pair):
-    assert _lcs_length(*pair) == reference_lcs_length(*pair)
+# Each function, its oracle, and the arguments they are drawn with.
+ORACLES = {
+    "bleu": (bleu, reference_bleu, st.tuples(any_text, st.lists(any_text, min_size=1, max_size=3), st.integers(1, 4))),
+    "meteor_lite": (meteor_lite, reference_meteor_lite, text_pairs),
+    "_lcs_length": (_lcs_length, reference_lcs_length, token_pairs),
+    "_align_blocks": (_align_blocks, reference_align_blocks, token_pairs),
+    "rouge L": (lambda a, b: rouge(a, b, "L"), reference_rouge_l, text_pairs),
+    "tokenize": (tokenize, reference_tokenize, st.tuples(any_text)),
+}
 
 
-@given(token_pairs)
-def test_align_blocks_matches_reference_oracle_exactly(pair):
-    assert _align_blocks(*pair) == reference_align_blocks(*pair)
-
-
-@given(text_pairs)
-def test_rouge_l_matches_reference_oracle_exactly(pair):
-    assert rouge(*pair, "L") == reference_rouge_l(*pair)
-
-
-@given(overlapping_texts | st.text(max_size=60))
-def test_tokenize_matches_reference_oracle_exactly(text):
-    assert tokenize(text) == reference_tokenize(text)
+@pytest.mark.parametrize("function, oracle, arguments", ORACLES.values(), ids=list(ORACLES))
+@given(st.data())
+def test_each_matches_its_reference_oracle_exactly(function, oracle, arguments, data):
+    args = data.draw(arguments)
+    assert function(*args) == oracle(*args)
 
 
 def test_long_texts_score_within_seconds():

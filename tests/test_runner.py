@@ -1,4 +1,28 @@
-"""Debate execution and batch orchestration against scripted backends."""
+"""Debate execution (`run_sample`) and batch orchestration (`run_batch`) against scripted backends.
+
+- A record logs every call a debate makes, as a message or a ballot. An
+  empty improve reply is decided like any other; a persona reply or a
+  cumulative ballot nested too deep for the parser is malformed and asked for
+  again. A baseline is one call, a system prompt and, with chain of thought,
+  `Let's think step-by-step.`, logged as a turn-1 draft of `Participant 1`.
+- `EARLY_ENDS`: wherever a run ends, its record logs the protocol, the last
+  turn completed, the messages and personas so far, and no API key; it fails
+  exactly when it names an `error`, or a `fallbackReason` for a failed judge
+  call, whose answer is the first candidate. A record is compact JSON that
+  keeps non-ASCII text, and failed when its outcome holds an error.
+- `BATCHES`: a batch needs a job, loads each dataset once, and writes each
+  job's records in sample order (all, or a seeded `num_samples`), making the
+  log's folder; a written job's report keeps only its counts.
+- `LOG_FAULTS`: a log that cannot be written aborts its job alone and leaves
+  an earlier log's bytes, or no file. Only a file `evaluate` would read as a
+  leftover repeat of a job is at fault, and the log folder is listed once.
+- Each endpoint gets one gateway, built before any worker starts, and never
+  more calls or debates in flight than its cap; two endpoints run at once,
+  each at its cap. Records keep sample order though debates end out of order,
+  and `run_sample` and `serialize_record` run through `runner` once a sample.
+- Every call names the job's model; rejected credentials on any kind of call
+  fail the debate, with no fallback. A record's clock is the backend's.
+"""
 
 from __future__ import annotations
 
