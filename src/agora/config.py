@@ -9,14 +9,15 @@ from typing import Any, Mapping, NamedTuple
 from . import decisions
 from .agents import PERSONA_GENERATORS
 from .datasets import FormatError, job_logs, read_input
-from .domain import JobParams, ParadigmKind, ResponseGeneratorKind
+from .domain import JobParams, ParadigmKind
 from .gateway import is_endpoint_url, shown_url
+from .prompts import RESPONSE_GENERATORS
 
 CONFIG_KEYS = frozenset(JobParams._fields)
 
 # The values each choice key accepts: exactly what the engine dispatches on.
 CHOICES = {
-    "response_generator": frozenset(kind.value for kind in ResponseGeneratorKind),
+    "response_generator": frozenset(RESPONSE_GENERATORS),
     "persona_generator": frozenset(PERSONA_GENERATORS),
     "discussion_paradigm": frozenset(kind.value for kind in ParadigmKind),
     "decision_protocol": decisions.ALL_PROTOCOLS,

@@ -59,19 +59,23 @@ def log_job(path: Path) -> tuple[str, int]:
     return job, repeat
 
 
-# The keys of a mapping sidecar: the lists of fields, then the strings.
+# The keys of a mapping sidecar, in FieldMapping's field order: the lists, then the strings.
 _LIST_KEYS = ("input_fields", "reference_fields", "context_fields")
 _STRING_KEYS = ("id_field", "answer_letter_field", "format", "instruction")
 
 
 class FieldMapping(NamedTuple):
-    """Where unified-format fields come from in a raw dataset file."""
+    """A mapping sidecar: where unified-format fields come from in a raw dataset
+    file, the file's format, and the instruction its samples carry. An absent or
+    empty string is None."""
 
     input_fields: tuple[str, ...]
     reference_fields: tuple[str, ...]
-    id_field: Optional[str] = None
     context_fields: tuple[str, ...] = ()
+    id_field: Optional[str] = None
     answer_letter_field: Optional[str] = None
+    format: Optional[str] = None
+    instruction: Optional[str] = None
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FieldMapping":
@@ -90,13 +94,7 @@ class FieldMapping(NamedTuple):
         for key in ("input_fields", "reference_fields"):
             if not data.get(key):
                 raise ValueError(f"{key} must not be empty")
-        return cls(
-            input_fields=tuple(data.get("input_fields", ())),
-            reference_fields=tuple(data.get("reference_fields", ())),
-            id_field=data.get("id_field"),
-            context_fields=tuple(data.get("context_fields", ())),
-            answer_letter_field=data.get("answer_letter_field"),
-        )
+        return cls(*(tuple(data.get(key, ())) for key in _LIST_KEYS), *(data.get(key) or None for key in _STRING_KEYS))
 
 
 def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> Any:
@@ -240,7 +238,7 @@ def _lines(field: str, value: Any) -> list[str]:
     return [str(item) for item in items]
 
 
-def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str, instruction: str) -> TaskInstance:
+def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str) -> TaskInstance:
     """One raw record in the unified format; `row_id` is its id when the mapping names none."""
     required = mapping.input_fields + mapping.reference_fields
     if mapping.id_field:
@@ -267,7 +265,7 @@ def _mapped_instance(record: dict[str, Any], mapping: FieldMapping, row_id: str,
         letter = record[letter_field].strip()
     return TaskInstance(
         id=row_id,
-        instruction_key=instruction,
+        instruction_key=mapping.instruction or "",
         input_lines=lines(mapping.input_fields),
         context_lines=lines(mapping.context_fields, optional=True),
         references=lines(mapping.reference_fields),
@@ -317,7 +315,7 @@ def load_input_file(path: str | Path) -> list[TaskInstance]:
     is named in one FormatError."""
     name = str(path)
     fmt = "jsonl" if name.endswith(".jsonl") else "csv" if name.endswith(".csv") else "json"
-    sidecar, mapping, instruction = Path(name + ".mapping.json"), None, ""
+    sidecar, mapping = Path(name + ".mapping.json"), None
     if sidecar.exists():
         spec = read_input(sidecar)
         if not isinstance(spec, dict):
@@ -326,7 +324,7 @@ def load_input_file(path: str | Path) -> list[TaskInstance]:
             mapping = FieldMapping.from_dict(spec)
         except ValueError as exc:
             raise FormatError(f"{sidecar}: {exc}")
-        fmt, instruction = spec.get("format") or fmt, spec.get("instruction") or ""
+        fmt = mapping.format or fmt
     elif fmt == "csv":  # a unified dataset is JSON or JSONL, whatever its suffix
         fmt = "json"
     records = _read_records(path, fmt)
@@ -338,7 +336,7 @@ def load_input_file(path: str | Path) -> list[TaskInstance]:
             if mapping is None:
                 instances.append(_unified_instance(record))
             else:
-                instances.append(_mapped_instance(record, mapping, str(row).zfill(width), instruction))
+                instances.append(_mapped_instance(record, mapping, str(row).zfill(width)))
         except FormatError as exc:
             problems.append(f"row {row}: {exc}")
     counts = Counter(instance.id for instance in instances)

@@ -98,12 +98,6 @@ class Persona(NamedTuple):
     traits: Optional[dict[str, str]] = None
 
 
-class ResponseGeneratorKind(str, Enum):
-    SIMPLE = "simple"
-    CRITICAL = "critical"
-    REASONING = "reasoning"
-
-
 class ParadigmKind(str, Enum):
     MEMORY = "memory"
     RELAY = "relay"
@@ -221,7 +215,7 @@ def _installs_draft(msg: Message) -> bool:
 class DebateState:
     """One debate's job, sample, task text and transcript; `turn` counts completed turns."""
 
-    __slots__ = ("params", "task", "task_text", "panel", "transcript", "current_draft", "agree_flags", "turn")
+    __slots__ = ("params", "task", "task_text", "panel", "transcript", "current_draft", "agreeing", "turn")
 
     def __init__(
         self, params: JobParams, task: TaskInstance, task_text: str, panel: list[AgentProfile]
@@ -230,7 +224,7 @@ class DebateState:
         self.task_text = task_text  # the resolved instruction the prompts carry
         self.transcript: list[Message] = []
         self.current_draft: Optional[str] = None  # the text of the solution under discussion
-        self.agree_flags: dict[int, Agreement] = {}
+        self.agreeing: set[int] = set()  # the agents who agree with the current draft
         self.turn = 0
 
     def add(self, turn: int, agent_id: int, phase: Phase, text: str, clock_ms: int) -> None:
@@ -239,15 +233,14 @@ class DebateState:
         self.transcript.append(msg)
         if _installs_draft(msg):
             self.current_draft = msg.text
-            self.agree_flags = {msg.agent_id: Agreement.AGREE}
-        elif (agreement := msg.agreement) is not None:
-            self.agree_flags[msg.agent_id] = agreement
+            self.agreeing = {msg.agent_id}
+        elif (agreement := msg.agreement) is Agreement.AGREE:
+            self.agreeing.add(msg.agent_id)
+        elif agreement is Agreement.DISAGREE:
+            self.agreeing.discard(msg.agent_id)
 
     def agreement_fraction(self) -> Share:
-        agreeing = sum(
-            1 for flag in self.agree_flags.values() if flag is Agreement.AGREE
-        )
-        return Share(agreeing, len(self.panel))
+        return Share(len(self.agreeing), len(self.panel))
 
     def debate_messages(self) -> list[Message]:
         return [m for m in self.transcript if m.phase in DEBATE_PHASES]

@@ -144,6 +144,7 @@ def group_log_files(logs: str | Path) -> dict[str, list[tuple[int, Path]]]:
 _LOG_FIELDS: FieldTable = {
     "task.id": (True, lambda value: isinstance(value, str)),
     "outcome.finalText": (True, lambda value: isinstance(value, str)),
+    "outcome.success": (False, lambda value: isinstance(value, bool)),
     "outcome.decidedAtTurn": (True, lambda value: isinstance(value, int) and _numbers(value)),
     "globalClockMs": (True, _numbers),
 }

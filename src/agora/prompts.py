@@ -64,7 +64,8 @@ def render_discussion_system(
     )
 
 
-# Each discussion step's turn prompt is <response_generator>_<suffix>.txt.
+# The values of `response_generator`; each step's turn prompt is <generator>_<suffix>.txt.
+RESPONSE_GENERATORS = ("simple", "critical", "reasoning")
 _TURN_PROMPTS = {Phase.IMPROVE: "improve", Phase.FEEDBACK: "feedback", Phase.CENTRAL_SYNTHESIS: "revise"}
 
 

@@ -1,6 +1,7 @@
-"""Shared pytest wiring: print one verdict line per acceptance check;
-`finishes_within`, the time limit of the tests that guard against slow inputs;
-and `started_threads`, every thread a test starts."""
+"""Shared pytest wiring: the Hypothesis profile every run loads; print one
+verdict line per acceptance check; `finishes_within`, the time limit of the
+tests that guard against slow inputs; and `started_threads`, every thread a
+test starts."""
 
 from __future__ import annotations
 
@@ -9,6 +10,13 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+# Every property draws the same examples on every run and in every tree, with
+# no example database carried over, so two runs (and the two trees that
+# `tools/mutants.py` compares) kill the same mutants.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @contextmanager

@@ -1,8 +1,12 @@
 """The tests' one recording backend, which keeps every request it forwards,
-their one always-agreeing backend, their one builder of a debate state, and
-the template text that a script rule matches to tell the calls apart."""
+their one always-agreeing backend, their one fake HTTP endpoint, their one
+builder of a debate state, and the template text that a script rule matches
+to tell the calls apart."""
 
 from __future__ import annotations
+
+import threading
+import time
 
 from agora.domain import AgentProfile, DebateState, JobParams, Persona, TaskInstance
 from agora.gateway import Backend, ChatRequest, ChatResponse
@@ -70,6 +74,31 @@ class Agreeing:
         if self.on_call is not None:
             self.on_call("\n".join(m.content for m in req.messages))
         return ChatResponse(text=self.REPLY)
+
+
+class CountingTransport:
+    """A fake endpoint, passed to HttpGateway as its transport: it keeps each
+    request body, tracks how many requests are in flight at once, and answers
+    each with REPLY after `seconds`."""
+
+    REPLY = "Fine. [AGREE]"
+
+    def __init__(self, seconds: float = 0.002) -> None:
+        self._lock = threading.Lock()
+        self.seconds = seconds
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.bodies: list[dict] = []
+
+    def __call__(self, url, headers, body, timeout):
+        with self._lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            self.bodies.append(body)
+        time.sleep(self.seconds)
+        with self._lock:
+            self.in_flight -= 1
+        return 200, {"choices": [{"message": {"content": self.REPLY}}]}
 
 
 def replay(texts: list[str]) -> Recording:

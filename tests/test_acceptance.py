@@ -15,7 +15,6 @@ import itertools
 import json
 import random
 import re
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -23,17 +22,13 @@ from pathlib import Path
 
 from agora.config import BatchConfig, expand_config, resolve_job_params
 from agora.decisions import Ballot, consensus_reached, tally
-from agora.domain import (
-    Persona,
-    Phase,
-    ResponseGeneratorKind,
-    TaskInstance,
-)
+from agora.domain import Persona, Phase, TaskInstance
 from agora.evaluation import aggregate
 from agora.gateway import ChatMessage, ChatRequest, HttpGateway, script_from_dict
 from agora.metrics import bleu, meteor_lite, rouge
 from agora.paradigms import ParadigmKind, run_turn
 from agora.prompts import (
+    RESPONSE_GENERATORS,
     render_cot_system,
     render_discussion_system,
     render_extraction_user,
@@ -43,7 +38,7 @@ from agora.prompts import (
 )
 from agora.runner import run_sample, serialize_record
 from paper_rules import CONSENSUS, points, scores, visible, winners
-from recording import DRAFT_HOOK, EXTRACTION_HOOK, IMPROVE_HOOK, SIMPLE_VOTE_HOOK, Recording, make_state
+from recording import DRAFT_HOOK, EXTRACTION_HOOK, IMPROVE_HOOK, SIMPLE_VOTE_HOOK, CountingTransport, Recording, make_state
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -413,26 +408,6 @@ def test_criterion_7_repeat_statistics():
 # -- criterion 8: endpoint concurrency cap and wire defaults --
 
 
-class CountingTransport:
-    """Fake endpoint that tracks how many requests are in flight at once."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.in_flight = 0
-        self.max_in_flight = 0
-        self.bodies: list[dict] = []
-
-    def __call__(self, url, headers, body, timeout):
-        with self._lock:
-            self.in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-            self.bodies.append(body)
-        time.sleep(0.002)
-        with self._lock:
-            self.in_flight -= 1
-        return 200, {"choices": [{"message": {"content": "ok"}}]}
-
-
 def test_criterion_8_gateway_concurrency_bound():
     transport = CountingTransport()
     gateway = HttpGateway(
@@ -444,7 +419,7 @@ def test_criterion_8_gateway_concurrency_bound():
             for i in range(200)
         ]
         for future in futures:
-            assert future.result().text == "ok"
+            assert future.result().text == CountingTransport.REPLY
     assert len(transport.bodies) == 200
     assert transport.max_in_flight <= 8
     # Sanity: the pool really did overlap requests.
@@ -472,11 +447,9 @@ def prompt_catalog() -> dict[str, str]:
     question = "Which gas do plants absorb from the atmosphere?"
     candidates = ["Carbon dioxide.", "Oxygen.", "Nitrogen."]
     entries: dict[str, str] = {}
-    for generator in ResponseGeneratorKind:
+    for generator in RESPONSE_GENERATORS:
         for phase, prompt in TURN_PROMPTS:
-            entries[f"turn-{generator.value}-{prompt}"] = render_turn_user_prompt(
-                generator.value, phase
-            )
+            entries[f"turn-{generator}-{prompt}"] = render_turn_user_prompt(generator, phase)
     for protocol in (
         "simple_voting",
         "approval_voting",

@@ -493,6 +493,9 @@ OUTPUT_REFUSALS = {
         f"record-without-{missing}": (evaluate(ODD), {ODD: b"\n" + json.dumps(record).encode()}, f"{ODD} line 2 has no valid {missing}")
         for record, missing in [({}, "task.id"), ({"task": {"id": "1"}}, "outcome.finalText")]
     },
+    # A success that is not a boolean would count as a decided debate.
+    "record-with-a-non-boolean-success": (evaluate(ODD), {ODD: GOOD_LOG.replace(b'"decidedAtTurn"', b'"success": "no", "decidedAtTurn"')},
+                                          f"{ODD} line 1 has no valid outcome.success"),
     "unknown-sample-id": (evaluate(ODD), {ODD: GOOD_LOG.replace(b"0001", b"9")},
                           f"{ODD}: log references unknown sample id '9' (dataset tasks.json)"),
     # The job name names the eval file, and chart would reject it.

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from importlib import resources
 from typing import NamedTuple, Optional
 
 import pytest
@@ -59,6 +60,10 @@ def test_every_accepted_choice_has_an_engine_dispatch():
         for generator in CHOICES["response_generator"]:
             for step in steps:  # every step of every paradigm has its turn prompt
                 assert prompts.render_turn_user_prompt(generator, step.phase)
+    # ... and every turn prompt belongs to a generator the config accepts.
+    templates = {path.name for path in resources.files("agora.templates").iterdir()}
+    turn_prompts = {name for name in templates if name.endswith(("_improve.txt", "_feedback.txt", "_revise.txt"))}
+    assert {name.rpartition("_")[0] for name in turn_prompts} == CHOICES["response_generator"]
     protocols = CHOICES["decision_protocol"]
     voting = protocols - decisions.CONSENSUS_PROTOCOLS - {"judge"}
     assert decisions.VOTING_PROTOCOLS == voting

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from agora.datasets import (
+    _LIST_KEYS,
+    _STRING_KEYS,
     FieldMapping,
     FormatError,
     field_fault,
@@ -259,6 +261,9 @@ LOADS = {
     "a format override": ({"raw.txt": '{"question": "q", "answer": "a"}\n', "raw.txt.mapping.json": {**MAPPING, "format": "jsonl"}},
                           [sample()]),
     "an instruction": ({"raw.jsonl": [QA], "raw.jsonl.mapping.json": {**MAPPING, "instruction": "xsum"}}, [sample(instruction="xsum")]),
+    # An empty format or instruction counts as absent: the suffix names the format.
+    "an empty format and instruction": ({"raw.json": [QA], "raw.json.mapping.json": {**MAPPING, "format": "", "instruction": ""}},
+                                        [sample()]),
 }
 
 
@@ -271,6 +276,11 @@ def test_load_input_file_loads_each_accepted_dataset(tmp_path, row):
             content = "".join(json.dumps(item, ensure_ascii=False) + "\n" for item in items)
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     assert [instance.to_unified() for instance in load_input_file(tmp_path / next(iter(files)))] == samples
+
+
+def test_the_sidecar_keys_are_the_mapping_fields():
+    # A sidecar key that is no field would be checked and then read around the mapping.
+    assert _LIST_KEYS + _STRING_KEYS == FieldMapping._fields
 
 
 def test_mapping_requires_input_and_reference_fields():

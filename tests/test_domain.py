@@ -9,10 +9,10 @@
 - `ADDS`: the state numbers each message one after the last. A draft, a
   central synthesis, and an improve that does not agree install their text
   as the draft and reset the agreement slate to their author alone. Any other
-  improve or feedback sets its author's flag to its agreement, if it has one.
-  The agreeing share is the agreeing flags out of the panel. Extraction and
-  judge messages are bookkeeping: they install nothing, and they are not
-  debate messages.
+  improve or feedback adds its author to the slate if it agrees, and removes
+  them if it disagrees. The agreeing share is the slate's size out of the
+  panel. Extraction and judge messages are bookkeeping: they install nothing,
+  leave the slate alone, and are not debate messages.
 - A message's log entry and the log record hold their keys in the order
   pinned here. An outcome fails exactly when it names a reason, and its log
   entry adds each optional key the outcome has.
@@ -173,40 +173,46 @@ def test_log_record_derives_protocol_and_turn_from_job_and_state():
 V1 = (1, 1, "draft", "v1")
 
 # The messages added to a 3-agent debate, each as (turn, agent, phase, text),
-# then the draft, the agreement slate, the agreeing share's numerator, each
-# message's agreement, and the seqs of the debate messages.
+# then the draft, the agreement slate (the agents who agree with the draft),
+# each message's agreement, and the seqs of the debate messages.
 ADDS = {
-    "a draft installs itself": ([(1, 1, "draft", "v1 [AGREE]")], ("v1 [AGREE]", {1: A}, 1, [None], [1])),
-    "an agreeing improve keeps the draft": ([V1, (1, 2, "improve", "fine [AGREE]")], ("v1", {1: A, 2: A}, 2, [None, A], [1, 2])),
+    "a draft installs itself": ([(1, 1, "draft", "v1 [AGREE]")], ("v1 [AGREE]", {1}, [None], [1])),
+    "an agreeing improve keeps the draft": ([V1, (1, 2, "improve", "fine [AGREE]")], ("v1", {1, 2}, [None, A], [1, 2])),
     "a disagreeing improve replaces the draft": (
-        [V1, (1, 2, "improve", "v2 [DISAGREE]")], ("v2 [DISAGREE]", {2: A}, 1, [None, D], [1, 2])
+        [V1, (1, 2, "improve", "v2 [DISAGREE]")], ("v2 [DISAGREE]", {2}, [None, D], [1, 2])
     ),
-    "an unmarked improve replaces the draft": ([V1, (1, 2, "improve", "v2")], ("v2", {2: A}, 1, [None, None], [1, 2])),
+    "an unmarked improve replaces the draft": ([V1, (1, 2, "improve", "v2")], ("v2", {2}, [None, None], [1, 2])),
     "a disagreeing improve resets the slate": (
         [V1, (1, 2, "improve", "ok [AGREE]"), (1, 3, "improve", "no [DISAGREE]")],
-        ("no [DISAGREE]", {3: A}, 1, [None, A, D], [1, 2, 3]),
+        ("no [DISAGREE]", {3}, [None, A, D], [1, 2, 3]),
     ),
-    "feedback never installs": ([V1, (1, 2, "feedback", "v2 [DISAGREE]")], ("v1", {1: A, 2: D}, 1, [None, D], [1, 2])),
-    "an agreeing feedback": ([V1, (1, 3, "feedback", "ok [AGREE]")], ("v1", {1: A, 3: A}, 2, [None, A], [1, 2])),
+    "feedback never installs": ([V1, (1, 2, "feedback", "v2 [DISAGREE]")], ("v1", {1}, [None, D], [1, 2])),
+    "an agreeing feedback": ([V1, (1, 3, "feedback", "ok [AGREE]")], ("v1", {1, 3}, [None, A], [1, 2])),
+    "a peer who agreed in feedback and then disagrees leaves the slate": (
+        [V1, (1, 2, "feedback", "ok [AGREE]"), (2, 2, "feedback", "no [DISAGREE]")],
+        ("v1", {1}, [None, A, D], [1, 2, 3]),
+    ),
     "a central synthesis installs": (
-        [V1, (1, 1, "central_synthesis", "v2 [AGREE]")], ("v2 [AGREE]", {1: A}, 1, [None, None], [1, 2])
+        [V1, (1, 1, "central_synthesis", "v2 [AGREE]")], ("v2 [AGREE]", {1}, [None, None], [1, 2])
     ),
+    # Marked, the extractions would add agent 1 to the slate and take agent 2 off it.
     "bookkeeping": (
-        [V1, (1, 2, "improve", "x"), (1, 2, "extraction", "ok [AGREE]"), (1, 0, "judge", "no [DISAGREE]")],
-        ("x", {2: A}, 1, [None, None, None, None], [1, 2]),
+        [V1, (1, 2, "improve", "x"), (1, 1, "extraction", "ok [AGREE]"), (1, 2, "extraction", "no [DISAGREE]"),
+         (1, 0, "judge", "no [DISAGREE]")],
+        ("x", {2}, [None] * 5, [1, 2]),
     ),
-    "turns": ([(1, 1, "draft", "x"), (1, 2, "improve", "x"), (2, 3, "improve", "x")], ("x", {3: A}, 1, [None] * 3, [1, 2, 3])),
+    "turns": ([(1, 1, "draft", "x"), (1, 2, "improve", "x"), (2, 3, "improve", "x")], ("x", {3}, [None] * 3, [1, 2, 3])),
 }
 
 
 @pytest.mark.parametrize("case", ADDS)
 def test_each_message_moves_the_draft_and_the_slate(case):
-    added, (draft, flags, agreeing, agreements, debate) = ADDS[case]
+    added, (draft, slate, agreements, debate) = ADDS[case]
     state = make_state(3)
     for turn, agent, phase, text in added:
         state.add(turn, agent, Phase(phase), text, 0)
     assert [(m.seq, m.turn) for m in state.transcript] == [(seq, turn) for seq, (turn, *_) in enumerate(added, start=1)]
-    assert (state.current_draft, state.agree_flags, state.agreement_fraction()) == (draft, flags, Share(agreeing, 3))
+    assert (state.current_draft, state.agreeing, state.agreement_fraction()) == (draft, slate, Share(len(slate), 3))
     assert [m.agreement for m in state.transcript] == agreements
     assert [m.seq for m in state.debate_messages()] == debate
 

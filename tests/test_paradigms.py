@@ -181,7 +181,7 @@ def test_run_turn_memory_first_turn():
     assert all(m.wall_clock_ms == REPLAY_LATENCY_MS for m in state.transcript)
     # Disagreeing improve replaced the draft; the agree vote targeted it.
     assert state.current_draft == "better [DISAGREE]"
-    assert state.agree_flags == {2: Agreement.AGREE, 3: Agreement.AGREE}
+    assert state.agreeing == {2, 3}
 
 
 def test_run_turn_draft_phase_never_parses_agreement():
@@ -206,7 +206,7 @@ def test_run_turn_debate_records_synthesis_as_draft_holder():
     phases = [m.phase for m in state.transcript]
     assert phases == [Phase.DRAFT, Phase.FEEDBACK, Phase.CENTRAL_SYNTHESIS]
     assert state.current_draft == "central summary"
-    assert state.agree_flags == {CENTRAL_AGENT_ID: Agreement.AGREE}
+    assert state.agreeing == {CENTRAL_AGENT_ID}
 
 
 def test_run_turn_report_peers_never_see_each_other():

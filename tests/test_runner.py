@@ -47,7 +47,7 @@ from agora.runner import (
     run_sample,
     serialize_record,
 )
-from recording import DRAFT_HOOK, EXTRACTION_HOOK, IMPROVE_HOOK, SIMPLE_VOTE_HOOK, Agreeing, Recording
+from recording import DRAFT_HOOK, EXTRACTION_HOOK, IMPROVE_HOOK, SIMPLE_VOTE_HOOK, Agreeing, CountingTransport, Recording
 
 BASELINE_HOOK = "Solve the provided task."
 JUDGE_HOOK = "Please provide a decision"
@@ -465,27 +465,6 @@ def test_no_file_but_a_leftover_repeat_is_at_fault_and_the_log_folder_is_listed_
 # -- the per-endpoint debate queues --
 
 
-class CountingTransport:
-    """Fake endpoint that tracks how many requests are in flight at once."""
-
-    def __init__(self, seconds: float = 0.002) -> None:
-        self._lock = threading.Lock()
-        self.seconds = seconds
-        self.in_flight = 0
-        self.max_in_flight = 0
-        self.calls = 0
-
-    def __call__(self, url, headers, body, timeout):
-        with self._lock:
-            self.in_flight += 1
-            self.calls += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        time.sleep(self.seconds)
-        with self._lock:
-            self.in_flight -= 1
-        return 200, {"choices": [{"message": {"content": "Fine. [AGREE]"}}]}
-
-
 def test_run_batch_never_exceeds_the_cap(tmp_path, monkeypatch):
     transport = CountingTransport()
     monkeypatch.setattr(runner, "HttpGateway", functools.partial(HttpGateway, transport=transport))
@@ -510,7 +489,7 @@ def test_run_batch_never_exceeds_the_cap(tmp_path, monkeypatch):
     reports = run_batch(jobs)
     assert batch_ok(reports)
     assert total_records(reports) == 12
-    assert transport.calls == 12 * 2
+    assert len(transport.bodies) == 12 * 2
     assert transport.max_in_flight <= 3
     assert debates["peak"] <= 3
     # Sanity: debates really did overlap.

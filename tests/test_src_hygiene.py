@@ -5,8 +5,7 @@ exists for tests alone (or for nobody); such code belongs in the tests or
 nowhere. The console entry point is the one name used from outside, and a
 decorated function counts as used, because its decorator may register it
 (the click subcommands). The same holds for each enum member, except in
-the enums whose members the config selects by value (`ResponseGeneratorKind`,
-`ParadigmKind`).
+`ParadigmKind`, whose members the config selects by value.
 
 Also: every function parameter in src/agora is read by its function
 (Protocol stubs aside), and starting the CLI imports no third-party HTTP
@@ -86,7 +85,7 @@ EXTERNAL_ENTRY_POINTS = {("cli", "main")}
 
 # Enums whose members the config selects by value (through config.CHOICES),
 # so a member may be named nowhere in the code.
-VALUE_SELECTED_ENUMS = {"ResponseGeneratorKind", "ParadigmKind"}
+VALUE_SELECTED_ENUMS = {"ParadigmKind"}
 
 
 def _definitions(tree: ast.Module):
@@ -340,12 +339,12 @@ def test_the_debate_backend_alone_names_the_model_and_keeps_the_clock():
 
 
 # What a function next to a DebateState would take a second time: the job, or one of its values.
-JOB_CARRIERS = ("JobParams", "ParadigmKind", "ResponseGeneratorKind")
+JOB_CARRIERS = ("JobParams", "ParadigmKind")
 
 
 def second_job_carriers() -> list[str]:
-    """`module.function` for each function taking a DebateState and a JobParams,
-    ParadigmKind or ResponseGeneratorKind: job values the state holds."""
+    """`module.function` for each function taking a DebateState and a JobParams
+    or ParadigmKind: job values the state holds."""
     flagged = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -362,8 +361,8 @@ def second_job_carriers() -> list[str]:
 
 def test_the_debate_state_alone_carries_its_job():
     # DebateState holds the job, the sample and its task text; a function
-    # that takes them, or the job's paradigm or generator, a second time next
-    # to it can see two that disagree.
+    # that takes them, or the job's paradigm, a second time next to it can
+    # see two that disagree.
     assert second_job_carriers() == []
 
 

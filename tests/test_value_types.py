@@ -105,8 +105,8 @@ def test_two_debate_states_share_no_dict_or_list():
         DebateState(JobParams(), TaskInstance("1", "qa", ("x",)), "solve", []) for _ in range(2)
     )
     first.add(1, 1, Phase.DRAFT, "A", 0)
-    assert (first.transcript, first.agree_flags) != (second.transcript, second.agree_flags)
-    assert (second.transcript, second.agree_flags, second.current_draft) == ([], {}, None)
+    assert (first.transcript, first.agreeing) != (second.transcript, second.agreeing)
+    assert (second.transcript, second.agreeing, second.current_draft) == ([], set(), None)
 
 
 @pytest.mark.parametrize(
